@@ -325,8 +325,8 @@ def save_cloud(cloud: SpherePointCloud, path: str | Path) -> None:
 
 def load_cloud(path: str | Path) -> SpherePointCloud:
     lines = Path(path).read_text().splitlines()
-    head = lines[0].split()
-    if not lines or head[0] != "SLMP-CLOUD/1":
+    head = lines[0].split() if lines else []
+    if not head or head[0] != "SLMP-CLOUD/1":
         raise ValueError(f"{path}: not a sphere cloud file")
     d = int(head[1].split("=")[1])
     a = int(head[2].split("=")[1])

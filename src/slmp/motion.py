@@ -28,7 +28,13 @@ class ClipFormatError(ValueError):
 
 @dataclass
 class MotionClip:
-    """Time-indexed reference trajectory at a fixed frame rate."""
+    """Time-indexed reference trajectory at a fixed frame rate.
+
+    The per-quantity arrays are views into ``frames``, one (F, 6 + 2J)
+    array of rows [root_pos, root_angle, joints, root_vel, root_ang_vel,
+    joint_vels] in the ``physics.World`` coordinate layout, from which
+    batched rollouts gather whole reference frames.
+    """
 
     frame_rate: float
     family: str
@@ -39,6 +45,16 @@ class MotionClip:
     root_vel: np.ndarray  # (F,2)
     root_ang_vel: np.ndarray  # (F,)
     joint_vels: np.ndarray  # (F,J)
+
+    def __post_init__(self):
+        self.frames = np.concatenate(
+            [self.root_pos, self.root_angle[:, None], self.joints,
+             self.root_vel, self.root_ang_vel[:, None], self.joint_vels],
+            axis=1,
+        )
+        self.root_pos, q, self.root_vel, qd = split_frames(self.frames)
+        self.root_angle, self.joints = q[:, 0], q[:, 1:]
+        self.root_ang_vel, self.joint_vels = qd[:, 0], qd[:, 1:]
 
     @property
     def n_frames(self) -> int:
@@ -65,10 +81,7 @@ class MotionClip:
 
     def goal_frame_index(self, t: float) -> int:
         """Index of the next reference frame after time t, clamped."""
-        if t < -1e-9 or t > self.duration + 1e-9:
-            raise ValueError(f"t={t} outside clip duration {self.duration}")
-        idx = math.floor(t * self.frame_rate + 1.0 + 1e-9)
-        return min(idx, self.n_frames - 1)
+        return int(_goal_index([self], np.array([t]))[0])
 
     def sample(self, t: float):
         """Linear pose interpolation (shortest arc for angles) at time t.
@@ -76,17 +89,47 @@ class MotionClip:
         Returns (root_pos, root_angle, joints, root_vel, root_ang_vel,
         joint_vels); velocities are interpolated linearly as well.
         """
-        f = min(max(t, 0.0), self.duration) * self.frame_rate
-        i0 = min(int(f), self.n_frames - 1)
-        i1 = min(i0 + 1, self.n_frames - 1)
-        a = f - i0
-        rp = (1 - a) * self.root_pos[i0] + a * self.root_pos[i1]
-        ra = self.root_angle[i0] + a * ph.wrap_angle(self.root_angle[i1] - self.root_angle[i0])
-        jq = self.joints[i0] + a * ph.wrap_angle(self.joints[i1] - self.joints[i0])
-        rv = (1 - a) * self.root_vel[i0] + a * self.root_vel[i1]
-        rw = (1 - a) * self.root_ang_vel[i0] + a * self.root_ang_vel[i1]
-        jv = (1 - a) * self.joint_vels[i0] + a * self.joint_vels[i1]
-        return rp, float(ra), jq, rv, float(rw), jv
+        rp, q, rv, qd = split_frames(sample_frames([self], np.array([t])))
+        return rp[0], float(q[0, 0]), q[0, 1:], rv[0], float(qd[0, 0]), qd[0, 1:]
+
+
+def split_frames(rows: np.ndarray):
+    """(root_pos, q, root_vel, qd) views of (E, 6 + 2J) frame rows."""
+    n = (rows.shape[1] - 4) // 2
+    return rows[:, :2], rows[:, 2 : 2 + n], rows[:, 2 + n : 4 + n], rows[:, 4 + n :]
+
+
+def _goal_index(clips: list[MotionClip], t: np.ndarray) -> np.ndarray:
+    """Per env, the index of the next reference frame after t, clamped."""
+    rate = np.array([c.frame_rate for c in clips])
+    n = np.array([c.n_frames for c in clips])
+    duration = n / rate
+    bad = (t < -1e-9) | (t > duration + 1e-9)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"t={t[i]} outside clip duration {duration[i]}")
+    return np.minimum(np.floor(t * rate + 1.0 + 1e-9).astype(int), n - 1)
+
+
+def goal_frames(clips: list[MotionClip], t: np.ndarray) -> np.ndarray:
+    """Next reference frame of every env: env e follows clips[e] at t[e]."""
+    return np.stack([c.frames[i] for c, i in zip(clips, _goal_index(clips, t))])
+
+
+def sample_frames(clips: list[MotionClip], t: np.ndarray) -> np.ndarray:
+    """``MotionClip.sample`` of every env as frame rows."""
+    rate = np.array([c.frame_rate for c in clips])
+    n = np.array([c.n_frames for c in clips])
+    f = np.minimum(np.maximum(t, 0.0), n / rate) * rate
+    i0 = np.minimum(f.astype(int), n - 1)
+    i1 = np.minimum(i0 + 1, n - 1)
+    a = (f - i0)[:, None]
+    p0 = np.stack([c.frames[i] for c, i in zip(clips, i0)])
+    p1 = np.stack([c.frames[i] for c, i in zip(clips, i1)])
+    out = (1 - a) * p0 + a * p1
+    ang = slice(2, 3 + clips[0].n_joints)
+    out[:, ang] = p0[:, ang] + a * ph.wrap_angle(p1[:, ang] - p0[:, ang])
+    return out
 
 
 @dataclass
@@ -110,24 +153,40 @@ class Goal:
         return 3 * (1 + n_joints) + 6
 
 
-def goal_state(clip: MotionClip, t: float, state: ph.SimState) -> Goal:
-    """Goal seen by the tracking policy: wrapped next-frame differences.
+def goal_rows(ref: np.ndarray, root_pos, q, root_vel, qd) -> np.ndarray:
+    """``Goal.flat()`` of every env: ``ref`` holds each env's next reference
+    frame (``goal_frames``), the rest are the env coordinates.
 
     In the planar setting the localized absolute root position and the
     localized root position difference coincide; both fields are kept so
     the observation layout stays explicit.
     """
-    i = clip.goal_frame_index(t)
-    d_root = ph.wrap_angle(clip.root_angle[i] - state.root_angle)
-    d_rot = np.concatenate([[d_root], ph.wrap_angle(clip.joints[i] - state.joint_angles)])
-    d_pos = ph.local_vec(state, clip.root_pos[i] - state.root_pos)
-    d_vel = ph.local_vec(state, clip.root_vel[i] - state.root_vel)
-    d_ang_vel = np.concatenate(
-        [[clip.root_ang_vel[i] - state.root_ang_vel], clip.joint_vels[i] - state.joint_vels]
+    ref_pos, ref_q, ref_vel, ref_qd = split_frames(ref)
+    d_root = ph.wrap_angle(ref_q[:, :1] - q[:, :1])
+    d_pos = ph.to_local(q[:, 0], ref_pos - root_pos)
+    return np.concatenate(
+        [
+            d_root, ph.wrap_angle(ref_q[:, 1:] - q[:, 1:]),
+            d_pos,
+            ph.to_local(q[:, 0], ref_vel - root_vel),
+            ref_qd - qd,
+            d_root, ph.wrap_angle(ref_q[:, 1:]),
+            d_pos,
+        ],
+        axis=1,
     )
-    ref_rot = np.concatenate([[d_root], ph.wrap_angle(clip.joints[i])])
-    ref_pos = ph.local_point(state, clip.root_pos[i])
-    return Goal(d_rot, d_pos, d_vel, d_ang_vel, ref_rot, ref_pos)
+
+
+def goal_state(clip: MotionClip, t: float, state: ph.SimState) -> Goal:
+    """Goal seen by the tracking policy: wrapped next-frame differences."""
+    i = clip.goal_frame_index(t)
+    row = goal_rows(
+        clip.frames[i : i + 1], state.root_pos[None], state.theta()[None],
+        state.root_vel[None], state.theta_dot()[None],
+    )[0]
+    n = 1 + clip.n_joints
+    return Goal(row[:n], row[n : n + 2], row[n + 2 : n + 4], row[n + 4 : 2 * n + 4],
+                row[2 * n + 4 : 3 * n + 4], row[3 * n + 4 :])
 
 
 # --- generation ---------------------------------------------------------

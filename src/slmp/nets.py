@@ -119,9 +119,16 @@ def _layer_activation(spec: MlpSpec, layer: int) -> str:
 
 
 def forward_batch(spec: MlpSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network on a (batch, input_dim) array."""
+    """Evaluate the network on a (batch, input_dim) array, or on a stack of
+    them shaped (..., batch, input_dim).
+
+    Every 2-D slice of a stack is its own matmul, so each slice gets the
+    same bits as a call on that slice alone; in particular a stack of
+    1-row slices, ``x[:, None, :]``, reproduces ``mlp_forward`` per row for
+    any number of rows.  A 2-D batch does not have that property.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+    if x.ndim < 2 or x.shape[-1] != spec.input_dim:
         raise ValueError(f"expected input shape (*, {spec.input_dim}), got {x.shape}")
     h = x
     for l, (w, b) in enumerate(layer_views(spec, params)):

@@ -7,6 +7,22 @@ integrated at the whole-body center of mass, so in flight the horizontal
 momentum is conserved to machine precision regardless of internal
 torques.  Ground and inter-character contact use a spring-damper normal
 penalty with Coulomb-capped tangential friction.
+
+There is one integrator, ``step_batch``, which advances a ``World``: E
+characters sharing one ``CharacterSpec`` held as (E, ...) arrays --
+``root_pos``/``root_vel`` (E, 2), ``q``/``qd`` (E, ndof) with the root
+angle first, ``time``/``valid`` (E,) and the ground friction anchors
+``anchor_x``/``anchor_on`` (E, n_sites).  ``step_world`` packs one
+character, or two touching ones (whose contact forces enter as extra
+generalised forces), into a World and unpacks the result.
+
+E-invariance rule: an env's result must not depend on E or on which
+other envs share its World, so that rollouts are identical for any
+batching or worker split.  Hence no 2-D matmul over the env axis
+(``x @ m.T`` is a BLAS gemm whose blocking, and with it the rounding,
+changes with E); contractions are row-wise ``einsum``s (``_rows``,
+``_dot``), stacked matmuls over (E, n, n) slices, or a batched
+``np.linalg.solve``, and reductions run along an axis of fixed length.
 """
 from __future__ import annotations
 
@@ -16,8 +32,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-
-from . import _fastsim
 
 TWO_PI = 2.0 * math.pi
 
@@ -192,11 +206,37 @@ class CharacterSpec:
         return np.full(len(self.sites), self.contact_radius)
 
     @cached_property
-    def link_sites(self) -> list[list[int]]:
-        out = [[] for _ in self.links]
-        for i, s in enumerate(self.sites):
-            out[s.link].append(i)
-        return out
+    def site_link(self) -> np.ndarray:
+        return np.array([s.link for s in self.sites], dtype=int)
+
+    @cached_property
+    def site_dist(self) -> np.ndarray:
+        return np.array([s.dist for s in self.sites])
+
+    @cached_property
+    def site_on_link(self) -> np.ndarray:
+        """(n_links, n_sites) bool: site s lies on link l."""
+        return self.site_link[None, :] == np.arange(self.n_links)[:, None]
+
+    @cached_property
+    def kp_array(self) -> np.ndarray:
+        return np.array(self.kp, dtype=np.float64)
+
+    @cached_property
+    def kd_array(self) -> np.ndarray:
+        return np.array(self.kd, dtype=np.float64)
+
+    @cached_property
+    def com_bar(self) -> np.ndarray:
+        """Body COM coefficients: com - root_pos = com_bar @ unit(phi)."""
+        return self.masses @ self.com_coeff / self.total_mass
+
+    @cached_property
+    def com_gram(self) -> np.ndarray:
+        """G with the angular mass matrix about the body COM equal to
+        path^T (G * cos(phi_n - phi_k)) path + inertia_path."""
+        c = self.com_coeff - self.com_bar
+        return np.einsum("i,in,ik->nk", self.masses, c, c)
 
 
 @dataclass
@@ -225,9 +265,6 @@ class SimState:
 
     def theta_dot(self) -> np.ndarray:
         return np.concatenate([[self.root_ang_vel], self.joint_vels])
-
-    def wrapped_joints(self) -> np.ndarray:
-        return wrap_angle(self.joint_angles)
 
     def copy(self) -> "SimState":
         return SimState(
@@ -283,12 +320,6 @@ class KinFrame:
         self.jac_r = np.einsum("i,ixa->xa", m, self.jac_com) / spec.total_mass
         self.site_rel = spec.site_coeff @ self.u
 
-    @cached_property
-    def jac_site(self) -> np.ndarray:
-        return np.einsum(
-            "sn,nx,na->sxa", self.spec.site_coeff, self.uperp, self.spec.path
-        )
-
     @property
     def com(self) -> np.ndarray:
         return self.state.root_pos + self.r
@@ -319,39 +350,21 @@ class KinFrame:
     def point_on_link(self, link: int, dist: float) -> np.ndarray:
         return self.prox[link] + dist * self.u[link]
 
-    def point_jacobian(self, link: int, dist: float) -> np.ndarray:
-        coeff = self.spec.prox_coeff[link].copy()
-        coeff[link] += dist
-        return np.einsum("n,nx,na->xa", coeff, self.uperp, self.spec.path)
-
-    def point_velocity(self, link: int, dist: float) -> np.ndarray:
-        return self.state.root_vel + self.point_jacobian(link, dist) @ self.theta_dot
-
-    def mass_matrix(self) -> np.ndarray:
-        spec = self.spec
-        jr = self.jac_com - self.jac_r[None, :, :]
-        m_ang = np.einsum("i,ixa,ixb->ab", spec.masses, jr, jr)
-        m_ang += np.einsum("i,ia,ib->ab", spec.inertias, spec.path, spec.path)
-        return m_ang
-
-    def bias(self) -> np.ndarray:
-        spec = self.spec
-        jr = self.jac_com - self.jac_r[None, :, :]
-        # velocity-product (centripetal) accelerations of the COM-relative points
-        acc = -np.einsum("in,n,nx->ix", spec.com_coeff, self.phidot**2, self.u)
-        acc_r = spec.masses @ acc / spec.total_mass
-        return np.einsum("i,ixa,ix->a", spec.masses, jr, acc - acc_r[None, :])
-
 
 @dataclass
 class ContactReport:
-    """Per-site contact summary for one character after a step."""
+    """Per-site contact summary after a step.
+
+    ``step_world`` reports one character per instance; ``step_batch``
+    returns a single instance whose arrays carry a leading env axis (see
+    ``row``).
+    """
 
     site_force: np.ndarray  # total force magnitude per site
     site_ground: np.ndarray  # ground contribution per site
     site_opponent: np.ndarray  # opponent contribution per site
     opponent_link: np.ndarray  # dominant opponent link per site, -1 if none
-    ground_contact: bool
+    ground_contact: bool | np.ndarray
 
     @classmethod
     def empty(cls, n_sites: int) -> "ContactReport":
@@ -363,12 +376,27 @@ class ContactReport:
             False,
         )
 
+    def row(self, i: int) -> "ContactReport":
+        """Report of env ``i`` of a batched report."""
+        return ContactReport(
+            self.site_force[i].copy(), self.site_ground[i].copy(),
+            self.site_opponent[i].copy(), self.opponent_link[i].copy(),
+            bool(self.ground_contact[i]),
+        )
+
     def counterpart(self, site: int) -> str:
         if self.site_ground[site] >= self.site_opponent[site] and self.site_ground[site] > 0:
             return "ground"
         if self.site_opponent[site] > 0:
             return f"opponent_link_{int(self.opponent_link[site])}"
         return "none"
+
+
+def pd_rows(q: np.ndarray, qd: np.ndarray, targets: np.ndarray, spec: CharacterSpec) -> np.ndarray:
+    """PD torques for joint angles/velocities ``q``/``qd`` of shape (..., n_joints)."""
+    err = wrap_angle(targets - q)
+    tau = spec.kp_array * err - spec.kd_array * qd
+    return np.clip(tau, -spec.tau_max, spec.tau_max)
 
 
 def pd_torque(
@@ -378,93 +406,327 @@ def pd_torque(
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != (spec.n_joints,):
         raise ValueError(f"expected {spec.n_joints} targets, got {targets.shape}")
-    err = wrap_angle(targets - state.joint_angles)
-    tau = np.array(spec.kp) * err - np.array(spec.kd) * state.joint_vels
-    return np.clip(tau, -spec.tau_max, spec.tau_max)
-
-
-def _ground_contacts(
-    frame: KinFrame, cfg: PhysicsConfig, anchor_x: np.ndarray, anchor_on: np.ndarray
-):
-    """Per-site ground forces with sticking friction anchors.
-
-    Returns (forces (S,2), magnitudes (S,)); the anchor arrays are updated
-    in place (new contacts latch an anchor, the Coulomb cap slides it).
-    """
-    spec = frame.spec
-    pos = frame.site_pos
-    pen = spec.contact_radius - pos[:, 1]
-    forces = np.zeros_like(pos)
-    touching = pen > 0.0
-    idx = np.nonzero(touching)[0]
-    if idx.size:
-        vel = frame.site_vel
-        fresh = idx[~anchor_on[idx]]
-        anchor_x[fresh] = pos[fresh, 0]
-        anchor_on[idx] = True
-        normal = np.maximum(cfg.contact_kn * pen[idx] - cfg.contact_dn * vel[idx, 1], 0.0)
-        cap = cfg.friction_mu * normal
-        spring = -cfg.contact_kt * (pos[idx, 0] - anchor_x[idx])
-        # the anchor may store at most cap-level elastic force; beyond that
-        # it slides (Coulomb slip)
-        over = np.abs(spring) > cap
-        if over.any():
-            s = idx[over]
-            spring[over] = np.sign(spring[over]) * cap[over]
-            anchor_x[s] = pos[s, 0] + spring[over] / cfg.contact_kt
-        tang = np.clip(spring - cfg.contact_dn * vel[idx, 0], -cap, cap)
-        forces[idx, 0] = tang
-        forces[idx, 1] = normal
-    anchor_on[~touching] = False
-    return forces, np.linalg.norm(forces, axis=1)
+    return pd_rows(state.joint_angles, state.joint_vels, targets, spec)
 
 
 @dataclass
-class _PairContact:
-    """One site-vs-capsule contact between two characters."""
+class World:
+    """E characters sharing one ``CharacterSpec``, as (E, ...) arrays.
 
-    site_a: int  # striking site on character a
-    link_b: int  # struck link on character b
-    along_b: float  # contact point distance along link_b
-    force_a: np.ndarray  # force on a's site; b receives the opposite
+    ``q``/``qd`` hold the angular coordinates and rates, root angle first
+    (the ``SimState.theta()`` layout).  A state without friction anchors
+    packs as anchors at zero and off, which is what the integrator
+    assumes for it.
+    """
+
+    root_pos: np.ndarray  # (E, 2)
+    q: np.ndarray  # (E, ndof)
+    root_vel: np.ndarray  # (E, 2)
+    qd: np.ndarray  # (E, ndof)
+    time: np.ndarray  # (E,)
+    valid: np.ndarray  # (E,) bool
+    anchor_x: np.ndarray  # (E, n_sites)
+    anchor_on: np.ndarray  # (E, n_sites) bool
+
+    @classmethod
+    def of(cls, states: list[SimState], spec: CharacterSpec) -> "World":
+        n, ns = len(states), len(spec.sites)
+        w = cls(
+            np.zeros((n, 2)), np.zeros((n, spec.ndof)), np.zeros((n, 2)),
+            np.zeros((n, spec.ndof)), np.zeros(n), np.ones(n, dtype=bool),
+            np.zeros((n, ns)), np.zeros((n, ns), dtype=bool),
+        )
+        for i, s in enumerate(states):
+            w.put(i, s)
+        return w
+
+    def __len__(self) -> int:
+        return self.q.shape[0]
+
+    @property
+    def coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(root_pos, q, root_vel, qd), the argument order of ``Kinematics``."""
+        return self.root_pos, self.q, self.root_vel, self.qd
+
+    def put(self, i: int, s: SimState) -> None:
+        """Overwrite env ``i`` with a copy of ``s``."""
+        self.root_pos[i] = s.root_pos
+        self.q[i, 0] = s.root_angle
+        self.q[i, 1:] = s.joint_angles
+        self.root_vel[i] = s.root_vel
+        self.qd[i, 0] = s.root_ang_vel
+        self.qd[i, 1:] = s.joint_vels
+        self.time[i] = s.time
+        self.valid[i] = s.valid
+        self.anchor_x[i] = 0.0 if s.anchor_x is None else s.anchor_x
+        self.anchor_on[i] = False if s.anchor_on is None else s.anchor_on
+
+    def state(self, i: int) -> SimState:
+        return SimState(
+            root_pos=self.root_pos[i].copy(),
+            root_angle=float(self.q[i, 0]),
+            joint_angles=self.q[i, 1:].copy(),
+            root_vel=self.root_vel[i].copy(),
+            root_ang_vel=float(self.qd[i, 0]),
+            joint_vels=self.qd[i, 1:].copy(),
+            time=float(self.time[i]),
+            valid=bool(self.valid[i]),
+            anchor_x=self.anchor_x[i].copy(),
+            anchor_on=self.anchor_on[i].copy(),
+        )
 
 
-def _pair_contacts(fa: KinFrame, fb: KinFrame, cfg: PhysicsConfig) -> list[_PairContact]:
-    """Contacts of every site of character a against every link capsule of b."""
-    ra, rb = fa.spec.contact_radius, fb.spec.contact_radius
-    p = fa.site_pos  # (S,2)
-    a0 = fb.prox  # (L,2)
-    seg = fb.dist - a0  # (L,2)
-    seg_len2 = np.maximum((seg**2).sum(axis=1), 1e-12)
-    d = p[:, None, :] - a0[None, :, :]  # (S,L,2)
-    t = np.clip((d * seg[None, :, :]).sum(axis=2) / seg_len2[None, :], 0.0, 1.0)
-    q = a0[None, :, :] + t[..., None] * seg[None, :, :]
-    delta = p[:, None, :] - q
-    dist = np.linalg.norm(delta, axis=2)
-    pen = (ra + rb) - dist
+def _rows(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row-wise ``m @ x[e]`` for x of shape (E, n).
 
-    out: list[_PairContact] = []
-    for s, j in zip(*np.nonzero(pen > 0.0)):
-        dj = dist[s, j]
-        n = delta[s, j] / dj if dj > 1e-9 else np.array([0.0, 1.0])
-        along = float(t[s, j] * fb.spec.lengths[j])
-        v_rel = fa.site_vel[s] - fb.point_velocity(j, along)
-        vn = float(v_rel @ n)
-        normal = max(cfg.contact_kn * pen[s, j] - cfg.contact_dn * vn, 0.0)
-        vt = v_rel - vn * n
-        speed = np.linalg.norm(vt)
-        force = normal * n
-        if speed > 1e-9:
-            force -= min(cfg.contact_dn * speed, cfg.friction_mu * normal) * (vt / speed)
-        out.append(_PairContact(int(s), int(j), along, force))
-    return out
+    A 2-D ``x @ m.T`` is one BLAS gemm over the env axis, whose rounding
+    can change with E; this contraction gives every row the same bits
+    for any E.
+    """
+    return np.einsum("ij,ej->ei", m, x)
 
 
-def _nearest_site(spec: CharacterSpec, link: int, dist: float) -> int:
-    sites = spec.link_sites[link]
-    if not sites:
-        return -1
-    return min(sites, key=lambda s: abs(spec.sites[s].dist - dist))
+def _dot(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row-wise ``v . x[e]``, with the same E-invariance as ``_rows``."""
+    return np.einsum("n,en->e", v, x)
+
+
+class Kinematics:
+    """Link directions and site positions/velocities of every env row.
+
+    Site quantities are split into x and y components of shape (E, S).
+    """
+
+    def __init__(self, spec: CharacterSpec, root_pos, q, root_vel, qd):
+        self.root_pos, self.root_vel = root_pos, root_vel
+        phi = spec.rest_abs + _rows(spec.path, q)
+        self.cos, self.sin = np.cos(phi), np.sin(phi)
+        self.phidot = _rows(spec.path, qd)
+        self.site_x = root_pos[:, :1] + _rows(spec.site_coeff, self.cos)
+        self.site_y = root_pos[:, 1:] + _rows(spec.site_coeff, self.sin)
+        # site velocity: sum_n coeff * u_perp(phi_n) * phidot_n
+        self.site_vx = root_vel[:, :1] - _rows(spec.site_coeff, self.sin * self.phidot)
+        self.site_vy = root_vel[:, 1:] + _rows(spec.site_coeff, self.cos * self.phidot)
+
+    @classmethod
+    def of(cls, world: World, spec: CharacterSpec) -> "Kinematics":
+        return cls(spec, *world.coords)
+
+
+def _ground_contacts(k: Kinematics, spec: CharacterSpec, cfg: PhysicsConfig,
+                     anchor_x: np.ndarray, anchor_on: np.ndarray):
+    """Per-site ground forces with sticking friction anchors.
+
+    Returns (fx, fy, anchor_x, anchor_on), all (E, S): new contacts latch
+    an anchor, the Coulomb cap slides it, sites off the ground release it.
+    """
+    pen = spec.contact_radius - k.site_y
+    touching = pen > 0.0
+    anchor_x = np.where(touching & ~anchor_on, k.site_x, anchor_x)
+    normal = np.maximum(cfg.contact_kn * pen - cfg.contact_dn * k.site_vy, 0.0)
+    cap = cfg.friction_mu * normal
+    spring = -cfg.contact_kt * (k.site_x - anchor_x)
+    # the anchor may store at most cap-level elastic force; beyond that
+    # it slides (Coulomb slip)
+    over = np.abs(spring) > cap
+    spring = np.where(over, np.sign(spring) * cap, spring)
+    anchor_x = np.where(touching & over, k.site_x + spring / cfg.contact_kt, anchor_x)
+    tang = np.clip(spring - cfg.contact_dn * k.site_vx, -cap, cap)
+    fx = np.where(touching, tang, 0.0)
+    fy = np.where(touching, normal, 0.0)
+    return fx, fy, anchor_x, touching
+
+
+def _pair_contacts(k: Kinematics, spec: CharacterSpec, cfg: PhysicsConfig, a: int, b: int):
+    """Contacts of every site of env a against every link capsule of env b.
+
+    Returns None without contact, else (site_a, link_b, along_b, coeff_b,
+    force_a) with one entry per contact: the struck point lies ``along_b``
+    from the proximal end of ``link_b``, ``coeff_b`` places it on b
+    (point - root = coeff @ unit(phi)), and b receives the opposite of
+    ``force_a``.
+    """
+    r2 = 2.0 * spec.contact_radius
+    cos_b, sin_b = k.cos[b], k.sin[b]
+    seg_x, seg_y = spec.lengths * cos_b, spec.lengths * sin_b
+    seg_len2 = np.maximum(seg_x**2 + seg_y**2, 1e-12)
+    # (S, L) offsets of a's sites from the proximal ends of b's links
+    dx = k.site_x[a][:, None] - (k.root_pos[b, 0] + spec.prox_coeff @ cos_b)
+    dy = k.site_y[a][:, None] - (k.root_pos[b, 1] + spec.prox_coeff @ sin_b)
+    t = np.clip((dx * seg_x + dy * seg_y) / seg_len2, 0.0, 1.0)
+    ex, ey = dx - t * seg_x, dy - t * seg_y
+    dist = np.sqrt(ex * ex + ey * ey)
+    s, j = np.nonzero(dist < r2)
+    if not s.size:
+        return None
+    dj = dist[s, j]
+    far = dj > 1e-9
+    n = np.where(far[:, None], np.stack([ex[s, j], ey[s, j]], axis=1)
+                 / np.where(far, dj, 1.0)[:, None], [0.0, 1.0])
+    along = t[s, j] * spec.lengths[j]
+    coeff = spec.prox_coeff[j]
+    coeff[np.arange(j.size), j] += along
+    w_b = k.phidot[b] * np.stack([-sin_b, cos_b])  # (2, L): u_perp * phidot
+    v_rel = np.stack([k.site_vx[a][s], k.site_vy[a][s]], axis=1) - (k.root_vel[b] + coeff @ w_b.T)
+    vn = (v_rel * n).sum(axis=1)
+    normal = np.maximum(cfg.contact_kn * (r2 - dj) - cfg.contact_dn * vn, 0.0)
+    vt = v_rel - vn[:, None] * n
+    speed = np.linalg.norm(vt, axis=1)
+    slip = speed > 1e-9
+    fric = np.where(slip, np.minimum(cfg.contact_dn * speed, cfg.friction_mu * normal), 0.0)
+    force = normal[:, None] * n - fric[:, None] * (vt / np.where(slip, speed, 1.0)[:, None])
+    return s, j, along, coeff, force
+
+
+def _coupling(k: Kinematics, spec: CharacterSpec, cfg: PhysicsConfig):
+    """Contact between envs 0 and 1 as per-link force sums and reports.
+
+    Returns (f_com, fx_link, fy_link, site_opponent, opponent_link): the
+    (2, 2) net contact force on each character and the (2, N) link-level
+    sums over contacts of (coeff - com_bar) * force, ready for the
+    generalised-force map of ``_substep``.
+    """
+    n_sites, n_links = len(spec.sites), spec.n_links
+    f_com = np.zeros((2, 2))
+    fx_link = np.zeros((2, n_links))
+    fy_link = np.zeros((2, n_links))
+    # per-site force magnitude by opponent link, used to pick the dominant
+    # counterpart for each site's report entry
+    mags = np.zeros((2, n_sites, n_links))
+    for a in range(2):
+        b = 1 - a
+        contacts = _pair_contacts(k, spec, cfg, a, b)
+        if contacts is None:
+            continue
+        s, j, along, coeff_b, force = contacts
+        for row, coeff, f in ((a, spec.site_coeff[s], force), (b, coeff_b, -force)):
+            f_com[row] += f.sum(axis=0)
+            lever = coeff - spec.com_bar
+            fx_link[row] += lever.T @ f[:, 0]
+            fy_link[row] += lever.T @ f[:, 1]
+        mag = np.linalg.norm(force, axis=1)
+        mags[a, s, j] += mag
+        # mirror the reaction onto the nearest site of the struck link,
+        # attributed to the striking site's link
+        gap = np.where(spec.site_on_link[j], np.abs(spec.site_dist - along[:, None]), np.inf)
+        has = spec.site_on_link[j].any(axis=1)
+        np.add.at(mags[b], (np.argmin(gap, axis=1)[has], spec.site_link[s][has]), mag[has])
+    site_opponent = mags.sum(axis=2)
+    opponent_link = np.where(site_opponent > 0.0, np.argmax(mags, axis=2), -1)
+    return f_com, fx_link, fy_link, site_opponent, opponent_link
+
+
+def _substep(w: World, spec: CharacterSpec, tau: np.ndarray, dt: float,
+             cfg: PhysicsConfig, coupled: bool):
+    """One semi-implicit Euler sub-interval of every env.
+
+    Returns (world, site_ground, site_opponent, opponent_link).
+    """
+    k = Kinematics.of(w, spec)
+    fx, fy, anchor_x, anchor_on = _ground_contacts(k, spec, cfg, w.anchor_x, w.anchor_on)
+    site_ground = np.sqrt(fx * fx + fy * fy)
+    mass = spec.total_mass
+    cbar = spec.com_bar
+    # generalised forces of the site forces: each force f at a point with
+    # coefficients c adds f to the COM and path^T ((c - com_bar) * (u_perp . f))
+    # to the angular dofs
+    lever = spec.site_coeff - cbar
+    fx_link = np.einsum("sn,es->en", lever, fx)
+    fy_link = np.einsum("sn,es->en", lever, fy)
+    q_tx, q_ty = fx.sum(axis=1), fy.sum(axis=1) - mass * cfg.gravity
+    if coupled:
+        f_com, px, py, site_opponent, opponent_link = _coupling(k, spec, cfg)
+        q_tx, q_ty = q_tx + f_com[:, 0], q_ty + f_com[:, 1]
+        fx_link, fy_link = fx_link + px, fy_link + py
+    else:
+        site_opponent = np.zeros_like(site_ground)
+        opponent_link = np.full(site_ground.shape, -1)
+    q_ang = _rows(spec.path.T, k.cos * fy_link - k.sin * fx_link)
+    q_ang[:, 1:] += tau
+
+    # angular mass matrix path^T (G * cos(phi_n - phi_k)) path and the
+    # velocity-product bias, both about the body COM
+    c, s, g = k.cos, k.sin, spec.com_gram
+    cos_nk = c[:, :, None] * c[:, None, :] + s[:, :, None] * s[:, None, :]
+    m_ang = spec.path.T @ (g * cos_nk) @ spec.path + spec.inertia_path
+    w2 = k.phidot**2
+    bias = -_rows(spec.path.T, c * _rows(g, s * w2) - s * _rows(g, c * w2))
+    qdd = np.linalg.solve(m_ang, (q_ang - bias)[..., None])[..., 0]
+
+    com_x = w.root_pos[:, 0] + _dot(cbar, c)
+    com_y = w.root_pos[:, 1] + _dot(cbar, s)
+    vx = w.root_vel[:, 0] - _dot(cbar, s * k.phidot) + dt * q_tx / mass
+    vy = w.root_vel[:, 1] + _dot(cbar, c * k.phidot) + dt * q_ty / mass
+    qd = w.qd + dt * qdd
+    q = w.q + dt * qd
+    # reconstruct the root from the integrated COM
+    phi = spec.rest_abs + _rows(spec.path, q)
+    c, s = np.cos(phi), np.sin(phi)
+    phidot = _rows(spec.path, qd)
+    root_pos = np.stack([com_x + dt * vx - _dot(cbar, c), com_y + dt * vy - _dot(cbar, s)], axis=1)
+    root_vel = np.stack([vx + _dot(cbar, s * phidot), vy - _dot(cbar, c * phidot)], axis=1)
+
+    finite = (
+        np.isfinite(root_pos).all(axis=1)
+        & np.isfinite(root_vel).all(axis=1)
+        & np.isfinite(q).all(axis=1)
+        & np.isfinite(qd).all(axis=1)
+        & (np.abs(qd).max(axis=1) < 1e8)
+    )
+    # divergence is sticky until the owner resets the state: invalid envs
+    # keep their last finite state
+    ok = w.valid & finite
+    keep = ~ok[:, None]
+    new = World(
+        np.where(keep, w.root_pos, root_pos),
+        np.where(keep, w.q, q),
+        np.where(keep, w.root_vel, root_vel),
+        np.where(keep, w.qd, qd),
+        np.where(w.valid & ~finite, w.time, w.time + dt),
+        ok,
+        np.where(keep, w.anchor_x, anchor_x),
+        np.where(keep, w.anchor_on, anchor_on),
+    )
+    return new, site_ground, site_opponent, opponent_link
+
+
+def step_batch(
+    world: World,
+    spec: CharacterSpec,
+    dt: float,
+    cfg: PhysicsConfig,
+    pd_targets: np.ndarray | None = None,
+    torques: np.ndarray | None = None,
+    coupled: bool = False,
+) -> tuple[World, ContactReport]:
+    """Advance every env of ``world`` by one control step.
+
+    ``pd_targets`` or ``torques`` is an (E, n_joints) array, with the
+    semantics of ``step_world``.  With ``coupled`` the world holds exactly
+    two envs that touch each other.  Returns the new world and one
+    batched ContactReport.
+    """
+    if (torques is None) == (pd_targets is None):
+        raise ValueError("pass exactly one of torques or pd_targets")
+    if coupled and len(world) != 2:
+        raise ValueError("a coupled world holds exactly two characters")
+    sub_dt = dt / cfg.substeps
+    for i in range(cfg.substeps):
+        tau = torques if pd_targets is None else pd_rows(
+            world.q[:, 1:], world.qd[:, 1:], pd_targets, spec
+        )
+        world, ground, opp, link = _substep(world, spec, tau, sub_dt, cfg, coupled)
+        if i == 0:
+            site_ground, site_opponent, opponent_link = ground, opp, link
+        else:
+            site_ground = np.maximum(site_ground, ground)
+            opponent_link = np.where(opp >= site_opponent, link, opponent_link)
+            site_opponent = np.maximum(site_opponent, opp)
+    report = ContactReport(
+        site_ground + site_opponent, site_ground, site_opponent, opponent_link,
+        (site_ground > 0.0).any(axis=1),
+    )
+    return world, report
 
 
 def step_world(
@@ -491,208 +753,24 @@ def step_world(
         raise ValueError("at most two characters per world")
     if (torques is None) == (pd_targets is None):
         raise ValueError("pass exactly one of torques or pd_targets")
-    if torques is not None:
-        for i in range(n):
-            tau = np.asarray(torques[i], dtype=np.float64)
-            if tau.shape != (specs[i].n_joints,):
-                raise ValueError(f"expected {specs[i].n_joints} torques, got {tau.shape}")
-    if n == 1 and _fastsim.HAVE_NUMBA:
-        return _step_single_fast(states[0], specs[0], torques, dt, cfg, pd_targets)
-    sub_dt = dt / cfg.substeps
-    merged: list[ContactReport] | None = None
-    for _ in range(cfg.substeps):
-        if pd_targets is not None:
-            torques_now = [
-                pd_torque(states[i], pd_targets[i], specs[i]) for i in range(n)
-            ]
-        else:
-            torques_now = torques
-        states, reps = _substep(states, specs, torques_now, sub_dt, cfg)
-        if merged is None:
-            merged = reps
-        else:
-            for m, r in zip(merged, reps):
-                m.site_ground = np.maximum(m.site_ground, r.site_ground)
-                m.site_opponent = np.maximum(m.site_opponent, r.site_opponent)
-                pick = r.site_opponent >= m.site_opponent
-                m.opponent_link = np.where(pick, r.opponent_link, m.opponent_link)
-                m.ground_contact = m.ground_contact or r.ground_contact
-    for m in merged:
-        m.site_force = m.site_ground + m.site_opponent
-    return states, merged
-
-
-def _substep(
-    states: list[SimState],
-    specs: list[CharacterSpec],
-    torques: list[np.ndarray],
-    dt: float,
-    cfg: PhysicsConfig,
-) -> tuple[list[SimState], list[ContactReport]]:
-    n = len(states)
-    frames = [KinFrame(states[i], specs[i]) for i in range(n)]
-    site_forces = []
-    reports = []
-    anchors = []
+    spec = specs[0]
+    if any(s != spec for s in specs[1:n]):
+        raise ValueError("characters in one world must share a CharacterSpec")
+    given = torques if pd_targets is None else pd_targets
+    rows = np.zeros((n, spec.n_joints))
     for i in range(n):
-        ns = len(specs[i].sites)
-        ax = states[i].anchor_x.copy() if states[i].anchor_x is not None else np.zeros(ns)
-        aon = states[i].anchor_on.copy() if states[i].anchor_on is not None else np.zeros(ns, bool)
-        anchors.append((ax, aon))
-        gf, gmag = _ground_contacts(frames[i], cfg, ax, aon)
-        rep = ContactReport.empty(ns)
-        rep.site_ground = gmag
-        rep.ground_contact = bool((gmag > 0.0).any())
-        reports.append(rep)
-        site_forces.append(gf)
-    point_forces: list[list[tuple[int, float, np.ndarray]]] = [[] for _ in range(n)]
-
-    if n == 2:
-        # per-site force magnitude by opponent link, used to pick the
-        # dominant counterpart for each site's report entry
-        opp_link_mags = [np.zeros((len(specs[i].sites), specs[1 - i].n_links)) for i in range(2)]
-        for a in range(2):
-            b = 1 - a
-            for c in _pair_contacts(frames[a], frames[b], cfg):
-                mag = float(np.linalg.norm(c.force_a))
-                site_forces[a][c.site_a] += c.force_a
-                point_forces[b].append((c.link_b, c.along_b, -c.force_a))
-                opp_link_mags[a][c.site_a, c.link_b] += mag
-                # mirror the reaction onto the nearest site of the struck
-                # link, attributed to the striking site's link
-                sb = _nearest_site(specs[b], c.link_b, c.along_b)
-                if sb >= 0:
-                    opp_link_mags[b][sb, specs[a].sites[c.site_a].link] += mag
-        for i in range(2):
-            reports[i].site_opponent = opp_link_mags[i].sum(axis=1)
-            has = reports[i].site_opponent > 0.0
-            if has.any():
-                reports[i].opponent_link[has] = np.argmax(opp_link_mags[i][has], axis=1)
-
-    new_states = []
-    for i in range(n):
-        frame, spec, state = frames[i], specs[i], states[i]
-        if not state.valid:
-            # divergence is sticky until the owner resets the state
-            frozen = state.copy()
-            frozen.time = state.time + dt
-            new_states.append(frozen)
-            continue
-        tau = np.asarray(torques[i], dtype=np.float64)
-        mass = spec.total_mass
-        q_trans = np.array([0.0, -mass * cfg.gravity])
-        q_ang = np.zeros(spec.ndof)
-        q_ang[1:] += tau
-        jr = frame.jac_r
-        for s in range(len(spec.sites)):
-            f = site_forces[i][s]
-            if f[0] != 0.0 or f[1] != 0.0:
-                q_trans += f
-                q_ang += (frame.jac_site[s] - jr).T @ f
-        for link, along, f in point_forces[i]:
-            q_trans += f
-            q_ang += (frame.point_jacobian(link, along) - jr).T @ f
-
-        theta_ddot = np.linalg.solve(frame.mass_matrix(), q_ang - frame.bias())
-        com_vel = frame.com_vel + dt * q_trans / mass
-        theta_dot = frame.theta_dot + dt * theta_ddot
-        com = frame.com + dt * com_vel
-        theta = state.theta() + dt * theta_dot
-
-        cand = SimState(
-            root_pos=np.zeros(2),
-            root_angle=float(theta[0]),
-            joint_angles=theta[1:].copy(),
-            root_vel=np.zeros(2),
-            root_ang_vel=float(theta_dot[0]),
-            joint_vels=theta_dot[1:].copy(),
-            time=state.time + dt,
-            anchor_x=anchors[i][0],
-            anchor_on=anchors[i][1],
-        )
-        # reconstruct root pose from the integrated COM
-        phi_new = spec.rest_abs + spec.path @ theta
-        u_new = unit(phi_new)
-        r_new = spec.masses @ (spec.com_coeff @ u_new) / mass
-        cand.root_pos = com - r_new
-        uperp_new = np.stack([-u_new[:, 1], u_new[:, 0]], axis=1)
-        jac_com_new = np.einsum("in,nx,na->ixa", spec.com_coeff, uperp_new, spec.path)
-        jr_new = np.einsum("i,ixa->xa", spec.masses, jac_com_new) / mass
-        cand.root_vel = com_vel - jr_new @ theta_dot
-
-        finite = (
-            np.isfinite(cand.root_pos).all()
-            and np.isfinite(cand.root_vel).all()
-            and np.isfinite(theta).all()
-            and np.isfinite(theta_dot).all()
-            and np.abs(theta_dot).max(initial=0.0) < 1e8
-        )
-        if not finite:
-            cand = state.copy()
-            cand.valid = False
-        new_states.append(cand)
-
-        reports[i].site_force = reports[i].site_ground + reports[i].site_opponent
-    return new_states, reports
-
-
-def _step_single_fast(
-    state: SimState,
-    spec: CharacterSpec,
-    torques: list[np.ndarray] | None,
-    dt: float,
-    cfg: PhysicsConfig,
-    pd_targets: list[np.ndarray] | None,
-) -> tuple[list[SimState], list[ContactReport]]:
-    ns = len(spec.sites)
-    report = ContactReport.empty(ns)
-    if not state.valid:
-        frozen = state.copy()
-        frozen.time = state.time + dt
-        return [frozen], [report]
-    q = np.concatenate([state.root_pos, [state.root_angle], state.joint_angles])
-    qd = np.concatenate([state.root_vel, [state.root_ang_vel], state.joint_vels])
-    anchor_x = state.anchor_x.copy() if state.anchor_x is not None else np.zeros(ns)
-    anchor_on = (
-        state.anchor_on.astype(np.uint8)
-        if state.anchor_on is not None
-        else np.zeros(ns, dtype=np.uint8)
+        row = np.asarray(given[i], dtype=np.float64)
+        if row.shape != (spec.n_joints,):
+            kind = "torques" if pd_targets is None else "targets"
+            raise ValueError(f"expected {spec.n_joints} {kind}, got {row.shape}")
+        rows[i] = row
+    world, report = step_batch(
+        World.of(states, spec), spec, dt, cfg,
+        pd_targets=None if pd_targets is None else rows,
+        torques=rows if pd_targets is None else None,
+        coupled=n == 2,
     )
-    pd_mode = pd_targets is not None
-    tg = np.asarray(pd_targets[0] if pd_mode else np.zeros(spec.n_joints), dtype=np.float64)
-    if pd_mode and tg.shape != (spec.n_joints,):
-        raise ValueError(f"expected {spec.n_joints} targets, got {tg.shape}")
-    tq = np.asarray(torques[0] if torques is not None else np.zeros(spec.n_joints), dtype=np.float64)
-    ground_max = np.zeros(ns)
-    status = _fastsim.substeps_kernel(
-        q, qd, anchor_x, anchor_on, tg, tq, pd_mode,
-        cfg.substeps, dt / cfg.substeps,
-        spec.masses, spec.inertias, spec.lengths, spec.path, spec.rest_abs,
-        spec.com_coeff, spec.site_coeff, spec.inertia_path,
-        np.array(spec.kp), np.array(spec.kd), spec.tau_max, spec.contact_radius,
-        cfg.gravity, cfg.contact_kn, cfg.contact_dn, cfg.contact_kt, cfg.friction_mu,
-        ground_max,
-    )
-    if status != 0:
-        new = state.copy()
-        new.valid = False
-        new.time = state.time + dt
-    else:
-        new = SimState(
-            root_pos=q[0:2].copy(),
-            root_angle=float(q[2]),
-            joint_angles=q[3:].copy(),
-            root_vel=qd[0:2].copy(),
-            root_ang_vel=float(qd[2]),
-            joint_vels=qd[3:].copy(),
-            time=state.time + dt,
-            anchor_x=anchor_x,
-            anchor_on=anchor_on.astype(bool),
-        )
-    report.site_ground = ground_max
-    report.site_force = ground_max.copy()
-    report.ground_contact = bool((ground_max > 0.0).any())
-    return [new], [report]
+    return [world.state(i) for i in range(n)], [report.row(i) for i in range(n)]
 
 
 def step(
@@ -726,17 +804,7 @@ def site_velocities(state: SimState, spec: CharacterSpec) -> np.ndarray:
 
 
 def sites_and_velocities(state: SimState, spec: CharacterSpec) -> tuple[np.ndarray, np.ndarray]:
-    """World positions and velocities of every site, fast path when compiled."""
-    if _fastsim.HAVE_NUMBA:
-        ns = len(spec.sites)
-        pos = np.empty((ns, 2))
-        vel = np.empty((ns, 2))
-        q = np.concatenate([state.root_pos, [state.root_angle], state.joint_angles])
-        qd = np.concatenate([state.root_vel, [state.root_ang_vel], state.joint_vels])
-        _fastsim.fk_sites_kernel(
-            q, qd, spec.lengths, spec.path, spec.rest_abs, spec.site_coeff, pos, vel
-        )
-        return pos, vel
+    """World positions and velocities of every site."""
     frame = KinFrame(state, spec)
     return frame.site_pos, frame.site_vel
 
@@ -754,6 +822,12 @@ def kinetic_energy(state: SimState, spec: CharacterSpec) -> float:
     trans = 0.5 * spec.masses @ (com_vels**2).sum(axis=1)
     rotk = 0.5 * spec.inertias @ frame.phidot**2
     return float(trans + rotk)
+
+
+def to_local(angle: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rows of ``v`` (E, 2) rotated by ``-angle`` (E,) into each root frame."""
+    c, s = np.cos(angle), np.sin(angle)
+    return np.stack([c * v[:, 0] + s * v[:, 1], c * v[:, 1] - s * v[:, 0]], axis=1)
 
 
 def local_vec(state: SimState, v: np.ndarray) -> np.ndarray:
@@ -779,18 +853,23 @@ def head_center(state: SimState, spec: CharacterSpec) -> np.ndarray:
     return frame.point_on_link(0, spec.head_center_dist)
 
 
-def detect_fall(state: SimState, spec: CharacterSpec, cfg: PhysicsConfig) -> bool:
-    """Fallen when the torso center drops below the threshold or a trunk
-    endpoint (pelvis or head top) is in ground contact."""
-    if not state.valid:
-        return True
-    if torso_center(state, spec)[1] < cfg.fall_height:
-        return True
-    pos = site_positions(state, spec)
-    pelvis = spec.site_index["pelvis"]
-    head = spec.site_index["head_top"]
+def fallen(valid: np.ndarray, k: Kinematics, spec: CharacterSpec, cfg: PhysicsConfig) -> np.ndarray:
+    """Per-env fall test: invalid, torso center below the threshold, or a
+    trunk endpoint (pelvis or head top) in ground contact."""
+    torso_y = k.root_pos[:, 1] + spec.torso_center_dist * k.sin[:, 0]
     r = spec.contact_radius
-    return bool(pos[pelvis, 1] < r or pos[head, 1] < r)
+    return (
+        ~valid
+        | (torso_y < cfg.fall_height)
+        | (k.site_y[:, spec.site_index["pelvis"]] < r)
+        | (k.site_y[:, spec.site_index["head_top"]] < r)
+    )
+
+
+def detect_fall(state: SimState, spec: CharacterSpec, cfg: PhysicsConfig) -> bool:
+    """``fallen`` for one character."""
+    w = World.of([state], spec)
+    return bool(fallen(w.valid, Kinematics.of(w, spec), spec, cfg)[0])
 
 
 # --- default character -------------------------------------------------
@@ -960,28 +1039,6 @@ def default_config(spec: CharacterSpec | None = None, **overrides) -> PhysicsCon
     stance = nominal_stance(spec, cfg)
     h = torso_center(stance, spec)[1]
     return replace(cfg, fall_height=cfg.fall_frac * float(h))
-
-
-def settle_stance(
-    spec: CharacterSpec, cfg: PhysicsConfig, seconds: float = 3.0
-) -> SimState:
-    """Let the guard stance relax under PD control to its true equilibrium.
-
-    The root angle is unactuated, so the physical rest pose leans slightly
-    away from the designed stance; generating reference motion around the
-    settled pose keeps kinematic clips and PD tracking consistent.
-    """
-    state = nominal_stance(spec, cfg)
-    targets = state.joint_angles.copy()
-    for _ in range(int(seconds * cfg.hz)):
-        state, _ = step_pd(state, targets, cfg.dt, spec, cfg)
-    if not state.valid:
-        raise RuntimeError("stance failed to settle: simulation diverged")
-    state.root_vel = np.zeros(2)
-    state.root_ang_vel = 0.0
-    state.joint_vels = np.zeros(spec.n_joints)
-    state.time = 0.0
-    return state
 
 
 def mirror_state(state: SimState, about_x: float = 0.0) -> SimState:

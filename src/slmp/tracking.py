@@ -9,7 +9,7 @@ initialization and reset on falls, clip ends, or tracking divergence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,18 +70,23 @@ class PpoConfig:
         return self.std_init + frac * (self.std_final - self.std_init)
 
 
-def proprio_obs(state: ph.SimState, spec: ph.CharacterSpec) -> np.ndarray:
-    """Localized proprioception: root height, facing sin/cos, wrapped joint
-    angles, root velocity in the root frame, angular rates."""
+def proprio_rows(root_pos, q, root_vel, qd) -> np.ndarray:
+    """Localized proprioception of every env: root height, facing sin/cos,
+    wrapped joint angles, root velocity in the root frame, angular rates."""
+    a = q[:, :1]
     return np.concatenate(
-        [
-            [state.root_pos[1], math.sin(state.root_angle), math.cos(state.root_angle)],
-            state.wrapped_joints(),
-            ph.local_vec(state, state.root_vel),
-            [state.root_ang_vel],
-            state.joint_vels,
-        ]
+        [root_pos[:, 1:], np.sin(a), np.cos(a), ph.wrap_angle(q[:, 1:]),
+         ph.to_local(q[:, 0], root_vel), qd],
+        axis=1,
     )
+
+
+def _coords(state: ph.SimState):
+    return state.root_pos[None], state.theta()[None], state.root_vel[None], state.theta_dot()[None]
+
+
+def proprio_obs(state: ph.SimState, spec: ph.CharacterSpec) -> np.ndarray:
+    return proprio_rows(*_coords(state))[0]
 
 
 def proprio_dim(spec: ph.CharacterSpec) -> int:
@@ -96,12 +101,34 @@ def track_obs_dim(spec: ph.CharacterSpec) -> int:
     return proprio_dim(spec) + mo.Goal.dim(spec.n_joints)
 
 
-def _rot_vector(state: ph.SimState) -> np.ndarray:
-    return np.concatenate([[state.root_angle], state.joint_angles])
+def imitation_rows(
+    spec: ph.CharacterSpec,
+    sim: ph.Kinematics,
+    sim_coords,
+    ref: ph.Kinematics,
+    ref_coords,
+    weights: tuple[float, float, float, float] = IMITATION_WEIGHTS,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``imitation_reward`` of every env: (reward, site error), each (E,).
 
-
-def _ang_vel_vector(state: ph.SimState) -> np.ndarray:
-    return np.concatenate([[state.root_ang_vel], state.joint_vels])
+    ``*_coords`` are the (root_pos, q, root_vel, qd) rows the kinematics
+    were built from.
+    """
+    _, q_s, _, qd_s = sim_coords
+    _, q_r, _, qd_r = ref_coords
+    e_p = np.sqrt((sim.site_x - ref.site_x) ** 2 + (sim.site_y - ref.site_y) ** 2).mean(axis=1)
+    e_r = np.abs(ph.wrap_angle(q_s - q_r)).mean(axis=1)
+    e_v = np.sqrt((sim.site_vx - ref.site_vx) ** 2 + (sim.site_vy - ref.site_vy) ** 2).mean(axis=1)
+    e_w = np.abs(qd_s - qd_r).mean(axis=1)
+    w = weights
+    c = IMITATION_COEFFS
+    r = (
+        w[0] * np.exp(-c[0] * e_p)
+        + w[1] * np.exp(-c[1] * e_r)
+        + w[2] * np.exp(-c[2] * e_v)
+        + w[3] * np.exp(-c[3] * e_w)
+    )
+    return r, e_p
 
 
 def imitation_reward(
@@ -115,30 +142,22 @@ def imitation_reward(
     Returns (reward, mean site position error); the error doubles as the
     divergence signal for episode resets.
     """
-    pos_s, vel_s = ph.sites_and_velocities(state, spec)
-    pos_r, vel_r = ph.sites_and_velocities(ref, spec)
-    e_p = float(np.linalg.norm(pos_s - pos_r, axis=1).mean())
-    e_r = float(np.abs(ph.wrap_angle(_rot_vector(state) - _rot_vector(ref))).mean())
-    e_v = float(np.linalg.norm(vel_s - vel_r, axis=1).mean())
-    e_w = float(np.abs(_ang_vel_vector(state) - _ang_vel_vector(ref)).mean())
-    w = weights
-    c = IMITATION_COEFFS
-    r = (
-        w[0] * math.exp(-c[0] * e_p)
-        + w[1] * math.exp(-c[1] * e_r)
-        + w[2] * math.exp(-c[2] * e_v)
-        + w[3] * math.exp(-c[3] * e_w)
+    sim, ref = _coords(state), _coords(ref)
+    r, e_p = imitation_rows(
+        spec, ph.Kinematics(spec, *sim), sim, ph.Kinematics(spec, *ref), ref, weights
     )
-    return r, e_p
+    return float(r[0]), float(e_p[0])
 
 
-def energy_penalty(torques: np.ndarray, joint_vels: np.ndarray) -> float:
-    """-5e-4 * sum (tau_j * omega_j)^2."""
+def energy_penalty(torques: np.ndarray, joint_vels: np.ndarray):
+    """-5e-4 * sum (tau_j * omega_j)^2 over the last axis: a float for one
+    character, an (E,) array for (E, n_joints) rows."""
     torques = np.asarray(torques, dtype=np.float64)
     joint_vels = np.asarray(joint_vels, dtype=np.float64)
     if torques.shape != joint_vels.shape:
         raise ValueError("torques and joint_vels must have equal lengths")
-    return float(-ENERGY_COEFF * np.sum((torques * joint_vels) ** 2))
+    out = -ENERGY_COEFF * np.sum((torques * joint_vels) ** 2, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 # --- gaussian policy ----------------------------------------------------
@@ -173,16 +192,23 @@ class GaussianPolicy:
     def sample(
         self, params: np.ndarray, obs: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, float]:
-        mlp, log_std = self.split(params)
-        mu = nets.mlp_forward(self.spec, mlp, obs)
-        sigma = np.exp(log_std)
-        act = mu + sigma * rng.standard_normal(mu.size)
-        return act, self.log_prob_single(mu, log_std, act)
+        obs = np.asarray(obs, dtype=np.float64)
+        if obs.shape != (self.spec.input_dim,):
+            raise ValueError(f"expected input shape ({self.spec.input_dim},), got {obs.shape}")
+        act, logp = self.sample_rows(params, obs[None], [rng])
+        return act[0], float(logp[0])
 
-    @staticmethod
-    def log_prob_single(mu: np.ndarray, log_std: np.ndarray, act: np.ndarray) -> float:
-        z = (act - mu) / np.exp(log_std)
-        return float(-0.5 * np.sum(z * z) - np.sum(log_std) - 0.5 * mu.size * LOG_2PI)
+    def sample_rows(
+        self, params: np.ndarray, obs: np.ndarray, rngs: list[np.random.Generator]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One action per row of ``obs`` (E, obs_dim); row e draws its noise
+        from ``rngs[e]``.  A stacked forward keeps each row's bits
+        independent of E."""
+        mlp, log_std = self.split(params)
+        mu = nets.forward_batch(self.spec, mlp, obs[:, None, :])[:, 0]
+        noise = np.stack([rng.standard_normal(mu.shape[1]) for rng in rngs])
+        act = mu + np.exp(log_std) * noise
+        return act, self.log_prob_batch(mu, log_std, act)
 
     @staticmethod
     def log_prob_batch(mu: np.ndarray, log_std: np.ndarray, act: np.ndarray) -> np.ndarray:
@@ -359,7 +385,11 @@ def ppo_update(
 
 
 class TrackingEnv:
-    """One simulated character following one reference clip at a time."""
+    """One simulated character following one reference clip at a time.
+
+    ``step`` is ``EnvBatch.step`` for a batch of this one env; rollout
+    collection steps many envs as one batch.
+    """
 
     def __init__(
         self,
@@ -385,13 +415,18 @@ class TrackingEnv:
     def clip(self) -> mo.MotionClip:
         return self.clips[self.clip_index]
 
+    def draw_start(self) -> tuple[int, ph.SimState, float]:
+        """Reference-state initialization at a random clip frame:
+        (clip index, state, time), drawn from ``self.rng``."""
+        clip_index = int(self.rng.integers(len(self.clips)))
+        clip = self.clips[clip_index]
+        frame = int(self.rng.integers(clip.n_frames - 1))
+        state = clip.frame_state(frame)
+        state.time = frame / clip.frame_rate
+        return clip_index, state, state.time
+
     def reset(self) -> np.ndarray:
-        """Reference-state initialization at a random clip frame."""
-        self.clip_index = int(self.rng.integers(len(self.clips)))
-        frame = int(self.rng.integers(self.clip.n_frames - 1))
-        self.state = self.clip.frame_state(frame)
-        self.t = frame / self.clip.frame_rate
-        self.state.time = self.t
+        self.clip_index, self.state, self.t = self.draw_start()
         return self.observe()
 
     def observe(self) -> np.ndarray:
@@ -406,34 +441,11 @@ class TrackingEnv:
 
         Returns (obs, reward, done, info).
         """
-        tau = ph.pd_torque(self.state, targets, self.spec)
-        energy = max(energy_penalty(tau, self.state.joint_vels), self.energy_floor)
-        next_state, report = ph.step_world(
-            [self.state], [self.spec], None, self.phys.dt, self.phys, pd_targets=[targets]
-        )
-        self.state = next_state[0]
-        self.t += self.phys.dt
-
-        rp, ra, jq, rv, rw, jv = self.clip.sample(self.t)
-        ref = ph.SimState(rp, ra, jq, rv, rw, jv)
-        imit, e_p = imitation_reward(self.state, ref, self.spec)
-        reward = imit + energy
-
-        fell = ph.detect_fall(self.state, self.spec, self.phys)
-        diverged = (not self.state.valid) or e_p > self.e_div
-        clip_end = self.t + self.phys.dt > self.clip.duration - 1.0 / self.clip.frame_rate
-        done = fell or diverged or clip_end
-        info = {
-            "imitation": imit,
-            "energy": energy,
-            "site_error": e_p,
-            "family": self.clip.family,
-            "fell": fell,
-            "diverged": diverged,
-            "clip_end": clip_end,
-        }
-        obs = self.observe() if not done else self.reset()
-        return obs, reward, done, info
+        batch = EnvBatch([self])
+        obs, reward, done, info = batch.step(np.asarray(targets, dtype=np.float64)[None])
+        batch.unpack()
+        info = {k: v[0].item() if isinstance(v, np.ndarray) else v[0] for k, v in info.items()}
+        return obs[0], float(reward[0]), bool(done[0]), info
 
     # resume support: the env state is part of the training state
     def snapshot(self) -> dict:
@@ -500,6 +512,96 @@ class RolloutBuffer:
         )
 
 
+class EnvBatch:
+    """TrackingEnvs stepped in lock-step as one ``physics.World``.
+
+    The envs must share their clip list, character and physics.  Their
+    states live in the batch as (E, ...) arrays until ``unpack`` writes
+    them back.  Each row's arithmetic is independent of E (see the
+    physics module notes), and the per-env random draws keep their order:
+    step t's action draw comes before step t's reset draws, which come
+    before step t+1's action draw.  That makes rollouts independent of
+    the batching as long as no two envs share a generator.
+    """
+
+    def __init__(self, envs: list[TrackingEnv]):
+        first = envs[0]
+        for env in envs[1:]:
+            if (env.spec != first.spec or env.phys != first.phys
+                    or len(env.clips) != len(first.clips)
+                    or any(a is not b for a, b in zip(env.clips, first.clips))):
+                raise ValueError("batched envs must share clips, character and physics")
+        self.envs = envs
+        self.spec, self.phys = first.spec, first.phys
+        self.e_div = np.array([env.e_div for env in envs])
+        self.energy_floor = np.array([env.energy_floor for env in envs])
+        self.world = ph.World.of([env.state for env in envs], self.spec)
+        self.t = np.array([env.t for env in envs], dtype=np.float64)
+        self.clip_index = [env.clip_index for env in envs]
+        self.clips = [env.clip for env in envs]
+        self.goal: np.ndarray | None = None  # next reference frames at self.t
+
+    def observe(self) -> np.ndarray:
+        """``track_obs`` of every env."""
+        self.goal = mo.goal_frames(self.clips, self.t)
+        coords = self.world.coords
+        return np.concatenate([proprio_rows(*coords), mo.goal_rows(self.goal, *coords)], axis=1)
+
+    def ref_base(self) -> np.ndarray:
+        """``TrackingEnv.ref_base`` of every env."""
+        if self.goal is None:
+            self.goal = mo.goal_frames(self.clips, self.t)
+        return self.goal[:, 3 : 3 + self.spec.n_joints]
+
+    def step(self, targets: np.ndarray):
+        """Advance every env one control step with (E, n_joints) PD targets.
+
+        Returns (obs, reward, done, info) with one row or entry per env;
+        finished envs are reset and ``obs`` is their first observation.
+        """
+        spec, phys, w = self.spec, self.phys, self.world
+        if targets.shape != (len(w), spec.n_joints):
+            raise ValueError(f"expected ({len(w)}, {spec.n_joints}) targets, got {targets.shape}")
+        tau = ph.pd_rows(w.q[:, 1:], w.qd[:, 1:], targets, spec)
+        energy = np.maximum(energy_penalty(tau, w.qd[:, 1:]), self.energy_floor)
+        self.world, _ = ph.step_batch(w, spec, phys.dt, phys, pd_targets=targets)
+        self.t = self.t + phys.dt
+
+        coords = self.world.coords
+        ref = mo.split_frames(mo.sample_frames(self.clips, self.t))
+        sim = ph.Kinematics(spec, *coords)
+        imit, e_p = imitation_rows(spec, sim, coords, ph.Kinematics(spec, *ref), ref)
+        fell = ph.fallen(self.world.valid, sim, spec, phys)
+        diverged = ~self.world.valid | (e_p > self.e_div)
+        rate = np.array([c.frame_rate for c in self.clips])
+        duration = np.array([c.n_frames for c in self.clips]) / rate
+        clip_end = self.t + phys.dt > duration - 1.0 / rate
+        done = fell | diverged | clip_end
+        info = {
+            "imitation": imit,
+            "energy": energy,
+            "site_error": e_p,
+            "family": [c.family for c in self.clips],
+            "fell": fell,
+            "diverged": diverged,
+            "clip_end": clip_end,
+        }
+        for i in np.flatnonzero(done):
+            ci, state, t = self.envs[i].draw_start()
+            self.world.put(i, state)
+            self.t[i] = t
+            self.clip_index[i] = ci
+            self.clips[i] = self.envs[i].clips[ci]
+        return self.observe(), imit + energy, done, info
+
+    def unpack(self) -> None:
+        """Write the batch's states back into its envs."""
+        for i, env in enumerate(self.envs):
+            env.state = self.world.state(i)
+            env.t = float(self.t[i])
+            env.clip_index = self.clip_index[i]
+
+
 def _collect_chunk(
     envs: list[TrackingEnv],
     policy: GaussianPolicy,
@@ -510,36 +612,31 @@ def _collect_chunk(
     rngs: list[np.random.Generator],
 ):
     n_env = len(envs)
-    obs_dim = envs[0].observe().size
+    batch = EnvBatch(envs)
+    cur = batch.observe()
     act_dim = policy.spec.output_dim
-    obs = np.zeros((horizon, n_env, obs_dim))
+    obs = np.zeros((horizon, n_env, cur.shape[1]))
     actions = np.zeros((horizon, n_env, act_dim))
     rewards = np.zeros((horizon, n_env))
     log_probs = np.zeros((horizon, n_env))
     dones = np.zeros((horizon, n_env))
     imitation = np.zeros((horizon, n_env))
     idle_fw = np.zeros((horizon, n_env))
-    cur = [env.observe() for env in envs]
     for t in range(horizon):
-        for e, env in enumerate(envs):
-            o = cur[e]
-            a, lp = policy.sample(policy_params, o, rngs[e])
-            targets = action_to_targets(a, env.ref_base())
-            o2, r, d, info = env.step(targets)
-            obs[t, e] = o
-            actions[t, e] = a
-            rewards[t, e] = r
-            log_probs[t, e] = lp
-            dones[t, e] = float(d)
-            imitation[t, e] = info["imitation"]
-            idle_fw[t, e] = float(info["family"] in ("idle", "footwork"))
-            cur[e] = o2
-    # batched value evaluation per env keeps results worker-count invariant
-    values = np.zeros((horizon, n_env))
-    bootstrap = np.zeros(n_env)
-    for e in range(n_env):
-        values[:, e] = nets.forward_batch(value_spec, value_params, obs[:, e])[:, 0]
-        bootstrap[e] = nets.forward_batch(value_spec, value_params, cur[e][None, :])[0, 0]
+        a, lp = policy.sample_rows(policy_params, cur, rngs)
+        o2, r, d, info = batch.step(action_to_targets(a, batch.ref_base()))
+        obs[t] = cur
+        actions[t] = a
+        rewards[t] = r
+        log_probs[t] = lp
+        dones[t] = d
+        imitation[t] = info["imitation"]
+        idle_fw[t] = [f in ("idle", "footwork") for f in info["family"]]
+        cur = o2
+    batch.unpack()
+    # one (horizon, obs_dim) slice per env keeps values worker-count invariant
+    values = nets.forward_batch(value_spec, value_params, obs.transpose(1, 0, 2))[:, :, 0].T.copy()
+    bootstrap = nets.forward_batch(value_spec, value_params, cur[:, None, :])[:, 0, 0]
     return RolloutBuffer(
         obs, actions, rewards, values, log_probs, dones, imitation, idle_fw, bootstrap
     )
@@ -694,6 +791,9 @@ def train_tracking(
     log: bool = True,
 ) -> TrainState:
     """Stage 1: PPO training of the tracking expert on the clip library."""
+    if cfg.std_schedule == "linear":
+        # the schedule owns the log-std; work on a copy, the caller's config stays as given
+        cfg = replace(cfg, learn_std=False)
     spec = spec or ph.default_character()
     phys = phys or ph.default_config(spec)
     out = Path(out_dir)
@@ -720,7 +820,6 @@ def train_tracking(
     for u in range(ts.update, cfg.updates):
         if cfg.std_schedule == "linear":
             ts.policy_params[-act_dim:] = math.log(cfg.sigma_at(u))
-            cfg.learn_std = False
         for i, env in enumerate(envs):
             env.rng = np.random.default_rng(seed_for(seed, f"update-{u}-env-{i}"))
         buf = collect_rollouts(

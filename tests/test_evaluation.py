@@ -170,6 +170,12 @@ class TestSphereClusters:
         assert np.array_equal(back.cluster_id, cloud.cluster_id)
         assert np.array_equal(back.actions, cloud.actions)
 
+    @pytest.mark.parametrize("text", ["", "\n", "SLMP-CLIP/1 d=4\n"])
+    def test_load_cloud_rejects_empty_or_foreign_file(self, tmp_path, text):
+        (tmp_path / "c.txt").write_text(text)
+        with pytest.raises(ValueError, match="not a sphere cloud file"):
+            ev.load_cloud(tmp_path / "c.txt")
+
 
 class TestFixtures:
     def test_fixture_states_exist(self):

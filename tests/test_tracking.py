@@ -348,3 +348,71 @@ class TestTraining:
         assert np.array_equal(a.obs, b.obs)
         assert np.array_equal(a.rewards, b.rewards)
         assert np.array_equal(a.log_probs, b.log_probs)
+
+    def test_chunk_split_bit_identical(self):
+        """4 envs give the same buffer in one chunk and split 1+3."""
+        clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG),
+                 mo.generate_clip("jab", 20, 3.0, spec=SPEC, cfg=CFG)]
+        cfg = tr.PpoConfig(envs=4, horizon=8)
+        ts = tr.build_networks(tr.track_obs_dim(SPEC), 8, cfg, seed=0)
+        envs = [tr.TrackingEnv(clips, SPEC, CFG, rng=np.random.default_rng(100 + i % 4))
+                for i in range(8)]
+        rngs = [np.random.default_rng(200 + i % 4) for i in range(8)]
+        nets_args = (ts.policy, ts.policy_params, ts.value_spec, ts.value_params, cfg.horizon)
+        whole = tr.collect_rollouts(envs[:4], *nets_args, rngs[:4], workers=1)
+        parts = [tr.collect_rollouts(envs[4:5], *nets_args, rngs[4:5]),
+                 tr.collect_rollouts(envs[5:], *nets_args, rngs[5:])]
+        for f in ("obs", "actions", "rewards", "values", "log_probs", "dones", "bootstrap"):
+            axis = 0 if f == "bootstrap" else 1
+            assert np.array_equal(getattr(whole, f),
+                                  np.concatenate([getattr(p, f) for p in parts], axis=axis)), f
+        for a, b in zip(envs[:4], envs[4:]):
+            assert np.array_equal(a.snapshot()["values"], b.snapshot()["values"])
+
+    def test_batch_size_invariance_with_resets_and_divergence(self):
+        """Every env's rollout is bit-identical whether the 32 envs run as
+        one batch, 32 batches of one, 8 of four, 16+16 or 1+31."""
+        clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG),
+                 mo.generate_clip("jab", 20, 3.0, spec=SPEC, cfg=CFG)]
+        cfg = tr.PpoConfig(envs=32, horizon=60, pi_hidden=(32,), critic_hidden=(32,))
+        ts = tr.build_networks(tr.track_obs_dim(SPEC), 8, cfg, seed=0)
+        fields = ("obs", "actions", "rewards", "values", "log_probs", "dones", "imitation")
+
+        def run(splits):
+            envs = [tr.TrackingEnv(clips, SPEC, CFG, rng=np.random.default_rng(300 + i))
+                    for i in range(32)]
+            envs[5].state.joint_vels[:] = 1e9  # the simulator flags it invalid at once
+            bufs, lo = [], 0
+            for n in splits:
+                bufs.append(tr._collect_chunk(
+                    envs[lo : lo + n], ts.policy, ts.policy_params, ts.value_spec,
+                    ts.value_params, cfg.horizon, [env.rng for env in envs[lo : lo + n]],
+                ))
+                lo += n
+            out = {f: np.concatenate([getattr(b, f) for b in bufs], axis=1) for f in fields}
+            out["bootstrap"] = np.concatenate([b.bootstrap for b in bufs])
+            out["envs"] = np.stack([env.snapshot()["values"] for env in envs])
+            return out
+
+        ref = run([32])
+        assert ref["dones"][0, 5] == 1.0  # the invalid env ended its episode
+        assert ref["dones"].sum() > 32  # and every env reset at least once on average
+        for splits in ([1] * 32, [4] * 8, [16, 16], [1, 31]):
+            got = run(splits)
+            for k, v in ref.items():
+                assert np.array_equal(v, got[k]), (splits[:2], k)
+
+    def test_invalid_state_counts_as_divergence(self):
+        env = _small_env()
+        env.state.joint_vels[:] = 1e9
+        batch = tr.EnvBatch([env])
+        _, _, done, info = batch.step(batch.ref_base())
+        assert done[0] and info["diverged"][0] and info["fell"][0]
+        assert info["site_error"][0] < env.e_div  # frozen at its last finite state
+
+    def test_caller_config_not_mutated(self, tmp_path):
+        clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        cfg = tr.PpoConfig(envs=1, horizon=4, updates=1, epochs_per_update=1)
+        tr.train_tracking(clips, cfg, tmp_path, seed=0, spec=SPEC, phys=CFG, log=False)
+        assert cfg.learn_std is True
+        assert cfg == tr.PpoConfig(envs=1, horizon=4, updates=1, epochs_per_update=1)
