@@ -29,18 +29,10 @@ def _load_clips(args, cfg: RunConfig, spec, phys) -> list[mo.MotionClip]:
 
 
 def _generate_library(cfg: RunConfig, spec, phys) -> list[mo.MotionClip]:
-    base = 0 if cfg.seed == 0 else cfg.seed * 1000
-    clips = []
-    k = 0
-    for family in mo.FAMILIES:
-        for _ in range(cfg.data.counts()[family]):
-            clips.append(
-                mo.generate_clip(
-                    family, base + k, cfg.data.duration, cfg.data.hz, spec, phys
-                )
-            )
-            k += 1
-    return clips
+    return mo.generate_library(
+        cfg.data.counts(), cfg.data.duration, cfg.data.hz, spec, phys,
+        seed=0 if cfg.seed == 0 else cfg.seed * 1000,
+    )
 
 
 def cmd_gen_data(args, cfg: RunConfig) -> int:
@@ -73,8 +65,7 @@ def cmd_distill(args, cfg: RunConfig) -> int:
     clips = _load_clips(args, cfg, spec, phys)
     if args.updates is not None:
         cfg.slmp.updates = args.updates
-    mode_map = {"distill": "distill", "gan": "gan", "nsc": "nsc", "slmp": "slmp"}
-    cfg.slmp.mode = mode_map[args.mode]
+    cfg.slmp.mode = args.mode
     write_echo(cfg, args.out)
     expert = Path(args.expert)
     if expert.is_dir():
@@ -152,24 +143,16 @@ def cmd_rollout(args, cfg: RunConfig) -> int:
     frames = cb.rollout_combat(
         args.ckpt, args.seconds, seed_for(cfg.seed, "rollout"), cfg.combat, spec, phys
     )
-    rate = phys.hz / cfg.combat.k_hl
-    lines = [
-        mo.CLIP_MAGIC,
-        f"hz={rate!r}",
-        f"frames={len(frames)}",
-        "family=combat",
-        f"joints={spec.n_joints}",
-        "id=combat-rollout",
-    ]
-    for pair in frames:
-        vals = []
-        for s in pair:
-            vals.extend(
-                [*s.root_pos, s.root_angle, *s.joint_angles, *s.root_vel, s.root_ang_vel, *s.joint_vels]
-            )
-        lines.append(" ".join(repr(float(v)) for v in vals))
-    Path(args.frames).write_text("\n".join(lines) + "\n")
-    print(f"wrote {len(frames)} frames to {args.frames}")
+    out = Path(args.frames)
+    for i in range(2):
+        w = ph.World.of([pair[i] for pair in frames], spec)
+        clip = mo.MotionClip(
+            phys.hz / cfg.combat.k_hl, "combat", f"combat-rollout-fighter{i + 1}",
+            w.root_pos, w.q[:, 0], w.q[:, 1:], w.root_vel, w.qd[:, 0], w.qd[:, 1:],
+        )
+        path = out.with_name(f"{out.stem}.fighter{i + 1}.clip")
+        mo.save_clip(clip, path)
+        print(f"wrote {len(frames)} frames to {path}")
     return 0
 
 
@@ -238,7 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--mode", required=True, choices=("combat",))
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--frames", required=True)
+    p.add_argument(
+        "--frames", required=True,
+        help="path whose stem names the outputs: one clip per fighter, "
+             "<stem>.fighter1.clip and <stem>.fighter2.clip, next to it",
+    )
     p.add_argument("--seconds", type=float, default=10.0)
 
     return parser

@@ -407,6 +407,8 @@ def self_play_train(
                   np.random.default_rng(seed_for(seed, f"cenv-{i}")))
         for i in range(cfg.envs)
     ]
+    # each env's current observation pair, carried across decisions and epochs
+    obs_pairs = [(env.observe(0), env.observe(1)) for env in envs]
     sp = SelfPlayState(swap_period=cfg.swap_period)
     metrics_path = out / "metrics.csv"
     metrics_path.write_text(",".join(COMBAT_METRICS) + "\n")
@@ -429,10 +431,9 @@ def self_play_train(
         hits = 0
         downs = 0
         episodes = 0
-        cur = [env.observe(0) if learner == 0 else env.observe(1) for env in envs]
         for t in range(t_len):
             for e, env in enumerate(envs):
-                obs_pair = (env.observe(0), env.observe(1))
+                obs_pair = obs_pairs[e]
                 zs = [None, None]
                 for agent in range(2):
                     if agent == learner:
@@ -443,7 +444,7 @@ def self_play_train(
                         z, _, _ = high_level_step(policy, params[agent], obs_pair[agent])
                     zs[agent] = z
                 obs_buf[t, e] = obs_pair[learner]
-                (_, _), (r0, r1), done, info = env.decision_step(zs[0], zs[1])
+                obs_pairs[e], (r0, r1), done, info = env.decision_step(zs[0], zs[1])
                 rew_buf[t, e] = r0 if learner == 0 else r1
                 done_buf[t, e] = float(done)
                 if done:
@@ -456,7 +457,7 @@ def self_play_train(
         for e in range(n_env):
             values_t[:, e] = nets.forward_batch(value_spec, values[learner], obs_buf[:, e])[:, 0]
             boot[e] = nets.forward_batch(
-                value_spec, values[learner], envs[e].observe(learner)[None, :]
+                value_spec, values[learner], obs_pairs[e][learner][None, :]
             )[0, 0]
         adv, ret = tr.gae(rew_buf, values_t, done_buf, cfg.gamma, cfg.gae_lambda, boot)
         batch = tr.PpoBatch(

@@ -17,18 +17,25 @@ class ConfigError(ValueError):
     pass
 
 
+_PHYS = ph.PhysicsConfig()
+_CHARACTER = {f.name: f.default for f in fields(ph.CharacterSpec)}
+
+
 @dataclass
 class PhysicsSection:
-    gravity: float = 9.81
-    hz: float = 60.0
-    substeps: int = 4
-    contact_kn: float = 1e4
-    contact_dn: float = 100.0
-    contact_kt: float = 2e3
-    friction_mu: float = 0.8
-    fall_frac: float = 0.4
-    tau_max: float = 200.0
-    contact_radius: float = 0.05
+    """Physics overrides; the defaults are those of ``physics.PhysicsConfig``
+    and ``physics.CharacterSpec``."""
+
+    gravity: float = _PHYS.gravity
+    hz: float = _PHYS.hz
+    substeps: int = _PHYS.substeps
+    contact_kn: float = _PHYS.contact_kn
+    contact_dn: float = _PHYS.contact_dn
+    contact_kt: float = _PHYS.contact_kt
+    friction_mu: float = _PHYS.friction_mu
+    fall_frac: float = _PHYS.fall_frac
+    tau_max: float = _CHARACTER["tau_max"]
+    contact_radius: float = _CHARACTER["contact_radius"]
     character: str = ""  # optional JSON character file; empty = built-in
 
     def build(self) -> tuple[ph.CharacterSpec, ph.PhysicsConfig]:
@@ -38,14 +45,8 @@ class PhysicsSection:
             else ph.default_character()
         )
         spec = replace(spec, tau_max=self.tau_max, contact_radius=self.contact_radius)
-        cfg = ph.default_config(
-            spec,
-            gravity=self.gravity, hz=self.hz, substeps=self.substeps,
-            contact_kn=self.contact_kn, contact_dn=self.contact_dn,
-            contact_kt=self.contact_kt, friction_mu=self.friction_mu,
-            fall_frac=self.fall_frac,
-        )
-        return spec, cfg
+        overrides = {f.name: getattr(self, f.name) for f in fields(self) if hasattr(_PHYS, f.name)}
+        return spec, ph.default_config(spec, **overrides)
 
 
 @dataclass

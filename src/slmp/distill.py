@@ -373,32 +373,41 @@ def expert_success_rate(
     e_div: float,
 ) -> float:
     """Fraction of clips the frozen expert tracks end-to-end."""
-    ok = 0
-    for clip in clips:
-        if _track_one(policy, policy_params, clip, spec, phys, e_div)[0]:
-            ok += 1
-    return ok / len(clips)
+    controller = tr.expert_controller(policy, policy_params, spec)
+    return sum(tr.track_clip(controller, clip, spec, phys, e_div)[0] for clip in clips) / len(clips)
 
 
-def _track_one(policy, policy_params, clip, spec, phys, e_div):
-    state = clip.frame_state(0)
-    t = 0.0
-    errs = []
-    steps = int((clip.duration - 1.0 / clip.frame_rate) * phys.hz) - 1
+def collect_fresh(
+    envs: tr.EnvBatch,
+    steps: int,
+    expert: tr.GaussianPolicy,
+    expert_params: np.ndarray,
+    n: DistillNets,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Roll the prior, driven by its encoded goals, ``steps`` control steps
+    in every env while the frozen expert labels each visited state.
+
+    Returns (proprio, goals, a_star, mse_fresh).  Rows run step-major and
+    env-minor, and mse_fresh, the mean squared prior-vs-expert action
+    error, adds them up in that order.  Stacked forwards keep every row's
+    bits independent of the number of envs.
+    """
+    pdim = tr.proprio_dim(envs.spec)
+    obs = envs.observe()
+    rows = []
+    mse = 0.0
     for _ in range(steps):
-        targets = tr.expert_action(policy, policy_params, state, spec, clip, t)
-        state, _ = ph.step_world([state], [spec], None, phys.dt, phys, pd_targets=[targets])
-        state = state[0]
-        t += phys.dt
-        rp, ra, jq, rv, rw, jv = clip.sample(t)
-        ref = ph.SimState(rp, ra, jq, rv, rw, jv)
-        pos_s, _ = ph.sites_and_velocities(state, spec)
-        pos_r, _ = ph.sites_and_velocities(ref, spec)
-        e = float(np.linalg.norm(pos_s - pos_r, axis=1).mean())
-        errs.append(e)
-        if not state.valid or ph.detect_fall(state, spec, phys) or e > e_div:
-            return False, float(np.mean(errs))
-    return True, float(np.mean(errs))
+        a_star = tr.action_to_targets(expert.mean_rows(expert_params, obs), envs.ref_base())
+        proprio, goal = obs[:, :pdim], obs[:, pdim:]
+        z1 = encode_goal(n.enc_spec, n.enc_params, goal[:, None, :])[:, 0]
+        x = np.concatenate([proprio, z1], axis=1)
+        a = nets.forward_batch(n.phi_spec, n.phi_params, x[:, None, :])[:, 0]
+        for err in ((a - a_star) ** 2).sum(axis=1):
+            mse += float(err)
+        rows.append((proprio, goal, a_star))
+        obs = envs.step(a)[0]
+    proprio, goals, a_star = (np.concatenate(col) for col in zip(*rows))
+    return proprio, goals, a_star, mse / proprio.shape[0]
 
 
 def train_slmp(
@@ -438,10 +447,10 @@ def train_slmp(
     n = build_distill_nets(gdim, pdim, spec.n_joints, cfg, seed)
     phase = Phase(window=cfg.window, plateau_tol=cfg.plateau_tol)
     ring = _Ring(cfg.capacity, (pdim, gdim, spec.n_joints))
-    envs = [
+    envs = tr.EnvBatch([
         tr.TrackingEnv(clips, spec, phys, cfg.e_div, np.random.default_rng(seed_for(seed, f"denv-{i}")))
         for i in range(cfg.envs)
-    ]
+    ])
 
     metrics_path = out / "metrics.csv"
     metrics_path.write_text(",".join(DISTILL_METRICS) + "\n")
@@ -449,25 +458,9 @@ def train_slmp(
     steps_per_env = max(1, cfg.fresh_per_update // cfg.envs)
     for u in range(cfg.updates):
         rng_u = np.random.default_rng(seed_for(seed, f"distill-update-{u}"))
-        fresh_p = np.zeros((steps_per_env * cfg.envs, pdim))
-        fresh_g = np.zeros((steps_per_env * cfg.envs, gdim))
-        fresh_a = np.zeros((steps_per_env * cfg.envs, spec.n_joints))
-        row = 0
-        mse_fresh = 0.0
-        for _ in range(steps_per_env):
-            for env in envs:
-                p = tr.proprio_obs(env.state, spec)
-                g = mo.goal_state(env.clip, env.t, env.state).flat()
-                a_star = tr.expert_action(expert, expert_params, env.state, spec, env.clip, env.t)
-                z1 = encode_goal(n.enc_spec, n.enc_params, g)
-                a = prior_action(n.phi_spec, n.phi_params, p, z1)
-                mse_fresh += float(((a - a_star) ** 2).sum())
-                env.step(a)
-                fresh_p[row] = p
-                fresh_g[row] = g
-                fresh_a[row] = a_star
-                row += 1
-        mse_fresh /= row
+        fresh_p, fresh_g, fresh_a, mse_fresh = collect_fresh(
+            envs, steps_per_env, expert, expert_params, n
+        )
         ring.push(fresh_p, fresh_g, fresh_a)
 
         take = min(cfg.batch, ring.size)

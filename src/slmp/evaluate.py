@@ -15,8 +15,7 @@ from . import nets
 from . import physics as ph
 from . import tracking as tr
 from .seeding import seed_for
-
-Controller = Callable[[ph.SimState, float, mo.MotionClip], np.ndarray]
+from .tracking import Controller, expert_controller, track_clip
 
 
 @dataclass
@@ -43,49 +42,12 @@ class SpherePointCloud:
     actions: np.ndarray  # (n, act_dim)
 
 
-def track_clip(
-    controller: Controller,
-    clip: mo.MotionClip,
-    spec: ph.CharacterSpec,
-    phys: ph.PhysicsConfig,
-    e_div: float = 0.5,
-) -> tuple[bool, float]:
-    """Roll one clip from its first frame under a PD-target controller.
-
-    Success means no fall and the mean site error never exceeding e_div;
-    the returned error averages only the pre-failure frames.
-    """
-    state = clip.frame_state(0)
-    t = 0.0
-    errs: list[float] = []
-    steps = int((clip.duration - 1.0 / clip.frame_rate) * phys.hz) - 1
-    for _ in range(steps):
-        targets = controller(state, t, clip)
-        state, _ = ph.step_world([state], [spec], None, phys.dt, phys, pd_targets=[targets])
-        state = state[0]
-        t += phys.dt
-        rp, ra, jq, rv, rw, jv = clip.sample(t)
-        ref = ph.SimState(rp, ra, jq, rv, rw, jv)
-        pos_s, _ = ph.sites_and_velocities(state, spec)
-        pos_r, _ = ph.sites_and_velocities(ref, spec)
-        e = float(np.linalg.norm(pos_s - pos_r, axis=1).mean())
-        errs.append(e)
-        if not state.valid or ph.detect_fall(state, spec, phys) or e > e_div:
-            return False, float(np.mean(errs))
-    return True, float(np.mean(errs))
-
-
 def tracking_error_kinematic(clip: mo.MotionClip, states: list[ph.SimState], spec: ph.CharacterSpec) -> float:
     """Mean site error of a given state sequence against the clip; the
     oracle path for the metric (feeding reference states yields zero)."""
-    errs = []
-    for state in states:
-        rp, ra, jq, rv, rw, jv = clip.sample(state.time)
-        ref = ph.SimState(rp, ra, jq, rv, rw, jv)
-        pos_s, _ = ph.sites_and_velocities(state, spec)
-        pos_r, _ = ph.sites_and_velocities(ref, spec)
-        errs.append(float(np.linalg.norm(pos_s - pos_r, axis=1).mean()))
-    return float(np.mean(errs))
+    world = ph.World.of(states, spec)
+    ref = ph.Kinematics(spec, *mo.split_frames(mo.sample_frames([clip] * len(states), world.time)))
+    return float(tr.site_error_rows(ph.Kinematics.of(world, spec), ref).mean())
 
 
 def latent_controller(
@@ -101,15 +63,6 @@ def latent_controller(
         g = mo.goal_state(clip, t, state).flat()
         z = di.encode_goal(enc_spec, enc_params, g)
         return di.prior_action(phi_spec, phi_params, tr.proprio_obs(state, spec), z)
-
-    return controller
-
-
-def expert_controller(
-    policy: tr.GaussianPolicy, policy_params: np.ndarray, spec: ph.CharacterSpec
-) -> Controller:
-    def controller(state: ph.SimState, t: float, clip: mo.MotionClip) -> np.ndarray:
-        return tr.expert_action(policy, policy_params, state, spec, clip, t)
 
     return controller
 

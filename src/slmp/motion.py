@@ -401,16 +401,16 @@ def generate_library(
     frame_rate: float = 30.0,
     spec: ph.CharacterSpec | None = None,
     cfg: ph.PhysicsConfig | None = None,
+    seed: int = 0,
 ) -> list[MotionClip]:
-    """Default clip library; clip k gets seed k (0..39 at default counts)."""
+    """Clip library in ``FAMILIES`` order; clip k gets seed ``seed + k``
+    (0..39 at the defaults)."""
     counts = counts or DEFAULT_COUNTS
-    clips = []
-    seed = 0
-    for family in FAMILIES:
-        for _ in range(counts.get(family, 0)):
-            clips.append(generate_clip(family, seed, duration, frame_rate, spec, cfg))
-            seed += 1
-    return clips
+    families = [f for f in FAMILIES for _ in range(counts.get(f, 0))]
+    return [
+        generate_clip(family, seed + k, duration, frame_rate, spec, cfg)
+        for k, family in enumerate(families)
+    ]
 
 
 # --- serialization ------------------------------------------------------
@@ -425,18 +425,8 @@ def save_clip(clip: MotionClip, path: str | Path) -> None:
         f"joints={clip.n_joints}",
         f"id={clip.clip_id}",
     ]
-    for k in range(clip.n_frames):
-        vals = np.concatenate(
-            [
-                clip.root_pos[k],
-                [clip.root_angle[k]],
-                clip.joints[k],
-                clip.root_vel[k],
-                [clip.root_ang_vel[k]],
-                clip.joint_vels[k],
-            ]
-        )
-        lines.append(" ".join(repr(float(v)) for v in vals))
+    for row in clip.frames:
+        lines.append(" ".join(repr(float(v)) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

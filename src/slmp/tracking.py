@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -101,6 +102,11 @@ def track_obs_dim(spec: ph.CharacterSpec) -> int:
     return proprio_dim(spec) + mo.Goal.dim(spec.n_joints)
 
 
+def site_error_rows(sim: ph.Kinematics, ref: ph.Kinematics) -> np.ndarray:
+    """Mean site position error of every env against its reference, (E,)."""
+    return np.sqrt((sim.site_x - ref.site_x) ** 2 + (sim.site_y - ref.site_y) ** 2).mean(axis=1)
+
+
 def imitation_rows(
     spec: ph.CharacterSpec,
     sim: ph.Kinematics,
@@ -116,7 +122,7 @@ def imitation_rows(
     """
     _, q_s, _, qd_s = sim_coords
     _, q_r, _, qd_r = ref_coords
-    e_p = np.sqrt((sim.site_x - ref.site_x) ** 2 + (sim.site_y - ref.site_y) ** 2).mean(axis=1)
+    e_p = site_error_rows(sim, ref)
     e_r = np.abs(ph.wrap_angle(q_s - q_r)).mean(axis=1)
     e_v = np.sqrt((sim.site_vx - ref.site_vx) ** 2 + (sim.site_vy - ref.site_vy) ** 2).mean(axis=1)
     e_w = np.abs(qd_s - qd_r).mean(axis=1)
@@ -189,6 +195,12 @@ class GaussianPolicy:
         mlp, _ = self.split(params)
         return nets.mlp_forward(self.spec, mlp, obs)
 
+    def mean_rows(self, params: np.ndarray, obs: np.ndarray) -> np.ndarray:
+        """``mean`` of every row of ``obs`` (E, obs_dim), as one stacked
+        forward whose rows keep their bits for any E."""
+        mlp, _ = self.split(params)
+        return nets.forward_batch(self.spec, mlp, obs[:, None, :])[:, 0]
+
     def sample(
         self, params: np.ndarray, obs: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, float]:
@@ -204,8 +216,8 @@ class GaussianPolicy:
         """One action per row of ``obs`` (E, obs_dim); row e draws its noise
         from ``rngs[e]``.  A stacked forward keeps each row's bits
         independent of E."""
-        mlp, log_std = self.split(params)
-        mu = nets.forward_batch(self.spec, mlp, obs[:, None, :])[:, 0]
+        mu = self.mean_rows(params, obs)
+        log_std = self.split(params)[1]
         noise = np.stack([rng.standard_normal(mu.shape[1]) for rng in rngs])
         act = mu + np.exp(log_std) * noise
         return act, self.log_prob_batch(mu, log_std, act)
@@ -879,3 +891,46 @@ def expert_action(
     raw = policy.mean(policy_params, obs)
     base = clip.joints[clip.goal_frame_index(t)]
     return action_to_targets(raw, base)
+
+
+# --- clip tracking ------------------------------------------------------
+
+Controller = Callable[[ph.SimState, float, mo.MotionClip], np.ndarray]
+
+
+def expert_controller(
+    policy: GaussianPolicy, policy_params: np.ndarray, spec: ph.CharacterSpec
+) -> Controller:
+    def controller(state: ph.SimState, t: float, clip: mo.MotionClip) -> np.ndarray:
+        return expert_action(policy, policy_params, state, spec, clip, t)
+
+    return controller
+
+
+def track_clip(
+    controller: Controller,
+    clip: mo.MotionClip,
+    spec: ph.CharacterSpec,
+    phys: ph.PhysicsConfig,
+    e_div: float = 0.5,
+) -> tuple[bool, float]:
+    """Roll one clip from its first frame under a PD-target controller.
+
+    Success means no fall and the mean site error never exceeding e_div;
+    the returned error averages only the pre-failure frames.
+    """
+    world = ph.World.of([clip.frame_state(0)], spec)
+    t = 0.0
+    errs: list[float] = []
+    steps = int((clip.duration - 1.0 / clip.frame_rate) * phys.hz) - 1
+    for _ in range(steps):
+        targets = np.asarray(controller(world.state(0), t, clip), dtype=np.float64)
+        world, _ = ph.step_batch(world, spec, phys.dt, phys, pd_targets=targets[None])
+        t += phys.dt
+        sim = ph.Kinematics.of(world, spec)
+        ref = ph.Kinematics(spec, *mo.split_frames(mo.sample_frames([clip], np.array([t]))))
+        e = float(site_error_rows(sim, ref)[0])
+        errs.append(e)
+        if ph.fallen(world.valid, sim, spec, phys)[0] or e > e_div:
+            return False, float(np.mean(errs))
+    return True, float(np.mean(errs))

@@ -5,6 +5,12 @@ import numpy as np
 import pytest
 
 from slmp import cli
+from slmp import combat as cb
+from slmp import motion as mo
+from slmp import nets
+from slmp import physics as ph
+from slmp import tracking as tr
+from slmp.seeding import seed_for
 from slmp.config import ConfigError, load_config
 
 SMOKE_CFG = """
@@ -85,6 +91,9 @@ class TestConfig:
         p.write_text("slmp.beta = 0.5\nslmp.beta = 0.7\n")
         assert load_config(p).slmp.beta == 0.7
 
+    def test_physics_defaults_build_the_default_character_and_config(self):
+        assert load_config(None).physics.build() == (ph.default_character(), ph.default_config())
+
     def test_seed_key(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("seed = 11\n")
@@ -152,3 +161,26 @@ class TestCli:
                         "--samples", "16", "--k", "2", "--out", str(out),
                         "--seed", "2", "--config", smoke_cfg]) == 0
         assert out.read_text().startswith("SLMP-CLOUD/1")
+
+    def test_rollout_writes_one_loadable_clip_per_fighter(self, tmp_path):
+        spec = ph.default_character()
+        ckpt = tmp_path / "combat"
+        ckpt.mkdir()
+        rng = np.random.default_rng(0)
+        phi_spec = nets.MlpSpec(tr.proprio_dim(spec) + 4, (16,), spec.n_joints)
+        nets.save_checkpoint(ckpt / "pi_phi.ckpt", "pi_phi", phi_spec,
+                             nets.init_params(phi_spec, rng) * 0.01)
+        policy = tr.GaussianPolicy(nets.MlpSpec(cb.combat_obs_dim(spec), (16,), 4))
+        for i in (1, 2):
+            nets.save_checkpoint(ckpt / f"pi_h_{i}.ckpt", f"pi_h_{i}", policy.spec,
+                                 policy.init(rng, 0.3), extra=policy.spec.output_dim)
+        assert cli.run(["rollout", "--mode", "combat", "--ckpt", str(ckpt),
+                        "--frames", str(tmp_path / "fight.clip"), "--seconds", "1"]) == 0
+        frames = cb.rollout_combat(ckpt, 1.0, seed_for(0, "rollout"))
+        assert len(frames) == 30
+        for i in (1, 2):
+            clip = mo.load_clip(tmp_path / f"fight.fighter{i}.clip")
+            assert clip.n_frames == len(frames)
+            assert clip.frame_rate == 30.0
+            for k in (0, len(frames) - 1):
+                assert np.array_equal(clip.frame_state(k).theta(), frames[k][i - 1].theta())

@@ -360,6 +360,82 @@ class TestPhase:
             assert phase.use_wc == (i >= 11), f"update {i}"
 
 
+class TestCollectFresh:
+    """``collect_fresh`` against the per-env loop it replaced."""
+
+    CLIPS = [mo.generate_clip("idle", 0, 2.0, spec=SPEC, cfg=CFG),
+             mo.generate_clip("jab", 20, 2.0, spec=SPEC, cfg=CFG)]
+
+    @staticmethod
+    def _nets():
+        pcfg = tr.PpoConfig(pi_hidden=(16,), critic_hidden=(4,))
+        expert = tr.build_networks(tr.track_obs_dim(SPEC), SPEC.n_joints, pcfg, seed=0)
+        cfg = di.SlmpConfig(encoder_hidden=(16,), pi_phi_hidden=(16,), disc_hidden=(4,))
+        n = di.build_distill_nets(mo.Goal.dim(SPEC.n_joints), tr.proprio_dim(SPEC),
+                                  SPEC.n_joints, cfg, seed=1)
+        return expert.policy, expert.policy_params, n
+
+    def _envs(self):
+        # a tight divergence bound makes the untrained prior reset envs often:
+        # about one sample in three ends an episode
+        return [tr.TrackingEnv(self.CLIPS, SPEC, CFG, 0.2, np.random.default_rng(40 + i))
+                for i in range(16)]
+
+    @staticmethod
+    def _per_env(envs, steps, expert, expert_params, n):
+        """Reference: one ``TrackingEnv.step`` and single-row forwards per sample."""
+        rows, mse, resets = [], 0.0, 0
+        for _ in range(steps):
+            for env in envs:
+                p = tr.proprio_obs(env.state, SPEC)
+                g = mo.goal_state(env.clip, env.t, env.state).flat()
+                a_star = tr.expert_action(expert, expert_params, env.state, SPEC, env.clip, env.t)
+                z1 = di.encode_goal(n.enc_spec, n.enc_params, g)
+                a = di.prior_action(n.phi_spec, n.phi_params, p, z1)
+                mse += float(((a - a_star) ** 2).sum())
+                resets += env.step(a)[2]
+                rows.append((p, g, a_star))
+        p, g, a_star = (np.stack(col) for col in zip(*rows))
+        return (p, g, a_star, mse / len(rows)), resets
+
+    def test_bit_equal_to_per_env_steps_with_resets(self):
+        expert, params, n = self._nets()
+        ref_envs, envs = self._envs(), self._envs()
+        batch = tr.EnvBatch(envs)
+        resets = 0
+        for _ in range(3):
+            want, r = self._per_env(ref_envs, 5, expert, params, n)
+            resets += r
+            got = di.collect_fresh(batch, 5, expert, params, n)
+            for w, g in zip(want[:3], got[:3]):
+                assert np.array_equal(w, g)
+            assert want[3] == got[3]
+        assert resets >= 16
+        batch.unpack()
+        for a, b in zip(ref_envs, envs):
+            assert np.array_equal(a.snapshot()["values"], b.snapshot()["values"])
+
+    def test_one_batch_equals_eight_plus_eight(self):
+        expert, params, n = self._nets()
+        whole_envs, envs = self._envs(), self._envs()
+        whole = tr.EnvBatch(whole_envs)
+        halves = [tr.EnvBatch(envs[:8]), tr.EnvBatch(envs[8:])]
+        steps = 4
+        for _ in range(3):
+            got = di.collect_fresh(whole, steps, expert, params, n)
+            parts = [di.collect_fresh(h, steps, expert, params, n) for h in halves]
+            for k in range(3):
+                # rows run step-major: put each step's two halves side by side
+                want = np.concatenate([p[k].reshape(steps, 8, -1) for p in parts], axis=1)
+                assert np.array_equal(got[k], want.reshape(steps * 16, -1))
+            assert got[3] == pytest.approx((parts[0][3] + parts[1][3]) / 2.0, rel=1e-12)
+        whole.unpack()
+        for h in halves:
+            h.unpack()
+        for a, b in zip(whole_envs, envs):
+            assert np.array_equal(a.snapshot()["values"], b.snapshot()["values"])
+
+
 class TestTrainSlmp:
     def _expert(self, tmp_path, clips):
         cfg = tr.PpoConfig(envs=2, horizon=8, updates=1, epochs_per_update=1)

@@ -69,6 +69,28 @@ class TestTrackClip:
             states.append(s)
         assert ev.tracking_error_kinematic(clip, states, SPEC) == pytest.approx(0.0, abs=1e-12)
 
+    def test_kinematic_error_matches_per_state_sites(self):
+        clip = mo.generate_clip("jab", 3, 4.0, spec=SPEC, cfg=CFG)
+        rng = np.random.default_rng(4)
+        states = []
+        for k in range(0, clip.n_frames - 1, 3):
+            s = clip.frame_state(k)
+            s.time = (k + rng.uniform()) / clip.frame_rate
+            s.root_pos = s.root_pos + rng.normal(0.0, 0.05, 2)
+            s.root_angle += rng.normal(0.0, 0.1)
+            s.joint_angles = s.joint_angles + rng.normal(0.0, 0.2, SPEC.n_joints)
+            states.append(s)
+        errs = []
+        for s in states:
+            rp, ra, jq, rv, rw, jv = clip.sample(s.time)
+            ref = ph.SimState(rp, ra, jq, rv, rw, jv)
+            d = ph.KinFrame(s, SPEC).site_pos - ph.KinFrame(ref, SPEC).site_pos
+            errs.append(np.sqrt((d**2).sum(axis=1)).mean())
+        want = float(np.mean(errs))
+        assert want > 0.02
+        got = ev.tracking_error_kinematic(clip, states, SPEC)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_fall_counts_as_failure_with_prefall_error(self):
         clip = mo.generate_clip("idle", 0, 6.0, spec=SPEC, cfg=CFG)
 
