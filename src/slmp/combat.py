@@ -79,34 +79,75 @@ class CombatEvent:
 
 LIMB_SITES = ("hand_l", "hand_r", "foot_l", "foot_r")
 FORCE_SITES = ("hand_l", "hand_r", "foot_l", "foot_r", "head_top", "pelvis")
+REGIONS = ("head", "torso")  # scoring regions, in the order of the distance arrays
+
+# Row layout: a combat world holds the two fighters as rows 0 and 1 of one
+# ph.World.  Slot 1 sees the world reflected about x = 0, so in its own
+# frame x, every angle and every angular rate negate (the bits of
+# ph.mirror_state(s, 0.0)); FLIP_Q is that per-row sign for angular
+# coordinates and FLIP_XY for planar vectors.
+FLIP_Q = np.array([[1.0], [-1.0]])
+FLIP_XY = np.array([[1.0, 1.0], [-1.0, 1.0]])
+OPP = [1, 0]  # the opponent's row of each row
+
+
+def slot_frames(world: ph.World):
+    """(root_pos, q, root_vel, qd) of both fighters, each in its own
+    canonical frame: slot 0 as is, slot 1 mirrored."""
+    return (world.root_pos * FLIP_XY, world.q * FLIP_Q,
+            world.root_vel * FLIP_XY, world.qd * FLIP_Q)
+
+
+def limb_region_vectors(k: ph.Kinematics, spec: ph.CharacterSpec) -> np.ndarray:
+    """(2, 4, 2, 2) world-axis vectors from each fighter's striking limbs
+    (LIMB_SITES) to the opponent's scoring regions (REGIONS)."""
+    along = np.array([spec.head_center_dist, spec.torso_center_dist])
+    region_x = k.root_pos[:, :1] + along * k.cos[:, :1]  # (2, regions)
+    region_y = k.root_pos[:, 1:] + along * k.sin[:, :1]
+    limbs = [spec.site_index[n] for n in LIMB_SITES]
+    vx = region_x[OPP][:, None, :] - k.site_x[:, limbs][:, :, None]
+    vy = region_y[OPP][:, None, :] - k.site_y[:, limbs][:, :, None]
+    return np.stack([vx, vy], axis=-1)
+
+
+def limb_region_dist(k: ph.Kinematics, spec: ph.CharacterSpec) -> np.ndarray:
+    """(2, 4, 2) lengths of ``limb_region_vectors``."""
+    return np.linalg.norm(limb_region_vectors(k, spec), axis=-1)
 
 
 def combat_observation(
-    state_self: ph.SimState,
-    state_opp: ph.SimState,
-    report_self: ph.ContactReport,
+    world: ph.World,
+    k: ph.Kinematics,
+    site_force: np.ndarray,
     spec: ph.CharacterSpec,
 ) -> np.ndarray:
-    """Egocentric observation: own proprioception, opponent root state
-    relative to self, striking-limb-to-scoring-region vectors, and contact
-    force magnitudes on key endpoints.  All vectors are in the root frame."""
-    parts = [tr.proprio_obs(state_self, spec)]
-    rel = ph.local_point(state_self, state_opp.root_pos)
-    d_angle = ph.wrap_angle(state_opp.root_angle - state_self.root_angle)
-    parts.append(rel)
-    parts.append(np.array([math.sin(d_angle), math.cos(d_angle)]))
-    parts.append(ph.local_vec(state_self, state_opp.root_vel - state_self.root_vel))
-    parts.append(np.array([state_opp.root_ang_vel - state_self.root_ang_vel]))
-    limbs = ph.site_positions(state_self, spec)
-    regions = np.stack(
-        [ph.head_center(state_opp, spec), ph.torso_center(state_opp, spec)]
-    )
-    for name in LIMB_SITES:
-        p = limbs[spec.site_index[name]]
-        for r in regions:
-            parts.append(ph.local_vec(state_self, r - p))
-    parts.append(np.array([report_self.site_force[spec.site_index[n]] for n in FORCE_SITES]))
-    return np.concatenate(parts)
+    """Egocentric observation rows of both slots, (2, obs_dim): own
+    proprioception, opponent root state relative to self,
+    striking-limb-to-scoring-region vectors, and contact force magnitudes
+    on key endpoints.  ``k`` is the Kinematics of ``world`` and
+    ``site_force`` the (2, n_sites) forces of the last step.  Vectors are
+    in each slot's root frame, taken in its canonical (slot-1 mirrored)
+    frame."""
+    own = slot_frames(world)
+    facing = own[1][:, :1]  # each slot's root angle in its own frame
+    # opponent-minus-self vectors in world axes: root offset, root
+    # velocity, then the limb-to-region vectors, (2, 10, 2)
+    vecs = np.concatenate([
+        (world.root_pos[OPP] - world.root_pos)[:, None],
+        (world.root_vel[OPP] - world.root_vel)[:, None],
+        limb_region_vectors(k, spec).reshape(2, 2 * len(LIMB_SITES), 2),
+    ], axis=1)
+    vecs = ph.to_local(facing, vecs * FLIP_XY[:, None])
+    d_angle = ph.wrap_angle((world.q[OPP, :1] - world.q[:, :1]) * FLIP_Q)
+    return np.concatenate([
+        tr.proprio_rows(*own),
+        vecs[:, 0],
+        np.sin(d_angle), np.cos(d_angle),
+        vecs[:, 1],
+        (world.qd[OPP, :1] - world.qd[:, :1]) * FLIP_Q,
+        vecs[:, 2:].reshape(2, -1),
+        site_force[:, [spec.site_index[n] for n in FORCE_SITES]],
+    ], axis=1)
 
 
 def combat_obs_dim(spec: ph.CharacterSpec) -> int:
@@ -114,32 +155,27 @@ def combat_obs_dim(spec: ph.CharacterSpec) -> int:
 
 
 def hit_events(
-    states: list[ph.SimState],
-    reports: list[ph.ContactReport],
+    dist: np.ndarray,
+    site_opponent: np.ndarray,
     spec: ph.CharacterSpec,
     cfg: CombatConfig,
 ) -> tuple[list[CombatEvent], list[CombatEvent]]:
     """Scoring hits: a hand/foot within hit_dist of an opponent scoring
-    region whose opponent-contact force exceeds f_hit.  Every Hit emits a
-    symmetric GotHit for the receiving agent."""
+    region whose opponent-contact force exceeds f_hit.  ``dist`` is the
+    (2, 4, 2) array of ``limb_region_dist`` and ``site_opponent`` the
+    (2, n_sites) opponent-contact forces.  Every Hit emits a symmetric
+    GotHit for the receiving agent."""
     events: tuple[list[CombatEvent], list[CombatEvent]] = ([], [])
     for a in range(2):
-        b = 1 - a
-        limb_pos = ph.site_positions(states[a], spec)
-        regions = {
-            "head": ph.head_center(states[b], spec),
-            "torso": ph.torso_center(states[b], spec),
-        }
-        for name in LIMB_SITES:
+        for l, name in enumerate(LIMB_SITES):
             s = spec.site_index[name]
-            force = float(reports[a].site_opponent[s])
+            force = float(site_opponent[a, s])
             if force <= cfg.f_hit:
                 continue
-            dists = {r: float(np.linalg.norm(limb_pos[s] - p)) for r, p in regions.items()}
-            region = min(dists, key=dists.get)
-            if dists[region] < cfg.hit_dist:
-                events[a].append(CombatEvent("Hit", force, s, region))
-                events[b].append(CombatEvent("GotHit", force, s, region))
+            r = int(np.argmin(dist[a, l]))
+            if dist[a, l, r] < cfg.hit_dist:
+                events[a].append(CombatEvent("Hit", force, s, REGIONS[r]))
+                events[1 - a].append(CombatEvent("GotHit", force, s, REGIONS[r]))
     return events
 
 
@@ -221,16 +257,14 @@ def high_level_step(
     return raw / norm, raw, logp
 
 
-def _mirror_targets(targets: np.ndarray) -> np.ndarray:
-    return -targets
-
-
 class CombatEnv:
     """Two characters in one world, both driven through the frozen prior.
 
-    Slot 0 faces +x; slot 1 is mirrored and faces -x.  Observations and
-    prior inputs for slot 1 are computed in its mirrored canonical frame
-    so one policy sees the same egocentric picture in either slot.
+    The fighters are rows 0 and 1 of one ``ph.World``, stepped as one
+    coupled pair.  Slot 0 faces +x; slot 1 is mirrored and faces -x.
+    Observations and prior inputs for slot 1 are computed in its mirrored
+    canonical frame (``slot_frames``) so one policy sees the same
+    egocentric picture in either slot.
     """
 
     def __init__(
@@ -249,11 +283,12 @@ class CombatEnv:
         self.cfg = cfg
         self.rng = rng
         self.epoch = 0
-        self.states: list[ph.SimState] = []
-        self.reports: list[ph.ContactReport] = []
-        self.timers = TerminationTimers()
-        self.t = 0.0
         self.reset()
+
+    @property
+    def states(self) -> list[ph.SimState]:
+        """Copies of both fighters' states."""
+        return [self.world.state(i) for i in range(2)]
 
     def _spawn(self, facing: int, x: float) -> ph.SimState:
         s = ph.nominal_stance(self.spec, self.phys)
@@ -270,50 +305,42 @@ class CombatEnv:
                 s.anchor_x += s.root_pos[0] - x
         return s
 
-    def reset(self):
+    def reset(self) -> np.ndarray:
         g = self.cfg.spawn_gap / 2.0
-        self.states = [self._spawn(+1, -g), self._spawn(-1, +g)]
-        self.reports = [ph.ContactReport.empty(len(self.spec.sites)) for _ in range(2)]
+        self.world = ph.World.of([self._spawn(+1, -g), self._spawn(-1, +g)], self.spec)
+        self.site_force = np.zeros((2, len(self.spec.sites)))  # of the last step
         self.timers = TerminationTimers()
         self.t = 0.0
-        return self.observe(0), self.observe(1)
+        return self.observe()
 
-    def _view(self, agent: int) -> tuple[ph.SimState, ph.SimState]:
-        me, opp = self.states[agent], self.states[1 - agent]
-        if agent == 1:
-            return ph.mirror_state(me, 0.0), ph.mirror_state(opp, 0.0)
-        return me, opp
-
-    def observe(self, agent: int) -> np.ndarray:
-        me, opp = self._view(agent)
-        return combat_observation(me, opp, self.reports[agent], self.spec)
+    def observe(self) -> np.ndarray:
+        """(2, obs_dim) observation rows of both slots."""
+        k = ph.Kinematics.of(self.world, self.spec)
+        return combat_observation(self.world, k, self.site_force, self.spec)
 
     def decision_step(self, z0: np.ndarray, z1: np.ndarray):
         """Hold both latents for k_hl control steps.
 
-        Returns (obs_pair, reward_pair, done, info).
+        Returns (obs_rows, reward_pair, done, info).
         """
-        cfg = self.cfg
+        cfg, spec, phys = self.cfg, self.spec, self.phys
+        z = np.stack([z0, z1])
         rewards = [0.0, 0.0]
         done = False
         reason = None
         hits = [0, 0]
         for _ in range(cfg.k_hl):
-            targets = []
-            for agent, z in ((0, z0), (1, z1)):
-                me, _ = self._view(agent)
-                a = di.prior_action(self.phi_spec, self.phi_params, tr.proprio_obs(me, self.spec), z)
-                targets.append(a if agent == 0 else _mirror_targets(a))
-            self.states, self.reports = ph.step_world(
-                self.states, [self.spec, self.spec], None, self.phys.dt, self.phys,
-                pd_targets=targets,
+            proprio = tr.proprio_rows(*slot_frames(self.world))
+            targets = di.prior_action(self.phi_spec, self.phi_params, proprio, z) * FLIP_Q
+            self.world, report = ph.step_batch(
+                self.world, spec, phys.dt, phys, pd_targets=targets, coupled=True,
             )
-            self.t += self.phys.dt
-            fell = [
-                ph.detect_fall(self.states[i], self.spec, self.phys) or not self.states[i].valid
-                for i in range(2)
-            ]
-            events = hit_events(self.states, self.reports, self.spec, cfg)
+            self.site_force = report.site_force
+            self.t += phys.dt
+            k = ph.Kinematics.of(self.world, spec)
+            fell = [bool(f) for f in ph.fallen(self.world.valid, k, spec, phys)]
+            dist = limb_region_dist(k, spec)
+            events = hit_events(dist, report.site_opponent, spec, cfg)
             for i in range(2):
                 if fell[1 - i]:
                     events[i].append(CombatEvent("Knockdown"))
@@ -322,33 +349,17 @@ class CombatEnv:
                 rewards[i] += combat_reward(events[i], fell[i], fell[1 - i], cfg)
                 hits[i] += sum(1 for e in events[i] if e.kind == "Hit")
 
-            root_dist = float(np.linalg.norm(self.states[0].root_pos - self.states[1].root_pos))
-            limb_dist = self._min_limb_region_dist()
+            root_dist = float(np.linalg.norm(self.world.root_pos[0] - self.world.root_pos[1]))
             reason, self.timers = check_termination(
-                root_dist, limb_dist, any(fell), self.t, self.timers,
-                self.phys.dt, self.epoch, cfg,
+                root_dist, float(dist.min()), any(fell), self.t, self.timers,
+                phys.dt, self.epoch, cfg,
             )
             if reason is not None:
                 done = True
                 break
         info = {"reason": reason, "hits": hits, "t": self.t}
-        if done:
-            obs = self.reset()
-        else:
-            obs = (self.observe(0), self.observe(1))
+        obs = self.reset() if done else combat_observation(self.world, k, self.site_force, spec)
         return obs, (rewards[0], rewards[1]), done, info
-
-    def _min_limb_region_dist(self) -> float:
-        best = math.inf
-        for a in range(2):
-            b = 1 - a
-            limbs = ph.site_positions(self.states[a], self.spec)
-            for region in (ph.head_center(self.states[b], self.spec),
-                           ph.torso_center(self.states[b], self.spec)):
-                for name in LIMB_SITES:
-                    d = float(np.linalg.norm(limbs[self.spec.site_index[name]] - region))
-                    best = min(best, d)
-        return best
 
 
 @dataclass
@@ -407,8 +418,9 @@ def self_play_train(
                   np.random.default_rng(seed_for(seed, f"cenv-{i}")))
         for i in range(cfg.envs)
     ]
-    # each env's current observation pair, carried across decisions and epochs
-    obs_pairs = [(env.observe(0), env.observe(1)) for env in envs]
+    # each env's current (2, obs_dim) observation rows, carried across
+    # decisions and epochs
+    obs_pairs = [env.observe() for env in envs]
     sp = SelfPlayState(swap_period=cfg.swap_period)
     metrics_path = out / "metrics.csv"
     metrics_path.write_text(",".join(COMBAT_METRICS) + "\n")
@@ -521,12 +533,9 @@ def rollout_combat(
     frames = []
     steps = int(seconds / (phys.dt * cfg.k_hl))
     for _ in range(steps):
-        zs = []
-        for agent in range(2):
-            policy, p = pols[agent]
-            z, _, _ = high_level_step(policy, p, env.observe(agent))
-            zs.append(z)
-        frames.append([s.copy() for s in env.states])
+        obs = env.observe()
+        zs = [high_level_step(policy, p, obs[agent])[0] for agent, (policy, p) in enumerate(pols)]
+        frames.append(env.states)
         _, _, done, _ = env.decision_step(zs[0], zs[1])
         if done:
             break

@@ -99,12 +99,17 @@ def sample_sphere(d: int, rng: np.random.Generator, n: int | None = None) -> np.
 def prior_action(
     spec: nets.MlpSpec, params: np.ndarray, proprio: np.ndarray, z: np.ndarray
 ) -> np.ndarray:
-    """Deterministic PD-target action of the prior for (state, latent)."""
+    """Deterministic PD-target action of the prior for (state, latent).
+
+    Rows of 2-D inputs go through one stacked forward, so each row gets
+    the bits of a 1-row call for any number of rows.
+    """
     proprio = np.asarray(proprio, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     if proprio.ndim == 1:
         return nets.mlp_forward(spec, params, np.concatenate([proprio, z]))
-    return nets.forward_batch(spec, params, np.concatenate([proprio, z], axis=1))
+    x = np.concatenate([proprio, z], axis=1)
+    return nets.forward_batch(spec, params, x[:, None, :])[:, 0]
 
 
 def distill_loss(a1: np.ndarray, a_star: np.ndarray) -> float:

@@ -12,9 +12,13 @@ There is one integrator, ``step_batch``, which advances a ``World``: E
 characters sharing one ``CharacterSpec`` held as (E, ...) arrays --
 ``root_pos``/``root_vel`` (E, 2), ``q``/``qd`` (E, ndof) with the root
 angle first, ``time``/``valid`` (E,) and the ground friction anchors
-``anchor_x``/``anchor_on`` (E, n_sites).  ``step_world`` packs one
-character, or two touching ones (whose contact forces enter as extra
-generalised forces), into a World and unpacks the result.
+``anchor_x``/``anchor_on`` (E, n_sites).  With ``coupled`` the World
+holds two touching characters, whose contact forces enter as extra
+generalised forces; ``combat.CombatEnv`` keeps its fighters that way.
+``step_world`` packs one or two ``SimState``s into a World and unpacks
+the result.  Its remaining callers are the single-state wrappers
+``step`` and ``step_pd``, ``evaluate.survival_eval`` and the tests and
+benchmark gate; rollouts step Worlds directly.
 
 E-invariance rule: an env's result must not depend on E or on which
 other envs share its World, so that rollouts are identical for any
@@ -365,16 +369,6 @@ class ContactReport:
     site_opponent: np.ndarray  # opponent contribution per site
     opponent_link: np.ndarray  # dominant opponent link per site, -1 if none
     ground_contact: bool | np.ndarray
-
-    @classmethod
-    def empty(cls, n_sites: int) -> "ContactReport":
-        return cls(
-            np.zeros(n_sites),
-            np.zeros(n_sites),
-            np.zeros(n_sites),
-            np.full(n_sites, -1, dtype=int),
-            False,
-        )
 
     def row(self, i: int) -> "ContactReport":
         """Report of env ``i`` of a batched report."""
@@ -825,32 +819,15 @@ def kinetic_energy(state: SimState, spec: CharacterSpec) -> float:
 
 
 def to_local(angle: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rows of ``v`` (E, 2) rotated by ``-angle`` (E,) into each root frame."""
+    """Vectors ``v`` (..., 2) rotated by ``-angle`` into each root frame;
+    ``angle`` broadcasts against ``v[..., 0]``."""
     c, s = np.cos(angle), np.sin(angle)
-    return np.stack([c * v[:, 0] + s * v[:, 1], c * v[:, 1] - s * v[:, 0]], axis=1)
-
-
-def local_vec(state: SimState, v: np.ndarray) -> np.ndarray:
-    return rot(-state.root_angle) @ np.asarray(v, dtype=np.float64)
-
-def local_point(state: SimState, p: np.ndarray) -> np.ndarray:
-    return rot(-state.root_angle) @ (np.asarray(p, dtype=np.float64) - state.root_pos)
-
-def world_vec(state: SimState, v: np.ndarray) -> np.ndarray:
-    return rot(state.root_angle) @ np.asarray(v, dtype=np.float64)
-
-def world_point(state: SimState, p: np.ndarray) -> np.ndarray:
-    return rot(state.root_angle) @ np.asarray(p, dtype=np.float64) + state.root_pos
+    return np.stack([c * v[..., 0] + s * v[..., 1], c * v[..., 1] - s * v[..., 0]], axis=-1)
 
 
 def torso_center(state: SimState, spec: CharacterSpec) -> np.ndarray:
     frame = KinFrame(state, spec)
     return frame.point_on_link(0, spec.torso_center_dist)
-
-
-def head_center(state: SimState, spec: CharacterSpec) -> np.ndarray:
-    frame = KinFrame(state, spec)
-    return frame.point_on_link(0, spec.head_center_dist)
 
 
 def fallen(valid: np.ndarray, k: Kinematics, spec: CharacterSpec, cfg: PhysicsConfig) -> np.ndarray:

@@ -313,10 +313,11 @@ def ppo_loss_and_grads(
     clip_frac = float((np.abs(ratio - 1.0) > cfg.clip_eps).mean())
 
     # gradient flows only through the unclipped branch where it is active
-    active = (s1 <= s2).astype(np.float64)
-    inside = (np.abs(ratio - 1.0) <= cfg.clip_eps).astype(np.float64)
-    gate = np.maximum(active, inside)
-    dobj_dlogp = gate * ratio * adv
+    active = s1 <= s2
+    inside = np.abs(ratio - 1.0) <= cfg.clip_eps
+    # a clipped row's gradient is 0 even when its ratio overflowed to inf
+    # (a 0/1 gate times ratio * adv would give 0 * inf = nan there)
+    dobj_dlogp = np.where(active | inside, ratio * adv, 0.0)
     dpl_dlogp = -dobj_dlogp / n  # d(policy_loss)/d(logp_i)
 
     dlogp_dmu = z / sigma  # (N, d)

@@ -31,6 +31,17 @@ def obs_sign_mask():
     return np.array(neg, dtype=float)
 
 
+def obs_rows(states):
+    """Observation rows of a 2-row world, with no contact forces."""
+    w = ph.World.of(states, SPEC)
+    no_force = np.zeros((2, len(SPEC.sites)))
+    return cb.combat_observation(w, ph.Kinematics.of(w, SPEC), no_force, SPEC)
+
+
+def dist_rows(states):
+    return cb.limb_region_dist(ph.Kinematics.of(ph.World.of(states, SPEC), SPEC), SPEC)
+
+
 class TestObservation:
     def _pair(self):
         rng = np.random.default_rng(0)
@@ -46,9 +57,8 @@ class TestObservation:
 
     def test_mirror_symmetry(self):
         a, b = self._pair()
-        rep = ph.ContactReport.empty(len(SPEC.sites))
-        obs_a = cb.combat_observation(a, b, rep, SPEC)
-        obs_b = cb.combat_observation(b, a, rep, SPEC)
+        obs_a = obs_rows([a, b])[0]
+        obs_b = obs_rows([b, a])[0]
         assert obs_a.shape == (cb.combat_obs_dim(SPEC),)
         assert np.allclose(obs_b, obs_sign_mask() * obs_a, atol=1e-10)
 
@@ -56,16 +66,14 @@ class TestObservation:
         a = ph.nominal_stance(SPEC, CFG)
         b = ph.nominal_stance(SPEC, CFG)
         b.root_pos = b.root_pos + np.array([1.0, 0.0])
-        rep = ph.ContactReport.empty(len(SPEC.sites))
-        obs = cb.combat_observation(a, b, rep, SPEC)
+        obs = obs_rows([a, b])[0]
         rel = obs[22:24]
         assert rel[0] == pytest.approx(1.0, abs=1e-9)
         assert rel[1] == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_contact_features(self):
         a, b = self._pair()
-        rep = ph.ContactReport.empty(len(SPEC.sites))
-        obs = cb.combat_observation(a, b, rep, SPEC)
+        obs = obs_rows([a, b])[0]
         assert np.all(obs[-6:] == 0.0)
 
 
@@ -73,23 +81,21 @@ class TestHitEvents:
     def _states_with_hand_near(self, dist_to_head):
         a = ph.nominal_stance(SPEC, CFG)
         b = ph.mirror_state(ph.nominal_stance(SPEC, CFG), 0.0)
-        head = ph.head_center(b, SPEC)
+        head = ph.KinFrame(b, SPEC).point_on_link(0, SPEC.head_center_dist)
         hand = ph.site_positions(a, SPEC)[SPEC.site_index["hand_l"]]
         # translate the attacker so its lead hand sits at the gated distance
         shift = head - hand - np.array([dist_to_head, 0.0])
         a.root_pos = a.root_pos + shift
         return [a, b]
 
-    def _reports(self, force):
-        reps = [ph.ContactReport.empty(len(SPEC.sites)) for _ in range(2)]
-        s = SPEC.site_index["hand_l"]
-        reps[0].site_opponent[s] = force
-        reps[0].opponent_link[s] = 0
-        return reps
+    def _site_opponent(self, force):
+        site_opponent = np.zeros((2, len(SPEC.sites)))
+        site_opponent[0, SPEC.site_index["hand_l"]] = force
+        return site_opponent
 
     def test_hit_and_gothit_emitted(self):
         states = self._states_with_hand_near(0.1)
-        ev0, ev1 = cb.hit_events(states, self._reports(60.0), SPEC, CC)
+        ev0, ev1 = cb.hit_events(dist_rows(states), self._site_opponent(60.0), SPEC, CC)
         assert [e.kind for e in ev0] == ["Hit"]
         assert [e.kind for e in ev1] == ["GotHit"]
         assert ev0[0].force == 60.0
@@ -97,13 +103,101 @@ class TestHitEvents:
 
     def test_distance_gate(self):
         states = self._states_with_hand_near(0.5)
-        ev0, ev1 = cb.hit_events(states, self._reports(60.0), SPEC, CC)
+        ev0, ev1 = cb.hit_events(dist_rows(states), self._site_opponent(60.0), SPEC, CC)
         assert ev0 == [] and ev1 == []
 
     def test_force_gate(self):
         states = self._states_with_hand_near(0.1)
-        ev0, ev1 = cb.hit_events(states, self._reports(20.0), SPEC, CC)
+        ev0, ev1 = cb.hit_events(dist_rows(states), self._site_opponent(20.0), SPEC, CC)
         assert ev0 == [] and ev1 == []
+
+
+def _regions(state):
+    frame = ph.KinFrame(state, SPEC)
+    return {r: frame.point_on_link(0, getattr(SPEC, f"{r}_center_dist")) for r in cb.REGIONS}
+
+
+def _observation_ref(me, opp, site_force):
+    """Per-state observation of ``me`` against ``opp``, both already in
+    me's canonical frame."""
+    to_me = ph.rot(-me.root_angle)
+    parts = [tr.proprio_obs(me, SPEC), to_me @ (opp.root_pos - me.root_pos)]
+    d_angle = ph.wrap_angle(opp.root_angle - me.root_angle)
+    parts.append(np.array([math.sin(d_angle), math.cos(d_angle)]))
+    parts.append(to_me @ (opp.root_vel - me.root_vel))
+    parts.append(np.array([opp.root_ang_vel - me.root_ang_vel]))
+    limbs = ph.site_positions(me, SPEC)
+    regions = _regions(opp)
+    for name in cb.LIMB_SITES:
+        for r in cb.REGIONS:
+            parts.append(to_me @ (regions[r] - limbs[SPEC.site_index[name]]))
+    parts.append(site_force[[SPEC.site_index[n] for n in cb.FORCE_SITES]])
+    return np.concatenate(parts)
+
+
+def _hits_and_min_dist_ref(states, site_opponent):
+    """Per-state hit events and smallest limb-to-region distance."""
+    events, best = ([], []), math.inf
+    for a in range(2):
+        limbs = ph.site_positions(states[a], SPEC)
+        regions = _regions(states[1 - a])
+        for name in cb.LIMB_SITES:
+            s = SPEC.site_index[name]
+            dists = {r: float(np.linalg.norm(limbs[s] - p)) for r, p in regions.items()}
+            best = min(best, *dists.values())
+            force = float(site_opponent[a, s])
+            region = min(dists, key=dists.get)
+            if force > CC.f_hit and dists[region] < CC.hit_dist:
+                events[a].append(cb.CombatEvent("Hit", force, s, region))
+                events[1 - a].append(cb.CombatEvent("GotHit", force, s, region))
+    return events, best
+
+
+def test_row_functions_match_per_state_reference():
+    """Observations, hit events, fall flags and the farming distance of the
+    2-row world against per-state code, slot 1 through mirror_state, over
+    random close-range pairs after one coupled step with random targets."""
+    rng = np.random.default_rng(17)
+    hits = falls = touching = 0
+    for trial in range(240):
+        a = ph.nominal_stance(SPEC, CFG)
+        b = ph.mirror_state(ph.nominal_stance(SPEC, CFG), 0.0)
+        gap = rng.uniform(0.2, 0.9)
+        for s, dx in ((a, -gap / 2), (b, gap / 2)):
+            drop = rng.uniform(0.3, 0.8) if rng.uniform() < 0.25 else rng.uniform(-0.1, 0.2)
+            s.root_pos = s.root_pos + np.array([dx, -drop])
+            s.anchor_x = s.anchor_x + dx
+            s.root_angle = rng.uniform(-1.2, 1.2)
+            s.joint_angles = s.joint_angles + rng.uniform(-1.5, 1.5, 8)
+            s.root_vel = rng.uniform(-1.0, 1.0, 2)
+            s.root_ang_vel = rng.uniform(-2.0, 2.0)
+            s.joint_vels = rng.uniform(-6.0, 6.0, 8)
+        w, rep = ph.step_batch(ph.World.of([a, b], SPEC), SPEC, CFG.dt, CFG,
+                               pd_targets=rng.uniform(-2.0, 2.0, (2, 8)), coupled=True)
+        # large random forces so the force gate passes often
+        site_opponent = np.where(rep.site_opponent > 0, rep.site_opponent,
+                                 rng.choice([0.0, 100.0], rep.site_opponent.shape))
+        touching += bool((rep.site_opponent > 0).any())
+        k = ph.Kinematics.of(w, SPEC)
+        states = [w.state(0), w.state(1)]
+
+        obs = cb.combat_observation(w, k, rep.site_force, SPEC)
+        views = [states, [ph.mirror_state(s, 0.0) for s in states[::-1]]]
+        for slot, (me, opp) in enumerate(views):
+            want = _observation_ref(me, opp, rep.site_force[slot])
+            assert np.all(np.abs(obs[slot] - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+        dist = cb.limb_region_dist(k, SPEC)
+        ev_rows = cb.hit_events(dist, site_opponent, SPEC, CC)
+        ev_ref, best = _hits_and_min_dist_ref(states, site_opponent)
+        assert ev_rows == ev_ref, trial
+        assert abs(float(dist.min()) - best) <= 1e-12
+        hits += len(ev_ref[0]) + len(ev_ref[1])
+
+        fell = ph.fallen(w.valid, k, SPEC, CFG)
+        assert list(fell) == [ph.detect_fall(s, SPEC, CFG) for s in states]
+        falls += int(fell.sum())
+    assert touching >= 20 and hits >= 20 and falls >= 20, (touching, hits, falls)
 
 
 class TestCombatReward:
@@ -249,7 +343,7 @@ class TestCombatEnv:
                 z0 = di.sample_sphere(4, rng)
                 z1 = di.sample_sphere(4, rng)
                 _, (r0, r1), done, _ = env.decision_step(z0, z1)
-                rows.append((r0, r1, done, env.states[0].root_pos[0], env.states[1].root_pos[0]))
+                rows.append((r0, r1, done, env.world.root_pos[0, 0], env.world.root_pos[1, 0]))
             runs.append(rows)
         assert runs[0] == runs[1]
 

@@ -323,6 +323,15 @@ class TestSlmpUpdate:
         assert a.shape == (n.phi_spec.output_dim,)
         assert np.array_equal(a, b)
 
+    def test_prior_action_rows_match_single_calls(self):
+        n, cfg = tiny_nets()
+        rng = np.random.default_rng(21)
+        s = rng.standard_normal((5, n.phi_spec.input_dim - cfg.latent_dim))
+        z = np.stack([di.sample_sphere(cfg.latent_dim, rng) for _ in range(5)])
+        rows = di.prior_action(n.phi_spec, n.phi_params, s, z)
+        for i in range(5):
+            assert np.array_equal(rows[i], di.prior_action(n.phi_spec, n.phi_params, s[i], z[i]))
+
 
 class TestPhase:
     def test_constant_history_switches_once(self):

@@ -164,23 +164,16 @@ class TestKinematics:
             assert np.allclose(got, want, atol=1e-10)
 
     def test_localize_cases(self):
-        st = ph.SimState(np.zeros(2), 0.0, np.zeros(8), np.zeros(2), 0.0, np.zeros(8))
-        v = np.array([0.3, -0.7])
-        assert np.allclose(ph.local_vec(st, v), v)
-        assert np.allclose(ph.local_point(st, v), v)
-        st.root_angle = math.pi / 2
-        assert np.allclose(ph.local_vec(st, np.array([1.0, 0.0])), [0.0, -1.0], atol=1e-15)
+        v = np.array([[0.3, -0.7]])
+        assert np.allclose(ph.to_local(np.zeros(1), v), v)
+        rotated = ph.to_local(np.array([math.pi / 2]), np.array([[1.0, 0.0]]))
+        assert np.allclose(rotated, [[0.0, -1.0]], atol=1e-15)
 
     def test_localize_roundtrip(self):
         rng = np.random.default_rng(12)
-        for _ in range(50):
-            st = ph.SimState(
-                rng.uniform(-2, 2, 2), rng.uniform(-4, 4),
-                np.zeros(8), np.zeros(2), 0.0, np.zeros(8),
-            )
-            p = rng.uniform(-3, 3, 2)
-            assert np.allclose(ph.world_point(st, ph.local_point(st, p)), p, atol=1e-12)
-            assert np.allclose(ph.world_vec(st, ph.local_vec(st, p)), p, atol=1e-12)
+        angle = rng.uniform(-4, 4, 50)
+        v = rng.uniform(-3, 3, (50, 2))
+        assert np.allclose(ph.to_local(-angle, ph.to_local(angle, v)), v, atol=1e-12)
 
 
 def _fk_oracle(state, spec):

@@ -82,6 +82,46 @@ def test_two_character_world_is_mirror_symmetric(gap, joints, joint_vels, root_v
         np.testing.assert_allclose(r.site_force, mr.site_force, rtol=1e-9, atol=1e-9)
 
 
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(
+    gap=st.floats(0.3, 0.45),
+    approach=st.floats(0.5, 1.0),
+    joint_vels=vec(2, NJ, bound=2.0),
+    torques=vec(12, 2, NJ, bound=2.0),
+)
+def test_fighters_in_flight_conserve_pair_momentum(gap, approach, joint_vels, torques):
+    """Newton's third law between fighters: two fighters closing in on
+    each other in flight, with no ground in reach, touch, and the pair's
+    summed momentum changes by gravity only.  The bound is 1e-9 of k times
+    the largest per-step momentum change of either fighter after k
+    control steps."""
+    a = ph.nominal_stance(SPEC, CFG)
+    b = ph.mirror_state(ph.nominal_stance(SPEC, CFG))
+    for s, side, i in ((a, -1.0, 0), (b, 1.0, 1)):
+        s.root_pos = np.array([side * gap / 2, 8.0])
+        s.anchor_x = s.anchor_on = None
+        s.root_vel = np.array([-side * approach, 0.0])
+        s.joint_vels = joint_vels[i]
+    w = ph.World.of([a, b], SPEC)
+    momenta = [[ph.linear_momentum(w.state(i), SPEC) for i in range(2)]]
+    gravity = np.array([0.0, -2.0 * SPEC.total_mass * CFG.gravity * CFG.dt])
+    scale, touched = 0.0, False
+    for k, tau in enumerate(torques, start=1):
+        w, rep = ph.step_batch(w, SPEC, CFG.dt, CFG, torques=tau, coupled=True)
+        if not w.valid.all() or np.abs(w.qd).max() > 1e3:
+            # a hard collision can spin a light limb up until the integrator
+            # gives up; past 1e3 rad/s the rounding of the internal velocities,
+            # not the contact impulses, sets the momentum error
+            break
+        assert not rep.ground_contact.any()
+        touched |= bool((rep.site_opponent > 0).any())
+        momenta.append([ph.linear_momentum(w.state(i), SPEC) for i in range(2)])
+        scale = max(scale, *(np.abs(momenta[-1][i] - momenta[-2][i]).max() for i in range(2)))
+        drift = sum(momenta[-1]) - sum(momenta[0]) - k * gravity
+        assert np.abs(drift).max() <= 1e-9 * k * scale, (k, drift, scale)
+    assert touched
+
+
 def _batch_states(n: int) -> list[ph.SimState]:
     rng = np.random.default_rng(21)
     states = []

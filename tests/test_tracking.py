@@ -217,6 +217,26 @@ class TestPpo:
         assert np.array_equal(p2, params)
         assert np.array_equal(v2, vparams)
 
+    def test_overflowed_ratio_on_clipped_row_updates(self):
+        """A row whose ratio overflows to inf with a positive advantage is
+        clipped: its gradient is 0, not 0 * inf = nan, so the finite-loss
+        minibatch updates instead of raising in adam_step."""
+        policy, params, vspec, vparams, batch = _tiny_setup(n=16, seed=3)
+        log_probs = batch.log_probs.copy()
+        log_probs[5] = -1000.0
+        adv = np.zeros(16)
+        adv[5] = 5.0
+        batch = tr.PpoBatch(batch.obs, batch.actions, log_probs, adv, batch.returns)
+        cfg = tr.PpoConfig(epochs_per_update=1)
+        p2, _, v2, _, m = tr.ppo_update(
+            policy, params, nets.adam_init(params.size, 1e-4),
+            vspec, vparams, nets.adam_init(vparams.size, 1e-4), batch, cfg,
+            np.random.default_rng(0),
+        )
+        assert m["skipped"] == 0.0 and math.isfinite(m["loss"])
+        assert np.isfinite(p2).all() and np.isfinite(v2).all()
+        assert not np.array_equal(p2, params)
+
 
 def _small_env(seed=0):
     clips = [
