@@ -15,6 +15,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -62,11 +63,12 @@ class SlmpConfig:
             raise ValueError(f"mode must be one of {ABLATION_MODES}")
 
 
-def normalize_rows(y: np.ndarray, min_norm: float = 1e-9) -> np.ndarray:
+def normalize_rows(y: np.ndarray, min_norm: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """(y / norms, norms) for the last axis of ``y``; norms keep that axis."""
     norms = np.linalg.norm(y, axis=-1, keepdims=True)
     if (norms < min_norm).any():
         raise DegenerateEncodingError("encoder output norm below 1e-9")
-    return y / norms
+    return y / norms, norms
 
 
 def encode_goal(
@@ -76,7 +78,7 @@ def encode_goal(
     goal = np.asarray(goal, dtype=np.float64)
     single = goal.ndim == 1
     y = nets.forward_batch(spec, params, goal[None, :] if single else goal)
-    z = normalize_rows(y)
+    z = normalize_rows(y)[0]
     return z[0] if single else z
 
 
@@ -252,11 +254,7 @@ def slmp_update(
     with the two-phase semantic-weight switch.
     """
     count = batch.proprio.shape[0]
-    y = nets.forward_batch(n.enc_spec, n.enc_params, batch.goals)
-    norms = np.linalg.norm(y, axis=1, keepdims=True)
-    if (norms < 1e-9).any():
-        raise DegenerateEncodingError("encoder output norm below 1e-9")
-    z1 = y / norms
+    z1, norms = normalize_rows(nets.forward_batch(n.enc_spec, n.enc_params, batch.goals))
     x1 = np.concatenate([batch.proprio, z1], axis=1)
     x2 = np.concatenate([batch.proprio, batch.z2], axis=1)
     a1 = nets.forward_batch(n.phi_spec, n.phi_params, x1)
@@ -307,7 +305,6 @@ def slmp_update(
     if not math.isfinite(loss):
         metrics["skipped"] = 1.0
         return metrics
-    metrics["skipped"] = 0.0
 
     g_phi1, gx1 = nets.backward_batch(n.phi_spec, n.phi_params, x1, g_a1)
     g_phi = g_phi1
@@ -319,9 +316,7 @@ def slmp_update(
     g_y = (g_z1 - (g_z1 * z1).sum(axis=1, keepdims=True) * z1) / norms
     g_enc, _ = nets.backward_batch(n.enc_spec, n.enc_params, batch.goals, g_y)
 
-    n.phi_params, n.phi_adam = nets.adam_step(n.phi_params, g_phi, n.phi_adam)
-    n.enc_params, n.enc_adam = nets.adam_step(n.enc_params, g_enc, n.enc_adam)
-
+    g_disc = np.zeros(0)
     if train_disc:
         s_pos = disc_forward(n.disc_spec, n.disc_params, batch.proprio, a1)
         s_neg = disc_forward(n.disc_spec, n.disc_params, batch.proprio, a2)
@@ -334,7 +329,16 @@ def slmp_update(
         xn = np.concatenate([batch.proprio, a2], axis=1)
         g_d1, _ = nets.backward_batch(n.disc_spec, n.disc_params, xp, g_pos[:, None])
         g_d2, _ = nets.backward_batch(n.disc_spec, n.disc_params, xn, g_neg[:, None])
-        n.disc_params, n.disc_adam = nets.adam_step(n.disc_params, g_d1 + g_d2, n.disc_adam)
+        g_disc = g_d1 + g_d2
+
+    # a non-finite gradient under a finite loss skips the update as well
+    metrics["skipped"] = float(not all(np.isfinite(g).all() for g in (g_phi, g_enc, g_disc)))
+    if metrics["skipped"]:
+        return metrics
+    n.phi_params, n.phi_adam = nets.adam_step(n.phi_params, g_phi, n.phi_adam)
+    n.enc_params, n.enc_adam = nets.adam_step(n.enc_params, g_enc, n.enc_adam)
+    if train_disc:
+        n.disc_params, n.disc_adam = nets.adam_step(n.disc_params, g_disc, n.disc_adam)
     return metrics
 
 
@@ -378,8 +382,25 @@ def expert_success_rate(
     e_div: float,
 ) -> float:
     """Fraction of clips the frozen expert tracks end-to-end."""
-    controller = tr.expert_controller(policy, policy_params, spec)
-    return sum(tr.track_clip(controller, clip, spec, phys, e_div)[0] for clip in clips) / len(clips)
+    ok, _ = tr.track_clips(tr.expert_controller(policy, policy_params), clips, spec, phys, e_div)
+    return float(ok.mean())
+
+
+def latent_controller(
+    enc_spec: nets.MlpSpec,
+    enc_params: np.ndarray,
+    phi_spec: nets.MlpSpec,
+    phi_params: np.ndarray,
+    spec: ph.CharacterSpec,
+) -> Callable[[tr.EnvBatch, np.ndarray], np.ndarray]:
+    """Row controller that drives the prior with each row's encoded goal."""
+    pdim = tr.proprio_dim(spec)
+
+    def controller(batch: tr.EnvBatch, obs: np.ndarray) -> np.ndarray:
+        z1 = encode_goal(enc_spec, enc_params, obs[:, None, pdim:])[:, 0]
+        return prior_action(phi_spec, phi_params, obs[:, :pdim], z1)
+
+    return controller
 
 
 def collect_fresh(
@@ -398,18 +419,17 @@ def collect_fresh(
     bits independent of the number of envs.
     """
     pdim = tr.proprio_dim(envs.spec)
+    label = tr.expert_controller(expert, expert_params)
+    act = latent_controller(n.enc_spec, n.enc_params, n.phi_spec, n.phi_params, envs.spec)
     obs = envs.observe()
     rows = []
     mse = 0.0
     for _ in range(steps):
-        a_star = tr.action_to_targets(expert.mean_rows(expert_params, obs), envs.ref_base())
-        proprio, goal = obs[:, :pdim], obs[:, pdim:]
-        z1 = encode_goal(n.enc_spec, n.enc_params, goal[:, None, :])[:, 0]
-        x = np.concatenate([proprio, z1], axis=1)
-        a = nets.forward_batch(n.phi_spec, n.phi_params, x[:, None, :])[:, 0]
+        a_star = label(envs, obs)
+        a = act(envs, obs)
         for err in ((a - a_star) ** 2).sum(axis=1):
             mse += float(err)
-        rows.append((proprio, goal, a_star))
+        rows.append((obs[:, :pdim], obs[:, pdim:], a_star))
         obs = envs.step(a)[0]
     proprio, goals, a_star = (np.concatenate(col) for col in zip(*rows))
     return proprio, goals, a_star, mse / proprio.shape[0]

@@ -1,5 +1,14 @@
 """Evaluation protocols: latent tracking fidelity, random-rollout
-survival curves, and state-conditioned sphere clustering exports."""
+survival curves, and state-conditioned sphere clustering exports.
+
+Both rollout protocols step rows of a ``physics.World``.  Tracking
+fidelity rolls every clip at once through ``tracking.track_clips`` (env
+k of one ``EnvBatch`` follows clip k) under a row controller: the
+expert's ``tracking.expert_controller`` or the prior's
+``distill.latent_controller``.  Survival steps the trials still standing
+as one World, with one stacked prior forward and one fall check per
+control step.
+"""
 from __future__ import annotations
 
 import math
@@ -15,7 +24,6 @@ from . import nets
 from . import physics as ph
 from . import tracking as tr
 from .seeding import seed_for
-from .tracking import Controller, expert_controller, track_clip
 
 
 @dataclass
@@ -50,23 +58,6 @@ def tracking_error_kinematic(clip: mo.MotionClip, states: list[ph.SimState], spe
     return float(tr.site_error_rows(ph.Kinematics.of(world, spec), ref).mean())
 
 
-def latent_controller(
-    enc_spec: nets.MlpSpec,
-    enc_params: np.ndarray,
-    phi_spec: nets.MlpSpec,
-    phi_params: np.ndarray,
-    spec: ph.CharacterSpec,
-) -> Controller:
-    """Drive the prior with the encoded goal at every control step."""
-
-    def controller(state: ph.SimState, t: float, clip: mo.MotionClip) -> np.ndarray:
-        g = mo.goal_state(clip, t, state).flat()
-        z = di.encode_goal(enc_spec, enc_params, g)
-        return di.prior_action(phi_spec, phi_params, tr.proprio_obs(state, spec), z)
-
-    return controller
-
-
 def latent_tracking_eval(
     clips: list[mo.MotionClip],
     slmp_dir: str | Path,
@@ -79,25 +70,13 @@ def latent_tracking_eval(
     space, optionally with the expert as the upper-bound comparison."""
     spec = spec or ph.default_character()
     phys = phys or ph.default_config(spec)
-    enc_spec, enc_params, phi_spec, phi_params = di.load_prior(slmp_dir)
-    out: dict[str, dict[str, float]] = {}
-    methods: list[tuple[str, Controller]] = [
-        ("latent", latent_controller(enc_spec, enc_params, phi_spec, phi_params, spec))
-    ]
+    methods = {"latent": di.latent_controller(*di.load_prior(slmp_dir), spec)}
     if expert_ckpt is not None:
-        policy, params = tr.load_policy(expert_ckpt)
-        methods.append(("expert", expert_controller(policy, params, spec)))
-    for name, controller in methods:
-        succ = 0
-        errs = []
-        for clip in clips:
-            ok, err = track_clip(controller, clip, spec, phys, e_div)
-            succ += int(ok)
-            errs.append(err)
-        out[name] = {
-            "success": succ / len(clips),
-            "mean_joint_error": float(np.mean(errs)),
-        }
+        methods["expert"] = tr.expert_controller(*tr.load_policy(expert_ckpt))
+    out: dict[str, dict[str, float]] = {}
+    for name, controller in methods.items():
+        ok, err = tr.track_clips(controller, clips, spec, phys, e_div)
+        out[name] = {"success": float(ok.mean()), "mean_joint_error": float(err.mean())}
     return out
 
 
@@ -111,44 +90,47 @@ def survival_eval(
     fixed_z: bool = False,
     spec: ph.CharacterSpec | None = None,
     phys: ph.PhysicsConfig | None = None,
-    action_fn: Callable[[ph.SimState, np.ndarray], np.ndarray] | None = None,
+    action_fn: Callable[[ph.World, list[np.random.Generator]], np.ndarray] | None = None,
 ) -> SurvivalCurve:
     """Random-latent rollout survival from the neutral stance.
 
     Each trial samples a uniform sphere latent (resampled every
     resample_period seconds unless fixed_z), rolls the prior out, and
     records the first fall; fractions count trials alive per horizon.
-    ``action_fn`` overrides the prior for fixture policies in tests.
+    The trials still standing step as the rows of one ``World``, and each
+    draws from its own generator in its own order.  ``action_fn(world,
+    rngs)`` overrides the prior for fixture policies in tests: it gets
+    the standing trials' rows and generators and returns their
+    (E, n_joints) PD targets.
     """
     spec = spec or ph.default_character()
     phys = phys or ph.default_config(spec)
-    horizon_max = max(horizons)
     latent_dim = None
     if action_fn is None:
         latent_dim = phi_spec.input_dim - tr.proprio_dim(spec)
-    alive = np.zeros(len(horizons), dtype=int)
-    steps = int(round(horizon_max * phys.hz))
+    steps = int(round(max(horizons) * phys.hz))
     resample_steps = max(1, int(round(resample_period * phys.hz)))
-    for trial in range(n_trials):
-        rng = np.random.default_rng(seed_for(seed, f"survival-{trial}"))
-        state = ph.nominal_stance(spec, phys)
-        z = di.sample_sphere(latent_dim, rng) if latent_dim else None
-        fall_time = math.inf
-        for k in range(steps):
-            if not fixed_z and latent_dim and k > 0 and k % resample_steps == 0:
-                z = di.sample_sphere(latent_dim, rng)
-            if action_fn is not None:
-                targets = action_fn(state, rng)
-            else:
-                targets = di.prior_action(phi_spec, phi_params, tr.proprio_obs(state, spec), z)
-            state, _ = ph.step_world([state], [spec], None, phys.dt, phys, pd_targets=[targets])
-            state = state[0]
-            if not state.valid or ph.detect_fall(state, spec, phys):
-                fall_time = (k + 1) * phys.dt
-                break
-        for i, h in enumerate(horizons):
-            if fall_time > h:
-                alive[i] += 1
+    rngs = [np.random.default_rng(seed_for(seed, f"survival-{trial}")) for trial in range(n_trials)]
+    world = ph.World.of([ph.nominal_stance(spec, phys)] * n_trials, spec)
+    z = np.stack([di.sample_sphere(latent_dim, rng) for rng in rngs]) if latent_dim else None
+    fall_time = np.full(n_trials, math.inf)
+    standing = np.arange(n_trials)  # the trial of each world row
+    for k in range(steps):
+        if not len(standing):
+            break
+        if not fixed_z and latent_dim and k > 0 and k % resample_steps == 0:
+            z = np.stack([di.sample_sphere(latent_dim, rngs[i]) for i in standing])
+        if action_fn is not None:
+            targets = action_fn(world, [rngs[i] for i in standing])
+        else:
+            targets = di.prior_action(phi_spec, phi_params, tr.proprio_rows(*world.coords), z)
+        world, _ = ph.step_batch(world, spec, phys.dt, phys, pd_targets=targets)
+        fell = ph.fallen(world.valid, ph.Kinematics.of(world, spec), spec, phys)
+        fall_time[standing[fell]] = (k + 1) * phys.dt
+        standing, world = standing[~fell], world.rows(~fell)
+        if z is not None:
+            z = z[~fell]
+    alive = np.array([(fall_time > h).sum() for h in horizons])
     return SurvivalCurve(tuple(horizons), tuple(alive / n_trials), n_trials)
 
 

@@ -367,28 +367,29 @@ def generate_clip(
         root_pos[k] = rp
         root_angle[k] = ra
         joints[k] = jq
+    return _clip_from_poses(frame_rate, family, f"{family}-{seed:03d}", root_pos, root_angle, joints)
 
+
+def _clip_from_poses(
+    frame_rate: float, family: str, clip_id: str,
+    root_pos: np.ndarray, root_angle: np.ndarray, joints: np.ndarray,
+) -> MotionClip:
+    """A clip whose velocities are forward differences of its poses (the
+    angles' wrapped); the last frame repeats the one before it."""
     root_vel = np.zeros_like(root_pos)
-    root_ang_vel = np.zeros(n)
+    root_ang_vel = np.zeros_like(root_angle)
     joint_vels = np.zeros_like(joints)
     root_vel[:-1] = (root_pos[1:] - root_pos[:-1]) * frame_rate
     root_ang_vel[:-1] = ph.wrap_angle(root_angle[1:] - root_angle[:-1]) * frame_rate
     joint_vels[:-1] = ph.wrap_angle(joints[1:] - joints[:-1]) * frame_rate
-    if n > 1:
+    if len(root_angle) > 1:
         root_vel[-1] = root_vel[-2]
         root_ang_vel[-1] = root_ang_vel[-2]
         joint_vels[-1] = joint_vels[-2]
-
     return MotionClip(
-        frame_rate=frame_rate,
-        family=family,
-        clip_id=f"{family}-{seed:03d}",
-        root_pos=root_pos,
-        root_angle=root_angle,
-        joints=joints,
-        root_vel=root_vel,
-        root_ang_vel=root_ang_vel,
-        joint_vels=joint_vels,
+        frame_rate=frame_rate, family=family, clip_id=clip_id,
+        root_pos=root_pos, root_angle=root_angle, joints=joints,
+        root_vel=root_vel, root_ang_vel=root_ang_vel, joint_vels=joint_vels,
     )
 
 
@@ -496,24 +497,4 @@ def resample(clip: MotionClip, target_hz: float) -> MotionClip:
             clip.root_angle[i1] - clip.root_angle[i0]
         )
         joints[k] = clip.joints[i0] + a * ph.wrap_angle(clip.joints[i1] - clip.joints[i0])
-    root_vel = np.zeros_like(root_pos)
-    root_ang_vel = np.zeros(n_dst)
-    joint_vels = np.zeros_like(joints)
-    if n_dst > 1:
-        root_vel[:-1] = (root_pos[1:] - root_pos[:-1]) * target_hz
-        root_ang_vel[:-1] = ph.wrap_angle(root_angle[1:] - root_angle[:-1]) * target_hz
-        joint_vels[:-1] = ph.wrap_angle(joints[1:] - joints[:-1]) * target_hz
-        root_vel[-1] = root_vel[-2]
-        root_ang_vel[-1] = root_ang_vel[-2]
-        joint_vels[-1] = joint_vels[-2]
-    return MotionClip(
-        frame_rate=target_hz,
-        family=clip.family,
-        clip_id=clip.clip_id,
-        root_pos=root_pos,
-        root_angle=root_angle,
-        joints=joints,
-        root_vel=root_vel,
-        root_ang_vel=root_ang_vel,
-        joint_vels=joint_vels,
-    )
+    return _clip_from_poses(target_hz, clip.family, clip.clip_id, root_pos, root_angle, joints)

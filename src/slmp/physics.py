@@ -16,9 +16,9 @@ angle first, ``time``/``valid`` (E,) and the ground friction anchors
 holds two touching characters, whose contact forces enter as extra
 generalised forces; ``combat.CombatEnv`` keeps its fighters that way.
 ``step_world`` packs one or two ``SimState``s into a World and unpacks
-the result.  Its remaining callers are the single-state wrappers
-``step`` and ``step_pd``, ``evaluate.survival_eval`` and the tests and
-benchmark gate; rollouts step Worlds directly.
+the result.  Inside the package only the single-state wrappers ``step``
+and ``step_pd`` call it; the tests and the benchmark's gate and tracer
+use it too.  Every rollout, evaluation included, steps Worlds directly.
 
 E-invariance rule: an env's result must not depend on E or on which
 other envs share its World, so that rollouts are identical for any
@@ -31,7 +31,7 @@ changes with E); contractions are row-wise ``einsum``s (``_rows``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -454,6 +454,10 @@ class World:
         self.valid[i] = s.valid
         self.anchor_x[i] = 0.0 if s.anchor_x is None else s.anchor_x
         self.anchor_on[i] = False if s.anchor_on is None else s.anchor_on
+
+    def rows(self, keep: np.ndarray) -> "World":
+        """The envs that ``keep`` (a mask or an index array) selects."""
+        return World(*(getattr(self, f.name)[keep] for f in fields(self)))
 
     def state(self, i: int) -> SimState:
         return SimState(
@@ -928,15 +932,14 @@ def character_from_json(path: str | Path) -> CharacterSpec:
     doc = json.loads(Path(path).read_text())
     links = tuple(Link(**l) for l in doc["links"])
     sites = tuple(Site(**s) for s in doc["sites"])
+    optional = ("contact_radius", "tau_max", "torso_center_dist", "head_center_dist")
     return CharacterSpec(
         links=links,
         sites=sites,
         kp=tuple(doc["kp"]),
         kd=tuple(doc["kd"]),
-        contact_radius=doc.get("contact_radius", 0.05),
-        tau_max=doc.get("tau_max", 200.0),
-        torso_center_dist=doc.get("torso_center_dist", 0.25),
-        head_center_dist=doc.get("head_center_dist", 0.61),
+        # a missing key takes CharacterSpec's own default
+        **{k: doc[k] for k in optional if k in doc},
     )
 
 

@@ -362,7 +362,8 @@ def ppo_update(
     """Multi-epoch minibatched PPO step; advantages are normalized here.
 
     Returns (policy_params, policy_adam, value_params, value_adam, metrics).
-    Non-finite losses skip the offending minibatch and are flagged.
+    A minibatch with a non-finite loss or gradient is skipped and counted
+    in ``metrics["skipped"]``.
     """
     n = batch.obs.shape[0]
     adv = batch.advantages
@@ -382,7 +383,8 @@ def ppo_update(
             m, g_p, g_v = ppo_loss_and_grads(
                 policy, policy_params, value_spec, value_params, sub, cfg
             )
-            if not math.isfinite(m["loss"]):
+            # a finite loss can still carry a non-finite gradient
+            if not (math.isfinite(m["loss"]) and np.isfinite(g_p).all() and np.isfinite(g_v).all()):
                 metrics["skipped"] += 1.0
                 continue
             policy_params, policy_adam = nets.adam_step(policy_params, g_p, policy_adam)
@@ -879,59 +881,55 @@ def train_tracking(
     return ts
 
 
-def expert_action(
-    policy: GaussianPolicy,
-    policy_params: np.ndarray,
-    state: ph.SimState,
-    spec: ph.CharacterSpec,
-    clip: mo.MotionClip,
-    t: float,
-) -> np.ndarray:
-    """Deterministic expert output as an absolute PD target vector."""
-    obs = track_obs(state, spec, clip, t)
-    raw = policy.mean(policy_params, obs)
-    base = clip.joints[clip.goal_frame_index(t)]
-    return action_to_targets(raw, base)
-
-
 # --- clip tracking ------------------------------------------------------
-
-Controller = Callable[[ph.SimState, float, mo.MotionClip], np.ndarray]
 
 
 def expert_controller(
-    policy: GaussianPolicy, policy_params: np.ndarray, spec: ph.CharacterSpec
-) -> Controller:
-    def controller(state: ph.SimState, t: float, clip: mo.MotionClip) -> np.ndarray:
-        return expert_action(policy, policy_params, state, spec, clip, t)
+    policy: GaussianPolicy, policy_params: np.ndarray
+) -> Callable[[EnvBatch, np.ndarray], np.ndarray]:
+    """Row controller of the deterministic expert: its mean action on every
+    row of ``obs`` as absolute PD targets around the batch's reference pose."""
+
+    def controller(batch: EnvBatch, obs: np.ndarray) -> np.ndarray:
+        return action_to_targets(policy.mean_rows(policy_params, obs), batch.ref_base())
 
     return controller
 
 
-def track_clip(
-    controller: Controller,
-    clip: mo.MotionClip,
+def track_clips(
+    controller: Callable[[EnvBatch, np.ndarray], np.ndarray],
+    clips: list[mo.MotionClip],
     spec: ph.CharacterSpec,
     phys: ph.PhysicsConfig,
     e_div: float = 0.5,
-) -> tuple[bool, float]:
-    """Roll one clip from its first frame under a PD-target controller.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Roll every clip from its first frame under a row controller.
 
-    Success means no fall and the mean site error never exceeding e_div;
-    the returned error averages only the pre-failure frames.
+    Env k of one ``EnvBatch`` follows clip k, and all clips step in
+    lock-step; ``controller(batch, obs)`` gives the (E, n_joints) PD
+    targets.  A clip succeeds if it neither falls nor diverges (mean site
+    error above e_div) within its ``int((duration - 1/rate) * hz) - 1``
+    steps; its error averages the steps up to and including the first
+    failure.  Returns (ok, err), both (N,).
     """
-    world = ph.World.of([clip.frame_state(0)], spec)
-    t = 0.0
-    errs: list[float] = []
-    steps = int((clip.duration - 1.0 / clip.frame_rate) * phys.hz) - 1
-    for _ in range(steps):
-        targets = np.asarray(controller(world.state(0), t, clip), dtype=np.float64)
-        world, _ = ph.step_batch(world, spec, phys.dt, phys, pd_targets=targets[None])
-        t += phys.dt
-        sim = ph.Kinematics.of(world, spec)
-        ref = ph.Kinematics(spec, *mo.split_frames(mo.sample_frames([clip], np.array([t]))))
-        e = float(site_error_rows(sim, ref)[0])
-        errs.append(e)
-        if ph.fallen(world.valid, sim, spec, phys)[0] or e > e_div:
-            return False, float(np.mean(errs))
-    return True, float(np.mean(errs))
+    envs = []
+    for k, clip in enumerate(clips):
+        env = TrackingEnv(clips, spec, phys, e_div)
+        env.clip_index, env.state, env.t = k, clip.frame_state(0), 0.0
+        envs.append(env)
+    batch = EnvBatch(envs)
+    steps = np.array([int((c.duration - 1.0 / c.frame_rate) * phys.hz) - 1 for c in clips])
+    errs = np.zeros((len(clips), max(0, steps.max())))
+    taken = np.zeros(len(clips), dtype=int)
+    ok = np.ones(len(clips), dtype=bool)
+    obs = batch.observe()
+    for s in range(errs.shape[1]):
+        live = ok & (s < steps)
+        if not live.any():
+            break
+        # the info rows describe the stepped states, before any reset
+        obs, _, _, info = batch.step(np.asarray(controller(batch, obs), dtype=np.float64))
+        errs[:, s] = info["site_error"]
+        taken += live
+        ok &= ~(live & (info["fell"] | info["diverged"]))
+    return ok, np.array([errs[k, : taken[k]].mean() for k in range(len(clips))])

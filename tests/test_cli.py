@@ -128,7 +128,7 @@ class TestCli:
         assert cli.run(["gen-data", "--out", str(tmp_path / "x"), "--config", "/no/such.cfg"]) == 1
 
     def test_full_smoke_pipeline(self, tmp_path, smoke_cfg):
-        """gen-data -> train-track -> distill -> eval-survival exits 0."""
+        """gen-data -> train-track -> distill -> eval-track -> eval-survival exits 0."""
         data = tmp_path / "data"
         track = tmp_path / "track"
         slmp_dir = tmp_path / "slmp"
@@ -141,6 +141,13 @@ class TestCli:
             "distill", "--expert", str(track), "--out", str(slmp_dir), "--clips", str(data),
             "--mode", "slmp", "--seed", "5", "--config", smoke_cfg, "--skip-expert-check",
         ]) == 0
+        assert cli.run([
+            "eval-track", "--slmp", str(slmp_dir), "--expert", str(track), "--clips", str(data),
+            "--out", str(tmp_path / "track.csv"), "--seed", "5", "--config", smoke_cfg,
+        ]) == 0
+        lines = (tmp_path / "track.csv").read_text().splitlines()
+        assert lines[0] == "method,success,mean_joint_error"
+        assert [line.split(",")[0] for line in lines[1:]] == ["latent", "expert"]
         assert cli.run([
             "eval-survival", "--slmp", str(slmp_dir), "--out", str(tmp_path / "surv.csv"),
             "--trials", "3", "--seed", "5", "--config", smoke_cfg,

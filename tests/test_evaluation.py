@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+from slmp import distill as di
 from slmp import evaluate as ev
 from slmp import motion as mo
 from slmp import nets
 from slmp import physics as ph
 from slmp import tracking as tr
+from slmp.seeding import seed_for
 
 SPEC = ph.default_character()
 CFG = ph.default_config(SPEC)
@@ -24,15 +28,15 @@ class TestSurvivalCurve:
         targets = stance.joint_angles.copy()
         curve = ev.survival_eval(
             None, None, n_trials=3, horizons=(2.0, 4.0), seed=0,
-            spec=SPEC, phys=CFG, action_fn=lambda state, rng: targets,
+            spec=SPEC, phys=CFG, action_fn=lambda world, rngs: np.tile(targets, (len(rngs), 1)),
         )
         assert curve.fractions == (1.0, 1.0)
 
     def test_adversarial_fixture_dies_fast(self):
         extreme = np.full(SPEC.n_joints, 2.5)
 
-        def wild(state, rng):
-            return extreme * rng.choice([-1.0, 1.0], size=SPEC.n_joints)
+        def wild(world, rngs):
+            return np.stack([extreme * rng.choice([-1.0, 1.0], size=SPEC.n_joints) for rng in rngs])
 
         curve = ev.survival_eval(
             None, None, n_trials=4, horizons=(2.0, 5.0), seed=1,
@@ -44,8 +48,8 @@ class TestSurvivalCurve:
         stance = ph.nominal_stance(SPEC, CFG)
         targets = stance.joint_angles.copy()
 
-        def act(state, rng):
-            return targets + 0.3 * rng.standard_normal(SPEC.n_joints)
+        def act(world, rngs):
+            return np.stack([targets + 0.3 * rng.standard_normal(SPEC.n_joints) for rng in rngs])
 
         a = ev.survival_eval(None, None, 5, (1.0, 2.0, 3.0), 7, spec=SPEC, phys=CFG, action_fn=act)
         b = ev.survival_eval(None, None, 5, (1.0, 2.0, 3.0), 7, spec=SPEC, phys=CFG, action_fn=act)
@@ -58,6 +62,65 @@ class TestSurvivalCurve:
         lines = (tmp_path / "s.csv").read_text().splitlines()
         assert lines[0] == "horizon_s,survival_fraction,n_trials"
         assert len(lines) == 5
+
+
+def survival_reference(phi_spec, phi_params, n_trials, seed, steps, resample_steps, action_fn=None):
+    """The per-trial loop ``survival_eval`` replaced: each trial's fall
+    time (inf if it stands), one ``step_world`` call and one
+    ``detect_fall`` per control step, with ``action_fn(state, rng)``."""
+    latent_dim = None if action_fn else phi_spec.input_dim - tr.proprio_dim(SPEC)
+    fall_times = []
+    for trial in range(n_trials):
+        rng = np.random.default_rng(seed_for(seed, f"survival-{trial}"))
+        state = ph.nominal_stance(SPEC, CFG)
+        z = di.sample_sphere(latent_dim, rng) if latent_dim else None
+        fall_time = math.inf
+        for k in range(steps):
+            if latent_dim and k > 0 and k % resample_steps == 0:
+                z = di.sample_sphere(latent_dim, rng)
+            if action_fn is not None:
+                targets = action_fn(state, rng)
+            else:
+                targets = di.prior_action(phi_spec, phi_params, tr.proprio_obs(state, SPEC), z)
+            (state,), _ = ph.step_world([state], [SPEC], None, CFG.dt, CFG, pd_targets=[targets])
+            if not state.valid or ph.detect_fall(state, SPEC, CFG):
+                fall_time = (k + 1) * CFG.dt
+                break
+        fall_times.append(fall_time)
+    return np.array(fall_times)
+
+
+class TestSurvivalRows:
+    """``survival_eval`` against the per-trial loop.  Its horizons sit
+    between consecutive control steps, so the curve fixes every fall time."""
+
+    STEPS = 72
+    HORIZONS = tuple((k + 0.5) * CFG.dt for k in range(STEPS))
+
+    def _check(self, curve, want):
+        alive = np.array([(want > h).sum() for h in self.HORIZONS])
+        assert curve.fractions == tuple(alive / len(want))
+        # trials fall at several different times, and one stands to the end
+        assert len(set(want[np.isfinite(want)])) >= 5 and np.isinf(want).any()
+
+    def test_prior_matches_per_trial_loop(self):
+        phi_spec = nets.MlpSpec(tr.proprio_dim(SPEC) + 4, (16,), SPEC.n_joints)
+        phi_params = 0.5 * nets.init_params(phi_spec, np.random.default_rng(3))
+        want = survival_reference(phi_spec, phi_params, 8, 11, self.STEPS, 15)
+        curve = ev.survival_eval(phi_spec, phi_params, 8, self.HORIZONS, 11,
+                                 resample_period=15 * CFG.dt, spec=SPEC, phys=CFG)
+        self._check(curve, want)
+
+    def test_action_fn_matches_per_trial_loop(self):
+        stance = ph.nominal_stance(SPEC, CFG).joint_angles
+
+        def act(state, rng):
+            return stance + 1.2 * rng.standard_normal(SPEC.n_joints)
+
+        want = survival_reference(None, None, 8, 12, self.STEPS, 15, action_fn=act)
+        curve = ev.survival_eval(None, None, 8, self.HORIZONS, 12, spec=SPEC, phys=CFG,
+                                 action_fn=lambda world, rngs: np.stack([act(None, r) for r in rngs]))
+        self._check(curve, want)
 
 
 class TestTrackClip:
@@ -94,21 +157,77 @@ class TestTrackClip:
     def test_fall_counts_as_failure_with_prefall_error(self):
         clip = mo.generate_clip("idle", 0, 6.0, spec=SPEC, cfg=CFG)
 
-        def failing_controller(state, t, c):
+        def failing_controller(batch, obs):
             # track for 1 s, then command a violent fold
-            if t < 1.0:
-                return c.joints[c.goal_frame_index(t)]
-            return np.full(SPEC.n_joints, 2.8)
+            return np.where((batch.t < 1.0)[:, None], batch.ref_base(), 2.8)
 
-        ok, err = ev.track_clip(failing_controller, clip, SPEC, CFG)
+        (ok,), (err,) = tr.track_clips(failing_controller, [clip], SPEC, CFG)
         assert not ok
         assert err < 0.5  # averaged only over pre-failure frames
 
     def test_reference_controller_succeeds_on_idle(self):
         clip = mo.generate_clip("idle", 2, 4.0, spec=SPEC, cfg=CFG)
-        ok, err = ev.track_clip(lambda s, t, c: c.joints[c.goal_frame_index(t)], clip, SPEC, CFG)
+        (ok,), (err,) = tr.track_clips(lambda batch, obs: batch.ref_base(), [clip], SPEC, CFG)
         assert ok
         assert err < 0.05
+
+
+def track_clip_reference(controller, clip, e_div=0.5):
+    """The per-clip loop ``track_clips`` replaced: one ``SimState`` at a
+    time, with ``controller(state, t, clip)`` giving the PD targets."""
+    state, t, errs = clip.frame_state(0), 0.0, []
+    steps = int((clip.duration - 1.0 / clip.frame_rate) * CFG.hz) - 1
+    for _ in range(steps):
+        state, _ = ph.step_pd(state, controller(state, t, clip), CFG.dt, SPEC, CFG)
+        t += CFG.dt
+        rp, ra, jq, rv, rw, jv = clip.sample(t)
+        e = tr.imitation_reward(state, ph.SimState(rp, ra, jq, rv, rw, jv), SPEC)[1]
+        errs.append(e)
+        if ph.detect_fall(state, SPEC, CFG) or e > e_div:
+            return False, float(np.mean(errs))
+    return True, float(np.mean(errs))
+
+
+class TestTrackClips:
+    """``track_clips`` against the per-clip loop, clip lengths differing."""
+
+    FAMILIES = ("idle", "footwork", "jab", "hook", "kick", "combo", "kick", "hook")
+    CLIPS = [mo.generate_clip(f, 10 + i, 2.0 + 0.1 * i, spec=SPEC, cfg=CFG)
+             for i, f in enumerate(FAMILIES)]
+
+    @staticmethod
+    def _controllers():
+        """(per-state, row) forms of the reference-pose controller and of
+        an untrained expert."""
+        pcfg = tr.PpoConfig(pi_hidden=(16,), critic_hidden=(4,))
+        ts = tr.build_networks(tr.track_obs_dim(SPEC), SPEC.n_joints, pcfg, seed=0)
+        policy, params = ts.policy, ts.policy_params
+
+        def expert(state, t, clip):
+            obs = tr.track_obs(state, SPEC, clip, t)
+            base = clip.joints[clip.goal_frame_index(t)]
+            return tr.action_to_targets(policy.mean(params, obs), base)
+
+        return {
+            "reference": (lambda state, t, clip: clip.joints[clip.goal_frame_index(t)],
+                          lambda batch, obs: batch.ref_base()),
+            "expert": (expert, tr.expert_controller(policy, params)),
+        }
+
+    @pytest.mark.parametrize("name", ["reference", "expert"])
+    def test_bit_equal_to_per_clip_loop(self, name):
+        per_state, rows = self._controllers()[name]
+        want = [track_clip_reference(per_state, clip) for clip in self.CLIPS]
+        ok, err = tr.track_clips(rows, self.CLIPS, SPEC, CFG)
+        assert ok.tolist() == [w[0] for w in want]
+        assert err.tolist() == [w[1] for w in want]
+        if name == "reference":
+            assert 0 < ok.sum() < len(self.CLIPS)  # successes and failures
+        # one batch equals a 1 + (N - 1) split
+        head = tr.track_clips(rows, self.CLIPS[:1], SPEC, CFG)
+        tail = tr.track_clips(rows, self.CLIPS[1:], SPEC, CFG)
+        assert np.array_equal(ok, np.concatenate([head[0], tail[0]]))
+        assert np.array_equal(err, np.concatenate([head[1], tail[1]]))
 
 
 class TestKmeans:

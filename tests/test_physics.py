@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -290,6 +292,18 @@ class TestCharacterIO:
         st1 = ph.nominal_stance(SPEC, CFG)
         st2 = ph.nominal_stance(spec2, CFG)
         assert np.allclose(st1.joint_angles, st2.joint_angles)
+
+    def test_json_without_optional_keys_takes_spec_defaults(self, tmp_path):
+        optional = ("contact_radius", "tau_max", "torso_center_dist", "head_center_dist")
+        ph.character_to_json(SPEC, tmp_path / "char.json")
+        doc = json.loads((tmp_path / "char.json").read_text())
+        for key in optional:
+            del doc[key]
+        (tmp_path / "char.json").write_text(json.dumps(doc))
+        spec2 = ph.character_from_json(tmp_path / "char.json")
+        defaults = {f.name: f.default for f in dataclasses.fields(ph.CharacterSpec)}
+        assert {k: getattr(spec2, k) for k in optional} == {k: defaults[k] for k in optional}
+        assert spec2 == SPEC
 
     def test_tree_validation(self):
         with pytest.raises(ValueError):

@@ -238,6 +238,29 @@ class TestPpo:
         assert not np.array_equal(p2, params)
 
 
+    @pytest.mark.parametrize("net", ["policy", "value"])
+    def test_non_finite_gradient_under_finite_loss_skipped(self, monkeypatch, net):
+        """A NaN gradient under a finite loss skips and counts the minibatch
+        instead of raising FloatingPointError in adam_step."""
+        policy, params, vspec, vparams, batch = _tiny_setup()
+        real = tr.ppo_loss_and_grads
+
+        def loss_and_grads(*args):
+            m, g_p, g_v = real(*args)
+            (g_p if net == "policy" else g_v)[0] = np.nan
+            return m, g_p, g_v
+
+        monkeypatch.setattr(tr, "ppo_loss_and_grads", loss_and_grads)
+        p2, _, v2, _, m = tr.ppo_update(
+            policy, params, nets.adam_init(params.size, 1e-4),
+            vspec, vparams, nets.adam_init(vparams.size, 1e-4), batch,
+            tr.PpoConfig(epochs_per_update=1), np.random.default_rng(0),
+        )
+        assert m["skipped"] == 1.0
+        assert np.array_equal(p2, params)
+        assert np.array_equal(v2, vparams)
+
+
 def _small_env(seed=0):
     clips = [
         mo.generate_clip("idle", 0, 4.0, spec=SPEC, cfg=CFG),
