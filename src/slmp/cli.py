@@ -6,13 +6,10 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import combat as cb
 from . import distill as di
 from . import evaluate as ev
 from . import motion as mo
-from . import nets
 from . import physics as ph
 from . import tracking as tr
 from .config import ConfigError, RunConfig, load_config, write_echo

@@ -10,7 +10,8 @@ independently evolving policy instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import shutil
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -81,37 +82,51 @@ LIMB_SITES = ("hand_l", "hand_r", "foot_l", "foot_r")
 FORCE_SITES = ("hand_l", "hand_r", "foot_l", "foot_r", "head_top", "pelvis")
 REGIONS = ("head", "torso")  # scoring regions, in the order of the distance arrays
 
-# Row layout: a combat world holds the two fighters as rows 0 and 1 of one
-# ph.World.  Slot 1 sees the world reflected about x = 0, so in its own
+# Row layout: a combat world holds E envs' fighter pairs as 2E rows of one
+# ph.World, env i's two slots in rows 2i and 2i + 1, stepped with
+# ph.step_batch(..., coupled=True); a row's opponent is its pair partner,
+# row i ^ 1.  Slot 1 sees the world reflected about x = 0, so in its own
 # frame x, every angle and every angular rate negate (the bits of
-# ph.mirror_state(s, 0.0)); FLIP_Q is that per-row sign for angular
-# coordinates and FLIP_XY for planar vectors.
+# ph.mirror_state(s, 0.0)); FLIP_Q is that sign for the angular
+# coordinates of one pair's rows and FLIP_XY for planar vectors, and
+# ``_flips`` tiles them over all rows.
 FLIP_Q = np.array([[1.0], [-1.0]])
 FLIP_XY = np.array([[1.0, 1.0], [-1.0, 1.0]])
-OPP = [1, 0]  # the opponent's row of each row
+
+
+def _flips(n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(FLIP_Q, FLIP_XY) for ``n_rows`` rows of pairs."""
+    return np.tile(FLIP_Q, (n_rows // 2, 1)), np.tile(FLIP_XY, (n_rows // 2, 1))
+
+
+def _opponents(n_rows: int) -> np.ndarray:
+    """The opponent's row of every row."""
+    return np.arange(n_rows) ^ 1
 
 
 def slot_frames(world: ph.World):
-    """(root_pos, q, root_vel, qd) of both fighters, each in its own
+    """(root_pos, q, root_vel, qd) of every fighter, each in its own
     canonical frame: slot 0 as is, slot 1 mirrored."""
-    return (world.root_pos * FLIP_XY, world.q * FLIP_Q,
-            world.root_vel * FLIP_XY, world.qd * FLIP_Q)
+    flip_q, flip_xy = _flips(len(world))
+    return (world.root_pos * flip_xy, world.q * flip_q,
+            world.root_vel * flip_xy, world.qd * flip_q)
 
 
 def limb_region_vectors(k: ph.Kinematics, spec: ph.CharacterSpec) -> np.ndarray:
-    """(2, 4, 2, 2) world-axis vectors from each fighter's striking limbs
-    (LIMB_SITES) to the opponent's scoring regions (REGIONS)."""
+    """(2E, 4, 2, 2) world-axis vectors from each fighter's striking limbs
+    (LIMB_SITES) to its opponent's scoring regions (REGIONS)."""
+    opp = _opponents(len(k.root_pos))
     along = np.array([spec.head_center_dist, spec.torso_center_dist])
-    region_x = k.root_pos[:, :1] + along * k.cos[:, :1]  # (2, regions)
+    region_x = k.root_pos[:, :1] + along * k.cos[:, :1]  # (2E, regions)
     region_y = k.root_pos[:, 1:] + along * k.sin[:, :1]
     limbs = [spec.site_index[n] for n in LIMB_SITES]
-    vx = region_x[OPP][:, None, :] - k.site_x[:, limbs][:, :, None]
-    vy = region_y[OPP][:, None, :] - k.site_y[:, limbs][:, :, None]
+    vx = region_x[opp][:, None, :] - k.site_x[:, limbs][:, :, None]
+    vy = region_y[opp][:, None, :] - k.site_y[:, limbs][:, :, None]
     return np.stack([vx, vy], axis=-1)
 
 
 def limb_region_dist(k: ph.Kinematics, spec: ph.CharacterSpec) -> np.ndarray:
-    """(2, 4, 2) lengths of ``limb_region_vectors``."""
+    """(2E, 4, 2) lengths of ``limb_region_vectors``."""
     return np.linalg.norm(limb_region_vectors(k, spec), axis=-1)
 
 
@@ -121,31 +136,34 @@ def combat_observation(
     site_force: np.ndarray,
     spec: ph.CharacterSpec,
 ) -> np.ndarray:
-    """Egocentric observation rows of both slots, (2, obs_dim): own
+    """Egocentric observation rows of every slot, (2E, obs_dim): own
     proprioception, opponent root state relative to self,
     striking-limb-to-scoring-region vectors, and contact force magnitudes
     on key endpoints.  ``k`` is the Kinematics of ``world`` and
-    ``site_force`` the (2, n_sites) forces of the last step.  Vectors are
+    ``site_force`` the (2E, n_sites) forces of the last step.  Vectors are
     in each slot's root frame, taken in its canonical (slot-1 mirrored)
     frame."""
+    n = len(world)
+    opp = _opponents(n)
+    flip_q, flip_xy = _flips(n)
     own = slot_frames(world)
     facing = own[1][:, :1]  # each slot's root angle in its own frame
     # opponent-minus-self vectors in world axes: root offset, root
-    # velocity, then the limb-to-region vectors, (2, 10, 2)
+    # velocity, then the limb-to-region vectors, (2E, 10, 2)
     vecs = np.concatenate([
-        (world.root_pos[OPP] - world.root_pos)[:, None],
-        (world.root_vel[OPP] - world.root_vel)[:, None],
-        limb_region_vectors(k, spec).reshape(2, 2 * len(LIMB_SITES), 2),
+        (world.root_pos[opp] - world.root_pos)[:, None],
+        (world.root_vel[opp] - world.root_vel)[:, None],
+        limb_region_vectors(k, spec).reshape(n, 2 * len(LIMB_SITES), 2),
     ], axis=1)
-    vecs = ph.to_local(facing, vecs * FLIP_XY[:, None])
-    d_angle = ph.wrap_angle((world.q[OPP, :1] - world.q[:, :1]) * FLIP_Q)
+    vecs = ph.to_local(facing, vecs * flip_xy[:, None])
+    d_angle = ph.wrap_angle((world.q[opp, :1] - world.q[:, :1]) * flip_q)
     return np.concatenate([
         tr.proprio_rows(*own),
         vecs[:, 0],
         np.sin(d_angle), np.cos(d_angle),
         vecs[:, 1],
-        (world.qd[OPP, :1] - world.qd[:, :1]) * FLIP_Q,
-        vecs[:, 2:].reshape(2, -1),
+        (world.qd[opp, :1] - world.qd[:, :1]) * flip_q,
+        vecs[:, 2:].reshape(n, -1),
         site_force[:, [spec.site_index[n] for n in FORCE_SITES]],
     ], axis=1)
 
@@ -159,23 +177,22 @@ def hit_events(
     site_opponent: np.ndarray,
     spec: ph.CharacterSpec,
     cfg: CombatConfig,
-) -> tuple[list[CombatEvent], list[CombatEvent]]:
+) -> tuple[list[CombatEvent], ...]:
     """Scoring hits: a hand/foot within hit_dist of an opponent scoring
     region whose opponent-contact force exceeds f_hit.  ``dist`` is the
-    (2, 4, 2) array of ``limb_region_dist`` and ``site_opponent`` the
-    (2, n_sites) opponent-contact forces.  Every Hit emits a symmetric
-    GotHit for the receiving agent."""
-    events: tuple[list[CombatEvent], list[CombatEvent]] = ([], [])
-    for a in range(2):
-        for l, name in enumerate(LIMB_SITES):
-            s = spec.site_index[name]
-            force = float(site_opponent[a, s])
-            if force <= cfg.f_hit:
-                continue
-            r = int(np.argmin(dist[a, l]))
-            if dist[a, l, r] < cfg.hit_dist:
-                events[a].append(CombatEvent("Hit", force, s, REGIONS[r]))
-                events[1 - a].append(CombatEvent("GotHit", force, s, REGIONS[r]))
+    (2E, 4, 2) array of ``limb_region_dist`` and ``site_opponent`` the
+    (2E, n_sites) opponent-contact forces.  Returns one event list per
+    row.  Every Hit emits a symmetric GotHit for the receiving agent."""
+    events: tuple[list[CombatEvent], ...] = tuple([] for _ in range(len(dist)))
+    limbs = [spec.site_index[n] for n in LIMB_SITES]
+    force = site_opponent[:, limbs]
+    region = np.argmin(dist, axis=2)
+    nearest = np.take_along_axis(dist, region[..., None], axis=2)[..., 0]
+    # not (force <= f_hit): a NaN force of a diverging step passes the gate
+    for a, l in zip(*np.nonzero(~(force <= cfg.f_hit) & (nearest < cfg.hit_dist))):
+        f, s, r = float(force[a, l]), limbs[l], REGIONS[region[a, l]]
+        events[a].append(CombatEvent("Hit", f, s, r))
+        events[a ^ 1].append(CombatEvent("GotHit", f, s, r))
     return events
 
 
@@ -198,73 +215,81 @@ def combat_reward(
 
 @dataclass
 class TerminationTimers:
-    close: float = 0.0
-    farm: float = 0.0
+    """Per-env seconds that each sustained condition has held."""
+
+    close: np.ndarray | float = 0.0
+    farm: np.ndarray | float = 0.0
 
 
 def check_termination(
-    root_dist: float,
-    limb_region_dist: float,
-    knockdown: bool,
-    t: float,
+    root_dist: np.ndarray,
+    limb_region_dist: np.ndarray,
+    knockdown: np.ndarray,
+    t: np.ndarray,
     timers: TerminationTimers,
     dt: float,
     epoch: int,
     cfg: CombatConfig,
-) -> tuple[str | None, TerminationTimers]:
-    """Sustained-condition episode termination.
+) -> tuple[list[str | None], TerminationTimers]:
+    """Sustained-condition episode termination of E envs from (E,) arrays.
 
-    Timers accumulate while their condition holds and reset otherwise;
-    the separation rule applies only during early training epochs.
+    Returns one reason (or None) per env and the new timers.  Timers
+    accumulate while their condition holds and reset otherwise; a
+    knocked-down env keeps its timers.  The separation rule applies only
+    during early training epochs.
     """
-    timers = replace(timers)
-    if knockdown:
-        return "knockdown", timers
-    timers.close = timers.close + dt if root_dist < cfg.close_dist else 0.0
-    timers.farm = timers.farm + dt if limb_region_dist < cfg.hit_dist else 0.0
-    if timers.close > cfg.close_s:
-        return "clinch", timers
-    if timers.farm > cfg.farm_s:
-        return "farming", timers
-    if epoch < cfg.early_epochs and root_dist > cfg.far_dist:
-        return "separated", timers
-    if t >= cfg.episode_s:
-        return "timeout", timers
-    return None, timers
+    close = np.where(root_dist < cfg.close_dist, timers.close + dt, 0.0)
+    farm = np.where(limb_region_dist < cfg.hit_dist, timers.farm + dt, 0.0)
+    rules = (
+        ("knockdown", knockdown),
+        ("clinch", close > cfg.close_s),
+        ("farming", farm > cfg.farm_s),
+        ("separated", (epoch < cfg.early_epochs) & (root_dist > cfg.far_dist)),
+        ("timeout", t >= cfg.episode_s),
+    )
+    reasons = [next((name for name, hit in rules if hit[e]), None) for e in range(len(t))]
+    timers = TerminationTimers(np.where(knockdown, timers.close, close),
+                               np.where(knockdown, timers.farm, farm))
+    return reasons, timers
 
 
 def high_level_step(
     policy: tr.GaussianPolicy,
     params: np.ndarray,
     obs: np.ndarray,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Sample (or take the mean of) the latent head and project onto the
-    sphere.  Returns (unit latent, raw gaussian sample, log-prob)."""
-    if rng is None:
-        raw = policy.mean(params, obs)
-        logp = 0.0
+    rngs: list[np.random.Generator] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Latents for the rows of ``obs`` (E, obs_dim): row e samples the
+    latent head with ``rngs[e]``, or takes its mean without ``rngs``, and
+    is projected onto the sphere.  Returns (unit latents, raw gaussian
+    samples, log-probs) of shapes (E, d), (E, d) and (E,).  The stacked
+    forward gives every row the bits of a 1-row call."""
+    if rngs is None:
+        raw = policy.mean_rows(params, obs)
+        logp = np.zeros(len(obs))
     else:
-        while True:
-            raw, logp = policy.sample(params, obs, rng)
-            if np.linalg.norm(raw) >= 1e-9:
-                break
-    norm = np.linalg.norm(raw)
-    if norm < 1e-9:  # deterministic mean could still be degenerate
-        raw = raw.copy()
-        raw[0] = 1.0
-        norm = 1.0
-    return raw / norm, raw, logp
+        raw, logp = policy.sample_rows(params, obs, rngs)
+    # 1-D norms: a row-wise norm over a 2-D array rounds differently
+    norm = np.array([np.linalg.norm(r) for r in raw])
+    for e, rng in enumerate(rngs or ()):
+        while norm[e] < 1e-9:  # redraw a degenerate sample
+            raw[e], logp[e] = policy.sample(params, obs[e], rng)
+            norm[e] = np.linalg.norm(raw[e])
+    degenerate = norm < 1e-9  # a deterministic mean can still be
+    raw[degenerate, 0] = 1.0
+    norm[degenerate] = 1.0
+    return raw / norm[:, None], raw, logp
 
 
 class CombatEnv:
-    """Two characters in one world, both driven through the frozen prior.
+    """E two-character envs in one world, all driven through the frozen prior.
 
-    The fighters are rows 0 and 1 of one ``ph.World``, stepped as one
-    coupled pair.  Slot 0 faces +x; slot 1 is mirrored and faces -x.
-    Observations and prior inputs for slot 1 are computed in its mirrored
-    canonical frame (``slot_frames``) so one policy sees the same
-    egocentric picture in either slot.
+    Env i's fighters are rows 2i and 2i + 1 of one ``ph.World``, stepped
+    as coupled pairs (see the row layout above).  Slot 0 faces +x; slot 1
+    is mirrored and faces -x.  Observations and prior inputs for slot 1
+    are computed in its mirrored canonical frame (``slot_frames``) so one
+    policy sees the same egocentric picture in either slot.  ``rngs``
+    holds one generator per env, which draws that env's spawn noise.
     """
 
     def __init__(
@@ -274,23 +299,23 @@ class CombatEnv:
         spec: ph.CharacterSpec,
         phys: ph.PhysicsConfig,
         cfg: CombatConfig,
-        rng: np.random.Generator,
+        rngs: list[np.random.Generator],
     ):
         self.phi_spec = phi_spec
         self.phi_params = phi_params
         self.spec = spec
         self.phys = phys
         self.cfg = cfg
-        self.rng = rng
+        self.rngs = rngs
         self.epoch = 0
         self.reset()
 
     @property
     def states(self) -> list[ph.SimState]:
-        """Copies of both fighters' states."""
-        return [self.world.state(i) for i in range(2)]
+        """Copies of every fighter's state, in row order."""
+        return [self.world.state(i) for i in range(len(self.world))]
 
-    def _spawn(self, facing: int, x: float) -> ph.SimState:
+    def _spawn(self, facing: int, x: float, rng: np.random.Generator) -> ph.SimState:
         s = ph.nominal_stance(self.spec, self.phys)
         if facing < 0:
             s = ph.mirror_state(s, 0.0)
@@ -299,67 +324,96 @@ class CombatEnv:
             s.anchor_x += x
         noise = self.cfg.spawn_noise
         if noise > 0.0:
-            s.joint_angles[:4] += self.rng.uniform(-noise, noise, 4)  # arms only
-            s.root_pos[0] += self.rng.uniform(-noise, noise)
+            s.joint_angles[:4] += rng.uniform(-noise, noise, 4)  # arms only
+            s.root_pos[0] += rng.uniform(-noise, noise)
             if s.anchor_x is not None:
                 s.anchor_x += s.root_pos[0] - x
         return s
 
-    def reset(self) -> np.ndarray:
+    def _spawn_pair(self, env: int) -> list[ph.SimState]:
         g = self.cfg.spawn_gap / 2.0
-        self.world = ph.World.of([self._spawn(+1, -g), self._spawn(-1, +g)], self.spec)
-        self.site_force = np.zeros((2, len(self.spec.sites)))  # of the last step
-        self.timers = TerminationTimers()
-        self.t = 0.0
-        return self.observe()
+        rng = self.rngs[env]
+        return [self._spawn(+1, -g, rng), self._spawn(-1, +g, rng)]
+
+    def reset(self) -> None:
+        """Respawn every env."""
+        n = len(self.rngs)
+        self.world = ph.World.of([s for e in range(n) for s in self._spawn_pair(e)], self.spec)
+        self.site_force = np.zeros((2 * n, len(self.spec.sites)))  # of the last step
+        self.timers = TerminationTimers(np.zeros(n), np.zeros(n))
+        self.t = np.zeros(n)
+
+    def _reset_env(self, env: int) -> None:
+        for slot, s in enumerate(self._spawn_pair(env)):
+            self.world.put(2 * env + slot, s)
+        self.site_force[2 * env : 2 * env + 2] = 0.0
+        self.timers.close[env] = self.timers.farm[env] = 0.0
+        self.t[env] = 0.0
 
     def observe(self) -> np.ndarray:
-        """(2, obs_dim) observation rows of both slots."""
+        """(2E, obs_dim) observation rows of every slot."""
         k = ph.Kinematics.of(self.world, self.spec)
         return combat_observation(self.world, k, self.site_force, self.spec)
 
-    def decision_step(self, z0: np.ndarray, z1: np.ndarray):
-        """Hold both latents for k_hl control steps.
+    def decision_step(self, z: np.ndarray):
+        """Hold every row's latent, ``z`` (2E, latent_dim), for k_hl
+        control steps.
 
-        Returns (obs_rows, reward_pair, done, info).
+        Returns (obs_rows, rewards, done, info): the (2E, obs_dim)
+        observation rows, the (E, 2) rewards of both slots, the (E,) done
+        flags, and per env the termination reason (or None) under
+        "reason", the (E, 2) Hit counts under "hits" and the episode time
+        under "t".  An env whose episode ends takes no rewards, events or
+        timer updates for the rest of the decision and is respawned at its
+        end.
         """
         cfg, spec, phys = self.cfg, self.spec, self.phys
-        z = np.stack([z0, z1])
-        rewards = [0.0, 0.0]
-        done = False
-        reason = None
-        hits = [0, 0]
+        n = len(self.rngs)
+        flip_q, _ = _flips(2 * n)
+        rewards = np.zeros((n, 2))
+        hits = np.zeros((n, 2), dtype=int)
+        done = np.zeros(n, dtype=bool)
+        reasons: list[str | None] = [None] * n
         for _ in range(cfg.k_hl):
             proprio = tr.proprio_rows(*slot_frames(self.world))
-            targets = di.prior_action(self.phi_spec, self.phi_params, proprio, z) * FLIP_Q
+            targets = di.prior_action(self.phi_spec, self.phi_params, proprio, z) * flip_q
             self.world, report = ph.step_batch(
                 self.world, spec, phys.dt, phys, pd_targets=targets, coupled=True,
             )
             self.site_force = report.site_force
-            self.t += phys.dt
+            live = ~done
+            self.t = np.where(live, self.t + phys.dt, self.t)
             k = ph.Kinematics.of(self.world, spec)
-            fell = [bool(f) for f in ph.fallen(self.world.valid, k, spec, phys)]
+            fell = ph.fallen(self.world.valid, k, spec, phys)
             dist = limb_region_dist(k, spec)
             events = hit_events(dist, report.site_opponent, spec, cfg)
-            for i in range(2):
-                if fell[1 - i]:
-                    events[i].append(CombatEvent("Knockdown"))
-                if fell[i]:
-                    events[i].append(CombatEvent("GotKnockedDown"))
-                rewards[i] += combat_reward(events[i], fell[i], fell[1 - i], cfg)
-                hits[i] += sum(1 for e in events[i] if e.kind == "Hit")
-
-            root_dist = float(np.linalg.norm(self.world.root_pos[0] - self.world.root_pos[1]))
-            reason, self.timers = check_termination(
-                root_dist, float(dist.min()), any(fell), self.t, self.timers,
-                phys.dt, self.epoch, cfg,
+            pos = self.world.root_pos
+            root_dist = np.array([np.linalg.norm(pos[2 * e] - pos[2 * e + 1]) for e in range(n)])
+            ended, timers = check_termination(
+                root_dist, dist.reshape(n, -1).min(axis=1), fell.reshape(n, 2).any(axis=1),
+                self.t, self.timers, phys.dt, self.epoch, cfg,
             )
-            if reason is not None:
-                done = True
+            self.timers = TerminationTimers(np.where(live, timers.close, self.timers.close),
+                                            np.where(live, timers.farm, self.timers.farm))
+            for e in np.flatnonzero(live):
+                for slot in range(2):
+                    me, opp = 2 * e + slot, 2 * e + 1 - slot
+                    if fell[opp]:
+                        events[me].append(CombatEvent("Knockdown"))
+                    if fell[me]:
+                        events[me].append(CombatEvent("GotKnockedDown"))
+                    rewards[e, slot] += combat_reward(events[me], bool(fell[me]), bool(fell[opp]), cfg)
+                    hits[e, slot] += sum(1 for ev in events[me] if ev.kind == "Hit")
+                reasons[e] = ended[e]
+                done[e] = ended[e] is not None
+            if done.all():
                 break
-        info = {"reason": reason, "hits": hits, "t": self.t}
-        obs = self.reset() if done else combat_observation(self.world, k, self.site_force, spec)
-        return obs, (rewards[0], rewards[1]), done, info
+        info = {"reason": reasons, "hits": hits, "t": self.t.copy()}
+        for e in np.flatnonzero(done):
+            self._reset_env(e)
+        if done.any():
+            k = ph.Kinematics.of(self.world, spec)
+        return combat_observation(self.world, k, self.site_force, spec), rewards, done, info
 
 
 @dataclass
@@ -413,14 +467,12 @@ def self_play_train(
     adam_p = [nets.adam_init(base_params.size, cfg.lr) for _ in range(2)]
     adam_v = [nets.adam_init(base_value.size, cfg.lr) for _ in range(2)]
 
-    envs = [
-        CombatEnv(phi_spec, phi_params, spec, phys, cfg,
-                  np.random.default_rng(seed_for(seed, f"cenv-{i}")))
-        for i in range(cfg.envs)
-    ]
-    # each env's current (2, obs_dim) observation rows, carried across
-    # decisions and epochs
-    obs_pairs = [env.observe() for env in envs]
+    n_env = cfg.envs
+    env = CombatEnv(phi_spec, phi_params, spec, phys, cfg,
+                    [np.random.default_rng(seed_for(seed, f"cenv-{i}")) for i in range(n_env)])
+    # the current (2E, obs_dim) observation rows, carried across decisions
+    # and epochs
+    obs = env.observe()
     sp = SelfPlayState(swap_period=cfg.swap_period)
     metrics_path = out / "metrics.csv"
     metrics_path.write_text(",".join(COMBAT_METRICS) + "\n")
@@ -428,13 +480,11 @@ def self_play_train(
     for epoch in range(cfg.epochs):
         sp.epoch = epoch
         learner = sp.learner_index()
-        for i, env in enumerate(envs):
-            env.epoch = epoch
-            env.rng = np.random.default_rng(seed_for(seed, f"epoch-{epoch}-env-{i}"))
-        rngs = [np.random.default_rng(seed_for(seed, f"epoch-{epoch}-act-{i}")) for i in range(cfg.envs)]
+        env.epoch = epoch
+        env.rngs = [np.random.default_rng(seed_for(seed, f"epoch-{epoch}-env-{i}")) for i in range(n_env)]
+        rngs = [np.random.default_rng(seed_for(seed, f"epoch-{epoch}-act-{i}")) for i in range(n_env)]
 
         t_len = cfg.horizon
-        n_env = cfg.envs
         obs_buf = np.zeros((t_len, n_env, obs_dim))
         act_buf = np.zeros((t_len, n_env, latent_dim))
         logp_buf = np.zeros((t_len, n_env))
@@ -444,33 +494,22 @@ def self_play_train(
         downs = 0
         episodes = 0
         for t in range(t_len):
-            for e, env in enumerate(envs):
-                obs_pair = obs_pairs[e]
-                zs = [None, None]
-                for agent in range(2):
-                    if agent == learner:
-                        z, raw, lp = high_level_step(policy, params[agent], obs_pair[agent], rngs[e])
-                        act_buf[t, e] = raw
-                        logp_buf[t, e] = lp
-                    else:
-                        z, _, _ = high_level_step(policy, params[agent], obs_pair[agent])
-                    zs[agent] = z
-                obs_buf[t, e] = obs_pair[learner]
-                obs_pairs[e], (r0, r1), done, info = env.decision_step(zs[0], zs[1])
-                rew_buf[t, e] = r0 if learner == 0 else r1
-                done_buf[t, e] = float(done)
-                if done:
-                    episodes += 1
-                    if info["reason"] == "knockdown":
-                        downs += 1
-                hits += info["hits"][learner]
-        values_t = np.zeros((t_len, n_env))
-        boot = np.zeros(n_env)
-        for e in range(n_env):
-            values_t[:, e] = nets.forward_batch(value_spec, values[learner], obs_buf[:, e])[:, 0]
-            boot[e] = nets.forward_batch(
-                value_spec, values[learner], obs_pairs[e][learner][None, :]
-            )[0, 0]
+            # the learner samples, the frozen instance takes its mean
+            z = np.empty((2 * n_env, latent_dim))
+            z[learner::2], act_buf[t], logp_buf[t] = high_level_step(
+                policy, params[learner], obs[learner::2], rngs)
+            z[1 - learner::2] = high_level_step(policy, params[1 - learner], obs[1 - learner::2])[0]
+            obs_buf[t] = obs[learner::2]
+            obs, rewards, done, info = env.decision_step(z)
+            rew_buf[t] = rewards[:, learner]
+            done_buf[t] = done
+            episodes += int(done.sum())
+            downs += info["reason"].count("knockdown")
+            hits += int(info["hits"][:, learner].sum())
+        # one stacked forward over the per-env (T, obs_dim) slices, so each
+        # env's rows keep the bits of a forward over that env alone
+        values_t = nets.forward_batch(value_spec, values[learner], obs_buf.transpose(1, 0, 2))[..., 0].T
+        boot = nets.forward_batch(value_spec, values[learner], obs[learner::2][:, None, :])[:, 0, 0]
         adv, ret = tr.gae(rew_buf, values_t, done_buf, cfg.gamma, cfg.gae_lambda, boot)
         batch = tr.PpoBatch(
             obs_buf.reshape(-1, obs_dim), act_buf.reshape(-1, latent_dim),
@@ -506,7 +545,9 @@ def self_play_train(
         )
         nets.save_checkpoint(out / f"critic_h_{i + 1}.ckpt", f"critic_h_{i + 1}", value_spec, values[i])
     # embed the prior so rollouts load from one directory
-    nets.save_checkpoint(out / "pi_phi.ckpt", "pi_phi", phi_spec, phi_params)
+    prior = Path(slmp_dir) / "pi_phi.ckpt"
+    if prior.resolve() != (out / "pi_phi.ckpt").resolve():
+        shutil.copyfile(prior, out / "pi_phi.ckpt")
     return params, values
 
 
@@ -528,15 +569,16 @@ def rollout_combat(
     for i in (1, 2):
         policy, p = tr.load_policy(ckpt / f"pi_h_{i}.ckpt")
         pols.append((policy, p))
-    env = CombatEnv(phi_spec, phi_params, spec, phys, cfg, np.random.default_rng(seed))
+    env = CombatEnv(phi_spec, phi_params, spec, phys, cfg, [np.random.default_rng(seed)])
     env.epoch = cfg.early_epochs  # disable the early separation rule
     frames = []
     steps = int(seconds / (phys.dt * cfg.k_hl))
     for _ in range(steps):
         obs = env.observe()
-        zs = [high_level_step(policy, p, obs[agent])[0] for agent, (policy, p) in enumerate(pols)]
+        z = np.concatenate([high_level_step(policy, p, obs[agent : agent + 1])[0]
+                            for agent, (policy, p) in enumerate(pols)])
         frames.append(env.states)
-        _, _, done, _ = env.decision_step(zs[0], zs[1])
-        if done:
+        _, _, done, _ = env.decision_step(z)
+        if done[0]:
             break
     return frames

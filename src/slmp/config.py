@@ -2,7 +2,6 @@
 fields, compiled-in defaults, and unknown-key rejection."""
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 

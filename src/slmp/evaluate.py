@@ -137,7 +137,7 @@ def survival_eval(
 def save_survival(curve: SurvivalCurve, path: str | Path) -> None:
     lines = ["horizon_s,survival_fraction,n_trials"]
     for h, f in zip(curve.horizons, curve.fractions):
-        lines.append(f"{h!r},{f!r},{curve.n_trials}")
+        lines.append(f"{float(h)!r},{float(f)!r},{curve.n_trials}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

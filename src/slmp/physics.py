@@ -12,13 +12,15 @@ There is one integrator, ``step_batch``, which advances a ``World``: E
 characters sharing one ``CharacterSpec`` held as (E, ...) arrays --
 ``root_pos``/``root_vel`` (E, 2), ``q``/``qd`` (E, ndof) with the root
 angle first, ``time``/``valid`` (E,) and the ground friction anchors
-``anchor_x``/``anchor_on`` (E, n_sites).  With ``coupled`` the World
-holds two touching characters, whose contact forces enter as extra
-generalised forces; ``combat.CombatEnv`` keeps its fighters that way.
-``step_world`` packs one or two ``SimState``s into a World and unpacks
-the result.  Inside the package only the single-state wrappers ``step``
-and ``step_pd`` call it; the tests and the benchmark's gate and tracer
-use it too.  Every rollout, evaluation included, steps Worlds directly.
+``anchor_x``/``anchor_on`` (E, n_sites).  With ``coupled`` the rows
+pair up as (2i, 2i + 1): the two characters of each pair touch each
+other, and their contact forces enter as extra generalised forces.
+``combat.CombatEnv`` keeps the fighters of all its envs that way, env i
+in rows 2i and 2i + 1.  ``step_world`` packs one ``SimState`` or one
+pair into a World and unpacks the result.  Inside the package only the
+single-state wrappers ``step`` and ``step_pd`` call it; the tests and
+the benchmark's gate and tracer use it too.  Every rollout, evaluation
+included, steps Worlds directly.
 
 E-invariance rule: an env's result must not depend on E or on which
 other envs share its World, so that rollouts are identical for any
@@ -535,28 +537,50 @@ def _ground_contacts(k: Kinematics, spec: CharacterSpec, cfg: PhysicsConfig,
     return fx, fy, anchor_x, touching
 
 
-def _pair_contacts(k: Kinematics, spec: CharacterSpec, cfg: PhysicsConfig, a: int, b: int):
-    """Contacts of every site of env a against every link capsule of env b.
+def _capsule_distances(k: Kinematics, spec: CharacterSpec) -> tuple[np.ndarray, ...]:
+    """Distance test of every row's sites against the link capsules of its
+    pair partner, row ``i ^ 1``.
 
-    Returns None without contact, else (site_a, link_b, along_b, coeff_b,
-    force_a) with one entry per contact: the struck point lies ``along_b``
-    from the proximal end of ``link_b``, ``coeff_b`` places it on b
-    (point - root = coeff @ unit(phi)), and b receives the opposite of
-    ``force_a``.
+    Returns (touching, t, ex, ey, dist), each (2E, S, L): the point of the
+    partner's link l closest to site s lies at fraction t along the link,
+    (ex, ey) runs from that point to the site, and ``touching`` marks
+    dist < 2 * contact_radius.
     """
-    r2 = 2.0 * spec.contact_radius
-    cos_b, sin_b = k.cos[b], k.sin[b]
+    partner = np.arange(len(k.root_pos)) ^ 1
+    cos_b, sin_b = k.cos[partner], k.sin[partner]
     seg_x, seg_y = spec.lengths * cos_b, spec.lengths * sin_b
-    seg_len2 = np.maximum(seg_x**2 + seg_y**2, 1e-12)
-    # (S, L) offsets of a's sites from the proximal ends of b's links
-    dx = k.site_x[a][:, None] - (k.root_pos[b, 0] + spec.prox_coeff @ cos_b)
-    dy = k.site_y[a][:, None] - (k.root_pos[b, 1] + spec.prox_coeff @ sin_b)
+    seg_len2 = np.maximum(seg_x**2 + seg_y**2, 1e-12)[:, None]
+    # (2E, S, L) offsets of each row's sites from the proximal ends of its
+    # partner's links; the stacked matmul is one gemv per row
+    prox_x = k.root_pos[partner, :1] + (spec.prox_coeff @ cos_b[..., None])[..., 0]
+    prox_y = k.root_pos[partner, 1:] + (spec.prox_coeff @ sin_b[..., None])[..., 0]
+    dx = k.site_x[:, :, None] - prox_x[:, None, :]
+    dy = k.site_y[:, :, None] - prox_y[:, None, :]
+    seg_x, seg_y = seg_x[:, None], seg_y[:, None]
     t = np.clip((dx * seg_x + dy * seg_y) / seg_len2, 0.0, 1.0)
     ex, ey = dx - t * seg_x, dy - t * seg_y
     dist = np.sqrt(ex * ex + ey * ey)
-    s, j = np.nonzero(dist < r2)
+    return dist < 2.0 * spec.contact_radius, t, ex, ey, dist
+
+
+def _pair_contacts(k: Kinematics, spec: CharacterSpec, cfg: PhysicsConfig, a: int,
+                   near: tuple[np.ndarray, ...]):
+    """Contacts of every site of row a against every link capsule of its
+    partner, row b = a ^ 1.
+
+    ``near`` is the result of ``_capsule_distances``.  Returns None
+    without contact, else (site_a, link_b, along_b, coeff_b, force_a) with
+    one entry per contact: the struck point lies ``along_b`` from the
+    proximal end of ``link_b``, ``coeff_b`` places it on b (point - root =
+    coeff @ unit(phi)), and b receives the opposite of ``force_a``.
+    """
+    touching, t, ex, ey, dist = (v[a] for v in near)
+    s, j = np.nonzero(touching)
     if not s.size:
         return None
+    r2 = 2.0 * spec.contact_radius
+    b = a ^ 1
+    cos_b, sin_b = k.cos[b], k.sin[b]
     dj = dist[s, j]
     far = dj > 1e-9
     n = np.where(far[:, None], np.stack([ex[s, j], ey[s, j]], axis=1)
@@ -577,40 +601,50 @@ def _pair_contacts(k: Kinematics, spec: CharacterSpec, cfg: PhysicsConfig, a: in
 
 
 def _coupling(k: Kinematics, spec: CharacterSpec, cfg: PhysicsConfig):
-    """Contact between envs 0 and 1 as per-link force sums and reports.
+    """Contact within every pair of rows (2i, 2i + 1) as per-link force
+    sums and reports.
 
     Returns (f_com, fx_link, fy_link, site_opponent, opponent_link): the
-    (2, 2) net contact force on each character and the (2, N) link-level
+    (2E, 2) net contact force on each character and the (2E, N) link-level
     sums over contacts of (coeff - com_bar) * force, ready for the
-    generalised-force map of ``_substep``.
+    generalised-force map of ``_substep``.  Only pairs that touch build
+    contact lists, and each pair's sums are reduced within the pair, so no
+    pair's bits depend on the others.
     """
-    n_sites, n_links = len(spec.sites), spec.n_links
-    f_com = np.zeros((2, 2))
-    fx_link = np.zeros((2, n_links))
-    fy_link = np.zeros((2, n_links))
-    # per-site force magnitude by opponent link, used to pick the dominant
-    # counterpart for each site's report entry
-    mags = np.zeros((2, n_sites, n_links))
-    for a in range(2):
-        b = 1 - a
-        contacts = _pair_contacts(k, spec, cfg, a, b)
-        if contacts is None:
-            continue
-        s, j, along, coeff_b, force = contacts
-        for row, coeff, f in ((a, spec.site_coeff[s], force), (b, coeff_b, -force)):
-            f_com[row] += f.sum(axis=0)
-            lever = coeff - spec.com_bar
-            fx_link[row] += lever.T @ f[:, 0]
-            fy_link[row] += lever.T @ f[:, 1]
-        mag = np.linalg.norm(force, axis=1)
-        mags[a, s, j] += mag
-        # mirror the reaction onto the nearest site of the struck link,
-        # attributed to the striking site's link
-        gap = np.where(spec.site_on_link[j], np.abs(spec.site_dist - along[:, None]), np.inf)
-        has = spec.site_on_link[j].any(axis=1)
-        np.add.at(mags[b], (np.argmin(gap, axis=1)[has], spec.site_link[s][has]), mag[has])
-    site_opponent = mags.sum(axis=2)
-    opponent_link = np.where(site_opponent > 0.0, np.argmax(mags, axis=2), -1)
+    n_rows, n_sites, n_links = len(k.root_pos), len(spec.sites), spec.n_links
+    f_com = np.zeros((n_rows, 2))
+    fx_link = np.zeros((n_rows, n_links))
+    fy_link = np.zeros((n_rows, n_links))
+    site_opponent = np.zeros((n_rows, n_sites))
+    opponent_link = np.full((n_rows, n_sites), -1)
+    near = _capsule_distances(k, spec)
+    for pair in np.flatnonzero(near[0].reshape(n_rows // 2, -1).any(axis=1)):
+        lo = 2 * pair
+        rows = (lo, lo + 1)
+        # per-site force magnitude by opponent link, used to pick the
+        # dominant counterpart for each site's report entry
+        mags = np.zeros((2, n_sites, n_links))
+        for a in range(2):
+            b = 1 - a
+            contacts = _pair_contacts(k, spec, cfg, rows[a], near)
+            if contacts is None:
+                continue
+            s, j, along, coeff_b, force = contacts
+            for row, coeff, f in ((rows[a], spec.site_coeff[s], force), (rows[b], coeff_b, -force)):
+                f_com[row] += f.sum(axis=0)
+                lever = coeff - spec.com_bar
+                fx_link[row] += lever.T @ f[:, 0]
+                fy_link[row] += lever.T @ f[:, 1]
+            mag = np.linalg.norm(force, axis=1)
+            mags[a, s, j] += mag
+            # mirror the reaction onto the nearest site of the struck link,
+            # attributed to the striking site's link
+            gap = np.where(spec.site_on_link[j], np.abs(spec.site_dist - along[:, None]), np.inf)
+            has = spec.site_on_link[j].any(axis=1)
+            np.add.at(mags[b], (np.argmin(gap, axis=1)[has], spec.site_link[s][has]), mag[has])
+        total = mags.sum(axis=2)
+        site_opponent[lo : lo + 2] = total
+        opponent_link[lo : lo + 2] = np.where(total > 0.0, np.argmax(mags, axis=2), -1)
     return f_com, fx_link, fy_link, site_opponent, opponent_link
 
 
@@ -700,14 +734,15 @@ def step_batch(
     """Advance every env of ``world`` by one control step.
 
     ``pd_targets`` or ``torques`` is an (E, n_joints) array, with the
-    semantics of ``step_world``.  With ``coupled`` the world holds exactly
-    two envs that touch each other.  Returns the new world and one
-    batched ContactReport.
+    semantics of ``step_world``.  With ``coupled`` the rows pair up as
+    (2i, 2i + 1): the two characters of a pair touch each other and no
+    other row, so a coupled world holds an even number of rows.  Returns
+    the new world and one batched ContactReport.
     """
     if (torques is None) == (pd_targets is None):
         raise ValueError("pass exactly one of torques or pd_targets")
-    if coupled and len(world) != 2:
-        raise ValueError("a coupled world holds exactly two characters")
+    if coupled and len(world) % 2:
+        raise ValueError("a coupled world holds pairs of characters")
     sub_dt = dt / cfg.substeps
     for i in range(cfg.substeps):
         tau = torques if pd_targets is None else pd_rows(

@@ -229,13 +229,22 @@ class TestCombatReward:
             assert total == pytest.approx(0.0, abs=1e-12)
 
 
+def check_one(root_dist, limb_dist, knockdown, t, timers, dt, epoch, cfg):
+    """``check_termination`` for a single env: (reason, timers)."""
+    reasons, timers = cb.check_termination(
+        np.array([root_dist]), np.array([limb_dist]), np.array([knockdown]), np.array([t]),
+        timers, dt, epoch, cfg,
+    )
+    return reasons[0], timers
+
+
 class TestTermination:
     def test_sustained_clinch(self):
         timers = cb.TerminationTimers()
         reason = None
         dt = 1 / 60
         for k in range(int(1.2 * 60)):
-            reason, timers = cb.check_termination(0.25, 1.0, False, k * dt, timers, dt, 1000, CC)
+            reason, timers = check_one(0.25, 1.0, False, k * dt, timers, dt, 1000, CC)
             if reason:
                 break
         assert reason == "clinch"
@@ -244,21 +253,21 @@ class TestTermination:
         timers = cb.TerminationTimers()
         dt = 1 / 60
         for k in range(30):  # 0.5 s close...
-            reason, timers = cb.check_termination(0.25, 1.0, False, k * dt, timers, dt, 1000, CC)
+            reason, timers = check_one(0.25, 1.0, False, k * dt, timers, dt, 1000, CC)
             assert reason is None
-        reason, timers = cb.check_termination(0.4, 1.0, False, 0.51, timers, dt, 1000, CC)
+        reason, timers = check_one(0.4, 1.0, False, 0.51, timers, dt, 1000, CC)
         assert reason is None
         assert timers.close == 0.0
 
     def test_early_separation_rule(self):
         timers = cb.TerminationTimers()
-        reason, _ = cb.check_termination(1.5, 1.0, False, 0.1, timers, 1 / 60, 10, CC)
+        reason, _ = check_one(1.5, 1.0, False, 0.1, timers, 1 / 60, 10, CC)
         assert reason == "separated"
-        reason, _ = cb.check_termination(1.5, 1.0, False, 0.1, timers, 1 / 60, CC.early_epochs, CC)
+        reason, _ = check_one(1.5, 1.0, False, 0.1, timers, 1 / 60, CC.early_epochs, CC)
         assert reason is None
 
     def test_knockdown_terminates(self):
-        reason, _ = cb.check_termination(1.0, 1.0, True, 0.1, cb.TerminationTimers(), 1 / 60, 0, CC)
+        reason, _ = check_one(1.0, 1.0, True, 0.1, cb.TerminationTimers(), 1 / 60, 0, CC)
         assert reason == "knockdown"
 
     def test_farming_timer(self):
@@ -266,13 +275,13 @@ class TestTermination:
         dt = 1 / 60
         reason = None
         for k in range(int(1.2 * 60)):
-            reason, timers = cb.check_termination(0.8, 0.2, False, k * dt, timers, dt, 1000, CC)
+            reason, timers = check_one(0.8, 0.2, False, k * dt, timers, dt, 1000, CC)
             if reason:
                 break
         assert reason == "farming"
 
     def test_timeout(self):
-        reason, _ = cb.check_termination(
+        reason, _ = check_one(
             0.8, 1.0, False, CC.episode_s, cb.TerminationTimers(), 1 / 60, 1000, CC
         )
         assert reason == "timeout"
@@ -288,12 +297,12 @@ class TestHighLevel:
         policy, params = self._policy()
         rng = np.random.default_rng(1)
         for _ in range(20):
-            z, raw, logp = cb.high_level_step(policy, params, rng.standard_normal(10), rng)
-            assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-9)
+            z, raw, logp = cb.high_level_step(policy, params, rng.standard_normal((1, 10)), [rng])
+            assert np.linalg.norm(z[0]) == pytest.approx(1.0, abs=1e-9)
 
     def test_deterministic_mode_reproducible(self):
         policy, params = self._policy()
-        obs = np.random.default_rng(2).standard_normal(10)
+        obs = np.random.default_rng(2).standard_normal((1, 10))
         z1, _, _ = cb.high_level_step(policy, params, obs)
         z2, _, _ = cb.high_level_step(policy, params, obs)
         assert np.array_equal(z1, z2)
@@ -336,13 +345,14 @@ class TestCombatEnv:
         _, phi_spec, phi_params = tiny_prior
         runs = []
         for _ in range(2):
-            env = cb.CombatEnv(phi_spec, phi_params, SPEC, CFG, CC, np.random.default_rng(5))
+            env = cb.CombatEnv(phi_spec, phi_params, SPEC, CFG, CC, [np.random.default_rng(5)])
             rng = np.random.default_rng(9)
             rows = []
             for _ in range(10):
                 z0 = di.sample_sphere(4, rng)
                 z1 = di.sample_sphere(4, rng)
-                _, (r0, r1), done, _ = env.decision_step(z0, z1)
+                _, rewards, done, _ = env.decision_step(np.stack([z0, z1]))
+                (r0, r1), done = rewards[0], done[0]
                 rows.append((r0, r1, done, env.world.root_pos[0, 0], env.world.root_pos[1, 0]))
             runs.append(rows)
         assert runs[0] == runs[1]
@@ -351,14 +361,14 @@ class TestCombatEnv:
         """Hit/GotHit reward components cancel across agents every step."""
         _, phi_spec, phi_params = tiny_prior
         cfg = cb.CombatConfig(spawn_gap=0.45, spawn_noise=0.0)
-        env = cb.CombatEnv(phi_spec, phi_params, SPEC, CFG, cfg, np.random.default_rng(5))
+        env = cb.CombatEnv(phi_spec, phi_params, SPEC, CFG, cfg, [np.random.default_rng(5)])
         rng = np.random.default_rng(3)
         for _ in range(40):
             z0 = di.sample_sphere(4, rng)
             z1 = di.sample_sphere(4, rng)
             # bypass knockdown bonuses by checking only no-fall steps
-            prev = [s.copy() for s in env.states]
-            _, (r0, r1), done, info = env.decision_step(z0, z1)
+            _, rewards, done, info = env.decision_step(np.stack([z0, z1]))
+            (r0, r1), done = rewards[0], done[0]
             fell = any(
                 ph.detect_fall(s, SPEC, CFG) or not s.valid for s in env.states
             )
@@ -392,3 +402,45 @@ class TestCombatEnv:
         base = policy.init(np.random.default_rng(seed_for(1, "pi-h-init")), cfg.std_init)
         assert np.array_equal(params[1], base)
         assert not np.array_equal(params[0], base)
+
+
+def _drive_envs(phi_spec, phi_params, cfg, seeds, decisions):
+    """Drive one CombatEnv holding one env per seed with per-env random
+    latents; per decision, the observation rows, world rows, rewards,
+    done flags, termination reasons, Hit counts and episode times."""
+    env = cb.CombatEnv(phi_spec, phi_params, SPEC, CFG, cfg,
+                       [np.random.default_rng(s) for s in seeds])
+    z_rngs = [np.random.default_rng(1000 + s) for s in seeds]
+    record = []
+    for _ in range(decisions):
+        z = np.concatenate([[di.sample_sphere(4, r), di.sample_sphere(4, r)] for r in z_rngs])
+        obs, rewards, done, info = env.decision_step(z)
+        step = {"obs": obs, "site_force": env.site_force, "rewards": rewards, "done": done,
+                "reason": np.array(info["reason"], dtype=object), "hits": info["hits"],
+                "t": info["t"]}
+        for name in ("root_pos", "q", "root_vel", "qd", "time", "valid", "anchor_x", "anchor_on"):
+            step[name] = getattr(env.world, name)
+        record.append(step)
+    return record
+
+
+def test_stacked_envs_match_separate_envs(tiny_prior):
+    """Three envs stacked in one World give, decision by decision, the
+    bits of three separate single-env worlds and of a 1 + 2 split: states,
+    observations, rewards, Hit counts, done flags and termination
+    reasons, over 120 decisions with resets."""
+    _, phi_spec, phi_params = tiny_prior
+    phi_params = 30.0 * phi_params  # strong enough to knock fighters down
+    cfg = cb.CombatConfig(spawn_gap=0.6, f_hit=5.0)
+    seeds = [3, 4, 5]
+    stacked = _drive_envs(phi_spec, phi_params, cfg, seeds, 120)
+    for split in ([[3], [4], [5]], [[3], [4, 5]]):
+        parts = [_drive_envs(phi_spec, phi_params, cfg, s, 120) for s in split]
+        for k, step in enumerate(stacked):
+            for name, value in step.items():
+                joined = np.concatenate([p[k][name] for p in parts])
+                assert np.array_equal(value, joined), (split, k, name)
+    reasons = [r for step in stacked for r in step["reason"] if r is not None]
+    assert sum(step["done"].sum() for step in stacked) == len(reasons) >= 9
+    assert {"knockdown", "separated"} <= set(reasons), set(reasons)
+    assert sum(step["hits"].sum() for step in stacked) > 0

@@ -63,6 +63,19 @@ class TestSurvivalCurve:
         assert lines[0] == "horizon_s,survival_fraction,n_trials"
         assert len(lines) == 5
 
+    def test_saved_columns_are_numbers(self, tmp_path):
+        """survival_eval's fractions are numpy floats; the CSV must still
+        hold plain numbers in every column."""
+        stance = ph.nominal_stance(SPEC, CFG)
+        targets = stance.joint_angles.copy()
+        curve = ev.survival_eval(
+            None, None, n_trials=2, horizons=(0.5, 1.0), seed=0,
+            spec=SPEC, phys=CFG, action_fn=lambda world, rngs: np.tile(targets, (len(rngs), 1)),
+        )
+        ev.save_survival(curve, tmp_path / "s.csv")
+        rows = [line.split(",") for line in (tmp_path / "s.csv").read_text().splitlines()[1:]]
+        assert [[float(v) for v in row] for row in rows] == [[0.5, 1.0, 2.0], [1.0, 1.0, 2.0]]
+
 
 def survival_reference(phi_spec, phi_params, n_trials, seed, steps, resample_steps, action_fn=None):
     """The per-trial loop ``survival_eval`` replaced: each trial's fall

@@ -122,6 +122,52 @@ def test_fighters_in_flight_conserve_pair_momentum(gap, approach, joint_vels, to
     assert touched
 
 
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(
+    n_pairs=st.integers(2, 4),
+    gaps=arrays(np.float64, 4, elements=st.floats(0.1, 0.25)),
+    joints=vec(8, NJ, bound=1.0),
+    joint_vels=vec(8, NJ, bound=4.0),
+    targets=vec(3, 8, NJ, bound=1.5),
+)
+def test_stacked_pairs_obey_third_law_and_step_alone(n_pairs, gaps, joints, joint_vels, targets):
+    """Close-range fighter pairs stacked in one coupled World, all at the
+    same place: within every pair the net contact forces on rows 2i and
+    2i + 1 are exact negations (Newton's third law), and each pair's
+    control steps have the bits of that pair stepped alone, contact
+    reports included, so pairs never touch each other."""
+    states = []
+    for i in range(n_pairs):
+        a = ph.nominal_stance(SPEC, CFG)
+        b = ph.mirror_state(ph.nominal_stance(SPEC, CFG))
+        for s, side, row in ((a, -1.0, 2 * i), (b, 1.0, 2 * i + 1)):
+            s.root_pos[0] += side * gaps[i] / 2
+            s.anchor_x += side * gaps[i] / 2
+            s.joint_angles = s.joint_angles + joints[row]
+            s.joint_vels = joint_vels[row]
+            states.append(s)
+    n = 2 * n_pairs
+    world = ph.World.of(states, SPEC)
+    alone = [ph.World.of(states[2 * i : 2 * i + 2], SPEC) for i in range(n_pairs)]
+    fields = ("root_pos", "q", "root_vel", "qd", "time", "valid", "anchor_x", "anchor_on")
+    touched = False
+    for tg in targets:
+        f_com = ph._coupling(ph.Kinematics.of(world, SPEC), SPEC, CFG)[0]
+        assert np.array_equal(f_com[1::2], -f_com[0::2])
+        touched |= bool(f_com.any())
+        world, rep = ph.step_batch(world, SPEC, CFG.dt, CFG, pd_targets=tg[:n], coupled=True)
+        for i in range(n_pairs):
+            rows = slice(2 * i, 2 * i + 2)
+            alone[i], rep_i = ph.step_batch(alone[i], SPEC, CFG.dt, CFG, pd_targets=tg[rows],
+                                            coupled=True)
+            for f in fields:
+                assert np.array_equal(getattr(world, f)[rows], getattr(alone[i], f)), (i, f)
+            for f in ("site_force", "site_ground", "site_opponent", "opponent_link", "ground_contact"):
+                assert np.array_equal(getattr(rep, f)[rows], getattr(rep_i, f)), (i, f)
+    assert touched
+
+
 def _batch_states(n: int) -> list[ph.SimState]:
     rng = np.random.default_rng(21)
     states = []
