@@ -122,11 +122,15 @@ def distill_loss(a1: np.ndarray, a_star: np.ndarray) -> float:
 
 
 def disc_forward(
-    spec: nets.MlpSpec, params: np.ndarray, proprio: np.ndarray, action: np.ndarray
+    spec: nets.MlpSpec,
+    params: np.ndarray,
+    proprio: np.ndarray,
+    action: np.ndarray,
+    tape: nets.Tape | None = None,
 ) -> np.ndarray:
     """Raw (unbounded) discriminator score; P(expert) = sigmoid(score)."""
     x = np.concatenate([np.atleast_2d(proprio), np.atleast_2d(action)], axis=1)
-    return nets.forward_batch(spec, params, x)[:, 0]
+    return nets.forward_batch(spec, params, x, tape)[:, 0]
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -254,11 +258,15 @@ def slmp_update(
     with the two-phase semantic-weight switch.
     """
     count = batch.proprio.shape[0]
-    z1, norms = normalize_rows(nets.forward_batch(n.enc_spec, n.enc_params, batch.goals))
+    # a forward is taped only when a backward reads it
+    train_disc = cfg.mode == "gan" or (cfg.mode == "slmp" and phase.use_wc)
+    enc_tape, tape1 = nets.Tape(), nets.Tape()
+    tape2 = None if cfg.mode == "distill" else nets.Tape()
+    z1, norms = normalize_rows(nets.forward_batch(n.enc_spec, n.enc_params, batch.goals, enc_tape))
     x1 = np.concatenate([batch.proprio, z1], axis=1)
     x2 = np.concatenate([batch.proprio, batch.z2], axis=1)
-    a1 = nets.forward_batch(n.phi_spec, n.phi_params, x1)
-    a2 = nets.forward_batch(n.phi_spec, n.phi_params, x2)
+    a1 = nets.forward_batch(n.phi_spec, n.phi_params, x1, tape1)
+    a2 = nets.forward_batch(n.phi_spec, n.phi_params, x2, tape2)
 
     l_distill = distill_loss(a1, batch.a_star)
     metrics = {
@@ -272,13 +280,14 @@ def slmp_update(
 
     g_a1 = (2.0 * cfg.lambda_distill / count) * (a1 - batch.a_star)
     g_a2 = np.zeros_like(a2)
-    train_disc = False
 
+    if cfg.mode != "distill":
+        # score2 and its tape also serve the discriminator's own update
+        disc_tape = nets.Tape() if train_disc else None
+        score2 = disc_forward(n.disc_spec, n.disc_params, batch.proprio, a2, disc_tape)
     if cfg.mode in ("nsc", "slmp"):
-        score2 = disc_forward(n.disc_spec, n.disc_params, batch.proprio, a2)
-        use_wc = cfg.mode == "slmp" and phase.use_wc
         w_d, w_c = dlsc_weights(z1, batch.z2, score2, cfg.beta)
-        if not use_wc:
+        if not train_disc:
             w_c = np.ones_like(w_c)
         l_dlsc = dlsc_loss(w_d, w_c, a2, batch.a_star)
         metrics["l_dlsc"] = l_dlsc
@@ -286,16 +295,12 @@ def slmp_update(
         metrics["w_c"] = float(w_c.mean())
         # weights are detached: gradient reaches a2 only
         g_a2 = (2.0 * cfg.lambda_dlsc / count) * (w_d * w_c)[:, None] * (a2 - batch.a_star)
-        train_disc = cfg.mode == "slmp" and phase.use_wc
     elif cfg.mode == "gan":
-        score2 = disc_forward(n.disc_spec, n.disc_params, batch.proprio, a2)
         l_gen = float(_softplus(-score2).mean())
         metrics["l_dlsc"] = l_gen  # occupies the consistency slot
         d_dscore = (cfg.lambda_dlsc / count) * (_sigmoid(score2) - 1.0)
-        x2d = np.concatenate([batch.proprio, a2], axis=1)
-        _, gx = nets.backward_batch(n.disc_spec, n.disc_params, x2d, d_dscore[:, None])
+        _, gx = nets.backward_batch(n.disc_spec, n.disc_params, disc_tape, d_dscore[:, None])
         g_a2 = gx[:, batch.proprio.shape[1]:]
-        train_disc = True
 
     loss = cfg.lambda_distill * l_distill + cfg.lambda_dlsc * metrics["l_dlsc"]
     metrics["l_slmp"] = (
@@ -306,29 +311,33 @@ def slmp_update(
         metrics["skipped"] = 1.0
         return metrics
 
-    g_phi1, gx1 = nets.backward_batch(n.phi_spec, n.phi_params, x1, g_a1)
+    g_phi1, gx1 = nets.backward_batch(n.phi_spec, n.phi_params, tape1, g_a1)
+    del tape1
     g_phi = g_phi1
     if g_a2.any():
-        g_phi2, _ = nets.backward_batch(n.phi_spec, n.phi_params, x2, g_a2)
+        g_phi2, _ = nets.backward_batch(n.phi_spec, n.phi_params, tape2, g_a2)
         g_phi = g_phi + g_phi2
+    del tape2
     # encoder gradient: through z1 and the unit-sphere projection
     g_z1 = gx1[:, batch.proprio.shape[1]:]
     g_y = (g_z1 - (g_z1 * z1).sum(axis=1, keepdims=True) * z1) / norms
-    g_enc, _ = nets.backward_batch(n.enc_spec, n.enc_params, batch.goals, g_y)
+    g_enc, _ = nets.backward_batch(n.enc_spec, n.enc_params, enc_tape, g_y)
+    del enc_tape
 
     g_disc = np.zeros(0)
     if train_disc:
-        s_pos = disc_forward(n.disc_spec, n.disc_params, batch.proprio, a1)
-        s_neg = disc_forward(n.disc_spec, n.disc_params, batch.proprio, a2)
-        l_disc = disc_loss(s_pos, s_neg)
+        # the discriminator is unchanged since score2, which scores the negatives
+        pos_tape = nets.Tape()
+        s_pos = disc_forward(n.disc_spec, n.disc_params, batch.proprio, a1, pos_tape)
+        l_disc = disc_loss(s_pos, score2)
         metrics["l_disc"] = l_disc
         scale = cfg.lambda_disc / count
         g_pos = scale * (_sigmoid(s_pos) - 1.0)
-        g_neg = scale * _sigmoid(s_neg)
-        xp = np.concatenate([batch.proprio, a1], axis=1)
-        xn = np.concatenate([batch.proprio, a2], axis=1)
-        g_d1, _ = nets.backward_batch(n.disc_spec, n.disc_params, xp, g_pos[:, None])
-        g_d2, _ = nets.backward_batch(n.disc_spec, n.disc_params, xn, g_neg[:, None])
+        g_neg = scale * _sigmoid(score2)
+        g_d1, _ = nets.backward_batch(n.disc_spec, n.disc_params, pos_tape, g_pos[:, None])
+        del pos_tape
+        g_d2, _ = nets.backward_batch(n.disc_spec, n.disc_params, disc_tape, g_neg[:, None])
+        del disc_tape
         g_disc = g_d1 + g_d2
 
     # a non-finite gradient under a finite loss skips the update as well

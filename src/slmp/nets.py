@@ -6,6 +6,13 @@ layout (per layer: weight matrix row-major, then biases), and
 ``grad_check`` verifies the analytic gradients against central finite
 differences.  All math is in 64-bit floats so determinism and gradient
 tests stay sharp.
+
+There is one forward (``forward_batch``) and one backward
+(``backward_batch``).  A learner passes a ``Tape`` to the forward it
+takes the loss from; the tape keeps, per layer, the layer input and the
+activation derivative, and the backward reads it instead of running the
+network again.  Without a tape (rollout inference) the forward computes
+no derivative and keeps nothing.
 """
 from __future__ import annotations
 
@@ -55,35 +62,37 @@ class MlpSpec:
         return sum((fi + 1) * fo for fi, fo in self.layer_dims)
 
 
-def _silu(z):
-    s = 0.5 * (1.0 + np.tanh(0.5 * z))
-    return z * s
+def _activate(name: str, z: np.ndarray, grad: bool):
+    """(activation, derivative) of a fresh pre-activation array ``z``.
 
-
-def _silu_grad(z):
-    s = 0.5 * (1.0 + np.tanh(0.5 * z))
-    return s * (1.0 + z * (1.0 - s))
-
-
-def _act(name: str, z):
+    The derivative is taken only when ``grad``, and is None for a linear
+    output and a bool mask for ReLU.  ``z`` is overwritten in place; each
+    in-place step rounds as the plain expressions do: SiLU ``z * s`` with
+    ``s = 0.5 * (1 + tanh(0.5 * z))`` and derivative
+    ``s * (1 + z * (1 - s))``, tanh derivative ``1 - y * y``.
+    """
+    d = None
     if name == "silu":
-        return _silu(z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    return z  # "none"
-
-
-def _act_grad(name: str, z):
-    if name == "silu":
-        return _silu_grad(z)
-    if name == "relu":
-        return (z > 0.0).astype(np.float64)
-    if name == "tanh":
-        y = np.tanh(z)
-        return 1.0 - y * y
-    return np.ones_like(z)
+        s = np.multiply(z, 0.5)
+        np.tanh(s, out=s)
+        s += 1.0
+        s *= 0.5
+        if grad:
+            d = np.subtract(1.0, s)
+            d *= z
+            d += 1.0
+            d *= s
+        z *= s
+    elif name == "relu":
+        if grad:
+            d = z > 0.0
+        np.maximum(z, 0.0, out=z)
+    elif name == "tanh":
+        np.tanh(z, out=z)
+        if grad:
+            d = np.multiply(z, z)
+            np.subtract(1.0, d, out=d)
+    return z, d
 
 
 def layer_views(spec: MlpSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -118,7 +127,28 @@ def _layer_activation(spec: MlpSpec, layer: int) -> str:
     return spec.output_activation if layer == last else spec.activation
 
 
-def forward_batch(spec: MlpSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+class Tape:
+    """What ``backward_batch`` needs from one 2-D ``forward_batch``.
+
+    Per layer it holds the layer input and the activation derivative at
+    that layer's pre-activation (None for a linear output): two arrays
+    per layer, as many as a backward that reran the forward would hold.
+    A tape can serve any number of backwards with different ``grad_out``
+    and belongs to the parameters it was recorded with.  It holds the
+    forward's input array itself, not a copy; drop the tape after its
+    last backward.
+    """
+
+    __slots__ = ("inputs", "derivs")
+
+    def __init__(self):
+        self.inputs: list[np.ndarray] = []
+        self.derivs: list[np.ndarray | None] = []
+
+
+def forward_batch(
+    spec: MlpSpec, params: np.ndarray, x: np.ndarray, tape: Tape | None = None
+) -> np.ndarray:
     """Evaluate the network on a (batch, input_dim) array, or on a stack of
     them shaped (..., batch, input_dim).
 
@@ -126,13 +156,29 @@ def forward_batch(spec: MlpSpec, params: np.ndarray, x: np.ndarray) -> np.ndarra
     same bits as a call on that slice alone; in particular a stack of
     1-row slices, ``x[:, None, :]``, reproduces ``mlp_forward`` per row for
     any number of rows.  A 2-D batch does not have that property.
+
+    With a ``tape`` (2-D input only) the forward also records, per layer,
+    the layer input and the activation derivative, replacing whatever the
+    tape held; ``backward_batch`` then reads it.  Without one it computes
+    no derivative and keeps nothing.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2 or x.shape[-1] != spec.input_dim:
         raise ValueError(f"expected input shape (*, {spec.input_dim}), got {x.shape}")
+    taped = tape is not None
+    if taped:
+        if x.ndim != 2:
+            raise ValueError(f"a taped forward needs a 2-D input, got {x.shape}")
+        tape.inputs, tape.derivs = [], []
     h = x
     for l, (w, b) in enumerate(layer_views(spec, params)):
-        h = _act(_layer_activation(spec, l), h @ w.T + b)
+        z = h @ w.T
+        z += b
+        if taped:
+            tape.inputs.append(h)
+        h, d = _activate(_layer_activation(spec, l), z, taped)
+        if taped:
+            tape.derivs.append(d)
     return h
 
 
@@ -145,38 +191,38 @@ def mlp_forward(spec: MlpSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def backward_batch(
-    spec: MlpSpec, params: np.ndarray, x: np.ndarray, grad_out: np.ndarray
+    spec: MlpSpec, params: np.ndarray, x: Tape | np.ndarray, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of sum(grad_out * f(x)) over a batch.
 
+    ``x`` is either the ``Tape`` of a forward taken with ``params``, or a
+    (batch, input_dim) input, for which the taped forward runs here.
     Returns (grad_params, grad_x) with grad_params summed over the batch
-    and grad_x per sample.  Activations are recomputed internally.
+    and grad_x per sample.
     """
-    x = np.asarray(x, dtype=np.float64)
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ValueError(f"expected input shape (*, {spec.input_dim}), got {x.shape}")
-    if grad_out.shape != (x.shape[0], spec.output_dim):
-        raise ValueError(
-            f"expected grad_out shape ({x.shape[0]}, {spec.output_dim}), got {grad_out.shape}"
-        )
+    if isinstance(x, Tape):
+        tape = x
+    else:
+        tape = Tape()
+        forward_batch(spec, params, x, tape)
     views = layer_views(spec, params)
-    hs = [x]
-    zs = []
-    h = x
-    for l, (w, b) in enumerate(views):
-        z = h @ w.T + b
-        zs.append(z)
-        h = _act(_layer_activation(spec, l), z)
-        hs.append(h)
+    if len(tape.inputs) != len(views) or tape.inputs[0].shape[1] != spec.input_dim:
+        raise ValueError("tape was not recorded with this network")
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    rows = tape.inputs[0].shape[0]
+    if grad_out.shape != (rows, spec.output_dim):
+        raise ValueError(
+            f"expected grad_out shape ({rows}, {spec.output_dim}), got {grad_out.shape}"
+        )
 
     grad_params = np.zeros_like(params)
     gviews = layer_views(spec, grad_params)
     g = grad_out
     for l in range(len(views) - 1, -1, -1):
-        gz = g * _act_grad(_layer_activation(spec, l), zs[l])
+        d = tape.derivs[l]
+        gz = g if d is None else g * d
         gw, gb = gviews[l]
-        gw += gz.T @ hs[l]
+        gw += gz.T @ tape.inputs[l]
         gb += gz.sum(axis=0)
         g = gz @ views[l][0]
     return grad_params, g
@@ -267,7 +313,7 @@ def adam_step(
     params: np.ndarray, grads: np.ndarray, state: AdamState
 ) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected Adam update; returns fresh arrays."""
-    if params.shape != grads.shape or params.shape != state.m.shape:
+    if not params.shape == grads.shape == state.m.shape == state.v.shape:
         raise ValueError("params, grads and Adam state must have equal lengths")
     if not np.all(np.isfinite(grads)):
         raise FloatingPointError("non-finite gradient component, update aborted")
@@ -302,6 +348,8 @@ def adam_state_load(path: str | Path) -> AdamState:
     head = dict(l.split("=", 1) for l in lines[1:7])
     n = int(head["count"])
     vals = np.array([float(v) for v in lines[7 : 7 + 2 * n]])
+    if vals.size != 2 * n:
+        raise ValueError(f"{path}: expected {2 * n} moment values, got {vals.size}")
     return AdamState(
         m=vals[:n],
         v=vals[n:],

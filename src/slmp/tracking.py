@@ -299,7 +299,8 @@ def ppo_loss_and_grads(
     """
     n = batch.obs.shape[0]
     mlp, log_std = policy.split(policy_params)
-    mu = nets.forward_batch(policy.spec, mlp, batch.obs)
+    tape = nets.Tape()
+    mu = nets.forward_batch(policy.spec, mlp, batch.obs, tape)
     sigma = np.exp(log_std)
     z = (batch.actions - mu) / sigma
     logp = -0.5 * (z * z).sum(axis=1) - log_std.sum() - 0.5 * mu.shape[1] * LOG_2PI
@@ -322,7 +323,8 @@ def ppo_loss_and_grads(
 
     dlogp_dmu = z / sigma  # (N, d)
     g_mu = dpl_dlogp[:, None] * dlogp_dmu
-    g_mlp, _ = nets.backward_batch(policy.spec, mlp, batch.obs, g_mu)
+    g_mlp, _ = nets.backward_batch(policy.spec, mlp, tape, g_mu)
+    del tape
     dlogp_dls = z * z - 1.0  # (N, d)
     g_log_std = (dpl_dlogp[:, None] * dlogp_dls).sum(axis=0)
     if cfg.learn_std:
@@ -331,11 +333,12 @@ def ppo_loss_and_grads(
         g_log_std[:] = 0.0
     grad_policy = np.concatenate([g_mlp, g_log_std])
 
-    v = nets.forward_batch(value_spec, value_params, batch.obs)[:, 0]
+    tape = nets.Tape()
+    v = nets.forward_batch(value_spec, value_params, batch.obs, tape)[:, 0]
     verr = v - batch.returns
     value_loss = float((verr**2).mean())
     g_v = (2.0 * cfg.value_coef / n) * verr[:, None]
-    grad_value, _ = nets.backward_batch(value_spec, value_params, batch.obs, g_v)
+    grad_value, _ = nets.backward_batch(value_spec, value_params, tape, g_v)
 
     total_loss = policy_loss + cfg.value_coef * value_loss - cfg.entropy_coef * entropy
     metrics = {

@@ -252,6 +252,34 @@ class TestSlmpUpdate:
         assert not np.array_equal(n.disc_params, before)
         assert m["l_disc"] > 0.0
 
+    @pytest.mark.parametrize("mode,use_wc,forwards", [
+        ("slmp", False, 4), ("slmp", True, 5), ("nsc", False, 4), ("gan", False, 5), ("distill", False, 3),
+    ])
+    def test_one_forward_per_network_input(self, monkeypatch, mode, use_wc, forwards):
+        """Each backward reads its forward's tape, and the discriminator's
+        own update reuses the score of (proprio, a2): encoder, prior x2 and
+        the discriminator run once each, plus the expert-action score when
+        the discriminator trains."""
+        n, cfg = tiny_nets(seed=4)
+        cfg.mode = mode
+        real, real_backward = nets.forward_batch, nets.backward_batch
+        calls, sources = [], []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        def backward(*args):
+            sources.append(type(args[2]))
+            return real_backward(*args)
+
+        monkeypatch.setattr(nets, "forward_batch", counting)
+        monkeypatch.setattr(nets, "backward_batch", backward)
+        m = di.slmp_update(self._batch(n, cfg), n, cfg, di.Phase(window=cfg.window, use_wc=use_wc))
+        assert m["skipped"] == 0.0
+        assert len(calls) == forwards
+        assert sources and set(sources) == {nets.Tape}
+
     def test_full_gradient_matches_fd(self):
         """Analytic gradients of L_SLMP w.r.t. prior and encoder params."""
         n, cfg = tiny_nets(seed=9)

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
+from slmp import combat as cb
+from slmp import distill as di
+from slmp import motion as mo
 from slmp import nets
+from slmp import physics as ph
+from slmp import tracking as tr
 
 
 def relerr(a, b):
@@ -120,19 +125,27 @@ def test_grad_check_detects_corrupted_backward(monkeypatch):
     assert nets.grad_check(spec, params, x) > 1e-2
 
 
+def _repo_specs():
+    """Every network topology the pipeline builds under default configs."""
+    spec = ph.default_character()
+    track = tr.build_networks(tr.track_obs_dim(spec), spec.n_joints, tr.PpoConfig(), 0)
+    scfg = di.SlmpConfig()
+    distill = di.build_distill_nets(
+        mo.Goal.dim(spec.n_joints), tr.proprio_dim(spec), spec.n_joints, scfg, 0
+    )
+    combat = tr.build_networks(cb.combat_obs_dim(spec), scfg.latent_dim, cb.CombatConfig().ppo(), 0)
+    return [
+        track.policy.spec, track.value_spec,
+        distill.enc_spec, distill.phi_spec, distill.disc_spec,
+        combat.policy.spec, combat.value_spec,
+    ]
+
+
 def test_grad_check_all_repo_specs():
     """Every network topology used by the pipeline passes the
     finite-difference check on 100 random (params, x) pairs."""
-    repo_specs = [
-        nets.MlpSpec(55, (256, 256, 128), 8, activation="silu"),  # tracking policy
-        nets.MlpSpec(55, (128, 128), 1, activation="silu"),  # tracking critic
-        nets.MlpSpec(33, (128, 64), 8, activation="relu"),  # goal encoder
-        nets.MlpSpec(30, (256, 256, 128), 8, activation="silu"),  # latent prior
-        nets.MlpSpec(30, (256, 128), 1, activation="relu"),  # discriminator
-        nets.MlpSpec(51, (128, 128, 64), 8, activation="silu"),  # combat policy
-    ]
     rng = np.random.default_rng(7)
-    for spec in repo_specs:
+    for spec in _repo_specs():
         worst = 0.0
         for _ in range(100):
             params = nets.init_params(spec, rng)
@@ -142,6 +155,105 @@ def test_grad_check_all_repo_specs():
                 nets.grad_check(spec, params, x, max_components=12, rng=rng),
             )
         assert worst < 1e-4, f"{spec} worst rel err {worst}"
+
+
+def _recompute_backward(spec, params, x, grad_out):
+    """The backward that reruns the forward and re-takes every activation
+    derivative from the pre-activation; the bit oracle for the taped one."""
+    views = nets.layer_views(spec, params)
+    hs, zs = [x], []
+    h = x
+    for l, (w, b) in enumerate(views):
+        z = h @ w.T + b
+        zs.append(z)
+        act = spec.output_activation if l == len(views) - 1 else spec.activation
+        if act == "silu":
+            h = z * (0.5 * (1.0 + np.tanh(0.5 * z)))
+        elif act == "relu":
+            h = np.maximum(z, 0.0)
+        elif act == "tanh":
+            h = np.tanh(z)
+        else:
+            h = z
+        hs.append(h)
+    grad_params = np.zeros_like(params)
+    gviews = nets.layer_views(spec, grad_params)
+    g = grad_out
+    for l in range(len(views) - 1, -1, -1):
+        z = zs[l]
+        act = spec.output_activation if l == len(views) - 1 else spec.activation
+        if act == "silu":
+            s = 0.5 * (1.0 + np.tanh(0.5 * z))
+            d = s * (1.0 + z * (1.0 - s))
+        elif act == "relu":
+            d = (z > 0.0).astype(np.float64)
+        elif act == "tanh":
+            y = np.tanh(z)
+            d = 1.0 - y * y
+        else:
+            d = np.ones_like(z)
+        gz = g * d
+        gw, gb = gviews[l]
+        gw += gz.T @ hs[l]
+        gb += gz.sum(axis=0)
+        g = gz @ views[l][0]
+    return grad_params, g
+
+
+ACT_PAIRS = [("silu", "none"), ("relu", "none"), ("relu", "tanh"), ("silu", "tanh")]
+
+
+@pytest.mark.parametrize("rows", [1, 7, 512])
+@pytest.mark.parametrize("act,out_act", ACT_PAIRS)
+def test_taped_backward_bit_equals_recompute(act, out_act, rows):
+    rng = np.random.default_rng(rows)
+    spec = nets.MlpSpec(9, (32, 16), 4, activation=act, output_activation=out_act)
+    params = nets.init_params(spec, rng)
+    params += 0.1 * rng.standard_normal(params.size)  # non-zero biases
+    x = rng.standard_normal((rows, spec.input_dim))
+    g = rng.standard_normal((rows, spec.output_dim))
+    want_p, want_x = _recompute_backward(spec, params, x, g)
+
+    tape = nets.Tape()
+    y = nets.forward_batch(spec, params, x, tape)
+    assert np.array_equal(y, nets.forward_batch(spec, params, x))
+    for source in (tape, x):  # a tape, or an input the backward tapes itself
+        got_p, got_x = nets.backward_batch(spec, params, source, g)
+        assert np.array_equal(got_p, want_p)
+        assert np.array_equal(got_x, want_x)
+
+
+@pytest.mark.parametrize("act,out_act", ACT_PAIRS)
+def test_one_tape_serves_two_backwards(act, out_act):
+    rng = np.random.default_rng(8)
+    spec = nets.MlpSpec(5, (12, 6), 2, activation=act, output_activation=out_act)
+    params = nets.init_params(spec, rng)
+    x = rng.standard_normal((33, spec.input_dim))
+    g1, g2 = rng.standard_normal((2, 33, spec.output_dim))
+    shared = nets.Tape()
+    nets.forward_batch(spec, params, x, shared)
+    for g in (g1, g2):
+        fresh = nets.Tape()
+        nets.forward_batch(spec, params, x, fresh)
+        got = nets.backward_batch(spec, params, shared, g)
+        want = nets.backward_batch(spec, params, fresh, g)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_tape_shape_checks():
+    spec = nets.MlpSpec(3, (4,), 2)
+    params = np.zeros(spec.param_count())
+    with pytest.raises(ValueError):  # a stack has no single backward
+        nets.forward_batch(spec, params, np.zeros((2, 1, 3)), nets.Tape())
+    with pytest.raises(ValueError):  # nothing recorded
+        nets.backward_batch(spec, params, nets.Tape(), np.zeros((1, 2)))
+    tape = nets.Tape()
+    nets.forward_batch(spec, params, np.zeros((5, 3)), tape)
+    with pytest.raises(ValueError):
+        nets.backward_batch(spec, params, tape, np.zeros((4, 2)))
+    other = nets.MlpSpec(3, (4, 4), 2)
+    with pytest.raises(ValueError):
+        nets.backward_batch(other, np.zeros(other.param_count()), tape, np.zeros((5, 2)))
 
 
 def test_param_count_formula():
@@ -200,6 +312,21 @@ class TestAdam:
         assert loaded.t == state.t
         assert np.array_equal(loaded.m, state.m)
         assert np.array_equal(loaded.v, state.v)
+
+    def test_truncated_state_rejected(self, tmp_path):
+        state = nets.adam_init(5, lr=0.05)
+        _, state = nets.adam_step(np.zeros(5), np.arange(1.0, 6.0), state)
+        nets.adam_state_save(tmp_path / "a.txt", state)
+        text = (tmp_path / "a.txt").read_text().splitlines()
+        (tmp_path / "a.txt").write_text("\n".join(text[:-3]) + "\n")
+        with pytest.raises(ValueError):
+            nets.adam_state_load(tmp_path / "a.txt")
+
+    def test_step_checks_second_moment_length(self):
+        state = nets.adam_init(5, lr=0.05)
+        state = nets.AdamState(state.m, state.v[:2], state.t, state.lr)
+        with pytest.raises(ValueError, match="equal lengths"):
+            nets.adam_step(np.zeros(5), np.ones(5), state)
 
 
 class TestCheckpoint:

@@ -201,6 +201,26 @@ class TestPpo:
             lo = total_loss(params, v)
             assert relerr(g_v[idx], (hi - lo) / (2 * step)) < 1e-4
 
+    def test_loss_and_grads_makes_one_forward_per_network(self, monkeypatch):
+        """The policy and value backwards read their forwards' tapes."""
+        policy, params, vspec, vparams, batch = _tiny_setup(n=9)
+        real, real_backward = nets.forward_batch, nets.backward_batch
+        calls, sources = [], []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        def backward(*args):
+            sources.append(type(args[2]))
+            return real_backward(*args)
+
+        monkeypatch.setattr(nets, "forward_batch", counting)
+        monkeypatch.setattr(nets, "backward_batch", backward)
+        tr.ppo_loss_and_grads(policy, params, vspec, vparams, batch, tr.PpoConfig())
+        assert calls == [policy.spec, vspec]
+        assert sources and set(sources) == {nets.Tape}
+
     def test_non_finite_loss_skipped(self):
         policy, params, vspec, vparams, batch = _tiny_setup()
         batch = tr.PpoBatch(
