@@ -452,7 +452,7 @@ def self_play_train(
     phys = phys or ph.default_config(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _enc_spec, _enc, phi_spec, phi_params = di.load_prior(slmp_dir)
+    _, phi_spec, phi_params, _ = nets.load_checkpoint(Path(slmp_dir) / "pi_phi.ckpt")
     latent_dim = phi_spec.input_dim - tr.proprio_dim(spec)
 
     pcfg = cfg.ppo()

@@ -260,13 +260,14 @@ def slmp_update(
     count = batch.proprio.shape[0]
     # a forward is taped only when a backward reads it
     train_disc = cfg.mode == "gan" or (cfg.mode == "slmp" and phase.use_wc)
-    enc_tape, tape1 = nets.Tape(), nets.Tape()
-    tape2 = None if cfg.mode == "distill" else nets.Tape()
+    enc_tape, tape1, tape2 = nets.Tape(), nets.Tape(), None
     z1, norms = normalize_rows(nets.forward_batch(n.enc_spec, n.enc_params, batch.goals, enc_tape))
     x1 = np.concatenate([batch.proprio, z1], axis=1)
-    x2 = np.concatenate([batch.proprio, batch.z2], axis=1)
     a1 = nets.forward_batch(n.phi_spec, n.phi_params, x1, tape1)
-    a2 = nets.forward_batch(n.phi_spec, n.phi_params, x2, tape2)
+    if cfg.mode != "distill":  # no term of the distill mode reads a2
+        tape2 = nets.Tape()
+        x2 = np.concatenate([batch.proprio, batch.z2], axis=1)
+        a2 = nets.forward_batch(n.phi_spec, n.phi_params, x2, tape2)
 
     l_distill = distill_loss(a1, batch.a_star)
     metrics = {
@@ -279,7 +280,7 @@ def slmp_update(
     }
 
     g_a1 = (2.0 * cfg.lambda_distill / count) * (a1 - batch.a_star)
-    g_a2 = np.zeros_like(a2)
+    g_a2 = None  # gradient reaching the prior through a2
 
     if cfg.mode != "distill":
         # score2 and its tape also serve the discriminator's own update
@@ -314,14 +315,14 @@ def slmp_update(
     g_phi1, gx1 = nets.backward_batch(n.phi_spec, n.phi_params, tape1, g_a1)
     del tape1
     g_phi = g_phi1
-    if g_a2.any():
-        g_phi2, _ = nets.backward_batch(n.phi_spec, n.phi_params, tape2, g_a2)
+    if g_a2 is not None and g_a2.any():
+        g_phi2, _ = nets.backward_batch(n.phi_spec, n.phi_params, tape2, g_a2, input_grad=False)
         g_phi = g_phi + g_phi2
     del tape2
     # encoder gradient: through z1 and the unit-sphere projection
     g_z1 = gx1[:, batch.proprio.shape[1]:]
     g_y = (g_z1 - (g_z1 * z1).sum(axis=1, keepdims=True) * z1) / norms
-    g_enc, _ = nets.backward_batch(n.enc_spec, n.enc_params, enc_tape, g_y)
+    g_enc, _ = nets.backward_batch(n.enc_spec, n.enc_params, enc_tape, g_y, input_grad=False)
     del enc_tape
 
     g_disc = np.zeros(0)
@@ -334,9 +335,13 @@ def slmp_update(
         scale = cfg.lambda_disc / count
         g_pos = scale * (_sigmoid(s_pos) - 1.0)
         g_neg = scale * _sigmoid(score2)
-        g_d1, _ = nets.backward_batch(n.disc_spec, n.disc_params, pos_tape, g_pos[:, None])
+        g_d1, _ = nets.backward_batch(
+            n.disc_spec, n.disc_params, pos_tape, g_pos[:, None], input_grad=False
+        )
         del pos_tape
-        g_d2, _ = nets.backward_batch(n.disc_spec, n.disc_params, disc_tape, g_neg[:, None])
+        g_d2, _ = nets.backward_batch(
+            n.disc_spec, n.disc_params, disc_tape, g_neg[:, None], input_grad=False
+        )
         del disc_tape
         g_disc = g_d1 + g_d2
 

@@ -11,8 +11,10 @@ There is one forward (``forward_batch``) and one backward
 (``backward_batch``).  A learner passes a ``Tape`` to the forward it
 takes the loss from; the tape keeps, per layer, the layer input and the
 activation derivative, and the backward reads it instead of running the
-network again.  Without a tape (rollout inference) the forward computes
-no derivative and keeps nothing.
+network again.  A tape owns the buffers its forwards and backwards work
+in and reuses them, so a learner that keeps one tape across minibatches
+allocates its working set once.  Without a tape (rollout inference) the
+forward computes no derivative and keeps nothing.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ ACTIVATIONS = ("silu", "relu")
 OUTPUT_ACTIVATIONS = ("none", "tanh")
 
 CKPT_MAGIC = "SLMP-CKPT/1"
+_WRITE_CHUNK = 8192  # values formatted per write in the text checkpoint files
 
 
 @dataclass(frozen=True)
@@ -62,37 +65,38 @@ class MlpSpec:
         return sum((fi + 1) * fo for fi, fo in self.layer_dims)
 
 
-def _activate(name: str, z: np.ndarray, grad: bool):
-    """(activation, derivative) of a fresh pre-activation array ``z``.
+def _activate(
+    name: str, z: np.ndarray, d: np.ndarray | None = None, s: np.ndarray | None = None
+) -> None:
+    """Apply an activation to the pre-activation array ``z`` in place.
 
-    The derivative is taken only when ``grad``, and is None for a linear
-    output and a bool mask for ReLU.  ``z`` is overwritten in place; each
+    The derivative is written into ``d`` when one is given (a bool mask
+    for ReLU; a linear output has none), and the SiLU gate goes into the
+    scratch ``s`` when one is given, else into a fresh array.  Each
     in-place step rounds as the plain expressions do: SiLU ``z * s`` with
     ``s = 0.5 * (1 + tanh(0.5 * z))`` and derivative
     ``s * (1 + z * (1 - s))``, tanh derivative ``1 - y * y``.
     """
-    d = None
     if name == "silu":
-        s = np.multiply(z, 0.5)
+        s = np.multiply(z, 0.5, out=s)
         np.tanh(s, out=s)
         s += 1.0
         s *= 0.5
-        if grad:
-            d = np.subtract(1.0, s)
+        if d is not None:
+            np.subtract(1.0, s, out=d)
             d *= z
             d += 1.0
             d *= s
         z *= s
     elif name == "relu":
-        if grad:
-            d = z > 0.0
+        if d is not None:
+            np.greater(z, 0.0, out=d)
         np.maximum(z, 0.0, out=z)
     elif name == "tanh":
         np.tanh(z, out=z)
-        if grad:
-            d = np.multiply(z, z)
+        if d is not None:
+            np.multiply(z, z, out=d)
             np.subtract(1.0, d, out=d)
-    return z, d
 
 
 def layer_views(spec: MlpSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -127,23 +131,47 @@ def _layer_activation(spec: MlpSpec, layer: int) -> str:
     return spec.output_activation if layer == last else spec.activation
 
 
-class Tape:
-    """What ``backward_batch`` needs from one 2-D ``forward_batch``.
+def _grown(bufs: list, i: int, shape: tuple[int, int], dtype=np.float64) -> np.ndarray:
+    """A C-contiguous ``shape`` view of buffer ``i``, which is replaced by
+    a larger one only when it is too small or of another dtype."""
+    n = shape[0] * shape[1]
+    while len(bufs) <= i:
+        bufs.append(None)
+    buf = bufs[i]
+    if buf is None or buf.size < n or buf.dtype != dtype:
+        buf = bufs[i] = np.empty(n, dtype)
+    return buf[:n].reshape(shape)
 
-    Per layer it holds the layer input and the activation derivative at
-    that layer's pre-activation (None for a linear output): two arrays
-    per layer, as many as a backward that reran the forward would hold.
+
+class Tape:
+    """What ``backward_batch`` needs from one 2-D ``forward_batch``, and
+    the buffers both work in.
+
+    After a forward, ``inputs`` holds per layer the layer input and
+    ``derivs`` the activation derivative at that layer's pre-activation
+    (None for a linear output).  The first input is the caller's array
+    itself, not a copy; the rest, the derivatives and the forward's
+    output are views into buffers the tape owns: one output and one
+    derivative buffer per layer, plus two scratch buffers for the SiLU
+    gate and the backward's temporaries.  Each buffer grows when rows or
+    widths grow and is viewed when they shrink, so one tape serves any
+    sequence of networks and batch sizes and reallocates only to grow.
+
+    A taped forward's output is valid until that tape's next forward.
     A tape can serve any number of backwards with different ``grad_out``
-    and belongs to the parameters it was recorded with.  It holds the
-    forward's input array itself, not a copy; drop the tape after its
-    last backward.
+    and belongs to the parameters it was recorded with.  Drop it after
+    its last backward to release the buffers.
     """
 
-    __slots__ = ("inputs", "derivs")
+    __slots__ = ("spec", "inputs", "derivs", "outs", "dbufs", "scratch")
 
     def __init__(self):
+        self.spec: MlpSpec | None = None
         self.inputs: list[np.ndarray] = []
         self.derivs: list[np.ndarray | None] = []
+        self.outs: list[np.ndarray | None] = []
+        self.dbufs: list[np.ndarray | None] = []
+        self.scratch: list[np.ndarray | None] = []
 
 
 def forward_batch(
@@ -157,28 +185,41 @@ def forward_batch(
     1-row slices, ``x[:, None, :]``, reproduces ``mlp_forward`` per row for
     any number of rows.  A 2-D batch does not have that property.
 
-    With a ``tape`` (2-D input only) the forward also records, per layer,
-    the layer input and the activation derivative, replacing whatever the
-    tape held; ``backward_batch`` then reads it.  Without one it computes
-    no derivative and keeps nothing.
+    With a ``tape`` (2-D input only) the forward runs in the tape's
+    buffers and records, per layer, the layer input and the activation
+    derivative, replacing whatever the tape held; ``backward_batch`` then
+    reads it.  The output is then a view into the tape, valid until its
+    next forward.  Without a tape the forward computes no derivative,
+    keeps nothing and returns a fresh array.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2 or x.shape[-1] != spec.input_dim:
         raise ValueError(f"expected input shape (*, {spec.input_dim}), got {x.shape}")
-    taped = tape is not None
-    if taped:
-        if x.ndim != 2:
-            raise ValueError(f"a taped forward needs a 2-D input, got {x.shape}")
-        tape.inputs, tape.derivs = [], []
+    if tape is None:
+        h = x
+        for l, (w, b) in enumerate(layer_views(spec, params)):
+            h = h @ w.T
+            h += b
+            _activate(_layer_activation(spec, l), h)
+        return h
+    if x.ndim != 2:
+        raise ValueError(f"a taped forward needs a 2-D input, got {x.shape}")
+    rows = x.shape[0]
+    tape.spec, tape.inputs, tape.derivs = spec, [], []
     h = x
     for l, (w, b) in enumerate(layer_views(spec, params)):
-        z = h @ w.T
+        act = _layer_activation(spec, l)
+        shape = (rows, w.shape[0])
+        z = np.matmul(h, w.T, out=_grown(tape.outs, l, shape))
         z += b
-        if taped:
-            tape.inputs.append(h)
-        h, d = _activate(_layer_activation(spec, l), z, taped)
-        if taped:
-            tape.derivs.append(d)
+        tape.inputs.append(h)
+        d = None
+        if act != "none":
+            d = _grown(tape.dbufs, l, shape, bool if act == "relu" else np.float64)
+        s = _grown(tape.scratch, 0, shape) if act == "silu" else None
+        _activate(act, z, d, s)
+        tape.derivs.append(d)
+        h = z
     return h
 
 
@@ -191,23 +232,29 @@ def mlp_forward(spec: MlpSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def backward_batch(
-    spec: MlpSpec, params: np.ndarray, x: Tape | np.ndarray, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    spec: MlpSpec,
+    params: np.ndarray,
+    x: Tape | np.ndarray,
+    grad_out: np.ndarray,
+    input_grad: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Gradients of sum(grad_out * f(x)) over a batch.
 
     ``x`` is either the ``Tape`` of a forward taken with ``params``, or a
     (batch, input_dim) input, for which the taped forward runs here.
     Returns (grad_params, grad_x) with grad_params summed over the batch
-    and grad_x per sample.
+    and grad_x per sample, or None for grad_x when not ``input_grad``.
+    Both are fresh arrays; the temporaries live in the tape's scratch,
+    so the recorded forward stays intact for further backwards.
     """
     if isinstance(x, Tape):
         tape = x
     else:
         tape = Tape()
         forward_batch(spec, params, x, tape)
-    views = layer_views(spec, params)
-    if len(tape.inputs) != len(views) or tape.inputs[0].shape[1] != spec.input_dim:
+    if tape.spec != spec:
         raise ValueError("tape was not recorded with this network")
+    views = layer_views(spec, params)
     grad_out = np.asarray(grad_out, dtype=np.float64)
     rows = tape.inputs[0].shape[0]
     if grad_out.shape != (rows, spec.output_dim):
@@ -218,14 +265,28 @@ def backward_batch(
     grad_params = np.zeros_like(params)
     gviews = layer_views(spec, grad_params)
     g = grad_out
+    # gz lives in scratch[k]; the other scratch takes the weight-gradient
+    # product and then the next layer's g, which that layer multiplies in place
+    k = 0
     for l in range(len(views) - 1, -1, -1):
+        w = views[l][0]
         d = tape.derivs[l]
-        gz = g if d is None else g * d
+        if d is None:
+            gz = g
+        elif g is grad_out:
+            gz = np.multiply(g, d, out=_grown(tape.scratch, k, g.shape))
+        else:
+            gz = np.multiply(g, d, out=g)
         gw, gb = gviews[l]
-        gw += gz.T @ tape.inputs[l]
+        free = _grown(tape.scratch, 1 - k, w.shape)
+        gw += np.matmul(gz.T, tape.inputs[l], out=free)
         gb += gz.sum(axis=0)
-        g = gz @ views[l][0]
-    return grad_params, g
+        if l > 0:
+            k = 1 - k
+            g = np.matmul(gz, w, out=_grown(tape.scratch, k, (rows, w.shape[1])))
+        elif input_grad:
+            return grad_params, gz @ w
+    return grad_params, None
 
 
 def mlp_backward(
@@ -318,16 +379,40 @@ def adam_step(
     if not np.all(np.isfinite(grads)):
         raise FloatingPointError("non-finite gradient component, update aborted")
     t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    mhat = m / (1.0 - state.beta1**t)
-    vhat = v / (1.0 - state.beta2**t)
-    new = params - state.lr * mhat / (np.sqrt(vhat) + state.eps)
+    # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g;
+    # new = params - lr * mhat / (sqrt(vhat) + eps), each product and sum
+    # rounded in that order, in place in the returned arrays and one temporary
+    tmp = np.multiply(grads, 1.0 - state.beta1)
+    m = np.multiply(state.m, state.beta1)
+    m += tmp
+    np.multiply(grads, 1.0 - state.beta2, out=tmp)
+    tmp *= grads
+    v = np.multiply(state.v, state.beta2)
+    v += tmp
+    new = np.divide(m, 1.0 - state.beta1**t)
+    new *= state.lr
+    np.divide(v, 1.0 - state.beta2**t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += state.eps
+    new /= tmp
+    np.subtract(params, new, out=new)
     return new, replace(state, m=m, v=v, t=t)
 
 
+def _write_lines(path: str | Path, head: list[str], *arrays: np.ndarray) -> None:
+    """Write the ``head`` lines, then every value of ``arrays`` as its
+    exact ``repr``, one per line.  Values are formatted a chunk at a time,
+    so no list of strings for a whole array is ever held."""
+    with open(path, "w") as f:
+        f.write("\n".join(head) + "\n")
+        for a in arrays:
+            a = np.asarray(a, dtype=np.float64)
+            for lo in range(0, a.size, _WRITE_CHUNK):
+                f.write("\n".join(map(repr, a[lo : lo + _WRITE_CHUNK].tolist())) + "\n")
+
+
 def adam_state_save(path: str | Path, state: AdamState) -> None:
-    lines = [
+    head = [
         "SLMP-ADAM/1",
         f"t={state.t}",
         f"lr={state.lr!r}",
@@ -336,9 +421,7 @@ def adam_state_save(path: str | Path, state: AdamState) -> None:
         f"eps={state.eps!r}",
         f"count={state.m.size}",
     ]
-    lines += [repr(float(x)) for x in state.m]
-    lines += [repr(float(x)) for x in state.v]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(path, head, state.m, state.v)
 
 
 def adam_state_load(path: str | Path) -> AdamState:
@@ -373,7 +456,7 @@ def save_checkpoint(
     expected = spec.param_count() + extra
     if values.shape != (expected,):
         raise ValueError(f"checkpoint for {name}: got {values.shape}, expected ({expected},)")
-    lines = [
+    head = [
         CKPT_MAGIC,
         f"name={name}",
         f"input={spec.input_dim}",
@@ -384,8 +467,7 @@ def save_checkpoint(
         f"extra={extra}",
         f"count={values.size}",
     ]
-    lines += [repr(float(v)) for v in values]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(path, head, values)
 
 
 def load_checkpoint(path: str | Path) -> tuple[str, MlpSpec, np.ndarray, int]:

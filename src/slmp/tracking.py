@@ -292,14 +292,17 @@ def ppo_loss_and_grads(
     value_params: np.ndarray,
     batch: PpoBatch,
     cfg: PpoConfig,
+    tape: nets.Tape | None = None,
 ):
     """Clipped-surrogate PPO loss with analytic gradients.
 
-    Returns (metrics, grad_policy, grad_value).
+    The policy and then the value network run forward and backward in
+    ``tape``, a fresh one when None; ``ppo_update`` passes one tape for
+    all of its minibatches.  Returns (metrics, grad_policy, grad_value).
     """
     n = batch.obs.shape[0]
     mlp, log_std = policy.split(policy_params)
-    tape = nets.Tape()
+    tape = nets.Tape() if tape is None else tape
     mu = nets.forward_batch(policy.spec, mlp, batch.obs, tape)
     sigma = np.exp(log_std)
     z = (batch.actions - mu) / sigma
@@ -323,8 +326,7 @@ def ppo_loss_and_grads(
 
     dlogp_dmu = z / sigma  # (N, d)
     g_mu = dpl_dlogp[:, None] * dlogp_dmu
-    g_mlp, _ = nets.backward_batch(policy.spec, mlp, tape, g_mu)
-    del tape
+    g_mlp, _ = nets.backward_batch(policy.spec, mlp, tape, g_mu, input_grad=False)
     dlogp_dls = z * z - 1.0  # (N, d)
     g_log_std = (dpl_dlogp[:, None] * dlogp_dls).sum(axis=0)
     if cfg.learn_std:
@@ -333,12 +335,11 @@ def ppo_loss_and_grads(
         g_log_std[:] = 0.0
     grad_policy = np.concatenate([g_mlp, g_log_std])
 
-    tape = nets.Tape()
     v = nets.forward_batch(value_spec, value_params, batch.obs, tape)[:, 0]
     verr = v - batch.returns
     value_loss = float((verr**2).mean())
     g_v = (2.0 * cfg.value_coef / n) * verr[:, None]
-    grad_value, _ = nets.backward_batch(value_spec, value_params, tape, g_v)
+    grad_value, _ = nets.backward_batch(value_spec, value_params, tape, g_v, input_grad=False)
 
     total_loss = policy_loss + cfg.value_coef * value_loss - cfg.entropy_coef * entropy
     metrics = {
@@ -366,7 +367,9 @@ def ppo_update(
 
     Returns (policy_params, policy_adam, value_params, value_adam, metrics).
     A minibatch with a non-finite loss or gradient is skipped and counted
-    in ``metrics["skipped"]``.
+    in ``metrics["skipped"]``.  All minibatches of all epochs share one
+    ``nets.Tape``, so the learner's working set is allocated once per
+    update; it is released when the update returns.
     """
     n = batch.obs.shape[0]
     adv = batch.advantages
@@ -375,6 +378,7 @@ def ppo_update(
     metrics: dict[str, float] = {"skipped": 0.0}
     mb = min(cfg.batch_size, n)
     first = True
+    tape = nets.Tape()
     for _epoch in range(cfg.epochs_per_update):
         order = rng.permutation(n) if mb < n else np.arange(n)
         for lo in range(0, n, mb):
@@ -384,7 +388,7 @@ def ppo_update(
                 batch.advantages[idx], batch.returns[idx],
             )
             m, g_p, g_v = ppo_loss_and_grads(
-                policy, policy_params, value_spec, value_params, sub, cfg
+                policy, policy_params, value_spec, value_params, sub, cfg, tape
             )
             # a finite loss can still carry a non-finite gradient
             if not (math.isfinite(m["loss"]) and np.isfinite(g_p).all() and np.isfinite(g_v).all()):

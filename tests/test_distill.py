@@ -201,8 +201,8 @@ class TestSlmpUpdate:
         phase = di.Phase(window=cfg.window, use_wc=True)  # the discriminator trains too
         real = nets.backward_batch
 
-        def backward(spec, params, x, g):
-            g_params, g_x = real(spec, params, x, g)
+        def backward(spec, params, x, g, **kwargs):
+            g_params, g_x = real(spec, params, x, g, **kwargs)
             return (np.full_like(g_params, np.nan) if spec is getattr(n, net) else g_params), g_x
 
         monkeypatch.setattr(nets, "backward_batch", backward)
@@ -253,13 +253,14 @@ class TestSlmpUpdate:
         assert m["l_disc"] > 0.0
 
     @pytest.mark.parametrize("mode,use_wc,forwards", [
-        ("slmp", False, 4), ("slmp", True, 5), ("nsc", False, 4), ("gan", False, 5), ("distill", False, 3),
+        ("slmp", False, 4), ("slmp", True, 5), ("nsc", False, 4), ("gan", False, 5), ("distill", False, 2),
     ])
     def test_one_forward_per_network_input(self, monkeypatch, mode, use_wc, forwards):
         """Each backward reads its forward's tape, and the discriminator's
         own update reuses the score of (proprio, a2): encoder, prior x2 and
         the discriminator run once each, plus the expert-action score when
-        the discriminator trains."""
+        the discriminator trains.  The distill mode reads no a2, so it runs
+        neither the second prior nor the discriminator."""
         n, cfg = tiny_nets(seed=4)
         cfg.mode = mode
         real, real_backward = nets.forward_batch, nets.backward_batch
@@ -269,9 +270,9 @@ class TestSlmpUpdate:
             calls.append(args[0])
             return real(*args, **kwargs)
 
-        def backward(*args):
+        def backward(*args, **kwargs):
             sources.append(type(args[2]))
-            return real_backward(*args)
+            return real_backward(*args, **kwargs)
 
         monkeypatch.setattr(nets, "forward_batch", counting)
         monkeypatch.setattr(nets, "backward_batch", backward)

@@ -240,6 +240,61 @@ def test_one_tape_serves_two_backwards(act, out_act):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def test_reused_tape_matches_fresh_tapes():
+    """One tape that serves two networks of different widths in turn, as
+    the policy and value passes of a PPO update do, over row counts that
+    grow and shrink, gives the outputs and gradients of a fresh tape."""
+    rng = np.random.default_rng(12)
+    specs = [
+        nets.MlpSpec(9, (32, 16), 4),
+        nets.MlpSpec(9, (48, 8, 24), 1, activation="relu", output_activation="tanh"),
+    ]
+    params = [nets.init_params(s, rng) + 0.1 * rng.standard_normal(s.param_count()) for s in specs]
+    shared = nets.Tape()
+    for rows in (7, 512, 64):
+        for spec, p in zip(specs, params):
+            x = rng.standard_normal((rows, spec.input_dim))
+            g = rng.standard_normal((rows, spec.output_dim))
+            fresh = nets.Tape()
+            want_y = nets.forward_batch(spec, p, x, fresh)
+            got_y = nets.forward_batch(spec, p, x, shared)
+            assert np.array_equal(got_y, want_y)
+            assert np.array_equal(got_y, nets.forward_batch(spec, p, x))
+            got = nets.backward_batch(spec, p, shared, g)
+            want = nets.backward_batch(spec, p, fresh, g)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_input_gradient_survives_later_backward():
+    """The returned input gradient is the caller's own array: a later
+    backward, or a later forward, on the same tape leaves it intact."""
+    rng = np.random.default_rng(13)
+    spec = nets.MlpSpec(5, (12, 6), 3)
+    params = nets.init_params(spec, rng)
+    x = rng.standard_normal((20, spec.input_dim))
+    g1, g2 = rng.standard_normal((2, 20, spec.output_dim))
+    tape = nets.Tape()
+    nets.forward_batch(spec, params, x, tape)
+    gp1, gx1 = nets.backward_batch(spec, params, tape, g1)
+    kept = gx1.copy()
+    _, gx2 = nets.backward_batch(spec, params, tape, g2)
+    nets.forward_batch(spec, params, rng.standard_normal((40, spec.input_dim)), tape)
+    assert np.array_equal(gx1, kept)
+    assert not np.array_equal(gx2, kept)
+
+
+def test_backward_without_input_gradient():
+    rng = np.random.default_rng(14)
+    spec = nets.MlpSpec(5, (12, 6), 3)
+    params = nets.init_params(spec, rng)
+    x = rng.standard_normal((9, spec.input_dim))
+    g = rng.standard_normal((9, spec.output_dim))
+    want_p, _ = nets.backward_batch(spec, params, x, g)
+    got_p, got_x = nets.backward_batch(spec, params, x, g, input_grad=False)
+    assert got_x is None
+    assert np.array_equal(got_p, want_p)
+
+
 def test_tape_shape_checks():
     spec = nets.MlpSpec(3, (4,), 2)
     params = np.zeros(spec.param_count())
@@ -322,6 +377,29 @@ class TestAdam:
         with pytest.raises(ValueError):
             nets.adam_state_load(tmp_path / "a.txt")
 
+    def test_step_bits_equal_plain_expressions(self):
+        """The in-place update rounds as the plain expressions do, over
+        several steps from t = 0, signed zero and tiny gradients included."""
+        rng = np.random.default_rng(10)
+        n = 301
+        params = rng.standard_normal(n)
+        state = nets.adam_init(n, lr=3e-4)
+        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+        want_p, m, v = params.copy(), np.zeros(n), np.zeros(n)
+        for t in range(1, 7):
+            g = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 4, n)
+            g[::17] = 0.0
+            g[::23] = -0.0
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            mhat = m / (1.0 - b1**t)
+            vhat = v / (1.0 - b2**t)
+            want_p = want_p - lr * mhat / (np.sqrt(vhat) + eps)
+            params, state = nets.adam_step(params, g, state)
+            assert state.t == t
+            for got, want in ((params, want_p), (state.m, m), (state.v, v)):
+                assert got.tobytes() == want.tobytes()
+
     def test_step_checks_second_moment_length(self):
         state = nets.adam_init(5, lr=0.05)
         state = nets.AdamState(state.m, state.v[:2], state.t, state.lr)
@@ -342,6 +420,32 @@ class TestCheckpoint:
         assert np.array_equal(loaded, params)
         nets.save_checkpoint(p2, "net", spec2, loaded)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_text_bytes_equal_one_repr_per_value(self, tmp_path):
+        """The checkpoint and Adam writers stream their values over several
+        chunks with the bytes of one repr(float) per line: signed zeros,
+        subnormals and large and small magnitudes round-trip exactly."""
+        rng = np.random.default_rng(15)
+        spec = nets.MlpSpec(100, (200,), 2)
+        values = rng.standard_normal(spec.param_count() + 2)
+        special = [0.0, -0.0, 5e-324, -2.5e-310, 1e16, -1e16, 1e-5, 0.1, 1.0, -3.0]
+        values[: len(special)] = special
+        values[-len(special):] = special
+        head = ["SLMP-CKPT/1", "name=pi", "input=100", "hidden=200", "output=2", "act=silu",
+                "out_act=none", "extra=2", f"count={values.size}"]
+        nets.save_checkpoint(tmp_path / "pi.ckpt", "pi", spec, values, extra=2)
+        want = "\n".join(head + [repr(float(v)) for v in values]) + "\n"
+        assert (tmp_path / "pi.ckpt").read_bytes() == want.encode()
+        assert nets.load_checkpoint(tmp_path / "pi.ckpt")[2].tobytes() == values.tobytes()
+
+        state = nets.AdamState(values, values[::-1].copy(), 7, 3e-4)
+        nets.adam_state_save(tmp_path / "adam.txt", state)
+        head = ["SLMP-ADAM/1", "t=7", "lr=0.0003", "beta1=0.9", "beta2=0.999", "eps=1e-08",
+                f"count={values.size}"]
+        want = "\n".join(head + [repr(float(v)) for v in (*state.m, *state.v)]) + "\n"
+        assert (tmp_path / "adam.txt").read_bytes() == want.encode()
+        loaded = nets.adam_state_load(tmp_path / "adam.txt")
+        assert loaded.m.tobytes() == state.m.tobytes() and loaded.v.tobytes() == state.v.tobytes()
 
     def test_extra_tail(self, tmp_path):
         spec = nets.MlpSpec(2, (), 2)

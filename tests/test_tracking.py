@@ -211,15 +211,49 @@ class TestPpo:
             calls.append(args[0])
             return real(*args, **kwargs)
 
-        def backward(*args):
+        def backward(*args, **kwargs):
             sources.append(type(args[2]))
-            return real_backward(*args)
+            return real_backward(*args, **kwargs)
 
         monkeypatch.setattr(nets, "forward_batch", counting)
         monkeypatch.setattr(nets, "backward_batch", backward)
         tr.ppo_loss_and_grads(policy, params, vspec, vparams, batch, tr.PpoConfig())
         assert calls == [policy.spec, vspec]
         assert sources and set(sources) == {nets.Tape}
+
+    def test_update_allocates_tape_buffers_once(self, monkeypatch):
+        """All minibatches of a multi-epoch ppo_update run the policy and
+        then the wider value network in one tape: after the first
+        minibatch no buffer is replaced, the short last minibatch of each
+        epoch included."""
+        policy, params, _, _, batch = _tiny_setup(n=50)
+        vspec = nets.MlpSpec(6, (12, 10), 1, activation="silu")
+        vparams = nets.init_params(vspec, np.random.default_rng(1))
+        real = tr.ppo_loss_and_grads
+        seen = []
+
+        def loss_and_grads(*args):
+            out = real(*args)
+            tape = args[6]
+            seen.append((tape, [*tape.outs, *tape.dbufs, *tape.scratch]))
+            return out
+
+        monkeypatch.setattr(tr, "ppo_loss_and_grads", loss_and_grads)
+        cfg = tr.PpoConfig(epochs_per_update=3, batch_size=16)
+        *_, m = tr.ppo_update(
+            policy, params, nets.adam_init(params.size, 1e-4),
+            vspec, vparams, nets.adam_init(vparams.size, 1e-4), batch, cfg,
+            np.random.default_rng(0),
+        )
+        assert m["skipped"] == 0.0
+        assert len(seen) == 3 * 4  # 16 + 16 + 16 + 2 rows per epoch
+        tape, first = seen[0]
+        # three layer outputs, two hidden derivatives (a linear output has none), two scratch
+        assert len(first) == 3 + 2 + 2 and all(b is not None for b in first)
+        for t, bufs in seen[1:]:
+            assert t is tape
+            assert len(bufs) == len(first)
+            assert all(a is b for a, b in zip(bufs, first))
 
     def test_non_finite_loss_skipped(self):
         policy, params, vspec, vparams, batch = _tiny_setup()
