@@ -74,12 +74,8 @@ def normalize_rows(y: np.ndarray, min_norm: float = 1e-9) -> tuple[np.ndarray, n
 def encode_goal(
     spec: nets.MlpSpec, params: np.ndarray, goal: np.ndarray
 ) -> np.ndarray:
-    """z1 = E(g) projected onto the unit sphere."""
-    goal = np.asarray(goal, dtype=np.float64)
-    single = goal.ndim == 1
-    y = nets.forward_batch(spec, params, goal[None, :] if single else goal)
-    z = normalize_rows(y)[0]
-    return z[0] if single else z
+    """z1 = E(g) of every goal row, projected onto the unit sphere."""
+    return normalize_rows(nets.forward_batch(spec, params, goal))[0]
 
 
 def sample_sphere(d: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
@@ -101,15 +97,12 @@ def sample_sphere(d: int, rng: np.random.Generator, n: int | None = None) -> np.
 def prior_action(
     spec: nets.MlpSpec, params: np.ndarray, proprio: np.ndarray, z: np.ndarray
 ) -> np.ndarray:
-    """Deterministic PD-target action of the prior for (state, latent).
+    """Deterministic PD-target action of the prior for every (state,
+    latent) row of ``proprio`` (n, pdim) and ``z`` (n, d).
 
-    Rows of 2-D inputs go through one stacked forward, so each row gets
-    the bits of a 1-row call for any number of rows.
+    The rows go through one stacked forward, so each row gets the bits of
+    a 1-row call for any number of rows.
     """
-    proprio = np.asarray(proprio, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if proprio.ndim == 1:
-        return nets.mlp_forward(spec, params, np.concatenate([proprio, z]))
     x = np.concatenate([proprio, z], axis=1)
     return nets.forward_batch(spec, params, x[:, None, :])[:, 0]
 

@@ -194,13 +194,14 @@ def sphere_clusters(
     seed: int,
 ) -> SpherePointCloud:
     """Uniformly sample sphere latents, decode actions, cluster in action
-    space.  If fewer distinct actions than k exist (a degenerate prior),
+    space.  ``decode`` maps (n, latent_dim) latents to (n, act_dim)
+    actions.  If fewer distinct actions than k exist (a degenerate prior),
     k is reduced to the distinct-action count."""
     if k > n_samples:
         raise ValueError("k must not exceed n_samples")
     rng = np.random.default_rng(seed)
     z = di.sample_sphere(latent_dim, rng, n_samples)
-    actions = np.stack([decode(z[i]) for i in range(n_samples)])
+    actions = decode(z)
     k_eff = min(k, np.unique(actions, axis=0).shape[0])
     labels = kmeans(actions, k_eff, seed=seed_for(seed, "kmeans"))
     return SpherePointCloud(z, labels, actions)
@@ -212,10 +213,13 @@ def prior_decoder(
     state: ph.SimState,
     spec: ph.CharacterSpec,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    proprio = tr.proprio_obs(state, spec)
+    """Row decoder of the prior at ``state``: (n, d) latents to (n,
+    n_joints) PD targets."""
+    world = ph.World.of([state], spec)
+    proprio = tr.proprio_rows(*world.coords)
 
     def decode(z: np.ndarray) -> np.ndarray:
-        return di.prior_action(phi_spec, phi_params, proprio, z)
+        return di.prior_action(phi_spec, phi_params, np.repeat(proprio, len(z), axis=0), z)
 
     return decode
 

@@ -217,10 +217,10 @@ class _PoseBuilder:
         self.spec = spec
         self.stance = ph.nominal_stance(spec, cfg)
         self.jidx = {n: i for i, n in enumerate(ph.JOINT_NAMES)}
-        pos = ph.site_positions(self.stance, spec)
+        k = ph.Kinematics.of(ph.World.of([self.stance], spec), spec)
         self.foot0 = {
-            "l": pos[spec.site_index["foot_l"]].copy(),
-            "r": pos[spec.site_index["foot_r"]].copy(),
+            side: np.array([k.site_x[0, s], k.site_y[0, s]])
+            for side, s in (("l", spec.site_index["foot_l"]), ("r", spec.site_index["foot_r"]))
         }
         self.root0 = self.stance.root_pos.copy()
         self.l1 = spec.links[5].length

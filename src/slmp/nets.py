@@ -8,7 +8,8 @@ differences.  All math is in 64-bit floats so determinism and gradient
 tests stay sharp.
 
 There is one forward (``forward_batch``) and one backward
-(``backward_batch``).  A learner passes a ``Tape`` to the forward it
+(``backward_batch``), both on rows: a (batch, input_dim) array, or for
+the forward a stack of them.  A learner passes a ``Tape`` to the forward it
 takes the loss from; the tape keeps, per layer, the layer input and the
 activation derivative, and the backward reads it instead of running the
 network again.  A tape owns the buffers its forwards and backwards work
@@ -182,8 +183,8 @@ def forward_batch(
 
     Every 2-D slice of a stack is its own matmul, so each slice gets the
     same bits as a call on that slice alone; in particular a stack of
-    1-row slices, ``x[:, None, :]``, reproduces ``mlp_forward`` per row for
-    any number of rows.  A 2-D batch does not have that property.
+    1-row slices, ``x[:, None, :]``, gives every row the bits of a 1-row
+    call for any number of rows.  A 2-D batch does not have that property.
 
     With a ``tape`` (2-D input only) the forward runs in the tape's
     buffers and records, per layer, the layer input and the activation
@@ -221,14 +222,6 @@ def forward_batch(
         tape.derivs.append(d)
         h = z
     return h
-
-
-def mlp_forward(spec: MlpSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Single-vector forward pass; pure function of (params, x)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (spec.input_dim,):
-        raise ValueError(f"expected input shape ({spec.input_dim},), got {x.shape}")
-    return forward_batch(spec, params, x[None, :])[0]
 
 
 def backward_batch(
@@ -289,16 +282,6 @@ def backward_batch(
     return grad_params, None
 
 
-def mlp_backward(
-    spec: MlpSpec, params: np.ndarray, x: np.ndarray, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-vector analytic gradients of grad_out . f(x)."""
-    x = np.asarray(x, dtype=np.float64)
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    gp, gx = backward_batch(spec, params, x[None, :], grad_out[None, :])
-    return gp, gx[0]
-
-
 def grad_check(
     spec: MlpSpec,
     params: np.ndarray,
@@ -310,7 +293,8 @@ def grad_check(
 ) -> float:
     """Max relative discrepancy between analytic and central-difference grads.
 
-    The scalar under test is probe . f(x) (probe defaults to all ones).
+    The scalar under test is probe . f(x) for one input vector ``x``, run
+    as a 1-row batch (probe defaults to all ones).
     For large networks a seeded subset of parameter components can be
     checked via ``max_components``; input gradients are always checked in
     full.
@@ -318,13 +302,14 @@ def grad_check(
     x = np.asarray(x, dtype=np.float64)
     if probe is None:
         probe = np.ones(spec.output_dim)
-    gp, gx = mlp_backward(spec, params, x, probe)
+    gp, gx = backward_batch(spec, params, x[None], probe[None])
+    gx = gx[0]
 
     def scalar_p(p):
-        return float(probe @ mlp_forward(spec, p, x))
+        return float(probe @ forward_batch(spec, p, x[None])[0])
 
     def scalar_x(xv):
-        return float(probe @ mlp_forward(spec, params, xv))
+        return float(probe @ forward_batch(spec, params, xv[None])[0])
 
     idx = np.arange(params.size)
     if max_components is not None and max_components < params.size:
@@ -429,19 +414,22 @@ def adam_state_load(path: str | Path) -> AdamState:
     if not lines or lines[0] != "SLMP-ADAM/1":
         raise ValueError(f"{path}: not an optimizer state file")
     head = dict(l.split("=", 1) for l in lines[1:7])
-    n = int(head["count"])
-    vals = np.array([float(v) for v in lines[7 : 7 + 2 * n]])
-    if vals.size != 2 * n:
-        raise ValueError(f"{path}: expected {2 * n} moment values, got {vals.size}")
-    return AdamState(
-        m=vals[:n],
-        v=vals[n:],
-        t=int(head["t"]),
-        lr=float(head["lr"]),
-        beta1=float(head["beta1"]),
-        beta2=float(head["beta2"]),
-        eps=float(head["eps"]),
-    )
+    try:
+        n = int(head["count"])
+        vals = np.array([float(v) for v in lines[7 : 7 + 2 * n]])
+        if vals.size != 2 * n:
+            raise ValueError(f"{path}: expected {2 * n} moment values, got {vals.size}")
+        return AdamState(
+            m=vals[:n],
+            v=vals[n:],
+            t=int(head["t"]),
+            lr=float(head["lr"]),
+            beta1=float(head["beta1"]),
+            beta2=float(head["beta2"]),
+            eps=float(head["eps"]),
+        )
+    except KeyError as e:
+        raise ValueError(f"{path}: header has no {e.args[0]!r} line") from e
 
 
 def save_checkpoint(
@@ -479,17 +467,21 @@ def load_checkpoint(path: str | Path) -> tuple[str, MlpSpec, np.ndarray, int]:
     for l in lines[1:9]:
         k, _, v = l.partition("=")
         head[k] = v
-    hidden = tuple(int(h) for h in head["hidden"].split(",") if h)
-    spec = MlpSpec(
-        input_dim=int(head["input"]),
-        hidden=hidden,
-        output_dim=int(head["output"]),
-        activation=head["act"],
-        output_activation=head["out_act"],
-    )
-    extra = int(head["extra"])
-    count = int(head["count"])
+    try:
+        hidden = tuple(int(h) for h in head["hidden"].split(",") if h)
+        spec = MlpSpec(
+            input_dim=int(head["input"]),
+            hidden=hidden,
+            output_dim=int(head["output"]),
+            activation=head["act"],
+            output_activation=head["out_act"],
+        )
+        name = head["name"]
+        extra = int(head["extra"])
+        count = int(head["count"])
+    except KeyError as e:
+        raise ValueError(f"{path}: header has no {e.args[0]!r} line") from e
     vals = np.array([float(v) for v in lines[9 : 9 + count]], dtype=np.float64)
     if vals.size != count or count != spec.param_count() + extra:
         raise ValueError(f"{path}: parameter count mismatch")
-    return head["name"], spec, vals, extra
+    return name, spec, vals, extra

@@ -17,10 +17,9 @@ pair up as (2i, 2i + 1): the two characters of each pair touch each
 other, and their contact forces enter as extra generalised forces.
 ``combat.CombatEnv`` keeps the fighters of all its envs that way, env i
 in rows 2i and 2i + 1.  ``step_world`` packs one ``SimState`` or one
-pair into a World and unpacks the result.  Inside the package only the
-single-state wrappers ``step`` and ``step_pd`` call it; the tests and
-the benchmark's gate and tracer use it too.  Every rollout, evaluation
-included, steps Worlds directly.
+pair into a World and unpacks the result.  Nothing inside the package
+calls it: every rollout, evaluation included, steps Worlds directly.  The
+tests and the benchmark's gate and tracer step through it.
 
 E-invariance rule: an env's result must not depend on E or on which
 other envs share its World, so that rollouts are identical for any
@@ -53,11 +52,6 @@ def wrap_angle(a):
 
 def unit(phi):
     return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-
-
-def rot(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
 
 
 @dataclass(frozen=True)
@@ -208,10 +202,6 @@ class CharacterSpec:
         return np.einsum("i,ia,ib->ab", self.inertias, self.path, self.path)
 
     @cached_property
-    def site_radii(self) -> np.ndarray:
-        return np.full(len(self.sites), self.contact_radius)
-
-    @cached_property
     def site_link(self) -> np.ndarray:
         return np.array([s.link for s in self.sites], dtype=int)
 
@@ -307,7 +297,13 @@ class PhysicsConfig:
 
 
 class KinFrame:
-    """Per-state kinematic cache: link angles, site positions, Jacobians."""
+    """Per-state kinematic cache: link angles, site positions, Jacobians.
+
+    No stage uses it; ``Kinematics`` serves every row.  It stays as the
+    independent per-state oracle the tests compare the row kinematics
+    against (matmul formulas, not the row code at E = 1), and the
+    benchmark's tracer counts its constructions.
+    """
 
     def __init__(self, state: SimState, spec: CharacterSpec):
         self.state = state
@@ -325,10 +321,6 @@ class KinFrame:
         self.r = m @ self.com_rel / spec.total_mass  # body COM relative to root
         self.jac_r = np.einsum("i,ixa->xa", m, self.jac_com) / spec.total_mass
         self.site_rel = spec.site_coeff @ self.u
-
-    @property
-    def com(self) -> np.ndarray:
-        return self.state.root_pos + self.r
 
     @property
     def com_vel(self) -> np.ndarray:
@@ -369,23 +361,14 @@ class ContactReport:
     site_force: np.ndarray  # total force magnitude per site
     site_ground: np.ndarray  # ground contribution per site
     site_opponent: np.ndarray  # opponent contribution per site
-    opponent_link: np.ndarray  # dominant opponent link per site, -1 if none
     ground_contact: bool | np.ndarray
 
     def row(self, i: int) -> "ContactReport":
         """Report of env ``i`` of a batched report."""
         return ContactReport(
             self.site_force[i].copy(), self.site_ground[i].copy(),
-            self.site_opponent[i].copy(), self.opponent_link[i].copy(),
-            bool(self.ground_contact[i]),
+            self.site_opponent[i].copy(), bool(self.ground_contact[i]),
         )
-
-    def counterpart(self, site: int) -> str:
-        if self.site_ground[site] >= self.site_opponent[site] and self.site_ground[site] > 0:
-            return "ground"
-        if self.site_opponent[site] > 0:
-            return f"opponent_link_{int(self.opponent_link[site])}"
-        return "none"
 
 
 def pd_rows(q: np.ndarray, qd: np.ndarray, targets: np.ndarray, spec: CharacterSpec) -> np.ndarray:
@@ -393,16 +376,6 @@ def pd_rows(q: np.ndarray, qd: np.ndarray, targets: np.ndarray, spec: CharacterS
     err = wrap_angle(targets - q)
     tau = spec.kp_array * err - spec.kd_array * qd
     return np.clip(tau, -spec.tau_max, spec.tau_max)
-
-
-def pd_torque(
-    state: SimState, targets: np.ndarray, spec: CharacterSpec
-) -> np.ndarray:
-    """PD actuation: kp * wrap(target - angle) - kd * vel, clamped to +-tau_max."""
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != (spec.n_joints,):
-        raise ValueError(f"expected {spec.n_joints} targets, got {targets.shape}")
-    return pd_rows(state.joint_angles, state.joint_vels, targets, spec)
 
 
 @dataclass
@@ -602,27 +575,25 @@ def _pair_contacts(k: Kinematics, spec: CharacterSpec, cfg: PhysicsConfig, a: in
 
 def _coupling(k: Kinematics, spec: CharacterSpec, cfg: PhysicsConfig):
     """Contact within every pair of rows (2i, 2i + 1) as per-link force
-    sums and reports.
+    sums and per-site reports.
 
-    Returns (f_com, fx_link, fy_link, site_opponent, opponent_link): the
-    (2E, 2) net contact force on each character and the (2E, N) link-level
-    sums over contacts of (coeff - com_bar) * force, ready for the
-    generalised-force map of ``_substep``.  Only pairs that touch build
-    contact lists, and each pair's sums are reduced within the pair, so no
-    pair's bits depend on the others.
+    Returns (f_com, fx_link, fy_link, site_opponent): the (2E, 2) net
+    contact force on each character, the (2E, N) link-level sums over
+    contacts of (coeff - com_bar) * force, ready for the generalised-force
+    map of ``_substep``, and the (2E, S) contact force magnitude per site.
+    Only pairs that touch build contact lists, and each pair's sums are
+    reduced within the pair, so no pair's bits depend on the others.
     """
     n_rows, n_sites, n_links = len(k.root_pos), len(spec.sites), spec.n_links
     f_com = np.zeros((n_rows, 2))
     fx_link = np.zeros((n_rows, n_links))
     fy_link = np.zeros((n_rows, n_links))
     site_opponent = np.zeros((n_rows, n_sites))
-    opponent_link = np.full((n_rows, n_sites), -1)
     near = _capsule_distances(k, spec)
     for pair in np.flatnonzero(near[0].reshape(n_rows // 2, -1).any(axis=1)):
         lo = 2 * pair
         rows = (lo, lo + 1)
-        # per-site force magnitude by opponent link, used to pick the
-        # dominant counterpart for each site's report entry
+        # per-site force magnitude by opponent link
         mags = np.zeros((2, n_sites, n_links))
         for a in range(2):
             b = 1 - a
@@ -642,17 +613,15 @@ def _coupling(k: Kinematics, spec: CharacterSpec, cfg: PhysicsConfig):
             gap = np.where(spec.site_on_link[j], np.abs(spec.site_dist - along[:, None]), np.inf)
             has = spec.site_on_link[j].any(axis=1)
             np.add.at(mags[b], (np.argmin(gap, axis=1)[has], spec.site_link[s][has]), mag[has])
-        total = mags.sum(axis=2)
-        site_opponent[lo : lo + 2] = total
-        opponent_link[lo : lo + 2] = np.where(total > 0.0, np.argmax(mags, axis=2), -1)
-    return f_com, fx_link, fy_link, site_opponent, opponent_link
+        site_opponent[lo : lo + 2] = mags.sum(axis=2)
+    return f_com, fx_link, fy_link, site_opponent
 
 
 def _substep(w: World, spec: CharacterSpec, tau: np.ndarray, dt: float,
              cfg: PhysicsConfig, coupled: bool):
     """One semi-implicit Euler sub-interval of every env.
 
-    Returns (world, site_ground, site_opponent, opponent_link).
+    Returns (world, site_ground, site_opponent).
     """
     k = Kinematics.of(w, spec)
     fx, fy, anchor_x, anchor_on = _ground_contacts(k, spec, cfg, w.anchor_x, w.anchor_on)
@@ -667,12 +636,11 @@ def _substep(w: World, spec: CharacterSpec, tau: np.ndarray, dt: float,
     fy_link = np.einsum("sn,es->en", lever, fy)
     q_tx, q_ty = fx.sum(axis=1), fy.sum(axis=1) - mass * cfg.gravity
     if coupled:
-        f_com, px, py, site_opponent, opponent_link = _coupling(k, spec, cfg)
+        f_com, px, py, site_opponent = _coupling(k, spec, cfg)
         q_tx, q_ty = q_tx + f_com[:, 0], q_ty + f_com[:, 1]
         fx_link, fy_link = fx_link + px, fy_link + py
     else:
         site_opponent = np.zeros_like(site_ground)
-        opponent_link = np.full(site_ground.shape, -1)
     q_ang = _rows(spec.path.T, k.cos * fy_link - k.sin * fx_link)
     q_ang[:, 1:] += tau
 
@@ -719,7 +687,7 @@ def _substep(w: World, spec: CharacterSpec, tau: np.ndarray, dt: float,
         np.where(keep, w.anchor_x, anchor_x),
         np.where(keep, w.anchor_on, anchor_on),
     )
-    return new, site_ground, site_opponent, opponent_link
+    return new, site_ground, site_opponent
 
 
 def step_batch(
@@ -748,15 +716,14 @@ def step_batch(
         tau = torques if pd_targets is None else pd_rows(
             world.q[:, 1:], world.qd[:, 1:], pd_targets, spec
         )
-        world, ground, opp, link = _substep(world, spec, tau, sub_dt, cfg, coupled)
+        world, ground, opp = _substep(world, spec, tau, sub_dt, cfg, coupled)
         if i == 0:
-            site_ground, site_opponent, opponent_link = ground, opp, link
+            site_ground, site_opponent = ground, opp
         else:
             site_ground = np.maximum(site_ground, ground)
-            opponent_link = np.where(opp >= site_opponent, link, opponent_link)
             site_opponent = np.maximum(site_opponent, opp)
     report = ContactReport(
-        site_ground + site_opponent, site_ground, site_opponent, opponent_link,
+        site_ground + site_opponent, site_ground, site_opponent,
         (site_ground > 0.0).any(axis=1),
     )
     return world, report
@@ -806,55 +773,10 @@ def step_world(
     return [world.state(i) for i in range(n)], [report.row(i) for i in range(n)]
 
 
-def step(
-    state: SimState, torques: np.ndarray, dt: float, spec: CharacterSpec, cfg: PhysicsConfig
-) -> tuple[SimState, ContactReport]:
-    """Single-character convenience wrapper around step_world."""
-    states, reports = step_world([state], [spec], [torques], dt, cfg)
-    return states[0], reports[0]
-
-
-def step_pd(
-    state: SimState, targets: np.ndarray, dt: float, spec: CharacterSpec, cfg: PhysicsConfig
-) -> tuple[SimState, ContactReport]:
-    """Advance one character with PD targets re-evaluated per sub-interval."""
-    states, reports = step_world([state], [spec], None, dt, cfg, pd_targets=[targets])
-    return states[0], reports[0]
-
-
-def link_endpoints(state: SimState, spec: CharacterSpec) -> np.ndarray:
-    """World (proximal, distal) endpoint pair per link, shape (n_links, 2, 2)."""
-    frame = KinFrame(state, spec)
-    return np.stack([frame.prox, frame.dist], axis=1)
-
-
-def site_positions(state: SimState, spec: CharacterSpec) -> np.ndarray:
-    return KinFrame(state, spec).site_pos
-
-
-def site_velocities(state: SimState, spec: CharacterSpec) -> np.ndarray:
-    return KinFrame(state, spec).site_vel
-
-
-def sites_and_velocities(state: SimState, spec: CharacterSpec) -> tuple[np.ndarray, np.ndarray]:
-    """World positions and velocities of every site."""
-    frame = KinFrame(state, spec)
-    return frame.site_pos, frame.site_vel
-
-
 def linear_momentum(state: SimState, spec: CharacterSpec) -> np.ndarray:
+    """Linear momentum of one character, the measure of the momentum tests."""
     frame = KinFrame(state, spec)
     return spec.total_mass * frame.com_vel
-
-
-def kinetic_energy(state: SimState, spec: CharacterSpec) -> float:
-    frame = KinFrame(state, spec)
-    com_vels = frame.state.root_vel[None, :] + np.einsum(
-        "ixa,a->ix", frame.jac_com, frame.theta_dot
-    )
-    trans = 0.5 * spec.masses @ (com_vels**2).sum(axis=1)
-    rotk = 0.5 * spec.inertias @ frame.phidot**2
-    return float(trans + rotk)
 
 
 def to_local(angle: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -862,11 +784,6 @@ def to_local(angle: np.ndarray, v: np.ndarray) -> np.ndarray:
     ``angle`` broadcasts against ``v[..., 0]``."""
     c, s = np.cos(angle), np.sin(angle)
     return np.stack([c * v[..., 0] + s * v[..., 1], c * v[..., 1] - s * v[..., 0]], axis=-1)
-
-
-def torso_center(state: SimState, spec: CharacterSpec) -> np.ndarray:
-    frame = KinFrame(state, spec)
-    return frame.point_on_link(0, spec.torso_center_dist)
 
 
 def fallen(valid: np.ndarray, k: Kinematics, spec: CharacterSpec, cfg: PhysicsConfig) -> np.ndarray:
@@ -931,8 +848,8 @@ def default_character() -> CharacterSpec:
         Site("knee_r", 7, 0.40),
         Site("foot_r", 8, 0.40),
     )
-    # gains assume PD evaluated at the substep rate (step_pd); the damping
-    # ratios land around 0.35-0.65 for the light limbs
+    # gains assume PD re-evaluated at every substep of ``step_batch``; the
+    # damping ratios land around 0.35-0.65 for the light limbs
     kp = (150.0, 40.0, 150.0, 40.0, 300.0, 150.0, 300.0, 150.0)
     kd = (1.5, 0.5, 1.5, 0.5, 4.0, 2.0, 4.0, 2.0)
     return CharacterSpec(links=links, sites=sites, kp=kp, kd=kd)
@@ -1036,14 +953,14 @@ def nominal_stance(
         root_ang_vel=0.0,
         joint_vels=np.zeros(spec.n_joints),
     )
-    pos = site_positions(state, spec)
-    state.anchor_x = pos[:, 0].copy()
+    site_x = Kinematics.of(World.of([state], spec), spec).site_x[0]
+    state.anchor_x = site_x.copy()
     state.anchor_on = np.zeros(len(spec.sites), dtype=bool)
     half_weight = spec.total_mass * cfg.gravity / 2.0
     for name, sign in (("foot_l", -1.0), ("foot_r", 1.0)):
         s = spec.site_index[name]
         state.anchor_on[s] = True
-        state.anchor_x[s] = pos[s, 0] + sign * half_weight * math.tan(tilt) / cfg.contact_kt
+        state.anchor_x[s] = site_x[s] + sign * half_weight * math.tan(tilt) / cfg.contact_kt
     return state
 
 
@@ -1051,8 +968,8 @@ def default_config(spec: CharacterSpec | None = None, **overrides) -> PhysicsCon
     """Physics config with the fall threshold derived from the stance."""
     spec = spec or default_character()
     cfg = PhysicsConfig(**overrides)
-    stance = nominal_stance(spec, cfg)
-    h = torso_center(stance, spec)[1]
+    k = Kinematics.of(World.of([nominal_stance(spec, cfg)], spec), spec)
+    h = k.root_pos[0, 1] + spec.torso_center_dist * k.sin[0, 0]
     return replace(cfg, fall_height=cfg.fall_frac * float(h))
 
 

@@ -86,16 +86,12 @@ def _coords(state: ph.SimState):
     return state.root_pos[None], state.theta()[None], state.root_vel[None], state.theta_dot()[None]
 
 
-def proprio_obs(state: ph.SimState, spec: ph.CharacterSpec) -> np.ndarray:
-    return proprio_rows(*_coords(state))[0]
-
-
 def proprio_dim(spec: ph.CharacterSpec) -> int:
     return 3 + 2 * spec.n_joints + 3
 
 
 def track_obs(state: ph.SimState, spec: ph.CharacterSpec, clip: mo.MotionClip, t: float) -> np.ndarray:
-    return np.concatenate([proprio_obs(state, spec), mo.goal_state(clip, t, state).flat()])
+    return np.concatenate([proprio_rows(*_coords(state))[0], mo.goal_state(clip, t, state).flat()])
 
 
 def track_obs_dim(spec: ph.CharacterSpec) -> int:
@@ -178,10 +174,6 @@ class GaussianPolicy:
 
     spec: nets.MlpSpec
 
-    @property
-    def n_params(self) -> int:
-        return self.spec.param_count() + self.spec.output_dim
-
     def init(self, rng: np.random.Generator, std_init: float) -> np.ndarray:
         return np.concatenate(
             [nets.init_params(self.spec, rng), np.full(self.spec.output_dim, math.log(std_init))]
@@ -191,13 +183,9 @@ class GaussianPolicy:
         n = self.spec.param_count()
         return params[:n], params[n:]
 
-    def mean(self, params: np.ndarray, obs: np.ndarray) -> np.ndarray:
-        mlp, _ = self.split(params)
-        return nets.mlp_forward(self.spec, mlp, obs)
-
     def mean_rows(self, params: np.ndarray, obs: np.ndarray) -> np.ndarray:
-        """``mean`` of every row of ``obs`` (E, obs_dim), as one stacked
-        forward whose rows keep their bits for any E."""
+        """The mean action of every row of ``obs`` (E, obs_dim), as one
+        stacked forward whose rows keep their bits for any E."""
         mlp, _ = self.split(params)
         return nets.forward_batch(self.spec, mlp, obs[:, None, :])[:, 0]
 
@@ -447,12 +435,8 @@ class TrackingEnv:
         state.time = frame / clip.frame_rate
         return clip_index, state, state.time
 
-    def reset(self) -> np.ndarray:
+    def reset(self) -> None:
         self.clip_index, self.state, self.t = self.draw_start()
-        return self.observe()
-
-    def observe(self) -> np.ndarray:
-        return track_obs(self.state, self.spec, self.clip, self.t)
 
     def ref_base(self) -> np.ndarray:
         """Next-frame reference joint pose: the residual action base."""
@@ -777,11 +761,16 @@ def load_policy(path: str | Path) -> tuple[GaussianPolicy, np.ndarray]:
     return GaussianPolicy(spec), values
 
 
-def resume_train_state(out: Path, cfg: PpoConfig, envs: list[TrackingEnv]) -> TrainState:
+def resume_train_state(out: Path, envs: list[TrackingEnv]) -> TrainState:
     policy, policy_params = load_policy(out / "pi_track.ckpt")
     _, value_spec, value_params, _ = nets.load_checkpoint(out / "critic.ckpt")
     lines = (out / "envs.txt").read_text().splitlines()
     update = int(lines[0].split("=")[1])
+    saved = int(lines[1].split("=")[1])
+    if saved != len(envs):
+        raise ValueError(
+            f"{out / 'envs.txt'}: snapshot holds {saved} envs, the config builds {len(envs)}"
+        )
     for env, line in zip(envs, lines[2:]):
         env.restore({"values": np.array([float(x) for x in line.split()])})
     return TrainState(
@@ -830,7 +819,7 @@ def train_tracking(
     ]
     obs_dim = track_obs_dim(spec)
     if resume and (out / "envs.txt").exists():
-        ts = resume_train_state(out, cfg, envs)
+        ts = resume_train_state(out, envs)
     else:
         ts = build_networks(obs_dim, spec.n_joints, cfg, seed)
 

@@ -124,6 +124,19 @@ class TestCli:
         assert "seed = 3" in echo
         assert "slmp.beta = 0.1" in echo
 
+    def test_truncated_prior_checkpoint_errors(self, tmp_path, capsys):
+        spec = ph.default_character()
+        prior = tmp_path / "slmp"
+        prior.mkdir()
+        rng = np.random.default_rng(0)
+        for name, in_dim in (("encoder", 6), ("pi_phi", tr.proprio_dim(spec) + 4)):
+            net = nets.MlpSpec(in_dim, (4,), 4 if name == "encoder" else spec.n_joints)
+            nets.save_checkpoint(prior / f"{name}.ckpt", name, net, nets.init_params(net, rng))
+        path = prior / "pi_phi.ckpt"
+        path.write_text("\n".join(path.read_text().splitlines()[:4]) + "\n")
+        assert cli.run(["eval-survival", "--slmp", str(prior), "--out", str(tmp_path / "s.csv")]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_config_file_errors(self, tmp_path):
         assert cli.run(["gen-data", "--out", str(tmp_path / "x"), "--config", "/no/such.cfg"]) == 1
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from reference import proprio, rot
 from slmp import combat as cb
 from slmp import distill as di
 from slmp import nets
@@ -82,7 +83,7 @@ class TestHitEvents:
         a = ph.nominal_stance(SPEC, CFG)
         b = ph.mirror_state(ph.nominal_stance(SPEC, CFG), 0.0)
         head = ph.KinFrame(b, SPEC).point_on_link(0, SPEC.head_center_dist)
-        hand = ph.site_positions(a, SPEC)[SPEC.site_index["hand_l"]]
+        hand = ph.KinFrame(a, SPEC).site_pos[SPEC.site_index["hand_l"]]
         # translate the attacker so its lead hand sits at the gated distance
         shift = head - hand - np.array([dist_to_head, 0.0])
         a.root_pos = a.root_pos + shift
@@ -120,13 +121,13 @@ def _regions(state):
 def _observation_ref(me, opp, site_force):
     """Per-state observation of ``me`` against ``opp``, both already in
     me's canonical frame."""
-    to_me = ph.rot(-me.root_angle)
-    parts = [tr.proprio_obs(me, SPEC), to_me @ (opp.root_pos - me.root_pos)]
+    to_me = rot(-me.root_angle)
+    parts = [proprio(me), to_me @ (opp.root_pos - me.root_pos)]
     d_angle = ph.wrap_angle(opp.root_angle - me.root_angle)
     parts.append(np.array([math.sin(d_angle), math.cos(d_angle)]))
     parts.append(to_me @ (opp.root_vel - me.root_vel))
     parts.append(np.array([opp.root_ang_vel - me.root_ang_vel]))
-    limbs = ph.site_positions(me, SPEC)
+    limbs = ph.KinFrame(me, SPEC).site_pos
     regions = _regions(opp)
     for name in cb.LIMB_SITES:
         for r in cb.REGIONS:
@@ -139,7 +140,7 @@ def _hits_and_min_dist_ref(states, site_opponent):
     """Per-state hit events and smallest limb-to-region distance."""
     events, best = ([], []), math.inf
     for a in range(2):
-        limbs = ph.site_positions(states[a], SPEC)
+        limbs = ph.KinFrame(states[a], SPEC).site_pos
         regions = _regions(states[1 - a])
         for name in cb.LIMB_SITES:
             s = SPEC.site_index[name]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from reference import proprio
 from slmp import distill as di
 from slmp import motion as mo
 from slmp import nets
@@ -37,7 +38,7 @@ class TestEncode:
 
     def test_deterministic(self):
         n, _ = tiny_nets()
-        g = np.arange(6.0)
+        g = np.arange(6.0)[None]
         a = di.encode_goal(n.enc_spec, n.enc_params, g)
         b = di.encode_goal(n.enc_spec, n.enc_params, g)
         assert np.array_equal(a, b)
@@ -365,11 +366,11 @@ class TestSlmpUpdate:
     def test_prior_action_shape_and_determinism(self):
         n, cfg = tiny_nets()
         rng = np.random.default_rng(20)
-        s = rng.standard_normal(n.phi_spec.input_dim - cfg.latent_dim)
-        z = di.sample_sphere(cfg.latent_dim, rng)
+        s = rng.standard_normal((1, n.phi_spec.input_dim - cfg.latent_dim))
+        z = di.sample_sphere(cfg.latent_dim, rng, 1)
         a = di.prior_action(n.phi_spec, n.phi_params, s, z)
         b = di.prior_action(n.phi_spec, n.phi_params, s, z)
-        assert a.shape == (n.phi_spec.output_dim,)
+        assert a.shape == (1, n.phi_spec.output_dim)
         assert np.array_equal(a, b)
 
     def test_prior_action_rows_match_single_calls(self):
@@ -379,7 +380,8 @@ class TestSlmpUpdate:
         z = np.stack([di.sample_sphere(cfg.latent_dim, rng) for _ in range(5)])
         rows = di.prior_action(n.phi_spec, n.phi_params, s, z)
         for i in range(5):
-            assert np.array_equal(rows[i], di.prior_action(n.phi_spec, n.phi_params, s[i], z[i]))
+            one = nets.forward_batch(n.phi_spec, n.phi_params, np.concatenate([s[i], z[i]])[None])
+            assert np.array_equal(rows[i], one[0])
 
 
 class TestPhase:
@@ -445,12 +447,13 @@ class TestCollectFresh:
         rows, mse, resets = [], 0.0, 0
         for _ in range(steps):
             for env in envs:
-                p = tr.proprio_obs(env.state, SPEC)
+                p = proprio(env.state)
                 g = mo.goal_state(env.clip, env.t, env.state).flat()
                 obs = tr.track_obs(env.state, SPEC, env.clip, env.t)
-                a_star = tr.action_to_targets(expert.mean(expert_params, obs), env.ref_base())
-                z1 = di.encode_goal(n.enc_spec, n.enc_params, g)
-                a = di.prior_action(n.phi_spec, n.phi_params, p, z1)
+                mu = expert.mean_rows(expert_params, obs[None])[0]
+                a_star = tr.action_to_targets(mu, env.ref_base())
+                z1 = di.encode_goal(n.enc_spec, n.enc_params, g[None])
+                a = di.prior_action(n.phi_spec, n.phi_params, p[None], z1)[0]
                 mse += float(((a - a_star) ** 2).sum())
                 resets += env.step(a)[2]
                 rows.append((p, g, a_star))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from reference import proprio, step
 from slmp import distill as di
 from slmp import evaluate as ev
 from slmp import motion as mo
@@ -94,8 +95,8 @@ def survival_reference(phi_spec, phi_params, n_trials, seed, steps, resample_ste
             if action_fn is not None:
                 targets = action_fn(state, rng)
             else:
-                targets = di.prior_action(phi_spec, phi_params, tr.proprio_obs(state, SPEC), z)
-            (state,), _ = ph.step_world([state], [SPEC], None, CFG.dt, CFG, pd_targets=[targets])
+                targets = di.prior_action(phi_spec, phi_params, proprio(state)[None], z[None])[0]
+            state, _ = step(state, SPEC, CFG, targets=targets)
             if not state.valid or ph.detect_fall(state, SPEC, CFG):
                 fall_time = (k + 1) * CFG.dt
                 break
@@ -191,7 +192,7 @@ def track_clip_reference(controller, clip, e_div=0.5):
     state, t, errs = clip.frame_state(0), 0.0, []
     steps = int((clip.duration - 1.0 / clip.frame_rate) * CFG.hz) - 1
     for _ in range(steps):
-        state, _ = ph.step_pd(state, controller(state, t, clip), CFG.dt, SPEC, CFG)
+        state, _ = step(state, SPEC, CFG, targets=controller(state, t, clip))
         t += CFG.dt
         rp, ra, jq, rv, rw, jv = clip.sample(t)
         e = tr.imitation_reward(state, ph.SimState(rp, ra, jq, rv, rw, jv), SPEC)[1]
@@ -219,7 +220,7 @@ class TestTrackClips:
         def expert(state, t, clip):
             obs = tr.track_obs(state, SPEC, clip, t)
             base = clip.joints[clip.goal_frame_index(t)]
-            return tr.action_to_targets(policy.mean(params, obs), base)
+            return tr.action_to_targets(policy.mean_rows(params, obs[None])[0], base)
 
         return {
             "reference": (lambda state, t, clip: clip.joints[clip.goal_frame_index(t)],
@@ -283,15 +284,11 @@ class TestKmeans:
 
 
 def three_mode_decode(z):
-    """Synthetic piecewise prior: three well-separated action modes chosen
-    by the latent's leading coordinates."""
-    if z[0] > 0.3:
-        base = np.array([3.0, 0.0, 0.0])
-    elif z[1] > 0.0:
-        base = np.array([0.0, 3.0, 0.0])
-    else:
-        base = np.array([0.0, 0.0, 3.0])
-    return base + 0.01 * z[:3]
+    """Synthetic piecewise prior on latent rows: three well-separated action
+    modes chosen by each latent's leading coordinates."""
+    base = np.where(z[:, :1] > 0.3, [3.0, 0.0, 0.0],
+                    np.where(z[:, 1:2] > 0.0, [0.0, 3.0, 0.0], [0.0, 0.0, 3.0]))
+    return base + 0.01 * z[:, :3]
 
 
 class TestSphereClusters:
@@ -304,7 +301,7 @@ class TestSphereClusters:
         assert ev.label_agreement(cloud.cluster_id, true, 3) >= 0.95
 
     def test_constant_prior_single_cluster(self):
-        cloud = ev.sphere_clusters(lambda z: np.array([1.0, 2.0]), 4, 50, k=3, seed=1)
+        cloud = ev.sphere_clusters(lambda z: np.tile([1.0, 2.0], (len(z), 1)), 4, 50, k=3, seed=1)
         assert len(np.unique(cloud.cluster_id)) == 1
 
     def test_point_count_and_norms(self):
@@ -317,7 +314,15 @@ class TestSphereClusters:
             ev.sphere_clusters(three_mode_decode, 4, 2, 3, seed=0)
 
     def test_cloud_roundtrip(self, tmp_path):
-        cloud = ev.sphere_clusters(three_mode_decode, 4, 64, 3, seed=3)
+        phi_spec = nets.MlpSpec(tr.proprio_dim(SPEC) + 4, (16,), SPEC.n_joints)
+        phi_params = nets.init_params(phi_spec, np.random.default_rng(8))
+        state = ev.fixture_state("airborne", SPEC, CFG)
+        decode = ev.prior_decoder(phi_spec, phi_params, state, SPEC)
+        cloud = ev.sphere_clusters(decode, 4, 64, 3, seed=3)
+        # the stacked decode gives every latent the bits of a one-row forward
+        for z, a in zip(cloud.z, cloud.actions):
+            x = np.concatenate([proprio(state), z])[None]
+            assert np.array_equal(a, nets.forward_batch(phi_spec, phi_params, x)[0])
         ev.save_cloud(cloud, tmp_path / "c.txt")
         back = ev.load_cloud(tmp_path / "c.txt")
         assert np.array_equal(back.z, cloud.z)

@@ -29,7 +29,7 @@ class TestGenerate:
         def peak_hand(clip):
             best = 0.0
             for i in range(clip.n_frames):
-                v = ph.site_velocities(clip.frame_state(i), SPEC)
+                v = ph.KinFrame(clip.frame_state(i), SPEC).site_vel
                 best = max(best, float(np.linalg.norm(v[SPEC.site_index["hand_l"]])))
             return best
 
@@ -55,7 +55,7 @@ class TestGenerate:
         for family in mo.FAMILIES:
             clip = make(family, 2, 4.0)
             for i in range(0, clip.n_frames, 3):
-                pos = ph.site_positions(clip.frame_state(i), SPEC)
+                pos = ph.KinFrame(clip.frame_state(i), SPEC).site_pos
                 assert pos[:, 1].min() >= -SPEC.contact_radius
 
     def test_library_counts_and_ids(self):

@@ -18,8 +18,8 @@ def test_identity_network():
     params = np.zeros(spec.param_count())
     w, b = nets.layer_views(spec, params)[0]
     w[:] = np.eye(2)
-    out = nets.mlp_forward(spec, params, np.array([1.0, 2.0]))
-    assert np.array_equal(out, np.array([1.0, 2.0]))
+    out = nets.forward_batch(spec, params, np.array([[1.0, 2.0]]))
+    assert np.array_equal(out, np.array([[1.0, 2.0]]))
 
 
 def test_silu_zero_at_zero():
@@ -28,7 +28,7 @@ def test_silu_zero_at_zero():
     (w0, b0), (w1, b1) = nets.layer_views(spec, params)
     w0[:] = 1.0
     w1[:] = 1.0
-    assert nets.mlp_forward(spec, params, np.array([0.0]))[0] == 0.0
+    assert nets.forward_batch(spec, params, np.array([[0.0]]))[0, 0] == 0.0
 
 
 def _straight_line_forward(spec, params, x):
@@ -55,7 +55,7 @@ def test_forward_matches_independent_reimplementation():
     spec = nets.MlpSpec(4, (7, 5), 3, activation="silu", output_activation="tanh")
     params = nets.init_params(spec, rng)
     x = rng.standard_normal(4)
-    got = nets.mlp_forward(spec, params, x)
+    got = nets.forward_batch(spec, params, x[None])[0]
     want = _straight_line_forward(spec, params, x)
     assert np.allclose(got, want, atol=1e-12)
 
@@ -65,25 +65,25 @@ def test_forward_deterministic():
     spec = nets.MlpSpec(6, (16, 8), 4)
     params = nets.init_params(spec, rng)
     x = rng.standard_normal(6)
-    a = nets.mlp_forward(spec, params, x)
-    b = nets.mlp_forward(spec, params, x)
+    a = nets.forward_batch(spec, params, x[None])
+    b = nets.forward_batch(spec, params, x[None])
     assert np.array_equal(a, b)
 
 
 def test_backward_linear_case():
     spec = nets.MlpSpec(1, (), 1)
     params = np.array([3.0, 1.0])  # w=3, b=1
-    gp, gx = nets.mlp_backward(spec, params, np.array([2.0]), np.array([1.0]))
+    gp, gx = nets.backward_batch(spec, params, np.array([[2.0]]), np.array([[1.0]]))
     assert gp[0] == pytest.approx(2.0)  # dw
     assert gp[1] == pytest.approx(1.0)  # db
-    assert gx[0] == pytest.approx(3.0)
+    assert gx[0, 0] == pytest.approx(3.0)
 
 
 def test_backward_zero_grad_out():
     rng = np.random.default_rng(1)
     spec = nets.MlpSpec(3, (5,), 2)
     params = nets.init_params(spec, rng)
-    gp, gx = nets.mlp_backward(spec, params, rng.standard_normal(3), np.zeros(2))
+    gp, gx = nets.backward_batch(spec, params, rng.standard_normal((1, 3)), np.zeros((1, 2)))
     assert not gp.any()
     assert not gx.any()
 
@@ -327,9 +327,11 @@ def test_input_shape_mismatch():
     spec = nets.MlpSpec(3, (), 2)
     params = np.zeros(spec.param_count())
     with pytest.raises(ValueError):
-        nets.mlp_forward(spec, params, np.zeros(4))
+        nets.forward_batch(spec, params, np.zeros((1, 4)))
+    with pytest.raises(ValueError):  # inputs are rows
+        nets.forward_batch(spec, params, np.zeros(3))
     with pytest.raises(ValueError):
-        nets.mlp_backward(spec, params, np.zeros(3), np.zeros(3))
+        nets.backward_batch(spec, params, np.zeros((1, 3)), np.zeros((1, 3)))
 
 
 class TestAdam:
@@ -460,6 +462,17 @@ class TestCheckpoint:
         f.write_text("not a checkpoint\n")
         with pytest.raises(ValueError):
             nets.load_checkpoint(f)
+
+    def test_truncated_header_names_file_and_key(self, tmp_path):
+        spec = nets.MlpSpec(2, (), 1)
+        nets.save_checkpoint(tmp_path / "x.ckpt", "x", spec, np.zeros(spec.param_count()))
+        nets.adam_state_save(tmp_path / "a.txt", nets.adam_init(3, lr=0.05))
+        for name, load, key in (("x.ckpt", nets.load_checkpoint, "output"),
+                                ("a.txt", nets.adam_state_load, "count")):
+            path = tmp_path / name
+            path.write_text("\n".join(path.read_text().splitlines()[:4]) + "\n")
+            with pytest.raises(ValueError, match=f"{name}: header has no '{key}' line"):
+                load(path)
 
     def test_count_mismatch(self, tmp_path):
         spec = nets.MlpSpec(2, (), 1)

@@ -1,5 +1,6 @@
 """Static checks of the package source."""
 import ast
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 import slmp
 
 MODULES = sorted(Path(slmp.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -35,3 +38,60 @@ def test_unused_import_scan_flags_only_dead_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def definitions(tree: ast.Module) -> list[str]:
+    """Names of the functions, classes and methods ``tree`` defines at any
+    depth, dunders excepted."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        n.name for n in ast.walk(tree)
+        if isinstance(n, kinds) and not (n.name.startswith("__") and n.name.endswith("__"))
+    ]
+
+
+def references(tree: ast.Module) -> set[str]:
+    """Every name ``tree`` mentions: variable names, attribute names,
+    imported names and string constants (a tracer wraps attributes by
+    their name as a string)."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.update(n.name.split("."))
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.add(n.value)
+    return out
+
+
+def unreferenced(tree: ast.Module, using: list[ast.Module]) -> list[str]:
+    """Definitions of ``tree`` whose names no module of ``using`` mentions."""
+    used = set().union(*(references(t) for t in using))
+    return [name for name in definitions(tree) if name not in used]
+
+
+@cache
+def _sources() -> tuple[ast.Module, ...]:
+    return tuple(ast.parse(p.read_text()) for p in SOURCES)
+
+
+def test_unreferenced_definition_scan_flags_only_dead_names():
+    tree = ast.parse(
+        "class Used:\n"
+        "    def __init__(self): ...\n"
+        "    def method(self): ...\n"
+        "    def dead_method(self): ...\n"
+        "def by_string(): ...\n"
+        "def imported(): ...\n"
+        "def dead(): ...\n"
+    )
+    using = ast.parse("from m import imported\nUsed().method()\nwrap(Used, 'by_string')\n")
+    assert sorted(unreferenced(tree, [tree, using])) == ["dead", "dead_method"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unreferenced_definitions(path):
+    assert unreferenced(ast.parse(path.read_text()), list(_sources())) == []

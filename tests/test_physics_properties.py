@@ -57,8 +57,7 @@ def test_two_character_world_is_mirror_symmetric(gap, joints, joint_vels, root_v
     state's largest entry: mirrored link angles round differently in the
     last bit, and stiff contact amplifies that.  Over 300 random contact
     states the error is 1e-15 of the scale in the median and reaches
-    2e-11 in the worst one.  Dominant opponent links are not compared: a
-    symmetric pose can tie two links, and rounding then picks either.
+    2e-11 in the worst one.
     """
     a = ph.nominal_stance(SPEC, CFG)
     b = ph.mirror_state(ph.nominal_stance(SPEC, CFG))
@@ -163,7 +162,7 @@ def test_stacked_pairs_obey_third_law_and_step_alone(n_pairs, gaps, joints, join
                                             coupled=True)
             for f in fields:
                 assert np.array_equal(getattr(world, f)[rows], getattr(alone[i], f)), (i, f)
-            for f in ("site_force", "site_ground", "site_opponent", "opponent_link", "ground_contact"):
+            for f in ("site_force", "site_ground", "site_opponent", "ground_contact"):
                 assert np.array_equal(getattr(rep, f)[rows], getattr(rep_i, f)), (i, f)
     assert touched
 

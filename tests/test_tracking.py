@@ -42,8 +42,8 @@ class TestImitationReward:
             st.root_vel = rng.uniform(-1, 1, 2)
             st.joint_vels = rng.uniform(-2, 2, 8)
             got, _ = tr.imitation_reward(st, ref, SPEC)
-            ps, vs = ph.sites_and_velocities(st, SPEC)
-            pr, vr = ph.sites_and_velocities(ref, SPEC)
+            fs, fr = ph.KinFrame(st, SPEC), ph.KinFrame(ref, SPEC)
+            ps, vs, pr, vr = fs.site_pos, fs.site_vel, fr.site_pos, fr.site_vel
             ep = np.linalg.norm(ps - pr, axis=1).mean()
             er = np.abs(
                 ph.wrap_angle(
@@ -336,7 +336,7 @@ class TestEnv:
             rng = np.random.default_rng(42)
             rows = []
             for _ in range(20):
-                a, _ = policy.sample(params, env.observe(), rng)
+                a, _ = policy.sample(params, tr.track_obs(env.state, SPEC, env.clip, env.t), rng)
                 obs, r, d, info = env.step(tr.action_to_targets(a, env.ref_base()))
                 rows.append(r)
             outs.append(rows)
@@ -401,6 +401,15 @@ class TestTraining:
         full_rows = (tmp_path / "full" / "metrics.csv").read_text().splitlines()
         half_rows = (tmp_path / "half" / "metrics.csv").read_text().splitlines()
         assert full_rows[2] == half_rows[2]
+
+    def test_resume_refuses_a_changed_env_count(self, tmp_path):
+        clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        cfg = tr.PpoConfig(envs=2, horizon=8, updates=1, epochs_per_update=1)
+        tr.train_tracking(clips, cfg, tmp_path, seed=5, spec=SPEC, phys=CFG, log=False)
+        more = tr.PpoConfig(envs=3, horizon=8, updates=2, epochs_per_update=1)
+        with pytest.raises(ValueError, match="2 envs, the config builds 3"):
+            tr.train_tracking(clips, more, tmp_path, seed=5, spec=SPEC, phys=CFG, resume=True,
+                              log=False)
 
     def test_first_epoch_clip_fraction_zero(self, tmp_path):
         clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
