@@ -269,8 +269,7 @@ def high_level_step(
         logp = np.zeros(len(obs))
     else:
         raw, logp = policy.sample_rows(params, obs, rngs)
-    # 1-D norms: a row-wise norm over a 2-D array rounds differently
-    norm = np.array([np.linalg.norm(r) for r in raw])
+    norm = di.row_norms(raw)
     for e, rng in enumerate(rngs or ()):
         while norm[e] < 1e-9:  # redraw a degenerate sample
             raw[e], logp[e] = policy.sample(params, obs[e], rng)
@@ -308,6 +307,7 @@ class CombatEnv:
         self.cfg = cfg
         self.rngs = rngs
         self.epoch = 0
+        self.stance = ph.nominal_stance(spec, phys)  # every spawn starts from a copy
         self.reset()
 
     @property
@@ -316,7 +316,7 @@ class CombatEnv:
         return [self.world.state(i) for i in range(len(self.world))]
 
     def _spawn(self, facing: int, x: float, rng: np.random.Generator) -> ph.SimState:
-        s = ph.nominal_stance(self.spec, self.phys)
+        s = self.stance.copy()
         if facing < 0:
             s = ph.mirror_state(s, 0.0)
         s.root_pos[0] += x
@@ -383,12 +383,12 @@ class CombatEnv:
             self.site_force = report.site_force
             live = ~done
             self.t = np.where(live, self.t + phys.dt, self.t)
-            k = ph.Kinematics.of(self.world, spec)
+            k = report.kin
             fell = ph.fallen(self.world.valid, k, spec, phys)
             dist = limb_region_dist(k, spec)
             events = hit_events(dist, report.site_opponent, spec, cfg)
             pos = self.world.root_pos
-            root_dist = np.array([np.linalg.norm(pos[2 * e] - pos[2 * e + 1]) for e in range(n)])
+            root_dist = di.row_norms(pos[0::2] - pos[1::2])
             ended, timers = check_termination(
                 root_dist, dist.reshape(n, -1).min(axis=1), fell.reshape(n, 2).any(axis=1),
                 self.t, self.timers, phys.dt, self.epoch, cfg,
@@ -411,7 +411,7 @@ class CombatEnv:
         info = {"reason": reasons, "hits": hits, "t": self.t.copy()}
         for e in np.flatnonzero(done):
             self._reset_env(e)
-        if done.any():
+        if done.any():  # World.put left k stale for the respawned rows
             k = ph.Kinematics.of(self.world, spec)
         return combat_observation(self.world, k, self.site_force, spec), rewards, done, info
 
@@ -572,7 +572,7 @@ def rollout_combat(
     env = CombatEnv(phi_spec, phi_params, spec, phys, cfg, [np.random.default_rng(seed)])
     env.epoch = cfg.early_epochs  # disable the early separation rule
     frames = []
-    steps = int(seconds / (phys.dt * cfg.k_hl))
+    steps = math.floor(seconds / (phys.dt * cfg.k_hl) + 1e-9)
     for _ in range(steps):
         obs = env.observe()
         z = np.concatenate([high_level_step(policy, p, obs[agent : agent + 1])[0]

@@ -78,19 +78,39 @@ def encode_goal(
     return normalize_rows(nets.forward_batch(spec, params, goal))[0]
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of ``x`` (n, d), each with the bits of
+    a 1-D ``np.linalg.norm`` of that row (one dot per row; a 2-D
+    ``norm(axis=1)`` rounds differently)."""
+    x = np.ascontiguousarray(x)
+    return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+
 def sample_sphere(d: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-    """Uniform samples on S^{d-1} via normalized Gaussian noise."""
+    """Uniform samples on S^{d-1} via normalized Gaussian noise.
+
+    Row i is the i-th d-vector of the stream whose norm is not degenerate:
+    one (n, d) block is the same stream as n row draws, and the redraw
+    loop runs only when some row of the block needs it.
+    """
     if d < 2:
         raise ValueError("latent dimension must be at least 2")
     count = 1 if n is None else n
-    out = np.empty((count, d))
-    for i in range(count):
-        while True:
-            eps = rng.standard_normal(d)
-            norm = np.linalg.norm(eps)
-            if norm >= 1e-9:
-                out[i] = eps / norm
-                break
+    start = rng.bit_generator.state
+    eps = rng.standard_normal((count, d))
+    norm = row_norms(eps)
+    if (norm >= 1e-9).all():
+        out = eps / norm[:, None]
+    else:
+        rng.bit_generator.state = start
+        out = np.empty((count, d))
+        for i in range(count):
+            while True:
+                eps = rng.standard_normal(d)
+                norm = np.linalg.norm(eps)
+                if norm >= 1e-9:
+                    out[i] = eps / norm
+                    break
     return out[0] if n is None else out
 
 

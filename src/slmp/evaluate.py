@@ -124,8 +124,8 @@ def survival_eval(
             targets = action_fn(world, [rngs[i] for i in standing])
         else:
             targets = di.prior_action(phi_spec, phi_params, tr.proprio_rows(*world.coords), z)
-        world, _ = ph.step_batch(world, spec, phys.dt, phys, pd_targets=targets)
-        fell = ph.fallen(world.valid, ph.Kinematics.of(world, spec), spec, phys)
+        world, report = ph.step_batch(world, spec, phys.dt, phys, pd_targets=targets)
+        fell = ph.fallen(world.valid, report.kin, spec, phys)
         fall_time[standing[fell]] = (k + 1) * phys.dt
         standing, world = standing[~fell], world.rows(~fell)
         if z is not None:

@@ -28,6 +28,21 @@ batching or worker split.  Hence no 2-D matmul over the env axis
 changes with E); contractions are row-wise ``einsum``s (``_rows``,
 ``_dot``), stacked matmuls over (E, n, n) slices, or a batched
 ``np.linalg.solve``, and reductions run along an axis of fixed length.
+Since a row's bits do not depend on the other rows, several operands
+that meet the same matrix share one call with their rows stacked (q
+and qd through ``path``, the four site quantities through
+``site_coeff``): each gets the bits of its own call.  The matrix must
+keep its memory layout, though: ``einsum`` picks its summation kernel
+by stride, so a transposed view and its contiguous copy round
+differently.
+
+Kinematics hand-off: one control step of ``step_batch`` builds the
+``Kinematics`` of its input world once.  Each ``_substep`` takes the
+kinematics of its world and returns those of the next, built from the
+link angles and rates it already computes to rebuild the root, and the
+last ones reach the caller as ``ContactReport.kin``.  They equal
+``Kinematics.of`` the returned world bit for bit, and share its arrays:
+a ``World.put`` (a reset) leaves them stale for the rows it writes.
 """
 from __future__ import annotations
 
@@ -355,13 +370,14 @@ class ContactReport:
 
     ``step_world`` reports one character per instance; ``step_batch``
     returns a single instance whose arrays carry a leading env axis (see
-    ``row``).
+    ``row``), and whose ``kin`` is the Kinematics of the world it returns.
     """
 
     site_force: np.ndarray  # total force magnitude per site
     site_ground: np.ndarray  # ground contribution per site
     site_opponent: np.ndarray  # opponent contribution per site
     ground_contact: bool | np.ndarray
+    kin: "Kinematics | None" = None
 
     def row(self, i: int) -> "ContactReport":
         """Report of env ``i`` of a batched report."""
@@ -375,7 +391,7 @@ def pd_rows(q: np.ndarray, qd: np.ndarray, targets: np.ndarray, spec: CharacterS
     """PD torques for joint angles/velocities ``q``/``qd`` of shape (..., n_joints)."""
     err = wrap_angle(targets - q)
     tau = spec.kp_array * err - spec.kd_array * qd
-    return np.clip(tau, -spec.tau_max, spec.tau_max)
+    return np.minimum(np.maximum(tau, -spec.tau_max), spec.tau_max)
 
 
 @dataclass
@@ -468,22 +484,37 @@ class Kinematics:
     """Link directions and site positions/velocities of every env row.
 
     Site quantities are split into x and y components of shape (E, S).
+    The constructor starts from the coordinates; ``of_links`` starts from
+    link directions and rates a caller has already computed, which
+    ``_substep`` does to hand the next state's kinematics on.
     """
 
     def __init__(self, spec: CharacterSpec, root_pos, q, root_vel, qd):
-        self.root_pos, self.root_vel = root_pos, root_vel
-        phi = spec.rest_abs + _rows(spec.path, q)
-        self.cos, self.sin = np.cos(phi), np.sin(phi)
-        self.phidot = _rows(spec.path, qd)
-        self.site_x = root_pos[:, :1] + _rows(spec.site_coeff, self.cos)
-        self.site_y = root_pos[:, 1:] + _rows(spec.site_coeff, self.sin)
-        # site velocity: sum_n coeff * u_perp(phi_n) * phidot_n
-        self.site_vx = root_vel[:, :1] - _rows(spec.site_coeff, self.sin * self.phidot)
-        self.site_vy = root_vel[:, 1:] + _rows(spec.site_coeff, self.cos * self.phidot)
+        n = len(q)
+        angles = _rows(spec.path, np.concatenate([q, qd]))
+        phi = spec.rest_abs + angles[:n]
+        self._place(spec, root_pos, root_vel, np.cos(phi), np.sin(phi), angles[n:])
 
     @classmethod
     def of(cls, world: World, spec: CharacterSpec) -> "Kinematics":
         return cls(spec, *world.coords)
+
+    @classmethod
+    def of_links(cls, spec: CharacterSpec, root_pos, root_vel, cos, sin, phidot) -> "Kinematics":
+        k = cls.__new__(cls)
+        k._place(spec, root_pos, root_vel, cos, sin, phidot)
+        return k
+
+    def _place(self, spec, root_pos, root_vel, cos, sin, phidot) -> None:
+        self.root_pos, self.root_vel = root_pos, root_vel
+        self.cos, self.sin, self.phidot = cos, sin, phidot
+        n = len(cos)
+        # site velocity: sum_n coeff * u_perp(phi_n) * phidot_n
+        site = _rows(spec.site_coeff, np.concatenate([cos, sin, sin * phidot, cos * phidot]))
+        self.site_x = root_pos[:, :1] + site[:n]
+        self.site_y = root_pos[:, 1:] + site[n : 2 * n]
+        self.site_vx = root_vel[:, :1] - site[2 * n : 3 * n]
+        self.site_vy = root_vel[:, 1:] + site[3 * n :]
 
 
 def _ground_contacts(k: Kinematics, spec: CharacterSpec, cfg: PhysicsConfig,
@@ -504,7 +535,7 @@ def _ground_contacts(k: Kinematics, spec: CharacterSpec, cfg: PhysicsConfig,
     over = np.abs(spring) > cap
     spring = np.where(over, np.sign(spring) * cap, spring)
     anchor_x = np.where(touching & over, k.site_x + spring / cfg.contact_kt, anchor_x)
-    tang = np.clip(spring - cfg.contact_dn * k.site_vx, -cap, cap)
+    tang = np.minimum(np.maximum(spring - cfg.contact_dn * k.site_vx, -cap), cap)
     fx = np.where(touching, tang, 0.0)
     fy = np.where(touching, normal, 0.0)
     return fx, fy, anchor_x, touching
@@ -617,13 +648,22 @@ def _coupling(k: Kinematics, spec: CharacterSpec, cfg: PhysicsConfig):
     return f_com, fx_link, fy_link, site_opponent
 
 
-def _substep(w: World, spec: CharacterSpec, tau: np.ndarray, dt: float,
-             cfg: PhysicsConfig, coupled: bool):
-    """One semi-implicit Euler sub-interval of every env.
+def _com_dots(cbar: np.ndarray, c: np.ndarray, s: np.ndarray, phidot: np.ndarray):
+    """(com_bar . cos, com_bar . sin, com_bar . sin * phidot,
+    com_bar . cos * phidot) of every row: the body COM offset from the
+    root and its rate, in one row-stacked contraction."""
+    return _dot(cbar, np.concatenate([c, s, s * phidot, c * phidot])).reshape(4, -1)
 
-    Returns (world, site_ground, site_opponent).
+
+def _substep(w: World, k: Kinematics, spec: CharacterSpec, tau: np.ndarray, dt: float,
+             cfg: PhysicsConfig, coupled: bool):
+    """One semi-implicit Euler sub-interval of every env, given ``k``, the
+    Kinematics of ``w``.
+
+    Returns (world, kinematics, site_ground, site_opponent), the
+    kinematics being those of the returned world.
     """
-    k = Kinematics.of(w, spec)
+    n = len(w)
     fx, fy, anchor_x, anchor_on = _ground_contacts(k, spec, cfg, w.anchor_x, w.anchor_on)
     site_ground = np.sqrt(fx * fx + fy * fy)
     mass = spec.total_mass
@@ -631,9 +671,8 @@ def _substep(w: World, spec: CharacterSpec, tau: np.ndarray, dt: float,
     # generalised forces of the site forces: each force f at a point with
     # coefficients c adds f to the COM and path^T ((c - com_bar) * (u_perp . f))
     # to the angular dofs
-    lever = spec.site_coeff - cbar
-    fx_link = np.einsum("sn,es->en", lever, fx)
-    fy_link = np.einsum("sn,es->en", lever, fy)
+    link = _rows((spec.site_coeff - cbar).T, np.concatenate([fx, fy]))
+    fx_link, fy_link = link[:n], link[n:]
     q_tx, q_ty = fx.sum(axis=1), fy.sum(axis=1) - mass * cfg.gravity
     if coupled:
         f_com, px, py, site_opponent = _coupling(k, spec, cfg)
@@ -650,44 +689,47 @@ def _substep(w: World, spec: CharacterSpec, tau: np.ndarray, dt: float,
     cos_nk = c[:, :, None] * c[:, None, :] + s[:, :, None] * s[:, None, :]
     m_ang = spec.path.T @ (g * cos_nk) @ spec.path + spec.inertia_path
     w2 = k.phidot**2
-    bias = -_rows(spec.path.T, c * _rows(g, s * w2) - s * _rows(g, c * w2))
+    gram = _rows(g, np.concatenate([s * w2, c * w2]))
+    bias = -_rows(spec.path.T, c * gram[:n] - s * gram[n:])
     qdd = np.linalg.solve(m_ang, (q_ang - bias)[..., None])[..., 0]
 
-    com_x = w.root_pos[:, 0] + _dot(cbar, c)
-    com_y = w.root_pos[:, 1] + _dot(cbar, s)
-    vx = w.root_vel[:, 0] - _dot(cbar, s * k.phidot) + dt * q_tx / mass
-    vy = w.root_vel[:, 1] + _dot(cbar, c * k.phidot) + dt * q_ty / mass
+    com_x, com_y, dvx, dvy = _com_dots(cbar, c, s, k.phidot)
+    com_x, com_y = w.root_pos[:, 0] + com_x, w.root_pos[:, 1] + com_y
+    vx = w.root_vel[:, 0] - dvx + dt * q_tx / mass
+    vy = w.root_vel[:, 1] + dvy + dt * q_ty / mass
     qd = w.qd + dt * qdd
     q = w.q + dt * qd
     # reconstruct the root from the integrated COM
-    phi = spec.rest_abs + _rows(spec.path, q)
+    angles = _rows(spec.path, np.concatenate([q, qd]))
+    phi, phidot = spec.rest_abs + angles[:n], angles[n:]
     c, s = np.cos(phi), np.sin(phi)
-    phidot = _rows(spec.path, qd)
-    root_pos = np.stack([com_x + dt * vx - _dot(cbar, c), com_y + dt * vy - _dot(cbar, s)], axis=1)
-    root_vel = np.stack([vx + _dot(cbar, s * phidot), vy - _dot(cbar, c * phidot)], axis=1)
+    cx, cy, dvx, dvy = _com_dots(cbar, c, s, phidot)
+    root_pos = np.stack([com_x + dt * vx - cx, com_y + dt * vy - cy], axis=1)
+    root_vel = np.stack([vx + dvx, vy - dvy], axis=1)
 
-    finite = (
-        np.isfinite(root_pos).all(axis=1)
-        & np.isfinite(root_vel).all(axis=1)
-        & np.isfinite(q).all(axis=1)
-        & np.isfinite(qd).all(axis=1)
-        & (np.abs(qd).max(axis=1) < 1e8)
-    )
+    new_coords = np.concatenate([root_pos, root_vel, q, qd], axis=1)
+    finite = np.isfinite(new_coords).all(axis=1) & (np.abs(qd).max(axis=1) < 1e8)
     # divergence is sticky until the owner resets the state: invalid envs
     # keep their last finite state
     ok = w.valid & finite
-    keep = ~ok[:, None]
-    new = World(
-        np.where(keep, w.root_pos, root_pos),
-        np.where(keep, w.q, q),
-        np.where(keep, w.root_vel, root_vel),
-        np.where(keep, w.qd, qd),
-        np.where(w.valid & ~finite, w.time, w.time + dt),
-        ok,
-        np.where(keep, w.anchor_x, anchor_x),
-        np.where(keep, w.anchor_on, anchor_on),
-    )
-    return new, site_ground, site_opponent
+    if ok.all():
+        new = World(root_pos, q, root_vel, qd, w.time + dt, ok, anchor_x, anchor_on)
+    else:
+        keep = ~ok[:, None]
+        new = World(
+            np.where(keep, w.root_pos, root_pos),
+            np.where(keep, w.q, q),
+            np.where(keep, w.root_vel, root_vel),
+            np.where(keep, w.qd, qd),
+            np.where(w.valid & ~finite, w.time, w.time + dt),
+            ok,
+            np.where(keep, w.anchor_x, anchor_x),
+            np.where(keep, w.anchor_on, anchor_on),
+        )
+        c, s = np.where(keep, k.cos, c), np.where(keep, k.sin, s)
+        phidot = np.where(keep, k.phidot, phidot)
+    k = Kinematics.of_links(spec, new.root_pos, new.root_vel, c, s, phidot)
+    return new, k, site_ground, site_opponent
 
 
 def step_batch(
@@ -705,18 +747,20 @@ def step_batch(
     semantics of ``step_world``.  With ``coupled`` the rows pair up as
     (2i, 2i + 1): the two characters of a pair touch each other and no
     other row, so a coupled world holds an even number of rows.  Returns
-    the new world and one batched ContactReport.
+    the new world and one batched ContactReport, whose ``kin`` holds the
+    Kinematics of the new world.
     """
     if (torques is None) == (pd_targets is None):
         raise ValueError("pass exactly one of torques or pd_targets")
     if coupled and len(world) % 2:
         raise ValueError("a coupled world holds pairs of characters")
     sub_dt = dt / cfg.substeps
+    k = Kinematics.of(world, spec)
     for i in range(cfg.substeps):
         tau = torques if pd_targets is None else pd_rows(
             world.q[:, 1:], world.qd[:, 1:], pd_targets, spec
         )
-        world, ground, opp = _substep(world, spec, tau, sub_dt, cfg, coupled)
+        world, k, ground, opp = _substep(world, k, spec, tau, sub_dt, cfg, coupled)
         if i == 0:
             site_ground, site_opponent = ground, opp
         else:
@@ -724,7 +768,7 @@ def step_batch(
             site_opponent = np.maximum(site_opponent, opp)
     report = ContactReport(
         site_ground + site_opponent, site_ground, site_opponent,
-        (site_ground > 0.0).any(axis=1),
+        (site_ground > 0.0).any(axis=1), k,
     )
     return world, report
 

@@ -570,13 +570,12 @@ class EnvBatch:
             raise ValueError(f"expected ({len(w)}, {spec.n_joints}) targets, got {targets.shape}")
         tau = ph.pd_rows(w.q[:, 1:], w.qd[:, 1:], targets, spec)
         energy = np.maximum(energy_penalty(tau, w.qd[:, 1:]), self.energy_floor)
-        self.world, _ = ph.step_batch(w, spec, phys.dt, phys, pd_targets=targets)
+        self.world, report = ph.step_batch(w, spec, phys.dt, phys, pd_targets=targets)
         self.t = self.t + phys.dt
 
-        coords = self.world.coords
         ref = mo.split_frames(mo.sample_frames(self.clips, self.t))
-        sim = ph.Kinematics(spec, *coords)
-        imit, e_p = imitation_rows(spec, sim, coords, ph.Kinematics(spec, *ref), ref)
+        sim = report.kin
+        imit, e_p = imitation_rows(spec, sim, self.world.coords, ph.Kinematics(spec, *ref), ref)
         fell = ph.fallen(self.world.valid, sim, spec, phys)
         diverged = ~self.world.valid | (e_p > self.e_div)
         rate = np.array([c.frame_rate for c in self.clips])

@@ -4,7 +4,8 @@ The package steps and observes rows of a ``physics.World`` only.  The
 tests still phrase many checks on one ``SimState`` at a time; these
 helpers give them that form.  The kinematic quantities come from
 ``physics.KinFrame``, whose matmul formulas are independent of the row
-kinematics under test.
+kinematics under test.  ``watch_kinematics`` lets a test see which
+worlds a caller of ``step_batch`` builds Kinematics of.
 """
 import math
 
@@ -50,3 +51,30 @@ def proprio(state):
     return tr.proprio_rows(
         state.root_pos[None], state.theta()[None], state.root_vel[None], state.theta_dot()[None]
     )[0]
+
+
+def watch_kinematics(monkeypatch):
+    """Record every world ``step_batch`` returns and, outside it, every
+    Kinematics built from coordinates.  Returns a function that lists the
+    outside builds of a world ``step_batch`` returned, matched by the
+    identity of its ``q`` (``World.put`` writes rows in place)."""
+    stepped, built, inside = [], [], [False]
+    step_batch, init = ph.step_batch, ph.Kinematics.__init__
+
+    def stepping(*args, **kwargs):
+        inside[0] = True
+        try:
+            world, report = step_batch(*args, **kwargs)
+        finally:
+            inside[0] = False
+        stepped.append(world.q)
+        return world, report
+
+    def building(self, spec, root_pos, q, root_vel, qd):
+        if not inside[0]:
+            built.append(q)
+        init(self, spec, root_pos, q, root_vel, qd)
+
+    monkeypatch.setattr(ph, "step_batch", stepping)
+    monkeypatch.setattr(ph.Kinematics, "__init__", building)
+    return lambda: [q for q in built if any(q is s for s in stepped)]

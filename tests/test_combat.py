@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from reference import proprio, rot
+from reference import proprio, rot, watch_kinematics
 from slmp import combat as cb
 from slmp import distill as di
 from slmp import nets
@@ -403,6 +403,42 @@ class TestCombatEnv:
         base = policy.init(np.random.default_rng(seed_for(1, "pi-h-init")), cfg.std_init)
         assert np.array_equal(params[1], base)
         assert not np.array_equal(params[0], base)
+
+
+def _no_termination(root_dist, limb_dist, knockdown, t, timers, dt, epoch, cfg):
+    return [None] * len(t), timers
+
+
+def test_decision_step_builds_no_kinematics_of_the_stepped_world(tiny_prior, monkeypatch):
+    """Fall and hit tests read the kinematics ``step_batch`` hands on; with
+    no env ending, and so no respawn, nothing rebuilds them."""
+    _, phi_spec, phi_params = tiny_prior
+    monkeypatch.setattr(cb, "check_termination", _no_termination)
+    env = cb.CombatEnv(phi_spec, phi_params, SPEC, CFG, CC,
+                       [np.random.default_rng(s) for s in (1, 2)])
+    rebuilt = watch_kinematics(monkeypatch)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        _, _, done, _ = env.decision_step(di.sample_sphere(4, rng, 4))
+        assert not done.any()
+    assert rebuilt() == []
+
+
+def test_rollout_runs_every_whole_decision(tiny_prior, tmp_path, monkeypatch):
+    """4.1 s at 30 decisions per second is 123 decisions, although
+    4.1 / (1/30) evaluates to 122.99999999999999."""
+    out, phi_spec, phi_params = tiny_prior
+    ckpt = tmp_path / "combat"
+    ckpt.mkdir()
+    (ckpt / "pi_phi.ckpt").write_bytes((out / "pi_phi.ckpt").read_bytes())
+    policy = tr.GaussianPolicy(nets.MlpSpec(cb.combat_obs_dim(SPEC), (8,), 4))
+    rng = np.random.default_rng(0)
+    for i in (1, 2):
+        nets.save_checkpoint(ckpt / f"pi_h_{i}.ckpt", f"pi_h_{i}", policy.spec,
+                             policy.init(rng, 0.3), extra=policy.spec.output_dim)
+    monkeypatch.setattr(cb, "check_termination", _no_termination)
+    assert CFG.dt * CC.k_hl == 1 / 30
+    assert len(cb.rollout_combat(ckpt, 4.1, 0, CC, SPEC, CFG)) == 123
 
 
 def _drive_envs(phi_spec, phi_params, cfg, seeds, decisions):

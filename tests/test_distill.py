@@ -67,6 +67,53 @@ class TestSampleSphere:
         with pytest.raises(ValueError):
             di.sample_sphere(1, np.random.default_rng(0))
 
+    @staticmethod
+    def _row_loop(d, rng, n):
+        """One draw per row, redrawn while degenerate."""
+        out = np.empty((n, d))
+        for i in range(n):
+            while True:
+                eps = rng.standard_normal(d)
+                norm = np.linalg.norm(eps)
+                if norm >= 1e-9:
+                    out[i] = eps / norm
+                    break
+        return out
+
+    @pytest.mark.parametrize("n", [1, 7, 1024])
+    def test_block_draw_matches_row_loop(self, n):
+        """Output bits and the generator's end state equal the row loop's."""
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        for d in (3, 8):
+            assert np.array_equal(di.sample_sphere(d, rng, n), self._row_loop(d, ref, n))
+            assert rng.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(di.sample_sphere(8, rng), self._row_loop(8, ref, 1)[0])
+
+    def test_degenerate_row_redrawn_like_row_loop(self):
+        """A zero draw in row 2 is skipped: the rows after it shift by one
+        draw, exactly as in the row loop."""
+
+        class Replay:
+            """Generator stand-in replaying fixed normal draws; its
+            ``bit_generator.state`` is the read position."""
+
+            def __init__(self, values):
+                self.values, self.bit_generator, self.state = values, self, 0
+
+            def standard_normal(self, size):
+                k = int(np.prod(size))
+                self.state += k
+                return self.values[self.state - k : self.state].reshape(size).copy()
+
+        values = np.random.default_rng(5).standard_normal(64)
+        values[16:24] = 0.0
+        rng, ref = Replay(values), Replay(values)
+        got = di.sample_sphere(8, rng, 6)
+        assert np.array_equal(got, self._row_loop(8, ref, 6))
+        assert rng.state == ref.state == 56
+        assert np.array_equal(di.row_norms(values.reshape(8, 8)),
+                              [np.linalg.norm(r) for r in values.reshape(8, 8)])
+
 
 class TestLosses:
     def test_distill_zero_when_equal(self):

@@ -297,6 +297,77 @@ class TestTwoCharacterContact:
         assert px1 == pytest.approx(px0, abs=1e-9)
 
 
+KIN_FIELDS = ("root_pos", "root_vel", "cos", "sin", "phidot", "site_x", "site_y", "site_vx", "site_vy")
+
+
+def assert_kin_of_world(kin, world):
+    """``kin`` has the bits of the Kinematics built afresh from ``world``."""
+    fresh = ph.Kinematics.of(world, SPEC)
+    for f in KIN_FIELDS:
+        assert np.array_equal(getattr(kin, f), getattr(fresh, f)), f
+
+
+class TestKinematicsHandOff:
+    def test_uncoupled_with_a_row_invalidated_mid_step(self):
+        """Rows that diverge keep their last state, and the handed-on
+        kinematics keep theirs: row 7 goes invalid in the first substep."""
+        rng = np.random.default_rng(21)
+        states = []
+        for _ in range(12):
+            s = ph.nominal_stance(SPEC, CFG)
+            s.root_pos = s.root_pos + np.array([rng.uniform(-1.0, 1.0), rng.uniform(0.0, 0.3)])
+            s.joint_angles = s.joint_angles + rng.uniform(-0.3, 0.3, 8)
+            s.joint_vels = rng.uniform(-2.0, 2.0, 8)
+            states.append(s)
+        states[7].joint_vels[:] = 1e9
+        world = ph.World.of(states, SPEC)
+        for k in range(20):
+            tg = world.q[:, 1:] + 0.4 * rng.standard_normal((12, 8))
+            world, rep = ph.step_batch(world, SPEC, CFG.dt, CFG, pd_targets=tg)
+            assert_kin_of_world(rep.kin, world)
+            assert not world.valid[7] and world.valid.sum() == 11, k
+
+    def test_coupled_pair_in_contact(self):
+        """a's lead hand swings into b's trunk, so the pair touches."""
+        a = ph.nominal_stance(SPEC, CFG)
+        b = ph.mirror_state(ph.nominal_stance(SPEC, CFG), 0.0)
+        b.root_pos[0] += 0.52
+        b.anchor_x += 0.52
+        jidx = {n: i for i, n in enumerate(ph.JOINT_NAMES)}
+        a.joint_angles[jidx["shoulder_l"]] = 1.5
+        a.joint_angles[jidx["elbow_l"]] = 0.1
+        a.joint_vels[jidx["shoulder_l"]] = 8.0
+        world = ph.World.of([a, b], SPEC)
+        touched = 0
+        for _ in range(30):
+            world, rep = ph.step_batch(world, SPEC, CFG.dt, CFG, torques=np.zeros((2, 8)),
+                                       coupled=True)
+            assert_kin_of_world(rep.kin, world)
+            touched += bool(rep.site_opponent.any())
+        assert touched
+
+    def test_one_kinematics_pass_per_substep(self, monkeypatch):
+        """A default uncoupled control step builds one Kinematics from
+        angles, for its input, and makes at most 10 row contractions per
+        substep: each substep hands its state's kinematics on."""
+        world = ph.World.of([ph.nominal_stance(SPEC, CFG)] * 32, SPEC)
+        counts = {"built": 0, "contractions": 0}
+        init, rows, dot = ph.Kinematics.__init__, ph._rows, ph._dot
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ph.Kinematics, "__init__", counted("built", init))
+        monkeypatch.setattr(ph, "_rows", counted("contractions", rows))
+        monkeypatch.setattr(ph, "_dot", counted("contractions", dot))
+        ph.step_batch(world, SPEC, CFG.dt, CFG, pd_targets=world.q[:, 1:])
+        assert counts["built"] == 1
+        assert counts["contractions"] <= 10 * CFG.substeps
+
+
 class TestCharacterIO:
     def test_json_roundtrip(self, tmp_path):
         ph.character_to_json(SPEC, tmp_path / "char.json")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from reference import watch_kinematics
 from slmp import motion as mo
 from slmp import nets
 from slmp import physics as ph
@@ -515,6 +516,17 @@ class TestTraining:
         _, _, done, info = batch.step(batch.ref_base())
         assert done[0] and info["diverged"][0] and info["fell"][0]
         assert info["site_error"][0] < env.e_div  # frozen at its last finite state
+
+    def test_step_builds_no_kinematics_of_the_stepped_world(self, monkeypatch):
+        """The rewards and fall tests read the kinematics ``step_batch``
+        hands on; the one build left is of the reference frames."""
+        clips = _small_env().clips
+        batch = tr.EnvBatch([tr.TrackingEnv(clips, SPEC, CFG, rng=np.random.default_rng(seed))
+                             for seed in range(4)])
+        rebuilt = watch_kinematics(monkeypatch)
+        for _ in range(5):
+            batch.step(batch.ref_base())
+        assert rebuilt() == []
 
     def test_caller_config_not_mutated(self, tmp_path):
         clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
