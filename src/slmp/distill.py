@@ -90,27 +90,18 @@ def sample_sphere(d: int, rng: np.random.Generator, n: int | None = None) -> np.
     """Uniform samples on S^{d-1} via normalized Gaussian noise.
 
     Row i is the i-th d-vector of the stream whose norm is not degenerate:
-    one (n, d) block is the same stream as n row draws, and the redraw
-    loop runs only when some row of the block needs it.
+    one (k, d) block is the same stream as k row draws, so each pass keeps
+    its block's good rows and draws only the rows still missing.
     """
     if d < 2:
         raise ValueError("latent dimension must be at least 2")
     count = 1 if n is None else n
-    start = rng.bit_generator.state
-    eps = rng.standard_normal((count, d))
-    norm = row_norms(eps)
-    if (norm >= 1e-9).all():
-        out = eps / norm[:, None]
-    else:
-        rng.bit_generator.state = start
-        out = np.empty((count, d))
-        for i in range(count):
-            while True:
-                eps = rng.standard_normal(d)
-                norm = np.linalg.norm(eps)
-                if norm >= 1e-9:
-                    out[i] = eps / norm
-                    break
+    out = np.empty((0, d))
+    while len(out) < count:
+        eps = rng.standard_normal((count - len(out), d))
+        norm = row_norms(eps)
+        ok = norm >= 1e-9
+        out = np.concatenate([out, eps[ok] / norm[ok, None]])
     return out[0] if n is None else out
 
 

@@ -94,11 +94,11 @@ class TestSampleSphere:
         draw, exactly as in the row loop."""
 
         class Replay:
-            """Generator stand-in replaying fixed normal draws; its
-            ``bit_generator.state`` is the read position."""
+            """Generator stand-in replaying fixed normal draws; ``state``
+            is the read position."""
 
             def __init__(self, values):
-                self.values, self.bit_generator, self.state = values, self, 0
+                self.values, self.state = values, 0
 
             def standard_normal(self, size):
                 k = int(np.prod(size))
