@@ -34,10 +34,10 @@ def _generate_library(cfg: RunConfig, spec, phys) -> list[mo.MotionClip]:
 
 def cmd_gen_data(args, cfg: RunConfig) -> int:
     spec, phys = cfg.physics.build()
+    clips = _generate_library(cfg, spec, phys)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_echo(cfg, out)
-    clips = _generate_library(cfg, spec, phys)
     for clip in clips:
         mo.save_clip(clip, out / f"{clip.clip_id}.clip")
     print(f"wrote {len(clips)} clips to {out}")

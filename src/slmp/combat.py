@@ -269,7 +269,7 @@ def high_level_step(
         logp = np.zeros(len(obs))
     else:
         raw, logp = policy.sample_rows(params, obs, rngs)
-    norm = di.row_norms(raw)
+    norm = ph.row_norms(raw)
     for e, rng in enumerate(rngs or ()):
         while norm[e] < 1e-9:  # redraw a degenerate sample
             raw[e], logp[e] = policy.sample(params, obs[e], rng)
@@ -388,7 +388,7 @@ class CombatEnv:
             dist = limb_region_dist(k, spec)
             events = hit_events(dist, report.site_opponent, spec, cfg)
             pos = self.world.root_pos
-            root_dist = di.row_norms(pos[0::2] - pos[1::2])
+            root_dist = ph.row_norms(pos[0::2] - pos[1::2])
             ended, timers = check_termination(
                 root_dist, dist.reshape(n, -1).min(axis=1), fell.reshape(n, 2).any(axis=1),
                 self.t, self.timers, phys.dt, self.epoch, cfg,

@@ -78,14 +78,6 @@ def encode_goal(
     return normalize_rows(nets.forward_batch(spec, params, goal))[0]
 
 
-def row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row of ``x`` (n, d), each with the bits of
-    a 1-D ``np.linalg.norm`` of that row (one dot per row; a 2-D
-    ``norm(axis=1)`` rounds differently)."""
-    x = np.ascontiguousarray(x)
-    return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0, 0]
-
-
 def sample_sphere(d: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     """Uniform samples on S^{d-1} via normalized Gaussian noise.
 
@@ -99,7 +91,7 @@ def sample_sphere(d: int, rng: np.random.Generator, n: int | None = None) -> np.
     out = np.empty((0, d))
     while len(out) < count:
         eps = rng.standard_normal((count - len(out), d))
-        norm = row_norms(eps)
+        norm = ph.row_norms(eps)
         ok = norm >= 1e-9
         out = np.concatenate([out, eps[ok] / norm[ok, None]])
     return out[0] if n is None else out

@@ -6,6 +6,16 @@ for the root and arms; leg angles come from two-link IK against planted
 or swinging foot targets, so the kinematic poses never dig into the
 ground.  Frame velocities are forward differences of the stored poses,
 which makes pose/velocity consistency exact by construction.
+
+A clip is generated in two passes.  The per-frame scalar logic (phases,
+ramps, bumps) poses every frame: root, guard blend, arm offsets and foot
+targets.  Then the arm joints of all frames are blended in one array
+expression, and each leg is solved for all frames in one
+``physics.leg_ik_rows`` call.  The arithmetic is elementwise, so every
+frame gets the bits of the one-frame computation.  The transcendentals
+(``atan2``, ``acos``, ``cos``, ``sin``) stay libm ``math`` calls, one per
+row: numpy's SIMD versions may round differently, and differently on
+each machine, which would change the clip bytes.
 """
 from __future__ import annotations
 
@@ -211,7 +221,8 @@ def _ramp(t: float, t0: float, dur: float) -> float:
 
 
 class _PoseBuilder:
-    """Shared scaffolding: stance base, guard blending, leg IK."""
+    """Shared scaffolding: stance base, guard blending, leg IK, each over
+    the rows of a whole clip."""
 
     def __init__(self, spec: ph.CharacterSpec, cfg: ph.PhysicsConfig):
         self.spec = spec
@@ -225,24 +236,30 @@ class _PoseBuilder:
         self.root0 = self.stance.root_pos.copy()
         self.l1 = spec.links[5].length
         self.l2 = spec.links[6].length
+        self.arm_idx = [self.jidx[name] for name in ph.GUARD_ARMS]
 
-    def arms(self, joints: np.ndarray, guard: float, offsets: dict[str, float]):
-        """Blend arm joints from rest toward guard, then add offsets."""
-        for name, g in ph.GUARD_ARMS.items():
-            j = self.jidx[name]
-            rest = self.stance.joint_angles[j]
-            joints[j] = rest + guard * (g - rest) + offsets.get(name, 0.0)
+    def arms(self, joints: np.ndarray, guard: np.ndarray, offsets: np.ndarray):
+        """Blend every frame's arm joints from rest toward guard, then add
+        offsets: ``guard`` (n,), ``offsets`` (n, 4) in ``GUARD_ARMS`` order."""
+        rest = self.stance.joint_angles[self.arm_idx]
+        g = np.array(list(ph.GUARD_ARMS.values()))
+        joints[:, self.arm_idx] = rest + guard[:, None] * (g - rest) + offsets
 
-    def legs(self, joints: np.ndarray, root_pos: np.ndarray, root_angle: float,
+    def legs(self, joints: np.ndarray, root_pos: np.ndarray, root_angle: np.ndarray,
              foot_l: np.ndarray, foot_r: np.ndarray):
+        """Solve both legs of every frame, hips at the root, for the (n, 2)
+        foot targets."""
         for side, foot in (("l", foot_l), ("r", foot_r)):
-            qh, qk = ph.leg_ik(root_pos, foot, self.l1, self.l2, root_angle)
-            joints[self.jidx[f"hip_{side}"]] = qh
-            joints[self.jidx[f"knee_{side}"]] = qk
+            qh, qk = ph.leg_ik_rows(root_pos, foot, self.l1, self.l2, root_angle)
+            joints[:, self.jidx[f"hip_{side}"]] = qh
+            joints[:, self.jidx[f"knee_{side}"]] = qk
 
 
 def _pose_fn(family: str, rng: np.random.Generator, builder: _PoseBuilder):
-    """Returns pose(t) -> (root_pos, root_angle, joints) for one seeded clip."""
+    """Returns pose(t) -> (root_pos, root_angle, guard, arm_offsets, foot_l,
+    foot_r) for one seeded clip: the frame's root, its guard blend, its
+    offsets of the ``GUARD_ARMS`` joints in that order, and its two foot
+    targets.  ``_PoseBuilder`` turns a clip's frames into joint angles."""
     b = builder
     root0 = b.root0
     jab_period = rng.uniform(1.2, 2.0)
@@ -271,7 +288,6 @@ def _pose_fn(family: str, rng: np.random.Generator, builder: _PoseBuilder):
             offsets[el] = offsets.get(el, 0.0) + ext * (1.25 - ph.GUARD_ARMS[el])
 
     def pose(t: float):
-        joints = b.stance.joint_angles.copy()
         root_pos = root0.copy()
         root_angle = 0.0
         foot_l = b.foot0["l"].copy()
@@ -331,9 +347,8 @@ def _pose_fn(family: str, rng: np.random.Generator, builder: _PoseBuilder):
         else:
             raise ValueError(f"unknown clip family {family!r}")
 
-        b.arms(joints, guard, offsets)
-        b.legs(joints, root_pos, root_angle, foot_l, foot_r)
-        return root_pos, root_angle, joints
+        arm_offsets = [offsets.get(name, 0.0) for name in ph.GUARD_ARMS]
+        return root_pos, root_angle, guard, arm_offsets, foot_l, foot_r
 
     return pose
 
@@ -351,22 +366,25 @@ def generate_clip(
         raise ValueError(f"unknown clip family {family!r}")
     if not 2.0 <= duration <= 20.0:
         raise ValueError("duration must be in [2 s, 20 s]")
+    n = int(round(duration * frame_rate)) if math.isfinite(frame_rate) else 0
+    # draw_start and the forward-difference velocities need two frames
+    if n < 2:
+        raise ValueError(
+            f"frame rate {frame_rate} Hz over {duration} s: need a finite positive "
+            "rate that gives at least 2 frames"
+        )
     spec = spec or ph.default_character()
     cfg = cfg or ph.default_config(spec)
     rng = np.random.default_rng(seed)
     builder = _PoseBuilder(spec, cfg)
     pose = _pose_fn(family, rng, builder)
 
-    n = int(round(duration * frame_rate))
-    nj = spec.n_joints
-    root_pos = np.zeros((n, 2))
-    root_angle = np.zeros(n)
-    joints = np.zeros((n, nj))
-    for k in range(n):
-        rp, ra, jq = pose(k / frame_rate)
-        root_pos[k] = rp
-        root_angle[k] = ra
-        joints[k] = jq
+    root_pos, root_angle, guard, offsets, foot_l, foot_r = (
+        np.array(col, dtype=np.float64) for col in zip(*(pose(k / frame_rate) for k in range(n)))
+    )
+    joints = np.tile(builder.stance.joint_angles, (n, 1))
+    builder.arms(joints, guard, offsets)
+    builder.legs(joints, root_pos, root_angle, foot_l, foot_r)
     return _clip_from_poses(frame_rate, family, f"{family}-{seed:03d}", root_pos, root_angle, joints)
 
 
@@ -407,6 +425,8 @@ def generate_library(
     """Clip library in ``FAMILIES`` order; clip k gets seed ``seed + k``
     (0..39 at the defaults)."""
     counts = counts or DEFAULT_COUNTS
+    spec = spec or ph.default_character()
+    cfg = cfg or ph.default_config(spec)
     families = [f for f in FAMILIES for _ in range(counts.get(f, 0))]
     return [
         generate_clip(family, seed + k, duration, frame_rate, spec, cfg)
@@ -426,8 +446,7 @@ def save_clip(clip: MotionClip, path: str | Path) -> None:
         f"joints={clip.n_joints}",
         f"id={clip.clip_id}",
     ]
-    for row in clip.frames:
-        lines.append(" ".join(repr(float(v)) for v in row))
+    lines += [" ".join(map(repr, row)) for row in clip.frames.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -461,7 +480,7 @@ def load_clip(path: str | Path) -> MotionClip:
                 f"{path}: line {ln}: expected {width} values, got {len(parts)}"
             )
         try:
-            data[k] = [float(p) for p in parts]
+            data[k] = list(map(float, parts))
         except ValueError as e:
             raise ClipFormatError(f"{path}: line {ln}: {e}") from e
     j = joints

@@ -370,7 +370,9 @@ class ContactReport:
 
     ``step_world`` reports one character per instance; ``step_batch``
     returns a single instance whose arrays carry a leading env axis (see
-    ``row``), and whose ``kin`` is the Kinematics of the world it returns.
+    ``row``), whose ``kin`` is the Kinematics of the world it returns, and
+    whose ``torques`` are the joint torques of its first substep: the PD
+    torques of the input world, or the given torques.
     """
 
     site_force: np.ndarray  # total force magnitude per site
@@ -378,6 +380,7 @@ class ContactReport:
     site_opponent: np.ndarray  # opponent contribution per site
     ground_contact: bool | np.ndarray
     kin: "Kinematics | None" = None
+    torques: np.ndarray | None = None
 
     def row(self, i: int) -> "ContactReport":
         """Report of env ``i`` of a batched report."""
@@ -748,7 +751,8 @@ def step_batch(
     (2i, 2i + 1): the two characters of a pair touch each other and no
     other row, so a coupled world holds an even number of rows.  Returns
     the new world and one batched ContactReport, whose ``kin`` holds the
-    Kinematics of the new world.
+    Kinematics of the new world and whose ``torques`` are the joint
+    torques of the first substep.
     """
     if (torques is None) == (pd_targets is None):
         raise ValueError("pass exactly one of torques or pd_targets")
@@ -762,13 +766,13 @@ def step_batch(
         )
         world, k, ground, opp = _substep(world, k, spec, tau, sub_dt, cfg, coupled)
         if i == 0:
-            site_ground, site_opponent = ground, opp
+            tau0, site_ground, site_opponent = tau, ground, opp
         else:
             site_ground = np.maximum(site_ground, ground)
             site_opponent = np.maximum(site_opponent, opp)
     report = ContactReport(
         site_ground + site_opponent, site_ground, site_opponent,
-        (site_ground > 0.0).any(axis=1), k,
+        (site_ground > 0.0).any(axis=1), k, tau0,
     )
     return world, report
 
@@ -939,29 +943,40 @@ def character_from_json(path: str | Path) -> CharacterSpec:
     )
 
 
-def leg_ik(
-    hip: np.ndarray, foot: np.ndarray, l1: float, l2: float, root_angle: float
-) -> tuple[float, float]:
-    """Two-link leg inverse kinematics, knee-forward branch.
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of ``x`` (n, d), each with the bits of
+    a 1-D ``np.linalg.norm`` of that row (one dot per row; a 2-D
+    ``norm(axis=1)`` rounds differently)."""
+    x = np.ascontiguousarray(x)
+    return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0, 0]
 
-    Returns (hip, knee) joint angles for the rest convention where zero
-    joint angles point the leg straight down at zero root angle.
+
+def leg_ik_rows(
+    hip: np.ndarray, foot: np.ndarray, l1: float, l2: float, root_angle: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two-link leg inverse kinematics of every row, knee-forward branch.
+
+    ``hip`` and ``foot`` are (n, 2) positions and ``root_angle`` is (n,).
+    Returns the (n,) hip and knee joint angles for the rest convention
+    where zero joint angles point the leg straight down at zero root
+    angle.  A target out of reach is moved along the hip-to-foot line to
+    the reachable distance.  The transcendentals are libm ``math`` calls,
+    one per row, because numpy's SIMD versions may round differently, and
+    differently per machine.
     """
-    v = np.asarray(foot, dtype=np.float64) - np.asarray(hip, dtype=np.float64)
-    d = float(np.linalg.norm(v))
-    d = min(max(d, 1e-6), l1 + l2 - 1e-9)
-    chi = math.atan2(v[1], v[0])
-    cos_a1 = (l1 * l1 + d * d - l2 * l2) / (2.0 * l1 * d)
-    a1 = math.acos(min(1.0, max(-1.0, cos_a1)))
-    phi_u = chi + a1
-    knee = np.asarray(hip, dtype=np.float64) + l1 * np.array([math.cos(phi_u), math.sin(phi_u)])
-    tgt = np.asarray(foot, dtype=np.float64)
-    scale = d / max(np.linalg.norm(tgt - np.asarray(hip)), 1e-9)
-    tgt = np.asarray(hip) + (tgt - np.asarray(hip)) * scale
-    phi_l = math.atan2(tgt[1] - knee[1], tgt[0] - knee[0])
-    q_hip = wrap_angle(phi_u - root_angle + math.pi / 2.0)
-    q_knee = wrap_angle(phi_l - phi_u)
-    return float(q_hip), float(q_knee)
+    v = foot - hip
+    dist = row_norms(v)
+    d = np.minimum(np.maximum(dist, 1e-6), l1 + l2 - 1e-9)
+    cos_a1 = np.minimum(np.maximum((l1 * l1 + d * d - l2 * l2) / (2.0 * l1 * d), -1.0), 1.0)
+    phi_u = (np.array([math.atan2(y, x) for x, y in v.tolist()])
+             + np.array([math.acos(c) for c in cos_a1.tolist()]))
+    knee_x = hip[:, 0] + l1 * np.array([math.cos(a) for a in phi_u.tolist()])
+    knee_y = hip[:, 1] + l1 * np.array([math.sin(a) for a in phi_u.tolist()])
+    tgt = hip + v * (d / np.maximum(dist, 1e-9))[:, None]
+    phi_l = np.array([
+        math.atan2(y, x) for x, y in zip((tgt[:, 0] - knee_x).tolist(), (tgt[:, 1] - knee_y).tolist())
+    ])
+    return wrap_angle(phi_u - root_angle + math.pi / 2.0), wrap_angle(phi_l - phi_u)
 
 
 GUARD_ARMS = {"shoulder_l": 1.00, "elbow_l": 1.70, "shoulder_r": 0.80, "elbow_r": 2.00}

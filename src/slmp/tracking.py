@@ -568,9 +568,9 @@ class EnvBatch:
         spec, phys, w = self.spec, self.phys, self.world
         if targets.shape != (len(w), spec.n_joints):
             raise ValueError(f"expected ({len(w)}, {spec.n_joints}) targets, got {targets.shape}")
-        tau = ph.pd_rows(w.q[:, 1:], w.qd[:, 1:], targets, spec)
-        energy = np.maximum(energy_penalty(tau, w.qd[:, 1:]), self.energy_floor)
         self.world, report = ph.step_batch(w, spec, phys.dt, phys, pd_targets=targets)
+        # the first substep's PD torques against the pre-step joint rates
+        energy = np.maximum(energy_penalty(report.torques, w.qd[:, 1:]), self.energy_floor)
         self.t = self.t + phys.dt
 
         ref = mo.split_frames(mo.sample_frames(self.clips, self.t))

@@ -6,11 +6,17 @@ helpers give them that form.  The kinematic quantities come from
 ``physics.KinFrame``, whose matmul formulas are independent of the row
 kinematics under test.  ``watch_kinematics`` lets a test see which
 worlds a caller of ``step_batch`` builds Kinematics of.
+
+The clip generator and clip writer work on rows too.  ``leg_ik``,
+``generate_clip`` and ``clip_text`` are their one-frame-at-a-time and
+one-value-at-a-time forms, which the row versions must equal byte for
+byte.
 """
 import math
 
 import numpy as np
 
+from slmp import motion as mo
 from slmp import physics as ph
 from slmp import tracking as tr
 
@@ -78,3 +84,61 @@ def watch_kinematics(monkeypatch):
     monkeypatch.setattr(ph, "step_batch", stepping)
     monkeypatch.setattr(ph.Kinematics, "__init__", building)
     return lambda: [q for q in built if any(q is s for s in stepped)]
+
+
+def leg_ik(hip, foot, l1, l2, root_angle):
+    """Two-link leg inverse kinematics of one leg, knee-forward branch:
+    the one-row form of ``physics.leg_ik_rows``, (hip, knee) floats."""
+    v = np.asarray(foot, dtype=np.float64) - np.asarray(hip, dtype=np.float64)
+    d = float(np.linalg.norm(v))
+    d = min(max(d, 1e-6), l1 + l2 - 1e-9)
+    chi = math.atan2(v[1], v[0])
+    cos_a1 = (l1 * l1 + d * d - l2 * l2) / (2.0 * l1 * d)
+    a1 = math.acos(min(1.0, max(-1.0, cos_a1)))
+    phi_u = chi + a1
+    knee = np.asarray(hip, dtype=np.float64) + l1 * np.array([math.cos(phi_u), math.sin(phi_u)])
+    tgt = np.asarray(foot, dtype=np.float64)
+    scale = d / max(np.linalg.norm(tgt - np.asarray(hip)), 1e-9)
+    tgt = np.asarray(hip) + (tgt - np.asarray(hip)) * scale
+    phi_l = math.atan2(tgt[1] - knee[1], tgt[0] - knee[0])
+    q_hip = ph.wrap_angle(phi_u - root_angle + math.pi / 2.0)
+    q_knee = ph.wrap_angle(phi_l - phi_u)
+    return float(q_hip), float(q_knee)
+
+
+def generate_clip(family, seed, duration, frame_rate, spec, cfg):
+    """``motion.generate_clip`` one frame at a time: ``pose(t)``, then that
+    frame's arm blend, joint by joint, and ``leg_ik`` of each leg."""
+    builder = mo._PoseBuilder(spec, cfg)
+    pose = mo._pose_fn(family, np.random.default_rng(seed), builder)
+    stance, jidx = builder.stance.joint_angles, builder.jidx
+    n = int(round(duration * frame_rate))
+    root_pos, root_angle, joints = np.zeros((n, 2)), np.zeros(n), np.zeros((n, spec.n_joints))
+    for k in range(n):
+        rp, ra, guard, offsets, foot_l, foot_r = pose(k / frame_rate)
+        jq = stance.copy()
+        for (name, g), offset in zip(ph.GUARD_ARMS.items(), offsets):
+            rest = stance[jidx[name]]
+            jq[jidx[name]] = rest + guard * (g - rest) + offset
+        for side, foot in (("l", foot_l), ("r", foot_r)):
+            jq[jidx[f"hip_{side}"]], jq[jidx[f"knee_{side}"]] = leg_ik(
+                rp, foot, builder.l1, builder.l2, ra
+            )
+        root_pos[k], root_angle[k], joints[k] = rp, ra, jq
+    return mo._clip_from_poses(frame_rate, family, f"{family}-{seed:03d}",
+                               root_pos, root_angle, joints)
+
+
+def clip_text(clip):
+    """The text of ``motion.save_clip``, each value formatted on its own."""
+    lines = [
+        mo.CLIP_MAGIC,
+        f"hz={clip.frame_rate!r}",
+        f"frames={clip.n_frames}",
+        f"family={clip.family}",
+        f"joints={clip.n_joints}",
+        f"id={clip.clip_id}",
+    ]
+    for row in clip.frames:
+        lines.append(" ".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"

@@ -117,6 +117,14 @@ class TestCli:
         for name in files:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_gen_data_rejects_a_rate_without_two_frames(self, tmp_path, capsys):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(SMOKE_CFG + "data.hz = 0\n")
+        out = tmp_path / "d"
+        assert cli.run(["gen-data", "--out", str(out), "--config", str(cfg)]) == 1
+        assert "error: frame rate 0.0 Hz" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_echoed_config_and_seed_in_output(self, tmp_path, smoke_cfg):
         out = tmp_path / "d"
         assert cli.run(["gen-data", "--out", str(out), "--seed", "3", "--config", smoke_cfg]) == 0

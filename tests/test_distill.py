@@ -111,7 +111,7 @@ class TestSampleSphere:
         got = di.sample_sphere(8, rng, 6)
         assert np.array_equal(got, self._row_loop(8, ref, 6))
         assert rng.state == ref.state == 56
-        assert np.array_equal(di.row_norms(values.reshape(8, 8)),
+        assert np.array_equal(ph.row_norms(values.reshape(8, 8)),
                               [np.linalg.norm(r) for r in values.reshape(8, 8)])
 
 

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import reference
 from slmp import motion as mo
 from slmp import physics as ph
 
@@ -43,6 +46,18 @@ class TestGenerate:
         with pytest.raises(ValueError):
             mo.generate_clip("idle", 0, duration=1.0, spec=SPEC, cfg=CFG)
 
+    @pytest.mark.parametrize("rate", [0.0, 0.4, -30.0, math.nan, math.inf])
+    def test_rate_must_give_two_frames(self, rate):
+        """0.4 Hz over 2 s rounds to one frame; draw_start and the
+        forward-difference velocities need two."""
+        with pytest.raises(ValueError, match="frame rate"):
+            mo.generate_clip("idle", 0, 2.0, rate, SPEC, CFG)
+
+    def test_two_frames_suffice(self):
+        clip = mo.generate_clip("idle", 0, 2.0, 1.0, SPEC, CFG)
+        assert clip.n_frames == 2
+        assert np.array_equal(clip.joint_vels[1], clip.joint_vels[0])
+
     def test_velocities_are_forward_differences(self):
         clip = make("combo", 5)
         hz = clip.frame_rate
@@ -72,6 +87,58 @@ class TestGenerate:
             clip = make(family, 1, 4.0)
             for i in range(0, clip.n_frames, 2):
                 assert not ph.detect_fall(clip.frame_state(i), SPEC, CFG), family
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+class TestRowGenerator:
+    """The generator poses each frame, then solves arms and legs for the
+    whole clip at once, with the bits of the per-frame loop."""
+
+    L1, L2 = SPEC.links[5].length, SPEC.links[6].length
+
+    def test_leg_ik_rows_matches_one_leg_at_a_time(self):
+        rng = np.random.default_rng(17)
+        n = 600
+        hip = rng.uniform(-1.0, 1.0, (n, 2))
+        foot = hip + rng.uniform(-0.6, 0.6, (n, 2))
+        foot[:20] = hip[:20]  # coincident: the 1e-6 distance clamp
+        away = rng.uniform(-math.pi, math.pi, 60)
+        reach = self.L1 + self.L2 + rng.uniform(1e-9, 1.0, 60)
+        foot[20:80] = hip[20:80] + reach[:, None] * np.stack([np.cos(away), np.sin(away)], axis=1)
+        root_angle = rng.uniform(-math.pi, math.pi, n)
+        dist = np.linalg.norm(foot - hip, axis=1)
+        assert (dist > self.L1 + self.L2).sum() >= 60
+
+        qh, qk = ph.leg_ik_rows(hip, foot, self.L1, self.L2, root_angle)
+        ref = np.array([
+            reference.leg_ik(h, f, self.L1, self.L2, a) for h, f, a in zip(hip, foot, root_angle)
+        ])
+        assert bits(qh) == bits(ref[:, 0])
+        assert bits(qk) == bits(ref[:, 1])
+
+    @pytest.mark.parametrize("duration,rate", [(2.0, 30.0), (7.3, 60.0)])
+    @pytest.mark.parametrize("family", mo.FAMILIES)
+    def test_clip_matches_per_frame_loop(self, family, duration, rate):
+        got = mo.generate_clip(family, 5, duration, rate, SPEC, CFG)
+        want = reference.generate_clip(family, 5, duration, rate, SPEC, CFG)
+        assert got.n_frames == round(duration * rate)
+        assert bits(got.frames) == bits(want.frames)
+
+    @pytest.mark.parametrize("duration,rate", [(2.0, 30.0), (7.3, 60.0)])
+    def test_two_leg_solves_per_clip(self, monkeypatch, duration, rate):
+        calls = []
+        leg_ik_rows = ph.leg_ik_rows
+
+        def counted(hip, *args):
+            calls.append(len(hip))
+            return leg_ik_rows(hip, *args)
+
+        monkeypatch.setattr(ph, "leg_ik_rows", counted)
+        clip = mo.generate_clip("kick", 1, duration, rate, SPEC, CFG)
+        assert calls == [clip.n_frames] * 2
 
 
 class TestGoal:
@@ -146,6 +213,14 @@ class TestClipIO:
         assert back.frame_rate == clip.frame_rate
         for f in ("root_pos", "root_angle", "joints", "root_vel", "root_ang_vel", "joint_vels"):
             assert np.array_equal(getattr(back, f), getattr(clip, f))
+
+    def test_saved_text_matches_per_value_formatter(self, tmp_path):
+        clip = make("kick", 6)
+        clip.frames[0, :4] = [-0.0, 1e-300, -2.5e17, 1.0 / 3.0]
+        for i, clip in enumerate((clip, make("footwork", 1, 2.0))):
+            path = tmp_path / f"{i}.clip"
+            mo.save_clip(clip, path)
+            assert path.read_bytes() == reference.clip_text(clip).encode()
 
     def test_truncated_file_names_line(self, tmp_path):
         clip = make("idle", 0, 4.0)

@@ -346,6 +346,26 @@ class TestKinematicsHandOff:
             touched += bool(rep.site_opponent.any())
         assert touched
 
+    def test_report_holds_first_substep_torques(self):
+        """PD mode: the PD torques of the input world, bit for bit; torque
+        mode: the given torques."""
+        rng = np.random.default_rng(4)
+        states = []
+        for _ in range(6):
+            s = ph.nominal_stance(SPEC, CFG)
+            s.joint_angles = s.joint_angles + rng.uniform(-0.5, 0.5, 8)
+            s.joint_vels = rng.uniform(-3.0, 3.0, 8)
+            states.append(s)
+        world = ph.World.of(states, SPEC)
+        targets = world.q[:, 1:] + rng.uniform(-2.0, 2.0, (6, 8))
+        _, rep = ph.step_batch(world, SPEC, CFG.dt, CFG, pd_targets=targets)
+        want = ph.pd_rows(world.q[:, 1:], world.qd[:, 1:], targets, SPEC)
+        assert rep.torques.tobytes() == want.tobytes()
+        assert np.abs(want).max() == SPEC.tau_max  # the clamp is exercised
+        torques = rng.uniform(-20.0, 20.0, (6, 8))
+        _, rep = ph.step_batch(world, SPEC, CFG.dt, CFG, torques=torques)
+        assert np.array_equal(rep.torques, torques)
+
     def test_one_kinematics_pass_per_substep(self, monkeypatch):
         """A default uncoupled control step builds one Kinematics from
         angles, for its input, and makes at most 10 row contractions per

@@ -528,6 +528,23 @@ class TestTraining:
             batch.step(batch.ref_base())
         assert rebuilt() == []
 
+    def test_step_evaluates_pd_once_per_substep(self, monkeypatch):
+        """The energy penalty reads the first substep's torques from the
+        report instead of evaluating PD on the pre-step world again."""
+        clips = _small_env().clips
+        batch = tr.EnvBatch([tr.TrackingEnv(clips, SPEC, CFG, rng=np.random.default_rng(seed))
+                             for seed in range(4)])
+        calls = []
+        pd_rows = ph.pd_rows
+
+        def counted(*args):
+            calls.append(1)
+            return pd_rows(*args)
+
+        monkeypatch.setattr(ph, "pd_rows", counted)
+        batch.step(batch.ref_base())
+        assert len(calls) == CFG.substeps
+
     def test_caller_config_not_mutated(self, tmp_path):
         clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
         cfg = tr.PpoConfig(envs=1, horizon=4, updates=1, epochs_per_update=1)
