@@ -54,7 +54,8 @@ def tracking_error_kinematic(clip: mo.MotionClip, states: list[ph.SimState], spe
     """Mean site error of a given state sequence against the clip; the
     oracle path for the metric (feeding reference states yields zero)."""
     world = ph.World.of(states, spec)
-    ref = ph.Kinematics(spec, *mo.split_frames(mo.sample_frames([clip] * len(states), world.time)))
+    rows = mo.sample_frames(mo.ClipLibrary([clip]), np.zeros(len(states), dtype=np.int64), world.time)
+    ref = ph.Kinematics(spec, *mo.split_frames(rows))
     return float(tr.site_error_rows(ph.Kinematics.of(world, spec), ref).mean())
 
 

@@ -16,6 +16,16 @@ frame gets the bits of the one-frame computation.  The transcendentals
 (``atan2``, ``acos``, ``cos``, ``sin``) stay libm ``math`` calls, one per
 row: numpy's SIMD versions may round differently, and differently on
 each machine, which would change the clip bytes.
+
+A ``MotionClip`` is the file format and the generator's output.  Batched
+rollouts read clips through a ``ClipLibrary``: all frames of a clip list
+in one array, with per-clip offsets, frame counts, rates and an
+idle/footwork flag.  The rule for reference frames is one gather, then
+arithmetic: ``sample_frames`` and ``goal_frames`` index the library rows
+of each env's (clip index, time) in one fancy index and interpolate or
+return them, so every row gets the bits of the one-clip computation.
+``MotionClip.sample`` and ``goal_frame_index`` are that computation on a
+one-clip library.
 """
 from __future__ import annotations
 
@@ -42,8 +52,10 @@ class MotionClip:
 
     The per-quantity arrays are views into ``frames``, one (F, 6 + 2J)
     array of rows [root_pos, root_angle, joints, root_vel, root_ang_vel,
-    joint_vels] in the ``physics.World`` coordinate layout, from which
-    batched rollouts gather whole reference frames.
+    joint_vels] in the ``physics.World`` coordinate layout.  A
+    ``ClipLibrary`` of several clips rebinds ``frames`` to a view of its
+    own array; ``library`` is the one ``ClipLibrary.of`` last bound the
+    clip into.
     """
 
     frame_rate: float
@@ -57,12 +69,17 @@ class MotionClip:
     joint_vels: np.ndarray  # (F,J)
 
     def __post_init__(self):
-        self.frames = np.concatenate(
+        self.library: ClipLibrary | None = None  # set by ClipLibrary.of
+        self._bind(np.concatenate(
             [self.root_pos, self.root_angle[:, None], self.joints,
              self.root_vel, self.root_ang_vel[:, None], self.joint_vels],
             axis=1,
-        )
-        self.root_pos, q, self.root_vel, qd = split_frames(self.frames)
+        ))
+
+    def _bind(self, frames: np.ndarray) -> None:
+        """Make ``frames`` the clip's frame rows and the fields views of it."""
+        self.frames = frames
+        self.root_pos, q, self.root_vel, qd = split_frames(frames)
         self.root_angle, self.joints = q[:, 0], q[:, 1:]
         self.root_ang_vel, self.joint_vels = qd[:, 0], qd[:, 1:]
 
@@ -91,7 +108,7 @@ class MotionClip:
 
     def goal_frame_index(self, t: float) -> int:
         """Index of the next reference frame after time t, clamped."""
-        return int(_goal_index([self], np.array([t]))[0])
+        return int(_goal_index(ClipLibrary([self]), _FIRST, np.array([t]))[0])
 
     def sample(self, t: float):
         """Linear pose interpolation (shortest arc for angles) at time t.
@@ -99,7 +116,7 @@ class MotionClip:
         Returns (root_pos, root_angle, joints, root_vel, root_ang_vel,
         joint_vels); velocities are interpolated linearly as well.
         """
-        rp, q, rv, qd = split_frames(sample_frames([self], np.array([t])))
+        rp, q, rv, qd = split_frames(sample_frames(ClipLibrary([self]), _FIRST, np.array([t])))
         return rp[0], float(q[0, 0]), q[0, 1:], rv[0], float(qd[0, 0]), qd[0, 1:]
 
 
@@ -109,11 +126,65 @@ def split_frames(rows: np.ndarray):
     return rows[:, :2], rows[:, 2 : 2 + n], rows[:, 2 + n : 4 + n], rows[:, 4 + n :]
 
 
-def _goal_index(clips: list[MotionClip], t: np.ndarray) -> np.ndarray:
+IDLE_FOOTWORK = ("idle", "footwork")
+_FIRST = np.zeros(1, dtype=np.int64)  # clip index of a one-clip library's one row
+
+
+class ClipLibrary:
+    """The frames of a clip list as one (total_frames, 6 + 2J) array.
+
+    Clip k owns rows ``offset[k] : offset[k] + n_frames[k]``; ``n_frames``,
+    ``frame_rate``, ``duration`` and ``idle_fw`` (an idle or footwork
+    clip) hold one entry per clip.  Batched rollouts keep one clip index
+    per env and gather frame rows with it (``sample_frames``,
+    ``goal_frames``), so stepping touches no ``MotionClip``.  Building a
+    library of several clips copies their frames once and rebinds every
+    clip's arrays to views of the copy; a one-clip library uses the clip's
+    own frames.  ``of`` gives every user of one clip list one library.
+    """
+
+    def __init__(self, clips: list[MotionClip]):
+        if not clips or any(c.n_joints != clips[0].n_joints for c in clips):
+            raise ValueError("a clip library needs clips of one character")
+        self.clip_ids = tuple(map(id, clips))
+        self.n_joints = clips[0].n_joints
+        self.n_frames = np.array([c.n_frames for c in clips])
+        self.frame_rate = np.array([c.frame_rate for c in clips], dtype=np.float64)
+        self.duration = self.n_frames / self.frame_rate
+        self.offset = np.cumsum(self.n_frames) - self.n_frames
+        self.idle_fw = np.array([c.family in IDLE_FOOTWORK for c in clips])
+        if len(clips) == 1:
+            self.frames = clips[0].frames
+        else:
+            self.frames = np.concatenate([c.frames for c in clips])
+            for c, lo, n in zip(clips, self.offset, self.n_frames):
+                c._bind(self.frames[lo : lo + n])
+
+    def __len__(self) -> int:
+        return len(self.clip_ids)
+
+    @classmethod
+    def of(cls, clips: list[MotionClip]) -> "ClipLibrary":
+        """The library of ``clips``: the one they belong to when it was
+        built from exactly these clips in this order, else a new one that
+        they then belong to.  Each clip keeps its library alive and the
+        library holds no clip, so a clip list is copied once however many
+        envs and batches use it, and freed with its clips."""
+        lib = clips[0].library if clips else None
+        # a clip that belongs to ``lib`` is alive, so its id names it
+        if (lib is None or lib.clip_ids != tuple(map(id, clips))
+                or any(c.library is not lib for c in clips)):
+            lib = cls(clips)
+            for c in clips:
+                c.library = lib
+        return lib
+
+
+def _goal_index(library: ClipLibrary, clip_index: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Per env, the index of the next reference frame after t, clamped."""
-    rate = np.array([c.frame_rate for c in clips])
-    n = np.array([c.n_frames for c in clips])
-    duration = n / rate
+    rate = library.frame_rate[clip_index]
+    n = library.n_frames[clip_index]
+    duration = library.duration[clip_index]
     bad = (t < -1e-9) | (t > duration + 1e-9)
     if bad.any():
         i = int(np.argmax(bad))
@@ -121,23 +192,25 @@ def _goal_index(clips: list[MotionClip], t: np.ndarray) -> np.ndarray:
     return np.minimum(np.floor(t * rate + 1.0 + 1e-9).astype(int), n - 1)
 
 
-def goal_frames(clips: list[MotionClip], t: np.ndarray) -> np.ndarray:
-    """Next reference frame of every env: env e follows clips[e] at t[e]."""
-    return np.stack([c.frames[i] for c, i in zip(clips, _goal_index(clips, t))])
+def goal_frames(library: ClipLibrary, clip_index: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Next reference frame of every env: env e follows clip
+    ``clip_index[e]`` of ``library`` at time ``t[e]``."""
+    return library.frames[library.offset[clip_index] + _goal_index(library, clip_index, t)]
 
 
-def sample_frames(clips: list[MotionClip], t: np.ndarray) -> np.ndarray:
-    """``MotionClip.sample`` of every env as frame rows."""
-    rate = np.array([c.frame_rate for c in clips])
-    n = np.array([c.n_frames for c in clips])
-    f = np.minimum(np.maximum(t, 0.0), n / rate) * rate
+def sample_frames(library: ClipLibrary, clip_index: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``MotionClip.sample`` of every env as frame rows: one gather of the
+    two bracketing frames, then the interpolation."""
+    rate = library.frame_rate[clip_index]
+    n = library.n_frames[clip_index]
+    f = np.minimum(np.maximum(t, 0.0), library.duration[clip_index]) * rate
     i0 = np.minimum(f.astype(int), n - 1)
     i1 = np.minimum(i0 + 1, n - 1)
     a = (f - i0)[:, None]
-    p0 = np.stack([c.frames[i] for c, i in zip(clips, i0)])
-    p1 = np.stack([c.frames[i] for c, i in zip(clips, i1)])
+    base = library.offset[clip_index]
+    p0, p1 = library.frames[np.stack([base + i0, base + i1])]
     out = (1 - a) * p0 + a * p1
-    ang = slice(2, 3 + clips[0].n_joints)
+    ang = slice(2, 3 + library.n_joints)
     out[:, ang] = p0[:, ang] + a * ph.wrap_angle(p1[:, ang] - p0[:, ang])
     return out
 
@@ -163,35 +236,36 @@ class Goal:
         return 3 * (1 + n_joints) + 6
 
 
-def goal_rows(ref: np.ndarray, root_pos, q, root_vel, qd) -> np.ndarray:
+def goal_rows(ref: np.ndarray, root_pos, q, root_vel, qd, *, cs=None, out=None) -> np.ndarray:
     """``Goal.flat()`` of every env: ``ref`` holds each env's next reference
     frame (``goal_frames``), the rest are the env coordinates.
 
-    In the planar setting the localized absolute root position and the
-    localized root position difference coincide; both fields are kept so
-    the observation layout stays explicit.
+    ``cs``, the cos and sin of the root angles ``q[:, 0]``, and ``out``, an
+    (E, ``Goal.dim``) array to write into, let a caller share the trig
+    and the buffer with the rest of an observation.  In the planar setting
+    the localized absolute root position and the localized root position
+    difference coincide; both fields are kept so the observation layout
+    stays explicit.
     """
+    n = q.shape[1]
+    c, s = (np.cos(q[:, 0]), np.sin(q[:, 0])) if cs is None else cs
+    out = np.empty((len(q), 3 * n + 6)) if out is None else out
     ref_pos, ref_q, ref_vel, ref_qd = split_frames(ref)
-    d_root = ph.wrap_angle(ref_q[:, :1] - q[:, :1])
-    d_pos = ph.to_local(q[:, 0], ref_pos - root_pos)
-    return np.concatenate(
-        [
-            d_root, ph.wrap_angle(ref_q[:, 1:] - q[:, 1:]),
-            d_pos,
-            ph.to_local(q[:, 0], ref_vel - root_vel),
-            ref_qd - qd,
-            d_root, ph.wrap_angle(ref_q[:, 1:]),
-            d_pos,
-        ],
-        axis=1,
-    )
+    ph.wrap_angle(ref_q - q, out=out[:, :n])
+    ph.rotate_into(out[:, n : n + 2], c, s, ref_pos - root_pos)
+    ph.rotate_into(out[:, n + 2 : n + 4], c, s, ref_vel - root_vel)
+    np.subtract(ref_qd, qd, out=out[:, n + 4 : 2 * n + 4])
+    out[:, 2 * n + 4] = out[:, 0]
+    ph.wrap_angle(ref_q[:, 1:], out=out[:, 2 * n + 5 : 3 * n + 4])
+    out[:, 3 * n + 4 :] = out[:, n : n + 2]
+    return out
 
 
 def goal_state(clip: MotionClip, t: float, state: ph.SimState) -> Goal:
     """Goal seen by the tracking policy: wrapped next-frame differences."""
-    i = clip.goal_frame_index(t)
     row = goal_rows(
-        clip.frames[i : i + 1], state.root_pos[None], state.theta()[None],
+        goal_frames(ClipLibrary([clip]), _FIRST, np.array([t])),
+        state.root_pos[None], state.theta()[None],
         state.root_vel[None], state.theta_dot()[None],
     )[0]
     n = 1 + clip.n_joints
@@ -259,9 +333,13 @@ def _pose_fn(family: str, rng: np.random.Generator, builder: _PoseBuilder):
     """Returns pose(t) -> (root_pos, root_angle, guard, arm_offsets, foot_l,
     foot_r) for one seeded clip: the frame's root, its guard blend, its
     offsets of the ``GUARD_ARMS`` joints in that order, and its two foot
-    targets.  ``_PoseBuilder`` turns a clip's frames into joint angles."""
+    targets, all as Python floats (the IEEE arithmetic of numpy scalars
+    without their per-frame arrays).  ``_PoseBuilder`` turns a clip's
+    frames into joint angles."""
     b = builder
-    root0 = b.root0
+    root_x, root_y = (float(v) for v in b.root0)
+    foot0 = {side: tuple(float(v) for v in b.foot0[side]) for side in ("l", "r")}
+    arm = {name: i for i, name in enumerate(ph.GUARD_ARMS)}
     jab_period = rng.uniform(1.2, 2.0)
     hook_period = rng.uniform(1.6, 2.4)
     kick_period = rng.uniform(2.2, 3.0)
@@ -276,46 +354,45 @@ def _pose_fn(family: str, rng: np.random.Generator, builder: _PoseBuilder):
     lunge = rng.uniform(0.03, 0.06)
     hook_root = rng.uniform(0.06, 0.10)
 
-    def strike_arm(offsets: dict[str, float], side: str, phase: float, kind: str):
+    def strike_arm(offsets: list[float], side: str, phase: float, kind: str):
         sh, el = f"shoulder_{side}", f"elbow_{side}"
         if kind == "jab":
             ext = _ramp(phase, 0.0, 0.13) - _ramp(phase, 0.17, 0.18)
-            offsets[sh] = offsets.get(sh, 0.0) + ext * (1.45 - ph.GUARD_ARMS[sh])
-            offsets[el] = offsets.get(el, 0.0) + ext * (0.15 - ph.GUARD_ARMS[el])
+            offsets[arm[sh]] += ext * (1.45 - ph.GUARD_ARMS[sh])
+            offsets[arm[el]] += ext * (0.15 - ph.GUARD_ARMS[el])
         else:  # hook
             ext = _ramp(phase, 0.0, 0.16) - _ramp(phase, 0.22, 0.22)
-            offsets[sh] = offsets.get(sh, 0.0) + ext * (1.55 - ph.GUARD_ARMS[sh])
-            offsets[el] = offsets.get(el, 0.0) + ext * (1.25 - ph.GUARD_ARMS[el])
+            offsets[arm[sh]] += ext * (1.55 - ph.GUARD_ARMS[sh])
+            offsets[arm[el]] += ext * (1.25 - ph.GUARD_ARMS[el])
 
     def pose(t: float):
-        root_pos = root0.copy()
+        rx, ry = root_x, root_y
         root_angle = 0.0
-        foot_l = b.foot0["l"].copy()
-        foot_r = b.foot0["r"].copy()
-        offsets: dict[str, float] = {}
+        (flx, fly), (frx, fry) = foot0["l"], foot0["r"]
+        offsets = [0.0] * len(arm)
         guard = 0.0
 
         if family == "idle":
             for name, amp in (("shoulder_l", sway_amp), ("shoulder_r", -sway_amp),
                               ("elbow_l", 0.7 * sway_amp), ("elbow_r", -0.7 * sway_amp)):
-                offsets[name] = amp * math.sin(2.0 * math.pi * sway_f * t + sway_phase)
+                offsets[arm[name]] = amp * math.sin(2.0 * math.pi * sway_f * t + sway_phase)
         elif family == "footwork":
             guard = _ramp(t, 0.0, 0.4)
             s = math.sin(2.0 * math.pi * shift_f * t)
-            root_pos[0] += shift_amp * s
+            rx += shift_amp * s
             # crouch enough to keep both feet reachable, then lift the
             # unweighted foot near each extreme of the shift
             c = math.cos(2.0 * math.pi * shift_f * t)
             if s > 0.55 and abs(c) < 0.6:
-                foot_r[1] += lift_h * _bump(s, 0.55, 0.45 * 2)
+                fry += lift_h * _bump(s, 0.55, 0.45 * 2)
             if s < -0.55 and abs(c) < 0.6:
-                foot_l[1] += lift_h * _bump(-s, 0.55, 0.45 * 2)
+                fly += lift_h * _bump(-s, 0.55, 0.45 * 2)
         elif family == "jab":
             guard = _ramp(t, 0.0, 0.4)
             phase = (t - 0.6) % jab_period if t > 0.6 else -1.0
             if phase >= 0.0:
                 strike_arm(offsets, jab_side, phase, "jab")
-                root_pos[0] += lunge * _bump(phase, 0.0, 0.4)
+                rx += lunge * _bump(phase, 0.0, 0.4)
         elif family == "hook":
             guard = _ramp(t, 0.0, 0.4)
             phase = (t - 0.8) % hook_period if t > 0.8 else -1.0
@@ -327,16 +404,18 @@ def _pose_fn(family: str, rng: np.random.Generator, builder: _PoseBuilder):
             phase = (t - 1.0) % kick_period if t > 1.0 else -1.0
             if phase >= 0.0:
                 k = _bump(phase, 0.0, 0.8)
-                kick_foot = foot_l if kick_side == "l" else foot_r
-                stance_x = b.foot0["r" if kick_side == "l" else "l"][0]
-                kick_foot[0] = b.foot0[kick_side][0] + 0.45 * k
-                kick_foot[1] += 0.40 * k
-                root_pos[0] += (stance_x - root0[0] + 0.03) * _bump(phase, 0.0, 0.8)
-                root_pos[1] -= 0.02 * k
+                stance_x = foot0["r" if kick_side == "l" else "l"][0]
+                kick_x = foot0[kick_side][0] + 0.45 * k
+                if kick_side == "l":
+                    flx, fly = kick_x, fly + 0.40 * k
+                else:
+                    frx, fry = kick_x, fry + 0.40 * k
+                rx += (stance_x - root_x + 0.03) * _bump(phase, 0.0, 0.8)
+                ry -= 0.02 * k
         elif family == "combo":
             guard = _ramp(t, 0.0, 0.4)
             s = math.sin(2.0 * math.pi * 0.3 * t)
-            root_pos[0] += 0.06 * s
+            rx += 0.06 * s
             phase_j = (t - 0.6) % jab_period if t > 0.6 else -1.0
             if phase_j >= 0.0:
                 strike_arm(offsets, "l", phase_j, "jab")
@@ -347,8 +426,7 @@ def _pose_fn(family: str, rng: np.random.Generator, builder: _PoseBuilder):
         else:
             raise ValueError(f"unknown clip family {family!r}")
 
-        arm_offsets = [offsets.get(name, 0.0) for name in ph.GUARD_ARMS]
-        return root_pos, root_angle, guard, arm_offsets, foot_l, foot_r
+        return (rx, ry), root_angle, guard, offsets, (flx, fly), (frx, fry)
 
     return pose
 
@@ -423,15 +501,19 @@ def generate_library(
     seed: int = 0,
 ) -> list[MotionClip]:
     """Clip library in ``FAMILIES`` order; clip k gets seed ``seed + k``
-    (0..39 at the defaults)."""
+    (0..39 at the defaults).  The clips come bound into their
+    ``ClipLibrary``."""
     counts = counts or DEFAULT_COUNTS
     spec = spec or ph.default_character()
     cfg = cfg or ph.default_config(spec)
     families = [f for f in FAMILIES for _ in range(counts.get(f, 0))]
-    return [
+    clips = [
         generate_clip(family, seed + k, duration, frame_rate, spec, cfg)
         for k, family in enumerate(families)
     ]
+    if clips:
+        ClipLibrary.of(clips)
+    return clips
 
 
 # --- serialization ------------------------------------------------------

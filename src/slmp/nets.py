@@ -19,6 +19,7 @@ forward computes no derivative and keeps nothing.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -396,6 +397,27 @@ def _write_lines(path: str | Path, head: list[str], *arrays: np.ndarray) -> None
                 f.write("\n".join(map(repr, a[lo : lo + _WRITE_CHUNK].tolist())) + "\n")
 
 
+def _read_header(f, path: str | Path, magic: str, n: int, what: str) -> dict[str, str]:
+    """Check the magic line of the open text file ``f`` and read its ``n``
+    key=value header lines; a missing line reads as an empty key."""
+    if f.readline().rstrip("\n") != magic:
+        raise ValueError(f"{path}: {what}")
+    head = {}
+    for _ in range(n):
+        key, _, val = f.readline().rstrip("\n").partition("=")
+        head[key] = val
+    return head
+
+
+def _read_values(f, path: str | Path, count: int) -> np.ndarray:
+    """The next ``count`` lines of ``f``, one float each, parsed as they
+    stream in: no list of the file's lines is ever held."""
+    try:
+        return np.fromiter(map(float, itertools.islice(f, count)), np.float64, count)
+    except ValueError as e:
+        raise ValueError(f"{path}: expected {count} values: {e}") from e
+
+
 def adam_state_save(path: str | Path, state: AdamState) -> None:
     head = [
         "SLMP-ADAM/1",
@@ -410,26 +432,22 @@ def adam_state_save(path: str | Path, state: AdamState) -> None:
 
 
 def adam_state_load(path: str | Path) -> AdamState:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != "SLMP-ADAM/1":
-        raise ValueError(f"{path}: not an optimizer state file")
-    head = dict(l.split("=", 1) for l in lines[1:7])
-    try:
-        n = int(head["count"])
-        vals = np.array([float(v) for v in lines[7 : 7 + 2 * n]])
-        if vals.size != 2 * n:
-            raise ValueError(f"{path}: expected {2 * n} moment values, got {vals.size}")
-        return AdamState(
-            m=vals[:n],
-            v=vals[n:],
-            t=int(head["t"]),
-            lr=float(head["lr"]),
-            beta1=float(head["beta1"]),
-            beta2=float(head["beta2"]),
-            eps=float(head["eps"]),
-        )
-    except KeyError as e:
-        raise ValueError(f"{path}: header has no {e.args[0]!r} line") from e
+    with open(path) as f:
+        head = _read_header(f, path, "SLMP-ADAM/1", 6, "not an optimizer state file")
+        try:
+            n = int(head["count"])
+            vals = _read_values(f, path, 2 * n)
+            return AdamState(
+                m=vals[:n],
+                v=vals[n:],
+                t=int(head["t"]),
+                lr=float(head["lr"]),
+                beta1=float(head["beta1"]),
+                beta2=float(head["beta2"]),
+                eps=float(head["eps"]),
+            )
+        except KeyError as e:
+            raise ValueError(f"{path}: header has no {e.args[0]!r} line") from e
 
 
 def save_checkpoint(
@@ -460,28 +478,22 @@ def save_checkpoint(
 
 def load_checkpoint(path: str | Path) -> tuple[str, MlpSpec, np.ndarray, int]:
     """Read a checkpoint; returns (name, spec, values, extra)."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != CKPT_MAGIC:
-        raise ValueError(f"{path}: missing {CKPT_MAGIC} magic")
-    head = {}
-    for l in lines[1:9]:
-        k, _, v = l.partition("=")
-        head[k] = v
-    try:
-        hidden = tuple(int(h) for h in head["hidden"].split(",") if h)
-        spec = MlpSpec(
-            input_dim=int(head["input"]),
-            hidden=hidden,
-            output_dim=int(head["output"]),
-            activation=head["act"],
-            output_activation=head["out_act"],
-        )
-        name = head["name"]
-        extra = int(head["extra"])
-        count = int(head["count"])
-    except KeyError as e:
-        raise ValueError(f"{path}: header has no {e.args[0]!r} line") from e
-    vals = np.array([float(v) for v in lines[9 : 9 + count]], dtype=np.float64)
-    if vals.size != count or count != spec.param_count() + extra:
-        raise ValueError(f"{path}: parameter count mismatch")
-    return name, spec, vals, extra
+    with open(path) as f:
+        head = _read_header(f, path, CKPT_MAGIC, 8, f"missing {CKPT_MAGIC} magic")
+        try:
+            hidden = tuple(int(h) for h in head["hidden"].split(",") if h)
+            spec = MlpSpec(
+                input_dim=int(head["input"]),
+                hidden=hidden,
+                output_dim=int(head["output"]),
+                activation=head["act"],
+                output_activation=head["out_act"],
+            )
+            name = head["name"]
+            extra = int(head["extra"])
+            count = int(head["count"])
+        except KeyError as e:
+            raise ValueError(f"{path}: header has no {e.args[0]!r} line") from e
+        if count != spec.param_count() + extra:
+            raise ValueError(f"{path}: parameter count mismatch")
+        return name, spec, _read_values(f, path, count), extra

@@ -56,13 +56,23 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
-def wrap_angle(a):
-    """Wrap angle(s) to (-pi, pi]."""
-    w = np.mod(np.asarray(a, dtype=np.float64) + math.pi, TWO_PI)
-    w = np.where(w <= 0.0, w + TWO_PI, w) - math.pi
-    if np.ndim(a) == 0:
-        return float(w)
-    return w
+def wrap_angle(a, out=None):
+    """Wrap angle(s) to (-pi, pi]: a float for a scalar, else an array,
+    written into ``out`` when given.
+
+    ``fmod`` and one fix-up of the results <= 0 give the bits of
+    ``np.mod`` (the Python remainder) followed by that fix-up: both add
+    2 pi to a negative remainder and map a zero one to 2 pi.  Adding
+    ``(w <= 0) * 2 pi`` adds an exact 0.0 to the other, positive, rows.
+    """
+    scalar = np.ndim(a) == 0
+    if scalar:
+        out = np.empty(())
+    w = np.add(a, math.pi, out=out, dtype=np.float64)
+    np.fmod(w, TWO_PI, out=w)
+    w += (w <= 0.0) * TWO_PI
+    w -= math.pi
+    return float(w) if scalar else w
 
 
 def unit(phi):
@@ -483,37 +493,45 @@ def _dot(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("n,en->e", v, x)
 
 
+def _link_rows(cos: np.ndarray, sin: np.ndarray, phidot: np.ndarray) -> np.ndarray:
+    """The (4E, L) row stack [cos; sin; sin * phidot; cos * phidot] of link
+    directions and rates, which the site and COM contractions read."""
+    return np.concatenate([cos, sin, sin * phidot, cos * phidot])
+
+
 class Kinematics:
     """Link directions and site positions/velocities of every env row.
 
     Site quantities are split into x and y components of shape (E, S).
-    The constructor starts from the coordinates; ``of_links`` starts from
-    link directions and rates a caller has already computed, which
-    ``_substep`` does to hand the next state's kinematics on.
+    ``links`` is the ``_link_rows`` stack of the link directions and
+    rates, and ``cos`` and ``sin`` are views of it.  The constructor
+    starts from the coordinates; ``of_links`` starts from a stack a
+    caller has already computed, which ``_substep`` does to hand the next
+    state's kinematics on.
     """
 
     def __init__(self, spec: CharacterSpec, root_pos, q, root_vel, qd):
         n = len(q)
         angles = _rows(spec.path, np.concatenate([q, qd]))
-        phi = spec.rest_abs + angles[:n]
-        self._place(spec, root_pos, root_vel, np.cos(phi), np.sin(phi), angles[n:])
+        phi, phidot = spec.rest_abs + angles[:n], angles[n:]
+        self._place(spec, root_pos, root_vel, _link_rows(np.cos(phi), np.sin(phi), phidot), phidot)
 
     @classmethod
     def of(cls, world: World, spec: CharacterSpec) -> "Kinematics":
         return cls(spec, *world.coords)
 
     @classmethod
-    def of_links(cls, spec: CharacterSpec, root_pos, root_vel, cos, sin, phidot) -> "Kinematics":
+    def of_links(cls, spec: CharacterSpec, root_pos, root_vel, links, phidot) -> "Kinematics":
         k = cls.__new__(cls)
-        k._place(spec, root_pos, root_vel, cos, sin, phidot)
+        k._place(spec, root_pos, root_vel, links, phidot)
         return k
 
-    def _place(self, spec, root_pos, root_vel, cos, sin, phidot) -> None:
-        self.root_pos, self.root_vel = root_pos, root_vel
-        self.cos, self.sin, self.phidot = cos, sin, phidot
-        n = len(cos)
+    def _place(self, spec, root_pos, root_vel, links, phidot) -> None:
+        n = len(phidot)
+        self.root_pos, self.root_vel, self.links, self.phidot = root_pos, root_vel, links, phidot
+        self.cos, self.sin = links[:n], links[n : 2 * n]
         # site velocity: sum_n coeff * u_perp(phi_n) * phidot_n
-        site = _rows(spec.site_coeff, np.concatenate([cos, sin, sin * phidot, cos * phidot]))
+        site = _rows(spec.site_coeff, links)
         self.site_x = root_pos[:, :1] + site[:n]
         self.site_y = root_pos[:, 1:] + site[n : 2 * n]
         self.site_vx = root_vel[:, :1] - site[2 * n : 3 * n]
@@ -651,11 +669,11 @@ def _coupling(k: Kinematics, spec: CharacterSpec, cfg: PhysicsConfig):
     return f_com, fx_link, fy_link, site_opponent
 
 
-def _com_dots(cbar: np.ndarray, c: np.ndarray, s: np.ndarray, phidot: np.ndarray):
+def _com_dots(cbar: np.ndarray, links: np.ndarray):
     """(com_bar . cos, com_bar . sin, com_bar . sin * phidot,
-    com_bar . cos * phidot) of every row: the body COM offset from the
-    root and its rate, in one row-stacked contraction."""
-    return _dot(cbar, np.concatenate([c, s, s * phidot, c * phidot])).reshape(4, -1)
+    com_bar . cos * phidot) of every row of a ``_link_rows`` stack: the
+    body COM offset from the root and its rate, in one contraction."""
+    return _dot(cbar, links).reshape(4, -1)
 
 
 def _substep(w: World, k: Kinematics, spec: CharacterSpec, tau: np.ndarray, dt: float,
@@ -664,7 +682,8 @@ def _substep(w: World, k: Kinematics, spec: CharacterSpec, tau: np.ndarray, dt: 
     Kinematics of ``w``.
 
     Returns (world, kinematics, site_ground, site_opponent), the
-    kinematics being those of the returned world.
+    kinematics being those of the returned world; ``site_opponent`` is
+    None unless ``coupled``.
     """
     n = len(w)
     fx, fy, anchor_x, anchor_on = _ground_contacts(k, spec, cfg, w.anchor_x, w.anchor_on)
@@ -682,7 +701,7 @@ def _substep(w: World, k: Kinematics, spec: CharacterSpec, tau: np.ndarray, dt: 
         q_tx, q_ty = q_tx + f_com[:, 0], q_ty + f_com[:, 1]
         fx_link, fy_link = fx_link + px, fy_link + py
     else:
-        site_opponent = np.zeros_like(site_ground)
+        site_opponent = None
     q_ang = _rows(spec.path.T, k.cos * fy_link - k.sin * fx_link)
     q_ang[:, 1:] += tau
 
@@ -696,7 +715,7 @@ def _substep(w: World, k: Kinematics, spec: CharacterSpec, tau: np.ndarray, dt: 
     bias = -_rows(spec.path.T, c * gram[:n] - s * gram[n:])
     qdd = np.linalg.solve(m_ang, (q_ang - bias)[..., None])[..., 0]
 
-    com_x, com_y, dvx, dvy = _com_dots(cbar, c, s, k.phidot)
+    com_x, com_y, dvx, dvy = _com_dots(cbar, k.links)
     com_x, com_y = w.root_pos[:, 0] + com_x, w.root_pos[:, 1] + com_y
     vx = w.root_vel[:, 0] - dvx + dt * q_tx / mass
     vy = w.root_vel[:, 1] + dvy + dt * q_ty / mass
@@ -706,9 +725,13 @@ def _substep(w: World, k: Kinematics, spec: CharacterSpec, tau: np.ndarray, dt: 
     angles = _rows(spec.path, np.concatenate([q, qd]))
     phi, phidot = spec.rest_abs + angles[:n], angles[n:]
     c, s = np.cos(phi), np.sin(phi)
-    cx, cy, dvx, dvy = _com_dots(cbar, c, s, phidot)
-    root_pos = np.stack([com_x + dt * vx - cx, com_y + dt * vy - cy], axis=1)
-    root_vel = np.stack([vx + dvx, vy - dvy], axis=1)
+    links = _link_rows(c, s, phidot)
+    cx, cy, dvx, dvy = _com_dots(cbar, links)
+    root_pos, root_vel = np.empty((n, 2)), np.empty((n, 2))
+    root_pos[:, 0] = com_x + dt * vx - cx
+    root_pos[:, 1] = com_y + dt * vy - cy
+    np.add(vx, dvx, out=root_vel[:, 0])
+    np.subtract(vy, dvy, out=root_vel[:, 1])
 
     new_coords = np.concatenate([root_pos, root_vel, q, qd], axis=1)
     finite = np.isfinite(new_coords).all(axis=1) & (np.abs(qd).max(axis=1) < 1e8)
@@ -729,9 +752,9 @@ def _substep(w: World, k: Kinematics, spec: CharacterSpec, tau: np.ndarray, dt: 
             np.where(keep, w.anchor_x, anchor_x),
             np.where(keep, w.anchor_on, anchor_on),
         )
-        c, s = np.where(keep, k.cos, c), np.where(keep, k.sin, s)
         phidot = np.where(keep, k.phidot, phidot)
-    k = Kinematics.of_links(spec, new.root_pos, new.root_vel, c, s, phidot)
+        links = _link_rows(np.where(keep, k.cos, c), np.where(keep, k.sin, s), phidot)
+    k = Kinematics.of_links(spec, new.root_pos, new.root_vel, links, phidot)
     return new, k, site_ground, site_opponent
 
 
@@ -768,8 +791,11 @@ def step_batch(
         if i == 0:
             tau0, site_ground, site_opponent = tau, ground, opp
         else:
-            site_ground = np.maximum(site_ground, ground)
-            site_opponent = np.maximum(site_opponent, opp)
+            np.maximum(site_ground, ground, out=site_ground)
+            if coupled:
+                np.maximum(site_opponent, opp, out=site_opponent)
+    if not coupled:
+        site_opponent = np.zeros_like(site_ground)
     report = ContactReport(
         site_ground + site_opponent, site_ground, site_opponent,
         (site_ground > 0.0).any(axis=1), k, tau0,
@@ -831,7 +857,18 @@ def to_local(angle: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Vectors ``v`` (..., 2) rotated by ``-angle`` into each root frame;
     ``angle`` broadcasts against ``v[..., 0]``."""
     c, s = np.cos(angle), np.sin(angle)
-    return np.stack([c * v[..., 0] + s * v[..., 1], c * v[..., 1] - s * v[..., 0]], axis=-1)
+    return rotate_into(np.empty(np.broadcast(c, v[..., 0]).shape + (2,)), c, s, v)
+
+
+def rotate_into(out: np.ndarray, c: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``to_local`` written into ``out``, given the cos ``c`` and sin ``s``
+    of the angles, for callers that rotate several vectors by one angle."""
+    x, y = out[..., 0], out[..., 1]
+    np.multiply(c, v[..., 0], out=x)
+    x += s * v[..., 1]
+    np.multiply(c, v[..., 1], out=y)
+    y -= s * v[..., 0]
+    return out
 
 
 def fallen(valid: np.ndarray, k: Kinematics, spec: CharacterSpec, cfg: PhysicsConfig) -> np.ndarray:

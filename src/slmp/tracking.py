@@ -5,6 +5,14 @@ discrepancies and outputs residual PD-target offsets around the reference
 pose (tanh-squashed to +-pi/2).  Reward is exponential pose/velocity
 matching plus an energy penalty.  Episodes use reference-state
 initialization and reset on falls, clip ends, or tracking divergence.
+
+``EnvBatch`` steps its envs as rows of one ``physics.World`` and keeps
+their clips as an int ``clip_index`` into the shared
+``motion.ClipLibrary``.  Everything a step needs from the clips is a
+gather of library rows by that index: reference and goal frames, rates
+and durations for clip ends, the idle/footwork flag, and the start
+frames of resets, which go straight into the World rows.  A step reads
+no ``MotionClip``; each env's generator still draws its resets in order.
 """
 from __future__ import annotations
 
@@ -71,15 +79,24 @@ class PpoConfig:
         return self.std_init + frac * (self.std_final - self.std_init)
 
 
-def proprio_rows(root_pos, q, root_vel, qd) -> np.ndarray:
+def proprio_rows(root_pos, q, root_vel, qd, *, cs=None, out=None) -> np.ndarray:
     """Localized proprioception of every env: root height, facing sin/cos,
-    wrapped joint angles, root velocity in the root frame, angular rates."""
-    a = q[:, :1]
-    return np.concatenate(
-        [root_pos[:, 1:], np.sin(a), np.cos(a), ph.wrap_angle(q[:, 1:]),
-         ph.to_local(q[:, 0], root_vel), qd],
-        axis=1,
-    )
+    wrapped joint angles, root velocity in the root frame, angular rates.
+
+    ``cs``, the cos and sin of the root angles ``q[:, 0]``, and ``out``, an
+    (E, ``proprio_dim``) array to write into, let ``EnvBatch.observe``
+    share the trig and the buffer with the goal part.
+    """
+    nj = q.shape[1] - 1
+    c, s = (np.cos(q[:, 0]), np.sin(q[:, 0])) if cs is None else cs
+    out = np.empty((len(q), 2 * nj + 6)) if out is None else out
+    out[:, 0] = root_pos[:, 1]
+    out[:, 1] = s
+    out[:, 2] = c
+    ph.wrap_angle(q[:, 1:], out=out[:, 3 : 3 + nj])
+    ph.rotate_into(out[:, 3 + nj : 5 + nj], c, s, root_vel)
+    out[:, 5 + nj :] = qd
+    return out
 
 
 def _coords(state: ph.SimState):
@@ -206,7 +223,9 @@ class GaussianPolicy:
         independent of E."""
         mu = self.mean_rows(params, obs)
         log_std = self.split(params)[1]
-        noise = np.stack([rng.standard_normal(mu.shape[1]) for rng in rngs])
+        noise = np.empty(mu.shape)
+        for row, rng in zip(noise, rngs):
+            rng.standard_normal(out=row)
         act = mu + np.exp(log_std) * noise
         return act, self.log_prob_batch(mu, log_std, act)
 
@@ -397,8 +416,10 @@ def ppo_update(
 class TrackingEnv:
     """One simulated character following one reference clip at a time.
 
-    ``step`` is ``EnvBatch.step`` for a batch of this one env; rollout
-    collection steps many envs as one batch.
+    ``clips`` is a plain clip list; the env reads it through the shared
+    ``motion.ClipLibrary`` of that list.  ``step`` is ``EnvBatch.step``
+    for a batch of this one env; rollout collection steps many envs as
+    one batch.
     """
 
     def __init__(
@@ -411,6 +432,7 @@ class TrackingEnv:
         energy_floor: float = -5.0,
     ):
         self.clips = clips
+        self.library = mo.ClipLibrary.of(clips)
         self.spec = spec
         self.phys = phys
         self.e_div = e_div
@@ -425,18 +447,16 @@ class TrackingEnv:
     def clip(self) -> mo.MotionClip:
         return self.clips[self.clip_index]
 
-    def draw_start(self) -> tuple[int, ph.SimState, float]:
-        """Reference-state initialization at a random clip frame:
-        (clip index, state, time), drawn from ``self.rng``."""
-        clip_index = int(self.rng.integers(len(self.clips)))
-        clip = self.clips[clip_index]
-        frame = int(self.rng.integers(clip.n_frames - 1))
-        state = clip.frame_state(frame)
-        state.time = frame / clip.frame_rate
-        return clip_index, state, state.time
+    def draw_start(self) -> tuple[int, int]:
+        """Reference-state initialization at a random clip frame: (clip
+        index, frame), drawn from ``self.rng``."""
+        clip_index = int(self.rng.integers(len(self.library)))
+        return clip_index, int(self.rng.integers(self.library.n_frames[clip_index] - 1))
 
     def reset(self) -> None:
-        self.clip_index, self.state, self.t = self.draw_start()
+        self.clip_index, frame = self.draw_start()
+        self.state = self.clip.frame_state(frame)
+        self.t = self.state.time
 
     def ref_base(self) -> np.ndarray:
         """Next-frame reference joint pose: the residual action base."""
@@ -450,7 +470,7 @@ class TrackingEnv:
         batch = EnvBatch([self])
         obs, reward, done, info = batch.step(np.asarray(targets, dtype=np.float64)[None])
         batch.unpack()
-        info = {k: v[0].item() if isinstance(v, np.ndarray) else v[0] for k, v in info.items()}
+        info = {k: v[0].item() for k, v in info.items()}
         return obs[0], float(reward[0]), bool(done[0]), info
 
     # resume support: the env state is part of the training state
@@ -521,51 +541,59 @@ class RolloutBuffer:
 class EnvBatch:
     """TrackingEnvs stepped in lock-step as one ``physics.World``.
 
-    The envs must share their clip list, character and physics.  Their
+    The envs must share their clip library, character and physics.  Their
     states live in the batch as (E, ...) arrays until ``unpack`` writes
-    them back.  Each row's arithmetic is independent of E (see the
-    physics module notes), and the per-env random draws keep their order:
-    step t's action draw comes before step t's reset draws, which come
-    before step t+1's action draw.  That makes rollouts independent of
-    the batching as long as no two envs share a generator.
+    them back: the World, the clip time ``t`` and the int ``clip_index``.
+    Reference frames, goals, clip ends and resets are gathers of library
+    rows by ``clip_index``, so a step reads no ``MotionClip``.  Each row's
+    arithmetic is independent of E (see the physics module notes), and
+    the per-env random draws keep their order: step t's action draw comes
+    before step t's reset draws, which come before step t+1's action
+    draw.  That makes rollouts independent of the batching as long as no
+    two envs share a generator.
     """
 
     def __init__(self, envs: list[TrackingEnv]):
         first = envs[0]
         for env in envs[1:]:
-            if (env.spec != first.spec or env.phys != first.phys
-                    or len(env.clips) != len(first.clips)
-                    or any(a is not b for a, b in zip(env.clips, first.clips))):
+            if env.spec != first.spec or env.phys != first.phys or env.library is not first.library:
                 raise ValueError("batched envs must share clips, character and physics")
         self.envs = envs
+        self.library = first.library
         self.spec, self.phys = first.spec, first.phys
         self.e_div = np.array([env.e_div for env in envs])
         self.energy_floor = np.array([env.energy_floor for env in envs])
         self.world = ph.World.of([env.state for env in envs], self.spec)
         self.t = np.array([env.t for env in envs], dtype=np.float64)
-        self.clip_index = [env.clip_index for env in envs]
-        self.clips = [env.clip for env in envs]
+        self.clip_index = np.array([env.clip_index for env in envs], dtype=np.int64)
+        self.pdim, self.obs_dim = proprio_dim(self.spec), track_obs_dim(self.spec)
         self.goal: np.ndarray | None = None  # next reference frames at self.t
 
     def observe(self) -> np.ndarray:
-        """``track_obs`` of every env."""
-        self.goal = mo.goal_frames(self.clips, self.t)
-        coords = self.world.coords
-        return np.concatenate([proprio_rows(*coords), mo.goal_rows(self.goal, *coords)], axis=1)
+        """``track_obs`` of every env, written into one (E, obs_dim) array."""
+        self.goal = mo.goal_frames(self.library, self.clip_index, self.t)
+        root_pos, q, root_vel, qd = self.world.coords
+        cs = np.cos(q[:, 0]), np.sin(q[:, 0])
+        obs = np.empty((len(q), self.obs_dim))
+        proprio_rows(root_pos, q, root_vel, qd, cs=cs, out=obs[:, : self.pdim])
+        mo.goal_rows(self.goal, root_pos, q, root_vel, qd, cs=cs, out=obs[:, self.pdim :])
+        return obs
 
     def ref_base(self) -> np.ndarray:
         """``TrackingEnv.ref_base`` of every env."""
         if self.goal is None:
-            self.goal = mo.goal_frames(self.clips, self.t)
+            self.goal = mo.goal_frames(self.library, self.clip_index, self.t)
         return self.goal[:, 3 : 3 + self.spec.n_joints]
 
     def step(self, targets: np.ndarray):
         """Advance every env one control step with (E, n_joints) PD targets.
 
-        Returns (obs, reward, done, info) with one row or entry per env;
-        finished envs are reset and ``obs`` is their first observation.
+        Returns (obs, reward, done, info) with one row per env; finished
+        envs are reset and ``obs`` is their first observation.  The info
+        rows describe the stepped states, before any reset; ``idle_fw``
+        marks envs on an idle or footwork clip.
         """
-        spec, phys, w = self.spec, self.phys, self.world
+        spec, phys, w, lib, ci = self.spec, self.phys, self.world, self.library, self.clip_index
         if targets.shape != (len(w), spec.n_joints):
             raise ValueError(f"expected ({len(w)}, {spec.n_joints}) targets, got {targets.shape}")
         self.world, report = ph.step_batch(w, spec, phys.dt, phys, pd_targets=targets)
@@ -573,38 +601,50 @@ class EnvBatch:
         energy = np.maximum(energy_penalty(report.torques, w.qd[:, 1:]), self.energy_floor)
         self.t = self.t + phys.dt
 
-        ref = mo.split_frames(mo.sample_frames(self.clips, self.t))
+        ref = mo.split_frames(mo.sample_frames(lib, ci, self.t))
         sim = report.kin
         imit, e_p = imitation_rows(spec, sim, self.world.coords, ph.Kinematics(spec, *ref), ref)
         fell = ph.fallen(self.world.valid, sim, spec, phys)
         diverged = ~self.world.valid | (e_p > self.e_div)
-        rate = np.array([c.frame_rate for c in self.clips])
-        duration = np.array([c.n_frames for c in self.clips]) / rate
-        clip_end = self.t + phys.dt > duration - 1.0 / rate
+        clip_end = self.t + phys.dt > lib.duration[ci] - 1.0 / lib.frame_rate[ci]
         done = fell | diverged | clip_end
         info = {
             "imitation": imit,
             "energy": energy,
             "site_error": e_p,
-            "family": [c.family for c in self.clips],
+            "idle_fw": lib.idle_fw[ci],
             "fell": fell,
             "diverged": diverged,
             "clip_end": clip_end,
         }
-        for i in np.flatnonzero(done):
-            ci, state, t = self.envs[i].draw_start()
-            self.world.put(i, state)
-            self.t[i] = t
-            self.clip_index[i] = ci
-            self.clips[i] = self.envs[i].clips[ci]
+        rows = np.flatnonzero(done)
+        if len(rows):
+            self._reset(rows)
         return self.observe(), imit + energy, done, info
+
+    def _reset(self, rows: np.ndarray) -> None:
+        """Restart ``rows`` at a (clip index, frame) each env draws: the
+        frames go straight into the World rows, valid and without friction
+        anchors, as ``World.put`` of ``MotionClip.frame_state`` writes them."""
+        lib, w = self.library, self.world
+        ci, frame = np.array([self.envs[i].draw_start() for i in rows]).T
+        t = frame / lib.frame_rate[ci]
+        w.root_pos[rows], w.q[rows], w.root_vel[rows], w.qd[rows] = mo.split_frames(
+            lib.frames[lib.offset[ci] + frame]
+        )
+        w.time[rows] = t
+        w.valid[rows] = True
+        w.anchor_x[rows] = 0.0
+        w.anchor_on[rows] = False
+        self.t[rows] = t
+        self.clip_index[rows] = ci
 
     def unpack(self) -> None:
         """Write the batch's states back into its envs."""
         for i, env in enumerate(self.envs):
             env.state = self.world.state(i)
             env.t = float(self.t[i])
-            env.clip_index = self.clip_index[i]
+            env.clip_index = int(self.clip_index[i])
 
 
 def _collect_chunk(
@@ -626,7 +666,7 @@ def _collect_chunk(
     log_probs = np.zeros((horizon, n_env))
     dones = np.zeros((horizon, n_env))
     imitation = np.zeros((horizon, n_env))
-    idle_fw = np.zeros((horizon, n_env))
+    idle_fw = np.zeros((horizon, n_env), dtype=bool)
     for t in range(horizon):
         a, lp = policy.sample_rows(policy_params, cur, rngs)
         o2, r, d, info = batch.step(action_to_targets(a, batch.ref_base()))
@@ -636,7 +676,7 @@ def _collect_chunk(
         log_probs[t] = lp
         dones[t] = d
         imitation[t] = info["imitation"]
-        idle_fw[t] = [f in ("idle", "footwork") for f in info["family"]]
+        idle_fw[t] = info["idle_fw"]
         cur = o2
     batch.unpack()
     # one (horizon, obs_dim) slice per env keeps values worker-count invariant
@@ -848,7 +888,7 @@ def train_tracking(
             buf.flat(), cfg, upd_rng,
         )
         ts.update = u + 1
-        ifw = buf.idle_footwork > 0.0
+        ifw = buf.idle_footwork
         ep_steps = buf.rewards.size / max(buf.dones.sum(), 1.0)
         row = {
             "update": u,

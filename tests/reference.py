@@ -11,6 +11,13 @@ The clip generator and clip writer work on rows too.  ``leg_ik``,
 ``generate_clip`` and ``clip_text`` are their one-frame-at-a-time and
 one-value-at-a-time forms, which the row versions must equal byte for
 byte.
+
+Batched rollouts gather reference frames from one ``motion.ClipLibrary``
+array and write observations into one buffer.  ``sample_frames`` and
+``goal_frames`` are the gathers over a Python list of clips, one clip per
+env, and ``observation`` concatenates the observation from its pieces,
+with ``wrap_angle`` and ``to_local`` in their ``np.mod`` and ``np.stack``
+forms; the package must equal them bit for bit.
 """
 import math
 
@@ -142,3 +149,67 @@ def clip_text(clip):
     for row in clip.frames:
         lines.append(" ".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def wrap_angle(a):
+    """Wrap angle(s) to (-pi, pi] through ``np.mod`` and ``np.where``."""
+    w = np.mod(np.asarray(a, dtype=np.float64) + math.pi, 2.0 * math.pi)
+    w = np.where(w <= 0.0, w + 2.0 * math.pi, w) - math.pi
+    return float(w) if np.ndim(a) == 0 else w
+
+
+def to_local(angle, v):
+    """Vectors ``v`` (..., 2) rotated by ``-angle``, stacked from their parts."""
+    c, s = np.cos(angle), np.sin(angle)
+    return np.stack([c * v[..., 0] + s * v[..., 1], c * v[..., 1] - s * v[..., 0]], axis=-1)
+
+
+def goal_index(clips, t):
+    """Per env, the index of the next reference frame of ``clips[e]`` after
+    ``t[e]``, clamped; raises ValueError for a time outside the clip."""
+    rate = np.array([c.frame_rate for c in clips])
+    n = np.array([c.n_frames for c in clips])
+    duration = n / rate
+    bad = (t < -1e-9) | (t > duration + 1e-9)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"t={t[i]} outside clip duration {duration[i]}")
+    return np.minimum(np.floor(t * rate + 1.0 + 1e-9).astype(int), n - 1)
+
+
+def goal_frames(clips, t):
+    """Next reference frame of every env: env e follows clips[e] at t[e]."""
+    return np.stack([c.frames[i] for c, i in zip(clips, goal_index(clips, t))])
+
+
+def sample_frames(clips, t):
+    """Interpolated reference frame of every env: env e follows clips[e]
+    at t[e], clamped to the clip."""
+    rate = np.array([c.frame_rate for c in clips])
+    n = np.array([c.n_frames for c in clips])
+    f = np.minimum(np.maximum(t, 0.0), n / rate) * rate
+    i0 = np.minimum(f.astype(int), n - 1)
+    i1 = np.minimum(i0 + 1, n - 1)
+    a = (f - i0)[:, None]
+    p0 = np.stack([c.frames[i] for c, i in zip(clips, i0)])
+    p1 = np.stack([c.frames[i] for c, i in zip(clips, i1)])
+    out = (1 - a) * p0 + a * p1
+    ang = slice(2, 3 + clips[0].n_joints)
+    out[:, ang] = p0[:, ang] + a * wrap_angle(p1[:, ang] - p0[:, ang])
+    return out
+
+
+def observation(goal, root_pos, q, root_vel, qd):
+    """Tracking observation of every env: proprioception, then the goal
+    against the next reference frames ``goal``, each concatenated from its
+    parts."""
+    ref_pos, ref_q, ref_vel, ref_qd = mo.split_frames(goal)
+    a = q[:, :1]
+    proprio = [root_pos[:, 1:], np.sin(a), np.cos(a), wrap_angle(q[:, 1:]),
+               to_local(q[:, 0], root_vel), qd]
+    d_root = wrap_angle(ref_q[:, :1] - q[:, :1])
+    d_pos = to_local(q[:, 0], ref_pos - root_pos)
+    goal_part = [d_root, wrap_angle(ref_q[:, 1:] - q[:, 1:]), d_pos,
+                 to_local(q[:, 0], ref_vel - root_vel), ref_qd - qd,
+                 d_root, wrap_angle(ref_q[:, 1:]), d_pos]
+    return np.concatenate(proprio + goal_part, axis=1)

@@ -202,6 +202,77 @@ class TestGoal:
         assert clip.goal_frame_index(clip.duration - 1e-6) == clip.n_frames - 1
 
 
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.fixture(scope="module")
+def default_clips():
+    return mo.generate_library()
+
+
+class TestClipLibrary:
+    def times(self, clips, ci, rng):
+        """Seeded times on clips ``ci``: uniform inside each clip, exactly 0,
+        exactly each clip's duration, and a few past either end."""
+        dur = np.array([c.duration for c in clips])[ci]
+        t = rng.uniform(0.0, dur)
+        t[::7], t[1::7] = 0.0, dur[1::7]
+        return t, dur
+
+    def test_sample_frames_equal_the_list_oracle(self, default_clips):
+        clips, rng = default_clips, np.random.default_rng(13)
+        lib = mo.ClipLibrary.of(clips)
+        ci = np.concatenate([np.arange(len(clips)), rng.integers(len(clips), size=400)])
+        t, dur = self.times(clips, ci, rng)
+        t[2::7] = -rng.uniform(0.0, 1.0, len(t[2::7]))
+        t[3::7] = dur[3::7] + rng.uniform(0.0, 1.0, len(t[3::7]))
+        want = reference.sample_frames([clips[i] for i in ci], t)
+        assert bits(mo.sample_frames(lib, ci, t)) == bits(want)
+
+    def test_goal_frames_equal_the_list_oracle(self, default_clips):
+        clips, rng = default_clips, np.random.default_rng(14)
+        lib = mo.ClipLibrary.of(clips)
+        ci = np.concatenate([np.arange(len(clips)), rng.integers(len(clips), size=400)])
+        t, dur = self.times(clips, ci, rng)
+        want = reference.goal_frames([clips[i] for i in ci], t)
+        assert bits(mo.goal_frames(lib, ci, t)) == bits(want)
+        for bad in (-0.5, 1.0):
+            t_bad = t.copy()
+            t_bad[5] = -0.5 if bad < 0 else dur[5] + bad
+            with pytest.raises(ValueError, match="outside clip duration"):
+                mo.goal_frames(lib, ci, t_bad)
+            with pytest.raises(ValueError, match="outside clip duration"):
+                reference.goal_frames([clips[i] for i in ci], t_bad)
+
+    def test_one_array_with_clip_views(self):
+        clips = [make("idle", 1, 3.0), make("kick", 2, 4.0), make("jab", 3, 2.0)]
+        before = [bits(c.frames) for c in clips]
+        lib = mo.ClipLibrary(clips)
+        assert lib.frames.shape == (sum(c.n_frames for c in clips), clips[0].frames.shape[1])
+        assert list(lib.offset) == [0, clips[0].n_frames, clips[0].n_frames + clips[1].n_frames]
+        assert list(lib.idle_fw) == [True, False, False]
+        for c, b in zip(clips, before):
+            assert bits(c.frames) == b
+            assert np.shares_memory(c.frames, lib.frames) and np.shares_memory(c.joints, lib.frames)
+
+    def test_of_builds_one_library_per_clip_list(self):
+        clips = [make("idle", 1, 3.0), make("jab", 3, 2.0)]
+        lib = mo.ClipLibrary.of(clips)
+        assert mo.ClipLibrary.of(list(clips)) is lib
+        assert mo.ClipLibrary.of(clips[::-1]) is not lib
+
+    def test_clip_methods_go_through_the_library(self, monkeypatch):
+        clip = make("hook", 6, 3.0)
+        calls = []
+        for name in ("sample_frames", "_goal_index"):
+            fn = getattr(mo, name)
+            monkeypatch.setattr(mo, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        clip.sample(1.0)
+        clip.goal_frame_index(1.0)
+        assert calls == ["sample_frames", "_goal_index"]
+
+
 class TestClipIO:
     def test_roundtrip(self, tmp_path):
         clip = make("hook", 6)

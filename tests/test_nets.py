@@ -449,6 +449,55 @@ class TestCheckpoint:
         loaded = nets.adam_state_load(tmp_path / "adam.txt")
         assert loaded.m.tobytes() == state.m.tobytes() and loaded.v.tobytes() == state.v.tobytes()
 
+    def test_readers_stream_the_values(self, tmp_path):
+        """Loading a 100k-value checkpoint or Adam state holds no list of
+        the file's lines: the traced peak stays under twice the bytes of
+        the arrays loaded."""
+        import tracemalloc
+
+        spec = nets.MlpSpec(98, (1000,), 1)
+        values = np.random.default_rng(3).standard_normal(spec.param_count())
+        nets.save_checkpoint(tmp_path / "big.ckpt", "big", spec, values)
+        nets.adam_state_save(tmp_path / "big.txt", nets.AdamState(values, -values, 3, 1e-3))
+        for load, path in ((nets.load_checkpoint, "big.ckpt"), (nets.adam_state_load, "big.txt")):
+            tracemalloc.start()
+            try:
+                load(tmp_path / path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert values.size >= 100_000 and peak < 2 * values.nbytes * (1 + path.endswith(".txt"))
+
+    def test_streamed_readers_round_trip_exactly(self, tmp_path):
+        spec = nets.MlpSpec(3, (2,), 2)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e16, -1e16,
+                   1e-5, -1e-5, 0.1, 1 / 3, 1e308, -2.5e-310, 7.0]
+        values = np.array(special[: spec.param_count()])
+        assert values.size == spec.param_count()
+        nets.save_checkpoint(tmp_path / "x.ckpt", "x", spec, values)
+        assert nets.load_checkpoint(tmp_path / "x.ckpt")[2].tobytes() == values.tobytes()
+        state = nets.AdamState(values, values[::-1].copy(), 2, 0.01)
+        nets.adam_state_save(tmp_path / "a.txt", state)
+        loaded = nets.adam_state_load(tmp_path / "a.txt")
+        assert loaded.m.tobytes() == state.m.tobytes() and loaded.v.tobytes() == state.v.tobytes()
+        # Windows line ends read the same
+        for name in ("x.ckpt", "a.txt"):
+            p = tmp_path / name
+            p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n"))
+        assert nets.load_checkpoint(tmp_path / "x.ckpt")[2].tobytes() == values.tobytes()
+        assert nets.adam_state_load(tmp_path / "a.txt").v.tobytes() == state.v.tobytes()
+
+    def test_truncated_values_name_the_file(self, tmp_path):
+        spec = nets.MlpSpec(2, (), 1)
+        nets.save_checkpoint(tmp_path / "x.ckpt", "x", spec, np.ones(spec.param_count()))
+        nets.adam_state_save(tmp_path / "a.txt", nets.adam_init(3, lr=0.05))
+        for name, load, count in (("x.ckpt", nets.load_checkpoint, spec.param_count()),
+                                  ("a.txt", nets.adam_state_load, 6)):
+            path = tmp_path / name
+            path.write_text("\n".join(path.read_text().splitlines()[:-2]) + "\n")
+            with pytest.raises(ValueError, match=f"{name}: expected {count} values"):
+                load(path)
+
     def test_extra_tail(self, tmp_path):
         spec = nets.MlpSpec(2, (), 2)
         values = np.arange(spec.param_count() + 2, dtype=np.float64)

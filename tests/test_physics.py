@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from reference import kinetic_energy, link_endpoints, rot, step
 from slmp import physics as ph
 
@@ -429,3 +430,23 @@ def test_wrap_angle():
     assert ph.wrap_angle(3 * math.pi / 2) == pytest.approx(-math.pi / 2)
     arr = ph.wrap_angle(np.array([0.0, 2 * math.pi, -2 * math.pi]))
     assert np.allclose(arr, 0.0)
+
+
+def test_wrap_angle_bits_equal_the_mod_form():
+    """``fmod`` plus the fix-up gives the bits of ``np.mod`` plus the same
+    fix-up: at multiples of pi, one ulp either side of them, signed zeros,
+    tiny and huge magnitudes, nan, and when written into ``out``."""
+    rng = np.random.default_rng(21)
+    k = np.arange(-400, 401)
+    x = np.concatenate([
+        rng.uniform(-50.0, 50.0, 20000), k * math.pi, (2 * k + 1) * math.pi, k * 2 * math.pi,
+        [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e16, -1e16, 1e300, -1e300, np.nan],
+    ])
+    x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
+    want = reference.wrap_angle(x).tobytes()
+    assert ph.wrap_angle(x).tobytes() == want
+    out = np.zeros((x.size, 3))
+    assert ph.wrap_angle(x, out=out[:, 1]) is not None and out[:, 1].tobytes() == want
+    scalars = [ph.wrap_angle(float(v)) for v in x[-2000:]]
+    assert all(type(w) is float for w in scalars)
+    assert np.array(scalars).tobytes() == reference.wrap_angle(x[-2000:]).tobytes()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from reference import watch_kinematics
 from slmp import motion as mo
 from slmp import nets
@@ -544,6 +545,67 @@ class TestTraining:
         monkeypatch.setattr(ph, "pd_rows", counted)
         batch.step(batch.ref_base())
         assert len(calls) == CFG.substeps
+
+    def test_step_reads_no_motion_clip(self, monkeypatch):
+        """Reference frames, goals, clip ends and resets are library
+        gathers: a step, one with a reset included, reads no attribute of
+        any MotionClip."""
+        clips = _small_env().clips
+        batch = tr.EnvBatch([tr.TrackingEnv(clips, SPEC, CFG, rng=np.random.default_rng(seed))
+                             for seed in range(4)])
+        batch.world.root_pos[2, 0] += 5.0  # diverges, so the first step resets env 2
+        reads = []
+        get = mo.MotionClip.__getattribute__
+
+        def reading(clip, name):
+            reads.append(name)
+            return get(clip, name)
+
+        monkeypatch.setattr(mo.MotionClip, "__getattribute__", reading)
+        for k in range(3):
+            _, _, done, _ = batch.step(batch.ref_base())
+            if k == 0:
+                assert done[2]
+        assert reads == []
+
+    def test_reset_writes_the_drawn_frame(self):
+        """A reset env's World row is ``World.put`` of the drawn frame's
+        ``frame_state``, and its time and clip index follow the draw."""
+        env = _small_env(seed=4)
+        draw = np.random.default_rng(4)
+        draw.bit_generator.state = env.rng.bit_generator.state
+        env.state.root_pos = env.state.root_pos + np.array([5.0, 0.0])
+        batch = tr.EnvBatch([env])
+        _, _, done, _ = batch.step(batch.ref_base())
+        assert done[0]
+        ci = int(draw.integers(len(env.clips)))
+        frame = int(draw.integers(env.clips[ci].n_frames - 1))
+        want = ph.World.of([env.clips[ci].frame_state(frame)], SPEC)
+        for f in ("root_pos", "q", "root_vel", "qd", "time", "valid", "anchor_x", "anchor_on"):
+            assert getattr(batch.world, f).tobytes() == getattr(want, f).tobytes(), f
+        assert batch.t[0] == frame / env.clips[ci].frame_rate and batch.clip_index[0] == ci
+
+    def test_observe_equals_the_concatenated_pieces(self):
+        clips = _small_env().clips
+        batch = tr.EnvBatch([tr.TrackingEnv(clips, SPEC, CFG, rng=np.random.default_rng(seed))
+                             for seed in range(6)])
+        rng = np.random.default_rng(5)
+        w = batch.world
+        w.q += rng.uniform(-4.0, 4.0, w.q.shape)  # angles past pi on both sides
+        w.root_vel += rng.uniform(-1.0, 1.0, w.root_vel.shape)
+        w.qd += rng.uniform(-3.0, 3.0, w.qd.shape)
+        obs = batch.observe()
+        want = reference.observation(batch.goal, *w.coords)
+        assert obs.shape == (6, tr.track_obs_dim(SPEC)) and obs.tobytes() == want.tobytes()
+
+    def test_sample_rows_draws_each_generators_stream(self):
+        policy = tr.GaussianPolicy(nets.MlpSpec(tr.track_obs_dim(SPEC), (8,), 8))
+        params = policy.init(np.random.default_rng(1), 0.3)
+        obs = np.random.default_rng(2).standard_normal((5, tr.track_obs_dim(SPEC)))
+        act, _ = policy.sample_rows(params, obs, [np.random.default_rng(s) for s in range(5)])
+        noise = np.stack([np.random.default_rng(s).standard_normal(8) for s in range(5)])
+        want = policy.mean_rows(params, obs) + np.exp(policy.split(params)[1]) * noise
+        assert act.tobytes() == want.tobytes()
 
     def test_caller_config_not_mutated(self, tmp_path):
         clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
