@@ -482,10 +482,10 @@ def train_slmp(
     n = build_distill_nets(gdim, pdim, spec.n_joints, cfg, seed)
     phase = Phase(window=cfg.window, plateau_tol=cfg.plateau_tol)
     ring = _Ring(cfg.capacity, (pdim, gdim, spec.n_joints))
-    envs = tr.EnvBatch([
-        tr.TrackingEnv(clips, spec, phys, cfg.e_div, np.random.default_rng(seed_for(seed, f"denv-{i}")))
-        for i in range(cfg.envs)
-    ])
+    envs = tr.EnvBatch(
+        clips, spec, phys,
+        [np.random.default_rng(seed_for(seed, f"denv-{i}")) for i in range(cfg.envs)], cfg.e_div,
+    )
 
     metrics_path = out / "metrics.csv"
     metrics_path.write_text(",".join(DISTILL_METRICS) + "\n")

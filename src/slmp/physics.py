@@ -427,16 +427,26 @@ class World:
     anchor_on: np.ndarray  # (E, n_sites) bool
 
     @classmethod
-    def of(cls, states: list[SimState], spec: CharacterSpec) -> "World":
-        n, ns = len(states), len(spec.sites)
-        w = cls(
+    def zeros(cls, n: int, spec: CharacterSpec) -> "World":
+        """``n`` valid characters with every coordinate and rate at zero."""
+        ns = len(spec.sites)
+        return cls(
             np.zeros((n, 2)), np.zeros((n, spec.ndof)), np.zeros((n, 2)),
             np.zeros((n, spec.ndof)), np.zeros(n), np.ones(n, dtype=bool),
             np.zeros((n, ns)), np.zeros((n, ns), dtype=bool),
         )
+
+    @classmethod
+    def of(cls, states: list[SimState], spec: CharacterSpec) -> "World":
+        w = cls.zeros(len(states), spec)
         for i, s in enumerate(states):
             w.put(i, s)
         return w
+
+    @classmethod
+    def join(cls, worlds: list["World"]) -> "World":
+        """The rows of ``worlds`` as one World, in list order."""
+        return cls(*(np.concatenate([getattr(w, f.name) for w in worlds]) for f in fields(cls)))
 
     def __len__(self) -> int:
         return self.q.shape[0]

@@ -6,18 +6,16 @@ pose (tanh-squashed to +-pi/2).  Reward is exponential pose/velocity
 matching plus an energy penalty.  Episodes use reference-state
 initialization and reset on falls, clip ends, or tracking divergence.
 
-``EnvBatch`` steps its envs as rows of one ``physics.World`` and keeps
-their clips as an int ``clip_index`` into the shared
-``motion.ClipLibrary``.  Everything a step needs from the clips is a
-gather of library rows by that index: reference and goal frames, rates
-and durations for clip ends, the idle/footwork flag, and the start
-frames of resets, which go straight into the World rows.  A step reads
-no ``MotionClip``; each env's generator still draws its resets in order.
+``EnvBatch`` is the one owner of rollout state in every stage: the World
+rows, clip times, clip indices into the shared ``motion.ClipLibrary``
+and one reset generator per env.  A run builds one batch and steps it to
+the end; a step gathers what it needs from library rows, so it reads no
+``MotionClip``.  ``TrackingEnv`` is a one-env batch.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -413,102 +411,6 @@ def ppo_update(
 # --- environment --------------------------------------------------------
 
 
-class TrackingEnv:
-    """One simulated character following one reference clip at a time.
-
-    ``clips`` is a plain clip list; the env reads it through the shared
-    ``motion.ClipLibrary`` of that list.  ``step`` is ``EnvBatch.step``
-    for a batch of this one env; rollout collection steps many envs as
-    one batch.
-    """
-
-    def __init__(
-        self,
-        clips: list[mo.MotionClip],
-        spec: ph.CharacterSpec,
-        phys: ph.PhysicsConfig,
-        e_div: float = 0.5,
-        rng: np.random.Generator | None = None,
-        energy_floor: float = -5.0,
-    ):
-        self.clips = clips
-        self.library = mo.ClipLibrary.of(clips)
-        self.spec = spec
-        self.phys = phys
-        self.e_div = e_div
-        self.energy_floor = energy_floor
-        self.rng = rng or np.random.default_rng(0)
-        self.clip_index = 0
-        self.state: ph.SimState | None = None
-        self.t = 0.0
-        self.reset()
-
-    @property
-    def clip(self) -> mo.MotionClip:
-        return self.clips[self.clip_index]
-
-    def draw_start(self) -> tuple[int, int]:
-        """Reference-state initialization at a random clip frame: (clip
-        index, frame), drawn from ``self.rng``."""
-        clip_index = int(self.rng.integers(len(self.library)))
-        return clip_index, int(self.rng.integers(self.library.n_frames[clip_index] - 1))
-
-    def reset(self) -> None:
-        self.clip_index, frame = self.draw_start()
-        self.state = self.clip.frame_state(frame)
-        self.t = self.state.time
-
-    def ref_base(self) -> np.ndarray:
-        """Next-frame reference joint pose: the residual action base."""
-        return self.clip.joints[self.clip.goal_frame_index(self.t)]
-
-    def step(self, targets: np.ndarray):
-        """Advance one control step with absolute PD targets.
-
-        Returns (obs, reward, done, info).
-        """
-        batch = EnvBatch([self])
-        obs, reward, done, info = batch.step(np.asarray(targets, dtype=np.float64)[None])
-        batch.unpack()
-        info = {k: v[0].item() for k, v in info.items()}
-        return obs[0], float(reward[0]), bool(done[0]), info
-
-    # resume support: the env state is part of the training state
-    def snapshot(self) -> dict:
-        s = self.state
-        vals = np.concatenate(
-            [
-                s.root_pos, [s.root_angle], s.joint_angles,
-                s.root_vel, [s.root_ang_vel], s.joint_vels,
-                [self.t, float(self.clip_index)],
-                s.anchor_x if s.anchor_x is not None else np.zeros(len(self.spec.sites)),
-                (s.anchor_on if s.anchor_on is not None else np.zeros(len(self.spec.sites))).astype(float),
-            ]
-        )
-        return {"values": vals}
-
-    def restore(self, snap: dict) -> None:
-        v = snap["values"]
-        nj = self.spec.n_joints
-        ns = len(self.spec.sites)
-        i = 0
-        root_pos = v[i : i + 2]; i += 2
-        root_angle = v[i]; i += 1
-        joints = v[i : i + nj]; i += nj
-        root_vel = v[i : i + 2]; i += 2
-        root_ang_vel = v[i]; i += 1
-        joint_vels = v[i : i + nj]; i += nj
-        self.t = v[i]; i += 1
-        self.clip_index = int(v[i]); i += 1
-        anchor_x = v[i : i + ns]; i += ns
-        anchor_on = v[i : i + ns].astype(bool); i += ns
-        self.state = ph.SimState(
-            root_pos.copy(), float(root_angle), joints.copy(), root_vel.copy(),
-            float(root_ang_vel), joint_vels.copy(), time=self.t,
-            anchor_x=anchor_x.copy(), anchor_on=anchor_on,
-        )
-
-
 @dataclass
 class RolloutBuffer:
     """Per-step arrays shaped (T, E, ...); advantages filled by gae()."""
@@ -538,12 +440,25 @@ class RolloutBuffer:
         )
 
 
-class EnvBatch:
-    """TrackingEnvs stepped in lock-step as one ``physics.World``.
+def _draw_start(library: mo.ClipLibrary, rng: np.random.Generator) -> tuple[int, int]:
+    """Reference-state initialization at a random clip frame: (clip index,
+    frame), drawn from ``rng``."""
+    clip_index = int(rng.integers(len(library)))
+    return clip_index, int(rng.integers(library.n_frames[clip_index] - 1))
 
-    The envs must share their clip library, character and physics.  Their
-    states live in the batch as (E, ...) arrays until ``unpack`` writes
-    them back: the World, the clip time ``t`` and the int ``clip_index``.
+
+class EnvBatch:
+    """Tracking envs stepped in lock-step as rows of one ``physics.World``.
+
+    The batch is the one owner of their rollout state: the World rows,
+    the clip time ``t``, the int ``clip_index`` into the shared
+    ``motion.ClipLibrary`` of ``clips``, and ``rngs``, one generator per
+    env for its reset draws.  A run builds one batch and steps it to the
+    end; the tracking checkpoint saves its rows.  Env i starts at frame
+    ``starts[i] = (clip index, frame)``, or at a start it draws from
+    ``rngs[i]``, in env order.  All envs share one divergence bound
+    ``e_div`` and one ``energy_floor``.
+
     Reference frames, goals, clip ends and resets are gathers of library
     rows by ``clip_index``, so a step reads no ``MotionClip``.  Each row's
     arithmetic is independent of E (see the physics module notes), and
@@ -553,21 +468,61 @@ class EnvBatch:
     two envs share a generator.
     """
 
-    def __init__(self, envs: list[TrackingEnv]):
-        first = envs[0]
-        for env in envs[1:]:
-            if env.spec != first.spec or env.phys != first.phys or env.library is not first.library:
-                raise ValueError("batched envs must share clips, character and physics")
-        self.envs = envs
-        self.library = first.library
-        self.spec, self.phys = first.spec, first.phys
-        self.e_div = np.array([env.e_div for env in envs])
-        self.energy_floor = np.array([env.energy_floor for env in envs])
-        self.world = ph.World.of([env.state for env in envs], self.spec)
-        self.t = np.array([env.t for env in envs], dtype=np.float64)
-        self.clip_index = np.array([env.clip_index for env in envs], dtype=np.int64)
-        self.pdim, self.obs_dim = proprio_dim(self.spec), track_obs_dim(self.spec)
+    def __init__(
+        self,
+        clips: list[mo.MotionClip],
+        spec: ph.CharacterSpec,
+        phys: ph.PhysicsConfig,
+        rngs: list[np.random.Generator],
+        e_div: float = 0.5,
+        energy_floor: float = -5.0,
+        starts: list[tuple[int, int]] | None = None,
+    ):
+        self.library = mo.ClipLibrary.of(clips)
+        self.spec, self.phys = spec, phys
+        self.e_div, self.energy_floor = e_div, energy_floor
+        self.rngs = list(rngs)
+        self.pdim, self.obs_dim = proprio_dim(spec), track_obs_dim(spec)
         self.goal: np.ndarray | None = None  # next reference frames at self.t
+        n = len(self.rngs)
+        self.world = ph.World.zeros(n, spec)
+        self.t = np.zeros(n)
+        self.clip_index = np.zeros(n, dtype=np.int64)
+        if starts is None:
+            starts = [_draw_start(self.library, rng) for rng in self.rngs]
+        self._start(np.arange(n), *np.array(starts, dtype=np.int64).reshape(n, 2).T)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def rows(self, keep: np.ndarray) -> "EnvBatch":
+        """The envs at indices ``keep`` as a batch of their own: copies of
+        their rows, with the same generators."""
+        return self._holding(
+            self.world.rows(keep), self.t[keep], self.clip_index[keep], [self.rngs[i] for i in keep]
+        )
+
+    @staticmethod
+    def join(batches: list["EnvBatch"]) -> "EnvBatch":
+        """The rows of ``batches`` as one new batch, in list order."""
+        first = batches[0]
+        for b in batches[1:]:
+            if (b.library is not first.library or b.spec != first.spec or b.phys != first.phys
+                    or (b.e_div, b.energy_floor) != (first.e_div, first.energy_floor)):
+                raise ValueError("joined envs must share clips, character, physics and bounds")
+        return first._holding(
+            ph.World.join([b.world for b in batches]),
+            np.concatenate([b.t for b in batches]),
+            np.concatenate([b.clip_index for b in batches]),
+            [rng for b in batches for rng in b.rngs],
+        )
+
+    def _holding(self, world, t, clip_index, rngs) -> "EnvBatch":
+        """An ``EnvBatch`` with this batch's clips, character, physics and
+        bounds that holds the given rows."""
+        out = object.__new__(EnvBatch)
+        vars(out).update(vars(self), world=world, t=t, clip_index=clip_index, rngs=rngs, goal=None)
+        return out
 
     def observe(self) -> np.ndarray:
         """``track_obs`` of every env, written into one (E, obs_dim) array."""
@@ -580,7 +535,8 @@ class EnvBatch:
         return obs
 
     def ref_base(self) -> np.ndarray:
-        """``TrackingEnv.ref_base`` of every env."""
+        """Next-frame reference joint pose of every env: the residual
+        action base."""
         if self.goal is None:
             self.goal = mo.goal_frames(self.library, self.clip_index, self.t)
         return self.goal[:, 3 : 3 + self.spec.n_joints]
@@ -619,45 +575,65 @@ class EnvBatch:
         }
         rows = np.flatnonzero(done)
         if len(rows):
-            self._reset(rows)
+            self._start(rows, *np.array([_draw_start(lib, self.rngs[i]) for i in rows]).T)
         return self.observe(), imit + energy, done, info
 
-    def _reset(self, rows: np.ndarray) -> None:
-        """Restart ``rows`` at a (clip index, frame) each env draws: the
-        frames go straight into the World rows, valid and without friction
+    def _start(self, rows: np.ndarray, clip_index: np.ndarray, frame: np.ndarray) -> None:
+        """Put ``rows`` at frame ``frame`` of clip ``clip_index``: the frames
+        go straight into the World rows, valid and without friction
         anchors, as ``World.put`` of ``MotionClip.frame_state`` writes them."""
         lib, w = self.library, self.world
-        ci, frame = np.array([self.envs[i].draw_start() for i in rows]).T
-        t = frame / lib.frame_rate[ci]
+        t = frame / lib.frame_rate[clip_index]
         w.root_pos[rows], w.q[rows], w.root_vel[rows], w.qd[rows] = mo.split_frames(
-            lib.frames[lib.offset[ci] + frame]
+            lib.frames[lib.offset[clip_index] + frame]
         )
         w.time[rows] = t
         w.valid[rows] = True
         w.anchor_x[rows] = 0.0
         w.anchor_on[rows] = False
         self.t[rows] = t
-        self.clip_index[rows] = ci
+        self.clip_index[rows] = clip_index
 
-    def unpack(self) -> None:
-        """Write the batch's states back into its envs."""
-        for i, env in enumerate(self.envs):
-            env.state = self.world.state(i)
-            env.t = float(self.t[i])
-            env.clip_index = int(self.clip_index[i])
+
+class TrackingEnv(EnvBatch):
+    """A one-env ``EnvBatch`` at a start drawn from ``rng``, for callers
+    that build envs one at a time.  Its ``step`` returns row 0 as scalars,
+    and ``collect_rollouts`` joins a list of them into one batch."""
+
+    def __init__(
+        self,
+        clips: list[mo.MotionClip],
+        spec: ph.CharacterSpec,
+        phys: ph.PhysicsConfig,
+        e_div: float = 0.5,
+        rng: np.random.Generator | None = None,
+        energy_floor: float = -5.0,
+    ):
+        super().__init__(clips, spec, phys, [rng or np.random.default_rng(0)], e_div, energy_floor)
+
+    @property
+    def rng(self) -> np.random.Generator:
+        return self.rngs[0]
+
+    def step(self, targets: np.ndarray):
+        """Advance one control step with absolute (n_joints,) PD targets.
+
+        Returns (obs, reward, done, info).
+        """
+        obs, reward, done, info = super().step(np.asarray(targets, dtype=np.float64)[None])
+        return obs[0], float(reward[0]), bool(done[0]), {k: v[0].item() for k, v in info.items()}
 
 
 def _collect_chunk(
-    envs: list[TrackingEnv],
+    batch: EnvBatch,
     policy: GaussianPolicy,
     policy_params: np.ndarray,
     value_spec: nets.MlpSpec,
     value_params: np.ndarray,
     horizon: int,
     rngs: list[np.random.Generator],
-):
-    n_env = len(envs)
-    batch = EnvBatch(envs)
+) -> RolloutBuffer:
+    n_env = len(batch)
     cur = batch.observe()
     act_dim = policy.spec.output_dim
     obs = np.zeros((horizon, n_env, cur.shape[1]))
@@ -678,7 +654,6 @@ def _collect_chunk(
         imitation[t] = info["imitation"]
         idle_fw[t] = info["idle_fw"]
         cur = o2
-    batch.unpack()
     # one (horizon, obs_dim) slice per env keeps values worker-count invariant
     values = nets.forward_batch(value_spec, value_params, obs.transpose(1, 0, 2))[:, :, 0].T.copy()
     bootstrap = nets.forward_batch(value_spec, value_params, cur[:, None, :])[:, 0, 0]
@@ -687,8 +662,15 @@ def _collect_chunk(
     )
 
 
+def _collect_part(part: EnvBatch, *args):
+    """A worker's share of ``collect_rollouts``: the buffer of ``part`` and
+    its advanced rows and generators, without the clip library."""
+    buf = _collect_chunk(part, *args)
+    return buf, (part.world, part.t, part.clip_index, part.rngs)
+
+
 def collect_rollouts(
-    envs: list[TrackingEnv],
+    envs: EnvBatch | list[TrackingEnv],
     policy: GaussianPolicy,
     policy_params: np.ndarray,
     value_spec: nets.MlpSpec,
@@ -697,53 +679,37 @@ def collect_rollouts(
     rngs: list[np.random.Generator],
     workers: int = 1,
 ) -> RolloutBuffer:
-    """Collect fixed-horizon rollouts from every environment.
+    """Collect fixed-horizon rollouts from every env; env i draws its
+    action noise from ``rngs[i]``.
 
-    Workers split whole environments and results are merged in env-index
-    order, so the buffer is bit-identical for any worker count.
+    An ``EnvBatch`` owns the rollout state and advances in place.  A list
+    of ``TrackingEnv`` is joined into a new batch, so the listed envs keep
+    their rows; only their generators draw the resets.  With ``workers``
+    processes each collects a contiguous slice of rows and returns its
+    rows and generators, which go back into the batch through
+    ``EnvBatch.join``.  Buffers merge in env order, so the buffer and the
+    batch are bit-identical for any worker count.
     """
-    if workers <= 1 or len(envs) < 2:
-        return _collect_chunk(envs, policy, policy_params, value_spec, value_params, horizon, rngs)
+    batch = EnvBatch.join(envs) if isinstance(envs, list) else envs
+    args = (policy, policy_params, value_spec, value_params, horizon)
+    if workers <= 1 or len(batch) < 2:
+        return _collect_chunk(batch, *args, rngs)
     import multiprocessing as mp
 
-    chunks = np.array_split(np.arange(len(envs)), min(workers, len(envs)))
-    args = [
-        ([envs[i] for i in c], policy, policy_params, value_spec, value_params, horizon,
-         [rngs[i] for i in c])
-        for c in chunks if len(c)
-    ]
-    with mp.get_context("fork").Pool(len(args)) as pool:
-        results = pool.starmap(_collect_chunk_sync, args)
-    # merge buffers and push the advanced env states back into this process
-    bufs = []
-    for (buf, snaps), c in zip(results, chunks):
-        bufs.append(buf)
-        for i, snap in zip(c, snaps):
-            envs[i].restore(snap)
-            envs[i].clip_index = int(snap["clip_index"])
-            envs[i].rng = snap["rng"]
-    return RolloutBuffer(
-        np.concatenate([b.obs for b in bufs], axis=1),
-        np.concatenate([b.actions for b in bufs], axis=1),
-        np.concatenate([b.rewards for b in bufs], axis=1),
-        np.concatenate([b.values for b in bufs], axis=1),
-        np.concatenate([b.log_probs for b in bufs], axis=1),
-        np.concatenate([b.dones for b in bufs], axis=1),
-        np.concatenate([b.imitation for b in bufs], axis=1),
-        np.concatenate([b.idle_footwork for b in bufs], axis=1),
-        np.concatenate([b.bootstrap for b in bufs]),
-    )
-
-
-def _collect_chunk_sync(envs, policy, policy_params, value_spec, value_params, horizon, rngs):
-    buf = _collect_chunk(envs, policy, policy_params, value_spec, value_params, horizon, rngs)
-    snaps = []
-    for env in envs:
-        snap = env.snapshot()
-        snap["clip_index"] = env.clip_index
-        snap["rng"] = env.rng
-        snaps.append(snap)
-    return buf, snaps
+    chunks = np.array_split(np.arange(len(batch)), min(workers, len(batch)))
+    parts = [batch.rows(c) for c in chunks]
+    with mp.get_context("fork").Pool(len(parts)) as pool:
+        results = pool.starmap(
+            _collect_part, [(p, *args, [rngs[i] for i in c]) for p, c in zip(parts, chunks)]
+        )
+    for part, (_, rows) in zip(parts, results):
+        part.world, part.t, part.clip_index, part.rngs = rows
+    vars(batch).update(vars(EnvBatch.join(parts)))  # the batch takes the joined rows
+    bufs = [buf for buf, _ in results]
+    return RolloutBuffer(*(
+        np.concatenate([getattr(b, f.name) for b in bufs], axis=0 if f.name == "bootstrap" else 1)
+        for f in fields(RolloutBuffer) if f.name not in ("advantages", "returns")
+    ))
 
 
 # --- training loop ------------------------------------------------------
@@ -777,9 +743,11 @@ def build_networks(obs_dim: int, act_dim: int, cfg: PpoConfig, seed: int) -> Tra
     )
 
 
-def save_train_state(out: Path, ts: TrainState, envs: list[TrackingEnv]) -> None:
+def save_train_state(out: Path, ts: TrainState, envs: EnvBatch) -> None:
+    """Write the networks, their Adam states and ``envs.txt``: the update
+    count, the env count and one row per env of the batch,
+    ``[root_pos, q, root_vel, qd, t, clip_index, anchor_x, anchor_on]``."""
     out.mkdir(parents=True, exist_ok=True)
-    mlp, _ = ts.policy.split(ts.policy_params)
     nets.save_checkpoint(
         out / "pi_track.ckpt", "pi_track", ts.policy.spec, ts.policy_params,
         extra=ts.policy.spec.output_dim,
@@ -787,9 +755,12 @@ def save_train_state(out: Path, ts: TrainState, envs: list[TrackingEnv]) -> None
     nets.save_checkpoint(out / "critic.ckpt", "critic", ts.value_spec, ts.value_params)
     nets.adam_state_save(out / "adam_policy.txt", ts.policy_adam)
     nets.adam_state_save(out / "adam_value.txt", ts.value_adam)
+    w = envs.world
+    rows = np.column_stack(
+        [w.root_pos, w.q, w.root_vel, w.qd, envs.t, envs.clip_index, w.anchor_x, w.anchor_on]
+    )
     lines = [f"update={ts.update}", f"envs={len(envs)}"]
-    for env in envs:
-        lines.append(" ".join(repr(float(x)) for x in env.snapshot()["values"]))
+    lines += [" ".join(repr(float(x)) for x in row) for row in rows]
     (out / "envs.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -800,7 +771,9 @@ def load_policy(path: str | Path) -> tuple[GaussianPolicy, np.ndarray]:
     return GaussianPolicy(spec), values
 
 
-def resume_train_state(out: Path, envs: list[TrackingEnv]) -> TrainState:
+def resume_train_state(out: Path, envs: EnvBatch) -> TrainState:
+    """Read what ``save_train_state`` wrote; the ``envs.txt`` rows go back
+    into the batch, valid and with the World time at ``t``."""
     policy, policy_params = load_policy(out / "pi_track.ckpt")
     _, value_spec, value_params, _ = nets.load_checkpoint(out / "critic.ckpt")
     lines = (out / "envs.txt").read_text().splitlines()
@@ -810,8 +783,14 @@ def resume_train_state(out: Path, envs: list[TrackingEnv]) -> TrainState:
         raise ValueError(
             f"{out / 'envs.txt'}: snapshot holds {saved} envs, the config builds {len(envs)}"
         )
-    for env, line in zip(envs, lines[2:]):
-        env.restore({"values": np.array([float(x) for x in line.split()])})
+    rows = np.array([[float(x) for x in line.split()] for line in lines[2:]])
+    w, nq, ns = envs.world, envs.spec.ndof, len(envs.spec.sites)
+    cols = np.split(rows, np.cumsum([2, nq, 2, nq, 1, 1, ns]), axis=1)
+    w.root_pos[:], w.q[:], w.root_vel[:], w.qd[:], t, clip_index, w.anchor_x[:], anchor_on = cols
+    envs.t[:] = w.time[:] = t[:, 0]
+    envs.clip_index[:] = clip_index[:, 0]
+    w.anchor_on[:] = anchor_on != 0.0
+    w.valid[:] = True
     return TrainState(
         policy=policy,
         policy_params=policy_params,
@@ -848,33 +827,38 @@ def train_tracking(
     phys = phys or ph.default_config(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    envs = [
-        TrackingEnv(
-            clips, spec, phys, cfg.e_div,
-            np.random.default_rng(seed_for(seed, f"env-init-{i}")),
-            energy_floor=cfg.energy_floor,
-        )
-        for i in range(cfg.envs)
-    ]
-    obs_dim = track_obs_dim(spec)
-    if resume and (out / "envs.txt").exists():
+    envs = EnvBatch(
+        clips, spec, phys,
+        [np.random.default_rng(seed_for(seed, f"env-init-{i}")) for i in range(cfg.envs)],
+        cfg.e_div, cfg.energy_floor,
+    )
+    resumed = resume and (out / "envs.txt").exists()
+    if resumed:
         ts = resume_train_state(out, envs)
     else:
-        ts = build_networks(obs_dim, spec.n_joints, cfg, seed)
+        ts = build_networks(track_obs_dim(spec), spec.n_joints, cfg, seed)
 
+    # a resumed run keeps the rows of the updates its snapshot holds; rows
+    # a crashed run wrote after the snapshot are written again
     metrics_path = out / "metrics.csv"
-    if not resume or not metrics_path.exists():
-        metrics_path.write_text(",".join(METRIC_FIELDS) + "\n")
+    kept = []
+    if resumed and metrics_path.exists():
+        kept = [
+            row for row in metrics_path.read_text().splitlines(True)[1:]
+            if row.endswith("\n") and float(row.split(",")[0]) < ts.update
+        ]
+    metrics_path.write_text(",".join(METRIC_FIELDS) + "\n" + "".join(kept))
 
     act_dim = spec.n_joints
     for u in range(ts.update, cfg.updates):
         if cfg.std_schedule == "linear":
             ts.policy_params[-act_dim:] = math.log(cfg.sigma_at(u))
-        for i, env in enumerate(envs):
-            env.rng = np.random.default_rng(seed_for(seed, f"update-{u}-env-{i}"))
+        envs.rngs = [
+            np.random.default_rng(seed_for(seed, f"update-{u}-env-{i}")) for i in range(cfg.envs)
+        ]
         buf = collect_rollouts(
             envs, ts.policy, ts.policy_params, ts.value_spec, ts.value_params,
-            cfg.horizon, [env.rng for env in envs], workers=workers,
+            cfg.horizon, envs.rngs, workers=workers,
         )
         buf.advantages, buf.returns = gae(
             buf.rewards, buf.values, buf.dones, cfg.gamma, cfg.gae_lambda, buf.bootstrap
@@ -947,12 +931,11 @@ def track_clips(
     steps; its error averages the steps up to and including the first
     failure.  Returns (ok, err), both (N,).
     """
-    envs = []
-    for k, clip in enumerate(clips):
-        env = TrackingEnv(clips, spec, phys, e_div)
-        env.clip_index, env.state, env.t = k, clip.frame_state(0), 0.0
-        envs.append(env)
-    batch = EnvBatch(envs)
+    # a reset row has stopped counting, so its generator only keeps the batch going
+    batch = EnvBatch(
+        clips, spec, phys, [np.random.default_rng(k) for k in range(len(clips))], e_div,
+        starts=[(k, 0) for k in range(len(clips))],
+    )
     steps = np.array([int((c.duration - 1.0 / c.frame_rate) * phys.hz) - 1 for c in clips])
     errs = np.zeros((len(clips), max(0, steps.max())))
     taken = np.zeros(len(clips), dtype=int)

@@ -11,7 +11,8 @@ prints ``<family> <sha256>`` lines for
 - the final parameters and ``metrics.csv`` of 2 updates each of
   ``train_tracking``, ``train_slmp`` (``slmp_update``) and 2 epochs of
   ``self_play_train``, chained as in the pipeline: the distillation reads
-  the tracking expert and self-play reads the distilled prior.
+  the tracking expert and self-play reads the distilled prior;
+- the ``envs.txt`` rollout state that those tracking updates end with.
 
 A byte-identity check of a change is a diff of the output of two
 checkouts.  ``digests(tiny=True)`` runs the same families at test size.
@@ -102,6 +103,7 @@ def training(work: Path, clips: list[mo.MotionClip], tiny: bool) -> dict[str, st
     ):
         out[f"{stage}.params"] = array_sha(arrays)
         out[f"{stage}.metrics"] = sha((work / stage / "metrics.csv").read_bytes())
+    out["track.envs"] = sha((work / "track" / "envs.txt").read_bytes())
     return out
 
 

@@ -20,6 +20,7 @@ with ``wrap_angle`` and ``to_local`` in their ``np.mod`` and ``np.stack``
 forms; the package must equal them bit for bit.
 """
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -64,6 +65,15 @@ def proprio(state):
     return tr.proprio_rows(
         state.root_pos[None], state.theta()[None], state.root_vel[None], state.theta_dot()[None]
     )[0]
+
+
+def env_state(batch):
+    """The rollout state an ``EnvBatch`` owns, as bytes: its World arrays,
+    ``t`` and ``clip_index`` (``rngs`` aside)."""
+    w = batch.world
+    return [getattr(w, f.name).tobytes() for f in fields(w)] + [
+        batch.t.tobytes(), batch.clip_index.tobytes()
+    ]
 
 
 def watch_kinematics(monkeypatch):

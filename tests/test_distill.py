@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from reference import proprio
+from reference import env_state, proprio
 from slmp import distill as di
 from slmp import motion as mo
 from slmp import nets
@@ -482,23 +482,28 @@ class TestCollectFresh:
                                   SPEC.n_joints, cfg, seed=1)
         return expert.policy, expert.policy_params, n
 
-    def _envs(self):
+    def _rngs(self, lo=0, hi=16):
+        return [np.random.default_rng(40 + i) for i in range(lo, hi)]
+
+    def _batch(self, lo=0, hi=16):
         # a tight divergence bound makes the untrained prior reset envs often:
         # about one sample in three ends an episode
-        return [tr.TrackingEnv(self.CLIPS, SPEC, CFG, 0.2, np.random.default_rng(40 + i))
-                for i in range(16)]
+        return tr.EnvBatch(self.CLIPS, SPEC, CFG, self._rngs(lo, hi), 0.2)
 
-    @staticmethod
-    def _per_env(envs, steps, expert, expert_params, n):
+    def _envs(self):
+        return [tr.TrackingEnv(self.CLIPS, SPEC, CFG, 0.2, rng) for rng in self._rngs()]
+
+    def _per_env(self, envs, steps, expert, expert_params, n):
         """Reference: one ``TrackingEnv.step`` and single-row forwards per sample."""
         rows, mse, resets = [], 0.0, 0
         for _ in range(steps):
             for env in envs:
-                p = proprio(env.state)
-                g = mo.goal_state(env.clip, env.t, env.state).flat()
-                obs = tr.track_obs(env.state, SPEC, env.clip, env.t)
+                state, clip, t = env.world.state(0), self.CLIPS[env.clip_index[0]], float(env.t[0])
+                p = proprio(state)
+                g = mo.goal_state(clip, t, state).flat()
+                obs = tr.track_obs(state, SPEC, clip, t)
                 mu = expert.mean_rows(expert_params, obs[None])[0]
-                a_star = tr.action_to_targets(mu, env.ref_base())
+                a_star = tr.action_to_targets(mu, env.ref_base()[0])
                 z1 = di.encode_goal(n.enc_spec, n.enc_params, g[None])
                 a = di.prior_action(n.phi_spec, n.phi_params, p[None], z1)[0]
                 mse += float(((a - a_star) ** 2).sum())
@@ -509,8 +514,7 @@ class TestCollectFresh:
 
     def test_bit_equal_to_per_env_steps_with_resets(self):
         expert, params, n = self._nets()
-        ref_envs, envs = self._envs(), self._envs()
-        batch = tr.EnvBatch(envs)
+        ref_envs, batch = self._envs(), self._batch()
         resets = 0
         for _ in range(3):
             want, r = self._per_env(ref_envs, 5, expert, params, n)
@@ -520,15 +524,12 @@ class TestCollectFresh:
                 assert np.array_equal(w, g)
             assert want[3] == got[3]
         assert resets >= 16
-        batch.unpack()
-        for a, b in zip(ref_envs, envs):
-            assert np.array_equal(a.snapshot()["values"], b.snapshot()["values"])
+        assert env_state(tr.EnvBatch.join(ref_envs)) == env_state(batch)
 
     def test_one_batch_equals_eight_plus_eight(self):
         expert, params, n = self._nets()
-        whole_envs, envs = self._envs(), self._envs()
-        whole = tr.EnvBatch(whole_envs)
-        halves = [tr.EnvBatch(envs[:8]), tr.EnvBatch(envs[8:])]
+        whole = self._batch()
+        halves = [self._batch(0, 8), self._batch(8, 16)]
         steps = 4
         for _ in range(3):
             got = di.collect_fresh(whole, steps, expert, params, n)
@@ -538,11 +539,7 @@ class TestCollectFresh:
                 want = np.concatenate([p[k].reshape(steps, 8, -1) for p in parts], axis=1)
                 assert np.array_equal(got[k], want.reshape(steps * 16, -1))
             assert got[3] == pytest.approx((parts[0][3] + parts[1][3]) / 2.0, rel=1e-12)
-        whole.unpack()
-        for h in halves:
-            h.unpack()
-        for a, b in zip(whole_envs, envs):
-            assert np.array_equal(a.snapshot()["values"], b.snapshot()["values"])
+        assert env_state(whole) == env_state(tr.EnvBatch.join(halves))
 
 
 class TestTrainSlmp:

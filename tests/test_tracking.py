@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -317,12 +318,19 @@ class TestPpo:
         assert np.array_equal(v2, vparams)
 
 
-def _small_env(seed=0):
-    clips = [
+def _small_clips():
+    return [
         mo.generate_clip("idle", 0, 4.0, spec=SPEC, cfg=CFG),
         mo.generate_clip("jab", 20, 4.0, spec=SPEC, cfg=CFG),
     ]
-    return tr.TrackingEnv(clips, SPEC, CFG, rng=np.random.default_rng(seed))
+
+
+def _small_env(seed=0):
+    return tr.TrackingEnv(_small_clips(), SPEC, CFG, rng=np.random.default_rng(seed))
+
+
+def _batch(clips, seeds, **kwargs):
+    return tr.EnvBatch(clips, SPEC, CFG, [np.random.default_rng(s) for s in seeds], **kwargs)
 
 
 class TestEnv:
@@ -338,8 +346,8 @@ class TestEnv:
             rng = np.random.default_rng(42)
             rows = []
             for _ in range(20):
-                a, _ = policy.sample(params, tr.track_obs(env.state, SPEC, env.clip, env.t), rng)
-                obs, r, d, info = env.step(tr.action_to_targets(a, env.ref_base()))
+                a, _ = policy.sample(params, env.observe()[0], rng)
+                obs, r, d, info = env.step(tr.action_to_targets(a, env.ref_base()[0]))
                 rows.append(r)
             outs.append(rows)
         assert outs[0] == outs[1]
@@ -347,34 +355,64 @@ class TestEnv:
     def test_reference_pd_feasibility_on_idle(self):
         """Reference targets alone track an idle clip above 0.8 reward."""
         clip = mo.generate_clip("idle", 0, 4.0, spec=SPEC, cfg=CFG)
-        env = tr.TrackingEnv([clip], SPEC, CFG, rng=np.random.default_rng(0))
-        env.clip_index = 0
-        env.state = clip.frame_state(0)
-        env.t = 0.0
+        batch = _batch([clip], [0], starts=[(0, 0)])
         rewards = []
         for _ in range(120):  # 2 s
-            _, r, done, info = env.step(env.ref_base())
-            rewards.append(info["imitation"])
-            if done:
+            _, r, done, info = batch.step(batch.ref_base())
+            rewards.append(info["imitation"][0])
+            if done[0]:
                 break
         assert np.mean(rewards) > 0.8
 
     def test_forced_fall_terminates(self):
         env = _small_env()
-        env.state.root_pos = np.array([0.0, 0.1])
-        env.state.root_vel = np.array([0.0, -3.0])
+        env.world.root_pos[0] = [0.0, 0.1]
+        env.world.root_vel[0] = [0.0, -3.0]
         done = False
         for _ in range(3):
-            _, _, done, info = env.step(env.ref_base())
+            _, _, done, info = env.step(env.ref_base()[0])
             if done:
                 break
         assert done
 
     def test_divergence_resets(self):
         env = _small_env()
-        env.state.root_pos = env.state.root_pos + np.array([5.0, 0.0])
-        _, _, done, info = env.step(env.ref_base())
+        env.world.root_pos[0] += [5.0, 0.0]
+        _, _, done, info = env.step(env.ref_base()[0])
         assert done and info["diverged"]
+
+    def test_envs_start_at_their_drawn_frames(self):
+        """Env i starts at the (clip, frame) its generator draws, two
+        ``integers`` calls in env order, written as ``World.of`` of the
+        frame's ``frame_state`` writes it; explicit starts go in as given."""
+        clips = _small_clips()
+        batch = _batch(clips, range(3))
+        starts = []
+        for seed in range(3):
+            draw = np.random.default_rng(seed)
+            ci = int(draw.integers(len(clips)))
+            starts.append((ci, int(draw.integers(clips[ci].n_frames - 1))))
+        for got in (batch, _batch(clips, [7, 8, 9], starts=starts)):
+            want = ph.World.of([clips[ci].frame_state(f) for ci, f in starts], SPEC)
+            for f in ("root_pos", "q", "root_vel", "qd", "time", "valid", "anchor_x", "anchor_on"):
+                assert getattr(got.world, f).tobytes() == getattr(want, f).tobytes(), f
+            assert got.t.tobytes() == want.time.tobytes()
+            assert got.clip_index.tolist() == [ci for ci, _ in starts]
+
+    def test_rows_and_join_round_trip(self):
+        """Row slices joined back in order give the batch's state and
+        generators; envs of different bounds do not join."""
+        batch = _batch(_small_clips(), range(5))
+        for _ in range(3):
+            batch.step(batch.ref_base())
+        parts = [batch.rows(np.arange(0, 2)), batch.rows(np.arange(2, 5))]
+        joined = tr.EnvBatch.join(parts)
+        assert reference.env_state(joined) == reference.env_state(batch)
+        assert all(a is b for a, b in zip(joined.rngs, batch.rngs))
+        parts[0].world.q[:] = 0.0  # the parts and the join hold copies of the rows
+        assert reference.env_state(joined) == reference.env_state(batch)
+        with pytest.raises(ValueError, match="share clips"):
+            tr.EnvBatch.join([batch, _batch(_small_clips(), [9], e_div=0.3)])
 
 
 class TestTraining:
@@ -400,9 +438,63 @@ class TestTraining:
         )
         assert np.array_equal(ts_full.policy_params, ts_res.policy_params)
         assert np.array_equal(ts_full.value_params, ts_res.value_params)
-        full_rows = (tmp_path / "full" / "metrics.csv").read_text().splitlines()
-        half_rows = (tmp_path / "half" / "metrics.csv").read_text().splitlines()
-        assert full_rows[2] == half_rows[2]
+        full, half = tmp_path / "full", tmp_path / "half"
+        for name in ("metrics.csv", "envs.txt"):
+            assert (full / name).read_bytes() == (half / name).read_bytes()
+
+    def test_resume_drops_metrics_rows_after_the_snapshot(self, tmp_path, monkeypatch):
+        """A run that crashed after writing rows past its snapshot resumes
+        to the uninterrupted run's ``metrics.csv``, not to repeated rows."""
+        clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        cfg = tr.PpoConfig(envs=2, horizon=4, updates=3, epochs_per_update=1,
+                           pi_hidden=(8,), critic_hidden=(8,))
+        run = dict(seed=5, spec=SPEC, phys=CFG, log=False)
+        tr.train_tracking(clips, cfg, tmp_path / "full", **run)
+        tr.train_tracking(clips, replace(cfg, updates=1), tmp_path / "crash", **run)
+
+        def crash(*args):
+            raise RuntimeError("crash before the snapshot")
+
+        with monkeypatch.context() as m:
+            m.setattr(tr, "save_train_state", crash)
+            with pytest.raises(RuntimeError, match="crash"):
+                tr.train_tracking(clips, cfg, tmp_path / "crash", resume=True, **run)
+        assert (tmp_path / "crash" / "metrics.csv").read_text().count("\n") == 4
+        tr.train_tracking(clips, cfg, tmp_path / "crash", resume=True, **run)
+        full, crash = tmp_path / "full", tmp_path / "crash"
+        for name in ("metrics.csv", "envs.txt", "pi_track.ckpt", "critic.ckpt"):
+            assert (full / name).read_bytes() == (crash / name).read_bytes()
+
+    def test_resume_without_snapshot_starts_a_fresh_metrics_file(self, tmp_path):
+        clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        cfg = tr.PpoConfig(envs=1, horizon=4, updates=2, epochs_per_update=1,
+                           pi_hidden=(8,), critic_hidden=(8,))
+        run = dict(seed=5, spec=SPEC, phys=CFG, log=False)
+        tr.train_tracking(clips, cfg, tmp_path / "fresh", **run)
+        (tmp_path / "stale").mkdir()
+        (tmp_path / "stale" / "metrics.csv").write_text("foreign,header\n7.0,1.0\n")
+        tr.train_tracking(clips, cfg, tmp_path / "stale", resume=True, **run)
+        want = (tmp_path / "fresh" / "metrics.csv").read_bytes()
+        assert (tmp_path / "stale" / "metrics.csv").read_bytes() == want
+
+    def test_envs_txt_reads_back_into_the_batch(self, tmp_path):
+        """``resume_train_state`` puts the ``envs.txt`` rows back into a
+        batch, which writes the same bytes, and continues as the batch
+        that wrote them: valid, with the World time at ``t``."""
+        clips = _small_clips()
+        cfg = tr.PpoConfig(envs=3, pi_hidden=(8,), critic_hidden=(8,))
+        ts = tr.build_networks(tr.track_obs_dim(SPEC), SPEC.n_joints, cfg, seed=0)
+        batch = _batch(clips, range(3))
+        for _ in range(30):
+            batch.step(batch.ref_base())
+        tr.save_train_state(tmp_path / "a", ts, batch)
+        back = _batch(clips, range(10, 13))
+        tr.resume_train_state(tmp_path / "a", back)
+        tr.save_train_state(tmp_path / "b", ts, back)
+        a, b = (tmp_path / d / "envs.txt" for d in "ab")
+        assert a.read_bytes() == b.read_bytes()
+        batch.world.time[:] = batch.t
+        assert reference.env_state(back) == reference.env_state(batch)
 
     def test_resume_refuses_a_changed_env_count(self, tmp_path):
         clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
@@ -434,6 +526,23 @@ class TestTraining:
         )
         assert m["first_clip_fraction"] == 0.0
 
+    def test_collecting_a_list_keeps_the_listed_envs(self):
+        """A list of envs is joined into a new batch: its buffer is the
+        batch's, and the listed envs keep their rows."""
+        clips = _small_clips()
+        cfg = tr.PpoConfig(envs=3, horizon=8, pi_hidden=(8,), critic_hidden=(8,))
+        ts = tr.build_networks(tr.track_obs_dim(SPEC), 8, cfg, seed=0)
+        nets_args = (ts.policy, ts.policy_params, ts.value_spec, ts.value_params, cfg.horizon)
+        envs = [tr.TrackingEnv(clips, SPEC, CFG, rng=np.random.default_rng(s)) for s in range(3)]
+        before = [reference.env_state(env) for env in envs]
+        got = tr.collect_rollouts(envs, *nets_args, [env.rng for env in envs])
+        batch = _batch(clips, range(3))
+        want = tr.collect_rollouts(batch, *nets_args, batch.rngs)
+        for f in ("obs", "rewards", "dones"):
+            assert getattr(got, f).tobytes() == getattr(want, f).tobytes(), f
+        assert [reference.env_state(env) for env in envs] == before
+        assert reference.env_state(batch) != reference.env_state(tr.EnvBatch.join(envs))
+
     def test_worker_split_bit_identical(self):
         clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG),
                  mo.generate_clip("jab", 20, 3.0, spec=SPEC, cfg=CFG)]
@@ -457,25 +566,36 @@ class TestTraining:
         assert np.array_equal(a.rewards, b.rewards)
         assert np.array_equal(a.log_probs, b.log_probs)
 
+    def test_worker_split_training_writes_the_same_bytes(self, tmp_path):
+        """Two updates with the rows split over 2 worker processes write
+        the files of a one-process run byte for byte."""
+        clips = _small_clips()
+        cfg = tr.PpoConfig(envs=3, horizon=6, updates=2, epochs_per_update=1,
+                           pi_hidden=(8,), critic_hidden=(8,))
+        for workers in (1, 2):
+            tr.train_tracking(clips, cfg, tmp_path / str(workers), seed=7, spec=SPEC, phys=CFG,
+                              workers=workers, log=False)
+        for name in ("metrics.csv", "envs.txt", "pi_track.ckpt", "critic.ckpt"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
     def test_chunk_split_bit_identical(self):
-        """4 envs give the same buffer in one chunk and split 1+3."""
+        """4 envs give the same buffer and end state in one batch and split 1+3."""
         clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG),
                  mo.generate_clip("jab", 20, 3.0, spec=SPEC, cfg=CFG)]
         cfg = tr.PpoConfig(envs=4, horizon=8)
         ts = tr.build_networks(tr.track_obs_dim(SPEC), 8, cfg, seed=0)
-        envs = [tr.TrackingEnv(clips, SPEC, CFG, rng=np.random.default_rng(100 + i % 4))
-                for i in range(8)]
+        whole, split = _batch(clips, range(100, 104)), _batch(clips, range(100, 104))
         rngs = [np.random.default_rng(200 + i % 4) for i in range(8)]
         nets_args = (ts.policy, ts.policy_params, ts.value_spec, ts.value_params, cfg.horizon)
-        whole = tr.collect_rollouts(envs[:4], *nets_args, rngs[:4], workers=1)
-        parts = [tr.collect_rollouts(envs[4:5], *nets_args, rngs[4:5]),
-                 tr.collect_rollouts(envs[5:], *nets_args, rngs[5:])]
+        full = tr.collect_rollouts(whole, *nets_args, rngs[:4], workers=1)
+        parts = [split.rows(np.arange(1)), split.rows(np.arange(1, 4))]
+        bufs = [tr.collect_rollouts(parts[0], *nets_args, rngs[4:5]),
+                tr.collect_rollouts(parts[1], *nets_args, rngs[5:])]
         for f in ("obs", "actions", "rewards", "values", "log_probs", "dones", "bootstrap"):
             axis = 0 if f == "bootstrap" else 1
-            assert np.array_equal(getattr(whole, f),
-                                  np.concatenate([getattr(p, f) for p in parts], axis=axis)), f
-        for a, b in zip(envs[:4], envs[4:]):
-            assert np.array_equal(a.snapshot()["values"], b.snapshot()["values"])
+            assert np.array_equal(getattr(full, f),
+                                  np.concatenate([getattr(p, f) for p in bufs], axis=axis)), f
+        assert reference.env_state(whole) == reference.env_state(tr.EnvBatch.join(parts))
 
     def test_batch_size_invariance_with_resets_and_divergence(self):
         """Every env's rollout is bit-identical whether the 32 envs run as
@@ -487,19 +607,19 @@ class TestTraining:
         fields = ("obs", "actions", "rewards", "values", "log_probs", "dones", "imitation")
 
         def run(splits):
-            envs = [tr.TrackingEnv(clips, SPEC, CFG, rng=np.random.default_rng(300 + i))
-                    for i in range(32)]
-            envs[5].state.joint_vels[:] = 1e9  # the simulator flags it invalid at once
-            bufs, lo = [], 0
+            batch = _batch(clips, range(300, 332))
+            batch.world.qd[5, 1:] = 1e9  # the simulator flags it invalid at once
+            parts, bufs, lo = [], [], 0
             for n in splits:
-                bufs.append(tr._collect_chunk(
-                    envs[lo : lo + n], ts.policy, ts.policy_params, ts.value_spec,
-                    ts.value_params, cfg.horizon, [env.rng for env in envs[lo : lo + n]],
+                parts.append(batch.rows(np.arange(lo, lo + n)))
+                bufs.append(tr.collect_rollouts(
+                    parts[-1], ts.policy, ts.policy_params, ts.value_spec,
+                    ts.value_params, cfg.horizon, parts[-1].rngs,
                 ))
                 lo += n
             out = {f: np.concatenate([getattr(b, f) for b in bufs], axis=1) for f in fields}
             out["bootstrap"] = np.concatenate([b.bootstrap for b in bufs])
-            out["envs"] = np.stack([env.snapshot()["values"] for env in envs])
+            out["envs"] = reference.env_state(tr.EnvBatch.join(parts))
             return out
 
         ref = run([32])
@@ -512,18 +632,15 @@ class TestTraining:
 
     def test_invalid_state_counts_as_divergence(self):
         env = _small_env()
-        env.state.joint_vels[:] = 1e9
-        batch = tr.EnvBatch([env])
-        _, _, done, info = batch.step(batch.ref_base())
-        assert done[0] and info["diverged"][0] and info["fell"][0]
-        assert info["site_error"][0] < env.e_div  # frozen at its last finite state
+        env.world.qd[0, 1:] = 1e9
+        _, _, done, info = env.step(env.ref_base()[0])
+        assert done and info["diverged"] and info["fell"]
+        assert info["site_error"] < env.e_div  # frozen at its last finite state
 
     def test_step_builds_no_kinematics_of_the_stepped_world(self, monkeypatch):
         """The rewards and fall tests read the kinematics ``step_batch``
         hands on; the one build left is of the reference frames."""
-        clips = _small_env().clips
-        batch = tr.EnvBatch([tr.TrackingEnv(clips, SPEC, CFG, rng=np.random.default_rng(seed))
-                             for seed in range(4)])
+        batch = _batch(_small_clips(), range(4))
         rebuilt = watch_kinematics(monkeypatch)
         for _ in range(5):
             batch.step(batch.ref_base())
@@ -532,9 +649,7 @@ class TestTraining:
     def test_step_evaluates_pd_once_per_substep(self, monkeypatch):
         """The energy penalty reads the first substep's torques from the
         report instead of evaluating PD on the pre-step world again."""
-        clips = _small_env().clips
-        batch = tr.EnvBatch([tr.TrackingEnv(clips, SPEC, CFG, rng=np.random.default_rng(seed))
-                             for seed in range(4)])
+        batch = _batch(_small_clips(), range(4))
         calls = []
         pd_rows = ph.pd_rows
 
@@ -550,9 +665,7 @@ class TestTraining:
         """Reference frames, goals, clip ends and resets are library
         gathers: a step, one with a reset included, reads no attribute of
         any MotionClip."""
-        clips = _small_env().clips
-        batch = tr.EnvBatch([tr.TrackingEnv(clips, SPEC, CFG, rng=np.random.default_rng(seed))
-                             for seed in range(4)])
+        batch = _batch(_small_clips(), range(4))
         batch.world.root_pos[2, 0] += 5.0  # diverges, so the first step resets env 2
         reads = []
         get = mo.MotionClip.__getattribute__
@@ -571,24 +684,22 @@ class TestTraining:
     def test_reset_writes_the_drawn_frame(self):
         """A reset env's World row is ``World.put`` of the drawn frame's
         ``frame_state``, and its time and clip index follow the draw."""
-        env = _small_env(seed=4)
+        clips = _small_clips()
+        env = tr.TrackingEnv(clips, SPEC, CFG, rng=np.random.default_rng(4))
         draw = np.random.default_rng(4)
         draw.bit_generator.state = env.rng.bit_generator.state
-        env.state.root_pos = env.state.root_pos + np.array([5.0, 0.0])
-        batch = tr.EnvBatch([env])
-        _, _, done, _ = batch.step(batch.ref_base())
-        assert done[0]
-        ci = int(draw.integers(len(env.clips)))
-        frame = int(draw.integers(env.clips[ci].n_frames - 1))
-        want = ph.World.of([env.clips[ci].frame_state(frame)], SPEC)
+        env.world.root_pos[0] += [5.0, 0.0]
+        _, _, done, _ = env.step(env.ref_base()[0])
+        assert done
+        ci = int(draw.integers(len(clips)))
+        frame = int(draw.integers(clips[ci].n_frames - 1))
+        want = ph.World.of([clips[ci].frame_state(frame)], SPEC)
         for f in ("root_pos", "q", "root_vel", "qd", "time", "valid", "anchor_x", "anchor_on"):
-            assert getattr(batch.world, f).tobytes() == getattr(want, f).tobytes(), f
-        assert batch.t[0] == frame / env.clips[ci].frame_rate and batch.clip_index[0] == ci
+            assert getattr(env.world, f).tobytes() == getattr(want, f).tobytes(), f
+        assert env.t[0] == frame / clips[ci].frame_rate and env.clip_index[0] == ci
 
     def test_observe_equals_the_concatenated_pieces(self):
-        clips = _small_env().clips
-        batch = tr.EnvBatch([tr.TrackingEnv(clips, SPEC, CFG, rng=np.random.default_rng(seed))
-                             for seed in range(6)])
+        batch = _batch(_small_clips(), range(6))
         rng = np.random.default_rng(5)
         w = batch.world
         w.q += rng.uniform(-4.0, 4.0, w.q.shape)  # angles past pi on both sides
