@@ -10,7 +10,6 @@ from . import combat as cb
 from . import distill as di
 from . import evaluate as ev
 from . import motion as mo
-from . import physics as ph
 from . import tracking as tr
 from .config import ConfigError, RunConfig, load_config, write_echo
 from .seeding import seed_for
@@ -137,19 +136,18 @@ def cmd_rollout(args, cfg: RunConfig) -> int:
     if args.mode != "combat":
         raise ValueError(f"unsupported rollout mode {args.mode!r}")
     spec, phys = cfg.physics.build()
-    frames = cb.rollout_combat(
+    fighters = cb.rollout_combat(
         args.ckpt, args.seconds, seed_for(cfg.seed, "rollout"), cfg.combat, spec, phys
     )
     out = Path(args.frames)
-    for i in range(2):
-        w = ph.World.of([pair[i] for pair in frames], spec)
+    for i, w in enumerate(fighters):
         clip = mo.MotionClip(
             phys.hz / cfg.combat.k_hl, "combat", f"combat-rollout-fighter{i + 1}",
             w.root_pos, w.q[:, 0], w.q[:, 1:], w.root_vel, w.qd[:, 0], w.qd[:, 1:],
         )
         path = out.with_name(f"{out.stem}.fighter{i + 1}.clip")
         mo.save_clip(clip, path)
-        print(f"wrote {len(frames)} frames to {path}")
+        print(f"wrote {len(w)} frames to {path}")
     return 0
 
 

@@ -2,16 +2,26 @@
 
 High-level policies emit unit-sphere latents at a reduced decision rate;
 the prior maps (state, latent) to PD targets every control step.  Rewards
-are sparse rule-based hit/knockdown events, and episodes terminate on
+are sparse rule-based hit/knockdown terms, and episodes terminate on
 knockdowns, sustained clinching or reward-farming proximity, early-phase
 disengagement, or the episode cap.  Training alternates between two
 independently evolving policy instances.
+
+Hits, rewards, termination, spawns and rollout frames are row arrays
+(see the row layout below).  A row's step reward adds its terms one at a
+time: its pair's limb hits, the lower row's limbs first, each
+``+k_hit * min(f, f_cap)`` when the row struck and minus that when it was
+struck; then ``+knockdown_bonus`` if the opponent fell and minus it if
+the row fell.  A term that did not happen adds as a signed zero.  That
+is exact: ``x + 0.0`` is ``x`` for every ``x`` but ``-0.0``, and the sum,
+which starts at ``+0.0`` and rounds a cancellation to ``+0.0``, is never
+``-0.0``.
 """
 from __future__ import annotations
 
 import math
 import shutil
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -66,18 +76,6 @@ class CombatConfig:
         )
 
 
-@dataclass
-class CombatEvent:
-    kind: str  # Hit | GotHit | Knockdown | GotKnockedDown
-    force: float = 0.0
-    limb: int = -1  # site index of the striking limb
-    region: str = ""  # head | torso
-
-    def __post_init__(self):
-        if self.kind in ("Hit", "GotHit") and self.force <= 0.0:
-            raise ValueError("hit events must carry a positive force")
-
-
 LIMB_SITES = ("hand_l", "hand_r", "foot_l", "foot_r")
 FORCE_SITES = ("hand_l", "hand_r", "foot_l", "foot_r", "head_top", "pelvis")
 REGIONS = ("head", "torso")  # scoring regions, in the order of the distance arrays
@@ -89,7 +87,9 @@ REGIONS = ("head", "torso")  # scoring regions, in the order of the distance arr
 # frame x, every angle and every angular rate negate (the bits of
 # ph.mirror_state(s, 0.0)); FLIP_Q is that sign for the angular
 # coordinates of one pair's rows and FLIP_XY for planar vectors, and
-# ``_flips`` tiles them over all rows.
+# ``_flips`` tiles them over all rows.  Per-limb arrays such as the hit
+# mask are (2E, 4) in LIMB_SITES order; a pair's reward terms are its
+# (2, 4) block in row-major order.
 FLIP_Q = np.array([[1.0], [-1.0]])
 FLIP_XY = np.array([[1.0, 1.0], [-1.0, 1.0]])
 
@@ -177,40 +177,41 @@ def hit_events(
     site_opponent: np.ndarray,
     spec: ph.CharacterSpec,
     cfg: CombatConfig,
-) -> tuple[list[CombatEvent], ...]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Scoring hits: a hand/foot within hit_dist of an opponent scoring
     region whose opponent-contact force exceeds f_hit.  ``dist`` is the
     (2E, 4, 2) array of ``limb_region_dist`` and ``site_opponent`` the
-    (2E, n_sites) opponent-contact forces.  Returns one event list per
-    row.  Every Hit emits a symmetric GotHit for the receiving agent."""
-    events: tuple[list[CombatEvent], ...] = tuple([] for _ in range(len(dist)))
-    limbs = [spec.site_index[n] for n in LIMB_SITES]
-    force = site_opponent[:, limbs]
-    region = np.argmin(dist, axis=2)
-    nearest = np.take_along_axis(dist, region[..., None], axis=2)[..., 0]
+    (2E, n_sites) opponent-contact forces.  Returns the (2E, 4) mask of
+    scoring hits, row a's limb l striking row a ^ 1, and the (2E, 4)
+    opponent-contact forces of the striking limbs."""
+    force = site_opponent[:, [spec.site_index[n] for n in LIMB_SITES]]
     # not (force <= f_hit): a NaN force of a diverging step passes the gate
-    for a, l in zip(*np.nonzero(~(force <= cfg.f_hit) & (nearest < cfg.hit_dist))):
-        f, s, r = float(force[a, l]), limbs[l], REGIONS[region[a, l]]
-        events[a].append(CombatEvent("Hit", f, s, r))
-        events[a ^ 1].append(CombatEvent("GotHit", f, s, r))
-    return events
+    return ~(force <= cfg.f_hit) & (dist.min(axis=2) < cfg.hit_dist), force
 
 
-def combat_reward(
-    events: list[CombatEvent], fell_self: bool, fell_opp: bool, cfg: CombatConfig
-) -> float:
-    """Sparse rule-based reward for one agent and one control step."""
-    r = 0.0
-    for e in events:
-        if e.kind == "Hit":
-            r += cfg.k_hit * min(e.force, cfg.f_cap)
-        elif e.kind == "GotHit":
-            r -= cfg.k_hit * min(e.force, cfg.f_cap)
-    if fell_opp:
-        r += cfg.knockdown_bonus
-    if fell_self:
-        r -= cfg.knockdown_bonus
+# the sign of a pair's 8 limb terms for its lower and its upper row
+_HIT_SIGN = np.repeat([[1.0, -1.0], [-1.0, 1.0]], len(LIMB_SITES), axis=1)
+
+
+def combat_rewards(
+    hit: np.ndarray, force: np.ndarray, fell: np.ndarray, cfg: CombatConfig
+) -> np.ndarray:
+    """Rule-based rewards of one control step, (2E,), from the hits of
+    ``hit_events`` and the (2E,) fall flags, summed in the order of the
+    module notes."""
+    n = len(hit)
+    gain = np.where(hit, cfg.k_hit * np.minimum(force, cfg.f_cap), 0.0)
+    terms = (gain.reshape(n // 2, 1, -1) * _HIT_SIGN).reshape(n, -1)
+    r = np.zeros(n)
+    for term in terms.T:
+        r += term
+    r += np.where(fell[_opponents(n)], cfg.knockdown_bonus, 0.0)
+    r -= np.where(fell, cfg.knockdown_bonus, 0.0)
     return r
+
+
+# the termination rules of ``check_termination``, first match wins
+END_REASONS = np.array(["knockdown", "clinch", "farming", "separated", "timeout"], dtype=object)
 
 
 @dataclass
@@ -230,24 +231,24 @@ def check_termination(
     dt: float,
     epoch: int,
     cfg: CombatConfig,
-) -> tuple[list[str | None], TerminationTimers]:
+) -> tuple[np.ndarray, TerminationTimers]:
     """Sustained-condition episode termination of E envs from (E,) arrays.
 
-    Returns one reason (or None) per env and the new timers.  Timers
-    accumulate while their condition holds and reset otherwise; a
-    knocked-down env keeps its timers.  The separation rule applies only
-    during early training epochs.
+    Returns the (E,) object array of reasons (a str, or None) and the new
+    timers.  Timers accumulate while their condition holds and reset
+    otherwise; a knocked-down env keeps its timers.  The separation rule
+    applies only during early training epochs.
     """
     close = np.where(root_dist < cfg.close_dist, timers.close + dt, 0.0)
     farm = np.where(limb_region_dist < cfg.hit_dist, timers.farm + dt, 0.0)
-    rules = (
-        ("knockdown", knockdown),
-        ("clinch", close > cfg.close_s),
-        ("farming", farm > cfg.farm_s),
-        ("separated", (epoch < cfg.early_epochs) & (root_dist > cfg.far_dist)),
-        ("timeout", t >= cfg.episode_s),
-    )
-    reasons = [next((name for name, hit in rules if hit[e]), None) for e in range(len(t))]
+    rules = np.stack([
+        knockdown,
+        close > cfg.close_s,
+        farm > cfg.farm_s,
+        (epoch < cfg.early_epochs) & (root_dist > cfg.far_dist),
+        t >= cfg.episode_s,
+    ])
+    reasons = np.where(rules.any(axis=0), END_REASONS[rules.argmax(axis=0)], None)
     timers = TerminationTimers(np.where(knockdown, timers.close, close),
                                np.where(knockdown, timers.farm, farm))
     return reasons, timers
@@ -307,48 +308,37 @@ class CombatEnv:
         self.cfg = cfg
         self.rngs = rngs
         self.epoch = 0
-        self.stance = ph.nominal_stance(spec, phys)  # every spawn starts from a copy
-        self.reset()
-
-    @property
-    def states(self) -> list[ph.SimState]:
-        """Copies of every fighter's state, in row order."""
-        return [self.world.state(i) for i in range(len(self.world))]
-
-    def _spawn(self, facing: int, x: float, rng: np.random.Generator) -> ph.SimState:
-        s = self.stance.copy()
-        if facing < 0:
-            s = ph.mirror_state(s, 0.0)
-        s.root_pos[0] += x
-        if s.anchor_x is not None:
-            s.anchor_x += x
-        noise = self.cfg.spawn_noise
-        if noise > 0.0:
-            s.joint_angles[:4] += rng.uniform(-noise, noise, 4)  # arms only
-            s.root_pos[0] += rng.uniform(-noise, noise)
-            if s.anchor_x is not None:
-                s.anchor_x += s.root_pos[0] - x
-        return s
-
-    def _spawn_pair(self, env: int) -> list[ph.SimState]:
-        g = self.cfg.spawn_gap / 2.0
-        rng = self.rngs[env]
-        return [self._spawn(+1, -g, rng), self._spawn(-1, +g, rng)]
-
-    def reset(self) -> None:
-        """Respawn every env."""
-        n = len(self.rngs)
-        self.world = ph.World.of([s for e in range(n) for s in self._spawn_pair(e)], self.spec)
-        self.site_force = np.zeros((2 * n, len(self.spec.sites)))  # of the last step
+        stance = ph.nominal_stance(spec, phys)
+        # a pair's rows at spawn, before its offsets and noise
+        self.stance = ph.World.of([stance, ph.mirror_state(stance, 0.0)], spec)
+        n = len(rngs)
+        self.world = ph.World.zeros(2 * n, spec)
+        self.site_force = np.zeros((2 * n, len(spec.sites)))  # of the last step
         self.timers = TerminationTimers(np.zeros(n), np.zeros(n))
         self.t = np.zeros(n)
+        self._spawn(np.arange(n))
 
-    def _reset_env(self, env: int) -> None:
-        for slot, s in enumerate(self._spawn_pair(env)):
-            self.world.put(2 * env + slot, s)
-        self.site_force[2 * env : 2 * env + 2] = 0.0
-        self.timers.close[env] = self.timers.farm[env] = 0.0
-        self.t[env] = 0.0
+    def _spawn(self, envs: np.ndarray) -> None:
+        """Put the fighter pairs of ``envs`` at their spawn: the stance rows
+        shifted apart by spawn_gap, then each env's spawn noise on the arm
+        angles and the root x of slot 0, then slot 1, drawn from its
+        generator in env order (the anchors move with the root)."""
+        w, cfg = self.world, self.cfg
+        rows = 2 * envs[:, None] + np.arange(2)  # (len(envs), 2)
+        for f in fields(w):
+            getattr(w, f.name)[rows] = getattr(self.stance, f.name)
+        x = np.array([-0.5, 0.5]) * cfg.spawn_gap
+        w.root_pos[rows, 0] += x
+        w.anchor_x[rows] += x[:, None]
+        noise = cfg.spawn_noise
+        if noise > 0.0:
+            u = np.array([self.rngs[e].uniform(-noise, noise, 10) for e in envs]).reshape(-1, 2, 5)
+            w.q[rows, 1:5] += u[..., :4]  # arms only
+            w.root_pos[rows, 0] += u[..., 4]
+            w.anchor_x[rows] += (w.root_pos[rows, 0] - x)[..., None]
+        self.site_force[rows] = 0.0
+        self.timers.close[envs] = self.timers.farm[envs] = 0.0
+        self.t[envs] = 0.0
 
     def observe(self) -> np.ndarray:
         """(2E, obs_dim) observation rows of every slot."""
@@ -363,7 +353,7 @@ class CombatEnv:
         observation rows, the (E, 2) rewards of both slots, the (E,) done
         flags, and per env the termination reason (or None) under
         "reason", the (E, 2) Hit counts under "hits" and the episode time
-        under "t".  An env whose episode ends takes no rewards, events or
+        under "t".  An env whose episode ends takes no rewards, hits or
         timer updates for the rest of the decision and is respawned at its
         end.
         """
@@ -372,8 +362,8 @@ class CombatEnv:
         flip_q, _ = _flips(2 * n)
         rewards = np.zeros((n, 2))
         hits = np.zeros((n, 2), dtype=int)
+        reasons = np.full(n, None, dtype=object)
         done = np.zeros(n, dtype=bool)
-        reasons: list[str | None] = [None] * n
         for _ in range(cfg.k_hl):
             proprio = tr.proprio_rows(*slot_frames(self.world))
             targets = di.prior_action(self.phi_spec, self.phi_params, proprio, z) * flip_q
@@ -386,7 +376,7 @@ class CombatEnv:
             k = report.kin
             fell = ph.fallen(self.world.valid, k, spec, phys)
             dist = limb_region_dist(k, spec)
-            events = hit_events(dist, report.site_opponent, spec, cfg)
+            hit, force = hit_events(dist, report.site_opponent, spec, cfg)
             pos = self.world.root_pos
             root_dist = ph.row_norms(pos[0::2] - pos[1::2])
             ended, timers = check_termination(
@@ -395,24 +385,16 @@ class CombatEnv:
             )
             self.timers = TerminationTimers(np.where(live, timers.close, self.timers.close),
                                             np.where(live, timers.farm, self.timers.farm))
-            for e in np.flatnonzero(live):
-                for slot in range(2):
-                    me, opp = 2 * e + slot, 2 * e + 1 - slot
-                    if fell[opp]:
-                        events[me].append(CombatEvent("Knockdown"))
-                    if fell[me]:
-                        events[me].append(CombatEvent("GotKnockedDown"))
-                    rewards[e, slot] += combat_reward(events[me], bool(fell[me]), bool(fell[opp]), cfg)
-                    hits[e, slot] += sum(1 for ev in events[me] if ev.kind == "Hit")
-                reasons[e] = ended[e]
-                done[e] = ended[e] is not None
+            rewards[live] += combat_rewards(hit, force, fell, cfg).reshape(n, 2)[live]
+            hits[live] += hit.sum(axis=1).reshape(n, 2)[live]
+            reasons[live] = ended[live]
+            done = reasons != None  # elementwise over the object array
             if done.all():
                 break
-        info = {"reason": reasons, "hits": hits, "t": self.t.copy()}
-        for e in np.flatnonzero(done):
-            self._reset_env(e)
-        if done.any():  # World.put left k stale for the respawned rows
-            k = ph.Kinematics.of(self.world, spec)
+        info = {"reason": reasons.tolist(), "hits": hits, "t": self.t.copy()}
+        if done.any():
+            self._spawn(np.flatnonzero(done))
+            k = ph.Kinematics.of(self.world, spec)  # _spawn left k stale for those rows
         return combat_observation(self.world, k, self.site_force, spec), rewards, done, info
 
 
@@ -558,27 +540,27 @@ def rollout_combat(
     cfg: CombatConfig | None = None,
     spec: ph.CharacterSpec | None = None,
     phys: ph.PhysicsConfig | None = None,
-) -> list[list[ph.SimState]]:
-    """Deterministic-mode combat rollout; returns per-step state pairs."""
+) -> list[ph.World]:
+    """Deterministic-mode combat rollout: one World per fighter, with its
+    row before every decision, up to the first episode end."""
     spec = spec or ph.default_character()
     phys = phys or ph.default_config(spec)
     cfg = cfg or CombatConfig()
     ckpt = Path(ckpt_dir)
     _, phi_spec, phi_params, _ = nets.load_checkpoint(ckpt / "pi_phi.ckpt")
-    pols = []
-    for i in (1, 2):
-        policy, p = tr.load_policy(ckpt / f"pi_h_{i}.ckpt")
-        pols.append((policy, p))
+    pols = [tr.load_policy(ckpt / f"pi_h_{i}.ckpt") for i in (1, 2)]
     env = CombatEnv(phi_spec, phi_params, spec, phys, cfg, [np.random.default_rng(seed)])
     env.epoch = cfg.early_epochs  # disable the early separation rule
-    frames = []
     steps = math.floor(seconds / (phys.dt * cfg.k_hl) + 1e-9)
-    for _ in range(steps):
-        obs = env.observe()
+    frames = ph.World.zeros(2 * steps, spec)  # decision d's pair in rows 2d, 2d + 1
+    obs = env.observe()
+    for d in range(steps):
         z = np.concatenate([high_level_step(policy, p, obs[agent : agent + 1])[0]
                             for agent, (policy, p) in enumerate(pols)])
-        frames.append(env.states)
-        _, _, done, _ = env.decision_step(z)
+        for f in fields(frames):
+            getattr(frames, f.name)[2 * d : 2 * d + 2] = getattr(env.world, f.name)
+        obs, _, done, _ = env.decision_step(z)
         if done[0]:
+            steps = d + 1
             break
-    return frames
+    return [frames.rows(np.arange(slot, 2 * steps, 2)) for slot in range(2)]

@@ -7,6 +7,7 @@ from pathlib import Path
 
 from . import combat as cb
 from . import distill as di
+from . import evaluate as ev
 from . import motion as mo
 from . import physics as ph
 from . import tracking as tr
@@ -50,14 +51,14 @@ class PhysicsSection:
 
 @dataclass
 class DataSection:
-    hz: float = 30.0
-    duration: float = 10.0
-    idle: int = 10
-    footwork: int = 10
-    jab: int = 5
-    hook: int = 5
-    kick: int = 5
-    combo: int = 5
+    hz: float = mo.CLIP_HZ
+    duration: float = mo.CLIP_SECONDS
+    idle: int = mo.DEFAULT_COUNTS["idle"]
+    footwork: int = mo.DEFAULT_COUNTS["footwork"]
+    jab: int = mo.DEFAULT_COUNTS["jab"]
+    hook: int = mo.DEFAULT_COUNTS["hook"]
+    kick: int = mo.DEFAULT_COUNTS["kick"]
+    combo: int = mo.DEFAULT_COUNTS["combo"]
 
     def counts(self) -> dict[str, int]:
         return {f: getattr(self, f) for f in mo.FAMILIES}
@@ -67,11 +68,11 @@ class DataSection:
 class EvalSection:
     trials: int = 200
     horizons: tuple[float, ...] = (5.0, 10.0, 20.0, 30.0)
-    resample_period: float = 1.0
-    fixed_z: bool = False
+    resample_period: float = ev.RESAMPLE_PERIOD
+    fixed_z: bool = ev.FIXED_Z
     samples: int = 512
     clusters: int = 6
-    e_div: float = 0.5
+    e_div: float = tr.E_DIV
 
 
 @dataclass

@@ -48,7 +48,7 @@ class SlmpConfig:
     fresh_per_update: int = 256
     capacity: int = 16384
     envs: int = 16
-    e_div: float = 0.5
+    e_div: float = tr.E_DIV
     mode: str = "slmp"
     encoder_hidden: tuple[int, ...] = (128, 64)
     pi_phi_hidden: tuple[int, ...] = (256, 256, 128)
@@ -278,14 +278,13 @@ def slmp_update(
     g_a1 = (2.0 * cfg.lambda_distill / count) * (a1 - batch.a_star)
     g_a2 = None  # gradient reaching the prior through a2
 
-    if cfg.mode != "distill":
+    if train_disc:
         # score2 and its tape also serve the discriminator's own update
-        disc_tape = nets.Tape() if train_disc else None
+        disc_tape = nets.Tape()
         score2 = disc_forward(n.disc_spec, n.disc_params, batch.proprio, a2, disc_tape)
     if cfg.mode in ("nsc", "slmp"):
-        w_d, w_c = dlsc_weights(z1, batch.z2, score2, cfg.beta)
-        if not train_disc:
-            w_c = np.ones_like(w_c)
+        # without the discriminator, a zero score gives the unit semantic weight
+        w_d, w_c = dlsc_weights(z1, batch.z2, score2 if train_disc else np.zeros(count), cfg.beta)
         l_dlsc = dlsc_loss(w_d, w_c, a2, batch.a_star)
         metrics["l_dlsc"] = l_dlsc
         metrics["w_d"] = float(w_d.mean())

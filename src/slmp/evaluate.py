@@ -25,6 +25,10 @@ from . import physics as ph
 from . import tracking as tr
 from .seeding import seed_for
 
+# survival_eval draws a new latent every RESAMPLE_PERIOD seconds unless FIXED_Z
+RESAMPLE_PERIOD = 1.0
+FIXED_Z = False
+
 
 @dataclass
 class SurvivalCurve:
@@ -65,7 +69,7 @@ def latent_tracking_eval(
     expert_ckpt: str | Path | None = None,
     spec: ph.CharacterSpec | None = None,
     phys: ph.PhysicsConfig | None = None,
-    e_div: float = 0.5,
+    e_div: float = tr.E_DIV,
 ) -> dict[str, dict[str, float]]:
     """Success rate and mean site error when tracking through the latent
     space, optionally with the expert as the upper-bound comparison."""
@@ -87,8 +91,8 @@ def survival_eval(
     n_trials: int,
     horizons: tuple[float, ...],
     seed: int,
-    resample_period: float = 1.0,
-    fixed_z: bool = False,
+    resample_period: float = RESAMPLE_PERIOD,
+    fixed_z: bool = FIXED_Z,
     spec: ph.CharacterSpec | None = None,
     phys: ph.PhysicsConfig | None = None,
     action_fn: Callable[[ph.World, list[np.random.Generator]], np.ndarray] | None = None,
@@ -268,17 +272,21 @@ def load_cloud(path: str | Path) -> SpherePointCloud:
     head = lines[0].split() if lines else []
     if not head or head[0] != "SLMP-CLOUD/1":
         raise ValueError(f"{path}: not a sphere cloud file")
-    d = int(head[1].split("=")[1])
-    a = int(head[2].split("=")[1])
-    n = int(head[3].split("=")[1])
-    z = np.zeros((n, d))
-    labels = np.zeros(n, dtype=int)
-    actions = np.zeros((n, a))
-    for i in range(n):
-        parts = lines[1 + i].split()
-        z[i] = [float(p) for p in parts[:d]]
-        labels[i] = int(parts[d])
-        actions[i] = [float(p) for p in parts[d + 1 :]]
+    try:
+        d, a, n = (int(head[i].split("=")[1]) for i in (1, 2, 3))
+    except (IndexError, ValueError) as e:
+        raise ValueError(f"{path}: line 1: malformed header: {e}") from e
+    z, labels, actions = np.zeros((n, d)), np.zeros(n, dtype=int), np.zeros((n, a))
+    for i, ln in enumerate(range(2, n + 2)):
+        parts = lines[ln - 1].split() if ln <= len(lines) else []
+        if len(parts) != d + 1 + a:
+            raise ValueError(f"{path}: line {ln}: expected {d + 1 + a} values, got {len(parts)}")
+        try:
+            z[i] = [float(p) for p in parts[:d]]
+            labels[i] = int(parts[d])
+            actions[i] = [float(p) for p in parts[d + 1 :]]
+        except ValueError as e:
+            raise ValueError(f"{path}: line {ln}: {e}") from e
     return SpherePointCloud(z, labels, actions)
 
 

@@ -38,6 +38,8 @@ import numpy as np
 from . import physics as ph
 
 FAMILIES = ("idle", "footwork", "jab", "hook", "kick", "combo")
+CLIP_SECONDS = 10.0  # default clip length
+CLIP_HZ = 30.0  # default clip frame rate
 
 CLIP_MAGIC = "SLMP-CLIP/1"
 
@@ -434,8 +436,8 @@ def _pose_fn(family: str, rng: np.random.Generator, builder: _PoseBuilder):
 def generate_clip(
     family: str,
     seed: int,
-    duration: float = 10.0,
-    frame_rate: float = 30.0,
+    duration: float = CLIP_SECONDS,
+    frame_rate: float = CLIP_HZ,
     spec: ph.CharacterSpec | None = None,
     cfg: ph.PhysicsConfig | None = None,
 ) -> MotionClip:
@@ -489,13 +491,14 @@ def _clip_from_poses(
     )
 
 
+# the default library: clips per family, each CLIP_SECONDS long at CLIP_HZ
 DEFAULT_COUNTS = {"idle": 10, "footwork": 10, "jab": 5, "hook": 5, "kick": 5, "combo": 5}
 
 
 def generate_library(
     counts: dict[str, int] | None = None,
-    duration: float = 10.0,
-    frame_rate: float = 30.0,
+    duration: float = CLIP_SECONDS,
+    frame_rate: float = CLIP_HZ,
     spec: ph.CharacterSpec | None = None,
     cfg: ph.PhysicsConfig | None = None,
     seed: int = 0,

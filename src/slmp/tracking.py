@@ -31,6 +31,7 @@ ACTION_SCALE = math.pi / 2.0
 IMITATION_WEIGHTS = (0.5, 0.3, 0.1, 0.1)  # position, rotation, lin vel, ang vel
 IMITATION_COEFFS = (100.0, 10.0, 0.1, 0.1)
 ENERGY_COEFF = 5e-4
+E_DIV = 0.5  # mean site error (m) that counts as divergence
 
 
 @dataclass
@@ -56,7 +57,7 @@ class PpoConfig:
     std_anneal_updates: int = 600
     learn_std: bool = True
     updates: int = 2000
-    e_div: float = 0.5  # mean site error (m) that counts as divergence
+    e_div: float = E_DIV
     # the light limbs make exploration-noise torques explode the energy
     # term to 1e5-scale, drowning the <=1 imitation signal; the env clamps
     # the penalty's reward contribution (the formula itself is untouched)
@@ -474,7 +475,7 @@ class EnvBatch:
         spec: ph.CharacterSpec,
         phys: ph.PhysicsConfig,
         rngs: list[np.random.Generator],
-        e_div: float = 0.5,
+        e_div: float = E_DIV,
         energy_floor: float = -5.0,
         starts: list[tuple[int, int]] | None = None,
     ):
@@ -605,7 +606,7 @@ class TrackingEnv(EnvBatch):
         clips: list[mo.MotionClip],
         spec: ph.CharacterSpec,
         phys: ph.PhysicsConfig,
-        e_div: float = 0.5,
+        e_div: float = E_DIV,
         rng: np.random.Generator | None = None,
         energy_floor: float = -5.0,
     ):
@@ -776,15 +777,21 @@ def resume_train_state(out: Path, envs: EnvBatch) -> TrainState:
     into the batch, valid and with the World time at ``t``."""
     policy, policy_params = load_policy(out / "pi_track.ckpt")
     _, value_spec, value_params, _ = nets.load_checkpoint(out / "critic.ckpt")
-    lines = (out / "envs.txt").read_text().splitlines()
+    path = out / "envs.txt"
+    lines = path.read_text().splitlines()
     update = int(lines[0].split("=")[1])
     saved = int(lines[1].split("=")[1])
     if saved != len(envs):
-        raise ValueError(
-            f"{out / 'envs.txt'}: snapshot holds {saved} envs, the config builds {len(envs)}"
-        )
-    rows = np.array([[float(x) for x in line.split()] for line in lines[2:]])
+        raise ValueError(f"{path}: snapshot holds {saved} envs, the config builds {len(envs)}")
     w, nq, ns = envs.world, envs.spec.ndof, len(envs.spec.sites)
+    rows = [line.split() for line in lines[2:]]
+    width = 2 * (3 + nq + ns)
+    if len(rows) != saved:
+        raise ValueError(f"{path}: the header says envs={saved}, found {len(rows)} rows")
+    for ln, row in enumerate(rows, start=3):
+        if len(row) != width:
+            raise ValueError(f"{path}: line {ln}: expected {width} values, got {len(row)}")
+    rows = np.array([[float(x) for x in row] for row in rows])
     cols = np.split(rows, np.cumsum([2, nq, 2, nq, 1, 1, ns]), axis=1)
     w.root_pos[:], w.q[:], w.root_vel[:], w.qd[:], t, clip_index, w.anchor_x[:], anchor_on = cols
     envs.t[:] = w.time[:] = t[:, 0]
@@ -920,7 +927,7 @@ def track_clips(
     clips: list[mo.MotionClip],
     spec: ph.CharacterSpec,
     phys: ph.PhysicsConfig,
-    e_div: float = 0.5,
+    e_div: float = E_DIV,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roll every clip from its first frame under a row controller.
 

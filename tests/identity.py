@@ -12,7 +12,10 @@ prints ``<family> <sha256>`` lines for
   ``train_tracking``, ``train_slmp`` (``slmp_update``) and 2 epochs of
   ``self_play_train``, chained as in the pipeline: the distillation reads
   the tracking expert and self-play reads the distilled prior;
-- the ``envs.txt`` rollout state that those tracking updates end with.
+- the ``envs.txt`` rollout state that those tracking updates end with;
+- the rewards, hit counts, termination reasons and episode times of 16
+  ``CombatEnv.decision_step`` calls of 2 envs over a tiny prior, close
+  enough to land hits and knock fighters down (``combat.decisions``).
 
 A byte-identity check of a change is a diff of the output of two
 checkouts.  ``digests(tiny=True)`` runs the same families at test size.
@@ -35,7 +38,10 @@ from slmp import cli  # noqa: E402
 from slmp import combat as cb  # noqa: E402
 from slmp import distill as di  # noqa: E402
 from slmp import motion as mo  # noqa: E402
+from slmp import nets  # noqa: E402
+from slmp import physics as ph  # noqa: E402
 from slmp import tracking as tr  # noqa: E402
+from slmp.seeding import seed_for  # noqa: E402
 from test_cli import SMOKE_CFG  # noqa: E402
 
 SEED = 11
@@ -107,6 +113,26 @@ def training(work: Path, clips: list[mo.MotionClip], tiny: bool) -> dict[str, st
     return out
 
 
+def combat_decisions() -> dict[str, str]:
+    """Digest of 16 decisions of a 2-env ``CombatEnv`` driven by random
+    latents through a tiny random prior: per decision the (E, 2) rewards,
+    the (E, 2) hit counts, the termination reasons and the episode times."""
+    spec = ph.default_character()
+    phys = ph.default_config(spec)
+    rng = np.random.default_rng(SEED)
+    phi_spec = nets.MlpSpec(tr.proprio_dim(spec) + 4, (16,), spec.n_joints, activation="silu")
+    phi_params = 0.3 * nets.init_params(phi_spec, rng)
+    cfg = cb.CombatConfig(spawn_gap=0.45, f_hit=5.0)
+    env = cb.CombatEnv(phi_spec, phi_params, spec, phys, cfg,
+                       [np.random.default_rng(seed_for(SEED, f"decisions-{i}")) for i in range(2)])
+    chunks = []
+    for _ in range(16):
+        _, rewards, _, info = env.decision_step(di.sample_sphere(4, rng, 4))
+        chunks += [rewards.tobytes(), info["hits"].astype(np.int64).tobytes(),
+                   repr(info["reason"]).encode(), info["t"].tobytes()]
+    return {"combat.decisions": sha(*chunks)}
+
+
 def digests(tiny: bool = False) -> dict[str, str]:
     """Family name to SHA-256 hex digest, in a fixed order."""
     clips = mo.generate_library(TINY_COUNTS if tiny else None)
@@ -116,6 +142,7 @@ def digests(tiny: bool = False) -> dict[str, str]:
         (work / "smoke").mkdir()
         out.update(smoke_pipeline(work / "smoke"))
         out.update(training(work, clips, tiny))
+    out.update(combat_decisions())
     return out
 
 

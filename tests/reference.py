@@ -18,12 +18,20 @@ array and write observations into one buffer.  ``sample_frames`` and
 env, and ``observation`` concatenates the observation from its pieces,
 with ``wrap_angle`` and ``to_local`` in their ``np.mod`` and ``np.stack``
 forms; the package must equal them bit for bit.
+
+Combat scores and spawns its fighters on rows too.  ``CombatEvent``,
+``hit_events`` and ``combat_reward`` are the event form of a control
+step's scoring: one list of Hit/GotHit events per row, summed event by
+event into a scalar reward; ``combat_rewards`` must equal it bit for
+bit.  ``spawn_pair`` is one env's spawn as two ``SimState`` copies of the
+stance, which ``CombatEnv``'s spawned rows must equal.
 """
 import math
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from slmp import combat as cb
 from slmp import motion as mo
 from slmp import physics as ph
 from slmp import tracking as tr
@@ -223,3 +231,61 @@ def observation(goal, root_pos, q, root_vel, qd):
                  to_local(q[:, 0], ref_vel - root_vel), ref_qd - qd,
                  d_root, wrap_angle(ref_q[:, 1:]), d_pos]
     return np.concatenate(proprio + goal_part, axis=1)
+
+
+@dataclass
+class CombatEvent:
+    kind: str  # Hit | GotHit
+    force: float = 0.0
+    limb: int = -1  # site index of the striking limb
+    region: str = ""  # head | torso
+
+
+def hit_events(dist, site_opponent, spec, cfg):
+    """One event list per row from the (2E, 4, 2) limb-to-region distances
+    and the (2E, n_sites) opponent-contact forces: every scoring hit of row
+    a's limb appends a Hit to row a and a GotHit to row a ^ 1, rows in
+    order and limbs in LIMB_SITES order within a row."""
+    events = tuple([] for _ in range(len(dist)))
+    limbs = [spec.site_index[n] for n in cb.LIMB_SITES]
+    force = site_opponent[:, limbs]
+    region = np.argmin(dist, axis=2)
+    nearest = np.take_along_axis(dist, region[..., None], axis=2)[..., 0]
+    for a, l in zip(*np.nonzero(~(force <= cfg.f_hit) & (nearest < cfg.hit_dist))):
+        f, s, r = float(force[a, l]), limbs[l], cb.REGIONS[region[a, l]]
+        events[a].append(CombatEvent("Hit", f, s, r))
+        events[a ^ 1].append(CombatEvent("GotHit", f, s, r))
+    return events
+
+
+def combat_reward(events, fell_self, fell_opp, cfg):
+    """Reward of one row and one control step, summed event by event."""
+    r = 0.0
+    for e in events:
+        if e.kind == "Hit":
+            r += cfg.k_hit * min(e.force, cfg.f_cap)
+        elif e.kind == "GotHit":
+            r -= cfg.k_hit * min(e.force, cfg.f_cap)
+    if fell_opp:
+        r += cfg.knockdown_bonus
+    if fell_self:
+        r -= cfg.knockdown_bonus
+    return r
+
+
+def spawn_pair(stance, cfg, rng):
+    """One combat env's spawn as (slot 0, slot 1) states: copies of
+    ``stance``, slot 1 mirrored about x = 0, spawn_gap apart, then each
+    slot's spawn noise on its arm angles and root x drawn from ``rng``."""
+    pair = []
+    for facing, x in ((+1, -cfg.spawn_gap / 2.0), (-1, cfg.spawn_gap / 2.0)):
+        s = stance.copy() if facing > 0 else ph.mirror_state(stance, 0.0)
+        s.root_pos[0] += x
+        s.anchor_x += x
+        noise = cfg.spawn_noise
+        if noise > 0.0:
+            s.joint_angles[:4] += rng.uniform(-noise, noise, 4)
+            s.root_pos[0] += rng.uniform(-noise, noise)
+            s.anchor_x += s.root_pos[0] - x
+        pair.append(s)
+    return pair

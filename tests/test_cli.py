@@ -1,4 +1,5 @@
 import filecmp
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -6,12 +7,13 @@ import pytest
 
 from slmp import cli
 from slmp import combat as cb
+from slmp import evaluate as ev
 from slmp import motion as mo
 from slmp import nets
 from slmp import physics as ph
 from slmp import tracking as tr
 from slmp.seeding import seed_for
-from slmp.config import ConfigError, load_config
+from slmp.config import ConfigError, RunConfig, load_config
 
 SMOKE_CFG = """
 data.duration = 3.0
@@ -56,6 +58,26 @@ class TestConfig:
         assert cfg.slmp.lambda_distill == 1.0
         assert cfg.slmp.lambda_disc == pytest.approx(1e-4)
         assert cfg.slmp.disc_lr == pytest.approx(5e-5)
+
+    def test_defaults_are_the_module_defaults(self):
+        """Every default that ``RunConfig`` shares with a function or a
+        config of the package is that module's one constant."""
+        cfg = RunConfig()
+
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        assert cfg.data.counts() == mo.DEFAULT_COUNTS
+        for fn in (mo.generate_clip, mo.generate_library):
+            assert (default(fn, "frame_rate"), default(fn, "duration")) == (
+                mo.CLIP_HZ, mo.CLIP_SECONDS) == (cfg.data.hz, cfg.data.duration)
+        assert default(ev.survival_eval, "resample_period") == ev.RESAMPLE_PERIOD
+        assert cfg.eval.resample_period == ev.RESAMPLE_PERIOD
+        assert default(ev.survival_eval, "fixed_z") is cfg.eval.fixed_z is ev.FIXED_Z
+        e_divs = [cfg.ppo.e_div, cfg.slmp.e_div, cfg.eval.e_div]
+        e_divs += [default(f, "e_div") for f in (
+            tr.EnvBatch, tr.TrackingEnv, tr.track_clips, ev.latent_tracking_eval)]
+        assert e_divs == [tr.E_DIV] * 7
 
     def test_empty_file_gives_defaults(self, tmp_path):
         p = tmp_path / "empty.cfg"
@@ -204,11 +226,11 @@ class TestCli:
                                  policy.init(rng, 0.3), extra=policy.spec.output_dim)
         assert cli.run(["rollout", "--mode", "combat", "--ckpt", str(ckpt),
                         "--frames", str(tmp_path / "fight.clip"), "--seconds", "1"]) == 0
-        frames = cb.rollout_combat(ckpt, 1.0, seed_for(0, "rollout"))
-        assert len(frames) == 30
-        for i in (1, 2):
+        fighters = cb.rollout_combat(ckpt, 1.0, seed_for(0, "rollout"))
+        assert [len(w) for w in fighters] == [30, 30]
+        for i, w in enumerate(fighters, start=1):
             clip = mo.load_clip(tmp_path / f"fight.fighter{i}.clip")
-            assert clip.n_frames == len(frames)
+            assert clip.n_frames == len(w)
             assert clip.frame_rate == 30.0
-            for k in (0, len(frames) - 1):
-                assert np.array_equal(clip.frame_state(k).theta(), frames[k][i - 1].theta())
+            for k in (0, len(w) - 1):
+                assert np.array_equal(clip.frame_state(k).theta(), w.q[k])

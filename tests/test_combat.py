@@ -1,9 +1,11 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from reference import proprio, rot, watch_kinematics
+from reference import CombatEvent, combat_reward, proprio, rot, spawn_pair, watch_kinematics
+from reference import hit_events as hit_event_lists
 from slmp import combat as cb
 from slmp import distill as di
 from slmp import nets
@@ -95,22 +97,24 @@ class TestHitEvents:
         return site_opponent
 
     def test_hit_and_gothit_emitted(self):
-        states = self._states_with_hand_near(0.1)
-        ev0, ev1 = cb.hit_events(dist_rows(states), self._site_opponent(60.0), SPEC, CC)
-        assert [e.kind for e in ev0] == ["Hit"]
-        assert [e.kind for e in ev1] == ["GotHit"]
-        assert ev0[0].force == 60.0
-        assert ev0[0].region == "head"
+        dist = dist_rows(self._states_with_hand_near(0.1))
+        hit, force = cb.hit_events(dist, self._site_opponent(60.0), SPEC, CC)
+        assert hit.tolist() == [[True, False, False, False], [False] * 4]
+        assert force[0, 0] == 60.0
+        assert cb.REGIONS[dist[0, 0].argmin()] == "head"
+        # the striker gains the hit, the struck row loses it
+        rewards = cb.combat_rewards(hit, force, np.zeros(2, dtype=bool), CC)
+        assert rewards.tolist() == [CC.k_hit * 60.0, -CC.k_hit * 60.0]
 
     def test_distance_gate(self):
         states = self._states_with_hand_near(0.5)
-        ev0, ev1 = cb.hit_events(dist_rows(states), self._site_opponent(60.0), SPEC, CC)
-        assert ev0 == [] and ev1 == []
+        hit, _ = cb.hit_events(dist_rows(states), self._site_opponent(60.0), SPEC, CC)
+        assert not hit.any()
 
     def test_force_gate(self):
         states = self._states_with_hand_near(0.1)
-        ev0, ev1 = cb.hit_events(dist_rows(states), self._site_opponent(20.0), SPEC, CC)
-        assert ev0 == [] and ev1 == []
+        hit, _ = cb.hit_events(dist_rows(states), self._site_opponent(20.0), SPEC, CC)
+        assert not hit.any()
 
 
 def _regions(state):
@@ -149,16 +153,18 @@ def _hits_and_min_dist_ref(states, site_opponent):
             force = float(site_opponent[a, s])
             region = min(dists, key=dists.get)
             if force > CC.f_hit and dists[region] < CC.hit_dist:
-                events[a].append(cb.CombatEvent("Hit", force, s, region))
-                events[1 - a].append(cb.CombatEvent("GotHit", force, s, region))
+                events[a].append(CombatEvent("Hit", force, s, region))
+                events[1 - a].append(CombatEvent("GotHit", force, s, region))
     return events, best
 
 
 def test_row_functions_match_per_state_reference():
-    """Observations, hit events, fall flags and the farming distance of the
-    2-row world against per-state code, slot 1 through mirror_state, over
-    random close-range pairs after one coupled step with random targets."""
+    """Observations, hits, rewards, fall flags and the farming distance of
+    the 2-row world against per-state code, slot 1 through mirror_state,
+    over random close-range pairs after one coupled step with random
+    targets."""
     rng = np.random.default_rng(17)
+    limbs = [SPEC.site_index[n] for n in cb.LIMB_SITES]
     hits = falls = touching = 0
     for trial in range(240):
         a = ph.nominal_stance(SPEC, CFG)
@@ -189,45 +195,74 @@ def test_row_functions_match_per_state_reference():
             assert np.all(np.abs(obs[slot] - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
         dist = cb.limb_region_dist(k, SPEC)
-        ev_rows = cb.hit_events(dist, site_opponent, SPEC, CC)
+        hit, force = cb.hit_events(dist, site_opponent, SPEC, CC)
         ev_ref, best = _hits_and_min_dist_ref(states, site_opponent)
-        assert ev_rows == ev_ref, trial
+        assert hit_event_lists(dist, site_opponent, SPEC, CC) == ev_ref, trial
+        for a in range(2):
+            landed = [(e.limb, e.force) for e in ev_ref[a] if e.kind == "Hit"]
+            assert [(limbs[l], float(force[a, l])) for l in np.flatnonzero(hit[a])] == landed
         assert abs(float(dist.min()) - best) <= 1e-12
         hits += len(ev_ref[0]) + len(ev_ref[1])
 
         fell = ph.fallen(w.valid, k, SPEC, CFG)
         assert list(fell) == [ph.detect_fall(s, SPEC, CFG) for s in states]
         falls += int(fell.sum())
+        assert cb.combat_rewards(hit, force, fell, CC).tolist() == [
+            combat_reward(ev_ref[a], fell[a], fell[1 - a], CC) for a in range(2)]
     assert touching >= 20 and hits >= 20 and falls >= 20, (touching, hits, falls)
+
+
+def rewards_of(force0, force1, fell=(False, False)):
+    """``combat_rewards`` of one pair whose rows land hits with the given
+    limb forces (0 for no hit)."""
+    force = np.array([force0, force1], dtype=float)
+    return cb.combat_rewards(force > 0, force, np.array(fell), CC)
 
 
 class TestCombatReward:
     def test_single_hit(self):
-        r = cb.combat_reward([cb.CombatEvent("Hit", 60.0, 0, "head")], False, False, CC)
-        assert r == pytest.approx(0.6)
+        assert rewards_of([60.0, 0, 0, 0], [0] * 4) == pytest.approx([0.6, -0.6])
 
     def test_force_capped(self):
-        r = cb.combat_reward([cb.CombatEvent("Hit", 500.0, 0, "head")], False, False, CC)
-        assert r == pytest.approx(CC.k_hit * CC.f_cap)
+        r = rewards_of([500.0, 0, 0, 0], [0] * 4)
+        assert r == pytest.approx([CC.k_hit * CC.f_cap, -CC.k_hit * CC.f_cap])
 
     def test_knockdown_bonus(self):
-        assert cb.combat_reward([], False, True, CC) == pytest.approx(50.0)
+        assert rewards_of([0] * 4, [0] * 4, (False, True)) == pytest.approx([50.0, -50.0])
 
     def test_hit_plus_own_fall(self):
-        r = cb.combat_reward([cb.CombatEvent("Hit", 60.0, 0, "torso")], True, False, CC)
-        assert r == pytest.approx(0.6 - 50.0)
+        r = rewards_of([0, 60.0, 0, 0], [0] * 4, (True, False))
+        assert r == pytest.approx([0.6 - 50.0, -0.6 + 50.0])
 
     def test_zero_sum_hit_accounting(self):
+        """Both rows add the same terms in the same order with opposite
+        signs, so their rewards negate exactly."""
         rng = np.random.default_rng(1)
         for _ in range(50):
-            force = float(rng.uniform(31, 400))
-            region = "head" if rng.uniform() < 0.5 else "torso"
-            ev_a = [cb.CombatEvent("Hit", force, 3, region)]
-            ev_b = [cb.CombatEvent("GotHit", force, 3, region)]
-            total = cb.combat_reward(ev_a, False, False, CC) + cb.combat_reward(
-                ev_b, False, False, CC
-            )
-            assert total == pytest.approx(0.0, abs=1e-12)
+            force = rng.uniform(31, 400, (2, 4)) * (rng.uniform(size=(2, 4)) < 0.5)
+            r = rewards_of(*force)
+            assert r[1] == -r[0]
+
+
+def test_rewards_equal_the_event_form_bit_for_bit():
+    """``combat_rewards`` of the ``hit_events`` rows of 5 pairs equals, bit
+    for bit, the event-by-event sum of the reference event lists, over
+    forces that cancel, clamp, sit on the gates and go NaN."""
+    rng = np.random.default_rng(23)
+    values = np.array([0.0, 20.0, CC.f_hit, 31.0, 60.0, 0.1 + 0.2, CC.f_cap, 250.0, np.nan])
+    limbs = [SPEC.site_index[n] for n in cb.LIMB_SITES]
+    scored = 0
+    for trial in range(400):
+        dist = rng.choice([0.1, CC.hit_dist, 0.5, np.nan], (10, 4, 2), p=[0.6, 0.1, 0.2, 0.1])
+        site_opponent = np.zeros((10, len(SPEC.sites)))
+        site_opponent[:, limbs] = rng.choice(values, (10, 4))
+        fell = rng.uniform(size=10) < 0.2
+        rows = cb.combat_rewards(*cb.hit_events(dist, site_opponent, SPEC, CC), fell, CC)
+        events = hit_event_lists(dist, site_opponent, SPEC, CC)
+        want = np.array([combat_reward(events[a], fell[a], fell[a ^ 1], CC) for a in range(10)])
+        assert rows.tobytes() == want.tobytes(), trial
+        scored += sum(len(e) for e in events)
+    assert scored > 1000
 
 
 def check_one(root_dist, limb_dist, knockdown, t, timers, dt, epoch, cfg):
@@ -371,7 +406,8 @@ class TestCombatEnv:
             _, rewards, done, info = env.decision_step(np.stack([z0, z1]))
             (r0, r1), done = rewards[0], done[0]
             fell = any(
-                ph.detect_fall(s, SPEC, CFG) or not s.valid for s in env.states
+                ph.detect_fall(s, SPEC, CFG) or not s.valid
+                for s in (env.world.state(0), env.world.state(1))
             )
             if not done and not fell:
                 assert r0 + r1 == pytest.approx(0.0, abs=1e-9)
@@ -406,7 +442,7 @@ class TestCombatEnv:
 
 
 def _no_termination(root_dist, limb_dist, knockdown, t, timers, dt, epoch, cfg):
-    return [None] * len(t), timers
+    return np.full(len(t), None, dtype=object), timers
 
 
 def test_decision_step_builds_no_kinematics_of_the_stepped_world(tiny_prior, monkeypatch):
@@ -438,7 +474,7 @@ def test_rollout_runs_every_whole_decision(tiny_prior, tmp_path, monkeypatch):
                              policy.init(rng, 0.3), extra=policy.spec.output_dim)
     monkeypatch.setattr(cb, "check_termination", _no_termination)
     assert CFG.dt * CC.k_hl == 1 / 30
-    assert len(cb.rollout_combat(ckpt, 4.1, 0, CC, SPEC, CFG)) == 123
+    assert [len(w) for w in cb.rollout_combat(ckpt, 4.1, 0, CC, SPEC, CFG)] == [123, 123]
 
 
 def _drive_envs(phi_spec, phi_params, cfg, seeds, decisions):
@@ -481,3 +517,21 @@ def test_stacked_envs_match_separate_envs(tiny_prior):
     assert sum(step["done"].sum() for step in stacked) == len(reasons) >= 9
     assert {"knockdown", "separated"} <= set(reasons), set(reasons)
     assert sum(step["hits"].sum() for step in stacked) > 0
+
+
+@pytest.mark.parametrize("cfg", [CC, cb.CombatConfig(spawn_gap=0.7, spawn_noise=0.0),
+                                 cb.CombatConfig(spawn_gap=1.3, spawn_noise=0.05)])
+def test_spawn_rows_equal_spawned_states(tiny_prior, cfg):
+    """Spawned rows carry the bits of the per-state spawn: the stance, its
+    mirror, the gap, and each env's noise draws in order, from fresh
+    generators and again from the generators the first spawn advanced."""
+    _, phi_spec, phi_params = tiny_prior
+    seeds = [3, 4, 5]
+    env_rngs = [np.random.default_rng(s) for s in seeds]
+    rngs = [np.random.default_rng(s) for s in seeds]
+    stance = ph.nominal_stance(SPEC, CFG)
+    for _ in range(2):
+        env = cb.CombatEnv(phi_spec, phi_params, SPEC, CFG, cfg, env_rngs)
+        want = ph.World.of([s for rng in rngs for s in spawn_pair(stance, cfg, rng)], SPEC)
+        for f in fields(want):
+            assert getattr(env.world, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name

@@ -301,14 +301,14 @@ class TestSlmpUpdate:
         assert m["l_disc"] > 0.0
 
     @pytest.mark.parametrize("mode,use_wc,forwards", [
-        ("slmp", False, 4), ("slmp", True, 5), ("nsc", False, 4), ("gan", False, 5), ("distill", False, 2),
+        ("slmp", False, 3), ("slmp", True, 5), ("nsc", False, 3), ("gan", False, 5), ("distill", False, 2),
     ])
     def test_one_forward_per_network_input(self, monkeypatch, mode, use_wc, forwards):
         """Each backward reads its forward's tape, and the discriminator's
-        own update reuses the score of (proprio, a2): encoder, prior x2 and
-        the discriminator run once each, plus the expert-action score when
-        the discriminator trains.  The distill mode reads no a2, so it runs
-        neither the second prior nor the discriminator."""
+        own update reuses the score of (proprio, a2): encoder and prior x2
+        run once each, and the discriminator scores (proprio, a2) and the
+        expert actions when it trains.  The distill mode reads no a2, so it
+        runs neither the second prior nor the discriminator."""
         n, cfg = tiny_nets(seed=4)
         cfg.mode = mode
         real, real_backward = nets.forward_batch, nets.backward_batch
@@ -328,6 +328,30 @@ class TestSlmpUpdate:
         assert m["skipped"] == 0.0
         assert len(calls) == forwards
         assert sources and set(sources) == {nets.Tape}
+
+    @pytest.mark.parametrize("mode,use_wc,scores", [
+        ("distill", False, 0), ("nsc", False, 0), ("nsc", True, 0), ("slmp", False, 0),
+        ("slmp", True, 2), ("gan", False, 2), ("gan", True, 2),
+    ])
+    def test_discriminator_runs_only_when_it_trains(self, monkeypatch, mode, use_wc, scores):
+        """Before the semantic-weight latch, and in the nsc mode, the
+        semantic weight is 1 whatever the score, so the discriminator is
+        not run; when it trains, it scores (proprio, a2) and the expert
+        actions once each."""
+        n, cfg = tiny_nets(seed=4)
+        cfg.mode = mode
+        real, calls = di.disc_forward, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(di, "disc_forward", counting)
+        m = di.slmp_update(self._batch(n, cfg), n, cfg, di.Phase(window=cfg.window, use_wc=use_wc))
+        assert m["skipped"] == 0.0
+        assert len(calls) == scores
+        if mode in ("nsc", "slmp") and not use_wc:
+            assert m["w_c"] == 1.0
 
     def test_full_gradient_matches_fd(self):
         """Analytic gradients of L_SLMP w.r.t. prior and encoder params."""

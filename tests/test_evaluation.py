@@ -335,6 +335,19 @@ class TestSphereClusters:
         with pytest.raises(ValueError, match="not a sphere cloud file"):
             ev.load_cloud(tmp_path / "c.txt")
 
+    @pytest.mark.parametrize("text, where", [
+        ("SLMP-CLOUD/1 latent=2 action=1\n", "line 1: malformed header"),
+        ("SLMP-CLOUD/1 latent=2 action=x points=1\n", "line 1: malformed header"),
+        ("SLMP-CLOUD/1 latent=2 action=1 points=3\n0.6 0.8 0 0.5\n", "line 3: expected 4 values, got 0"),
+        ("SLMP-CLOUD/1 latent=2 action=1 points=1\n0.6 0.8 0\n", "line 2: expected 4 values, got 3"),
+        ("SLMP-CLOUD/1 latent=2 action=1 points=1\n0.6 0.8 zero 0.5\n", "line 2: invalid literal"),
+    ])
+    def test_load_cloud_names_the_line_of_a_bad_file(self, tmp_path, text, where):
+        """A truncated file or a short header is refused by file and line."""
+        (tmp_path / "c.txt").write_text(text)
+        with pytest.raises(ValueError, match=f"c.txt: {where}"):
+            ev.load_cloud(tmp_path / "c.txt")
+
 
 class TestFixtures:
     def test_fixture_states_exist(self):

@@ -13,5 +13,6 @@ def test_identity_digests_every_output_family():
     for name in ("smoke/data/idle-5000.clip", "smoke/track/pi_track.ckpt",
                  "smoke/slmp/pi_phi.ckpt", "smoke/combat/metrics.csv",
                  "smoke/eval-track.csv", "smoke/fight.fighter2.clip",
-                 "track.params", "track.envs", "distill.metrics", "combat.params"):
+                 "track.params", "track.envs", "distill.metrics", "combat.params",
+                 "combat.decisions"):
         assert name in digests

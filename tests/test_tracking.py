@@ -505,6 +505,27 @@ class TestTraining:
             tr.train_tracking(clips, more, tmp_path, seed=5, spec=SPEC, phys=CFG, resume=True,
                               log=False)
 
+    @pytest.mark.parametrize("cut", ["rows", "values"])
+    def test_resume_refuses_a_truncated_snapshot(self, tmp_path, cut):
+        """A snapshot that lost env rows, or values of a row, is refused by
+        name instead of broadcast into every env."""
+        clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        cfg = tr.PpoConfig(envs=3, horizon=8, updates=1, epochs_per_update=1)
+        tr.train_tracking(clips, cfg, tmp_path, seed=5, spec=SPEC, phys=CFG, log=False)
+        path = tmp_path / "envs.txt"
+        lines = path.read_text().splitlines()
+        if cut == "rows":
+            lines = lines[:3]  # the header and row 0
+            match = "the header says envs=3, found 1 rows"
+        else:
+            lines[3] = " ".join(lines[3].split()[:-1])
+            match = "line 4: expected"
+        path.write_text("\n".join(lines) + "\n")
+        more = replace(cfg, updates=2)
+        with pytest.raises(ValueError, match=f"envs.txt: {match}"):
+            tr.train_tracking(clips, more, tmp_path, seed=5, spec=SPEC, phys=CFG, resume=True,
+                              log=False)
+
     def test_first_epoch_clip_fraction_zero(self, tmp_path):
         clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
         cfg = tr.PpoConfig(envs=2, horizon=8, updates=1, epochs_per_update=1)
