@@ -273,7 +273,7 @@ def high_level_step(
     norm = ph.row_norms(raw)
     for e, rng in enumerate(rngs or ()):
         while norm[e] < 1e-9:  # redraw a degenerate sample
-            raw[e], logp[e] = policy.sample(params, obs[e], rng)
+            (raw[e],), (logp[e],) = policy.sample_rows(params, obs[e : e + 1], [rng])
             norm[e] = np.linalg.norm(raw[e])
     degenerate = norm < 1e-9  # a deterministic mean can still be
     raw[degenerate, 0] = 1.0

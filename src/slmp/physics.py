@@ -34,7 +34,11 @@ and qd through ``path``, the four site quantities through
 ``site_coeff``): each gets the bits of its own call.  The matrix must
 keep its memory layout, though: ``einsum`` picks its summation kernel
 by stride, so a transposed view and its contiguous copy round
-differently.
+differently.  Scatters over rows are ``np.add.at`` calls, which add in
+the order of their entries: a row's contacts are summed in the fixed
+(row, site, link) order of one ``np.nonzero``, and a pair's net force
+is summed once and then negated for the upper row, so the pair obeys
+Newton's third law bit for bit.
 
 Kinematics hand-off: one control step of ``step_batch`` builds the
 ``Kinematics`` of its input world once.  Each ``_substep`` takes the
@@ -598,43 +602,6 @@ def _capsule_distances(k: Kinematics, spec: CharacterSpec) -> tuple[np.ndarray, 
     return dist < 2.0 * spec.contact_radius, t, ex, ey, dist
 
 
-def _pair_contacts(k: Kinematics, spec: CharacterSpec, cfg: PhysicsConfig, a: int,
-                   near: tuple[np.ndarray, ...]):
-    """Contacts of every site of row a against every link capsule of its
-    partner, row b = a ^ 1.
-
-    ``near`` is the result of ``_capsule_distances``.  Returns None
-    without contact, else (site_a, link_b, along_b, coeff_b, force_a) with
-    one entry per contact: the struck point lies ``along_b`` from the
-    proximal end of ``link_b``, ``coeff_b`` places it on b (point - root =
-    coeff @ unit(phi)), and b receives the opposite of ``force_a``.
-    """
-    touching, t, ex, ey, dist = (v[a] for v in near)
-    s, j = np.nonzero(touching)
-    if not s.size:
-        return None
-    r2 = 2.0 * spec.contact_radius
-    b = a ^ 1
-    cos_b, sin_b = k.cos[b], k.sin[b]
-    dj = dist[s, j]
-    far = dj > 1e-9
-    n = np.where(far[:, None], np.stack([ex[s, j], ey[s, j]], axis=1)
-                 / np.where(far, dj, 1.0)[:, None], [0.0, 1.0])
-    along = t[s, j] * spec.lengths[j]
-    coeff = spec.prox_coeff[j]
-    coeff[np.arange(j.size), j] += along
-    w_b = k.phidot[b] * np.stack([-sin_b, cos_b])  # (2, L): u_perp * phidot
-    v_rel = np.stack([k.site_vx[a][s], k.site_vy[a][s]], axis=1) - (k.root_vel[b] + coeff @ w_b.T)
-    vn = (v_rel * n).sum(axis=1)
-    normal = np.maximum(cfg.contact_kn * (r2 - dj) - cfg.contact_dn * vn, 0.0)
-    vt = v_rel - vn[:, None] * n
-    speed = np.linalg.norm(vt, axis=1)
-    slip = speed > 1e-9
-    fric = np.where(slip, np.minimum(cfg.contact_dn * speed, cfg.friction_mu * normal), 0.0)
-    force = normal[:, None] * n - fric[:, None] * (vt / np.where(slip, speed, 1.0)[:, None])
-    return s, j, along, coeff, force
-
-
 def _coupling(k: Kinematics, spec: CharacterSpec, cfg: PhysicsConfig):
     """Contact within every pair of rows (2i, 2i + 1) as per-link force
     sums and per-site reports.
@@ -643,40 +610,61 @@ def _coupling(k: Kinematics, spec: CharacterSpec, cfg: PhysicsConfig):
     contact force on each character, the (2E, N) link-level sums over
     contacts of (coeff - com_bar) * force, ready for the generalised-force
     map of ``_substep``, and the (2E, S) contact force magnitude per site.
-    Only pairs that touch build contact lists, and each pair's sums are
-    reduced within the pair, so no pair's bits depend on the others.
+    Every contact of every pair is one entry of flat arrays: site s of
+    row r strikes link j of its partner b = r ^ 1, which receives the
+    opposite force at the struck point.  The sums are fixed-order
+    scatters (module docstring): each pair's net force is summed once,
+    lower row's contacts first, and the upper row gets its negation.
     """
     n_rows, n_sites, n_links = len(k.root_pos), len(spec.sites), spec.n_links
+    touching, t, ex, ey, dist = _capsule_distances(k, spec)
+    r, s, j = np.nonzero(touching)
     f_com = np.zeros((n_rows, 2))
-    fx_link = np.zeros((n_rows, n_links))
-    fy_link = np.zeros((n_rows, n_links))
+    link = np.zeros((n_rows, 2, n_links))  # fx_link, fy_link
     site_opponent = np.zeros((n_rows, n_sites))
-    near = _capsule_distances(k, spec)
-    for pair in np.flatnonzero(near[0].reshape(n_rows // 2, -1).any(axis=1)):
-        lo = 2 * pair
-        rows = (lo, lo + 1)
-        # per-site force magnitude by opponent link
-        mags = np.zeros((2, n_sites, n_links))
-        for a in range(2):
-            b = 1 - a
-            contacts = _pair_contacts(k, spec, cfg, rows[a], near)
-            if contacts is None:
-                continue
-            s, j, along, coeff_b, force = contacts
-            for row, coeff, f in ((rows[a], spec.site_coeff[s], force), (rows[b], coeff_b, -force)):
-                f_com[row] += f.sum(axis=0)
-                lever = coeff - spec.com_bar
-                fx_link[row] += lever.T @ f[:, 0]
-                fy_link[row] += lever.T @ f[:, 1]
-            mag = np.linalg.norm(force, axis=1)
-            mags[a, s, j] += mag
-            # mirror the reaction onto the nearest site of the struck link,
-            # attributed to the striking site's link
-            gap = np.where(spec.site_on_link[j], np.abs(spec.site_dist - along[:, None]), np.inf)
-            has = spec.site_on_link[j].any(axis=1)
-            np.add.at(mags[b], (np.argmin(gap, axis=1)[has], spec.site_link[s][has]), mag[has])
-        site_opponent[lo : lo + 2] = mags.sum(axis=2)
-    return f_com, fx_link, fy_link, site_opponent
+    if not r.size:  # most combat substeps: skip the empty-array passes
+        return f_com, link[:, 0], link[:, 1], site_opponent
+    b = r ^ 1
+    d = dist[r, s, j]
+    far = d > 1e-9
+    n = np.where(far[:, None], np.stack([ex[r, s, j], ey[r, s, j]], axis=1)
+                 / np.where(far, d, 1.0)[:, None], [0.0, 1.0])
+    # the struck point lies `along` from the proximal end of b's link j,
+    # at point - root = coeff_b @ unit(phi); its velocity sums
+    # coeff_b * u_perp * phidot over b's links
+    along = t[r, s, j] * spec.lengths[j]
+    coeff_b = spec.prox_coeff[j]
+    coeff_b[np.arange(j.size), j] += along
+    sin_w, cos_w = k.links.reshape(4, n_rows, n_links)[2:, b]
+    v_rel = np.stack([k.site_vx[r, s] - (k.root_vel[b, 0] - (coeff_b * sin_w).sum(axis=1)),
+                      k.site_vy[r, s] - (k.root_vel[b, 1] + (coeff_b * cos_w).sum(axis=1))], axis=1)
+    vn = (v_rel * n).sum(axis=1)
+    normal = np.maximum(cfg.contact_kn * (2.0 * spec.contact_radius - d) - cfg.contact_dn * vn, 0.0)
+    vt = v_rel - vn[:, None] * n
+    speed = np.linalg.norm(vt, axis=1)
+    slip = speed > 1e-9
+    fric = np.where(slip, np.minimum(cfg.contact_dn * speed, cfg.friction_mu * normal), 0.0)
+    force = normal[:, None] * n - fric[:, None] * (vt / np.where(slip, speed, 1.0)[:, None])
+
+    net = np.zeros((n_rows // 2, 2))
+    np.add.at(net, r // 2, force * (1.0 - 2.0 * (r & 1))[:, None])
+    f_com[0::2] = net
+    np.subtract(0.0, net, out=f_com[1::2])
+    # striking rows take the force at their sites, struck rows its
+    # opposite at the struck points
+    lever = np.concatenate([spec.site_coeff[s], coeff_b]) - spec.com_bar
+    f = np.concatenate([force, -force])
+    np.add.at(link, np.concatenate([r, b]), f[:, :, None] * lever[:, None, :])
+    # the magnitude goes to the striking site and to the nearest site on
+    # the struck link
+    mag = np.linalg.norm(force, axis=1)
+    on = spec.site_on_link[j]
+    gap = np.where(on, np.abs(spec.site_dist - along[:, None]), np.inf)
+    has = on.any(axis=1)
+    np.add.at(site_opponent, (np.concatenate([r, b[has]]),
+                              np.concatenate([s, np.argmin(gap, axis=1)[has]])),
+              np.concatenate([mag, mag[has]]))
+    return f_com, link[:, 0], link[:, 1], site_opponent
 
 
 def _com_dots(cbar: np.ndarray, links: np.ndarray):

@@ -557,6 +557,8 @@ class EnvBatch:
         # the first substep's PD torques against the pre-step joint rates
         energy = np.maximum(energy_penalty(report.torques, w.qd[:, 1:]), self.energy_floor)
         self.t = self.t + phys.dt
+        # the World advances its time per substep, which drifts from t
+        self.world.time[:] = self.t
 
         ref = mo.split_frames(mo.sample_frames(lib, ci, self.t))
         sim = report.kin
@@ -779,8 +781,10 @@ def resume_train_state(out: Path, envs: EnvBatch) -> TrainState:
     _, value_spec, value_params, _ = nets.load_checkpoint(out / "critic.ckpt")
     path = out / "envs.txt"
     lines = path.read_text().splitlines()
-    update = int(lines[0].split("=")[1])
-    saved = int(lines[1].split("=")[1])
+    head = [line.partition("=") for line in lines[:2]]
+    if [key for key, _, _ in head] != ["update", "envs"]:
+        raise ValueError(f"{path}: expected the update= and envs= header lines")
+    update, saved = (int(value) for _, _, value in head)
     if saved != len(envs):
         raise ValueError(f"{path}: snapshot holds {saved} envs, the config builds {len(envs)}")
     w, nq, ns = envs.world, envs.spec.ndof, len(envs.spec.sites)

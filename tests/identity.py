@@ -15,7 +15,9 @@ prints ``<family> <sha256>`` lines for
 - the ``envs.txt`` rollout state that those tracking updates end with;
 - the rewards, hit counts, termination reasons and episode times of 16
   ``CombatEnv.decision_step`` calls of 2 envs over a tiny prior, close
-  enough to land hits and knock fighters down (``combat.decisions``).
+  enough to land hits and knock fighters down (``combat.decisions``);
+- the World and the site force reports of 16 coupled ``step_batch``
+  steps of 8 fighter pairs in contact (``combat.contacts``).
 
 A byte-identity check of a change is a diff of the output of two
 checkouts.  ``digests(tiny=True)`` runs the same families at test size.
@@ -27,6 +29,7 @@ import hashlib
 import io
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +136,35 @@ def combat_decisions() -> dict[str, str]:
     return {"combat.decisions": sha(*chunks)}
 
 
+def combat_contacts() -> dict[str, str]:
+    """Digest of 16 coupled ``step_batch`` steps of 8 fighter pairs 0.25 m
+    apart, from stances with seeded arm and leg offsets under seeded PD
+    targets: per step every World field and the three site arrays of the
+    ContactReport.  The pairs start with several contacts per direction,
+    so the order in which a pair's contact forces are summed shows here.
+    Pair contact is unstable at this range: most rows diverge within a
+    few steps, and the digest holds their frozen states."""
+    spec = ph.default_character()
+    phys = ph.default_config(spec)
+    rng = np.random.default_rng(SEED)
+    states = []
+    for _ in range(8):
+        for s, side in ((ph.nominal_stance(spec, phys), -1.0),
+                        (ph.mirror_state(ph.nominal_stance(spec, phys)), 1.0)):
+            s.root_pos[0] += side * 0.125
+            s.anchor_x += side * 0.125
+            s.joint_angles = s.joint_angles + rng.uniform(-0.5, 0.5, spec.n_joints)
+            states.append(s)
+    world = ph.World.of(states, spec)
+    arrays = []
+    for _ in range(16):
+        targets = world.q[:, 1:] + rng.uniform(-0.5, 0.5, (len(world), spec.n_joints))
+        world, rep = ph.step_batch(world, spec, phys.dt, phys, pd_targets=targets, coupled=True)
+        arrays += [getattr(world, f.name) for f in fields(world)]
+        arrays += [rep.site_force, rep.site_ground, rep.site_opponent]
+    return {"combat.contacts": array_sha(arrays)}
+
+
 def digests(tiny: bool = False) -> dict[str, str]:
     """Family name to SHA-256 hex digest, in a fixed order."""
     clips = mo.generate_library(TINY_COUNTS if tiny else None)
@@ -143,6 +175,7 @@ def digests(tiny: bool = False) -> dict[str, str]:
         out.update(smoke_pipeline(work / "smoke"))
         out.update(training(work, clips, tiny))
     out.update(combat_decisions())
+    out.update(combat_contacts())
     return out
 
 

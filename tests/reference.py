@@ -289,3 +289,75 @@ def spawn_pair(stance, cfg, rng):
             s.anchor_x += s.root_pos[0] - x
         pair.append(s)
     return pair
+
+
+def _pair_contacts(k, spec, cfg, a, near):
+    """Contacts of every site of row a against every link capsule of its
+    partner, row b = a ^ 1.
+
+    ``near`` is the result of ``physics._capsule_distances``.  Returns
+    None without contact, else (site_a, link_b, along_b, coeff_b, force_a)
+    with one entry per contact: the struck point lies ``along_b`` from the
+    proximal end of ``link_b``, ``coeff_b`` places it on b (point - root =
+    coeff @ unit(phi)), and b receives the opposite of ``force_a``.
+    """
+    touching, t, ex, ey, dist = (v[a] for v in near)
+    s, j = np.nonzero(touching)
+    if not s.size:
+        return None
+    r2 = 2.0 * spec.contact_radius
+    b = a ^ 1
+    cos_b, sin_b = k.cos[b], k.sin[b]
+    dj = dist[s, j]
+    far = dj > 1e-9
+    n = np.where(far[:, None], np.stack([ex[s, j], ey[s, j]], axis=1)
+                 / np.where(far, dj, 1.0)[:, None], [0.0, 1.0])
+    along = t[s, j] * spec.lengths[j]
+    coeff = spec.prox_coeff[j]
+    coeff[np.arange(j.size), j] += along
+    w_b = k.phidot[b] * np.stack([-sin_b, cos_b])  # (2, L): u_perp * phidot
+    v_rel = np.stack([k.site_vx[a][s], k.site_vy[a][s]], axis=1) - (k.root_vel[b] + coeff @ w_b.T)
+    vn = (v_rel * n).sum(axis=1)
+    normal = np.maximum(cfg.contact_kn * (r2 - dj) - cfg.contact_dn * vn, 0.0)
+    vt = v_rel - vn[:, None] * n
+    speed = np.linalg.norm(vt, axis=1)
+    slip = speed > 1e-9
+    fric = np.where(slip, np.minimum(cfg.contact_dn * speed, cfg.friction_mu * normal), 0.0)
+    force = normal[:, None] * n - fric[:, None] * (vt / np.where(slip, speed, 1.0)[:, None])
+    return s, j, along, coeff, force
+
+
+def coupling(k, spec, cfg):
+    """``physics._coupling`` as a loop over the touching pairs, each pair
+    summed per direction with ``f.sum`` and BLAS ``lever.T @ f``."""
+    n_rows, n_sites, n_links = len(k.root_pos), len(spec.sites), spec.n_links
+    f_com = np.zeros((n_rows, 2))
+    fx_link = np.zeros((n_rows, n_links))
+    fy_link = np.zeros((n_rows, n_links))
+    site_opponent = np.zeros((n_rows, n_sites))
+    near = ph._capsule_distances(k, spec)
+    for pair in np.flatnonzero(near[0].reshape(n_rows // 2, -1).any(axis=1)):
+        lo = 2 * pair
+        rows = (lo, lo + 1)
+        # per-site force magnitude by opponent link
+        mags = np.zeros((2, n_sites, n_links))
+        for a in range(2):
+            b = 1 - a
+            contacts = _pair_contacts(k, spec, cfg, rows[a], near)
+            if contacts is None:
+                continue
+            s, j, along, coeff_b, force = contacts
+            for row, coeff, f in ((rows[a], spec.site_coeff[s], force), (rows[b], coeff_b, -force)):
+                f_com[row] += f.sum(axis=0)
+                lever = coeff - spec.com_bar
+                fx_link[row] += lever.T @ f[:, 0]
+                fy_link[row] += lever.T @ f[:, 1]
+            mag = np.linalg.norm(force, axis=1)
+            mags[a, s, j] += mag
+            # mirror the reaction onto the nearest site of the struck link,
+            # attributed to the striking site's link
+            gap = np.where(spec.site_on_link[j], np.abs(spec.site_dist - along[:, None]), np.inf)
+            has = spec.site_on_link[j].any(axis=1)
+            np.add.at(mags[b], (np.argmin(gap, axis=1)[has], spec.site_link[s][has]), mag[has])
+        site_opponent[lo : lo + 2] = mags.sum(axis=2)
+    return f_com, fx_link, fy_link, site_opponent

@@ -336,6 +336,28 @@ class TestHighLevel:
             z, raw, logp = cb.high_level_step(policy, params, rng.standard_normal((1, 10)), [rng])
             assert np.linalg.norm(z[0]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_degenerate_sample_is_redrawn(self):
+        """A latent sample of norm ~0 is drawn again from the same
+        generator, and the redraw's log-prob is reported."""
+
+        class ZerosThenOnes:
+            def __init__(self):
+                self.fills = [0.0, 1.0]
+
+            def standard_normal(self, out):
+                out[:] = self.fills.pop(0)
+                return out
+
+        policy, params = self._policy()
+        params[: policy.spec.param_count()] = 0.0  # a zero mean latent
+        log_std = policy.split(params)[1]
+        rngs = [ZerosThenOnes(), ZerosThenOnes()]
+        z, raw, logp = cb.high_level_step(policy, params, np.ones((2, 10)), rngs)
+        assert all(r.fills == [] for r in rngs)
+        assert np.array_equal(raw, np.exp(np.tile(log_std, (2, 1))))
+        assert np.array_equal(logp, policy.log_prob_batch(np.zeros((2, 4)), log_std, raw))
+        assert z == pytest.approx(np.full((2, 4), 0.5))
+
     def test_deterministic_mode_reproducible(self):
         policy, params = self._policy()
         obs = np.random.default_rng(2).standard_normal((1, 10))

@@ -297,6 +297,29 @@ class TestTwoCharacterContact:
         px1 = ph.linear_momentum(a, SPEC)[0] + ph.linear_momentum(b, SPEC)[0]
         assert px1 == pytest.approx(px0, abs=1e-9)
 
+    def test_flat_coupling_matches_the_per_pair_loop(self):
+        """The one flat pass over every contact gives the per-pair loop's
+        contact set in all four outputs, and its values up to the order of
+        summation, on close-range stacks of 1-8 pairs."""
+        rng = np.random.default_rng(5)
+        contacts = 0
+        for _ in range(60):
+            states = []
+            for _ in range(rng.integers(1, 9)):
+                gap = rng.uniform(0.05, 0.35)
+                pair = (ph.nominal_stance(SPEC, CFG), ph.mirror_state(ph.nominal_stance(SPEC, CFG)))
+                for s, side in zip(pair, (-1.0, 1.0)):
+                    s.root_pos[0] += side * gap / 2
+                    s.joint_angles = s.joint_angles + rng.uniform(-1.0, 1.0, 8)
+                    s.joint_vels = rng.uniform(-4.0, 4.0, 8)
+                    states.append(s)
+            k = ph.Kinematics.of(ph.World.of(states, SPEC), SPEC)
+            contacts += int(ph._capsule_distances(k, SPEC)[0].sum())
+            for flat, loop in zip(ph._coupling(k, SPEC, CFG), reference.coupling(k, SPEC, CFG)):
+                assert np.array_equal(flat != 0.0, loop != 0.0)
+                assert np.abs(flat - loop).max() <= 1e-12 * np.abs(loop).max()
+        assert contacts > 1000
+
 
 KIN_FIELDS = ("root_pos", "root_vel", "cos", "sin", "phidot", "site_x", "site_y", "site_vx", "site_vy")
 

@@ -493,8 +493,16 @@ class TestTraining:
         tr.save_train_state(tmp_path / "b", ts, back)
         a, b = (tmp_path / d / "envs.txt" for d in "ab")
         assert a.read_bytes() == b.read_bytes()
-        batch.world.time[:] = batch.t
         assert reference.env_state(back) == reference.env_state(batch)
+
+    def test_world_time_is_the_clip_time(self):
+        """The World time of every env equals its clip time ``t`` after each
+        step, resets included, instead of drifting in the low bits from
+        the per-substep advance."""
+        batch = _batch(_small_clips(), range(4))
+        for _ in range(50):
+            batch.step(batch.ref_base())
+            assert np.array_equal(batch.world.time, batch.t)
 
     def test_resume_refuses_a_changed_env_count(self, tmp_path):
         clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
@@ -505,10 +513,10 @@ class TestTraining:
             tr.train_tracking(clips, more, tmp_path, seed=5, spec=SPEC, phys=CFG, resume=True,
                               log=False)
 
-    @pytest.mark.parametrize("cut", ["rows", "values"])
+    @pytest.mark.parametrize("cut", ["rows", "values", "empty", "headerless"])
     def test_resume_refuses_a_truncated_snapshot(self, tmp_path, cut):
-        """A snapshot that lost env rows, or values of a row, is refused by
-        name instead of broadcast into every env."""
+        """A snapshot that lost env rows, values of a row or its header is
+        refused by name instead of broadcast into every env."""
         clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
         cfg = tr.PpoConfig(envs=3, horizon=8, updates=1, epochs_per_update=1)
         tr.train_tracking(clips, cfg, tmp_path, seed=5, spec=SPEC, phys=CFG, log=False)
@@ -517,9 +525,12 @@ class TestTraining:
         if cut == "rows":
             lines = lines[:3]  # the header and row 0
             match = "the header says envs=3, found 1 rows"
-        else:
+        elif cut == "values":
             lines[3] = " ".join(lines[3].split()[:-1])
             match = "line 4: expected"
+        else:
+            lines = [] if cut == "empty" else lines[2:]
+            match = "expected the update= and envs= header lines"
         path.write_text("\n".join(lines) + "\n")
         more = replace(cfg, updates=2)
         with pytest.raises(ValueError, match=f"envs.txt: {match}"):
