@@ -287,6 +287,9 @@ def load_cloud(path: str | Path) -> SpherePointCloud:
             actions[i] = [float(p) for p in parts[d + 1 :]]
         except ValueError as e:
             raise ValueError(f"{path}: line {ln}: {e}") from e
+    for ln in range(n + 2, len(lines) + 1):
+        if lines[ln - 1].strip():
+            raise ValueError(f"{path}: line {ln}: data after the last of {n} points")
     return SpherePointCloud(z, labels, actions)
 
 

@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import nets
 from . import physics as ph
 
 FAMILIES = ("idle", "footwork", "jab", "hook", "kick", "combo")
@@ -46,6 +47,14 @@ CLIP_MAGIC = "SLMP-CLIP/1"
 
 class ClipFormatError(ValueError):
     pass
+
+
+def _frame_rate(hz) -> float:
+    """``hz`` as a clip frame rate, refused unless finite and positive."""
+    hz = float(hz)
+    if not (math.isfinite(hz) and hz > 0):
+        raise ValueError(f"frame rate {hz!r} is not finite and positive")
+    return hz
 
 
 @dataclass
@@ -71,6 +80,7 @@ class MotionClip:
     joint_vels: np.ndarray  # (F,J)
 
     def __post_init__(self):
+        self.frame_rate = _frame_rate(self.frame_rate)  # a float, so its repr reads back
         self.library: ClipLibrary | None = None  # set by ClipLibrary.of
         self._bind(np.concatenate(
             [self.root_pos, self.root_angle[:, None], self.joints,
@@ -523,63 +533,24 @@ def generate_library(
 
 
 def save_clip(clip: MotionClip, path: str | Path) -> None:
-    lines = [
-        CLIP_MAGIC,
-        f"hz={clip.frame_rate!r}",
-        f"frames={clip.n_frames}",
-        f"family={clip.family}",
-        f"joints={clip.n_joints}",
-        f"id={clip.clip_id}",
-    ]
-    lines += [" ".join(map(repr, row)) for row in clip.frames.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    head = [CLIP_MAGIC, f"hz={clip.frame_rate!r}", f"frames={clip.n_frames}",
+            f"family={clip.family}", f"joints={clip.n_joints}", f"id={clip.clip_id}"]
+    nets.write_table(path, head, clip.frames)
 
 
 def load_clip(path: str | Path) -> MotionClip:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != CLIP_MAGIC:
-        raise ClipFormatError(f"{path}: line 1: expected {CLIP_MAGIC}")
-    head = {}
-    for ln, line in enumerate(lines[1:6], start=2):
-        key, sep, val = line.partition("=")
-        if not sep:
-            raise ClipFormatError(f"{path}: line {ln}: expected key=value, got {line!r}")
-        head[key] = val
+    got = {}
+
+    def shape(head):
+        got.update(hz=nets.head_value(head, "hz", _frame_rate), family=head["family"], id=head["id"])
+        return nets.head_value(head, "frames"), 2 * (3 + nets.head_value(head, "joints"))
+
     try:
-        hz = float(head["hz"])
-        frames = int(head["frames"])
-        family = head["family"]
-        joints = int(head["joints"])
-        clip_id = head["id"]
-    except (KeyError, ValueError) as e:
-        raise ClipFormatError(f"{path}: malformed header: {e}") from e
-    width = 2 * (3 + joints)
-    data = np.zeros((frames, width))
-    for k in range(frames):
-        ln = 7 + k
-        if 6 + k >= len(lines):
-            raise ClipFormatError(f"{path}: line {ln}: missing frame {k} of {frames}")
-        parts = lines[6 + k].split()
-        if len(parts) != width:
-            raise ClipFormatError(
-                f"{path}: line {ln}: expected {width} values, got {len(parts)}"
-            )
-        try:
-            data[k] = list(map(float, parts))
-        except ValueError as e:
-            raise ClipFormatError(f"{path}: line {ln}: {e}") from e
-    j = joints
-    return MotionClip(
-        frame_rate=hz,
-        family=family,
-        clip_id=clip_id,
-        root_pos=data[:, 0:2].copy(),
-        root_angle=data[:, 2].copy(),
-        joints=data[:, 3 : 3 + j].copy(),
-        root_vel=data[:, 3 + j : 5 + j].copy(),
-        root_ang_vel=data[:, 5 + j].copy(),
-        joint_vels=data[:, 6 + j : 6 + 2 * j].copy(),
-    )
+        frames = nets.read_table(path, CLIP_MAGIC, ("hz", "frames", "family", "joints", "id"), shape)
+    except ValueError as e:
+        raise ClipFormatError(str(e)) from e
+    rp, q, rv, qd = split_frames(frames)
+    return MotionClip(got["hz"], got["family"], got["id"], rp, q[:, 0], q[:, 1:], rv, qd[:, 0], qd[:, 1:])
 
 
 def resample(clip: MotionClip, target_hz: float) -> MotionClip:

@@ -23,6 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +31,7 @@ ACTIVATIONS = ("silu", "relu")
 OUTPUT_ACTIVATIONS = ("none", "tanh")
 
 CKPT_MAGIC = "SLMP-CKPT/1"
-_WRITE_CHUNK = 8192  # values formatted per write in the text checkpoint files
+_WRITE_CHUNK = 8192  # values formatted per write in the text table files
 
 
 @dataclass(frozen=True)
@@ -385,69 +386,101 @@ def adam_step(
     return new, replace(state, m=m, v=v, t=t)
 
 
-def _write_lines(path: str | Path, head: list[str], *arrays: np.ndarray) -> None:
-    """Write the ``head`` lines, then every value of ``arrays`` as its
-    exact ``repr``, one per line.  Values are formatted a chunk at a time,
-    so no list of strings for a whole array is ever held."""
+def write_table(path: str | Path, head: list[str], rows: np.ndarray) -> None:
+    """Write the ``head`` lines, then one line per row of the (N,) or
+    (N, W) array ``rows``: the exact ``repr`` of each value, space-separated
+    (see ``read_table``).  Rows are formatted a chunk at a time, so no list
+    of strings for a whole array is ever held."""
+    rows = np.asarray(rows, dtype=np.float64)
+    step = _WRITE_CHUNK // max(rows[:1].size, 1) or 1
     with open(path, "w") as f:
         f.write("\n".join(head) + "\n")
-        for a in arrays:
-            a = np.asarray(a, dtype=np.float64)
-            for lo in range(0, a.size, _WRITE_CHUNK):
-                f.write("\n".join(map(repr, a[lo : lo + _WRITE_CHUNK].tolist())) + "\n")
+        for lo in range(0, len(rows), step):
+            chunk = rows[lo : lo + step].tolist()
+            if rows.ndim == 1:
+                f.write("\n".join(map(repr, chunk)) + "\n")
+            else:
+                f.write("\n".join(" ".join(map(repr, row)) for row in chunk) + "\n")
 
 
-def _read_header(f, path: str | Path, magic: str, n: int, what: str) -> dict[str, str]:
-    """Check the magic line of the open text file ``f`` and read its ``n``
-    key=value header lines; a missing line reads as an empty key."""
-    if f.readline().rstrip("\n") != magic:
-        raise ValueError(f"{path}: {what}")
-    head = {}
-    for _ in range(n):
-        key, _, val = f.readline().rstrip("\n").partition("=")
-        head[key] = val
-    return head
+def read_table(path: str | Path, magic: str | None, keys: tuple[str, ...],
+               shape: Callable[[dict[str, str]], tuple[int, int]]) -> np.ndarray:
+    """Read a text table, the one layout of every file the pipeline reads
+    back: checkpoints, Adam states, clips and ``envs.txt``.
+
+    The layout is a ``magic`` line (none when ``magic`` is None), one
+    ``key=value`` line for each of ``keys`` in that order, ``n`` rows of
+    ``width`` space-separated floats, then nothing but whitespace.
+    ``shape(head)`` parses and checks the header values (``head_value``)
+    and returns ``(n, width)``.  Returns the (n,) values at width 1, else
+    an (n, width) array.  The file streams in: no list of its lines is
+    ever held.  Every refusal is a ``ValueError`` that names the file and
+    the line or key.
+    """
+    with open(path) as f:
+        if magic is not None and f.readline().rstrip("\n") != magic:
+            raise ValueError(f"{path}: line 1: expected {magic}")
+        head = dict(line.rstrip("\n").partition("=")[::2] for line in itertools.islice(f, len(keys)))
+        ln = (magic is not None) + len(keys)
+        try:
+            n, width = shape(head)
+        except KeyError as e:
+            raise ValueError(f"{path}: header has no {e.args[0]!r} line") from None
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from e
+        if width == 1:
+            try:
+                rows = np.fromiter(map(float, itertools.islice(f, n)), np.float64, n)
+            except ValueError as e:
+                raise ValueError(f"{path}: expected {n} values on lines {ln + 1}-{ln + n}: {e}") from e
+            ln += n
+        else:
+            rows = np.empty((n, width))
+            for i in range(n):
+                ln += 1
+                parts = f.readline().split()
+                if len(parts) != width:
+                    raise ValueError(f"{path}: line {ln}: expected {width} values, got {len(parts)}")
+                try:
+                    rows[i] = [float(p) for p in parts]
+                except ValueError as e:
+                    raise ValueError(f"{path}: line {ln}: {e}") from e
+        for ln, line in enumerate(f, start=ln + 1):
+            if line.strip():
+                raise ValueError(f"{path}: line {ln}: data after the last of {n} rows")
+    return rows
 
 
-def _read_values(f, path: str | Path, count: int) -> np.ndarray:
-    """The next ``count`` lines of ``f``, one float each, parsed as they
-    stream in: no list of the file's lines is ever held."""
+def head_value(head: dict[str, str], key: str, kind: Callable = int):
+    """Header value ``key`` of a table converted by ``kind``, refused by
+    key when bad; an ``int`` must not be negative."""
     try:
-        return np.fromiter(map(float, itertools.islice(f, count)), np.float64, count)
+        value = kind(head[key])
+        if kind is int and value < 0:
+            raise ValueError("negative")
     except ValueError as e:
-        raise ValueError(f"{path}: expected {count} values: {e}") from e
+        raise ValueError(f"header line {key}={head[key]!r}: {e}") from None
+    return value
 
 
 def adam_state_save(path: str | Path, state: AdamState) -> None:
-    head = [
-        "SLMP-ADAM/1",
-        f"t={state.t}",
-        f"lr={state.lr!r}",
-        f"beta1={state.beta1!r}",
-        f"beta2={state.beta2!r}",
-        f"eps={state.eps!r}",
-        f"count={state.m.size}",
-    ]
-    _write_lines(path, head, state.m, state.v)
+    head = ["SLMP-ADAM/1", f"t={state.t}", f"lr={state.lr!r}", f"beta1={state.beta1!r}",
+            f"beta2={state.beta2!r}", f"eps={state.eps!r}", f"count={state.m.size}"]
+    write_table(path, head, np.concatenate([state.m, state.v]))
 
 
 def adam_state_load(path: str | Path) -> AdamState:
-    with open(path) as f:
-        head = _read_header(f, path, "SLMP-ADAM/1", 6, "not an optimizer state file")
-        try:
-            n = int(head["count"])
-            vals = _read_values(f, path, 2 * n)
-            return AdamState(
-                m=vals[:n],
-                v=vals[n:],
-                t=int(head["t"]),
-                lr=float(head["lr"]),
-                beta1=float(head["beta1"]),
-                beta2=float(head["beta2"]),
-                eps=float(head["eps"]),
-            )
-        except KeyError as e:
-            raise ValueError(f"{path}: header has no {e.args[0]!r} line") from e
+    got = {}
+
+    def shape(head):
+        n = head_value(head, "count")  # the rows first: m, then v
+        got.update({k: head_value(head, k, float) for k in ("lr", "beta1", "beta2", "eps")})
+        got["t"] = head_value(head, "t")
+        return 2 * n, 1
+
+    values = read_table(path, "SLMP-ADAM/1", ("t", "lr", "beta1", "beta2", "eps", "count"), shape)
+    n = values.size // 2
+    return AdamState(m=values[:n], v=values[n:], **got)
 
 
 def save_checkpoint(
@@ -462,38 +495,28 @@ def save_checkpoint(
     expected = spec.param_count() + extra
     if values.shape != (expected,):
         raise ValueError(f"checkpoint for {name}: got {values.shape}, expected ({expected},)")
-    head = [
-        CKPT_MAGIC,
-        f"name={name}",
-        f"input={spec.input_dim}",
-        "hidden=" + ",".join(str(h) for h in spec.hidden),
-        f"output={spec.output_dim}",
-        f"act={spec.activation}",
-        f"out_act={spec.output_activation}",
-        f"extra={extra}",
-        f"count={values.size}",
-    ]
-    _write_lines(path, head, values)
+    head = [CKPT_MAGIC, f"name={name}", f"input={spec.input_dim}",
+            "hidden=" + ",".join(str(h) for h in spec.hidden), f"output={spec.output_dim}",
+            f"act={spec.activation}", f"out_act={spec.output_activation}", f"extra={extra}",
+            f"count={values.size}"]
+    write_table(path, head, values)
 
 
 def load_checkpoint(path: str | Path) -> tuple[str, MlpSpec, np.ndarray, int]:
     """Read a checkpoint; returns (name, spec, values, extra)."""
-    with open(path) as f:
-        head = _read_header(f, path, CKPT_MAGIC, 8, f"missing {CKPT_MAGIC} magic")
-        try:
-            hidden = tuple(int(h) for h in head["hidden"].split(",") if h)
-            spec = MlpSpec(
-                input_dim=int(head["input"]),
-                hidden=hidden,
-                output_dim=int(head["output"]),
-                activation=head["act"],
-                output_activation=head["out_act"],
-            )
-            name = head["name"]
-            extra = int(head["extra"])
-            count = int(head["count"])
-        except KeyError as e:
-            raise ValueError(f"{path}: header has no {e.args[0]!r} line") from e
-        if count != spec.param_count() + extra:
-            raise ValueError(f"{path}: parameter count mismatch")
-        return name, spec, _read_values(f, path, count), extra
+    got = {}
+
+    def shape(head):
+        hidden = head_value(head, "hidden", lambda s: tuple(int(h) for h in s.split(",") if h))
+        spec = MlpSpec(head_value(head, "input"), hidden, head_value(head, "output"),
+                       head["act"], head["out_act"])
+        got.update(name=head["name"], spec=spec, extra=head_value(head, "extra"))
+        count = head_value(head, "count")
+        if count != spec.param_count() + got["extra"]:
+            raise ValueError(f"parameter count mismatch: count={count}, spec and extra give "
+                             f"{spec.param_count() + got['extra']}")
+        return count, 1
+
+    keys = ("name", "input", "hidden", "output", "act", "out_act", "extra", "count")
+    values = read_table(path, CKPT_MAGIC, keys, shape)
+    return got["name"], got["spec"], values, got["extra"]

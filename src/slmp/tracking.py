@@ -479,6 +479,8 @@ class EnvBatch:
         energy_floor: float = -5.0,
         starts: list[tuple[int, int]] | None = None,
     ):
+        if short := [f"{c.clip_id!r} has {c.n_frames}" for c in clips if c.n_frames < 2]:
+            raise ValueError(f"a rollout needs clips of 2 frames or more; clip {', '.join(short)}")
         self.library = mo.ClipLibrary.of(clips)
         self.spec, self.phys = spec, phys
         self.e_div, self.energy_floor = e_div, energy_floor
@@ -762,9 +764,7 @@ def save_train_state(out: Path, ts: TrainState, envs: EnvBatch) -> None:
     rows = np.column_stack(
         [w.root_pos, w.q, w.root_vel, w.qd, envs.t, envs.clip_index, w.anchor_x, w.anchor_on]
     )
-    lines = [f"update={ts.update}", f"envs={len(envs)}"]
-    lines += [" ".join(repr(float(x)) for x in row) for row in rows]
-    (out / "envs.txt").write_text("\n".join(lines) + "\n")
+    nets.write_table(out / "envs.txt", [f"update={ts.update}", f"envs={len(envs)}"], rows)
 
 
 def load_policy(path: str | Path) -> tuple[GaussianPolicy, np.ndarray]:
@@ -779,23 +779,16 @@ def resume_train_state(out: Path, envs: EnvBatch) -> TrainState:
     into the batch, valid and with the World time at ``t``."""
     policy, policy_params = load_policy(out / "pi_track.ckpt")
     _, value_spec, value_params, _ = nets.load_checkpoint(out / "critic.ckpt")
-    path = out / "envs.txt"
-    lines = path.read_text().splitlines()
-    head = [line.partition("=") for line in lines[:2]]
-    if [key for key, _, _ in head] != ["update", "envs"]:
-        raise ValueError(f"{path}: expected the update= and envs= header lines")
-    update, saved = (int(value) for _, _, value in head)
-    if saved != len(envs):
-        raise ValueError(f"{path}: snapshot holds {saved} envs, the config builds {len(envs)}")
     w, nq, ns = envs.world, envs.spec.ndof, len(envs.spec.sites)
-    rows = [line.split() for line in lines[2:]]
-    width = 2 * (3 + nq + ns)
-    if len(rows) != saved:
-        raise ValueError(f"{path}: the header says envs={saved}, found {len(rows)} rows")
-    for ln, row in enumerate(rows, start=3):
-        if len(row) != width:
-            raise ValueError(f"{path}: line {ln}: expected {width} values, got {len(row)}")
-    rows = np.array([[float(x) for x in row] for row in rows])
+    head = {}
+
+    def shape(h):
+        head.update(update=nets.head_value(h, "update"), envs=nets.head_value(h, "envs"))
+        if head["envs"] != len(envs):
+            raise ValueError(f"snapshot holds {head['envs']} envs, the config builds {len(envs)}")
+        return len(envs), 2 * (3 + nq + ns)
+
+    rows = nets.read_table(out / "envs.txt", None, ("update", "envs"), shape)
     cols = np.split(rows, np.cumsum([2, nq, 2, nq, 1, 1, ns]), axis=1)
     w.root_pos[:], w.q[:], w.root_vel[:], w.qd[:], t, clip_index, w.anchor_x[:], anchor_on = cols
     envs.t[:] = w.time[:] = t[:, 0]
@@ -809,7 +802,7 @@ def resume_train_state(out: Path, envs: EnvBatch) -> TrainState:
         value_spec=value_spec,
         value_params=value_params,
         value_adam=nets.adam_state_load(out / "adam_value.txt"),
-        update=update,
+        update=head["update"],
     )
 
 
@@ -843,11 +836,14 @@ def train_tracking(
         [np.random.default_rng(seed_for(seed, f"env-init-{i}")) for i in range(cfg.envs)],
         cfg.e_div, cfg.energy_floor,
     )
+    ts = build_networks(track_obs_dim(spec), spec.n_joints, cfg, seed)
     resumed = resume and (out / "envs.txt").exists()
     if resumed:
-        ts = resume_train_state(out, envs)
-    else:
-        ts = build_networks(track_obs_dim(spec), spec.n_joints, cfg, seed)
+        saved = resume_train_state(out, envs)
+        got, want = (saved.policy.spec, saved.value_spec), (ts.policy.spec, ts.value_spec)
+        if got != want:
+            raise ValueError(f"{out}: the saved (policy, critic) nets are {got}, the config builds {want}")
+        ts = saved
 
     # a resumed run keeps the rows of the updates its snapshot holds; rows
     # a crashed run wrote after the snapshot are written again

@@ -341,9 +341,12 @@ class TestSphereClusters:
         ("SLMP-CLOUD/1 latent=2 action=1 points=3\n0.6 0.8 0 0.5\n", "line 3: expected 4 values, got 0"),
         ("SLMP-CLOUD/1 latent=2 action=1 points=1\n0.6 0.8 0\n", "line 2: expected 4 values, got 3"),
         ("SLMP-CLOUD/1 latent=2 action=1 points=1\n0.6 0.8 zero 0.5\n", "line 2: invalid literal"),
+        ("SLMP-CLOUD/1 latent=2 action=1 points=1\n0.6 0.8 0 0.5\n\n0.8 0.6 1 0.5\n",
+         "line 4: data after the last of 1 points"),
     ])
     def test_load_cloud_names_the_line_of_a_bad_file(self, tmp_path, text, where):
-        """A truncated file or a short header is refused by file and line."""
+        """A truncated file, a short header or a row past ``points`` is
+        refused by file and line."""
         (tmp_path / "c.txt").write_text(text)
         with pytest.raises(ValueError, match=f"c.txt: {where}"):
             ev.load_cloud(tmp_path / "c.txt")

@@ -314,6 +314,43 @@ class TestClipIO:
         with pytest.raises(mo.ClipFormatError, match="line 9"):
             mo.load_clip(path)
 
+    @pytest.mark.parametrize("edit, where", [
+        (lambda lines: lines + [lines[-1]], "line 17: data after the last of 10 rows"),
+        (lambda lines: [lines[0], "hz=30.0", "frames=-3", *lines[3:]], "header line frames='-3'"),
+        (lambda lines: [lines[0], "hz=0.0", *lines[2:]], "header line hz='0.0'"),
+        (lambda lines: [*lines[:4], "joints=eight", *lines[5:]], "header line joints='eight'"),
+        (lambda lines: [*lines[:3], "kind=idle", *lines[4:]], "header has no 'family' line"),
+    ])
+    def test_bad_file_is_refused_by_line_or_key(self, tmp_path, edit, where):
+        path = tmp_path / "t.clip"
+        mo.save_clip(mo.generate_clip("idle", 0, 2.0, 5.0, SPEC, CFG), path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(mo.ClipFormatError, match=f"t.clip: {where}"):
+            mo.load_clip(path)
+
+    def test_one_frame_clip_round_trips(self, tmp_path):
+        """A 1-frame clip, as a short combat rollout writes, saves and loads;
+        only a rollout needs 2 frames."""
+        rp, q, rv, qd = mo.split_frames(make("jab").frames[:1])
+        clip = mo.MotionClip(6.0, "combat", "one", rp, q[:, 0], q[:, 1:], rv, qd[:, 0], qd[:, 1:])
+        mo.save_clip(clip, tmp_path / "one.clip")
+        back = mo.load_clip(tmp_path / "one.clip")
+        assert back.n_frames == 1 and back.frames.tobytes() == clip.frames.tobytes()
+
+    def test_numpy_frame_rate_round_trips(self, tmp_path):
+        """A clip resampled to a numpy rate writes an ``hz=`` line that
+        reads back."""
+        clip = mo.resample(make("jab"), np.float64(15.0))
+        mo.save_clip(clip, tmp_path / "r.clip")
+        assert mo.load_clip(tmp_path / "r.clip").frame_rate == 15.0
+
+    @pytest.mark.parametrize("hz", [0.0, -30.0, math.inf, math.nan])
+    def test_clip_refuses_a_bad_frame_rate(self, hz):
+        clip = make("idle")
+        rp, q, rv, qd = mo.split_frames(clip.frames)
+        with pytest.raises(ValueError, match="frame rate .* is not finite and positive"):
+            mo.MotionClip(hz, "idle", "bad", rp, q[:, 0], q[:, 1:], rv, qd[:, 0], qd[:, 1:])
+
     def test_duration_from_header(self, tmp_path):
         clip = mo.generate_clip("idle", 0, 10.0, 30.0, SPEC, CFG)
         assert clip.n_frames == 300

@@ -450,23 +450,40 @@ class TestCheckpoint:
         assert loaded.m.tobytes() == state.m.tobytes() and loaded.v.tobytes() == state.v.tobytes()
 
     def test_readers_stream_the_values(self, tmp_path):
-        """Loading a 100k-value checkpoint or Adam state holds no list of
-        the file's lines: the traced peak stays under twice the bytes of
-        the arrays loaded."""
+        """Loading a 100k-value checkpoint or Adam state, a 10 s clip or the
+        ``envs.txt`` of 128 envs holds no list of the file's lines: the
+        traced peak stays under a small multiple of the bytes of the arrays
+        loaded (the clip's twice: its rows and the clip's own frames)."""
         import tracemalloc
+
+        def peak_of(load, *args):
+            tracemalloc.start()
+            try:
+                load(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
         spec = nets.MlpSpec(98, (1000,), 1)
         values = np.random.default_rng(3).standard_normal(spec.param_count())
         nets.save_checkpoint(tmp_path / "big.ckpt", "big", spec, values)
         nets.adam_state_save(tmp_path / "big.txt", nets.AdamState(values, -values, 3, 1e-3))
         for load, path in ((nets.load_checkpoint, "big.ckpt"), (nets.adam_state_load, "big.txt")):
-            tracemalloc.start()
-            try:
-                load(tmp_path / path)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = peak_of(load, tmp_path / path)
             assert values.size >= 100_000 and peak < 2 * values.nbytes * (1 + path.endswith(".txt"))
+
+        ch = ph.default_character()
+        phys = ph.default_config(ch)
+        clip = mo.generate_clip("kick", 3, 10.0, spec=ch, cfg=phys)
+        mo.save_clip(clip, tmp_path / "k.clip")
+        assert peak_of(mo.load_clip, tmp_path / "k.clip") < 3 * clip.frames.nbytes
+
+        cfg = tr.PpoConfig(envs=128, pi_hidden=(8,), critic_hidden=(8,))
+        ts = tr.build_networks(tr.track_obs_dim(ch), ch.n_joints, cfg, seed=0)
+        batch = tr.EnvBatch([clip], ch, phys, [np.random.default_rng(i) for i in range(cfg.envs)])
+        tr.save_train_state(tmp_path, ts, batch)
+        rows = cfg.envs * 2 * (3 + ch.ndof + len(ch.sites)) * 8
+        assert peak_of(tr.resume_train_state, tmp_path, batch) < 3 * rows
 
     def test_streamed_readers_round_trip_exactly(self, tmp_path):
         spec = nets.MlpSpec(3, (2,), 2)
@@ -480,10 +497,10 @@ class TestCheckpoint:
         nets.adam_state_save(tmp_path / "a.txt", state)
         loaded = nets.adam_state_load(tmp_path / "a.txt")
         assert loaded.m.tobytes() == state.m.tobytes() and loaded.v.tobytes() == state.v.tobytes()
-        # Windows line ends read the same
+        # Windows line ends and trailing blank lines read the same
         for name in ("x.ckpt", "a.txt"):
             p = tmp_path / name
-            p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n"))
+            p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n") + b"\r\n  \t\r\n")
         assert nets.load_checkpoint(tmp_path / "x.ckpt")[2].tobytes() == values.tobytes()
         assert nets.adam_state_load(tmp_path / "a.txt").v.tobytes() == state.v.tobytes()
 
@@ -497,6 +514,27 @@ class TestCheckpoint:
             path.write_text("\n".join(path.read_text().splitlines()[:-2]) + "\n")
             with pytest.raises(ValueError, match=f"{name}: expected {count} values"):
                 load(path)
+
+    @pytest.mark.parametrize("name, edit, where", [
+        ("x.ckpt", lambda lines: lines + ["0.5"], "line 13: data after the last of 3 rows"),
+        ("a.txt", lambda lines: lines + ["0.5", ""], "line 14: data after the last of 6 rows"),
+        ("x.ckpt", lambda lines: [*lines[:2], "input=two", *lines[3:]], "header line input='two'"),
+        ("a.txt", lambda lines: [lines[0], "t=zero", *lines[2:]], "header line t='zero'"),
+        ("x.ckpt", lambda lines: [*lines[:8], "count=-3", *lines[9:]], "header line count='-3'"),
+        ("a.txt", lambda lines: [*lines[:6], "count=-1", *lines[7:]], "header line count='-1'"),
+        ("a.txt", lambda lines: [*lines[:2], "lr=fast", *lines[3:]], "header line lr='fast'"),
+        ("x.ckpt", lambda lines: [*lines[:3], "hidden=4,x", *lines[4:]], "header line hidden='4,x'"),
+        ("x.ckpt", lambda lines: [*lines[:9], "0.5 0.5", *lines[10:]], "expected 3 values on lines 10-12"),
+    ])
+    def test_bad_file_is_refused_by_line_or_key(self, tmp_path, name, edit, where):
+        spec = nets.MlpSpec(2, (), 1)
+        nets.save_checkpoint(tmp_path / "x.ckpt", "x", spec, np.ones(spec.param_count()))
+        nets.adam_state_save(tmp_path / "a.txt", nets.adam_init(3, lr=0.05))
+        path = tmp_path / name
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        load = nets.load_checkpoint if name == "x.ckpt" else nets.adam_state_load
+        with pytest.raises(ValueError, match=f"{name}: {where}"):
+            load(path)
 
     def test_extra_tail(self, tmp_path):
         spec = nets.MlpSpec(2, (), 2)

@@ -334,6 +334,15 @@ def _batch(clips, seeds, **kwargs):
 
 
 class TestEnv:
+    def test_batch_refuses_a_clip_of_one_frame(self):
+        """A clip needs a start frame and the frame after it; a 1-frame clip
+        is refused by its id instead of failing in the start draw."""
+        clips = _small_clips()
+        rp, q, rv, qd = mo.split_frames(clips[0].frames[:1])
+        one = mo.MotionClip(30.0, "idle", "idle-one", rp, q[:, 0], q[:, 1:], rv, qd[:, 0], qd[:, 1:])
+        with pytest.raises(ValueError, match="2 frames or more; clip 'idle-one' has 1"):
+            _batch([*clips, one], range(2))
+
     def test_rollout_determinism(self):
         clips = [mo.generate_clip("idle", 0, 4.0, spec=SPEC, cfg=CFG)]
         outs = []
@@ -513,10 +522,23 @@ class TestTraining:
             tr.train_tracking(clips, more, tmp_path, seed=5, spec=SPEC, phys=CFG, resume=True,
                               log=False)
 
-    @pytest.mark.parametrize("cut", ["rows", "values", "empty", "headerless"])
+    @pytest.mark.parametrize("net", ["pi_hidden", "critic_hidden"])
+    def test_resume_refuses_a_changed_network(self, tmp_path, net):
+        clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        cfg = tr.PpoConfig(envs=2, horizon=8, updates=1, epochs_per_update=1,
+                           pi_hidden=(8,), critic_hidden=(8,))
+        tr.train_tracking(clips, cfg, tmp_path, seed=5, spec=SPEC, phys=CFG, log=False)
+        wider = replace(cfg, updates=2, **{net: (16, 16)})
+        with pytest.raises(ValueError, match=r"saved \(policy, critic\) nets are .*hidden=\(8,\).*"
+                                             r"the config builds .*hidden=\(16, 16\)"):
+            tr.train_tracking(clips, wider, tmp_path, seed=5, spec=SPEC, phys=CFG, resume=True,
+                              log=False)
+
+    @pytest.mark.parametrize("cut", ["rows", "values", "empty", "headerless", "extra", "update"])
     def test_resume_refuses_a_truncated_snapshot(self, tmp_path, cut):
-        """A snapshot that lost env rows, values of a row or its header is
-        refused by name instead of broadcast into every env."""
+        """A snapshot that lost env rows, values of a row or its header, or
+        that holds a row too many or a bad header value, is refused by name
+        instead of broadcast into every env."""
         clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
         cfg = tr.PpoConfig(envs=3, horizon=8, updates=1, epochs_per_update=1)
         tr.train_tracking(clips, cfg, tmp_path, seed=5, spec=SPEC, phys=CFG, log=False)
@@ -524,13 +546,19 @@ class TestTraining:
         lines = path.read_text().splitlines()
         if cut == "rows":
             lines = lines[:3]  # the header and row 0
-            match = "the header says envs=3, found 1 rows"
+            match = r"line 4: expected \d+ values, got 0"
         elif cut == "values":
             lines[3] = " ".join(lines[3].split()[:-1])
             match = "line 4: expected"
+        elif cut == "extra":
+            lines.append(lines[2])
+            match = "line 6: data after the last of 3 rows"
+        elif cut == "update":
+            lines[0] = "update=one"
+            match = "header line update='one'"
         else:
             lines = [] if cut == "empty" else lines[2:]
-            match = "expected the update= and envs= header lines"
+            match = "header has no 'update' line"
         path.write_text("\n".join(lines) + "\n")
         more = replace(cfg, updates=2)
         with pytest.raises(ValueError, match=f"envs.txt: {match}"):
