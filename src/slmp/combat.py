@@ -65,13 +65,16 @@ class CombatConfig:
     pi_h_hidden: tuple[int, ...] = (128, 128, 64)
     critic_hidden: tuple[int, ...] = (128, 128)
 
+    def __post_init__(self):
+        tr.require_positive(self, ("envs", "horizon", "batch_size", "k_hl", "swap_period"))
+
     def ppo(self) -> tr.PpoConfig:
         return tr.PpoConfig(
             lr=self.lr, gamma=self.gamma, clip_eps=self.clip_eps,
             gae_lambda=self.gae_lambda, envs=self.envs, horizon=self.horizon,
             batch_size=self.batch_size, epochs_per_update=self.epochs_per_update,
             entropy_coef=self.entropy_coef, value_coef=self.value_coef,
-            std_init=self.std_init, pi_hidden=tuple(self.pi_h_hidden),
+            std_init=self.std_init, learn_std=True, pi_hidden=tuple(self.pi_h_hidden),
             critic_hidden=tuple(self.critic_hidden),
         )
 
@@ -439,15 +442,9 @@ def self_play_train(
 
     pcfg = cfg.ppo()
     obs_dim = combat_obs_dim(spec)
-    policy = tr.GaussianPolicy(nets.MlpSpec(obs_dim, tuple(cfg.pi_h_hidden), latent_dim, activation="silu"))
-    value_spec = nets.MlpSpec(obs_dim, tuple(cfg.critic_hidden), 1, activation="silu")
-    init_rng = np.random.default_rng(seed_for(seed, "pi-h-init"))
-    base_params = policy.init(init_rng, cfg.std_init)
-    base_value = nets.init_params(value_spec, np.random.default_rng(seed_for(seed, "vh-init")))
-    params = [base_params.copy(), base_params.copy()]
-    values = [base_value.copy(), base_value.copy()]
-    adam_p = [nets.adam_init(base_params.size, cfg.lr) for _ in range(2)]
-    adam_v = [nets.adam_init(base_value.size, cfg.lr) for _ in range(2)]
+    # the two instances, identical at the start
+    agents = [tr.build_networks(obs_dim, latent_dim, pcfg, seed, ("pi-h-init", "vh-init"))
+              for _ in range(2)]
 
     n_env = cfg.envs
     env = CombatEnv(phi_spec, phi_params, spec, phys, cfg,
@@ -462,6 +459,7 @@ def self_play_train(
     for epoch in range(cfg.epochs):
         sp.epoch = epoch
         learner = sp.learner_index()
+        ts, frozen = agents[learner], agents[1 - learner]
         env.epoch = epoch
         env.rngs = [np.random.default_rng(seed_for(seed, f"epoch-{epoch}-env-{i}")) for i in range(n_env)]
         rngs = [np.random.default_rng(seed_for(seed, f"epoch-{epoch}-act-{i}")) for i in range(n_env)]
@@ -479,8 +477,8 @@ def self_play_train(
             # the learner samples, the frozen instance takes its mean
             z = np.empty((2 * n_env, latent_dim))
             z[learner::2], act_buf[t], logp_buf[t] = high_level_step(
-                policy, params[learner], obs[learner::2], rngs)
-            z[1 - learner::2] = high_level_step(policy, params[1 - learner], obs[1 - learner::2])[0]
+                ts.policy, ts.policy_params, obs[learner::2], rngs)
+            z[1 - learner::2] = high_level_step(ts.policy, frozen.policy_params, obs[1 - learner::2])[0]
             obs_buf[t] = obs[learner::2]
             obs, rewards, done, info = env.decision_step(z)
             rew_buf[t] = rewards[:, learner]
@@ -488,20 +486,9 @@ def self_play_train(
             episodes += int(done.sum())
             downs += info["reason"].count("knockdown")
             hits += int(info["hits"][:, learner].sum())
-        # one stacked forward over the per-env (T, obs_dim) slices, so each
-        # env's rows keep the bits of a forward over that env alone
-        values_t = nets.forward_batch(value_spec, values[learner], obs_buf.transpose(1, 0, 2))[..., 0].T
-        boot = nets.forward_batch(value_spec, values[learner], obs[learner::2][:, None, :])[:, 0, 0]
-        adv, ret = tr.gae(rew_buf, values_t, done_buf, cfg.gamma, cfg.gae_lambda, boot)
-        batch = tr.PpoBatch(
-            obs_buf.reshape(-1, obs_dim), act_buf.reshape(-1, latent_dim),
-            logp_buf.reshape(-1), adv.reshape(-1), ret.reshape(-1),
-        )
-        upd_rng = np.random.default_rng(seed_for(seed, f"epoch-{epoch}-shuffle"))
-        params[learner], adam_p[learner], values[learner], adam_v[learner], m = tr.ppo_update(
-            policy, params[learner], adam_p[learner],
-            value_spec, values[learner], adam_v[learner], batch, pcfg, upd_rng,
-        )
+        values, boot = tr.rollout_values(ts.value_spec, ts.value_params, obs_buf, obs[learner::2])
+        buf = tr.RolloutBuffer(obs_buf, act_buf, rew_buf, values, logp_buf, done_buf, boot)
+        m = tr.ppo_round(ts, buf, pcfg, np.random.default_rng(seed_for(seed, f"epoch-{epoch}-shuffle")))
         episodes = max(episodes, 1)
         row = {
             "epoch": epoch, "learner": learner, "reward": rew_buf.mean(),
@@ -520,17 +507,14 @@ def self_play_train(
                 flush=True,
             )
 
-    for i in range(2):
-        nets.save_checkpoint(
-            out / f"pi_h_{i + 1}.ckpt", f"pi_h_{i + 1}", policy.spec, params[i],
-            extra=policy.spec.output_dim,
-        )
-        nets.save_checkpoint(out / f"critic_h_{i + 1}.ckpt", f"critic_h_{i + 1}", value_spec, values[i])
+    for i, ts in enumerate(agents, 1):
+        tr.save_policy(out / f"pi_h_{i}.ckpt", f"pi_h_{i}", ts.policy, ts.policy_params)
+        nets.save_checkpoint(out / f"critic_h_{i}.ckpt", f"critic_h_{i}", ts.value_spec, ts.value_params)
     # embed the prior so rollouts load from one directory
     prior = Path(slmp_dir) / "pi_phi.ckpt"
     if prior.resolve() != (out / "pi_phi.ckpt").resolve():
         shutil.copyfile(prior, out / "pi_phi.ckpt")
-    return params, values
+    return [ts.policy_params for ts in agents], [ts.value_params for ts in agents]
 
 
 def rollout_combat(

@@ -152,9 +152,11 @@ def load_config(path: str | Path | None) -> RunConfig:
 
 def _validate(cfg: RunConfig) -> None:
     # re-run dataclass invariants after field mutation
-    for section in ("ppo", "slmp"):
-        obj = getattr(cfg, section)
-        obj.__post_init__()
+    for section in ("ppo", "slmp", "combat"):
+        try:
+            getattr(cfg, section).__post_init__()
+        except ValueError as e:
+            raise ConfigError(f"{section}: {e}") from e
 
 
 def _fmt(value) -> str:

@@ -61,6 +61,7 @@ class SlmpConfig:
             raise ValueError("loss weights must be non-negative")
         if self.mode not in ABLATION_MODES:
             raise ValueError(f"mode must be one of {ABLATION_MODES}")
+        tr.require_positive(self, ("envs", "batch", "capacity", "window"))
 
 
 def normalize_rows(y: np.ndarray, min_norm: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +172,6 @@ class Phase:
     """Latched two-phase switch for the semantic weight."""
 
     use_wc: bool = False
-    updates_completed: int = 0
     window: int = 200
     plateau_tol: float = 0.01
     history: deque = field(default_factory=deque)
@@ -183,7 +183,6 @@ def phase_scheduler(phase: Phase, new_loss: float) -> Phase:
     Compares the mean of the last W losses against the mean of the W
     before them; the switch happens at most once and never reverts.
     """
-    phase.updates_completed += 1
     if phase.use_wc:
         return phase
     phase.history.append(float(new_loss))
@@ -504,8 +503,6 @@ def train_slmp(
         m = slmp_update(batch, n, cfg, phase)
         if cfg.mode == "slmp":
             phase = phase_scheduler(phase, m["l_slmp"])
-        else:
-            phase.updates_completed += 1
 
         with metrics_path.open("a") as f:
             vals = {**m, "update": u, "mse_fresh": mse_fresh}

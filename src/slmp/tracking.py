@@ -15,7 +15,7 @@ the end; a step gathers what it needs from library rows, so it reads no
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -34,6 +34,13 @@ ENERGY_COEFF = 5e-4
 E_DIV = 0.5  # mean site error (m) that counts as divergence
 
 
+def require_positive(cfg, names: tuple[str, ...]) -> None:
+    """Refuse a stage config whose count fields ``names`` are not positive."""
+    for name in names:
+        if getattr(cfg, name) <= 0:
+            raise ValueError(f"{name} must be positive, got {getattr(cfg, name)}")
+
+
 @dataclass
 class PpoConfig:
     # lr 5e-5 suits 32k-sample batches; at this batch scale it cannot
@@ -49,13 +56,12 @@ class PpoConfig:
     entropy_coef: float = 0.0005
     value_coef: float = 1.0
     std_init: float = 0.3
-    # exploration noise: "linear" anneals the action std from std_init to
-    # std_final over std_anneal_updates; "learned" keeps the log-std a free
-    # parameter (it fails to anneal at desk scale, see the training notes)
-    std_schedule: str = "linear"
+    # exploration noise: without learn_std the action std anneals from std_init
+    # to std_final over std_anneal_updates (sigma_at); with it the optimiser owns
+    # the log-std, which fails to anneal at desk scale (see the training notes)
     std_final: float = 0.05
     std_anneal_updates: int = 600
-    learn_std: bool = True
+    learn_std: bool = False
     updates: int = 2000
     e_div: float = E_DIV
     # the light limbs make exploration-noise torques explode the energy
@@ -70,8 +76,7 @@ class PpoConfig:
             raise ValueError("gamma must be in (0, 1)")
         if self.clip_eps <= 0.0:
             raise ValueError("clip_eps must be positive")
-        if self.std_schedule not in ("linear", "learned"):
-            raise ValueError("std_schedule must be 'linear' or 'learned'")
+        require_positive(self, ("envs", "horizon", "batch_size"))
 
     def sigma_at(self, update: int) -> float:
         frac = min(1.0, update / max(1, self.std_anneal_updates))
@@ -414,7 +419,8 @@ def ppo_update(
 
 @dataclass
 class RolloutBuffer:
-    """Per-step arrays shaped (T, E, ...); advantages filled by gae()."""
+    """Per-step arrays shaped (T, E, ...); advantages filled by gae().
+    Only tracking fills ``imitation`` and ``idle_footwork``."""
 
     obs: np.ndarray
     actions: np.ndarray
@@ -422,11 +428,11 @@ class RolloutBuffer:
     values: np.ndarray
     log_probs: np.ndarray
     dones: np.ndarray
-    imitation: np.ndarray
-    idle_footwork: np.ndarray  # mask: step belongs to an idle/footwork clip
     bootstrap: np.ndarray  # (E,)
     advantages: np.ndarray | None = None
     returns: np.ndarray | None = None
+    imitation: np.ndarray | None = None
+    idle_footwork: np.ndarray | None = None  # mask: step belongs to an idle/footwork clip
 
     def flat(self) -> PpoBatch:
         if self.advantages is None:
@@ -629,6 +635,18 @@ class TrackingEnv(EnvBatch):
         return obs[0], float(reward[0]), bool(done[0]), {k: v[0].item() for k, v in info.items()}
 
 
+def rollout_values(
+    value_spec: nets.MlpSpec, value_params: np.ndarray, obs: np.ndarray, last_obs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The critic's (T, E) values of a rollout's (T, E, obs_dim) ``obs`` and
+    its (E,) bootstrap, the values of ``last_obs``.  One stacked forward over
+    the per-env (T, obs_dim) slices gives each env the bits of a forward over
+    that env alone, so the values do not depend on E or the worker split."""
+    values = nets.forward_batch(value_spec, value_params, obs.transpose(1, 0, 2))[:, :, 0].T.copy()
+    bootstrap = nets.forward_batch(value_spec, value_params, last_obs[:, None, :])[:, 0, 0]
+    return values, bootstrap
+
+
 def _collect_chunk(
     batch: EnvBatch,
     policy: GaussianPolicy,
@@ -659,11 +677,10 @@ def _collect_chunk(
         imitation[t] = info["imitation"]
         idle_fw[t] = info["idle_fw"]
         cur = o2
-    # one (horizon, obs_dim) slice per env keeps values worker-count invariant
-    values = nets.forward_batch(value_spec, value_params, obs.transpose(1, 0, 2))[:, :, 0].T.copy()
-    bootstrap = nets.forward_batch(value_spec, value_params, cur[:, None, :])[:, 0, 0]
+    values, bootstrap = rollout_values(value_spec, value_params, obs, cur)
     return RolloutBuffer(
-        obs, actions, rewards, values, log_probs, dones, imitation, idle_fw, bootstrap
+        obs, actions, rewards, values, log_probs, dones, bootstrap,
+        imitation=imitation, idle_footwork=idle_fw,
     )
 
 
@@ -711,10 +728,10 @@ def collect_rollouts(
         part.world, part.t, part.clip_index, part.rngs = rows
     vars(batch).update(vars(EnvBatch.join(parts)))  # the batch takes the joined rows
     bufs = [buf for buf, _ in results]
-    return RolloutBuffer(*(
-        np.concatenate([getattr(b, f.name) for b in bufs], axis=0 if f.name == "bootstrap" else 1)
+    return RolloutBuffer(**{
+        f.name: np.concatenate([getattr(b, f.name) for b in bufs], axis=0 if f.name == "bootstrap" else 1)
         for f in fields(RolloutBuffer) if f.name not in ("advantages", "returns")
-    ))
+    })
 
 
 # --- training loop ------------------------------------------------------
@@ -731,13 +748,16 @@ class TrainState:
     update: int = 0
 
 
-def build_networks(obs_dim: int, act_dim: int, cfg: PpoConfig, seed: int) -> TrainState:
+def build_networks(
+    obs_dim: int, act_dim: int, cfg: PpoConfig, seed: int,
+    labels: tuple[str, str] = ("policy-init", "value-init"),
+) -> TrainState:
     policy = GaussianPolicy(
         nets.MlpSpec(obs_dim, tuple(cfg.pi_hidden), act_dim, activation="silu")
     )
     value_spec = nets.MlpSpec(obs_dim, tuple(cfg.critic_hidden), 1, activation="silu")
-    policy_params = policy.init(np.random.default_rng(seed_for(seed, "policy-init")), cfg.std_init)
-    value_params = nets.init_params(value_spec, np.random.default_rng(seed_for(seed, "value-init")))
+    policy_params = policy.init(np.random.default_rng(seed_for(seed, labels[0])), cfg.std_init)
+    value_params = nets.init_params(value_spec, np.random.default_rng(seed_for(seed, labels[1])))
     return TrainState(
         policy=policy,
         policy_params=policy_params,
@@ -748,15 +768,24 @@ def build_networks(obs_dim: int, act_dim: int, cfg: PpoConfig, seed: int) -> Tra
     )
 
 
+def ppo_round(ts: TrainState, buf: RolloutBuffer, cfg: PpoConfig, rng: np.random.Generator) -> dict[str, float]:
+    """One PPO update of ``ts`` in place: GAE over the rollout ``buf``, then
+    ``ppo_update`` on the flattened buffer, shuffled by ``rng``.  Returns its metrics."""
+    buf.advantages, buf.returns = gae(
+        buf.rewards, buf.values, buf.dones, cfg.gamma, cfg.gae_lambda, buf.bootstrap)
+    ts.policy_params, ts.policy_adam, ts.value_params, ts.value_adam, m = ppo_update(
+        ts.policy, ts.policy_params, ts.policy_adam, ts.value_spec, ts.value_params, ts.value_adam,
+        buf.flat(), cfg, rng)
+    ts.update += 1
+    return m
+
+
 def save_train_state(out: Path, ts: TrainState, envs: EnvBatch) -> None:
     """Write the networks, their Adam states and ``envs.txt``: the update
     count, the env count and one row per env of the batch,
     ``[root_pos, q, root_vel, qd, t, clip_index, anchor_x, anchor_on]``."""
     out.mkdir(parents=True, exist_ok=True)
-    nets.save_checkpoint(
-        out / "pi_track.ckpt", "pi_track", ts.policy.spec, ts.policy_params,
-        extra=ts.policy.spec.output_dim,
-    )
+    save_policy(out / "pi_track.ckpt", "pi_track", ts.policy, ts.policy_params)
     nets.save_checkpoint(out / "critic.ckpt", "critic", ts.value_spec, ts.value_params)
     nets.adam_state_save(out / "adam_policy.txt", ts.policy_adam)
     nets.adam_state_save(out / "adam_value.txt", ts.value_adam)
@@ -765,6 +794,12 @@ def save_train_state(out: Path, ts: TrainState, envs: EnvBatch) -> None:
         [w.root_pos, w.q, w.root_vel, w.qd, envs.t, envs.clip_index, w.anchor_x, w.anchor_on]
     )
     nets.write_table(out / "envs.txt", [f"update={ts.update}", f"envs={len(envs)}"], rows)
+
+
+def save_policy(path: str | Path, name: str, policy: GaussianPolicy, params: np.ndarray) -> None:
+    """A policy checkpoint: the MLP and, as its extra values, the log-std
+    tail that ``load_policy`` checks for."""
+    nets.save_checkpoint(path, name, policy.spec, params, extra=policy.spec.output_dim)
 
 
 def load_policy(path: str | Path) -> tuple[GaussianPolicy, np.ndarray]:
@@ -824,9 +859,6 @@ def train_tracking(
     log: bool = True,
 ) -> TrainState:
     """Stage 1: PPO training of the tracking expert on the clip library."""
-    if cfg.std_schedule == "linear":
-        # the schedule owns the log-std; work on a copy, the caller's config stays as given
-        cfg = replace(cfg, learn_std=False)
     spec = spec or ph.default_character()
     phys = phys or ph.default_config(spec)
     out = Path(out_dir)
@@ -843,6 +875,10 @@ def train_tracking(
         got, want = (saved.policy.spec, saved.value_spec), (ts.policy.spec, ts.value_spec)
         if got != want:
             raise ValueError(f"{out}: the saved (policy, critic) nets are {got}, the config builds {want}")
+        rates = (saved.policy_adam.lr, saved.value_adam.lr)
+        if rates != (cfg.lr, cfg.lr):
+            raise ValueError(
+                f"{out}: the saved (policy, critic) learning rates are {rates}, the config sets {cfg.lr}")
         ts = saved
 
     # a resumed run keeps the rows of the updates its snapshot holds; rows
@@ -858,7 +894,7 @@ def train_tracking(
 
     act_dim = spec.n_joints
     for u in range(ts.update, cfg.updates):
-        if cfg.std_schedule == "linear":
+        if not cfg.learn_std:
             ts.policy_params[-act_dim:] = math.log(cfg.sigma_at(u))
         envs.rngs = [
             np.random.default_rng(seed_for(seed, f"update-{u}-env-{i}")) for i in range(cfg.envs)
@@ -867,18 +903,7 @@ def train_tracking(
             envs, ts.policy, ts.policy_params, ts.value_spec, ts.value_params,
             cfg.horizon, envs.rngs, workers=workers,
         )
-        buf.advantages, buf.returns = gae(
-            buf.rewards, buf.values, buf.dones, cfg.gamma, cfg.gae_lambda, buf.bootstrap
-        )
-        upd_rng = np.random.default_rng(seed_for(seed, f"update-{u}-shuffle"))
-        (
-            ts.policy_params, ts.policy_adam, ts.value_params, ts.value_adam, m,
-        ) = ppo_update(
-            ts.policy, ts.policy_params, ts.policy_adam,
-            ts.value_spec, ts.value_params, ts.value_adam,
-            buf.flat(), cfg, upd_rng,
-        )
-        ts.update = u + 1
+        m = ppo_round(ts, buf, cfg, np.random.default_rng(seed_for(seed, f"update-{u}-shuffle")))
         ifw = buf.idle_footwork
         ep_steps = buf.rewards.size / max(buf.dones.sum(), 1.0)
         row = {

@@ -12,6 +12,9 @@ prints ``<family> <sha256>`` lines for
   ``train_tracking``, ``train_slmp`` (``slmp_update``) and 2 epochs of
   ``self_play_train``, chained as in the pipeline: the distillation reads
   the tracking expert and self-play reads the distilled prior;
+- both instances' final parameters and the ``metrics.csv`` of 2 tiny
+  self-play epochs with a swap after each, so that each instance trains
+  once (``combat.swap``);
 - the ``envs.txt`` rollout state that those tracking updates end with;
 - the rewards, hit counts, termination reasons and episode times of 16
   ``CombatEnv.decision_step`` calls of 2 envs over a tiny prior, close
@@ -95,7 +98,8 @@ def smoke_pipeline(work: Path) -> dict[str, str]:
 
 
 def training(work: Path, clips: list[mo.MotionClip], tiny: bool) -> dict[str, str]:
-    """Digests of 2 tracking updates, 2 distill updates and 2 self-play epochs."""
+    """Digests of 2 tracking updates, 2 distill updates, 2 self-play epochs,
+    and 2 tiny self-play epochs that swap roles after each."""
     ts = tr.train_tracking(clips, tr.PpoConfig(updates=2, **(TINY_TRACK if tiny else {})),
                            work / "track", SEED, log=False)
     dn = di.train_slmp(clips, work / "track" / "pi_track.ckpt",
@@ -113,6 +117,11 @@ def training(work: Path, clips: list[mo.MotionClip], tiny: bool) -> dict[str, st
         out[f"{stage}.params"] = array_sha(arrays)
         out[f"{stage}.metrics"] = sha((work / stage / "metrics.csv").read_bytes())
     out["track.envs"] = sha((work / "track" / "envs.txt").read_bytes())
+    params, values = cb.self_play_train(
+        work / "distill", cb.CombatConfig(epochs=2, swap_period=1, **TINY_COMBAT),
+        work / "swap", SEED, log=False)
+    out["combat.swap"] = sha(array_sha([*params, *values]).encode(),
+                             (work / "swap" / "metrics.csv").read_bytes())
     return out
 
 

@@ -121,6 +121,23 @@ class TestConfig:
         p.write_text("seed = 11\n")
         assert load_config(p).seed == 11
 
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("key", [
+        "ppo.envs", "ppo.horizon", "ppo.batch_size",
+        "slmp.envs", "slmp.batch", "slmp.capacity", "slmp.window",
+        "combat.envs", "combat.horizon", "combat.batch_size", "combat.k_hl", "combat.swap_period",
+    ])
+    def test_non_positive_count_named(self, tmp_path, key, value):
+        """The stage config refuses the count at construction, and the
+        loader names its section too."""
+        section, name = key.split(".")
+        with pytest.raises(ValueError, match=f"^{name} must be positive, got {value}$"):
+            type(getattr(RunConfig(), section))(**{name: value})
+        p = tmp_path / "c.cfg"
+        p.write_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"^{section}: {name} must be positive, got {value}$"):
+            load_config(p)
+
 
 class TestCli:
     def test_unknown_subcommand_exits_2(self, capsys):
@@ -166,6 +183,15 @@ class TestCli:
         path.write_text("\n".join(path.read_text().splitlines()[:4]) + "\n")
         assert cli.run(["eval-survival", "--slmp", str(prior), "--out", str(tmp_path / "s.csv")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_train_combat_refuses_a_zero_swap_period(self, tmp_path, capsys):
+        cfg = tmp_path / "swap.cfg"
+        cfg.write_text(SMOKE_CFG + "combat.swap_period = 0\n")
+        out = tmp_path / "combat"
+        argv = ["train-combat", "--slmp", str(tmp_path), "--out", str(out), "--config", str(cfg)]
+        assert cli.run(argv) == 1
+        assert "error: combat: swap_period must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file_errors(self, tmp_path):
         assert cli.run(["gen-data", "--out", str(tmp_path / "x"), "--config", "/no/such.cfg"]) == 1
@@ -222,8 +248,7 @@ class TestCli:
                              nets.init_params(phi_spec, rng) * 0.01)
         policy = tr.GaussianPolicy(nets.MlpSpec(cb.combat_obs_dim(spec), (16,), 4))
         for i in (1, 2):
-            nets.save_checkpoint(ckpt / f"pi_h_{i}.ckpt", f"pi_h_{i}", policy.spec,
-                                 policy.init(rng, 0.3), extra=policy.spec.output_dim)
+            tr.save_policy(ckpt / f"pi_h_{i}.ckpt", f"pi_h_{i}", policy, policy.init(rng, 0.3))
         assert cli.run(["rollout", "--mode", "combat", "--ckpt", str(ckpt),
                         "--frames", str(tmp_path / "fight.clip"), "--seconds", "1"]) == 0
         fighters = cb.rollout_combat(ckpt, 1.0, seed_for(0, "rollout"))

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -462,6 +462,22 @@ class TestCombatEnv:
         assert np.array_equal(params[1], base)
         assert not np.array_equal(params[0], base)
 
+    def test_instances_stay_separate_across_a_swap(self, tiny_prior, tmp_path):
+        """With a swap after every epoch, epoch 1 trains instance 2 and
+        leaves instance 1 as epoch 0 left it."""
+        out_dir, _, _ = tiny_prior
+        cfg = cb.CombatConfig(envs=1, horizon=4, epochs=2, swap_period=1)
+        run = dict(seed=1, spec=SPEC, phys=CFG, log=False)
+        params, values = cb.self_play_train(out_dir, cfg, tmp_path / "two", **run)
+        one_params, one_values = cb.self_play_train(
+            out_dir, replace(cfg, epochs=1), tmp_path / "one", **run)
+        assert params[0].tobytes() == one_params[0].tobytes()
+        assert values[0].tobytes() == one_values[0].tobytes()
+        base = tr.build_networks(cb.combat_obs_dim(SPEC), 4, cfg.ppo(), 1, ("pi-h-init", "vh-init"))
+        assert one_params[1].tobytes() == base.policy_params.tobytes()
+        assert not np.array_equal(params[1], base.policy_params)
+        assert not np.array_equal(values[1], base.value_params)
+
 
 def _no_termination(root_dist, limb_dist, knockdown, t, timers, dt, epoch, cfg):
     return np.full(len(t), None, dtype=object), timers
@@ -492,8 +508,7 @@ def test_rollout_runs_every_whole_decision(tiny_prior, tmp_path, monkeypatch):
     policy = tr.GaussianPolicy(nets.MlpSpec(cb.combat_obs_dim(SPEC), (8,), 4))
     rng = np.random.default_rng(0)
     for i in (1, 2):
-        nets.save_checkpoint(ckpt / f"pi_h_{i}.ckpt", f"pi_h_{i}", policy.spec,
-                             policy.init(rng, 0.3), extra=policy.spec.output_dim)
+        tr.save_policy(ckpt / f"pi_h_{i}.ckpt", f"pi_h_{i}", policy, policy.init(rng, 0.3))
     monkeypatch.setattr(cb, "check_termination", _no_termination)
     assert CFG.dt * CC.k_hl == 1 / 30
     assert [len(w) for w in cb.rollout_combat(ckpt, 4.1, 0, CC, SPEC, CFG)] == [123, 123]

@@ -14,5 +14,5 @@ def test_identity_digests_every_output_family():
                  "smoke/slmp/pi_phi.ckpt", "smoke/combat/metrics.csv",
                  "smoke/eval-track.csv", "smoke/fight.fighter2.clip",
                  "track.params", "track.envs", "distill.metrics", "combat.params",
-                 "combat.decisions", "combat.contacts"):
+                 "combat.decisions", "combat.contacts", "combat.swap"):
         assert name in digests

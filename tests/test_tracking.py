@@ -10,6 +10,7 @@ from slmp import motion as mo
 from slmp import nets
 from slmp import physics as ph
 from slmp import tracking as tr
+from slmp.seeding import seed_for
 
 SPEC = ph.default_character()
 CFG = ph.default_config(SPEC)
@@ -534,6 +535,16 @@ class TestTraining:
             tr.train_tracking(clips, wider, tmp_path, seed=5, spec=SPEC, phys=CFG, resume=True,
                               log=False)
 
+    def test_resume_refuses_a_changed_learning_rate(self, tmp_path):
+        clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        cfg = tr.PpoConfig(envs=2, horizon=4, updates=1, epochs_per_update=1,
+                           pi_hidden=(8,), critic_hidden=(8,))
+        tr.train_tracking(clips, cfg, tmp_path, seed=5, spec=SPEC, phys=CFG, log=False)
+        faster = replace(cfg, updates=2, lr=1e-3)
+        with pytest.raises(ValueError, match=r"learning rates are \(0.0003, 0.0003\), the config sets 0.001"):
+            tr.train_tracking(clips, faster, tmp_path, seed=5, spec=SPEC, phys=CFG, resume=True,
+                              log=False)
+
     @pytest.mark.parametrize("cut", ["rows", "values", "empty", "headerless", "extra", "update"])
     def test_resume_refuses_a_truncated_snapshot(self, tmp_path, cut):
         """A snapshot that lost env rows, values of a row or its header, or
@@ -782,5 +793,23 @@ class TestTraining:
         clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
         cfg = tr.PpoConfig(envs=1, horizon=4, updates=1, epochs_per_update=1)
         tr.train_tracking(clips, cfg, tmp_path, seed=0, spec=SPEC, phys=CFG, log=False)
-        assert cfg.learn_std is True
+        assert cfg.learn_std is False
         assert cfg == tr.PpoConfig(envs=1, horizon=4, updates=1, epochs_per_update=1)
+
+    def test_learn_std_leaves_the_log_std_to_the_optimiser(self, tmp_path):
+        """With ``learn_std`` the run's log-std tail is what one
+        ``ppo_round`` makes of it, not the scheduled ``log(sigma_at(0))``."""
+        clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        cfg = tr.PpoConfig(envs=2, horizon=8, updates=1, epochs_per_update=1, learn_std=True,
+                           pi_hidden=(8,), critic_hidden=(8,))
+        ts = tr.train_tracking(clips, cfg, tmp_path, seed=5, spec=SPEC, phys=CFG, log=False)
+        tail = ts.policy_params[-SPEC.n_joints:]
+        assert not np.any(tail == math.log(cfg.sigma_at(0)))
+        want = tr.build_networks(tr.track_obs_dim(SPEC), SPEC.n_joints, cfg, seed=5)
+        rngs = [np.random.default_rng(seed_for(5, f"update-0-env-{i}")) for i in range(2)]
+        init = [np.random.default_rng(seed_for(5, f"env-init-{i}")) for i in range(2)]
+        envs = tr.EnvBatch(clips, SPEC, CFG, init, cfg.e_div, cfg.energy_floor)
+        buf = tr.collect_rollouts(envs, want.policy, want.policy_params, want.value_spec,
+                                  want.value_params, cfg.horizon, rngs)
+        tr.ppo_round(want, buf, cfg, np.random.default_rng(seed_for(5, "update-0-shuffle")))
+        assert tail.tobytes() == want.policy_params[-SPEC.n_joints:].tobytes()
