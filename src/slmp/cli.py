@@ -1,5 +1,9 @@
 """Command-line entry point wiring configuration, seeding, datasets,
-training stages, and evaluations into reproducible commands."""
+training stages, and evaluations into reproducible commands.
+
+An option that sets a run value has its config key as ``dest``; ``run``
+applies those over the config file through ``config.load_config``, and
+each command reads only the resulting ``RunConfig``."""
 from __future__ import annotations
 
 import argparse
@@ -31,8 +35,13 @@ def _generate_library(cfg: RunConfig, spec, phys) -> list[mo.MotionClip]:
     )
 
 
-def cmd_gen_data(args, cfg: RunConfig) -> int:
-    spec, phys = cfg.physics.build()
+def _expert_ckpt(path: str) -> Path:
+    """An expert checkpoint file, or the ``pi_track.ckpt`` of a train-track output dir."""
+    p = Path(path)
+    return p / "pi_track.ckpt" if p.is_dir() else p
+
+
+def cmd_gen_data(args, cfg: RunConfig, spec, phys) -> int:
     clips = _generate_library(cfg, spec, phys)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -43,11 +52,8 @@ def cmd_gen_data(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_train_track(args, cfg: RunConfig) -> int:
-    spec, phys = cfg.physics.build()
+def cmd_train_track(args, cfg: RunConfig, spec, phys) -> int:
     clips = _load_clips(args, cfg, spec, phys)
-    if args.updates is not None:
-        cfg.ppo.updates = args.updates
     write_echo(cfg, args.out)
     tr.train_tracking(
         clips, cfg.ppo, args.out, seed_for(cfg.seed, "track"), spec, phys,
@@ -56,31 +62,20 @@ def cmd_train_track(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_distill(args, cfg: RunConfig) -> int:
-    spec, phys = cfg.physics.build()
+def cmd_distill(args, cfg: RunConfig, spec, phys) -> int:
     clips = _load_clips(args, cfg, spec, phys)
-    if args.updates is not None:
-        cfg.slmp.updates = args.updates
-    cfg.slmp.mode = args.mode
     write_echo(cfg, args.out)
-    expert = Path(args.expert)
-    if expert.is_dir():
-        expert = expert / "pi_track.ckpt"
     di.train_slmp(
-        clips, expert, cfg.slmp, args.out, seed_for(cfg.seed, f"distill-{args.mode}"),
-        spec, phys, skip_expert_check=args.skip_expert_check,
+        clips, _expert_ckpt(args.expert), cfg.slmp, args.out,
+        seed_for(cfg.seed, f"distill-{cfg.slmp.mode}"), spec, phys,
+        skip_expert_check=args.skip_expert_check,
     )
     return 0
 
 
-def cmd_eval_track(args, cfg: RunConfig) -> int:
-    spec, phys = cfg.physics.build()
+def cmd_eval_track(args, cfg: RunConfig, spec, phys) -> int:
     clips = _load_clips(args, cfg, spec, phys)
-    expert = None
-    if args.expert:
-        expert = Path(args.expert)
-        if expert.is_dir():
-            expert = expert / "pi_track.ckpt"
+    expert = _expert_ckpt(args.expert) if args.expert else None
     res = ev.latent_tracking_eval(clips, args.slmp, expert, spec, phys, cfg.eval.e_div)
     lines = ["method,success,mean_joint_error"]
     for name, row in res.items():
@@ -91,14 +86,11 @@ def cmd_eval_track(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_eval_survival(args, cfg: RunConfig) -> int:
-    spec, phys = cfg.physics.build()
+def cmd_eval_survival(args, cfg: RunConfig, spec, phys) -> int:
     _, _, phi_spec, phi_params = di.load_prior(args.slmp)
-    trials = args.trials if args.trials is not None else cfg.eval.trials
-    period = args.resample_period if args.resample_period is not None else cfg.eval.resample_period
     curve = ev.survival_eval(
-        phi_spec, phi_params, trials, tuple(cfg.eval.horizons),
-        seed_for(cfg.seed, "survival"), period, args.fixed_z or cfg.eval.fixed_z,
+        phi_spec, phi_params, cfg.eval.trials, tuple(cfg.eval.horizons),
+        seed_for(cfg.seed, "survival"), cfg.eval.resample_period, cfg.eval.fixed_z,
         spec, phys,
     )
     ev.save_survival(curve, args.out)
@@ -108,34 +100,27 @@ def cmd_eval_survival(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_viz_sphere(args, cfg: RunConfig) -> int:
-    spec, phys = cfg.physics.build()
+def cmd_viz_sphere(args, cfg: RunConfig, spec, phys) -> int:
     _, _, phi_spec, phi_params = di.load_prior(args.slmp)
     state = ev.fixture_state(args.state, spec, phys)
     decode = ev.prior_decoder(phi_spec, phi_params, state, spec)
     latent_dim = phi_spec.input_dim - tr.proprio_dim(spec)
     cloud = ev.sphere_clusters(
-        decode, latent_dim, args.samples or cfg.eval.samples,
-        args.k or cfg.eval.clusters, seed_for(cfg.seed, f"sphere-{args.state}"),
+        decode, latent_dim, cfg.eval.samples, cfg.eval.clusters,
+        seed_for(cfg.seed, f"sphere-{args.state}"),
     )
     ev.save_cloud(cloud, args.out)
     print(f"wrote {cloud.z.shape[0]} points, {len(set(cloud.cluster_id))} clusters")
     return 0
 
 
-def cmd_train_combat(args, cfg: RunConfig) -> int:
-    spec, phys = cfg.physics.build()
-    if args.epochs is not None:
-        cfg.combat.epochs = args.epochs
+def cmd_train_combat(args, cfg: RunConfig, spec, phys) -> int:
     write_echo(cfg, args.out)
     cb.self_play_train(args.slmp, cfg.combat, args.out, seed_for(cfg.seed, "combat"), spec, phys)
     return 0
 
 
-def cmd_rollout(args, cfg: RunConfig) -> int:
-    if args.mode != "combat":
-        raise ValueError(f"unsupported rollout mode {args.mode!r}")
-    spec, phys = cfg.physics.build()
+def cmd_rollout(args, cfg: RunConfig, spec, phys) -> int:
     fighters = cb.rollout_combat(
         args.ckpt, args.seconds, seed_for(cfg.seed, "rollout"), cfg.combat, spec, phys
     )
@@ -160,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", default=None, help="path to a section.key=value config file")
-        p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
+        p.add_argument("--seed", help="master seed (overrides config)")
 
     p = sub.add_parser("gen-data", help="write the procedural clip library")
     common(p)
@@ -170,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--out", required=True)
     p.add_argument("--clips", default=None, help="clip directory (default: generate)")
-    p.add_argument("--updates", type=int, default=None)
+    p.add_argument("--updates", dest="ppo.updates")
     p.add_argument("--resume", action="store_true")
     p.add_argument("--workers", type=int, default=1)
 
@@ -178,9 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--expert", required=True, help="expert checkpoint file or train-track output dir")
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("distill", "gan", "nsc", "slmp"), default="slmp")
+    p.add_argument("--mode", dest="slmp.mode", choices=di.ABLATION_MODES)
     p.add_argument("--clips", default=None)
-    p.add_argument("--updates", type=int, default=None)
+    p.add_argument("--updates", dest="slmp.updates")
     p.add_argument("--skip-expert-check", action="store_true")
 
     p = sub.add_parser("eval-track", help="latent tracking success / mean joint error")
@@ -194,23 +179,23 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--slmp", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--resample-period", type=float, default=None)
-    p.add_argument("--fixed-z", action="store_true")
+    p.add_argument("--trials", dest="eval.trials")
+    p.add_argument("--resample-period", dest="eval.resample_period")
+    p.add_argument("--fixed-z", dest="eval.fixed_z", action="store_const", const="true")
 
     p = sub.add_parser("viz-sphere", help="state-conditioned sphere clustering export")
     common(p)
     p.add_argument("--slmp", required=True)
     p.add_argument("--state", choices=("guard", "airborne"), default="guard")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--samples", dest="eval.samples")
+    p.add_argument("--k", dest="eval.clusters")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train-combat", help="stage 3: alternating self-play combat")
     common(p)
     p.add_argument("--slmp", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--epochs", dest="combat.epochs")
 
     p = sub.add_parser("rollout", help="dump a deterministic rollout as text frames")
     common(p)
@@ -244,11 +229,13 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    options = {
+        key: value for key, value in vars(args).items()
+        if value is not None and ("." in key or key == "seed")
+    }
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        return COMMANDS[args.command](args, cfg)
+        cfg = load_config(args.config, options)
+        return COMMANDS[args.command](args, cfg, *cfg.physics.build())
     except (ConfigError, FileNotFoundError, ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

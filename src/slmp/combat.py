@@ -66,7 +66,9 @@ class CombatConfig:
     critic_hidden: tuple[int, ...] = (128, 128)
 
     def __post_init__(self):
-        tr.require_positive(self, ("envs", "horizon", "batch_size", "k_hl", "swap_period"))
+        tr.require_positive(
+            self, ("envs", "horizon", "batch_size", "epochs_per_update", "k_hl", "swap_period")
+        )
 
     def ppo(self) -> tr.PpoConfig:
         return tr.PpoConfig(

@@ -1,5 +1,6 @@
 """Line-oriented run configuration: ``section.key = value`` with typed
-fields, compiled-in defaults, and unknown-key rejection."""
+fields, compiled-in defaults, and unknown-key rejection; command-line
+options set the same keys through the same setter."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
@@ -74,6 +75,9 @@ class EvalSection:
     clusters: int = 6
     e_div: float = tr.E_DIV
 
+    def __post_init__(self):
+        tr.require_positive(self, ("trials", "samples", "clusters"))
+
 
 @dataclass
 class RunConfig:
@@ -117,42 +121,43 @@ def _coerce(raw: str, default, where: str):
     return raw
 
 
-def load_config(path: str | Path | None) -> RunConfig:
-    """Parse ``section.key = value`` lines; later entries override earlier."""
+def _set(cfg: RunConfig, key: str, raw: str, where: str) -> None:
+    """Set ``key`` of ``cfg`` from its text ``raw``; errors name ``where``."""
+    if key == "seed":
+        cfg.seed = _coerce(raw, 0, where)
+        return
+    section, dot, name = key.partition(".")
+    target = getattr(cfg, section) if dot and section in _SECTIONS else None
+    if target is None or name not in {f.name for f in fields(target)}:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    setattr(target, name, _coerce(raw, getattr(target, name), where))
+
+
+def load_config(path: str | Path | None, options: dict[str, str] | None = None) -> RunConfig:
+    """Parse ``section.key = value`` lines, later entries overriding earlier,
+    then apply ``options``, key to value text as on a line, over them."""
     cfg = RunConfig()
-    if path is None:
-        return cfg
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    for ln, line in enumerate(p.read_text().splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        key, sep, value = body.partition("=")
-        if not sep:
-            raise ConfigError(f"{p}:{ln}: expected key = value, got {line!r}")
-        key = key.strip()
-        where = f"{p}:{ln}"
-        if key == "seed":
-            cfg.seed = _coerce(value, 0, where)
-            continue
-        section, dot, name = key.partition(".")
-        if not dot or section not in _SECTIONS:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-        target = getattr(cfg, section)
-        names = {f.name for f in fields(target)}
-        if name not in names:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-        default = getattr(target, name)
-        setattr(target, name, _coerce(value, default, where))
+    if path is not None:
+        p = Path(path)
+        if not p.exists():
+            raise ConfigError(f"config file not found: {p}")
+        for ln, line in enumerate(p.read_text().splitlines(), start=1):
+            body = line.split("#", 1)[0].strip()
+            if not body:
+                continue
+            key, sep, value = body.partition("=")
+            if not sep:
+                raise ConfigError(f"{p}:{ln}: expected key = value, got {line!r}")
+            _set(cfg, key.strip(), value, f"{p}:{ln}")
+    for key, value in (options or {}).items():
+        _set(cfg, key, value, key)
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: RunConfig) -> None:
     # re-run dataclass invariants after field mutation
-    for section in ("ppo", "slmp", "combat"):
+    for section in ("ppo", "slmp", "combat", "eval"):
         try:
             getattr(cfg, section).__post_init__()
         except ValueError as e:

@@ -61,7 +61,7 @@ class SlmpConfig:
             raise ValueError("loss weights must be non-negative")
         if self.mode not in ABLATION_MODES:
             raise ValueError(f"mode must be one of {ABLATION_MODES}")
-        tr.require_positive(self, ("envs", "batch", "capacity", "window"))
+        tr.require_positive(self, ("envs", "batch", "fresh_per_update", "capacity", "window"))
 
 
 def normalize_rows(y: np.ndarray, min_norm: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:

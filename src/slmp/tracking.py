@@ -32,6 +32,10 @@ IMITATION_WEIGHTS = (0.5, 0.3, 0.1, 0.1)  # position, rotation, lin vel, ang vel
 IMITATION_COEFFS = (100.0, 10.0, 0.1, 0.1)
 ENERGY_COEFF = 5e-4
 E_DIV = 0.5  # mean site error (m) that counts as divergence
+# the light limbs make exploration-noise torques explode the energy term to
+# 1e5-scale, drowning the <=1 imitation signal; the env clamps the penalty's
+# reward contribution to this floor (the formula itself is untouched)
+ENERGY_FLOOR = -0.05
 
 
 def require_positive(cfg, names: tuple[str, ...]) -> None:
@@ -64,10 +68,7 @@ class PpoConfig:
     learn_std: bool = False
     updates: int = 2000
     e_div: float = E_DIV
-    # the light limbs make exploration-noise torques explode the energy
-    # term to 1e5-scale, drowning the <=1 imitation signal; the env clamps
-    # the penalty's reward contribution (the formula itself is untouched)
-    energy_floor: float = -0.05
+    energy_floor: float = ENERGY_FLOOR
     pi_hidden: tuple[int, ...] = (256, 256, 128)
     critic_hidden: tuple[int, ...] = (128, 128)
 
@@ -76,7 +77,7 @@ class PpoConfig:
             raise ValueError("gamma must be in (0, 1)")
         if self.clip_eps <= 0.0:
             raise ValueError("clip_eps must be positive")
-        require_positive(self, ("envs", "horizon", "batch_size"))
+        require_positive(self, ("envs", "horizon", "batch_size", "epochs_per_update"))
 
     def sigma_at(self, update: int) -> float:
         frac = min(1.0, update / max(1, self.std_anneal_updates))
@@ -482,7 +483,7 @@ class EnvBatch:
         phys: ph.PhysicsConfig,
         rngs: list[np.random.Generator],
         e_div: float = E_DIV,
-        energy_floor: float = -5.0,
+        energy_floor: float = ENERGY_FLOOR,
         starts: list[tuple[int, int]] | None = None,
     ):
         if short := [f"{c.clip_id!r} has {c.n_frames}" for c in clips if c.n_frames < 2]:
@@ -618,7 +619,7 @@ class TrackingEnv(EnvBatch):
         phys: ph.PhysicsConfig,
         e_div: float = E_DIV,
         rng: np.random.Generator | None = None,
-        energy_floor: float = -5.0,
+        energy_floor: float = ENERGY_FLOOR,
     ):
         super().__init__(clips, spec, phys, [rng or np.random.default_rng(0)], e_div, energy_floor)
 

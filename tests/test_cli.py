@@ -78,6 +78,9 @@ class TestConfig:
         e_divs += [default(f, "e_div") for f in (
             tr.EnvBatch, tr.TrackingEnv, tr.track_clips, ev.latent_tracking_eval)]
         assert e_divs == [tr.E_DIV] * 7
+        floors = [cfg.ppo.energy_floor] + [
+            default(f, "energy_floor") for f in (tr.EnvBatch, tr.TrackingEnv)]
+        assert floors == [tr.ENERGY_FLOOR] * 3
 
     def test_empty_file_gives_defaults(self, tmp_path):
         p = tmp_path / "empty.cfg"
@@ -123,9 +126,11 @@ class TestConfig:
 
     @pytest.mark.parametrize("value", [0, -1])
     @pytest.mark.parametrize("key", [
-        "ppo.envs", "ppo.horizon", "ppo.batch_size",
-        "slmp.envs", "slmp.batch", "slmp.capacity", "slmp.window",
-        "combat.envs", "combat.horizon", "combat.batch_size", "combat.k_hl", "combat.swap_period",
+        "ppo.envs", "ppo.horizon", "ppo.batch_size", "ppo.epochs_per_update",
+        "slmp.envs", "slmp.batch", "slmp.fresh_per_update", "slmp.capacity", "slmp.window",
+        "combat.envs", "combat.horizon", "combat.batch_size", "combat.epochs_per_update",
+        "combat.k_hl", "combat.swap_period",
+        "eval.trials", "eval.samples", "eval.clusters",
     ])
     def test_non_positive_count_named(self, tmp_path, key, value):
         """The stage config refuses the count at construction, and the
@@ -139,7 +144,73 @@ class TestConfig:
             load_config(p)
 
 
+# (command, option, config key, option value, a conflicting file value)
+KEY_OPTIONS = [
+    (["gen-data", "--out", "o"], ["--seed", "7"], "seed", "7", "3"),
+    (["train-track", "--out", "o"], ["--updates", "7"], "ppo.updates", "7", "3"),
+    (["distill", "--expert", "e", "--out", "o"], ["--updates", "7"], "slmp.updates", "7", "3"),
+    (["distill", "--expert", "e", "--out", "o"], ["--mode", "nsc"], "slmp.mode", "nsc", "gan"),
+    (["eval-survival", "--slmp", "s", "--out", "o"], ["--trials", "7"], "eval.trials", "7", "3"),
+    (["eval-survival", "--slmp", "s", "--out", "o"], ["--resample-period", "0.25"],
+     "eval.resample_period", "0.25", "2.0"),
+    (["eval-survival", "--slmp", "s", "--out", "o"], ["--fixed-z"], "eval.fixed_z", "true", "false"),
+    (["viz-sphere", "--slmp", "s", "--out", "o"], ["--samples", "7"], "eval.samples", "7", "3"),
+    (["viz-sphere", "--slmp", "s", "--out", "o"], ["--k", "7"], "eval.clusters", "7", "3"),
+    (["train-combat", "--slmp", "s", "--out", "o"], ["--epochs", "7"], "combat.epochs", "7", "3"),
+]
+
+
 class TestCli:
+    @pytest.mark.parametrize("command, option, key, value, other", KEY_OPTIONS,
+                             ids=[k[2] for k in KEY_OPTIONS])
+    def test_option_is_its_config_line(self, tmp_path, monkeypatch, command, option, key, value,
+                                       other):
+        """The command sees the same ``RunConfig`` as from the equivalent
+        config line, and the option wins over a conflicting file line."""
+        seen = []
+        monkeypatch.setitem(cli.COMMANDS, command[0],
+                            lambda args, cfg, spec, phys: seen.append(cfg) or 0)
+        line, conflicting = tmp_path / "line.cfg", tmp_path / "other.cfg"
+        line.write_text(f"{key} = {value}\n")
+        conflicting.write_text(f"{key} = {other}\n")
+        assert cli.run(command + option) == 0
+        assert cli.run(command + option + ["--config", str(conflicting)]) == 0
+        assert seen == [load_config(line)] * 2 and seen[0] != RunConfig()
+
+    @pytest.mark.parametrize("argv, error", [
+        (["train-track", "--updates", "x"], "ppo.updates: expected an integer, got 'x'"),
+        (["viz-sphere", "--slmp", ".", "--k", "0"], "eval: clusters must be positive, got 0"),
+    ])
+    def test_bad_option_value_refused_like_a_config_line(self, tmp_path, capsys, argv, error):
+        out = tmp_path / "out"
+        assert cli.run(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
+    def test_distill_mode_from_the_config_file(self, tmp_path):
+        """``slmp.mode`` in the file, with no ``--mode``, is the mode the
+        run echoes and trains with, seed label included."""
+        spec = ph.default_character()
+        data, track = tmp_path / "data", tmp_path / "track"
+        data.mkdir()
+        track.mkdir()
+        mo.save_clip(mo.generate_clip("idle", 0, 2.0), data / "idle.clip")
+        policy = tr.GaussianPolicy(nets.MlpSpec(tr.track_obs_dim(spec), (8,), spec.n_joints))
+        tr.save_policy(track / "pi_track.ckpt", "pi_track", policy,
+                       policy.init(np.random.default_rng(0), 0.3))
+        smoke, nsc = tmp_path / "smoke.cfg", tmp_path / "nsc.cfg"
+        smoke.write_text(SMOKE_CFG)
+        nsc.write_text(SMOKE_CFG + "slmp.mode = nsc\n")
+        common = ["--expert", str(track), "--clips", str(data), "--updates", "2",
+                  "--seed", "4", "--skip-expert-check"]
+        assert cli.run(["distill", "--out", str(tmp_path / "a"), "--config", str(nsc)] + common) == 0
+        echo = (tmp_path / "a" / "config.echo.txt").read_text()
+        assert "slmp.mode = nsc\n" in echo
+        assert cli.run(["distill", "--out", str(tmp_path / "b"), "--config", str(smoke),
+                        "--mode", "nsc"] + common) == 0
+        for name in ("config.echo.txt", "pi_phi.ckpt", "metrics.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert cli.run(["launch-rockets"]) == 2
 

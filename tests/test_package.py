@@ -1,4 +1,5 @@
 """Static checks of the package source."""
+import argparse
 import ast
 from functools import cache
 from pathlib import Path
@@ -6,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import slmp
+from slmp import cli
+from slmp.config import ConfigError, RunConfig, echo_config, load_config
 
 MODULES = sorted(Path(slmp.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parents[1]
@@ -95,3 +98,31 @@ def test_unreferenced_definition_scan_flags_only_dead_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unreferenced_definitions(path):
     assert unreferenced(ast.parse(path.read_text()), list(_sources())) == []
+
+
+def option_keys() -> list[tuple[str, str]]:
+    """(subcommand, dest) of every option of ``cli.build_parser()`` that
+    sets a config key: a dotted ``dest``, or ``seed``."""
+    sub, = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (name, a.dest) for name, p in sub.choices.items() for a in p._actions
+        if "." in a.dest or a.dest == "seed"
+    ]
+
+
+OPTION_KEYS = option_keys()
+
+
+@pytest.mark.parametrize("command, key", OPTION_KEYS, ids=[f"{c}/{k}" for c, k in OPTION_KEYS])
+def test_option_dest_is_a_config_key(command, key):
+    """The loader takes every option key, here at its default text, so a
+    misspelled ``dest`` fails at test time."""
+    defaults = dict(line.split(" = ", 1) for line in echo_config(RunConfig()).splitlines())
+    assert key in defaults
+    assert load_config(None, {key: defaults[key]}) == RunConfig()
+
+
+def test_option_key_scan_sees_every_subcommand():
+    assert {command for command, _ in OPTION_KEYS} == set(cli.COMMANDS)
+    with pytest.raises(ConfigError, match="unknown key 'eval.cluster'"):
+        load_config(None, {"eval.cluster": "6"})
