@@ -261,24 +261,24 @@ def check_termination(
 
 def high_level_step(
     policy: tr.GaussianPolicy,
-    params: np.ndarray,
+    net: nets.RowNet,
     obs: np.ndarray,
     rngs: list[np.random.Generator] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Latents for the rows of ``obs`` (E, obs_dim): row e samples the
-    latent head with ``rngs[e]``, or takes its mean without ``rngs``, and
-    is projected onto the sphere.  Returns (unit latents, raw gaussian
-    samples, log-probs) of shapes (E, d), (E, d) and (E,).  The stacked
-    forward gives every row the bits of a 1-row call."""
+    """Latents for the rows of ``obs`` (E, obs_dim) under the instance's
+    ``policy.row_net`` ``net``: row e samples the latent head with
+    ``rngs[e]``, or takes its mean without ``rngs``, and is projected onto
+    the sphere.  Returns (unit latents, raw gaussian samples, log-probs)
+    of shapes (E, d), (E, d) and (E,)."""
     if rngs is None:
-        raw = policy.mean_rows(params, obs)
+        raw = net(obs)
         logp = np.zeros(len(obs))
     else:
-        raw, logp = policy.sample_rows(params, obs, rngs)
+        raw, logp = policy.sample_rows(net, obs, rngs)
     norm = ph.row_norms(raw)
     for e, rng in enumerate(rngs or ()):
         while norm[e] < 1e-9:  # redraw a degenerate sample
-            (raw[e],), (logp[e],) = policy.sample_rows(params, obs[e : e + 1], [rng])
+            (raw[e],), (logp[e],) = policy.sample_rows(net, obs[e : e + 1], [rng])
             norm[e] = np.linalg.norm(raw[e])
     degenerate = norm < 1e-9  # a deterministic mean can still be
     raw[degenerate, 0] = 1.0
@@ -294,7 +294,8 @@ class CombatEnv:
     is mirrored and faces -x.  Observations and prior inputs for slot 1
     are computed in its mirrored canonical frame (``slot_frames``) so one
     policy sees the same egocentric picture in either slot.  ``rngs``
-    holds one generator per env, which draws that env's spawn noise.
+    holds one generator per env, which draws that env's spawn noise.  The
+    frozen prior is held as its row net, ``prior``.
     """
 
     def __init__(
@@ -306,8 +307,7 @@ class CombatEnv:
         cfg: CombatConfig,
         rngs: list[np.random.Generator],
     ):
-        self.phi_spec = phi_spec
-        self.phi_params = phi_params
+        self.prior = nets.RowNet(phi_spec, phi_params)
         self.spec = spec
         self.phys = phys
         self.cfg = cfg
@@ -371,7 +371,7 @@ class CombatEnv:
         done = np.zeros(n, dtype=bool)
         for _ in range(cfg.k_hl):
             proprio = tr.proprio_rows(*slot_frames(self.world))
-            targets = di.prior_action(self.phi_spec, self.phi_params, proprio, z) * flip_q
+            targets = di.prior_action(self.prior, proprio, z) * flip_q
             self.world, report = ph.step_batch(
                 self.world, spec, phys.dt, phys, pd_targets=targets, coupled=True,
             )
@@ -439,8 +439,11 @@ def self_play_train(
     phys = phys or ph.default_config(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, phi_spec, phi_params, _ = nets.load_checkpoint(Path(slmp_dir) / "pi_phi.ckpt")
-    latent_dim = phi_spec.input_dim - tr.proprio_dim(spec)
+    n_env = cfg.envs
+    # the env keeps the prior as its row net only
+    env = CombatEnv(*nets.load_checkpoint(Path(slmp_dir) / "pi_phi.ckpt")[1:3], spec, phys, cfg,
+                    [np.random.default_rng(seed_for(seed, f"cenv-{i}")) for i in range(n_env)])
+    latent_dim = env.prior.spec.input_dim - tr.proprio_dim(spec)
 
     pcfg = cfg.ppo()
     obs_dim = combat_obs_dim(spec)
@@ -448,9 +451,6 @@ def self_play_train(
     agents = [tr.build_networks(obs_dim, latent_dim, pcfg, seed, ("pi-h-init", "vh-init"))
               for _ in range(2)]
 
-    n_env = cfg.envs
-    env = CombatEnv(phi_spec, phi_params, spec, phys, cfg,
-                    [np.random.default_rng(seed_for(seed, f"cenv-{i}")) for i in range(n_env)])
     # the current (2E, obs_dim) observation rows, carried across decisions
     # and epochs
     obs = env.observe()
@@ -475,12 +475,13 @@ def self_play_train(
         hits = 0
         downs = 0
         episodes = 0
+        learner_net, frozen_net = (a.policy.row_net(a.policy_params) for a in (ts, frozen))
         for t in range(t_len):
             # the learner samples, the frozen instance takes its mean
             z = np.empty((2 * n_env, latent_dim))
             z[learner::2], act_buf[t], logp_buf[t] = high_level_step(
-                ts.policy, ts.policy_params, obs[learner::2], rngs)
-            z[1 - learner::2] = high_level_step(ts.policy, frozen.policy_params, obs[1 - learner::2])[0]
+                ts.policy, learner_net, obs[learner::2], rngs)
+            z[1 - learner::2] = high_level_step(frozen.policy, frozen_net, obs[1 - learner::2])[0]
             obs_buf[t] = obs[learner::2]
             obs, rewards, done, info = env.decision_step(z)
             rew_buf[t] = rewards[:, learner]
@@ -533,16 +534,17 @@ def rollout_combat(
     phys = phys or ph.default_config(spec)
     cfg = cfg or CombatConfig()
     ckpt = Path(ckpt_dir)
-    _, phi_spec, phi_params, _ = nets.load_checkpoint(ckpt / "pi_phi.ckpt")
-    pols = [tr.load_policy(ckpt / f"pi_h_{i}.ckpt") for i in (1, 2)]
-    env = CombatEnv(phi_spec, phi_params, spec, phys, cfg, [np.random.default_rng(seed)])
+    pols = [(policy, policy.row_net(params))
+            for policy, params in (tr.load_policy(ckpt / f"pi_h_{i}.ckpt") for i in (1, 2))]
+    env = CombatEnv(*nets.load_checkpoint(ckpt / "pi_phi.ckpt")[1:3], spec, phys, cfg,
+                    [np.random.default_rng(seed)])
     env.epoch = cfg.early_epochs  # disable the early separation rule
     steps = math.floor(seconds / (phys.dt * cfg.k_hl) + 1e-9)
     frames = ph.World.zeros(2 * steps, spec)  # decision d's pair in rows 2d, 2d + 1
     obs = env.observe()
     for d in range(steps):
-        z = np.concatenate([high_level_step(policy, p, obs[agent : agent + 1])[0]
-                            for agent, (policy, p) in enumerate(pols)])
+        z = np.concatenate([high_level_step(policy, net, obs[agent : agent + 1])[0]
+                            for agent, (policy, net) in enumerate(pols)])
         for f in fields(frames):
             getattr(frames, f.name)[2 * d : 2 * d + 2] = getattr(env.world, f.name)
         obs, _, done, _ = env.decision_step(z)

@@ -72,11 +72,10 @@ def normalize_rows(y: np.ndarray, min_norm: float = 1e-9) -> tuple[np.ndarray, n
     return y / norms, norms
 
 
-def encode_goal(
-    spec: nets.MlpSpec, params: np.ndarray, goal: np.ndarray
-) -> np.ndarray:
-    """z1 = E(g) of every goal row, projected onto the unit sphere."""
-    return normalize_rows(nets.forward_batch(spec, params, goal))[0]
+def encode_goal(net: nets.RowNet, goal: np.ndarray) -> np.ndarray:
+    """z1 = E(g) of every goal row under the encoder's row net ``net``,
+    projected onto the unit sphere."""
+    return normalize_rows(net(goal))[0]
 
 
 def sample_sphere(d: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
@@ -98,17 +97,11 @@ def sample_sphere(d: int, rng: np.random.Generator, n: int | None = None) -> np.
     return out[0] if n is None else out
 
 
-def prior_action(
-    spec: nets.MlpSpec, params: np.ndarray, proprio: np.ndarray, z: np.ndarray
-) -> np.ndarray:
-    """Deterministic PD-target action of the prior for every (state,
-    latent) row of ``proprio`` (n, pdim) and ``z`` (n, d).
-
-    The rows go through one stacked forward, so each row gets the bits of
-    a 1-row call for any number of rows.
-    """
-    x = np.concatenate([proprio, z], axis=1)
-    return nets.forward_batch(spec, params, x[:, None, :])[:, 0]
+def prior_action(net: nets.RowNet, proprio: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Deterministic PD-target action of the prior, whose row net is
+    ``net``, for every (state, latent) row of ``proprio`` (n, pdim) and
+    ``z`` (n, d)."""
+    return net(np.concatenate([proprio, z], axis=1))
 
 
 def distill_loss(a1: np.ndarray, a_star: np.ndarray) -> float:
@@ -390,7 +383,8 @@ def expert_success_rate(
     e_div: float,
 ) -> float:
     """Fraction of clips the frozen expert tracks end-to-end."""
-    ok, _ = tr.track_clips(tr.expert_controller(policy, policy_params), clips, spec, phys, e_div)
+    controller = tr.expert_controller(policy.row_net(policy_params))
+    ok, _ = tr.track_clips(controller, clips, spec, phys, e_div)
     return float(ok.mean())
 
 
@@ -403,10 +397,10 @@ def latent_controller(
 ) -> Callable[[tr.EnvBatch, np.ndarray], np.ndarray]:
     """Row controller that drives the prior with each row's encoded goal."""
     pdim = tr.proprio_dim(spec)
+    enc, phi = nets.RowNet(enc_spec, enc_params), nets.RowNet(phi_spec, phi_params)
 
     def controller(batch: tr.EnvBatch, obs: np.ndarray) -> np.ndarray:
-        z1 = encode_goal(enc_spec, enc_params, obs[:, None, pdim:])[:, 0]
-        return prior_action(phi_spec, phi_params, obs[:, :pdim], z1)
+        return prior_action(phi, obs[:, :pdim], encode_goal(enc, obs[:, pdim:]))
 
     return controller
 
@@ -423,11 +417,11 @@ def collect_fresh(
 
     Returns (proprio, goals, a_star, mse_fresh).  Rows run step-major and
     env-minor, and mse_fresh, the mean squared prior-vs-expert action
-    error, adds them up in that order.  Stacked forwards keep every row's
-    bits independent of the number of envs.
+    error, adds them up in that order.  Row nets keep every row's bits
+    independent of the number of envs.
     """
     pdim = tr.proprio_dim(envs.spec)
-    label = tr.expert_controller(expert, expert_params)
+    label = tr.expert_controller(expert.row_net(expert_params))
     act = latent_controller(n.enc_spec, n.enc_params, n.phi_spec, n.phi_params, envs.spec)
     obs = envs.observe()
     rows = []

@@ -6,7 +6,7 @@ fidelity rolls every clip at once through ``tracking.track_clips`` (env
 k of one ``EnvBatch`` follows clip k) under a row controller: the
 expert's ``tracking.expert_controller`` or the prior's
 ``distill.latent_controller``.  Survival steps the trials still standing
-as one World, with one stacked prior forward and one fall check per
+as one World, with one prior row-net call and one fall check per
 control step.
 """
 from __future__ import annotations
@@ -77,7 +77,8 @@ def latent_tracking_eval(
     phys = phys or ph.default_config(spec)
     methods = {"latent": di.latent_controller(*di.load_prior(slmp_dir), spec)}
     if expert_ckpt is not None:
-        methods["expert"] = tr.expert_controller(*tr.load_policy(expert_ckpt))
+        policy, params = tr.load_policy(expert_ckpt)
+        methods["expert"] = tr.expert_controller(policy.row_net(params))
     out: dict[str, dict[str, float]] = {}
     for name, controller in methods.items():
         ok, err = tr.track_clips(controller, clips, spec, phys, e_div)
@@ -113,6 +114,7 @@ def survival_eval(
     latent_dim = None
     if action_fn is None:
         latent_dim = phi_spec.input_dim - tr.proprio_dim(spec)
+        prior = nets.RowNet(phi_spec, phi_params)
     steps = int(round(max(horizons) * phys.hz))
     resample_steps = max(1, int(round(resample_period * phys.hz)))
     rngs = [np.random.default_rng(seed_for(seed, f"survival-{trial}")) for trial in range(n_trials)]
@@ -128,7 +130,7 @@ def survival_eval(
         if action_fn is not None:
             targets = action_fn(world, [rngs[i] for i in standing])
         else:
-            targets = di.prior_action(phi_spec, phi_params, tr.proprio_rows(*world.coords), z)
+            targets = di.prior_action(prior, tr.proprio_rows(*world.coords), z)
         world, report = ph.step_batch(world, spec, phys.dt, phys, pd_targets=targets)
         fell = ph.fallen(world.valid, report.kin, spec, phys)
         fall_time[standing[fell]] = (k + 1) * phys.dt
@@ -158,6 +160,8 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100) -> np.nda
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got k={k}")
     if k > n:
         raise ValueError(f"k={k} exceeds the number of points {n}")
     uniq = np.unique(points, axis=0)
@@ -222,9 +226,10 @@ def prior_decoder(
     n_joints) PD targets."""
     world = ph.World.of([state], spec)
     proprio = tr.proprio_rows(*world.coords)
+    prior = nets.RowNet(phi_spec, phi_params)
 
     def decode(z: np.ndarray) -> np.ndarray:
-        return di.prior_action(phi_spec, phi_params, np.repeat(proprio, len(z), axis=0), z)
+        return di.prior_action(prior, np.repeat(proprio, len(z), axis=0), z)
 
     return decode
 

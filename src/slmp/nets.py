@@ -7,15 +7,23 @@ layout (per layer: weight matrix row-major, then biases), and
 differences.  All math is in 64-bit floats so determinism and gradient
 tests stay sharp.
 
-There is one forward (``forward_batch``) and one backward
-(``backward_batch``), both on rows: a (batch, input_dim) array, or for
-the forward a stack of them.  A learner passes a ``Tape`` to the forward it
-takes the loss from; the tape keeps, per layer, the layer input and the
-activation derivative, and the backward reads it instead of running the
-network again.  A tape owns the buffers its forwards and backwards work
-in and reuses them, so a learner that keeps one tape across minibatches
-allocates its working set once.  Without a tape (rollout inference) the
-forward computes no derivative and keeps nothing.
+Learners use one forward (``forward_batch``) and one backward
+(``backward_batch``), both on rows: a (batch, input_dim) array.  A
+learner passes a ``Tape`` to the forward it takes the loss from; the tape
+keeps, per layer, the layer input and the activation derivative, and the
+backward reads it instead of running the network again.  A tape owns the
+buffers its forwards and backwards work in and reuses them, so a learner
+that keeps one tape across minibatches allocates its working set once.
+
+Rollouts use a ``RowNet``, built once per parameter version: the same
+network with each weight stored C-contiguous as (in, out) and every
+layer's output width zero-padded to a multiple of ``ROW_TILE``.  Its
+2-D ``h @ W`` gives every row the same bits for any number of rows, any
+row order and any worker split, and it pads a 1-row call to 2 rows.
+This is a property of the BLAS kernels (one micro-kernel path per row
+when no output width leaves a remainder tile; a 1-row product goes to
+gemv instead), not a numpy guarantee; ``tests/test_nets.py`` guards it
+for every repo network.
 """
 from __future__ import annotations
 
@@ -31,6 +39,7 @@ ACTIVATIONS = ("silu", "relu")
 OUTPUT_ACTIVATIONS = ("none", "tanh")
 
 CKPT_MAGIC = "SLMP-CKPT/1"
+ROW_TILE = 8  # RowNet pads every layer's output width to a multiple of this
 _WRITE_CHUNK = 8192  # values formatted per write in the text table files
 
 
@@ -180,24 +189,19 @@ class Tape:
 def forward_batch(
     spec: MlpSpec, params: np.ndarray, x: np.ndarray, tape: Tape | None = None
 ) -> np.ndarray:
-    """Evaluate the network on a (batch, input_dim) array, or on a stack of
-    them shaped (..., batch, input_dim).
+    """Evaluate the network on a (batch, input_dim) array.
 
-    Every 2-D slice of a stack is its own matmul, so each slice gets the
-    same bits as a call on that slice alone; in particular a stack of
-    1-row slices, ``x[:, None, :]``, gives every row the bits of a 1-row
-    call for any number of rows.  A 2-D batch does not have that property.
-
-    With a ``tape`` (2-D input only) the forward runs in the tape's
-    buffers and records, per layer, the layer input and the activation
-    derivative, replacing whatever the tape held; ``backward_batch`` then
-    reads it.  The output is then a view into the tape, valid until its
-    next forward.  Without a tape the forward computes no derivative,
-    keeps nothing and returns a fresh array.
+    A row's bits may depend on the batch size; rollouts, which need them
+    not to, use a ``RowNet``.  With a ``tape`` the forward runs in the
+    tape's buffers and records, per layer, the layer input and the
+    activation derivative, replacing whatever the tape held;
+    ``backward_batch`` then reads it.  The output is then a view into the
+    tape, valid until its next forward.  Without a tape the forward
+    computes no derivative, keeps nothing and returns a fresh array.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 2 or x.shape[-1] != spec.input_dim:
-        raise ValueError(f"expected input shape (*, {spec.input_dim}), got {x.shape}")
+    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+        raise ValueError(f"expected input shape (rows, {spec.input_dim}), got {x.shape}")
     if tape is None:
         h = x
         for l, (w, b) in enumerate(layer_views(spec, params)):
@@ -205,8 +209,6 @@ def forward_batch(
             h += b
             _activate(_layer_activation(spec, l), h)
         return h
-    if x.ndim != 2:
-        raise ValueError(f"a taped forward needs a 2-D input, got {x.shape}")
     rows = x.shape[0]
     tape.spec, tape.inputs, tape.derivs = spec, [], []
     h = x
@@ -224,6 +226,55 @@ def forward_batch(
         tape.derivs.append(d)
         h = z
     return h
+
+
+class RowNet:
+    """The rollout forward of one parameter version of a network.
+
+    Each layer's weight is held C-contiguous as (in, out), with its output
+    width zero-padded to a multiple of ``ROW_TILE`` (zero weight columns
+    and biases; the next layer's matching input rows are zero too).  A
+    padded unit stays exactly 0 under SiLU, ReLU and tanh, so the padding
+    changes no real output.  ``net(x)`` on a (rows, input_dim) array
+    returns the fresh (rows, output_dim) output, and a row's bits do not
+    depend on the other rows or their number (see the module docstring).
+
+    ``params`` is the flat parameter vector, followed by ``extra``
+    trailing values that the forward does not use (a policy's log-std, as
+    in a checkpoint); ``extra`` holds a copy of them.
+    """
+
+    __slots__ = ("spec", "layers", "extra")
+
+    def __init__(self, spec: MlpSpec, params: np.ndarray, extra: int = 0):
+        n = spec.param_count()
+        if params.shape != (n + extra,):
+            raise ValueError(f"parameter vector has length {params.shape}, spec needs {n} + {extra}")
+        self.spec = spec
+        self.extra = params[n:].copy()
+        self.layers = []
+        width = spec.input_dim
+        for l, (w, b) in enumerate(layer_views(spec, params[:n])):
+            fo, fi = w.shape
+            out = -(-fo // ROW_TILE) * ROW_TILE
+            wp = np.zeros((width, out))
+            wp[:fi, :fo] = w.T
+            bp = np.zeros(out)
+            bp[:fo] = b
+            self.layers.append((wp, bp, _layer_activation(spec, l)))
+            width = out
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
+            raise ValueError(f"expected input shape (rows, {self.spec.input_dim}), got {x.shape}")
+        rows = len(x)
+        h = np.concatenate([x, x]) if rows == 1 else x
+        for w, b, act in self.layers:
+            h = h @ w
+            h += b
+            _activate(act, h)
+        return np.ascontiguousarray(h[:rows, : self.spec.output_dim])
 
 
 def backward_batch(

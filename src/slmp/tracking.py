@@ -205,11 +205,10 @@ class GaussianPolicy:
         n = self.spec.param_count()
         return params[:n], params[n:]
 
-    def mean_rows(self, params: np.ndarray, obs: np.ndarray) -> np.ndarray:
-        """The mean action of every row of ``obs`` (E, obs_dim), as one
-        stacked forward whose rows keep their bits for any E."""
-        mlp, _ = self.split(params)
-        return nets.forward_batch(self.spec, mlp, obs[:, None, :])[:, 0]
+    def row_net(self, params: np.ndarray) -> nets.RowNet:
+        """The rollout forward of ``params``: the mean's row net, with the
+        log-std as its ``extra``."""
+        return nets.RowNet(self.spec, params, self.spec.output_dim)
 
     def sample(
         self, params: np.ndarray, obs: np.ndarray, rng: np.random.Generator
@@ -217,22 +216,20 @@ class GaussianPolicy:
         obs = np.asarray(obs, dtype=np.float64)
         if obs.shape != (self.spec.input_dim,):
             raise ValueError(f"expected input shape ({self.spec.input_dim},), got {obs.shape}")
-        act, logp = self.sample_rows(params, obs[None], [rng])
+        act, logp = self.sample_rows(self.row_net(params), obs[None], [rng])
         return act[0], float(logp[0])
 
     def sample_rows(
-        self, params: np.ndarray, obs: np.ndarray, rngs: list[np.random.Generator]
+        self, net: nets.RowNet, obs: np.ndarray, rngs: list[np.random.Generator]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One action per row of ``obs`` (E, obs_dim); row e draws its noise
-        from ``rngs[e]``.  A stacked forward keeps each row's bits
-        independent of E."""
-        mu = self.mean_rows(params, obs)
-        log_std = self.split(params)[1]
+        """One action per row of ``obs`` (E, obs_dim) under the policy's
+        ``row_net``; row e draws its noise from ``rngs[e]``."""
+        mu = net(obs)
         noise = np.empty(mu.shape)
         for row, rng in zip(noise, rngs):
             rng.standard_normal(out=row)
-        act = mu + np.exp(log_std) * noise
-        return act, self.log_prob_batch(mu, log_std, act)
+        act = mu + np.exp(net.extra) * noise
+        return act, self.log_prob_batch(mu, net.extra, act)
 
     @staticmethod
     def log_prob_batch(mu: np.ndarray, log_std: np.ndarray, act: np.ndarray) -> np.ndarray:
@@ -640,12 +637,11 @@ def rollout_values(
     value_spec: nets.MlpSpec, value_params: np.ndarray, obs: np.ndarray, last_obs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The critic's (T, E) values of a rollout's (T, E, obs_dim) ``obs`` and
-    its (E,) bootstrap, the values of ``last_obs``.  One stacked forward over
-    the per-env (T, obs_dim) slices gives each env the bits of a forward over
-    that env alone, so the values do not depend on E or the worker split."""
-    values = nets.forward_batch(value_spec, value_params, obs.transpose(1, 0, 2))[:, :, 0].T.copy()
-    bootstrap = nets.forward_batch(value_spec, value_params, last_obs[:, None, :])[:, 0, 0]
-    return values, bootstrap
+    its (E,) bootstrap, the values of ``last_obs``: two calls of one row
+    net, so the values do not depend on E or the worker split."""
+    net = nets.RowNet(value_spec, value_params)
+    values = net(obs.reshape(-1, obs.shape[2]))[:, 0].reshape(obs.shape[:2])
+    return values, net(last_obs)[:, 0]
 
 
 def _collect_chunk(
@@ -667,8 +663,9 @@ def _collect_chunk(
     dones = np.zeros((horizon, n_env))
     imitation = np.zeros((horizon, n_env))
     idle_fw = np.zeros((horizon, n_env), dtype=bool)
+    net = policy.row_net(policy_params)
     for t in range(horizon):
-        a, lp = policy.sample_rows(policy_params, cur, rngs)
+        a, lp = policy.sample_rows(net, cur, rngs)
         o2, r, d, info = batch.step(action_to_targets(a, batch.ref_base()))
         obs[t] = cur
         actions[t] = a
@@ -685,10 +682,23 @@ def _collect_chunk(
     )
 
 
-def _collect_part(part: EnvBatch, *args):
-    """A worker's share of ``collect_rollouts``: the buffer of ``part`` and
-    its advanced rows and generators, without the clip library."""
-    buf = _collect_chunk(part, *args)
+_WORKER_JOB: tuple = ()  # (batch, args, rngs) of a forked collection worker
+
+
+def _start_worker(*job) -> None:
+    """Pool initializer: keep the forked parent's batch, collection
+    arguments and action generators for every task of this worker."""
+    global _WORKER_JOB
+    _WORKER_JOB = job
+
+
+def _collect_part(lo: int, hi: int):
+    """A worker's share of ``collect_rollouts``: the buffer of rows
+    ``lo:hi`` of the batch the pool was forked with, and those rows and
+    their generators advanced, without the clip library."""
+    batch, args, rngs = _WORKER_JOB
+    part = batch.rows(np.arange(lo, hi))
+    buf = _collect_chunk(part, *args, rngs[lo:hi])
     return buf, (part.world, part.t, part.clip_index, part.rngs)
 
 
@@ -708,7 +718,8 @@ def collect_rollouts(
     An ``EnvBatch`` owns the rollout state and advances in place.  A list
     of ``TrackingEnv`` is joined into a new batch, so the listed envs keep
     their rows; only their generators draw the resets.  With ``workers``
-    processes each collects a contiguous slice of rows and returns its
+    processes, forked with the batch, the arguments and ``rngs``, each task
+    names a contiguous row range; the worker collects it and returns those
     rows and generators, which go back into the batch through
     ``EnvBatch.join``.  Buffers merge in env order, so the buffer and the
     batch are bit-identical for any worker count.
@@ -720,14 +731,10 @@ def collect_rollouts(
     import multiprocessing as mp
 
     chunks = np.array_split(np.arange(len(batch)), min(workers, len(batch)))
-    parts = [batch.rows(c) for c in chunks]
-    with mp.get_context("fork").Pool(len(parts)) as pool:
-        results = pool.starmap(
-            _collect_part, [(p, *args, [rngs[i] for i in c]) for p, c in zip(parts, chunks)]
-        )
-    for part, (_, rows) in zip(parts, results):
-        part.world, part.t, part.clip_index, part.rngs = rows
-    vars(batch).update(vars(EnvBatch.join(parts)))  # the batch takes the joined rows
+    with mp.get_context("fork").Pool(len(chunks), _start_worker, (batch, args, rngs)) as pool:
+        results = pool.starmap(_collect_part, [(int(c[0]), int(c[-1]) + 1) for c in chunks])
+    # the batch takes the joined rows
+    vars(batch).update(vars(EnvBatch.join([batch._holding(*rows) for _, rows in results])))
     bufs = [buf for buf, _ in results]
     return RolloutBuffer(**{
         f.name: np.concatenate([getattr(b, f.name) for b in bufs], axis=0 if f.name == "bootstrap" else 1)
@@ -936,14 +943,13 @@ def train_tracking(
 # --- clip tracking ------------------------------------------------------
 
 
-def expert_controller(
-    policy: GaussianPolicy, policy_params: np.ndarray
-) -> Callable[[EnvBatch, np.ndarray], np.ndarray]:
-    """Row controller of the deterministic expert: its mean action on every
-    row of ``obs`` as absolute PD targets around the batch's reference pose."""
+def expert_controller(net: nets.RowNet) -> Callable[[EnvBatch, np.ndarray], np.ndarray]:
+    """Row controller of the deterministic expert whose policy ``row_net``
+    is ``net``: its mean action on every row of ``obs`` as absolute PD
+    targets around the batch's reference pose."""
 
     def controller(batch: EnvBatch, obs: np.ndarray) -> np.ndarray:
-        return action_to_targets(policy.mean_rows(policy_params, obs), batch.ref_base())
+        return action_to_targets(net(obs), batch.ref_base())
 
     return controller
 

@@ -333,7 +333,7 @@ class TestHighLevel:
         policy, params = self._policy()
         rng = np.random.default_rng(1)
         for _ in range(20):
-            z, raw, logp = cb.high_level_step(policy, params, rng.standard_normal((1, 10)), [rng])
+            z, raw, logp = cb.high_level_step(policy, policy.row_net(params), rng.standard_normal((1, 10)), [rng])
             assert np.linalg.norm(z[0]) == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_sample_is_redrawn(self):
@@ -352,7 +352,7 @@ class TestHighLevel:
         params[: policy.spec.param_count()] = 0.0  # a zero mean latent
         log_std = policy.split(params)[1]
         rngs = [ZerosThenOnes(), ZerosThenOnes()]
-        z, raw, logp = cb.high_level_step(policy, params, np.ones((2, 10)), rngs)
+        z, raw, logp = cb.high_level_step(policy, policy.row_net(params), np.ones((2, 10)), rngs)
         assert all(r.fills == [] for r in rngs)
         assert np.array_equal(raw, np.exp(np.tile(log_std, (2, 1))))
         assert np.array_equal(logp, policy.log_prob_batch(np.zeros((2, 4)), log_std, raw))
@@ -361,8 +361,8 @@ class TestHighLevel:
     def test_deterministic_mode_reproducible(self):
         policy, params = self._policy()
         obs = np.random.default_rng(2).standard_normal((1, 10))
-        z1, _, _ = cb.high_level_step(policy, params, obs)
-        z2, _, _ = cb.high_level_step(policy, params, obs)
+        z1, _, _ = cb.high_level_step(policy, policy.row_net(params), obs)
+        z2, _, _ = cb.high_level_step(policy, policy.row_net(params), obs)
         assert np.array_equal(z1, z2)
 
 

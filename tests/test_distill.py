@@ -28,7 +28,7 @@ class TestEncode:
     def test_unit_norm(self):
         n, cfg = tiny_nets()
         rng = np.random.default_rng(0)
-        z = di.encode_goal(n.enc_spec, n.enc_params, rng.standard_normal((20, 6)))
+        z = di.encode_goal(nets.RowNet(n.enc_spec, n.enc_params), rng.standard_normal((20, 6)))
         assert np.allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-6)
 
     def test_projection_values(self):
@@ -39,8 +39,9 @@ class TestEncode:
     def test_deterministic(self):
         n, _ = tiny_nets()
         g = np.arange(6.0)[None]
-        a = di.encode_goal(n.enc_spec, n.enc_params, g)
-        b = di.encode_goal(n.enc_spec, n.enc_params, g)
+        enc = nets.RowNet(n.enc_spec, n.enc_params)
+        a = di.encode_goal(enc, g)
+        b = di.encode_goal(enc, g)
         assert np.array_equal(a, b)
 
     def test_degenerate_rejected(self):
@@ -439,8 +440,9 @@ class TestSlmpUpdate:
         rng = np.random.default_rng(20)
         s = rng.standard_normal((1, n.phi_spec.input_dim - cfg.latent_dim))
         z = di.sample_sphere(cfg.latent_dim, rng, 1)
-        a = di.prior_action(n.phi_spec, n.phi_params, s, z)
-        b = di.prior_action(n.phi_spec, n.phi_params, s, z)
+        phi = nets.RowNet(n.phi_spec, n.phi_params)
+        a = di.prior_action(phi, s, z)
+        b = di.prior_action(phi, s, z)
         assert a.shape == (1, n.phi_spec.output_dim)
         assert np.array_equal(a, b)
 
@@ -449,9 +451,10 @@ class TestSlmpUpdate:
         rng = np.random.default_rng(21)
         s = rng.standard_normal((5, n.phi_spec.input_dim - cfg.latent_dim))
         z = np.stack([di.sample_sphere(cfg.latent_dim, rng) for _ in range(5)])
-        rows = di.prior_action(n.phi_spec, n.phi_params, s, z)
+        phi = nets.RowNet(n.phi_spec, n.phi_params)
+        rows = di.prior_action(phi, s, z)
         for i in range(5):
-            one = nets.forward_batch(n.phi_spec, n.phi_params, np.concatenate([s[i], z[i]])[None])
+            one = phi(np.concatenate([s[i], z[i]])[None])
             assert np.array_equal(rows[i], one[0])
 
 
@@ -525,10 +528,10 @@ class TestCollectFresh:
                 p = proprio(state)
                 g = mo.goal_state(clip, t, state).flat()
                 obs = tr.track_obs(state, SPEC, clip, t)
-                mu = expert.mean_rows(expert_params, obs[None])[0]
+                mu = expert.row_net(expert_params)(obs[None])[0]
                 a_star = tr.action_to_targets(mu, env.ref_base()[0])
-                z1 = di.encode_goal(n.enc_spec, n.enc_params, g[None])
-                a = di.prior_action(n.phi_spec, n.phi_params, p[None], z1)[0]
+                z1 = di.encode_goal(nets.RowNet(n.enc_spec, n.enc_params), g[None])
+                a = di.prior_action(nets.RowNet(n.phi_spec, n.phi_params), p[None], z1)[0]
                 mse += float(((a - a_star) ** 2).sum())
                 resets += env.step(a)[2]
                 rows.append((p, g, a_star))

@@ -95,7 +95,7 @@ def survival_reference(phi_spec, phi_params, n_trials, seed, steps, resample_ste
             if action_fn is not None:
                 targets = action_fn(state, rng)
             else:
-                targets = di.prior_action(phi_spec, phi_params, proprio(state)[None], z[None])[0]
+                targets = di.prior_action(nets.RowNet(phi_spec, phi_params), proprio(state)[None], z[None])[0]
             state, _ = step(state, SPEC, CFG, targets=targets)
             if not state.valid or ph.detect_fall(state, SPEC, CFG):
                 fall_time = (k + 1) * CFG.dt
@@ -220,12 +220,12 @@ class TestTrackClips:
         def expert(state, t, clip):
             obs = tr.track_obs(state, SPEC, clip, t)
             base = clip.joints[clip.goal_frame_index(t)]
-            return tr.action_to_targets(policy.mean_rows(params, obs[None])[0], base)
+            return tr.action_to_targets(policy.row_net(params)(obs[None])[0], base)
 
         return {
             "reference": (lambda state, t, clip: clip.joints[clip.goal_frame_index(t)],
                           lambda batch, obs: batch.ref_base()),
-            "expert": (expert, tr.expert_controller(policy, params)),
+            "expert": (expert, tr.expert_controller(policy.row_net(params))),
         }
 
     @pytest.mark.parametrize("name", ["reference", "expert"])
@@ -277,6 +277,14 @@ class TestKmeans:
         with pytest.raises(ValueError):
             ev.kmeans(pts, 2, seed=0)  # fewer than k distinct points
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_non_positive_k_refused(self, k):
+        pts = np.random.default_rng(6).standard_normal((20, 3))
+        with pytest.raises(ValueError, match=f"k={k}"):
+            ev.kmeans(pts, k, seed=0)
+        with pytest.raises(ValueError, match=f"k={k}"):
+            ev.sphere_clusters(three_mode_decode, 4, 20, k, seed=0)
+
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         pts = rng.standard_normal((40, 3))
@@ -319,10 +327,11 @@ class TestSphereClusters:
         state = ev.fixture_state("airborne", SPEC, CFG)
         decode = ev.prior_decoder(phi_spec, phi_params, state, SPEC)
         cloud = ev.sphere_clusters(decode, 4, 64, 3, seed=3)
-        # the stacked decode gives every latent the bits of a one-row forward
+        # the row-net decode gives every latent the bits of a one-row call
+        phi = nets.RowNet(phi_spec, phi_params)
         for z, a in zip(cloud.z, cloud.actions):
             x = np.concatenate([proprio(state), z])[None]
-            assert np.array_equal(a, nets.forward_batch(phi_spec, phi_params, x)[0])
+            assert np.array_equal(a, phi(x)[0])
         ev.save_cloud(cloud, tmp_path / "c.txt")
         back = ev.load_cloud(tmp_path / "c.txt")
         assert np.array_equal(back.z, cloud.z)

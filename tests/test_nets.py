@@ -157,6 +157,48 @@ def test_grad_check_all_repo_specs():
         assert worst < 1e-4, f"{spec} worst rel err {worst}"
 
 
+ODD_SPECS = [
+    nets.MlpSpec(13, (10, 5), 3, activation="relu", output_activation="tanh"),
+    nets.MlpSpec(7, (12,), 1),
+]
+GUARD_ROWS = (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129,
+              255, 257, 511, 1000, 1023, 2049, 4095, 4096)
+
+
+@pytest.mark.parametrize("spec", _repo_specs() + ODD_SPECS, ids=str)
+def test_row_net_rows_keep_their_bits_for_any_row_count(spec):
+    """The invariance rule rollouts rely on: a row of a ``RowNet`` call has
+    the bits of the same row in a 4096-row call, for any row count and any
+    selection and order of rows.  It is a property of this host's BLAS
+    kernels; a BLAS or CPU change that breaks it fails here first."""
+    rng = np.random.default_rng(11)
+    net = nets.RowNet(spec, nets.init_params(spec, rng))
+    x = rng.standard_normal((4096, spec.input_dim))
+    full = net(x)
+    for rows in GUARD_ROWS:
+        for _ in range(2):
+            pick = rng.choice(4096, size=rows, replace=False)
+            got = net(x[pick])
+            bad = np.flatnonzero((got != full[pick]).any(axis=1))
+            assert not len(bad), f"{spec}: {len(bad)} of {rows} rows differ from the 4096-row call"
+
+
+@pytest.mark.parametrize("spec", [nets.MlpSpec(4, (7, 5), 3, output_activation="tanh"), *ODD_SPECS],
+                         ids=str)
+def test_row_net_matches_forward_batch(spec):
+    rng = np.random.default_rng(12)
+    params = nets.init_params(spec, rng)
+    net = nets.RowNet(spec, np.concatenate([params, [0.5, -1.0]]), extra=2)
+    x = rng.standard_normal((6, spec.input_dim))
+    assert np.allclose(net(x), nets.forward_batch(spec, params, x), rtol=1e-12, atol=1e-14)
+    assert net(x).shape == (6, spec.output_dim) and net(x).flags.c_contiguous
+    assert np.array_equal(net.extra, [0.5, -1.0])
+    with pytest.raises(ValueError):  # rows only
+        net(x[:, None, :])
+    with pytest.raises(ValueError):
+        nets.RowNet(spec, params, extra=2)
+
+
 def _recompute_backward(spec, params, x, grad_out):
     """The backward that reruns the forward and re-takes every activation
     derivative from the pre-activation; the bit oracle for the taped one."""
@@ -330,6 +372,8 @@ def test_input_shape_mismatch():
         nets.forward_batch(spec, params, np.zeros((1, 4)))
     with pytest.raises(ValueError):  # inputs are rows
         nets.forward_batch(spec, params, np.zeros(3))
+    with pytest.raises(ValueError):  # and only rows: a stack is refused
+        nets.forward_batch(spec, params, np.zeros((2, 1, 3)))
     with pytest.raises(ValueError):
         nets.backward_batch(spec, params, np.zeros((1, 3)), np.zeros((1, 3)))
 

@@ -637,6 +637,34 @@ class TestTraining:
         assert np.array_equal(a.rewards, b.rewards)
         assert np.array_equal(a.log_probs, b.log_probs)
 
+    def test_worker_tasks_carry_no_clip_library(self, monkeypatch):
+        """The workers fork with the batch; a task carries only its row
+        range, and the buffer and batch equal those of one process."""
+        import multiprocessing.pool
+        import pickle
+
+        tasks = []
+        real = multiprocessing.pool.Pool.starmap
+
+        def recording(pool, func, iterable, chunksize=None):
+            iterable = list(iterable)
+            tasks.extend(iterable)
+            return real(pool, func, iterable, chunksize)
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "starmap", recording)
+        clips = _small_clips()
+        cfg = tr.PpoConfig(envs=4, horizon=6, pi_hidden=(8,), critic_hidden=(8,))
+        ts = tr.build_networks(tr.track_obs_dim(SPEC), 8, cfg, seed=0)
+        nets_args = (ts.policy, ts.policy_params, ts.value_spec, ts.value_params, cfg.horizon)
+        batches = [_batch(clips, range(30, 34)) for _ in range(2)]
+        bufs = [tr.collect_rollouts(b, *nets_args, b.rngs, workers=w) for w, b in zip((1, 2), batches)]
+        assert len(tasks) == 2
+        for task in tasks:
+            assert b"ClipLibrary" not in pickle.dumps(task), task
+        for f in ("obs", "actions", "rewards", "values", "log_probs", "dones", "bootstrap"):
+            assert getattr(bufs[0], f).tobytes() == getattr(bufs[1], f).tobytes(), f
+        assert reference.env_state(batches[0]) == reference.env_state(batches[1])
+
     def test_worker_split_training_writes_the_same_bytes(self, tmp_path):
         """Two updates with the rows split over 2 worker processes write
         the files of a one-process run byte for byte."""
@@ -784,9 +812,10 @@ class TestTraining:
         policy = tr.GaussianPolicy(nets.MlpSpec(tr.track_obs_dim(SPEC), (8,), 8))
         params = policy.init(np.random.default_rng(1), 0.3)
         obs = np.random.default_rng(2).standard_normal((5, tr.track_obs_dim(SPEC)))
-        act, _ = policy.sample_rows(params, obs, [np.random.default_rng(s) for s in range(5)])
+        net = policy.row_net(params)
+        act, _ = policy.sample_rows(net, obs, [np.random.default_rng(s) for s in range(5)])
         noise = np.stack([np.random.default_rng(s).standard_normal(8) for s in range(5)])
-        want = policy.mean_rows(params, obs) + np.exp(policy.split(params)[1]) * noise
+        want = net(obs) + np.exp(policy.split(params)[1]) * noise
         assert act.tobytes() == want.tobytes()
 
     def test_caller_config_not_mutated(self, tmp_path):
