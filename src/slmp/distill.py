@@ -118,9 +118,9 @@ def disc_forward(
     action: np.ndarray,
     tape: nets.Tape | None = None,
 ) -> np.ndarray:
-    """Raw (unbounded) discriminator score; P(expert) = sigmoid(score)."""
+    """Raw (unbounded) float64 discriminator score; P(expert) = sigmoid(score)."""
     x = np.concatenate([np.atleast_2d(proprio), np.atleast_2d(action)], axis=1)
-    return nets.forward_batch(spec, params, x, tape)[:, 0]
+    return np.asarray(nets.forward_batch(spec, params, x, tape)[:, 0], dtype=np.float64)
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -237,7 +237,9 @@ def slmp_update(
     batch: DistillBatch, n: DistillNets, cfg: SlmpConfig, phase: Phase
 ) -> dict[str, float]:
     """One optimization step of (prior, encoder) and, when gated, the
-    discriminator.  Mutates the parameter arrays inside ``n``.
+    discriminator.  Mutates the parameter arrays inside ``n``.  The
+    networks run forward and backward on ``nets.LEARN_DTYPE`` tapes; the
+    parameters, losses and gradients are float64.
 
     Ablation gating: 'distill' uses only the imitation term; 'gan'
     replaces the consistency term with a generator log-score term and
@@ -248,12 +250,13 @@ def slmp_update(
     count = batch.proprio.shape[0]
     # a forward is taped only when a backward reads it
     train_disc = cfg.mode == "gan" or (cfg.mode == "slmp" and phase.use_wc)
-    enc_tape, tape1, tape2 = nets.Tape(), nets.Tape(), None
-    z1, norms = normalize_rows(nets.forward_batch(n.enc_spec, n.enc_params, batch.goals, enc_tape))
+    enc_tape, tape1, tape2 = nets.Tape(nets.LEARN_DTYPE), nets.Tape(nets.LEARN_DTYPE), None
+    y = nets.forward_batch(n.enc_spec, n.enc_params, batch.goals, enc_tape)
+    z1, norms = normalize_rows(y.astype(np.float64))
     x1 = np.concatenate([batch.proprio, z1], axis=1)
     a1 = nets.forward_batch(n.phi_spec, n.phi_params, x1, tape1)
     if cfg.mode != "distill":  # no term of the distill mode reads a2
-        tape2 = nets.Tape()
+        tape2 = nets.Tape(nets.LEARN_DTYPE)
         x2 = np.concatenate([batch.proprio, batch.z2], axis=1)
         a2 = nets.forward_batch(n.phi_spec, n.phi_params, x2, tape2)
 
@@ -272,7 +275,7 @@ def slmp_update(
 
     if train_disc:
         # score2 and its tape also serve the discriminator's own update
-        disc_tape = nets.Tape()
+        disc_tape = nets.Tape(nets.LEARN_DTYPE)
         score2 = disc_forward(n.disc_spec, n.disc_params, batch.proprio, a2, disc_tape)
     if cfg.mode in ("nsc", "slmp"):
         # without the discriminator, a zero score gives the unit semantic weight
@@ -315,7 +318,7 @@ def slmp_update(
     g_disc = np.zeros(0)
     if train_disc:
         # the discriminator is unchanged since score2, which scores the negatives
-        pos_tape = nets.Tape()
+        pos_tape = nets.Tape(nets.LEARN_DTYPE)
         s_pos = disc_forward(n.disc_spec, n.disc_params, batch.proprio, a1, pos_tape)
         l_disc = disc_loss(s_pos, score2)
         metrics["l_disc"] = l_disc

@@ -4,8 +4,12 @@ Everything is deliberately explicit: forward and backward passes are
 hand-written, parameters live in one 1-D array with a fixed layer-major
 layout (per layer: weight matrix row-major, then biases), and
 ``grad_check`` verifies the analytic gradients against central finite
-differences.  All math is in 64-bit floats so determinism and gradient
-tests stay sharp.
+differences.  Parameters, optimiser states and checkpoints are float64.
+Learners compute in float32 (``LEARN_DTYPE``) over those float64 master
+weights: their tapes cast the weights and inputs, and add the gradients
+back into float64.  Rollouts (``RowNet``), ``grad_check`` and every
+untaped call compute in float64, so rollout bits and the gradient tests
+stay sharp.
 
 Learners use one forward (``forward_batch``) and one backward
 (``backward_batch``), both on rows: a (batch, input_dim) array.  A
@@ -40,6 +44,8 @@ OUTPUT_ACTIVATIONS = ("none", "tanh")
 
 CKPT_MAGIC = "SLMP-CKPT/1"
 ROW_TILE = 8  # RowNet pads every layer's output width to a multiple of this
+LEARN_DTYPE = np.float32  # compute dtype of every learner's tapes
+_GRAD_FLOOR = 2.0**-40  # scaled grad_out entries below this are zeroed on a float32 tape
 _WRITE_CHUNK = 8192  # values formatted per write in the text table files
 
 
@@ -157,28 +163,41 @@ def _grown(bufs: list, i: int, shape: tuple[int, int], dtype=np.float64) -> np.n
 
 class Tape:
     """What ``backward_batch`` needs from one 2-D ``forward_batch``, and
-    the buffers both work in.
+    the buffers both work in, in the tape's compute ``dtype``.
 
-    After a forward, ``inputs`` holds per layer the layer input and
-    ``derivs`` the activation derivative at that layer's pre-activation
-    (None for a linear output).  The first input is the caller's array
-    itself, not a copy; the rest, the derivatives and the forward's
-    output are views into buffers the tape owns: one output and one
-    derivative buffer per layer, plus two scratch buffers for the SiLU
-    gate and the backward's temporaries.  Each buffer grows when rows or
-    widths grow and is viewed when they shrink, so one tape serves any
-    sequence of networks and batch sizes and reallocates only to grow.
+    After a forward, ``weights`` holds per layer the (W, b) it computed
+    with, ``inputs`` the layer input and ``derivs`` the activation
+    derivative at that layer's pre-activation (None for a linear output).
+    On a float64 tape the weights are views of the parameters and the
+    first input is the caller's array itself, not a copy; on another
+    dtype both are cast once per forward.  The rest of the inputs, the
+    derivatives and the forward's output are views into buffers the tape
+    owns: one output and one derivative buffer per layer, plus two
+    scratch buffers for the SiLU gate and the backward's temporaries.
+    Each buffer grows when rows or widths grow and is viewed when they
+    shrink, so one tape serves any sequence of networks and batch sizes
+    and reallocates only to grow.
 
-    A taped forward's output is valid until that tape's next forward.
-    A tape can serve any number of backwards with different ``grad_out``
-    and belongs to the parameters it was recorded with.  Drop it after
-    its last backward to release the buffers.
+    A float32 tape (``LEARN_DTYPE``) scales each backward's ``grad_out``
+    by a power of two, 2**k with its largest magnitude in [0.5, 1), and
+    zeroes the entries that then lie below 2**-40, before it is cast;
+    the float64 gradients are scaled back by 2**-k, which is exact.  So
+    small gradients do not underflow float32 into subnormals or zero.  A
+    non-finite ``grad_out`` is cast unscaled, and the non-finite values
+    reach the gradients.
+
+    A taped forward's output, in the tape's dtype, is valid until that
+    tape's next forward.  A tape can serve any number of backwards with
+    different ``grad_out`` and belongs to the parameters it was recorded
+    with.  Drop it after its last backward to release the buffers.
     """
 
-    __slots__ = ("spec", "inputs", "derivs", "outs", "dbufs", "scratch")
+    __slots__ = ("dtype", "spec", "weights", "inputs", "derivs", "outs", "dbufs", "scratch")
 
-    def __init__(self):
+    def __init__(self, dtype=np.float64):
+        self.dtype = np.dtype(dtype)
         self.spec: MlpSpec | None = None
+        self.weights: list[tuple[np.ndarray, np.ndarray]] = []
         self.inputs: list[np.ndarray] = []
         self.derivs: list[np.ndarray | None] = []
         self.outs: list[np.ndarray | None] = []
@@ -193,11 +212,12 @@ def forward_batch(
 
     A row's bits may depend on the batch size; rollouts, which need them
     not to, use a ``RowNet``.  With a ``tape`` the forward runs in the
-    tape's buffers and records, per layer, the layer input and the
-    activation derivative, replacing whatever the tape held;
-    ``backward_batch`` then reads it.  The output is then a view into the
-    tape, valid until its next forward.  Without a tape the forward
-    computes no derivative, keeps nothing and returns a fresh array.
+    tape's dtype and buffers and records, per layer, the weights, the
+    layer input and the activation derivative, replacing whatever the
+    tape held; ``backward_batch`` then reads it.  The output is then a
+    view into the tape, valid until its next forward.  Without a tape the
+    forward runs in float64, computes no derivative, keeps nothing and
+    returns a fresh array.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
@@ -209,19 +229,20 @@ def forward_batch(
             h += b
             _activate(_layer_activation(spec, l), h)
         return h
-    rows = x.shape[0]
+    rows, dtype = x.shape[0], tape.dtype
     tape.spec, tape.inputs, tape.derivs = spec, [], []
-    h = x
-    for l, (w, b) in enumerate(layer_views(spec, params)):
+    tape.weights = layer_views(spec, params.astype(dtype, copy=False))
+    h = x.astype(dtype, copy=False)
+    for l, (w, b) in enumerate(tape.weights):
         act = _layer_activation(spec, l)
         shape = (rows, w.shape[0])
-        z = np.matmul(h, w.T, out=_grown(tape.outs, l, shape))
+        z = np.matmul(h, w.T, out=_grown(tape.outs, l, shape, dtype))
         z += b
         tape.inputs.append(h)
         d = None
         if act != "none":
-            d = _grown(tape.dbufs, l, shape, bool if act == "relu" else np.float64)
-        s = _grown(tape.scratch, 0, shape) if act == "silu" else None
+            d = _grown(tape.dbufs, l, shape, bool if act == "relu" else dtype)
+        s = _grown(tape.scratch, 0, shape, dtype) if act == "silu" else None
         _activate(act, z, d, s)
         tape.derivs.append(d)
         h = z
@@ -287,11 +308,13 @@ def backward_batch(
     """Gradients of sum(grad_out * f(x)) over a batch.
 
     ``x`` is either the ``Tape`` of a forward taken with ``params``, or a
-    (batch, input_dim) input, for which the taped forward runs here.
-    Returns (grad_params, grad_x) with grad_params summed over the batch
-    and grad_x per sample, or None for grad_x when not ``input_grad``.
-    Both are fresh arrays; the temporaries live in the tape's scratch,
-    so the recorded forward stays intact for further backwards.
+    (batch, input_dim) input, for which a float64 taped forward runs
+    here.  Returns (grad_params, grad_x) with grad_params summed over the
+    batch and grad_x per sample, or None for grad_x when not
+    ``input_grad``.  Both are fresh float64 arrays.  The backward
+    computes in the tape's dtype, with the gradient scaling described
+    under ``Tape`` on a float32 one; its temporaries live in the tape's
+    scratch, so the recorded forward stays intact for further backwards.
     """
     if isinstance(x, Tape):
         tape = x
@@ -300,39 +323,51 @@ def backward_batch(
         forward_batch(spec, params, x, tape)
     if tape.spec != spec:
         raise ValueError("tape was not recorded with this network")
-    views = layer_views(spec, params)
     grad_out = np.asarray(grad_out, dtype=np.float64)
     rows = tape.inputs[0].shape[0]
     if grad_out.shape != (rows, spec.output_dim):
         raise ValueError(
             f"expected grad_out shape ({rows}, {spec.output_dim}), got {grad_out.shape}"
         )
+    dtype, k = tape.dtype, 0
+    if dtype != np.float64:
+        peak = float(np.abs(grad_out).max(initial=0.0))
+        if math.isfinite(peak):
+            k = -math.frexp(peak)[1]
+            grad_out = np.ldexp(grad_out, k)
+            grad_out[np.abs(grad_out) < _GRAD_FLOOR] = 0.0
+        grad_out = grad_out.astype(dtype)
 
     grad_params = np.zeros_like(params)
     gviews = layer_views(spec, grad_params)
     g = grad_out
-    # gz lives in scratch[k]; the other scratch takes the weight-gradient
+    gx = None
+    # gz lives in scratch[i]; the other scratch takes the weight-gradient
     # product and then the next layer's g, which that layer multiplies in place
-    k = 0
-    for l in range(len(views) - 1, -1, -1):
-        w = views[l][0]
+    i = 0
+    for l in range(len(tape.weights) - 1, -1, -1):
+        w = tape.weights[l][0]
         d = tape.derivs[l]
         if d is None:
             gz = g
         elif g is grad_out:
-            gz = np.multiply(g, d, out=_grown(tape.scratch, k, g.shape))
+            gz = np.multiply(g, d, out=_grown(tape.scratch, i, g.shape, dtype))
         else:
             gz = np.multiply(g, d, out=g)
         gw, gb = gviews[l]
-        free = _grown(tape.scratch, 1 - k, w.shape)
+        free = _grown(tape.scratch, 1 - i, w.shape, dtype)
         gw += np.matmul(gz.T, tape.inputs[l], out=free)
         gb += gz.sum(axis=0)
         if l > 0:
-            k = 1 - k
-            g = np.matmul(gz, w, out=_grown(tape.scratch, k, (rows, w.shape[1])))
+            i = 1 - i
+            g = np.matmul(gz, w, out=_grown(tape.scratch, i, (rows, w.shape[1]), dtype))
         elif input_grad:
-            return grad_params, gz @ w
-    return grad_params, None
+            gx = np.asarray(gz @ w, dtype=np.float64)
+    if k:
+        np.ldexp(grad_params, -k, out=grad_params)
+        if gx is not None:
+            np.ldexp(gx, -k, out=gx)
+    return grad_params, gx
 
 
 def grad_check(

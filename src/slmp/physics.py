@@ -257,6 +257,12 @@ class CharacterSpec:
         return self.masses @ self.com_coeff / self.total_mass
 
     @cached_property
+    def site_to_link(self) -> np.ndarray:
+        """(n_links, n_sites) view ``(site_coeff - com_bar).T``: maps site
+        forces to the link-level sums of the generalised-force map."""
+        return (self.site_coeff - self.com_bar).T
+
+    @cached_property
     def com_gram(self) -> np.ndarray:
         """G with the angular mass matrix about the body COM equal to
         path^T (G * cos(phi_n - phi_k)) path + inertia_path."""
@@ -691,7 +697,7 @@ def _substep(w: World, k: Kinematics, spec: CharacterSpec, tau: np.ndarray, dt: 
     # generalised forces of the site forces: each force f at a point with
     # coefficients c adds f to the COM and path^T ((c - com_bar) * (u_perp . f))
     # to the angular dofs
-    link = _rows((spec.site_coeff - cbar).T, np.concatenate([fx, fy]))
+    link = _rows(spec.site_to_link, np.concatenate([fx, fy]))
     fx_link, fy_link = link[:n], link[n:]
     q_tx, q_ty = fx.sum(axis=1), fy.sum(axis=1) - mass * cfg.gravity
     if coupled:

@@ -306,8 +306,9 @@ def ppo_loss_and_grads(
     """Clipped-surrogate PPO loss with analytic gradients.
 
     The policy and then the value network run forward and backward in
-    ``tape``, a fresh one when None; ``ppo_update`` passes one tape for
-    all of its minibatches.  Returns (metrics, grad_policy, grad_value).
+    ``tape``, a fresh float64 one when None; ``ppo_update`` passes one
+    float32 tape for all of its minibatches.  Returns (metrics,
+    grad_policy, grad_value).
     """
     n = batch.obs.shape[0]
     mlp, log_std = policy.split(policy_params)
@@ -377,8 +378,9 @@ def ppo_update(
     Returns (policy_params, policy_adam, value_params, value_adam, metrics).
     A minibatch with a non-finite loss or gradient is skipped and counted
     in ``metrics["skipped"]``.  All minibatches of all epochs share one
-    ``nets.Tape``, so the learner's working set is allocated once per
-    update; it is released when the update returns.
+    ``nets.Tape`` of ``nets.LEARN_DTYPE``, so the learner computes in
+    float32 over the float64 parameters and its working set is allocated
+    once per update; it is released when the update returns.
     """
     n = batch.obs.shape[0]
     adv = batch.advantages
@@ -387,7 +389,7 @@ def ppo_update(
     metrics: dict[str, float] = {"skipped": 0.0}
     mb = min(cfg.batch_size, n)
     first = True
-    tape = nets.Tape()
+    tape = nets.Tape(nets.LEARN_DTYPE)
     for _epoch in range(cfg.epochs_per_update):
         order = rng.permutation(n) if mb < n else np.arange(n)
         for lo in range(0, n, mb):
@@ -694,12 +696,14 @@ def _start_worker(*job) -> None:
 
 def _collect_part(lo: int, hi: int):
     """A worker's share of ``collect_rollouts``: the buffer of rows
-    ``lo:hi`` of the batch the pool was forked with, and those rows and
-    their generators advanced, without the clip library."""
+    ``lo:hi`` of the batch the pool was forked with, those rows and
+    their generators advanced, without the clip library, and the states
+    of the action generators ``rngs[lo:hi]`` after the collection."""
     batch, args, rngs = _WORKER_JOB
     part = batch.rows(np.arange(lo, hi))
     buf = _collect_chunk(part, *args, rngs[lo:hi])
-    return buf, (part.world, part.t, part.clip_index, part.rngs)
+    states = [r.bit_generator.state for r in rngs[lo:hi]]
+    return buf, (part.world, part.t, part.clip_index, part.rngs), states
 
 
 def collect_rollouts(
@@ -721,8 +725,9 @@ def collect_rollouts(
     processes, forked with the batch, the arguments and ``rngs``, each task
     names a contiguous row range; the worker collects it and returns those
     rows and generators, which go back into the batch through
-    ``EnvBatch.join``.  Buffers merge in env order, so the buffer and the
-    batch are bit-identical for any worker count.
+    ``EnvBatch.join``, and the states of its action generators, which are
+    written back into ``rngs``.  Buffers merge in env order, so the
+    buffer, the batch and ``rngs`` are bit-identical for any worker count.
     """
     batch = EnvBatch.join(envs) if isinstance(envs, list) else envs
     args = (policy, policy_params, value_spec, value_params, horizon)
@@ -733,9 +738,11 @@ def collect_rollouts(
     chunks = np.array_split(np.arange(len(batch)), min(workers, len(batch)))
     with mp.get_context("fork").Pool(len(chunks), _start_worker, (batch, args, rngs)) as pool:
         results = pool.starmap(_collect_part, [(int(c[0]), int(c[-1]) + 1) for c in chunks])
-    # the batch takes the joined rows
-    vars(batch).update(vars(EnvBatch.join([batch._holding(*rows) for _, rows in results])))
-    bufs = [buf for buf, _ in results]
+    # the batch takes the joined rows, and the caller's generators advance as in one process
+    vars(batch).update(vars(EnvBatch.join([batch._holding(*rows) for _, rows, _ in results])))
+    for rng, state in zip(rngs, [state for *_, states in results for state in states]):
+        rng.bit_generator.state = state
+    bufs = [buf for buf, *_ in results]
     return RolloutBuffer(**{
         f.name: np.concatenate([getattr(b, f.name) for b in bufs], axis=0 if f.name == "bootstrap" else 1)
         for f in fields(RolloutBuffer) if f.name not in ("advantages", "returns")

@@ -353,6 +353,78 @@ def test_tape_shape_checks():
         nets.backward_batch(other, np.zeros(other.param_count()), tape, np.zeros((5, 2)))
 
 
+def test_float32_tape_scales_small_gradients_exactly():
+    """A float32 tape scales ``grad_out`` by a power of two before the
+    cast, so gradients of a grad_out far below float32's smallest normal
+    are nonzero and exactly that power of two times those of grad_out."""
+    rng = np.random.default_rng(15)
+    spec = nets.MlpSpec(9, (32, 16), 4)
+    params = nets.init_params(spec, rng) + 0.1 * rng.standard_normal(spec.param_count())
+    x = rng.standard_normal((64, spec.input_dim))
+    g = rng.standard_normal((64, spec.output_dim))
+    tape = nets.Tape(nets.LEARN_DTYPE)
+    nets.forward_batch(spec, params, x, tape)
+    want_p, want_x = nets.backward_batch(spec, params, tape, g)
+    got_p, got_x = nets.backward_batch(spec, params, tape, g * 2.0**-140)
+    assert got_p.dtype == got_x.dtype == np.float64
+    assert np.count_nonzero(got_p) == np.count_nonzero(want_p) > 0
+    assert np.array_equal(got_p, want_p * 2.0**-140)
+    assert np.array_equal(got_x, want_x * 2.0**-140)
+
+
+def test_float32_tape_drops_negligible_and_keeps_non_finite_grad_out():
+    """Scaled grad_out entries below 2**-40 are zeroed, so their rows get
+    an input gradient of exactly 0; a non-finite grad_out reaches the
+    gradients, where the learners' skip rule sees it."""
+    rng = np.random.default_rng(18)
+    spec = nets.MlpSpec(9, (32, 16), 4)
+    params = nets.init_params(spec, rng)
+    x = rng.standard_normal((3, spec.input_dim))
+    g = rng.standard_normal((3, spec.output_dim))
+    g[1] *= 2.0**-60
+    tape = nets.Tape(nets.LEARN_DTYPE)
+    nets.forward_batch(spec, params, x, tape)
+    _, gx = nets.backward_batch(spec, params, tape, g)
+    assert not gx[1].any() and gx[0].all() and gx[2].all()
+    g[2, 0] = np.nan
+    gp, gx = nets.backward_batch(spec, params, tape, g)
+    assert not np.isfinite(gp).all() and not np.isfinite(gx[2]).any()
+
+
+@pytest.mark.parametrize("spec", _repo_specs(), ids=str)
+def test_float32_tape_gradients_match_float64(spec):
+    """Every learner network's float32-tape output and gradients agree
+    with a float64 tape's to rtol 1e-4 at 512 rows."""
+    rng = np.random.default_rng(16)
+    params = nets.init_params(spec, rng) + 0.01 * rng.standard_normal(spec.param_count())
+    x = rng.standard_normal((512, spec.input_dim))
+    g = rng.standard_normal((512, spec.output_dim))
+    want, got = nets.Tape(), nets.Tape(nets.LEARN_DTYPE)
+    pairs = [(nets.forward_batch(spec, params, x, got), nets.forward_batch(spec, params, x, want))]
+    assert pairs[0][0].dtype == np.float32
+    pairs += zip(nets.backward_batch(spec, params, got, g), nets.backward_batch(spec, params, want, g))
+    for a, b in pairs:
+        np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-4 * np.abs(b).max())
+
+
+def test_untaped_calls_are_float64_tape_calls():
+    """An untaped forward and a backward on an array compute in float64:
+    the bits of an explicit float64 tape, as a ``Tape()`` is by default."""
+    rng = np.random.default_rng(17)
+    spec = nets.MlpSpec(9, (32, 16), 4, activation="relu", output_activation="tanh")
+    params = nets.init_params(spec, rng)
+    x = rng.standard_normal((40, spec.input_dim))
+    g = rng.standard_normal((40, spec.output_dim))
+    assert nets.Tape().dtype == np.float64
+    tape = nets.Tape(np.float64)
+    want_y = nets.forward_batch(spec, params, x, tape)
+    want = nets.backward_batch(spec, params, tape, g)
+    got_y = nets.forward_batch(spec, params, x)
+    got = nets.backward_batch(spec, params, x, g)
+    for a, b in ((got_y, want_y), *zip(got, want)):
+        assert a.dtype == np.float64 and np.array_equal(a, b)
+
+
 def test_param_count_formula():
     spec = nets.MlpSpec(10, (20, 30), 5)
     assert spec.param_count() == (10 + 1) * 20 + (20 + 1) * 30 + (30 + 1) * 5

@@ -597,6 +597,32 @@ class TestTraining:
         )
         assert m["first_clip_fraction"] == 0.0
 
+    def test_on_policy_first_minibatch_is_unclipped(self):
+        """On a fresh on-policy batch the float32 learner's first
+        minibatch has PPO ratios of 1 up to rounding: nothing is clipped
+        and the policy loss is minus the mean normalised advantage."""
+        cfg = tr.PpoConfig(envs=4, horizon=16, updates=1, epochs_per_update=1, batch_size=16)
+        ts = tr.build_networks(tr.track_obs_dim(SPEC), 8, cfg, seed=3)
+        batch = _batch(_small_clips(), range(4))
+        buf = tr.collect_rollouts(
+            batch, ts.policy, ts.policy_params, ts.value_spec, ts.value_params,
+            cfg.horizon, [np.random.default_rng(10 + i) for i in range(4)],
+        )
+        buf.advantages, buf.returns = tr.gae(
+            buf.rewards, buf.values, buf.dones, cfg.gamma, cfg.gae_lambda, buf.bootstrap
+        )
+        flat = buf.flat()
+        *_, m = tr.ppo_update(
+            ts.policy, ts.policy_params, ts.policy_adam,
+            ts.value_spec, ts.value_params, ts.value_adam,
+            flat, cfg, np.random.default_rng(0),
+        )
+        adv = (flat.advantages - flat.advantages.mean()) / (flat.advantages.std() + 1e-8)
+        first = np.random.default_rng(0).permutation(len(adv))[: cfg.batch_size]
+        assert m["first_clip_fraction"] == 0.0
+        assert abs(adv[first].mean()) > 1e-3  # the check below is not vacuous
+        assert m["first_policy_loss"] == pytest.approx(-adv[first].mean(), abs=1e-5)
+
     def test_collecting_a_list_keeps_the_listed_envs(self):
         """A list of envs is joined into a new batch: its buffer is the
         batch's, and the listed envs keep their rows."""
@@ -636,6 +662,24 @@ class TestTraining:
         assert np.array_equal(a.obs, b.obs)
         assert np.array_equal(a.rewards, b.rewards)
         assert np.array_equal(a.log_probs, b.log_probs)
+
+    def test_worker_split_advances_the_callers_action_generators(self):
+        """Action generators apart from the batch's own advance as in one
+        process, so a second collection draws the same actions."""
+        clips = _small_clips()
+        cfg = tr.PpoConfig(envs=4, horizon=4, pi_hidden=(8,), critic_hidden=(8,))
+        ts = tr.build_networks(tr.track_obs_dim(SPEC), 8, cfg, seed=0)
+        nets_args = (ts.policy, ts.policy_params, ts.value_spec, ts.value_params, cfg.horizon)
+        runs = []
+        for workers in (1, 2):
+            batch = _batch(clips, range(100, 104))
+            rngs = [np.random.default_rng(200 + i) for i in range(4)]
+            bufs = [tr.collect_rollouts(batch, *nets_args, rngs, workers=workers) for _ in range(2)]
+            runs.append((bufs, [r.bit_generator.state for r in rngs]))
+        (one, one_states), (two, two_states) = runs
+        assert two_states == one_states
+        for a, b in zip(one, two):
+            assert np.array_equal(a.actions, b.actions)
 
     def test_worker_tasks_carry_no_clip_library(self, monkeypatch):
         """The workers fork with the batch; a task carries only its row
