@@ -33,6 +33,10 @@ from . import tracking as tr
 from .seeding import seed_for
 
 
+# the PPO settings combat shares with tracking default to tracking's
+_PPO = tr.PpoConfig()
+
+
 @dataclass
 class CombatConfig:
     k_hit: float = 0.01  # reward per clamped newton of hit force
@@ -54,19 +58,19 @@ class CombatConfig:
     envs: int = 8
     horizon: int = 64  # decisions per env per epoch
     lr: float = 5e-5
-    gamma: float = 0.99
-    clip_eps: float = 0.2
-    gae_lambda: float = 0.95
+    gamma: float = _PPO.gamma
+    clip_eps: float = _PPO.clip_eps
+    gae_lambda: float = _PPO.gae_lambda
     batch_size: int = 1024
-    epochs_per_update: int = 4
+    epochs_per_update: int = _PPO.epochs_per_update
     entropy_coef: float = 0.005
-    value_coef: float = 1.0
-    std_init: float = 0.3
+    value_coef: float = _PPO.value_coef
+    std_init: float = _PPO.std_init
     pi_h_hidden: tuple[int, ...] = (128, 128, 64)
-    critic_hidden: tuple[int, ...] = (128, 128)
+    critic_hidden: tuple[int, ...] = _PPO.critic_hidden
 
     def __post_init__(self):
-        tr.require_positive(
+        ph.require_positive(
             self, ("envs", "horizon", "batch_size", "epochs_per_update", "k_hl", "swap_period")
         )
 

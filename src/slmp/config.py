@@ -19,13 +19,13 @@ class ConfigError(ValueError):
 
 
 _PHYS = ph.PhysicsConfig()
-_CHARACTER = {f.name: f.default for f in fields(ph.CharacterSpec)}
+_CHARACTER = ph.default_character()
 
 
 @dataclass
 class PhysicsSection:
-    """Physics overrides; the defaults are those of ``physics.PhysicsConfig``
-    and ``physics.CharacterSpec``."""
+    """Physics overrides; the defaults and the value rules are those of
+    ``physics.PhysicsConfig`` and of the built-in ``physics.CharacterSpec``."""
 
     gravity: float = _PHYS.gravity
     hz: float = _PHYS.hz
@@ -35,19 +35,24 @@ class PhysicsSection:
     contact_kt: float = _PHYS.contact_kt
     friction_mu: float = _PHYS.friction_mu
     fall_frac: float = _PHYS.fall_frac
-    tau_max: float = _CHARACTER["tau_max"]
-    contact_radius: float = _CHARACTER["contact_radius"]
+    tau_max: float = _CHARACTER.tau_max
+    contact_radius: float = _CHARACTER.contact_radius
     character: str = ""  # optional JSON character file; empty = built-in
 
+    def __post_init__(self):
+        # built only to run physics' own value rules on these values
+        self._spec(_CHARACTER)
+        ph.PhysicsConfig(**self._overrides())
+
+    def _spec(self, spec: ph.CharacterSpec) -> ph.CharacterSpec:
+        return replace(spec, tau_max=self.tau_max, contact_radius=self.contact_radius)
+
+    def _overrides(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self) if hasattr(_PHYS, f.name)}
+
     def build(self) -> tuple[ph.CharacterSpec, ph.PhysicsConfig]:
-        spec = (
-            ph.character_from_json(self.character)
-            if self.character
-            else ph.default_character()
-        )
-        spec = replace(spec, tau_max=self.tau_max, contact_radius=self.contact_radius)
-        overrides = {f.name: getattr(self, f.name) for f in fields(self) if hasattr(_PHYS, f.name)}
-        return spec, ph.default_config(spec, **overrides)
+        spec = self._spec(ph.character_from_json(self.character) if self.character else _CHARACTER)
+        return spec, ph.default_config(spec, **self._overrides())
 
 
 @dataclass
@@ -60,6 +65,10 @@ class DataSection:
     hook: int = mo.DEFAULT_COUNTS["hook"]
     kick: int = mo.DEFAULT_COUNTS["kick"]
     combo: int = mo.DEFAULT_COUNTS["combo"]
+
+    def __post_init__(self):
+        mo.clip_frames(self.duration, self.hz)  # generate_clip's own check
+        ph.require_non_negative(self, mo.FAMILIES)
 
     def counts(self) -> dict[str, int]:
         return {f: getattr(self, f) for f in mo.FAMILIES}
@@ -76,7 +85,12 @@ class EvalSection:
     e_div: float = tr.E_DIV
 
     def __post_init__(self):
-        tr.require_positive(self, ("trials", "samples", "clusters"))
+        ph.require_positive(self, ("trials", "samples", "clusters", "resample_period"))
+        hs = self.horizons
+        if not hs or hs[0] <= 0 or any(a >= b for a, b in zip(hs, hs[1:])):
+            raise ValueError(
+                f"horizons must be positive and strictly increasing, got {_fmt(hs) or 'none'}"
+            )
 
 
 @dataclass
@@ -90,7 +104,7 @@ class RunConfig:
     seed: int = 0
 
 
-_SECTIONS = ("physics", "data", "ppo", "slmp", "combat", "eval")
+_SECTIONS = tuple(f.name for f in fields(RunConfig) if f.name != "seed")
 
 
 def _coerce(raw: str, default, where: str):
@@ -157,7 +171,7 @@ def load_config(path: str | Path | None, options: dict[str, str] | None = None) 
 
 def _validate(cfg: RunConfig) -> None:
     # re-run dataclass invariants after field mutation
-    for section in ("ppo", "slmp", "combat", "eval"):
+    for section in _SECTIONS:
         try:
             getattr(cfg, section).__post_init__()
         except ValueError as e:

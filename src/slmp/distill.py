@@ -61,7 +61,11 @@ class SlmpConfig:
             raise ValueError("loss weights must be non-negative")
         if self.mode not in ABLATION_MODES:
             raise ValueError(f"mode must be one of {ABLATION_MODES}")
-        tr.require_positive(self, ("envs", "batch", "fresh_per_update", "capacity", "window"))
+        ph.require_positive(self, ("envs", "batch", "fresh_per_update", "capacity", "window"))
+        if self.fresh_per_update % self.envs:
+            raise ValueError(
+                f"fresh_per_update {self.fresh_per_update} is not a multiple of envs {self.envs}"
+            )
 
 
 def normalize_rows(y: np.ndarray, min_norm: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
@@ -485,7 +489,7 @@ def train_slmp(
     metrics_path = out / "metrics.csv"
     metrics_path.write_text(",".join(DISTILL_METRICS) + "\n")
 
-    steps_per_env = max(1, cfg.fresh_per_update // cfg.envs)
+    steps_per_env = cfg.fresh_per_update // cfg.envs
     for u in range(cfg.updates):
         rng_u = np.random.default_rng(seed_for(seed, f"distill-update-{u}"))
         fresh_p, fresh_g, fresh_a, mse_fresh = collect_fresh(

@@ -54,15 +54,6 @@ class SpherePointCloud:
     actions: np.ndarray  # (n, act_dim)
 
 
-def tracking_error_kinematic(clip: mo.MotionClip, states: list[ph.SimState], spec: ph.CharacterSpec) -> float:
-    """Mean site error of a given state sequence against the clip; the
-    oracle path for the metric (feeding reference states yields zero)."""
-    world = ph.World.of(states, spec)
-    rows = mo.sample_frames(mo.ClipLibrary([clip]), np.zeros(len(states), dtype=np.int64), world.time)
-    ref = ph.Kinematics(spec, *mo.split_frames(rows))
-    return float(tr.site_error_rows(ph.Kinematics.of(world, spec), ref).mean())
-
-
 def latent_tracking_eval(
     clips: list[mo.MotionClip],
     slmp_dir: str | Path,
@@ -187,14 +178,6 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100) -> np.nda
     return labels
 
 
-def kmeans_inertia(points: np.ndarray, labels: np.ndarray) -> float:
-    total = 0.0
-    for c in np.unique(labels):
-        p = points[labels == c]
-        total += float(((p - p.mean(axis=0)) ** 2).sum())
-    return total
-
-
 def sphere_clusters(
     decode: Callable[[np.ndarray], np.ndarray],
     latent_dim: int,
@@ -296,14 +279,3 @@ def load_cloud(path: str | Path) -> SpherePointCloud:
         if lines[ln - 1].strip():
             raise ValueError(f"{path}: line {ln}: data after the last of {n} points")
     return SpherePointCloud(z, labels, actions)
-
-
-def label_agreement(pred: np.ndarray, true: np.ndarray, k: int) -> float:
-    """Best label-permutation agreement between two clusterings."""
-    from itertools import permutations
-
-    best = 0.0
-    for perm in permutations(range(k)):
-        mapped = np.array([perm[p] for p in pred])
-        best = max(best, float((mapped == true).mean()))
-    return best

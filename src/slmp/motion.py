@@ -40,6 +40,7 @@ from . import physics as ph
 
 FAMILIES = ("idle", "footwork", "jab", "hook", "kick", "combo")
 CLIP_SECONDS = 10.0  # default clip length
+CLIP_SECONDS_RANGE = (2.0, 20.0)  # the clip lengths generate_clip makes
 CLIP_HZ = 30.0  # default clip frame rate
 
 CLIP_MAGIC = "SLMP-CLIP/1"
@@ -443,6 +444,23 @@ def _pose_fn(family: str, rng: np.random.Generator, builder: _PoseBuilder):
     return pose
 
 
+def clip_frames(duration: float, frame_rate: float) -> int:
+    """Frame count of a generated clip ``duration`` seconds long at
+    ``frame_rate``, refused outside ``CLIP_SECONDS_RANGE`` or below two
+    frames."""
+    lo, hi = CLIP_SECONDS_RANGE
+    if not lo <= duration <= hi:
+        raise ValueError(f"duration must be in [{lo:g} s, {hi:g} s]")
+    n = int(round(duration * frame_rate)) if math.isfinite(frame_rate) else 0
+    # draw_start and the forward-difference velocities need two frames
+    if n < 2:
+        raise ValueError(
+            f"frame rate {frame_rate} Hz over {duration} s: need a finite positive "
+            "rate that gives at least 2 frames"
+        )
+    return n
+
+
 def generate_clip(
     family: str,
     seed: int,
@@ -454,15 +472,7 @@ def generate_clip(
     """Build one seeded clip; identical inputs give identical clips."""
     if family not in FAMILIES:
         raise ValueError(f"unknown clip family {family!r}")
-    if not 2.0 <= duration <= 20.0:
-        raise ValueError("duration must be in [2 s, 20 s]")
-    n = int(round(duration * frame_rate)) if math.isfinite(frame_rate) else 0
-    # draw_start and the forward-difference velocities need two frames
-    if n < 2:
-        raise ValueError(
-            f"frame rate {frame_rate} Hz over {duration} s: need a finite positive "
-            "rate that gives at least 2 frames"
-        )
+    n = clip_frames(duration, frame_rate)
     spec = spec or ph.default_character()
     cfg = cfg or ph.default_config(spec)
     rng = np.random.default_rng(seed)
@@ -551,25 +561,3 @@ def load_clip(path: str | Path) -> MotionClip:
         raise ClipFormatError(str(e)) from e
     rp, q, rv, qd = split_frames(frames)
     return MotionClip(got["hz"], got["family"], got["id"], rp, q[:, 0], q[:, 1:], rv, qd[:, 0], qd[:, 1:])
-
-
-def resample(clip: MotionClip, target_hz: float) -> MotionClip:
-    """Linear pose resampling; velocities rebuilt by finite differences."""
-    if target_hz <= 0:
-        raise ValueError("target_hz must be positive")
-    n_src = clip.n_frames
-    n_dst = int(math.floor((n_src - 1) * target_hz / clip.frame_rate + 1e-9)) + 1
-    root_pos = np.zeros((n_dst, 2))
-    root_angle = np.zeros(n_dst)
-    joints = np.zeros((n_dst, clip.n_joints))
-    for k in range(n_dst):
-        f = min(k * clip.frame_rate / target_hz, n_src - 1)
-        i0 = min(int(f), n_src - 1)
-        i1 = min(i0 + 1, n_src - 1)
-        a = f - i0
-        root_pos[k] = (1 - a) * clip.root_pos[i0] + a * clip.root_pos[i1]
-        root_angle[k] = clip.root_angle[i0] + a * ph.wrap_angle(
-            clip.root_angle[i1] - clip.root_angle[i0]
-        )
-        joints[k] = clip.joints[i0] + a * ph.wrap_angle(clip.joints[i1] - clip.joints[i0])
-    return _clip_from_poses(target_hz, clip.family, clip.clip_id, root_pos, root_angle, joints)

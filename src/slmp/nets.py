@@ -216,19 +216,13 @@ def forward_batch(
     layer input and the activation derivative, replacing whatever the
     tape held; ``backward_batch`` then reads it.  The output is then a
     view into the tape, valid until its next forward.  Without a tape the
-    forward runs in float64, computes no derivative, keeps nothing and
-    returns a fresh array.
+    forward runs on a fresh float64 tape, which is dropped, so the output
+    is an array no one else holds.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ValueError(f"expected input shape (rows, {spec.input_dim}), got {x.shape}")
-    if tape is None:
-        h = x
-        for l, (w, b) in enumerate(layer_views(spec, params)):
-            h = h @ w.T
-            h += b
-            _activate(_layer_activation(spec, l), h)
-        return h
+    tape = Tape() if tape is None else tape
     rows, dtype = x.shape[0], tape.dtype
     tape.spec, tape.inputs, tape.derivs = spec, [], []
     tape.weights = layer_views(spec, params.astype(dtype, copy=False))

@@ -83,6 +83,20 @@ def unit(phi):
     return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
 
 
+def require_positive(cfg, names: tuple[str, ...]) -> None:
+    """Refuse a config whose fields ``names`` are not positive."""
+    for name in names:
+        if not getattr(cfg, name) > 0:
+            raise ValueError(f"{name} must be positive, got {getattr(cfg, name)}")
+
+
+def require_non_negative(cfg, names: tuple[str, ...]) -> None:
+    """Refuse a config whose fields ``names`` are negative."""
+    for name in names:
+        if not getattr(cfg, name) >= 0:
+            raise ValueError(f"{name} must be non-negative, got {getattr(cfg, name)}")
+
+
 @dataclass(frozen=True)
 class Link:
     """One rigid segment of the character tree.
@@ -138,6 +152,7 @@ class CharacterSpec:
                 raise ValueError(f"link {l.name}: length and mass must be positive")
         if len(self.kp) != self.n_joints or len(self.kd) != self.n_joints:
             raise ValueError("pd gain vectors must match the joint count")
+        require_positive(self, ("tau_max", "contact_radius"))
 
     @property
     def n_links(self) -> int:
@@ -325,6 +340,12 @@ class PhysicsConfig:
     friction_mu: float = 0.8
     fall_height: float = 0.41
     fall_frac: float = 0.4
+
+    def __post_init__(self):
+        require_positive(self, ("hz", "substeps", "contact_kn", "contact_kt"))
+        require_non_negative(self, ("gravity", "contact_dn", "friction_mu"))
+        if not 0.0 < self.fall_frac < 1.0:
+            raise ValueError(f"fall_frac must be in (0, 1), got {self.fall_frac}")
 
     @property
     def dt(self) -> float:
@@ -849,12 +870,6 @@ def step_world(
         coupled=n == 2,
     )
     return [world.state(i) for i in range(n)], [report.row(i) for i in range(n)]
-
-
-def linear_momentum(state: SimState, spec: CharacterSpec) -> np.ndarray:
-    """Linear momentum of one character, the measure of the momentum tests."""
-    frame = KinFrame(state, spec)
-    return spec.total_mass * frame.com_vel
 
 
 def to_local(angle: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -38,13 +38,6 @@ E_DIV = 0.5  # mean site error (m) that counts as divergence
 ENERGY_FLOOR = -0.05
 
 
-def require_positive(cfg, names: tuple[str, ...]) -> None:
-    """Refuse a stage config whose count fields ``names`` are not positive."""
-    for name in names:
-        if getattr(cfg, name) <= 0:
-            raise ValueError(f"{name} must be positive, got {getattr(cfg, name)}")
-
-
 @dataclass
 class PpoConfig:
     # lr 5e-5 suits 32k-sample batches; at this batch scale it cannot
@@ -77,7 +70,7 @@ class PpoConfig:
             raise ValueError("gamma must be in (0, 1)")
         if self.clip_eps <= 0.0:
             raise ValueError("clip_eps must be positive")
-        require_positive(self, ("envs", "horizon", "batch_size", "epochs_per_update"))
+        ph.require_positive(self, ("envs", "horizon", "batch_size", "epochs_per_update"))
 
     def sigma_at(self, update: int) -> float:
         frac = min(1.0, update / max(1, self.std_anneal_updates))

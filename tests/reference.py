@@ -7,6 +7,11 @@ helpers give them that form.  The kinematic quantities come from
 kinematics under test.  ``watch_kinematics`` lets a test see which
 worlds a caller of ``step_batch`` builds Kinematics of.
 
+The tests' own measures live here too: ``linear_momentum`` for the
+momentum tests, ``tracking_error_kinematic`` as the oracle path of the
+tracking-error metric, and ``kmeans_inertia`` and ``label_agreement`` to
+judge a clustering.
+
 The clip generator and clip writer work on rows too.  ``leg_ik``,
 ``generate_clip`` and ``clip_text`` are their one-frame-at-a-time and
 one-value-at-a-time forms, which the row versions must equal byte for
@@ -28,6 +33,7 @@ stance, which ``CombatEnv``'s spawned rows must equal.
 """
 import math
 from dataclasses import dataclass, fields
+from itertools import permutations
 
 import numpy as np
 
@@ -66,6 +72,38 @@ def link_endpoints(state, spec):
     """World (proximal, distal) endpoint pair per link, (n_links, 2, 2)."""
     frame = ph.KinFrame(state, spec)
     return np.stack([frame.prox, frame.dist], axis=1)
+
+
+def linear_momentum(state, spec):
+    """Linear momentum of one character, the measure of the momentum tests."""
+    return spec.total_mass * ph.KinFrame(state, spec).com_vel
+
+
+def tracking_error_kinematic(clip, states, spec):
+    """Mean site error of a given state sequence against the clip; the
+    oracle path for the metric (feeding reference states yields zero)."""
+    world = ph.World.of(states, spec)
+    rows = mo.sample_frames(mo.ClipLibrary([clip]), np.zeros(len(states), dtype=np.int64), world.time)
+    ref = ph.Kinematics(spec, *mo.split_frames(rows))
+    return float(tr.site_error_rows(ph.Kinematics.of(world, spec), ref).mean())
+
+
+def kmeans_inertia(points, labels):
+    """Summed squared distance of each point to its cluster's mean."""
+    total = 0.0
+    for c in np.unique(labels):
+        p = points[labels == c]
+        total += float(((p - p.mean(axis=0)) ** 2).sum())
+    return total
+
+
+def label_agreement(pred, true, k):
+    """Best label-permutation agreement between two clusterings."""
+    best = 0.0
+    for perm in permutations(range(k)):
+        mapped = np.array([perm[p] for p in pred])
+        best = max(best, float((mapped == true).mean()))
+    return best
 
 
 def proprio(state):

@@ -7,6 +7,7 @@ import pytest
 
 from slmp import cli
 from slmp import combat as cb
+from slmp import distill as di
 from slmp import evaluate as ev
 from slmp import motion as mo
 from slmp import nets
@@ -48,6 +49,33 @@ def smoke_cfg(tmp_path):
     return str(p)
 
 
+# the end of generate_clip's message for a rate that gives fewer than 2 frames
+TWO_FRAMES = "need a finite positive rate that gives at least 2 frames"
+
+
+# (key, value, its config text, the section's error) of values out of range
+OUT_OF_RANGE = [
+    ("physics.gravity", -1.0, "-1", "gravity must be non-negative, got -1.0"),
+    ("physics.contact_dn", -1.0, "-1", "contact_dn must be non-negative, got -1.0"),
+    ("physics.friction_mu", -1.0, "-1", "friction_mu must be non-negative, got -1.0"),
+    ("physics.fall_frac", 0.0, "0", r"fall_frac must be in \(0, 1\), got 0.0"),
+    ("physics.fall_frac", 1.0, "1", r"fall_frac must be in \(0, 1\), got 1.0"),
+    ("data.idle", -3, "-3", "idle must be non-negative, got -3"),
+    ("data.combo", -1, "-1", "combo must be non-negative, got -1"),
+    ("data.hz", 0.0, "0", f"frame rate 0.0 Hz over 10.0 s: {TWO_FRAMES}"),
+    ("data.hz", -60.0, "-60", f"frame rate -60.0 Hz over 10.0 s: {TWO_FRAMES}"),
+    ("data.duration", 1.0, "1", r"duration must be in \[2 s, 20 s\]"),
+    ("data.duration", 21.0, "21", r"duration must be in \[2 s, 20 s\]"),
+    ("eval.horizons", (), "", "horizons must be positive and strictly increasing, got none"),
+    ("eval.horizons", (0.0, 5.0), "0,5",
+     "horizons must be positive and strictly increasing, got 0.0,5.0"),
+    ("eval.horizons", (5.0, 5.0), "5,5",
+     "horizons must be positive and strictly increasing, got 5.0,5.0"),
+    ("eval.horizons", (10.0, 5.0), "10,5",
+     "horizons must be positive and strictly increasing, got 10.0,5.0"),
+]
+
+
 class TestConfig:
     def test_defaults_without_file(self):
         cfg = load_config(None)
@@ -81,6 +109,9 @@ class TestConfig:
         floors = [cfg.ppo.energy_floor] + [
             default(f, "energy_floor") for f in (tr.EnvBatch, tr.TrackingEnv)]
         assert floors == [tr.ENERGY_FLOOR] * 3
+        shared = ("gamma", "clip_eps", "gae_lambda", "epochs_per_update", "value_coef", "std_init",
+                  "critic_hidden")
+        assert [getattr(cfg.combat, k) for k in shared] == [getattr(cfg.ppo, k) for k in shared]
 
     def test_empty_file_gives_defaults(self, tmp_path):
         p = tmp_path / "empty.cfg"
@@ -131,17 +162,50 @@ class TestConfig:
         "combat.envs", "combat.horizon", "combat.batch_size", "combat.epochs_per_update",
         "combat.k_hl", "combat.swap_period",
         "eval.trials", "eval.samples", "eval.clusters",
+        "physics.substeps",
     ])
     def test_non_positive_count_named(self, tmp_path, key, value):
         """The stage config refuses the count at construction, and the
         loader names its section too."""
-        section, name = key.split(".")
-        with pytest.raises(ValueError, match=f"^{name} must be positive, got {value}$"):
-            type(getattr(RunConfig(), section))(**{name: value})
+        refused(tmp_path, key, value, value, f"{key.split('.')[1]} must be positive, got {value}")
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("key", [
+        "physics.hz", "physics.contact_kn", "physics.contact_kt", "physics.tau_max",
+        "physics.contact_radius", "eval.resample_period",
+    ])
+    def test_non_positive_value_named(self, tmp_path, key, value):
+        refused(tmp_path, key, value, value, f"{key.split('.')[1]} must be positive, got {value}")
+
+    @pytest.mark.parametrize("key, value, text, error", OUT_OF_RANGE,
+                             ids=[f"{key}={text}" for key, _, text, _ in OUT_OF_RANGE])
+    def test_out_of_range_value_named(self, tmp_path, key, value, text, error):
+        refused(tmp_path, key, value, text, error)
+
+    @pytest.mark.parametrize("fresh, envs", [(300, 16), (8, 16)])
+    def test_fresh_rows_not_a_multiple_of_envs_refused(self, tmp_path, fresh, envs):
+        """Distillation collects whole steps of every env, so a fresh-row
+        count that ``envs`` does not divide is refused, not rounded."""
+        error = f"fresh_per_update {fresh} is not a multiple of envs {envs}"
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            di.SlmpConfig(fresh_per_update=fresh, envs=envs)
         p = tmp_path / "c.cfg"
-        p.write_text(f"{key} = {value}\n")
-        with pytest.raises(ConfigError, match=f"^{section}: {name} must be positive, got {value}$"):
+        p.write_text(f"slmp.fresh_per_update = {fresh}\nslmp.envs = {envs}\n")
+        with pytest.raises(ConfigError, match=f"^slmp: {error}$"):
             load_config(p)
+
+
+def refused(tmp_path, key, value, text, error):
+    """The section refuses ``value`` of ``key`` at construction with
+    ``error``, and the loader refuses its config line ``text`` with the
+    section named too."""
+    section, name = key.split(".")
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        type(getattr(RunConfig(), section))(**{name: value})
+    p = tmp_path / "c.cfg"
+    p.write_text(f"{key} = {text}\n")
+    with pytest.raises(ConfigError, match=f"^{section}: {error}$"):
+        load_config(p)
 
 
 # (command, option, config key, option value, a conflicting file value)
@@ -232,7 +296,7 @@ class TestCli:
         cfg.write_text(SMOKE_CFG + "data.hz = 0\n")
         out = tmp_path / "d"
         assert cli.run(["gen-data", "--out", str(out), "--config", str(cfg)]) == 1
-        assert "error: frame rate 0.0 Hz" in capsys.readouterr().err
+        assert "error: data: frame rate 0.0 Hz" in capsys.readouterr().err
         assert not out.exists()
 
     def test_echoed_config_and_seed_in_output(self, tmp_path, smoke_cfg):

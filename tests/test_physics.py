@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import reference
-from reference import kinetic_energy, link_endpoints, rot, step
+from reference import kinetic_energy, link_endpoints, linear_momentum, rot, step
 from slmp import physics as ph
 
 SPEC = ph.default_character()
@@ -79,11 +79,11 @@ class TestStep:
         st.root_ang_vel = 0.4
         st.joint_vels = np.linspace(-1, 1, 8)
         rng = np.random.default_rng(0)
-        p0 = ph.linear_momentum(st, SPEC)
+        p0 = linear_momentum(st, SPEC)
         for _ in range(12):  # 0.2 s of arbitrary internal torques
             st, _ = step(st, SPEC, CFG, torques=rng.uniform(-20, 20, 8))
         assert st.valid
-        p1 = ph.linear_momentum(st, SPEC)
+        p1 = linear_momentum(st, SPEC)
         assert abs(p1[0] - p0[0]) / abs(p0[0]) < 1e-6
         assert p1[1] - p0[1] == pytest.approx(-SPEC.total_mass * 9.81 * 0.2, rel=1e-9)
 
@@ -291,10 +291,10 @@ class TestTwoCharacterContact:
         a.anchor_x = None; a.anchor_on = None
         b.anchor_x = None; b.anchor_on = None
         cfg = ph.PhysicsConfig(gravity=0.0)
-        px0 = ph.linear_momentum(a, SPEC)[0] + ph.linear_momentum(b, SPEC)[0]
+        px0 = linear_momentum(a, SPEC)[0] + linear_momentum(b, SPEC)[0]
         for _ in range(40):
             (a, b), _ = ph.step_world([a, b], [SPEC, SPEC], [np.zeros(8)] * 2, cfg.dt, cfg)
-        px1 = ph.linear_momentum(a, SPEC)[0] + ph.linear_momentum(b, SPEC)[0]
+        px1 = linear_momentum(a, SPEC)[0] + linear_momentum(b, SPEC)[0]
         assert px1 == pytest.approx(px0, abs=1e-9)
 
     def test_flat_coupling_matches_the_per_pair_loop(self):
@@ -445,6 +445,28 @@ class TestCharacterIO:
                 kp=(1.0,),
                 kd=(1.0,),
             )
+
+    @pytest.mark.parametrize("name", ["tau_max", "contact_radius"])
+    def test_non_positive_limit_refused(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive, got 0.0$"):
+            dataclasses.replace(SPEC, **{name: 0.0})
+
+
+@pytest.mark.parametrize("name, value, error", [
+    ("hz", -60.0, "must be positive"),
+    ("substeps", 0, "must be positive"),
+    ("contact_kn", 0.0, "must be positive"),
+    ("contact_kt", 0.0, "must be positive"),
+    ("gravity", -1.0, "must be non-negative"),
+    ("contact_dn", -1.0, "must be non-negative"),
+    ("friction_mu", -1.0, "must be non-negative"),
+    ("fall_frac", 1.0, r"must be in \(0, 1\)"),
+])
+def test_physics_config_refuses_a_bad_value(name, value, error):
+    """A value that would divide by zero or run unphysical dynamics is
+    refused where the config is built, for library callers as for files."""
+    with pytest.raises(ValueError, match=f"^{name} {error}, got {value}$"):
+        ph.PhysicsConfig(**{name: value})
 
 
 def test_wrap_angle():

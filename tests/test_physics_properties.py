@@ -7,6 +7,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
+from reference import linear_momentum  # noqa: E402
 from slmp import physics as ph  # noqa: E402
 
 SPEC = ph.default_character()
@@ -30,14 +31,14 @@ def test_flight_conserves_horizontal_momentum(root_vel, joint_vels, torques):
     s.root_pos = np.array([0.0, 8.0])
     s.anchor_x = s.anchor_on = None
     s.root_vel, s.joint_vels = root_vel, joint_vels
-    p0 = ph.linear_momentum(s, SPEC)
+    p0 = linear_momentum(s, SPEC)
     w = ph.World.of([s], SPEC)
     for k, tau in enumerate(torques, start=1):  # up to 0.2 s of arbitrary internal torques
         w, rep = ph.step_batch(w, SPEC, CFG.dt, CFG, torques=tau[None])
         assert not rep.ground_contact[0]
         if not w.valid[0]:
             break  # sustained torque can spin the light limbs up until the integrator gives up
-        p1 = ph.linear_momentum(w.state(0), SPEC)
+        p1 = linear_momentum(w.state(0), SPEC)
         assert abs(p1[0] - p0[0]) <= 1e-9 * max(1.0, abs(p0[0]))
         assert p1[1] - p0[1] == pytest.approx(-SPEC.total_mass * CFG.gravity * k * CFG.dt, rel=1e-9)
 
@@ -102,7 +103,7 @@ def test_fighters_in_flight_conserve_pair_momentum(gap, approach, joint_vels, to
         s.root_vel = np.array([-side * approach, 0.0])
         s.joint_vels = joint_vels[i]
     w = ph.World.of([a, b], SPEC)
-    momenta = [[ph.linear_momentum(w.state(i), SPEC) for i in range(2)]]
+    momenta = [[linear_momentum(w.state(i), SPEC) for i in range(2)]]
     gravity = np.array([0.0, -2.0 * SPEC.total_mass * CFG.gravity * CFG.dt])
     scale, touched = 0.0, False
     for k, tau in enumerate(torques, start=1):
@@ -114,7 +115,7 @@ def test_fighters_in_flight_conserve_pair_momentum(gap, approach, joint_vels, to
             break
         assert not rep.ground_contact.any()
         touched |= bool((rep.site_opponent > 0).any())
-        momenta.append([ph.linear_momentum(w.state(i), SPEC) for i in range(2)])
+        momenta.append([linear_momentum(w.state(i), SPEC) for i in range(2)])
         scale = max(scale, *(np.abs(momenta[-1][i] - momenta[-2][i]).max() for i in range(2)))
         drift = sum(momenta[-1]) - sum(momenta[0]) - k * gravity
         assert np.abs(drift).max() <= 1e-9 * k * scale, (k, drift, scale)
