@@ -124,15 +124,11 @@ def cmd_rollout(args, cfg: RunConfig, spec, phys) -> int:
     fighters = cb.rollout_combat(
         args.ckpt, args.seconds, seed_for(cfg.seed, "rollout"), cfg.combat, spec, phys
     )
-    out = Path(args.frames)
-    for i, w in enumerate(fighters):
-        clip = mo.MotionClip(
-            phys.hz / cfg.combat.k_hl, "combat", f"combat-rollout-fighter{i + 1}",
-            w.root_pos, w.q[:, 0], w.q[:, 1:], w.root_vel, w.qd[:, 0], w.qd[:, 1:],
-        )
-        path = out.with_name(f"{out.stem}.fighter{i + 1}.clip")
-        mo.save_clip(clip, path)
-        print(f"wrote {len(w)} frames to {path}")
+    out, rate = Path(args.frames), phys.hz / cfg.combat.k_hl
+    for i, frames in enumerate(fighters, start=1):
+        path = out.with_name(f"{out.stem}.fighter{i}.clip")
+        mo.save_clip(mo.MotionClip(rate, "combat", f"combat-rollout-fighter{i}", frames), path)
+        print(f"wrote {len(frames)} frames to {path}")
     return 0
 
 

@@ -70,9 +70,8 @@ class CombatConfig:
     critic_hidden: tuple[int, ...] = _PPO.critic_hidden
 
     def __post_init__(self):
-        ph.require_positive(
-            self, ("envs", "horizon", "batch_size", "epochs_per_update", "k_hl", "swap_period")
-        )
+        ph.require_positive(self, ("k_hl", "swap_period"))
+        self.ppo()  # PpoConfig's rules check the PPO settings
 
     def ppo(self) -> tr.PpoConfig:
         return tr.PpoConfig(
@@ -531,9 +530,10 @@ def rollout_combat(
     cfg: CombatConfig | None = None,
     spec: ph.CharacterSpec | None = None,
     phys: ph.PhysicsConfig | None = None,
-) -> list[ph.World]:
-    """Deterministic-mode combat rollout: one World per fighter, with its
-    row before every decision, up to the first episode end."""
+) -> list[np.ndarray]:
+    """Deterministic-mode combat rollout: each fighter's (decisions, 6 + 2J)
+    frame rows (``motion.split_frames``), its row before every decision, up
+    to the first episode end."""
     spec = spec or ph.default_character()
     phys = phys or ph.default_config(spec)
     cfg = cfg or CombatConfig()
@@ -544,15 +544,14 @@ def rollout_combat(
                     [np.random.default_rng(seed)])
     env.epoch = cfg.early_epochs  # disable the early separation rule
     steps = math.floor(seconds / (phys.dt * cfg.k_hl) + 1e-9)
-    frames = ph.World.zeros(2 * steps, spec)  # decision d's pair in rows 2d, 2d + 1
+    frames = np.empty((2, steps, 4 + 2 * spec.ndof))  # fighter, decision, frame row
     obs = env.observe()
     for d in range(steps):
         z = np.concatenate([high_level_step(policy, net, obs[agent : agent + 1])[0]
                             for agent, (policy, net) in enumerate(pols)])
-        for f in fields(frames):
-            getattr(frames, f.name)[2 * d : 2 * d + 2] = getattr(env.world, f.name)
+        frames[:, d] = np.concatenate(env.world.coords, axis=1)
         obs, _, done, _ = env.decision_step(z)
         if done[0]:
             steps = d + 1
             break
-    return [frames.rows(np.arange(slot, 2 * steps, 2)) for slot in range(2)]
+    return list(frames[:, :steps])

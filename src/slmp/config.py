@@ -25,7 +25,9 @@ _CHARACTER = ph.default_character()
 @dataclass
 class PhysicsSection:
     """Physics overrides; the defaults and the value rules are those of
-    ``physics.PhysicsConfig`` and of the built-in ``physics.CharacterSpec``."""
+    ``physics.PhysicsConfig`` and of the built-in ``physics.CharacterSpec``.
+    A ``character`` file brings its own ``tau_max`` and ``contact_radius``,
+    so with one set those two keys must keep their defaults."""
 
     gravity: float = _PHYS.gravity
     hz: float = _PHYS.hz
@@ -41,17 +43,23 @@ class PhysicsSection:
 
     def __post_init__(self):
         # built only to run physics' own value rules on these values
-        self._spec(_CHARACTER)
+        self._spec()
         ph.PhysicsConfig(**self._overrides())
+        for name in ("tau_max", "contact_radius"):
+            if self.character and getattr(self, name) != getattr(_CHARACTER, name):
+                raise ValueError(
+                    f"{name} comes from the character file {self.character}; "
+                    f"leave it at {getattr(_CHARACTER, name)}"
+                )
 
-    def _spec(self, spec: ph.CharacterSpec) -> ph.CharacterSpec:
-        return replace(spec, tau_max=self.tau_max, contact_radius=self.contact_radius)
+    def _spec(self) -> ph.CharacterSpec:
+        return replace(_CHARACTER, tau_max=self.tau_max, contact_radius=self.contact_radius)
 
     def _overrides(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self) if hasattr(_PHYS, f.name)}
 
     def build(self) -> tuple[ph.CharacterSpec, ph.PhysicsConfig]:
-        spec = self._spec(ph.character_from_json(self.character) if self.character else _CHARACTER)
+        spec = ph.character_from_json(self.character) if self.character else self._spec()
         return spec, ph.default_config(spec, **self._overrides())
 
 

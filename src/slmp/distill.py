@@ -55,13 +55,14 @@ class SlmpConfig:
     disc_hidden: tuple[int, ...] = (256, 128)
 
     def __post_init__(self):
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
         if min(self.lambda_distill, self.lambda_dlsc, self.lambda_disc) < 0.0:
             raise ValueError("loss weights must be non-negative")
         if self.mode not in ABLATION_MODES:
             raise ValueError(f"mode must be one of {ABLATION_MODES}")
-        ph.require_positive(self, ("envs", "batch", "fresh_per_update", "capacity", "window"))
+        if self.latent_dim < 2:  # sample_sphere's bound
+            raise ValueError(f"latent_dim must be at least 2, got {self.latent_dim}")
+        ph.require_positive(self, ("beta", "lr", "disc_lr", "envs", "batch", "fresh_per_update",
+                                   "capacity", "window"))
         if self.fresh_per_update % self.envs:
             raise ValueError(
                 f"fresh_per_update {self.fresh_per_update} is not a multiple of envs {self.envs}"

@@ -17,7 +17,9 @@ frame gets the bits of the one-frame computation.  The transcendentals
 row: numpy's SIMD versions may round differently, and differently on
 each machine, which would change the clip bytes.
 
-A ``MotionClip`` is the file format and the generator's output.  Batched
+A ``MotionClip`` is the file format and the generator's output: a frame
+rate, a family, an id and one (F, 6 + 2J) array of frame rows in the
+``physics.World`` coordinate layout (``split_frames``).  Batched
 rollouts read clips through a ``ClipLibrary``: all frames of a clip list
 in one array, with per-clip offsets, frame counts, rates and an
 idle/footwork flag.  The rule for reference frames is one gather, then
@@ -62,62 +64,42 @@ def _frame_rate(hz) -> float:
 class MotionClip:
     """Time-indexed reference trajectory at a fixed frame rate.
 
-    The per-quantity arrays are views into ``frames``, one (F, 6 + 2J)
-    array of rows [root_pos, root_angle, joints, root_vel, root_ang_vel,
-    joint_vels] in the ``physics.World`` coordinate layout.  A
-    ``ClipLibrary`` of several clips rebinds ``frames`` to a view of its
-    own array; ``library`` is the one ``ClipLibrary.of`` last bound the
-    clip into.
+    ``frames`` holds the whole motion: a float64 copy of the (F, 6 + 2J)
+    rows it is given, each [root_pos, root_angle, joints, root_vel,
+    root_ang_vel, joint_vels] in the ``physics.World`` coordinate layout
+    (``split_frames``).  A ``ClipLibrary`` of several clips rebinds
+    ``frames`` to a view of its own array; ``library`` is the one
+    ``ClipLibrary.of`` last bound the clip into.
     """
 
     frame_rate: float
     family: str
     clip_id: str
-    root_pos: np.ndarray  # (F,2)
-    root_angle: np.ndarray  # (F,)
-    joints: np.ndarray  # (F,J)
-    root_vel: np.ndarray  # (F,2)
-    root_ang_vel: np.ndarray  # (F,)
-    joint_vels: np.ndarray  # (F,J)
+    frames: np.ndarray  # (F, 6 + 2J)
 
     def __post_init__(self):
         self.frame_rate = _frame_rate(self.frame_rate)  # a float, so its repr reads back
+        self.frames = np.array(self.frames, dtype=np.float64)
+        if self.frames.ndim != 2 or self.frames.shape[1] < 6 or self.frames.shape[1] % 2:
+            raise ValueError(f"frames must be (F, 6 + 2J) rows, got shape {self.frames.shape}")
         self.library: ClipLibrary | None = None  # set by ClipLibrary.of
-        self._bind(np.concatenate(
-            [self.root_pos, self.root_angle[:, None], self.joints,
-             self.root_vel, self.root_ang_vel[:, None], self.joint_vels],
-            axis=1,
-        ))
-
-    def _bind(self, frames: np.ndarray) -> None:
-        """Make ``frames`` the clip's frame rows and the fields views of it."""
-        self.frames = frames
-        self.root_pos, q, self.root_vel, qd = split_frames(frames)
-        self.root_angle, self.joints = q[:, 0], q[:, 1:]
-        self.root_ang_vel, self.joint_vels = qd[:, 0], qd[:, 1:]
 
     @property
     def n_frames(self) -> int:
-        return self.root_angle.shape[0]
+        return self.frames.shape[0]
 
     @property
     def n_joints(self) -> int:
-        return self.joints.shape[1]
+        return (self.frames.shape[1] - 6) // 2
 
     @property
     def duration(self) -> float:
         return self.n_frames / self.frame_rate
 
     def frame_state(self, i: int) -> ph.SimState:
-        return ph.SimState(
-            root_pos=self.root_pos[i].copy(),
-            root_angle=float(self.root_angle[i]),
-            joint_angles=self.joints[i].copy(),
-            root_vel=self.root_vel[i].copy(),
-            root_ang_vel=float(self.root_ang_vel[i]),
-            joint_vels=self.joint_vels[i].copy(),
-            time=i / self.frame_rate,
-        )
+        rp, q, rv, qd = split_frames(self.frames[[i]])  # a copy
+        return ph.SimState(rp[0], float(q[0, 0]), q[0, 1:], rv[0], float(qd[0, 0]), qd[0, 1:],
+                           time=i / self.frame_rate)
 
     def goal_frame_index(self, t: float) -> int:
         """Index of the next reference frame after time t, clamped."""
@@ -152,8 +134,8 @@ class ClipLibrary:
     per env and gather frame rows with it (``sample_frames``,
     ``goal_frames``), so stepping touches no ``MotionClip``.  Building a
     library of several clips copies their frames once and rebinds every
-    clip's arrays to views of the copy; a one-clip library uses the clip's
-    own frames.  ``of`` gives every user of one clip list one library.
+    clip's ``frames`` to a view of the copy; a one-clip library uses the
+    clip's own frames.  ``of`` gives every user of one clip list one library.
     """
 
     def __init__(self, clips: list[MotionClip]):
@@ -171,7 +153,7 @@ class ClipLibrary:
         else:
             self.frames = np.concatenate([c.frames for c in clips])
             for c, lo, n in zip(clips, self.offset, self.n_frames):
-                c._bind(self.frames[lo : lo + n])
+                c.frames = self.frames[lo : lo + n]
 
     def __len__(self) -> int:
         return len(self.clip_ids)
@@ -494,21 +476,11 @@ def _clip_from_poses(
 ) -> MotionClip:
     """A clip whose velocities are forward differences of its poses (the
     angles' wrapped); the last frame repeats the one before it."""
-    root_vel = np.zeros_like(root_pos)
-    root_ang_vel = np.zeros_like(root_angle)
-    joint_vels = np.zeros_like(joints)
-    root_vel[:-1] = (root_pos[1:] - root_pos[:-1]) * frame_rate
-    root_ang_vel[:-1] = ph.wrap_angle(root_angle[1:] - root_angle[:-1]) * frame_rate
-    joint_vels[:-1] = ph.wrap_angle(joints[1:] - joints[:-1]) * frame_rate
-    if len(root_angle) > 1:
-        root_vel[-1] = root_vel[-2]
-        root_ang_vel[-1] = root_ang_vel[-2]
-        joint_vels[-1] = joint_vels[-2]
-    return MotionClip(
-        frame_rate=frame_rate, family=family, clip_id=clip_id,
-        root_pos=root_pos, root_angle=root_angle, joints=joints,
-        root_vel=root_vel, root_ang_vel=root_ang_vel, joint_vels=joint_vels,
-    )
+    poses = np.concatenate([root_pos, root_angle[:, None], joints], axis=1)
+    vels = np.diff(poses, axis=0)
+    ph.wrap_angle(vels[:, 2:], out=vels[:, 2:])
+    vels = np.vstack([vels, vels[-1:]]) * frame_rate
+    return MotionClip(frame_rate, family, clip_id, np.hstack([poses, vels]))
 
 
 # the default library: clips per family, each CLIP_SECONDS long at CLIP_HZ
@@ -559,5 +531,4 @@ def load_clip(path: str | Path) -> MotionClip:
         frames = nets.read_table(path, CLIP_MAGIC, ("hz", "frames", "family", "joints", "id"), shape)
     except ValueError as e:
         raise ClipFormatError(str(e)) from e
-    rp, q, rv, qd = split_frames(frames)
-    return MotionClip(got["hz"], got["family"], got["id"], rp, q[:, 0], q[:, 1:], rv, qd[:, 0], qd[:, 1:])
+    return MotionClip(got["hz"], got["family"], got["id"], frames)

@@ -50,8 +50,9 @@ a ``World.put`` (a reset) leaves them stale for the rows it writes.
 """
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -84,17 +85,19 @@ def unit(phi):
 
 
 def require_positive(cfg, names: tuple[str, ...]) -> None:
-    """Refuse a config whose fields ``names`` are not positive."""
+    """Refuse a config whose fields ``names`` are not finite and positive."""
     for name in names:
-        if not getattr(cfg, name) > 0:
-            raise ValueError(f"{name} must be positive, got {getattr(cfg, name)}")
+        v = getattr(cfg, name)
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be positive, got {v}")
 
 
 def require_non_negative(cfg, names: tuple[str, ...]) -> None:
-    """Refuse a config whose fields ``names`` are negative."""
+    """Refuse a config whose fields ``names`` are not finite and non-negative."""
     for name in names:
-        if not getattr(cfg, name) >= 0:
-            raise ValueError(f"{name} must be non-negative, got {getattr(cfg, name)}")
+        v = getattr(cfg, name)
+        if not (math.isfinite(v) and v >= 0):
+            raise ValueError(f"{name} must be non-negative, got {v}")
 
 
 @dataclass(frozen=True)
@@ -960,31 +963,10 @@ def default_character() -> CharacterSpec:
 
 
 def character_to_json(spec: CharacterSpec, path: str | Path) -> None:
-    import json
-
-    doc = {
-        "links": [
-            {
-                "name": l.name, "length": l.length, "mass": l.mass, "parent": l.parent,
-                "attach_end": l.attach_end, "attach_offset": l.attach_offset,
-                "rest_rel": l.rest_rel, "com_frac": l.com_frac, "inertia": l.inertia,
-            }
-            for l in spec.links
-        ],
-        "sites": [{"name": s.name, "link": s.link, "dist": s.dist} for s in spec.sites],
-        "kp": list(spec.kp),
-        "kd": list(spec.kd),
-        "contact_radius": spec.contact_radius,
-        "tau_max": spec.tau_max,
-        "torso_center_dist": spec.torso_center_dist,
-        "head_center_dist": spec.head_center_dist,
-    }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    Path(path).write_text(json.dumps(asdict(spec), indent=1) + "\n")
 
 
 def character_from_json(path: str | Path) -> CharacterSpec:
-    import json
-
     doc = json.loads(Path(path).read_text())
     links = tuple(Link(**l) for l in doc["links"])
     sites = tuple(Site(**s) for s in doc["sites"])

@@ -67,10 +67,11 @@ class PpoConfig:
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must be in (0, 1)")
-        if self.clip_eps <= 0.0:
-            raise ValueError("clip_eps must be positive")
-        ph.require_positive(self, ("envs", "horizon", "batch_size", "epochs_per_update"))
+            raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
+        if not 0.0 <= self.gae_lambda <= 1.0:
+            raise ValueError(f"gae_lambda must be in [0, 1], got {self.gae_lambda}")
+        ph.require_positive(self, ("lr", "clip_eps", "std_init", "std_final", "envs", "horizon",
+                                   "batch_size", "epochs_per_update"))
 
     def sigma_at(self, update: int) -> float:
         frac = min(1.0, update / max(1, self.std_anneal_updates))

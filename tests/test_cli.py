@@ -1,5 +1,7 @@
 import filecmp
 import inspect
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +60,9 @@ OUT_OF_RANGE = [
     ("physics.gravity", -1.0, "-1", "gravity must be non-negative, got -1.0"),
     ("physics.contact_dn", -1.0, "-1", "contact_dn must be non-negative, got -1.0"),
     ("physics.friction_mu", -1.0, "-1", "friction_mu must be non-negative, got -1.0"),
+    ("physics.gravity", math.inf, "inf", "gravity must be non-negative, got inf"),
+    ("physics.contact_dn", math.inf, "inf", "contact_dn must be non-negative, got inf"),
+    ("physics.friction_mu", math.inf, "inf", "friction_mu must be non-negative, got inf"),
     ("physics.fall_frac", 0.0, "0", r"fall_frac must be in \(0, 1\), got 0.0"),
     ("physics.fall_frac", 1.0, "1", r"fall_frac must be in \(0, 1\), got 1.0"),
     ("data.idle", -3, "-3", "idle must be non-negative, got -3"),
@@ -73,6 +78,11 @@ OUT_OF_RANGE = [
      "horizons must be positive and strictly increasing, got 5.0,5.0"),
     ("eval.horizons", (10.0, 5.0), "10,5",
      "horizons must be positive and strictly increasing, got 10.0,5.0"),
+    ("ppo.gae_lambda", -0.1, "-0.1", r"gae_lambda must be in \[0, 1\], got -0.1"),
+    ("ppo.gae_lambda", 1.5, "1.5", r"gae_lambda must be in \[0, 1\], got 1.5"),
+    ("combat.gamma", 1.5, "1.5", r"gamma must be in \(0, 1\), got 1.5"),
+    ("combat.clip_eps", 0.0, "0", "clip_eps must be positive, got 0.0"),
+    ("slmp.latent_dim", 1, "1", "latent_dim must be at least 2, got 1"),
 ]
 
 
@@ -150,6 +160,19 @@ class TestConfig:
     def test_physics_defaults_build_the_default_character_and_config(self):
         assert load_config(None).physics.build() == (ph.default_character(), ph.default_config())
 
+    def test_character_file_keeps_its_limits(self, tmp_path):
+        """A character file's own torque limit and contact radius are built
+        as written; setting either key next to the file is refused by name."""
+        path = tmp_path / "char.json"
+        ph.character_to_json(replace(ph.default_character(), tau_max=50.0, contact_radius=0.03), path)
+        spec, _ = load_config(None, {"physics.character": str(path)}).physics.build()
+        assert (spec.tau_max, spec.contact_radius) == (50.0, 0.03)
+        for key, value, default in (("tau_max", "80", 200.0), ("contact_radius", "0.04", 0.05)):
+            with pytest.raises(ConfigError, match=(
+                    f"^physics: {key} comes from the character file .*char.json; "
+                    f"leave it at {default}$")):
+                load_config(None, {"physics.character": str(path), f"physics.{key}": value})
+
     def test_seed_key(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("seed = 11\n")
@@ -169,10 +192,12 @@ class TestConfig:
         loader names its section too."""
         refused(tmp_path, key, value, value, f"{key.split('.')[1]} must be positive, got {value}")
 
-    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf])
     @pytest.mark.parametrize("key", [
         "physics.hz", "physics.contact_kn", "physics.contact_kt", "physics.tau_max",
         "physics.contact_radius", "eval.resample_period",
+        "ppo.lr", "ppo.std_init", "ppo.std_final", "slmp.lr", "slmp.disc_lr", "slmp.beta",
+        "combat.lr", "combat.std_init",
     ])
     def test_non_positive_value_named(self, tmp_path, key, value):
         refused(tmp_path, key, value, value, f"{key.split('.')[1]} must be positive, got {value}")
@@ -393,4 +418,4 @@ class TestCli:
             assert clip.n_frames == len(w)
             assert clip.frame_rate == 30.0
             for k in (0, len(w) - 1):
-                assert np.array_equal(clip.frame_state(k).theta(), w.q[k])
+                assert np.array_equal(clip.frame_state(k).theta(), mo.split_frames(w)[1][k])

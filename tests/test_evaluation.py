@@ -219,11 +219,12 @@ class TestTrackClips:
 
         def expert(state, t, clip):
             obs = tr.track_obs(state, SPEC, clip, t)
-            base = clip.joints[clip.goal_frame_index(t)]
+            base = mo.split_frames(clip.frames)[1][clip.goal_frame_index(t), 1:]
             return tr.action_to_targets(policy.row_net(params)(obs[None])[0], base)
 
         return {
-            "reference": (lambda state, t, clip: clip.joints[clip.goal_frame_index(t)],
+            "reference": (lambda state, t, clip:
+                          mo.split_frames(clip.frames)[1][clip.goal_frame_index(t), 1:],
                           lambda batch, obs: batch.ref_base()),
             "expert": (expert, tr.expert_controller(policy.row_net(params))),
         }

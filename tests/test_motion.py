@@ -19,13 +19,13 @@ class TestGenerate:
     def test_deterministic(self):
         a = make("jab", 7)
         b = make("jab", 7)
-        for f in ("root_pos", "root_angle", "joints", "root_vel", "joint_vels"):
-            assert np.array_equal(getattr(a, f), getattr(b, f))
+        for x, y in zip(mo.split_frames(a.frames), mo.split_frames(b.frames)):
+            assert np.array_equal(x, y)
 
     def test_idle_root_nearly_static(self):
         for seed in range(3):
             clip = make("idle", seed)
-            x = clip.root_pos[:, 0]
+            x = mo.split_frames(clip.frames)[0][:, 0]
             assert x.max() - x.min() < 0.05
 
     def test_jab_hand_speed_dominates_idle(self):
@@ -56,15 +56,18 @@ class TestGenerate:
     def test_two_frames_suffice(self):
         clip = mo.generate_clip("idle", 0, 2.0, 1.0, SPEC, CFG)
         assert clip.n_frames == 2
-        assert np.array_equal(clip.joint_vels[1], clip.joint_vels[0])
+        joint_vels = mo.split_frames(clip.frames)[3][:, 1:]
+        assert np.array_equal(joint_vels[1], joint_vels[0])
 
     def test_velocities_are_forward_differences(self):
         clip = make("combo", 5)
         hz = clip.frame_rate
-        dq = ph.wrap_angle(clip.joints[1:] - clip.joints[:-1]) * hz
-        assert np.abs(dq - clip.joint_vels[:-1]).max() < 1e-6
-        dp = (clip.root_pos[1:] - clip.root_pos[:-1]) * hz
-        assert np.abs(dp - clip.root_vel[:-1]).max() < 1e-6
+        root_pos, q, root_vel, qd = mo.split_frames(clip.frames)
+        joints, joint_vels = q[:, 1:], qd[:, 1:]
+        dq = ph.wrap_angle(joints[1:] - joints[:-1]) * hz
+        assert np.abs(dq - joint_vels[:-1]).max() < 1e-6
+        dp = (root_pos[1:] - root_pos[:-1]) * hz
+        assert np.abs(dp - root_vel[:-1]).max() < 1e-6
 
     def test_no_ground_penetration_kinematically(self):
         for family in mo.FAMILIES:
@@ -156,7 +159,7 @@ class TestGoal:
             g = mo.goal_state(clip, t, state)
             assert np.abs(g.d_rot).max() < 1e-12
             assert np.abs(g.d_pos).max() < 1e-12
-            assert np.allclose(g.ref_rot[1:], ph.wrap_angle(clip.joints[j]))
+            assert np.allclose(g.ref_rot[1:], ph.wrap_angle(mo.split_frames(clip.frames)[1][j, 1:]))
 
     def test_root_rotation_offset(self):
         clip = make("idle", 0)
@@ -166,11 +169,13 @@ class TestGoal:
         delta = 0.3
         state.root_angle += delta
         g = mo.goal_state(clip, t, state)
-        want = ph.wrap_angle(clip.root_angle[j] - state.root_angle)
+        want = ph.wrap_angle(mo.split_frames(clip.frames)[1][j, 0] - state.root_angle)
         assert g.d_rot[0] == pytest.approx(want)
 
     def test_matches_independent_recomputation(self):
         clip = make("kick", 9)
+        root_pos, q, _, qd = mo.split_frames(clip.frames)
+        joints, joint_vels = q[:, 1:], qd[:, 1:]
         rng = np.random.default_rng(8)
         for _ in range(20):
             i = int(rng.integers(clip.n_frames - 2))
@@ -183,14 +188,14 @@ class TestGoal:
             j = int(np.floor((t + 1 / clip.frame_rate) * clip.frame_rate + 1e-9))
             c, s = np.cos(-state.root_angle), np.sin(-state.root_angle)
             rot = np.array([[c, -s], [s, c]])
-            assert np.allclose(g.d_pos, rot @ (clip.root_pos[j] - state.root_pos), atol=1e-12)
+            assert np.allclose(g.d_pos, rot @ (root_pos[j] - state.root_pos), atol=1e-12)
             assert np.allclose(
-                g.d_rot[1:], ph.wrap_angle(clip.joints[j] - state.joint_angles), atol=1e-12
+                g.d_rot[1:], ph.wrap_angle(joints[j] - state.joint_angles), atol=1e-12
             )
             assert np.allclose(
-                g.d_ang_vel[1:], clip.joint_vels[j] - state.joint_vels, atol=1e-12
+                g.d_ang_vel[1:], joint_vels[j] - state.joint_vels, atol=1e-12
             )
-            assert np.allclose(g.ref_pos, rot @ (clip.root_pos[j] - state.root_pos), atol=1e-12)
+            assert np.allclose(g.ref_pos, rot @ (root_pos[j] - state.root_pos), atol=1e-12)
 
     def test_out_of_range(self):
         clip = make("idle", 0, 4.0)
@@ -254,7 +259,8 @@ class TestClipLibrary:
         assert list(lib.idle_fw) == [True, False, False]
         for c, b in zip(clips, before):
             assert bits(c.frames) == b
-            assert np.shares_memory(c.frames, lib.frames) and np.shares_memory(c.joints, lib.frames)
+            joints = mo.split_frames(c.frames)[1][:, 1:]
+            assert np.shares_memory(c.frames, lib.frames) and np.shares_memory(joints, lib.frames)
 
     def test_of_builds_one_library_per_clip_list(self):
         clips = [make("idle", 1, 3.0), make("jab", 3, 2.0)]
@@ -282,8 +288,8 @@ class TestClipIO:
         assert back.family == clip.family
         assert back.clip_id == clip.clip_id
         assert back.frame_rate == clip.frame_rate
-        for f in ("root_pos", "root_angle", "joints", "root_vel", "root_ang_vel", "joint_vels"):
-            assert np.array_equal(getattr(back, f), getattr(clip, f))
+        for x, y in zip(mo.split_frames(back.frames), mo.split_frames(clip.frames)):
+            assert np.array_equal(x, y)
 
     def test_saved_text_matches_per_value_formatter(self, tmp_path):
         clip = make("kick", 6)
@@ -331,25 +337,29 @@ class TestClipIO:
     def test_one_frame_clip_round_trips(self, tmp_path):
         """A 1-frame clip, as a short combat rollout writes, saves and loads;
         only a rollout needs 2 frames."""
-        rp, q, rv, qd = mo.split_frames(make("jab").frames[:1])
-        clip = mo.MotionClip(6.0, "combat", "one", rp, q[:, 0], q[:, 1:], rv, qd[:, 0], qd[:, 1:])
+        clip = mo.MotionClip(6.0, "combat", "one", make("jab").frames[:1])
         mo.save_clip(clip, tmp_path / "one.clip")
         back = mo.load_clip(tmp_path / "one.clip")
         assert back.n_frames == 1 and back.frames.tobytes() == clip.frames.tobytes()
 
     def test_numpy_frame_rate_round_trips(self, tmp_path):
         """A clip at a numpy rate writes an ``hz=`` line that reads back."""
-        rp, q, rv, qd = mo.split_frames(make("jab").frames)
-        clip = mo.MotionClip(np.float64(15.0), "jab", "r", rp, q[:, 0], q[:, 1:], rv, qd[:, 0], qd[:, 1:])
+        clip = mo.MotionClip(np.float64(15.0), "jab", "r", make("jab").frames)
         mo.save_clip(clip, tmp_path / "r.clip")
         assert mo.load_clip(tmp_path / "r.clip").frame_rate == 15.0
 
     @pytest.mark.parametrize("hz", [0.0, -30.0, math.inf, math.nan])
     def test_clip_refuses_a_bad_frame_rate(self, hz):
         clip = make("idle")
-        rp, q, rv, qd = mo.split_frames(clip.frames)
         with pytest.raises(ValueError, match="frame rate .* is not finite and positive"):
-            mo.MotionClip(hz, "idle", "bad", rp, q[:, 0], q[:, 1:], rv, qd[:, 0], qd[:, 1:])
+            mo.MotionClip(hz, "idle", "bad", clip.frames)
+
+    @pytest.mark.parametrize("shape", [(10,), (10, 5), (10, 4), (10, 21), (10, 22, 1)])
+    def test_clip_refuses_frames_not_shaped_as_rows(self, shape):
+        """Frame rows are (F, 6 + 2J): a root of 3 coordinates and 3 rates,
+        then J joint angles and J joint rates."""
+        with pytest.raises(ValueError, match=r"frames must be \(F, 6 \+ 2J\) rows, got shape"):
+            mo.MotionClip(30.0, "idle", "bad", np.zeros(shape))
 
     def test_duration_from_header(self, tmp_path):
         clip = mo.generate_clip("idle", 0, 10.0, 30.0, SPEC, CFG)

@@ -454,10 +454,12 @@ class TestCharacterIO:
 
 @pytest.mark.parametrize("name, value, error", [
     ("hz", -60.0, "must be positive"),
+    ("hz", math.inf, "must be positive"),
     ("substeps", 0, "must be positive"),
     ("contact_kn", 0.0, "must be positive"),
     ("contact_kt", 0.0, "must be positive"),
     ("gravity", -1.0, "must be non-negative"),
+    ("gravity", math.inf, "must be non-negative"),
     ("contact_dn", -1.0, "must be non-negative"),
     ("friction_mu", -1.0, "must be non-negative"),
     ("fall_frac", 1.0, r"must be in \(0, 1\)"),

@@ -339,8 +339,7 @@ class TestEnv:
         """A clip needs a start frame and the frame after it; a 1-frame clip
         is refused by its id instead of failing in the start draw."""
         clips = _small_clips()
-        rp, q, rv, qd = mo.split_frames(clips[0].frames[:1])
-        one = mo.MotionClip(30.0, "idle", "idle-one", rp, q[:, 0], q[:, 1:], rv, qd[:, 0], qd[:, 1:])
+        one = mo.MotionClip(30.0, "idle", "idle-one", clips[0].frames[:1])
         with pytest.raises(ValueError, match="2 frames or more; clip 'idle-one' has 1"):
             _batch([*clips, one], range(2))
 
