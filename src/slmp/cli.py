@@ -7,6 +7,7 @@ each command reads only the resulting ``RunConfig``."""
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -121,6 +122,10 @@ def cmd_train_combat(args, cfg: RunConfig, spec, phys) -> int:
 
 
 def cmd_rollout(args, cfg: RunConfig, spec, phys) -> int:
+    decision = phys.dt * cfg.combat.k_hl
+    if not (math.isfinite(args.seconds) and args.seconds >= decision):
+        raise ValueError(f"--seconds must be finite and cover at least one decision "
+                         f"({decision!r} s), got {args.seconds!r}")
     fighters = cb.rollout_combat(
         args.ckpt, args.seconds, seed_for(cfg.seed, "rollout"), cfg.combat, spec, phys
     )

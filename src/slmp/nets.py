@@ -19,15 +19,18 @@ backward reads it instead of running the network again.  A tape owns the
 buffers its forwards and backwards work in and reuses them, so a learner
 that keeps one tape across minibatches allocates its working set once.
 
-Rollouts use a ``RowNet``, built once per parameter version: the same
-network with each weight stored C-contiguous as (in, out) and every
-layer's output width zero-padded to a multiple of ``ROW_TILE``.  Its
-2-D ``h @ W`` gives every row the same bits for any number of rows, any
-row order and any worker split, and it pads a 1-row call to 2 rows.
-This is a property of the BLAS kernels (one micro-kernel path per row
-when no output width leaves a remainder tile; a 1-row product goes to
-gemv instead), not a numpy guarantee; ``tests/test_nets.py`` guards it
-for every repo network.
+The row rule: ``row_product(x, w)`` with ``w`` an (in, out) matrix
+stored C-contiguous and zero-padded to a multiple of ``ROW_TILE`` output
+columns (``pad_columns``) is one 2-D ``x @ w``, with a 1-row ``x``
+multiplied as 2 rows.  It gives every row the same bits for any number
+of rows, any row order and any worker split.  This is a property of the
+BLAS kernels (one micro-kernel path per row when no output width leaves
+a remainder tile; a 1-row product goes to gemv instead), not a numpy
+guarantee; ``tests/test_nets.py`` guards it for every repo network and
+every padded matrix of the physics.  Rollouts use a ``RowNet``, built
+once per parameter version: the same network with every layer's weight
+padded that way, so each layer is one row product, and ``physics`` runs
+its per-row contractions on it too.
 """
 from __future__ import annotations
 
@@ -43,7 +46,7 @@ ACTIVATIONS = ("silu", "relu")
 OUTPUT_ACTIVATIONS = ("none", "tanh")
 
 CKPT_MAGIC = "SLMP-CKPT/1"
-ROW_TILE = 8  # RowNet pads every layer's output width to a multiple of this
+ROW_TILE = 8  # pad_columns pads every output width to a multiple of this
 LEARN_DTYPE = np.float32  # compute dtype of every learner's tapes
 _GRAD_FLOOR = 2.0**-40  # scaled grad_out entries below this are zeroed on a float32 tape
 _WRITE_CHUNK = 8192  # values formatted per write in the text table files
@@ -243,12 +246,32 @@ def forward_batch(
     return h
 
 
+def pad_columns(m: np.ndarray, rows: int | None = None) -> np.ndarray:
+    """A C-contiguous copy of the (in, out) matrix ``m`` with zero columns
+    appended up to a multiple of ``ROW_TILE``, and zero rows up to
+    ``rows`` when given: a matrix for ``row_product``."""
+    fi, fo = m.shape
+    p = np.zeros((fi if rows is None else rows, -(-fo // ROW_TILE) * ROW_TILE))
+    p[:fi, :fo] = m
+    return p
+
+
+def row_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for the (rows, in) array ``x`` and a ``pad_columns``
+    matrix ``w``, under the row rule (module docstring): a 1-row ``x`` is
+    multiplied as 2 rows, and the result has all of ``w``'s columns."""
+    if len(x) == 1:
+        return (np.concatenate([x, x]) @ w)[:1]
+    return x @ w
+
+
 class RowNet:
     """The rollout forward of one parameter version of a network.
 
-    Each layer's weight is held C-contiguous as (in, out), with its output
-    width zero-padded to a multiple of ``ROW_TILE`` (zero weight columns
-    and biases; the next layer's matching input rows are zero too).  A
+    Each layer's weight is a ``pad_columns`` matrix, C-contiguous (in,
+    out) with its output width zero-padded to a multiple of ``ROW_TILE``
+    (zero weight columns and biases; the next layer's matching input rows
+    are zero too), and each layer is one ``row_product``.  A
     padded unit stays exactly 0 under SiLU, ReLU and tanh, so the padding
     changes no real output.  ``net(x)`` on a (rows, input_dim) array
     returns the fresh (rows, output_dim) output, and a row's bits do not
@@ -270,26 +293,22 @@ class RowNet:
         self.layers = []
         width = spec.input_dim
         for l, (w, b) in enumerate(layer_views(spec, params[:n])):
-            fo, fi = w.shape
-            out = -(-fo // ROW_TILE) * ROW_TILE
-            wp = np.zeros((width, out))
-            wp[:fi, :fo] = w.T
-            bp = np.zeros(out)
-            bp[:fo] = b
+            wp = pad_columns(w.T, width)
+            width = wp.shape[1]
+            bp = np.zeros(width)
+            bp[: len(b)] = b
             self.layers.append((wp, bp, _layer_activation(spec, l)))
-            width = out
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
             raise ValueError(f"expected input shape (rows, {self.spec.input_dim}), got {x.shape}")
-        rows = len(x)
-        h = np.concatenate([x, x]) if rows == 1 else x
+        h = x
         for w, b, act in self.layers:
-            h = h @ w
+            h = row_product(h, w)
             h += b
             _activate(act, h)
-        return np.ascontiguousarray(h[:rows, : self.spec.output_dim])
+        return np.ascontiguousarray(h[:, : self.spec.output_dim])
 
 
 def backward_batch(

@@ -23,22 +23,34 @@ tests and the benchmark's gate and tracer step through it.
 
 E-invariance rule: an env's result must not depend on E or on which
 other envs share its World, so that rollouts are identical for any
-batching or worker split.  Hence no 2-D matmul over the env axis
-(``x @ m.T`` is a BLAS gemm whose blocking, and with it the rounding,
-changes with E); contractions are row-wise ``einsum``s (``_rows``,
-``_dot``), stacked matmuls over (E, n, n) slices, or a batched
-``np.linalg.solve``, and reductions run along an axis of fixed length.
-Since a row's bits do not depend on the other rows, several operands
-that meet the same matrix share one call with their rows stacked (q
-and qd through ``path``, the four site quantities through
-``site_coeff``): each gets the bits of its own call.  The matrix must
-keep its memory layout, though: ``einsum`` picks its summation kernel
-by stride, so a transposed view and its contiguous copy round
-differently.  Scatters over rows are ``np.add.at`` calls, which add in
-the order of their entries: a row's contacts are summed in the fixed
-(row, site, link) order of one ``np.nonzero``, and a pair's net force
-is summed once and then negated for the upper row, so the pair obeys
+batching or worker split.  This is the one row rule of ``nets``, which
+``RowNet`` relies on too: every contraction over a row is a
+``nets.row_product`` with a padded (in, out) matrix that
+``CharacterSpec`` builds once (its ``*_padded`` properties).  Beyond
+those there are elementwise products, stacked products of one small
+matrix per row, one batched ``np.linalg.solve``, and reductions along
+an axis of fixed length.  Since a row's bits do not depend on the other
+rows, several operands that meet the same matrix share one product with
+their rows stacked (q and qd through ``path_padded``, the four
+link-direction rows through ``site_com_padded``), and a row product may
+be taken before a row selection: each row gets the bits of its own
+call.  Scatters over rows are ``np.add.at`` calls, which add in the
+order of their entries: a row's contacts are summed in the fixed (row,
+site, link) order of one ``np.nonzero``, and a pair's net force is
+summed once and then negated for the upper row, so the pair obeys
 Newton's third law bit for bit.
+
+Link-space angular solve: ``path`` (P, link angles = rest + P theta) is
+square and unit lower-triangular, since each parent precedes its
+child.  The angular mass matrix about the body COM is P^T A P with
+A = G * cos(phi_n - phi_k) + diag(I) over link pairs (``com_gram``,
+``link_mass``), and the generalised forces are P^T of the link torques
+f_link + b_link (site forces and the velocity-product bias) plus the
+joint torques [0; tau].  So ``_angular_accel`` solves
+A phi_dd = f_link + b_link + P^-T [0; tau] for the link accelerations,
+without forming P^T A P, and takes theta_dd = P^-1 phi_dd, where P^-1
+has +1 on the diagonal and -1 at (i, parent(i)): one exact difference
+per joint.
 
 Kinematics hand-off: one control step of ``step_batch`` builds the
 ``Kinematics`` of its input world once.  Each ``_substep`` takes the
@@ -57,6 +69,8 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+
+from .nets import pad_columns, row_product
 
 TWO_PI = 2.0 * math.pi
 
@@ -244,11 +258,6 @@ class CharacterSpec:
         return {s.name: i for i, s in enumerate(self.sites)}
 
     @cached_property
-    def inertia_path(self) -> np.ndarray:
-        """Constant Sum_i I_i path_i^T path_i part of the mass matrix."""
-        return np.einsum("i,ia,ib->ab", self.inertias, self.path, self.path)
-
-    @cached_property
     def site_link(self) -> np.ndarray:
         return np.array([s.link for s in self.sites], dtype=int)
 
@@ -275,17 +284,58 @@ class CharacterSpec:
         return self.masses @ self.com_coeff / self.total_mass
 
     @cached_property
-    def site_to_link(self) -> np.ndarray:
-        """(n_links, n_sites) view ``(site_coeff - com_bar).T``: maps site
-        forces to the link-level sums of the generalised-force map."""
-        return (self.site_coeff - self.com_bar).T
-
-    @cached_property
     def com_gram(self) -> np.ndarray:
         """G with the angular mass matrix about the body COM equal to
-        path^T (G * cos(phi_n - phi_k)) path + inertia_path."""
+        path^T A path, A = G * cos(phi_n - phi_k) + diag(inertias), the
+        link-space matrix that ``_angular_accel`` solves with; G also
+        weighs the velocity-product bias."""
         c = self.com_coeff - self.com_bar
-        return np.einsum("i,in,ik->nk", self.masses, c, c)
+        return (self.masses[:, None] * c).T @ c
+
+    @cached_property
+    def link_mass(self) -> np.ndarray:
+        """G + diag(inertias): A = link_mass * cos(phi_n - phi_k), since
+        the cosine is 1 on the diagonal."""
+        return self.com_gram + np.diag(self.inertias)
+
+    @cached_property
+    def parent_index(self) -> np.ndarray:
+        """Parents of links 1.. in order: theta_dd = phi_dd minus the
+        parent's phi_dd (``path`` inverted)."""
+        return np.array([l.parent for l in self.links[1:]], dtype=int)
+
+    # The padded (in, out) matrices of the row products (module docstring).
+
+    @cached_property
+    def path_padded(self) -> np.ndarray:
+        """Rows of angular coordinates or rates to link angles or rates."""
+        return pad_columns(self.path.T)
+
+    @cached_property
+    def site_com_padded(self) -> np.ndarray:
+        """Rows of ``_link_rows`` to site offsets from the root (the first
+        n_sites columns) and the body COM offset (the next column)."""
+        return pad_columns(np.column_stack([self.site_coeff.T, self.com_bar]))
+
+    @cached_property
+    def force_padded(self) -> np.ndarray:
+        """Rows [f | u * phidot^2] of per-site force components f and link
+        directions u to the link sums of (site_coeff - com_bar) * f plus
+        G u phidot^2 (``_angular_accel``)."""
+        return pad_columns(np.vstack([self.site_coeff - self.com_bar, self.com_gram]))
+
+    @cached_property
+    def torque_padded(self) -> np.ndarray:
+        """Rows of joint torques to link torques, P^-T [0; tau]."""
+        m = np.eye(self.n_links)[1:]
+        m[np.arange(self.n_joints), self.parent_index] = -1.0
+        return pad_columns(m)
+
+    @cached_property
+    def prox_padded(self) -> np.ndarray:
+        """Rows of link direction components to the proximal-end offsets
+        from the root."""
+        return pad_columns(self.prox_coeff.T)
 
 
 @dataclass
@@ -522,25 +572,19 @@ class World:
         )
 
 
-def _rows(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row-wise ``m @ x[e]`` for x of shape (E, n).
-
-    A 2-D ``x @ m.T`` is one BLAS gemm over the env axis, whose rounding
-    can change with E; this contraction gives every row the same bits
-    for any E.
-    """
-    return np.einsum("ij,ej->ei", m, x)
-
-
-def _dot(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row-wise ``v . x[e]``, with the same E-invariance as ``_rows``."""
-    return np.einsum("n,en->e", v, x)
-
-
 def _link_rows(cos: np.ndarray, sin: np.ndarray, phidot: np.ndarray) -> np.ndarray:
     """The (4E, L) row stack [cos; sin; sin * phidot; cos * phidot] of link
-    directions and rates, which the site and COM contractions read."""
+    directions and rates, which the site and COM products read."""
     return np.concatenate([cos, sin, sin * phidot, cos * phidot])
+
+
+def _link_state(spec: CharacterSpec, q: np.ndarray, qd: np.ndarray):
+    """(links, phidot) of the coordinates and rates ``q``, ``qd`` (E, ndof):
+    their ``_link_rows`` stack and the (E, L) link rates."""
+    n = len(q)
+    angles = row_product(np.concatenate([q, qd]), spec.path_padded)[:, : spec.n_links]
+    phi, phidot = spec.rest_abs + angles[:n], angles[n:]
+    return _link_rows(np.cos(phi), np.sin(phi), phidot), phidot
 
 
 class Kinematics:
@@ -548,38 +592,41 @@ class Kinematics:
 
     Site quantities are split into x and y components of shape (E, S).
     ``links`` is the ``_link_rows`` stack of the link directions and
-    rates, and ``cos`` and ``sin`` are views of it.  The constructor
-    starts from the coordinates; ``of_links`` starts from a stack a
-    caller has already computed, which ``_substep`` does to hand the next
-    state's kinematics on.
+    rates, and ``cos`` and ``sin`` are views of it.  ``com`` holds the
+    (4, E) rows (com_bar . cos, com_bar . sin, com_bar . sin * phidot,
+    com_bar . cos * phidot): the body COM offset from the root and its
+    rate, the last column of the site product ``rel``.  The constructor
+    starts from the coordinates; ``of_links`` starts from a stack, and
+    optionally its ``rel``, that a caller has already computed, which
+    ``_substep`` does to hand the next state's kinematics on.
     """
 
     def __init__(self, spec: CharacterSpec, root_pos, q, root_vel, qd):
-        n = len(q)
-        angles = _rows(spec.path, np.concatenate([q, qd]))
-        phi, phidot = spec.rest_abs + angles[:n], angles[n:]
-        self._place(spec, root_pos, root_vel, _link_rows(np.cos(phi), np.sin(phi), phidot), phidot)
+        self._place(spec, root_pos, root_vel, *_link_state(spec, q, qd))
 
     @classmethod
     def of(cls, world: World, spec: CharacterSpec) -> "Kinematics":
         return cls(spec, *world.coords)
 
     @classmethod
-    def of_links(cls, spec: CharacterSpec, root_pos, root_vel, links, phidot) -> "Kinematics":
+    def of_links(cls, spec: CharacterSpec, root_pos, root_vel, links, phidot,
+                 rel=None) -> "Kinematics":
         k = cls.__new__(cls)
-        k._place(spec, root_pos, root_vel, links, phidot)
+        k._place(spec, root_pos, root_vel, links, phidot, rel)
         return k
 
-    def _place(self, spec, root_pos, root_vel, links, phidot) -> None:
-        n = len(phidot)
+    def _place(self, spec, root_pos, root_vel, links, phidot, rel=None) -> None:
+        n, ns = len(phidot), len(spec.sites)
+        if rel is None:
+            rel = row_product(links, spec.site_com_padded)
         self.root_pos, self.root_vel, self.links, self.phidot = root_pos, root_vel, links, phidot
         self.cos, self.sin = links[:n], links[n : 2 * n]
         # site velocity: sum_n coeff * u_perp(phi_n) * phidot_n
-        site = _rows(spec.site_coeff, links)
-        self.site_x = root_pos[:, :1] + site[:n]
-        self.site_y = root_pos[:, 1:] + site[n : 2 * n]
-        self.site_vx = root_vel[:, :1] - site[2 * n : 3 * n]
-        self.site_vy = root_vel[:, 1:] + site[3 * n :]
+        self.site_x = root_pos[:, :1] + rel[:n, :ns]
+        self.site_y = root_pos[:, 1:] + rel[n : 2 * n, :ns]
+        self.site_vx = root_vel[:, :1] - rel[2 * n : 3 * n, :ns]
+        self.site_vy = root_vel[:, 1:] + rel[3 * n :, :ns]
+        self.com = rel[:, ns].reshape(4, n)
 
 
 def _ground_contacts(k: Kinematics, spec: CharacterSpec, cfg: PhysicsConfig,
@@ -615,18 +662,21 @@ def _capsule_distances(k: Kinematics, spec: CharacterSpec) -> tuple[np.ndarray, 
     (ex, ey) runs from that point to the site, and ``touching`` marks
     dist < 2 * contact_radius.
     """
-    partner = np.arange(len(k.root_pos)) ^ 1
+    n, nl = len(k.root_pos), spec.n_links
+    partner = np.arange(n) ^ 1
     cos_b, sin_b = k.cos[partner], k.sin[partner]
     seg_x, seg_y = spec.lengths * cos_b, spec.lengths * sin_b
     seg_len2 = np.maximum(seg_x**2 + seg_y**2, 1e-12)[:, None]
     # (2E, S, L) offsets of each row's sites from the proximal ends of its
-    # partner's links; the stacked matmul is one gemv per row
-    prox_x = k.root_pos[partner, :1] + (spec.prox_coeff @ cos_b[..., None])[..., 0]
-    prox_y = k.root_pos[partner, 1:] + (spec.prox_coeff @ sin_b[..., None])[..., 0]
+    # partner's links: every row's own ends from one row product, then
+    # gathered by partner
+    prox = row_product(k.links[: 2 * n], spec.prox_padded)
+    prox_x = k.root_pos[partner, :1] + prox[:n][partner, :nl]
+    prox_y = k.root_pos[partner, 1:] + prox[n:][partner, :nl]
     dx = k.site_x[:, :, None] - prox_x[:, None, :]
     dy = k.site_y[:, :, None] - prox_y[:, None, :]
     seg_x, seg_y = seg_x[:, None], seg_y[:, None]
-    t = np.clip((dx * seg_x + dy * seg_y) / seg_len2, 0.0, 1.0)
+    t = np.minimum(np.maximum((dx * seg_x + dy * seg_y) / seg_len2, 0.0), 1.0)
     ex, ey = dx - t * seg_x, dy - t * seg_y
     dist = np.sqrt(ex * ex + ey * ey)
     return dist < 2.0 * spec.contact_radius, t, ex, ey, dist
@@ -697,11 +747,40 @@ def _coupling(k: Kinematics, spec: CharacterSpec, cfg: PhysicsConfig):
     return f_com, link[:, 0], link[:, 1], site_opponent
 
 
-def _com_dots(cbar: np.ndarray, links: np.ndarray):
-    """(com_bar . cos, com_bar . sin, com_bar . sin * phidot,
-    com_bar . cos * phidot) of every row of a ``_link_rows`` stack: the
-    body COM offset from the root and its rate, in one contraction."""
-    return _dot(cbar, links).reshape(4, -1)
+def _angular_accel(k: Kinematics, spec: CharacterSpec, fx: np.ndarray, fy: np.ndarray,
+                   tau: np.ndarray, pair=None) -> np.ndarray:
+    """The (E, ndof) angular accelerations theta_dd of every row, by the
+    link-space solve (module docstring).
+
+    ``fx``/``fy`` are the (E, S) site forces and ``tau`` the (E, n_joints)
+    joint torques; ``pair`` is None or the (fx_link, fy_link) link sums
+    of ``_coupling``.  A force f at a point with coefficients c adds
+    (c - com_bar) * (u_perp . f) to the link torques, and the velocity
+    product adds u_perp . (G u phidot^2): one row product gives both link
+    sums per force direction.
+    """
+    n, ns, nl = len(fx), len(spec.sites), spec.n_links
+    c, s = k.cos, k.sin
+    w2 = k.phidot**2
+    rows = np.empty((2 * n, ns + nl))
+    rows[:n, :ns], rows[n:, :ns] = fx, fy
+    np.multiply(c, w2, out=rows[:n, ns:])
+    np.multiply(s, w2, out=rows[n:, ns:])
+    link = row_product(rows, spec.force_padded)
+    fx_link, fy_link = link[:n, :nl], link[n:, :nl]
+    if pair is not None:
+        fx_link, fy_link = fx_link + pair[0], fy_link + pair[1]
+    rhs = c * fy_link
+    rhs -= s * fx_link
+    rhs += row_product(tau, spec.torque_padded)[:, :nl]
+    # cos(phi_n - phi_k) as one stacked (L, 2) @ (2, L) product per row
+    u = k.links[: 2 * n].reshape(2, n, nl)
+    a = u.transpose(1, 2, 0) @ u.transpose(1, 0, 2)
+    a *= spec.link_mass
+    phidd = np.linalg.solve(a, rhs[..., None])[..., 0]
+    qdd = phidd.copy()
+    qdd[:, 1:] -= phidd[:, spec.parent_index]
+    return qdd
 
 
 def _substep(w: World, k: Kinematics, spec: CharacterSpec, tau: np.ndarray, dt: float,
@@ -717,44 +796,27 @@ def _substep(w: World, k: Kinematics, spec: CharacterSpec, tau: np.ndarray, dt: 
     fx, fy, anchor_x, anchor_on = _ground_contacts(k, spec, cfg, w.anchor_x, w.anchor_on)
     site_ground = np.sqrt(fx * fx + fy * fy)
     mass = spec.total_mass
-    cbar = spec.com_bar
-    # generalised forces of the site forces: each force f at a point with
-    # coefficients c adds f to the COM and path^T ((c - com_bar) * (u_perp . f))
-    # to the angular dofs
-    link = _rows(spec.site_to_link, np.concatenate([fx, fy]))
-    fx_link, fy_link = link[:n], link[n:]
+    # each site force adds itself to the COM and its torque about the COM
+    # to the links (``_angular_accel``)
     q_tx, q_ty = fx.sum(axis=1), fy.sum(axis=1) - mass * cfg.gravity
     if coupled:
         f_com, px, py, site_opponent = _coupling(k, spec, cfg)
         q_tx, q_ty = q_tx + f_com[:, 0], q_ty + f_com[:, 1]
-        fx_link, fy_link = fx_link + px, fy_link + py
+        pair = px, py
     else:
-        site_opponent = None
-    q_ang = _rows(spec.path.T, k.cos * fy_link - k.sin * fx_link)
-    q_ang[:, 1:] += tau
+        site_opponent = pair = None
+    qdd = _angular_accel(k, spec, fx, fy, tau, pair)
 
-    # angular mass matrix path^T (G * cos(phi_n - phi_k)) path and the
-    # velocity-product bias, both about the body COM
-    c, s, g = k.cos, k.sin, spec.com_gram
-    cos_nk = c[:, :, None] * c[:, None, :] + s[:, :, None] * s[:, None, :]
-    m_ang = spec.path.T @ (g * cos_nk) @ spec.path + spec.inertia_path
-    w2 = k.phidot**2
-    gram = _rows(g, np.concatenate([s * w2, c * w2]))
-    bias = -_rows(spec.path.T, c * gram[:n] - s * gram[n:])
-    qdd = np.linalg.solve(m_ang, (q_ang - bias)[..., None])[..., 0]
-
-    com_x, com_y, dvx, dvy = _com_dots(cbar, k.links)
+    com_x, com_y, dvx, dvy = k.com
     com_x, com_y = w.root_pos[:, 0] + com_x, w.root_pos[:, 1] + com_y
     vx = w.root_vel[:, 0] - dvx + dt * q_tx / mass
     vy = w.root_vel[:, 1] + dvy + dt * q_ty / mass
     qd = w.qd + dt * qdd
     q = w.q + dt * qd
     # reconstruct the root from the integrated COM
-    angles = _rows(spec.path, np.concatenate([q, qd]))
-    phi, phidot = spec.rest_abs + angles[:n], angles[n:]
-    c, s = np.cos(phi), np.sin(phi)
-    links = _link_rows(c, s, phidot)
-    cx, cy, dvx, dvy = _com_dots(cbar, links)
+    links, phidot = _link_state(spec, q, qd)
+    rel = row_product(links, spec.site_com_padded)
+    cx, cy, dvx, dvy = rel[:, len(spec.sites)].reshape(4, n)
     root_pos, root_vel = np.empty((n, 2)), np.empty((n, 2))
     root_pos[:, 0] = com_x + dt * vx - cx
     root_pos[:, 1] = com_y + dt * vy - cy
@@ -781,8 +843,10 @@ def _substep(w: World, k: Kinematics, spec: CharacterSpec, tau: np.ndarray, dt: 
             np.where(keep, w.anchor_on, anchor_on),
         )
         phidot = np.where(keep, k.phidot, phidot)
-        links = _link_rows(np.where(keep, k.cos, c), np.where(keep, k.sin, s), phidot)
-    k = Kinematics.of_links(spec, new.root_pos, new.root_vel, links, phidot)
+        links = _link_rows(np.where(keep, k.cos, links[:n]),
+                           np.where(keep, k.sin, links[n : 2 * n]), phidot)
+        rel = None
+    k = Kinematics.of_links(spec, new.root_pos, new.root_vel, links, phidot, rel)
     return new, k, site_ground, site_opponent
 
 

@@ -7,6 +7,10 @@ helpers give them that form.  The kinematic quantities come from
 kinematics under test.  ``watch_kinematics`` lets a test see which
 worlds a caller of ``step_batch`` builds Kinematics of.
 
+``joint_space_accel`` is the joint-space angular solve that the
+physics' link-space solve replaced, the oracle of what the integrator's
+angular accelerations mean.
+
 The tests' own measures live here too: ``linear_momentum`` for the
 momentum tests, ``tracking_error_kinematic`` as the oracle path of the
 tracking-error metric, and ``kmeans_inertia`` and ``label_agreement`` to
@@ -77,6 +81,30 @@ def link_endpoints(state, spec):
 def linear_momentum(state, spec):
     """Linear momentum of one character, the measure of the momentum tests."""
     return spec.total_mass * ph.KinFrame(state, spec).com_vel
+
+
+def joint_space_accel(k, spec, fx, fy, tau, pair=None):
+    """``physics._angular_accel`` by the joint-space solve it replaced:
+    solve(P^T (G * C) P + inertia_path, q_ang - bias), in plain matmuls.
+
+    P is ``path``, C = cos(phi_n - phi_k), inertia_path = sum_i I_i
+    P_i^T P_i, q_ang = P^T (cos * fy_link - sin * fx_link) plus the joint
+    torques, and bias = -P^T (cos * G (sin * phidot^2) - sin * G (cos *
+    phidot^2)), the velocity-product term about the body COM."""
+    p, g = spec.path, spec.com_gram
+    inertia_path = np.einsum("i,ia,ib->ab", spec.inertias, p, p)
+    c, s = k.cos, k.sin
+    lever = spec.site_coeff - spec.com_bar
+    fx_link, fy_link = fx @ lever, fy @ lever
+    if pair is not None:
+        fx_link, fy_link = fx_link + pair[0], fy_link + pair[1]
+    q_ang = (c * fy_link - s * fx_link) @ p
+    q_ang[:, 1:] += tau
+    cos_nk = c[:, :, None] * c[:, None, :] + s[:, :, None] * s[:, None, :]
+    m_ang = p.T @ (g * cos_nk) @ p + inertia_path
+    w2 = k.phidot**2
+    bias = -(c * ((s * w2) @ g) - s * ((c * w2) @ g)) @ p
+    return np.linalg.solve(m_ang, (q_ang - bias)[..., None])[..., 0]
 
 
 def tracking_error_kinematic(clip, states, spec):

@@ -398,7 +398,9 @@ class TestCli:
                         "--seed", "2", "--config", smoke_cfg]) == 0
         assert out.read_text().startswith("SLMP-CLOUD/1")
 
-    def test_rollout_writes_one_loadable_clip_per_fighter(self, tmp_path):
+    @staticmethod
+    def _combat_checkpoint(tmp_path):
+        """A directory with an untrained seeded prior and two fighters."""
         spec = ph.default_character()
         ckpt = tmp_path / "combat"
         ckpt.mkdir()
@@ -409,6 +411,10 @@ class TestCli:
         policy = tr.GaussianPolicy(nets.MlpSpec(cb.combat_obs_dim(spec), (16,), 4))
         for i in (1, 2):
             tr.save_policy(ckpt / f"pi_h_{i}.ckpt", f"pi_h_{i}", policy, policy.init(rng, 0.3))
+        return ckpt
+
+    def test_rollout_writes_one_loadable_clip_per_fighter(self, tmp_path):
+        ckpt = self._combat_checkpoint(tmp_path)
         assert cli.run(["rollout", "--mode", "combat", "--ckpt", str(ckpt),
                         "--frames", str(tmp_path / "fight.clip"), "--seconds", "1"]) == 0
         fighters = cb.rollout_combat(ckpt, 1.0, seed_for(0, "rollout"))
@@ -419,3 +425,13 @@ class TestCli:
             assert clip.frame_rate == 30.0
             for k in (0, len(w) - 1):
                 assert np.array_equal(clip.frame_state(k).theta(), mo.split_frames(w)[1][k])
+
+    @pytest.mark.parametrize("seconds", ["0", "-1", "0.03", "nan", "inf"])
+    def test_rollout_refuses_less_than_one_decision(self, tmp_path, capsys, seconds):
+        """A rollout shorter than one decision (1/30 s at the defaults),
+        or not finite, is refused by name and writes no clip."""
+        ckpt = self._combat_checkpoint(tmp_path)
+        assert cli.run(["rollout", "--mode", "combat", "--ckpt", str(ckpt),
+                        "--frames", str(tmp_path / "fight.clip"), "--seconds", seconds]) == 1
+        assert "error: --seconds must be finite and cover at least one decision" in capsys.readouterr().err
+        assert not list(tmp_path.glob("fight.*"))

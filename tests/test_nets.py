@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,47 @@ def test_row_net_rows_keep_their_bits_for_any_row_count(spec):
             got = net(x[pick])
             bad = np.flatnonzero((got != full[pick]).any(axis=1))
             assert not len(bad), f"{spec}: {len(bad)} of {rows} rows differ from the 4096-row call"
+
+
+PADDED = sorted(name for name in vars(ph.CharacterSpec) if name.endswith("_padded"))
+
+
+def _character(name, tmp_path):
+    """The default character, or ``seven_links``: the default without its
+    right leg, read back through ``character_from_json``."""
+    spec = ph.default_character()
+    if name == "default":
+        return spec
+    path = tmp_path / "seven_links.json"
+    ph.character_to_json(spec, path)
+    doc = json.loads(path.read_text())
+    doc["links"] = doc["links"][:7]
+    doc["sites"] = [s for s in doc["sites"] if s["link"] < 7]
+    doc["kp"], doc["kd"] = doc["kp"][:6], doc["kd"][:6]
+    path.write_text(json.dumps(doc))
+    return ph.character_from_json(path)
+
+
+@pytest.mark.parametrize("character", ["default", "seven_links"])
+def test_padded_spec_matrices_keep_row_bits_for_any_row_count(character, tmp_path):
+    """The same rule for the physics: a row of ``row_product`` with every
+    padded ``CharacterSpec`` matrix has the bits of that row in a
+    4096-row call."""
+    spec = _character(character, tmp_path)
+    assert spec.n_links == (9 if character == "default" else 7)
+    assert len(PADDED) == 5
+    rng = np.random.default_rng(13)
+    for name in PADDED:
+        w = getattr(spec, name)
+        assert w.flags.c_contiguous and w.shape[1] % nets.ROW_TILE == 0, name
+        x = rng.standard_normal((4096, w.shape[0]))
+        full = nets.row_product(x, w)
+        for rows in GUARD_ROWS:
+            for _ in range(2):
+                pick = rng.choice(4096, size=rows, replace=False)
+                got = nets.row_product(x[pick], w)
+                bad = np.flatnonzero((got != full[pick]).any(axis=1))
+                assert not len(bad), f"{name}: {len(bad)} of {rows} rows differ from the 4096-row call"
 
 
 @pytest.mark.parametrize("spec", [nets.MlpSpec(4, (7, 5), 3, output_activation="tanh"), *ODD_SPECS],

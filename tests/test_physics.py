@@ -392,11 +392,13 @@ class TestKinematicsHandOff:
 
     def test_one_kinematics_pass_per_substep(self, monkeypatch):
         """A default uncoupled control step builds one Kinematics from
-        angles, for its input, and makes at most 10 row contractions per
-        substep: each substep hands its state's kinematics on."""
+        angles, for its input, with 2 row products, and makes 4 per
+        substep: the site-force and bias map, the joint-to-link torques,
+        the link angles and the site and COM offsets, which the next
+        substep's kinematics reuse."""
         world = ph.World.of([ph.nominal_stance(SPEC, CFG)] * 32, SPEC)
-        counts = {"built": 0, "contractions": 0}
-        init, rows, dot = ph.Kinematics.__init__, ph._rows, ph._dot
+        counts = {"built": 0, "products": 0}
+        init, product = ph.Kinematics.__init__, ph.row_product
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -405,11 +407,52 @@ class TestKinematicsHandOff:
             return wrapper
 
         monkeypatch.setattr(ph.Kinematics, "__init__", counted("built", init))
-        monkeypatch.setattr(ph, "_rows", counted("contractions", rows))
-        monkeypatch.setattr(ph, "_dot", counted("contractions", dot))
+        monkeypatch.setattr(ph, "row_product", counted("products", product))
         ph.step_batch(world, SPEC, CFG.dt, CFG, pd_targets=world.q[:, 1:])
         assert counts["built"] == 1
-        assert counts["contractions"] <= 10 * CFG.substeps
+        assert counts["products"] == 2 + 4 * CFG.substeps
+
+
+class TestLinkSpaceSolve:
+    @pytest.mark.parametrize("coupled", [False, True], ids=["uncoupled", "coupled"])
+    def test_accelerations_match_the_joint_space_solve(self, coupled, monkeypatch):
+        """The angular accelerations of every substep of ``step_batch``
+        agree with the joint-space solve, to 1e-12 of each row's largest,
+        on random states with raw torques: the link-space solve keeps the
+        integrator's meaning."""
+        calls = []
+        accel = ph._angular_accel
+
+        def recording(k, spec, fx, fy, tau, pair=None):
+            got = accel(k, spec, fx, fy, tau, pair)
+            calls.append((got, reference.joint_space_accel(k, spec, fx, fy, tau, pair), pair))
+            return got
+
+        monkeypatch.setattr(ph, "_angular_accel", recording)
+        rng = np.random.default_rng(31)
+        states = []
+        for i in range(12):
+            s = ph.nominal_stance(SPEC, CFG)
+            if coupled and i % 2:
+                s = ph.mirror_state(s)
+            s.root_pos[0] += (0.15 if i % 2 else -0.15) if coupled else rng.uniform(-1.0, 1.0)
+            s.root_angle += rng.uniform(-0.3, 0.3)
+            s.joint_angles = s.joint_angles + rng.uniform(-0.8, 0.8, 8)
+            s.joint_vels = rng.uniform(-4.0, 4.0, 8)
+            s.anchor_x = None
+            s.anchor_on = None
+            states.append(s)
+        world = ph.World.of(states, SPEC)
+        for _ in range(3):
+            world, _ = ph.step_batch(world, SPEC, CFG.dt, CFG, torques=rng.uniform(-30.0, 30.0, (12, 8)),
+                                     coupled=coupled)
+        assert len(calls) == 3 * CFG.substeps
+        if coupled:
+            assert any(np.abs(pair[0]).max() > 0.0 for _, _, pair in calls)
+        for got, want, _ in calls:
+            assert np.all(np.isfinite(want))
+            scale = np.abs(want).max(axis=1, keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 class TestCharacterIO:
