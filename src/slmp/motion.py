@@ -45,7 +45,7 @@ CLIP_SECONDS = 10.0  # default clip length
 CLIP_SECONDS_RANGE = (2.0, 20.0)  # the clip lengths generate_clip makes
 CLIP_HZ = 30.0  # default clip frame rate
 
-CLIP_MAGIC = "SLMP-CLIP/1"
+CLIP_MAGIC = "SLMP-CLIP/2"
 
 
 class ClipFormatError(ValueError):

@@ -31,11 +31,26 @@ every padded matrix of the physics.  Rollouts use a ``RowNet``, built
 once per parameter version: the same network with every layer's weight
 padded that way, so each layer is one row product, and ``physics`` runs
 its per-row contractions on it too.
+
+Checkpoints, Adam states, clips and ``envs.txt`` are text tables
+(``write_table``/``read_table``): header lines, then one line per row of
+space-separated values.  Each value is one fixed-width, 24-character
+C99 ``%a`` token, ``[+-]0x[01].<13 lower-case hex digits>p[+-]<4
+decimal digits>``: the sign, the lead bit, the 52 significand bits as
+they are stored and the unbiased exponent; a normal number has lead 1
+and exponent biased - 1023, zero and the subnormals have lead 0 and
+exponent -1022.  So each token holds a double's bits, not a rounded
+decimal, and every finite double round-trips exactly, with one spelling
+per double; ``float.fromhex`` and C ``strtod`` read it.  No token spells
+inf or NaN.  The fixed width lets whole chunks of rows be encoded and
+decoded with uint8 array arithmetic, with no Python call per value.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -45,11 +60,15 @@ import numpy as np
 ACTIVATIONS = ("silu", "relu")
 OUTPUT_ACTIVATIONS = ("none", "tanh")
 
-CKPT_MAGIC = "SLMP-CKPT/1"
+CKPT_MAGIC = "SLMP-CKPT/2"
+ADAM_MAGIC = "SLMP-ADAM/2"
 ROW_TILE = 8  # pad_columns pads every output width to a multiple of this
 LEARN_DTYPE = np.float32  # compute dtype of every learner's tapes
 _GRAD_FLOOR = 2.0**-40  # scaled grad_out entries below this are zeroed on a float32 tape
-_WRITE_CHUNK = 8192  # values formatted per write in the text table files
+_WRITE_CHUNK = 8192  # values encoded per write in the text table files
+# values decoded per read: 1/_READ_SHARE of the table, so that a reader's
+# working set stays a fraction of the array it fills, within these bounds
+_READ_MIN, _READ_CHUNK, _READ_SHARE = 256, 4096, 16
 
 
 @dataclass(frozen=True)
@@ -485,21 +504,153 @@ def adam_step(
     return new, replace(state, m=m, v=v, t=t)
 
 
+def _exponent_rows() -> np.ndarray:
+    """(2048, 25) uint8: per biased exponent, the token of the positive
+    value with that exponent and a zero significand, then a space.  Row 0
+    spells zero and the subnormals; row 2047 (inf, NaN) is never written."""
+    rows = [f"+0x{min(b, 1)}.{'0' * 13}p{max(b, 1) - 1023:+05d} " for b in range(2047)]
+    return np.frombuffer("".join(rows + ["?" * 25]).encode(), np.uint8).reshape(2048, 25)
+
+
+_EXPONENT_ROWS = _exponent_rows()
+# Per token byte (sign, "0", "x", lead, ".", 13 hex digits, "p", sign, 4
+# decimal digits, separator): the bits that must equal those of _WANT.
+# Under 0xF9 a sign ("+" or "-") reads as ")"; so do ")" and "/", which
+# the sign test refuses.  Under 0xF0 a digit reads as "0".
+_MASK = np.array([0xF9, 0xFF, 0xFF, 0xFE, 0xFF, *[0] * 13, 0xFF, 0xF9, *[0xF0] * 4, 0xFF], np.uint8)
+_WANT = np.frombuffer(b")0x0." + bytes(13) + b"p)0000 ", np.uint8)
+_PLACES = np.array([1000, 100, 10, 1], np.int16)
+
+
+def _encode(values: np.ndarray) -> np.ndarray | None:
+    """The (rows, W, 25) uint8 text of the (rows, W) float64 ``values``:
+    per value its token and a space, a newline after each row's last.
+    None when a value is not finite."""
+    b = values.astype(">f8").view(np.uint8).reshape(*values.shape, 8)
+    biased = (b[..., 0] & 0x7F).astype(np.uint16) << 4
+    biased |= b[..., 1] >> 4
+    if (biased == 2047).any():
+        return None
+    out = np.take(_EXPONENT_ROWS, biased, axis=0, mode="clip")
+    out[..., 0] += (b[..., 0] >> 7) << 1  # "+" -> "-"
+    out[..., -1, 24] = 10
+    nib = out[..., 5:18]
+    nib[..., 0] = b[..., 1] & 0x0F
+    np.right_shift(b[..., 2:], 4, out=nib[..., 1::2])
+    np.bitwise_and(b[..., 2:], 0x0F, out=nib[..., 2::2])
+    nib += 48 + 39 * (nib > 9).view(np.uint8)
+    return out
+
+
+def _decode(raw: bytes, out: np.ndarray, want: np.ndarray) -> bool:
+    """Decode the ``len(out)`` lines of tokens in ``raw`` into the (rows, W)
+    ``out``.  False, with ``out`` partly written, unless every byte is as
+    ``_encode`` spells it; ``want`` is ``_WANT`` per column of a row."""
+    rows, width = out.shape
+    if len(raw) != rows * width * 25:
+        return False
+    t = np.frombuffer(raw, np.uint8).reshape(rows, width, 25)
+    check = t & _MASK
+    check ^= want
+    if check.any():
+        return False
+    del check
+    signs = t[..., [0, 19]]
+    digits = t[..., 20:24] & 0x0F
+    if not ((signs == 43) | (signs == 45)).all() or (digits > 9).any():
+        return False
+    nib = t[..., 5:18] - 48  # "0"-"9" -> 0-9, "a"-"f" -> 49-54
+    letter = nib > 9
+    nib -= 39 * letter.view(np.uint8)
+    letter &= nib < 10
+    if letter.any() or nib.max() > 15:
+        return False
+    magnitude = digits @ _PLACES
+    negative = signs[..., 1] == 45  # "+" is 43, "-" is 45
+    biased = np.where(negative, 1023 - magnitude, 1023 + magnitude)
+    lead = t[..., 3] == 49
+    # lead 1 takes the exponents -1022..1023, lead 0 only -1022; 0 is "+0000"
+    bad_exponent = np.where(lead, (biased < 1) | (biased > 2046), biased != 1)
+    if (bad_exponent | negative & (magnitude == 0)).any():
+        return False
+    biased *= lead
+    b = np.empty((rows, width, 8), np.uint8)
+    b[..., 0] = (signs[..., 0] - 43) << 6 | biased >> 4
+    b[..., 1] = (biased & 0x0F) << 4 | nib[..., 0]
+    b[..., 2:] = nib[..., 1::2] << 4 | nib[..., 2::2]
+    out[:] = b.view(">f8")[..., 0]
+    return True
+
+
+_TOKEN = re.compile(r"[+-]0x([01])\.[0-9a-f]{13}p([+-][0-9]{4})")
+
+
+def _parse_row(line: str, width: int) -> list[float]:
+    """The values of one table line, or a ValueError saying what is wrong."""
+    parts = line.split()
+    if len(parts) != width:
+        raise ValueError(f"expected {width} values, got {len(parts)}")
+    if " ".join(parts) != line:
+        raise ValueError("values must be separated by single spaces")
+    for p in parts:
+        m = _TOKEN.fullmatch(p)
+        if m and m[1] == "0":
+            ok = m[2] == "-1022"
+        else:
+            ok = m is not None and -1022 <= int(m[2]) <= 1023 and m[2] != "-0000"
+        if not ok:
+            raise ValueError(f"not a table value: {p!r}")
+    return [float.fromhex(p) for p in parts]
+
+
+def _parse_chunk(f, raw: bytes, chunk: np.ndarray, ln: int) -> None:
+    """Parse the rows of a chunk that ``_decode`` refused into ``chunk``,
+    line by line, reading the rest of a cut last line from ``f``.  The
+    first bad line, numbered from ``ln`` + 1, raises ``line k: ...``."""
+    text = raw.decode()
+    if text and not text.endswith("\n"):
+        text += f.readline()
+    lines = text.split("\n")
+    for k in range(len(chunk)):
+        try:
+            chunk[k] = _parse_row(lines[k] if k < len(lines) else "", chunk.shape[1])
+        except ValueError as e:
+            raise ValueError(f"line {ln + k + 1}: {e}") from None
+
+
 def write_table(path: str | Path, head: list[str], rows: np.ndarray) -> None:
     """Write the ``head`` lines, then one line per row of the (N,) or
-    (N, W) array ``rows``: the exact ``repr`` of each value, space-separated
-    (see ``read_table``).  Rows are formatted a chunk at a time, so no list
-    of strings for a whole array is ever held."""
+    (N, W) array ``rows``: each value's token, space-separated.
+
+    A token is the C99 ``%a`` spelling at a fixed 24 characters,
+    ``[+-]0x[01].<13 lower-case hex digits>p[+-]<4 decimal digits>``:
+    the stored sign, lead bit, significand and unbiased exponent (-1022
+    for zero and the subnormals), so it is exact and unique per double
+    (module docstring).  Rows are encoded ``_WRITE_CHUNK`` values at a
+    time with array arithmetic into a sibling ``.tmp`` file, which then
+    replaces ``path``: a failed write leaves the previous file as it was
+    and no temporary file.  A non-finite value, which no token spells, is
+    refused by file and line.
+    """
     rows = np.asarray(rows, dtype=np.float64)
-    step = _WRITE_CHUNK // max(rows[:1].size, 1) or 1
-    with open(path, "w") as f:
-        f.write("\n".join(head) + "\n")
-        for lo in range(0, len(rows), step):
-            chunk = rows[lo : lo + step].tolist()
-            if rows.ndim == 1:
-                f.write("\n".join(map(repr, chunk)) + "\n")
-            else:
-                f.write("\n".join(" ".join(map(repr, row)) for row in chunk) + "\n")
+    table = rows[:, None] if rows.ndim == 1 else rows
+    step = max(_WRITE_CHUNK // max(table.shape[1], 1), 1)
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(("\n".join(head) + "\n").encode())
+            for lo in range(0, len(table), step):
+                text = _encode(table[lo : lo + step])
+                if text is None:
+                    bad = lo + int(np.argmin(np.isfinite(table[lo : lo + step]).all(axis=1)))
+                    raise ValueError(f"{path}: line {len(head) + bad + 1}: a non-finite value "
+                                     "cannot be written")
+                f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_table(path: str | Path, magic: str | None, keys: tuple[str, ...],
@@ -509,12 +660,20 @@ def read_table(path: str | Path, magic: str | None, keys: tuple[str, ...],
 
     The layout is a ``magic`` line (none when ``magic`` is None), one
     ``key=value`` line for each of ``keys`` in that order, ``n`` rows of
-    ``width`` space-separated floats, then nothing but whitespace.
+    ``width`` values, then nothing but whitespace.  A row is its values'
+    24-character tokens (``write_table``) joined by single spaces; each
+    token reads back to the very double that was written.
     ``shape(head)`` parses and checks the header values (``head_value``)
     and returns ``(n, width)``.  Returns the (n,) values at width 1, else
-    an (n, width) array.  The file streams in: no list of its lines is
-    ever held.  Every refusal is a ``ValueError`` that names the file and
-    the line or key.
+    an (n, width) array.
+
+    The rows are read as text, so CRLF line ends read the same, and
+    stream in chunks of rows into the one result array, so no list of the
+    file's lines is ever held.  Every byte of a chunk is checked, and the
+    chunk decoded, with array arithmetic; only a chunk that fails a check
+    (or lacks the last line's newline) is parsed again line by line, to
+    name its first bad line.  Every refusal is a ``ValueError`` that
+    names the file and the line or key.
     """
     with open(path) as f:
         if magic is not None and f.readline().rstrip("\n") != magic:
@@ -527,27 +686,23 @@ def read_table(path: str | Path, magic: str | None, keys: tuple[str, ...],
             raise ValueError(f"{path}: header has no {e.args[0]!r} line") from None
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from e
-        if width == 1:
-            try:
-                rows = np.fromiter(map(float, itertools.islice(f, n)), np.float64, n)
-            except ValueError as e:
-                raise ValueError(f"{path}: expected {n} values on lines {ln + 1}-{ln + n}: {e}") from e
-            ln += n
-        else:
-            rows = np.empty((n, width))
-            for i in range(n):
-                ln += 1
-                parts = f.readline().split()
-                if len(parts) != width:
-                    raise ValueError(f"{path}: line {ln}: expected {width} values, got {len(parts)}")
+        rows = np.empty((n, width))
+        want = np.tile(_WANT, (width, 1))
+        want[-1, 24] = 10
+        step = max(min(max(rows.size // _READ_SHARE, _READ_MIN), _READ_CHUNK) // width, 1)
+        for lo in range(0, n, step):
+            chunk = rows[lo : lo + step]
+            raw = f.read(chunk.size * 25).encode()
+            if not _decode(raw, chunk, want):
                 try:
-                    rows[i] = [float(p) for p in parts]
+                    _parse_chunk(f, raw, chunk, ln + lo)
                 except ValueError as e:
-                    raise ValueError(f"{path}: line {ln}: {e}") from e
-        for ln, line in enumerate(f, start=ln + 1):
+                    where = f"expected {n} values on lines {ln + 1}-{ln + n}: {e}" if width == 1 else e
+                    raise ValueError(f"{path}: {where}") from None
+        for ln, line in enumerate(f, start=ln + n + 1):
             if line.strip():
                 raise ValueError(f"{path}: line {ln}: data after the last of {n} rows")
-    return rows
+    return rows.reshape(n) if width == 1 else rows
 
 
 def head_value(head: dict[str, str], key: str, kind: Callable = int):
@@ -563,7 +718,7 @@ def head_value(head: dict[str, str], key: str, kind: Callable = int):
 
 
 def adam_state_save(path: str | Path, state: AdamState) -> None:
-    head = ["SLMP-ADAM/1", f"t={state.t}", f"lr={state.lr!r}", f"beta1={state.beta1!r}",
+    head = [ADAM_MAGIC, f"t={state.t}", f"lr={state.lr!r}", f"beta1={state.beta1!r}",
             f"beta2={state.beta2!r}", f"eps={state.eps!r}", f"count={state.m.size}"]
     write_table(path, head, np.concatenate([state.m, state.v]))
 
@@ -577,7 +732,7 @@ def adam_state_load(path: str | Path) -> AdamState:
         got["t"] = head_value(head, "t")
         return 2 * n, 1
 
-    values = read_table(path, "SLMP-ADAM/1", ("t", "lr", "beta1", "beta2", "eps", "count"), shape)
+    values = read_table(path, ADAM_MAGIC, ("t", "lr", "beta1", "beta2", "eps", "count"), shape)
     n = values.size // 2
     return AdamState(m=values[:n], v=values[n:], **got)
 

@@ -7,7 +7,11 @@ prints ``<family> <sha256>`` lines for
 - the frames of ``motion.generate_library()``;
 - every file the ``SMOKE_CFG`` command-line pipeline writes (gen-data,
   train-track, distill, eval-track, eval-survival, viz-sphere,
-  train-combat, rollout);
+  train-combat, rollout), and for each text table among them
+  (checkpoints, Adam states, clips and ``envs.txt``) a ``:values`` line:
+  the float64 arrays the package's own loader reads back, so that a
+  change of how values are spelled moves the file's line but not its
+  ``:values`` line;
 - the final parameters and ``metrics.csv`` of 2 updates each of
   ``train_tracking``, ``train_slmp`` (``slmp_update``) and 2 epochs of
   ``self_play_train``, chained as in the pipeline: the distillation reads
@@ -15,7 +19,8 @@ prints ``<family> <sha256>`` lines for
 - both instances' final parameters and the ``metrics.csv`` of 2 tiny
   self-play epochs with a swap after each, so that each instance trains
   once (``combat.swap``);
-- the ``envs.txt`` rollout state that those tracking updates end with;
+- the ``envs.txt`` rollout state that those tracking updates end with,
+  as bytes and as the values read back;
 - the rewards, hit counts, termination reasons and episode times of 16
   ``CombatEnv.decision_step`` calls of 2 envs over a tiny prior, close
   enough to land hits and knock fighters down (``combat.decisions``);
@@ -68,8 +73,40 @@ def array_sha(arrays) -> str:
     return sha(*(np.ascontiguousarray(a, dtype=np.float64).tobytes() for a in arrays))
 
 
+def table_values(path: Path) -> list[np.ndarray] | None:
+    """The arrays the package reads back from the text table ``path``, or
+    None when ``path`` is not one.  ``envs.txt`` is read as
+    ``tracking.resume_train_state`` reads it, for the default character."""
+    if path.suffix == ".ckpt":
+        return [nets.load_checkpoint(path)[2]]
+    if path.suffix == ".clip":
+        return [mo.load_clip(path).frames]
+    if path.suffix == ".txt" and path.name.startswith("adam_"):
+        state = nets.adam_state_load(path)
+        return [state.m, state.v]
+    if path.name == "envs.txt":
+        spec = ph.default_character()
+
+        def shape(head):
+            return nets.head_value(head, "envs"), 2 * (3 + spec.ndof + len(spec.sites))
+
+        return [nets.read_table(path, None, ("update", "envs"), shape)]
+    return None
+
+
+def file_digests(prefix: str, path: Path) -> dict[str, str]:
+    """``prefix`` -> the digest of the bytes of ``path`` and, for a text
+    table, ``prefix:values`` -> the digest of the values read back."""
+    out = {prefix: sha(path.read_bytes())}
+    values = table_values(path)
+    if values is not None:
+        out[f"{prefix}:values"] = array_sha(values)
+    return out
+
+
 def smoke_pipeline(work: Path) -> dict[str, str]:
-    """Digest of every file the ``SMOKE_CFG`` pipeline writes under ``work``."""
+    """Digests of every file the ``SMOKE_CFG`` pipeline writes under
+    ``work`` (``file_digests``)."""
     cfg = work / "smoke.cfg"
     cfg.write_text(SMOKE_CFG)
     common = ["--seed", "5", "--config", str(cfg)]
@@ -91,10 +128,11 @@ def smoke_pipeline(work: Path) -> dict[str, str]:
             code = cli.run(argv + common)
         if code != 0:
             raise RuntimeError(f"slmp {argv[0]} failed")
-    return {
-        f"smoke/{p.relative_to(work).as_posix()}": sha(p.read_bytes())
-        for p in sorted(work.rglob("*")) if p.is_file() and p != cfg
-    }
+    out = {}
+    for p in sorted(work.rglob("*")):
+        if p.is_file() and p != cfg:
+            out.update(file_digests(f"smoke/{p.relative_to(work).as_posix()}", p))
+    return out
 
 
 def training(work: Path, clips: list[mo.MotionClip], tiny: bool) -> dict[str, str]:
@@ -116,7 +154,7 @@ def training(work: Path, clips: list[mo.MotionClip], tiny: bool) -> dict[str, st
     ):
         out[f"{stage}.params"] = array_sha(arrays)
         out[f"{stage}.metrics"] = sha((work / stage / "metrics.csv").read_bytes())
-    out["track.envs"] = sha((work / "track" / "envs.txt").read_bytes())
+    out.update(file_digests("track.envs", work / "track" / "envs.txt"))
     params, values = cb.self_play_train(
         work / "distill", cb.CombatConfig(epochs=2, swap_period=1, **TINY_COMBAT),
         work / "swap", SEED, log=False)

@@ -19,7 +19,8 @@ judge a clustering.
 The clip generator and clip writer work on rows too.  ``leg_ik``,
 ``generate_clip`` and ``clip_text`` are their one-frame-at-a-time and
 one-value-at-a-time forms, which the row versions must equal byte for
-byte.
+byte.  ``table_token`` spells one table value from its ``struct`` bits,
+the oracle of the array encoder behind ``nets.write_table``.
 
 Batched rollouts gather reference frames from one ``motion.ClipLibrary``
 array and write observations into one buffer.  ``sample_frames`` and
@@ -36,6 +37,7 @@ bit.  ``spawn_pair`` is one env's spawn as two ``SimState`` copies of the
 stance, which ``CombatEnv``'s spawned rows must equal.
 """
 import math
+import struct
 from dataclasses import dataclass, fields
 from itertools import permutations
 
@@ -220,6 +222,18 @@ def generate_clip(family, seed, duration, frame_rate, spec, cfg):
                                root_pos, root_angle, joints)
 
 
+def table_token(v):
+    """The 24-character table token of the float ``v``: sign, ``0x``, the
+    lead digit, 13 lower-case hex digits of the significand, ``p`` and a
+    signed 4-digit exponent; zero and subnormals as ``0x0.<...>p-1022``."""
+    bits = struct.unpack(">Q", struct.pack(">d", v))[0]
+    biased, fraction = bits >> 52 & 0x7FF, bits & (1 << 52) - 1
+    if biased == 0x7FF:
+        raise ValueError(f"{v} has no table token")
+    lead, exponent = (0, -1022) if biased == 0 else (1, biased - 1023)
+    return f"{'-' if bits >> 63 else '+'}0x{lead}.{fraction:013x}p{exponent:+05d}"
+
+
 def clip_text(clip):
     """The text of ``motion.save_clip``, each value formatted on its own."""
     lines = [
@@ -231,7 +245,7 @@ def clip_text(clip):
         f"id={clip.clip_id}",
     ]
     for row in clip.frames:
-        lines.append(" ".join(repr(float(v)) for v in row))
+        lines.append(" ".join(table_token(float(v)) for v in row))
     return "\n".join(lines) + "\n"
 
 

@@ -326,6 +326,14 @@ class TestClipIO:
         (lambda lines: [lines[0], "hz=0.0", *lines[2:]], "header line hz='0.0'"),
         (lambda lines: [*lines[:4], "joints=eight", *lines[5:]], "header line joints='eight'"),
         (lambda lines: [*lines[:3], "kind=idle", *lines[4:]], "header has no 'family' line"),
+        (lambda lines: [*lines[:7], " ".join(["+0x1.999999999999Ap-0004", *lines[7].split()[1:]]),
+                        *lines[8:]], "line 8: not a table value"),
+        (lambda lines: [*lines[:8], " ".join(["+0x0.8000000000000p-1021", *lines[8].split()[1:]]),
+                        *lines[9:]], "line 9: not a table value"),
+        (lambda lines: [*lines[:9], lines[9][1:], *lines[10:]], "line 10: not a table value"),
+        (lambda lines: [*lines[:10], " ".join(["0.5", *lines[10].split()[1:]]), *lines[11:]],
+         "line 11: not a table value"),
+        (lambda lines: ["SLMP-CLIP/1", *lines[1:]], "line 1: expected SLMP-CLIP/2"),
     ])
     def test_bad_file_is_refused_by_line_or_key(self, tmp_path, edit, where):
         path = tmp_path / "t.clip"

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import reference
 from slmp import combat as cb
 from slmp import distill as di
 from slmp import motion as mo
@@ -582,28 +583,29 @@ class TestCheckpoint:
         nets.save_checkpoint(p2, "net", spec2, loaded)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_text_bytes_equal_one_repr_per_value(self, tmp_path):
+    def test_text_bytes_equal_one_token_per_value(self, tmp_path):
         """The checkpoint and Adam writers stream their values over several
-        chunks with the bytes of one repr(float) per line: signed zeros,
-        subnormals and large and small magnitudes round-trip exactly."""
+        chunks with the bytes of one ``reference.table_token`` per line:
+        signed zeros, subnormals and large and small magnitudes round-trip
+        exactly."""
         rng = np.random.default_rng(15)
         spec = nets.MlpSpec(100, (200,), 2)
         values = rng.standard_normal(spec.param_count() + 2)
         special = [0.0, -0.0, 5e-324, -2.5e-310, 1e16, -1e16, 1e-5, 0.1, 1.0, -3.0]
         values[: len(special)] = special
         values[-len(special):] = special
-        head = ["SLMP-CKPT/1", "name=pi", "input=100", "hidden=200", "output=2", "act=silu",
+        head = ["SLMP-CKPT/2", "name=pi", "input=100", "hidden=200", "output=2", "act=silu",
                 "out_act=none", "extra=2", f"count={values.size}"]
         nets.save_checkpoint(tmp_path / "pi.ckpt", "pi", spec, values, extra=2)
-        want = "\n".join(head + [repr(float(v)) for v in values]) + "\n"
+        want = "\n".join(head + [reference.table_token(float(v)) for v in values]) + "\n"
         assert (tmp_path / "pi.ckpt").read_bytes() == want.encode()
         assert nets.load_checkpoint(tmp_path / "pi.ckpt")[2].tobytes() == values.tobytes()
 
         state = nets.AdamState(values, values[::-1].copy(), 7, 3e-4)
         nets.adam_state_save(tmp_path / "adam.txt", state)
-        head = ["SLMP-ADAM/1", "t=7", "lr=0.0003", "beta1=0.9", "beta2=0.999", "eps=1e-08",
+        head = ["SLMP-ADAM/2", "t=7", "lr=0.0003", "beta1=0.9", "beta2=0.999", "eps=1e-08",
                 f"count={values.size}"]
-        want = "\n".join(head + [repr(float(v)) for v in (*state.m, *state.v)]) + "\n"
+        want = "\n".join(head + [reference.table_token(float(v)) for v in (*state.m, *state.v)]) + "\n"
         assert (tmp_path / "adam.txt").read_bytes() == want.encode()
         loaded = nets.adam_state_load(tmp_path / "adam.txt")
         assert loaded.m.tobytes() == state.m.tobytes() and loaded.v.tobytes() == state.v.tobytes()
@@ -684,6 +686,16 @@ class TestCheckpoint:
         ("a.txt", lambda lines: [*lines[:2], "lr=fast", *lines[3:]], "header line lr='fast'"),
         ("x.ckpt", lambda lines: [*lines[:3], "hidden=4,x", *lines[4:]], "header line hidden='4,x'"),
         ("x.ckpt", lambda lines: [*lines[:9], "0.5 0.5", *lines[10:]], "expected 3 values on lines 10-12"),
+        ("x.ckpt", lambda lines: [*lines[:10], "+0x1.999999999999Ap-0004", *lines[11:]],
+         "expected 3 values on lines 10-12: line 11: not a table value"),
+        ("a.txt", lambda lines: [*lines[:8], "+0x0.8000000000000p-1021", *lines[9:]],
+         "expected 6 values on lines 8-13: line 9: not a table value"),
+        ("x.ckpt", lambda lines: [*lines[:11], lines[11][:-1], *lines[12:]],
+         "expected 3 values on lines 10-12: line 12: not a table value"),
+        ("a.txt", lambda lines: [*lines[:12], "0.5", *lines[13:]],
+         "expected 6 values on lines 8-13: line 13: not a table value"),
+        ("x.ckpt", lambda lines: ["SLMP-CKPT/1", *lines[1:]], "line 1: expected SLMP-CKPT/2"),
+        ("a.txt", lambda lines: ["SLMP-ADAM/1", *lines[1:]], "line 1: expected SLMP-ADAM/2"),
     ])
     def test_bad_file_is_refused_by_line_or_key(self, tmp_path, name, edit, where):
         spec = nets.MlpSpec(2, (), 1)
@@ -694,6 +706,47 @@ class TestCheckpoint:
         load = nets.load_checkpoint if name == "x.ckpt" else nets.adam_state_load
         with pytest.raises(ValueError, match=f"{name}: {where}"):
             load(path)
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        """A table write that fails after its first chunk, of three, leaves
+        the file it was replacing as it was, and no temporary file."""
+        class FailingFile:
+            """Passes the head's and the first chunk's writes on, then fails."""
+
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError("disk full")
+                return self.f.write(data)
+
+        path = tmp_path / "t.txt"
+        nets.write_table(path, ["n=1"], np.zeros(1))
+        before = path.read_bytes()
+        monkeypatch.setattr(nets, "open", lambda *a, **k: FailingFile(open(*a, **k)), raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            nets.write_table(path, ["n=3"], np.arange(3 * nets._WRITE_CHUNK, dtype=np.float64))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.txt"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_refused_by_file(self, tmp_path, bad):
+        """No table token spells inf or NaN: the write is refused by file
+        and line, and leaves no file behind."""
+        spec = nets.MlpSpec(2, (), 1)
+        values = np.zeros(spec.param_count())
+        values[1] = bad
+        with pytest.raises(ValueError, match="x.ckpt: line 11: a non-finite value cannot be written"):
+            nets.save_checkpoint(tmp_path / "x.ckpt", "x", spec, values)
+        assert list(tmp_path.iterdir()) == []
 
     def test_extra_tail(self, tmp_path):
         spec = nets.MlpSpec(2, (), 2)
