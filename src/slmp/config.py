@@ -75,7 +75,7 @@ class DataSection:
     combo: int = mo.DEFAULT_COUNTS["combo"]
 
     def __post_init__(self):
-        mo.clip_frames(self.duration, self.hz)  # generate_clip's own check
+        mo.clip_frames(self.duration, self.hz)  # generate_library's frame-count check
         ph.require_non_negative(self, mo.FAMILIES)
 
     def counts(self) -> dict[str, int]:

@@ -7,15 +7,20 @@ or swinging foot targets, so the kinematic poses never dig into the
 ground.  Frame velocities are forward differences of the stored poses,
 which makes pose/velocity consistency exact by construction.
 
-A clip is generated in two passes.  The per-frame scalar logic (phases,
-ramps, bumps) poses every frame: root, guard blend, arm offsets and foot
-targets.  Then the arm joints of all frames are blended in one array
-expression, and each leg is solved for all frames in one
-``physics.leg_ik_rows`` call.  The arithmetic is elementwise, so every
-frame gets the bits of the one-frame computation.  The transcendentals
-(``atan2``, ``acos``, ``cos``, ``sin``) stay libm ``math`` calls, one per
-row: numpy's SIMD versions may round differently, and differently on
-each machine, which would change the clip bytes.
+A clip library is generated in two passes, on frame arrays.  First each
+clip is posed by array expressions over its frame times (phases, ramps,
+bumps): root, guard blend, arm offsets and foot targets, drawing its
+parameters from its own seeded generator.  Then the arm joints of all
+frames of all clips are blended in one array expression, each leg is
+solved for all of those frames in one ``physics.leg_ik_rows`` call, and
+the rows are cut into clips.  Each step is the IEEE operations of the
+one-frame computation, in its order and elementwise (numpy's ``+ - * /``
+and ``%`` round as Python floats do), so every frame gets the bits of
+posing it alone, and a clip the same bits in any library.  The transcendentals (``atan2``, ``acos``,
+``cos``, ``sin``) stay libm ``math`` calls, one per element, mapped over
+an array by ``physics.libm_map``: numpy's SIMD versions may round
+differently, and differently on each machine, which would change the
+clip bytes.
 
 A ``MotionClip`` is the file format and the generator's output: a frame
 rate, a family, an id and one (F, 6 + 2J) array of frame rows in the
@@ -42,7 +47,7 @@ from . import physics as ph
 
 FAMILIES = ("idle", "footwork", "jab", "hook", "kick", "combo")
 CLIP_SECONDS = 10.0  # default clip length
-CLIP_SECONDS_RANGE = (2.0, 20.0)  # the clip lengths generate_clip makes
+CLIP_SECONDS_RANGE = (2.0, 20.0)  # the clip lengths generate_library makes
 CLIP_HZ = 30.0  # default clip frame rate
 
 CLIP_MAGIC = "SLMP-CLIP/2"
@@ -139,7 +144,9 @@ class ClipLibrary:
     """
 
     def __init__(self, clips: list[MotionClip]):
-        if not clips or any(c.n_joints != clips[0].n_joints for c in clips):
+        if not clips:
+            raise ValueError("a clip library needs at least one clip, got no clips")
+        if any(c.n_joints != clips[0].n_joints for c in clips):
             raise ValueError("a clip library needs clips of one character")
         self.clip_ids = tuple(map(id, clips))
         self.n_joints = clips[0].n_joints
@@ -271,27 +278,27 @@ def goal_state(clip: MotionClip, t: float, state: ph.SimState) -> Goal:
 # --- generation ---------------------------------------------------------
 
 
-def _bump(t: float, t0: float, dur: float) -> float:
-    """Raised-cosine bump: 0 outside [t0, t0+dur], 1 at the midpoint."""
-    if dur <= 0 or t < t0 or t > t0 + dur:
-        return 0.0
-    u = (t - t0) / dur
-    return 0.5 * (1.0 - math.cos(2.0 * math.pi * u))
+def _bump(t: np.ndarray, t0: float, dur: float) -> np.ndarray:
+    """Raised-cosine bump of every element of ``t``: 0 outside [t0, t0+dur],
+    1 at the midpoint."""
+    out = np.zeros(len(t))
+    on = ~((t < t0) | (t > t0 + dur))
+    out[on] = 0.5 * (1.0 - ph.libm_map(math.cos, 2.0 * math.pi * ((t[on] - t0) / dur)))
+    return out
 
 
-def _ramp(t: float, t0: float, dur: float) -> float:
-    """Smooth 0 -> 1 transition over [t0, t0+dur]."""
-    if t <= t0:
-        return 0.0
-    if t >= t0 + dur:
-        return 1.0
-    u = (t - t0) / dur
-    return 0.5 * (1.0 - math.cos(math.pi * u))
+def _ramp(t: np.ndarray, t0: float, dur: float) -> np.ndarray:
+    """Smooth 0 -> 1 transition over [t0, t0+dur] of every element of ``t``."""
+    before, after = t <= t0, t >= t0 + dur
+    out = (after & ~before).astype(np.float64)
+    mid = ~(before | after)
+    out[mid] = 0.5 * (1.0 - ph.libm_map(math.cos, math.pi * ((t[mid] - t0) / dur)))
+    return out
 
 
 class _PoseBuilder:
     """Shared scaffolding: stance base, guard blending, leg IK, each over
-    the rows of a whole clip."""
+    the rows of a whole clip library."""
 
     def __init__(self, spec: ph.CharacterSpec, cfg: ph.PhysicsConfig):
         self.spec = spec
@@ -323,18 +330,55 @@ class _PoseBuilder:
             joints[:, self.jidx[f"hip_{side}"]] = qh
             joints[:, self.jidx[f"knee_{side}"]] = qk
 
+    def poses(self, clips: list[tuple[str, int]], t: np.ndarray):
+        """(root_pos, root_angle, joints) of every frame of the (family,
+        seed) ``clips`` at frame times ``t``, stacked: one ``_pose_rows``
+        pass per clip, each drawing from its own seeded generator, then
+        one arm blend and one ``leg_ik_rows`` call per leg over all rows."""
+        root_pos, root_angle, guard, offsets, foot_l, foot_r = map(np.concatenate, zip(*(
+            _pose_rows(family, np.random.default_rng(seed), self, t) for family, seed in clips
+        )))
+        joints = np.tile(self.stance.joint_angles, (len(root_angle), 1))
+        self.arms(joints, guard, offsets)
+        self.legs(joints, root_pos, root_angle, foot_l, foot_r)
+        return root_pos, root_angle, joints
 
-def _pose_fn(family: str, rng: np.random.Generator, builder: _PoseBuilder):
-    """Returns pose(t) -> (root_pos, root_angle, guard, arm_offsets, foot_l,
-    foot_r) for one seeded clip: the frame's root, its guard blend, its
-    offsets of the ``GUARD_ARMS`` joints in that order, and its two foot
-    targets, all as Python floats (the IEEE arithmetic of numpy scalars
-    without their per-frame arrays).  ``_PoseBuilder`` turns a clip's
-    frames into joint angles."""
-    b = builder
-    root_x, root_y = (float(v) for v in b.root0)
-    foot0 = {side: tuple(float(v) for v in b.foot0[side]) for side in ("l", "r")}
-    arm = {name: i for i, name in enumerate(ph.GUARD_ARMS)}
+
+_ARM = {name: i for i, name in enumerate(ph.GUARD_ARMS)}
+
+
+def _strike_arm(offsets: np.ndarray, on: np.ndarray, side: str, phase: np.ndarray, kind: str):
+    """Add a jab or hook of the ``side`` arm to the frames ``on``, at their
+    strike ``phase``."""
+    sh, el = f"shoulder_{side}", f"elbow_{side}"
+    if kind == "jab":
+        ext = _ramp(phase, 0.0, 0.13) - _ramp(phase, 0.17, 0.18)
+        offsets[on, _ARM[sh]] += ext * (1.45 - ph.GUARD_ARMS[sh])
+        offsets[on, _ARM[el]] += ext * (0.15 - ph.GUARD_ARMS[el])
+    else:  # hook
+        ext = _ramp(phase, 0.0, 0.16) - _ramp(phase, 0.22, 0.22)
+        offsets[on, _ARM[sh]] += ext * (1.55 - ph.GUARD_ARMS[sh])
+        offsets[on, _ARM[el]] += ext * (1.25 - ph.GUARD_ARMS[el])
+
+
+def _pose_rows(family: str, rng: np.random.Generator, b: _PoseBuilder, t: np.ndarray):
+    """(root_pos, root_angle, guard, arm_offsets, foot_l, foot_r) of one
+    seeded clip at its frame times ``t`` (n,): each frame's root, its guard
+    blend, its offsets of the ``GUARD_ARMS`` joints in that order (n, 4)
+    and its two foot targets.  ``_PoseBuilder`` turns them into joint
+    angles.
+
+    Every frame gets the IEEE operations of the one-frame computation, in
+    its order: a phase is a remainder of frame times past a start, and a
+    strike or lift applies to the frames ``on`` its condition.  A
+    remainder by a positive period is never negative, so every frame past
+    a start is in its strike.
+    """
+    n = len(t)
+    root = np.tile(b.root0, (n, 1))
+    root_angle = np.zeros(n)
+    foot = {side: np.tile(b.foot0[side], (n, 1)) for side in ("l", "r")}
+    offsets = np.zeros((n, len(_ARM)))
     jab_period = rng.uniform(1.2, 2.0)
     hook_period = rng.uniform(1.6, 2.4)
     kick_period = rng.uniform(2.2, 3.0)
@@ -344,86 +388,55 @@ def _pose_fn(family: str, rng: np.random.Generator, builder: _PoseBuilder):
     shift_f = rng.uniform(0.25, 0.45)
     shift_amp = rng.uniform(0.10, 0.16)
     lift_h = rng.uniform(0.02, 0.04)
-    jab_side = "l"
     kick_side = "l" if rng.uniform() < 0.5 else "r"
     lunge = rng.uniform(0.03, 0.06)
     hook_root = rng.uniform(0.06, 0.10)
 
-    def strike_arm(offsets: list[float], side: str, phase: float, kind: str):
-        sh, el = f"shoulder_{side}", f"elbow_{side}"
-        if kind == "jab":
-            ext = _ramp(phase, 0.0, 0.13) - _ramp(phase, 0.17, 0.18)
-            offsets[arm[sh]] += ext * (1.45 - ph.GUARD_ARMS[sh])
-            offsets[arm[el]] += ext * (0.15 - ph.GUARD_ARMS[el])
-        else:  # hook
-            ext = _ramp(phase, 0.0, 0.16) - _ramp(phase, 0.22, 0.22)
-            offsets[arm[sh]] += ext * (1.55 - ph.GUARD_ARMS[sh])
-            offsets[arm[el]] += ext * (1.25 - ph.GUARD_ARMS[el])
-
-    def pose(t: float):
-        rx, ry = root_x, root_y
-        root_angle = 0.0
-        (flx, fly), (frx, fry) = foot0["l"], foot0["r"]
-        offsets = [0.0] * len(arm)
-        guard = 0.0
-
-        if family == "idle":
-            for name, amp in (("shoulder_l", sway_amp), ("shoulder_r", -sway_amp),
-                              ("elbow_l", 0.7 * sway_amp), ("elbow_r", -0.7 * sway_amp)):
-                offsets[arm[name]] = amp * math.sin(2.0 * math.pi * sway_f * t + sway_phase)
-        elif family == "footwork":
-            guard = _ramp(t, 0.0, 0.4)
-            s = math.sin(2.0 * math.pi * shift_f * t)
-            rx += shift_amp * s
-            # crouch enough to keep both feet reachable, then lift the
-            # unweighted foot near each extreme of the shift
-            c = math.cos(2.0 * math.pi * shift_f * t)
-            if s > 0.55 and abs(c) < 0.6:
-                fry += lift_h * _bump(s, 0.55, 0.45 * 2)
-            if s < -0.55 and abs(c) < 0.6:
-                fly += lift_h * _bump(-s, 0.55, 0.45 * 2)
-        elif family == "jab":
-            guard = _ramp(t, 0.0, 0.4)
-            phase = (t - 0.6) % jab_period if t > 0.6 else -1.0
-            if phase >= 0.0:
-                strike_arm(offsets, jab_side, phase, "jab")
-                rx += lunge * _bump(phase, 0.0, 0.4)
-        elif family == "hook":
-            guard = _ramp(t, 0.0, 0.4)
-            phase = (t - 0.8) % hook_period if t > 0.8 else -1.0
-            if phase >= 0.0:
-                strike_arm(offsets, "r", phase, "hook")
-                root_angle -= hook_root * _bump(phase, 0.0, 0.44)
-        elif family == "kick":
-            guard = _ramp(t, 0.0, 0.4)
-            phase = (t - 1.0) % kick_period if t > 1.0 else -1.0
-            if phase >= 0.0:
-                k = _bump(phase, 0.0, 0.8)
-                stance_x = foot0["r" if kick_side == "l" else "l"][0]
-                kick_x = foot0[kick_side][0] + 0.45 * k
-                if kick_side == "l":
-                    flx, fly = kick_x, fly + 0.40 * k
-                else:
-                    frx, fry = kick_x, fry + 0.40 * k
-                rx += (stance_x - root_x + 0.03) * _bump(phase, 0.0, 0.8)
-                ry -= 0.02 * k
-        elif family == "combo":
-            guard = _ramp(t, 0.0, 0.4)
-            s = math.sin(2.0 * math.pi * 0.3 * t)
-            rx += 0.06 * s
-            phase_j = (t - 0.6) % jab_period if t > 0.6 else -1.0
-            if phase_j >= 0.0:
-                strike_arm(offsets, "l", phase_j, "jab")
-            phase_h = (t - 0.6 - 0.5 * jab_period) % jab_period if t > 0.6 + 0.5 * jab_period else -1.0
-            if phase_h >= 0.0:
-                strike_arm(offsets, "r", phase_h, "hook")
-                root_angle -= 0.06 * _bump(phase_h, 0.0, 0.44)
-        else:
-            raise ValueError(f"unknown clip family {family!r}")
-
-        return (rx, ry), root_angle, guard, offsets, (flx, fly), (frx, fry)
-
-    return pose
+    guard = np.zeros(n) if family == "idle" else _ramp(t, 0.0, 0.4)
+    if family == "idle":
+        sway = ph.libm_map(math.sin, 2.0 * math.pi * sway_f * t + sway_phase)
+        for name, amp in (("shoulder_l", sway_amp), ("shoulder_r", -sway_amp),
+                          ("elbow_l", 0.7 * sway_amp), ("elbow_r", -0.7 * sway_amp)):
+            offsets[:, _ARM[name]] = amp * sway
+    elif family == "footwork":
+        w = 2.0 * math.pi * shift_f * t
+        s, c = ph.libm_map(math.sin, w), ph.libm_map(math.cos, w)
+        root[:, 0] += shift_amp * s
+        # crouch enough to keep both feet reachable, then lift the
+        # unweighted foot near each extreme of the shift
+        for side, lift in (("r", s), ("l", -s)):
+            on = (lift > 0.55) & (np.abs(c) < 0.6)
+            foot[side][on, 1] += lift_h * _bump(lift[on], 0.55, 0.45 * 2)
+    elif family == "jab":
+        on = t > 0.6
+        phase = (t[on] - 0.6) % jab_period
+        _strike_arm(offsets, on, "l", phase, "jab")
+        root[on, 0] += lunge * _bump(phase, 0.0, 0.4)
+    elif family == "hook":
+        on = t > 0.8
+        phase = (t[on] - 0.8) % hook_period
+        _strike_arm(offsets, on, "r", phase, "hook")
+        root_angle[on] -= hook_root * _bump(phase, 0.0, 0.44)
+    elif family == "kick":
+        on = t > 1.0
+        k = _bump((t[on] - 1.0) % kick_period, 0.0, 0.8)
+        stance_x = float(b.foot0["r" if kick_side == "l" else "l"][0])
+        kick = foot[kick_side]
+        kick[on, 0] = float(b.foot0[kick_side][0]) + 0.45 * k
+        kick[on, 1] += 0.40 * k
+        root[on, 0] += (stance_x - float(b.root0[0]) + 0.03) * k
+        root[on, 1] -= 0.02 * k
+    elif family == "combo":
+        root[:, 0] += 0.06 * ph.libm_map(math.sin, 2.0 * math.pi * 0.3 * t)
+        on = t > 0.6
+        _strike_arm(offsets, on, "l", (t[on] - 0.6) % jab_period, "jab")
+        on = t > 0.6 + 0.5 * jab_period
+        phase = (t[on] - 0.6 - 0.5 * jab_period) % jab_period
+        _strike_arm(offsets, on, "r", phase, "hook")
+        root_angle[on] -= 0.06 * _bump(phase, 0.0, 0.44)
+    else:
+        raise ValueError(f"unknown clip family {family!r}")
+    return root, root_angle, guard, offsets, foot["l"], foot["r"]
 
 
 def clip_frames(duration: float, frame_rate: float) -> int:
@@ -443,44 +456,31 @@ def clip_frames(duration: float, frame_rate: float) -> int:
     return n
 
 
-def generate_clip(
-    family: str,
-    seed: int,
-    duration: float = CLIP_SECONDS,
-    frame_rate: float = CLIP_HZ,
-    spec: ph.CharacterSpec | None = None,
-    cfg: ph.PhysicsConfig | None = None,
-) -> MotionClip:
-    """Build one seeded clip; identical inputs give identical clips."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown clip family {family!r}")
-    n = clip_frames(duration, frame_rate)
-    spec = spec or ph.default_character()
-    cfg = cfg or ph.default_config(spec)
-    rng = np.random.default_rng(seed)
-    builder = _PoseBuilder(spec, cfg)
-    pose = _pose_fn(family, rng, builder)
-
-    root_pos, root_angle, guard, offsets, foot_l, foot_r = (
-        np.array(col, dtype=np.float64) for col in zip(*(pose(k / frame_rate) for k in range(n)))
-    )
-    joints = np.tile(builder.stance.joint_angles, (n, 1))
-    builder.arms(joints, guard, offsets)
-    builder.legs(joints, root_pos, root_angle, foot_l, foot_r)
-    return _clip_from_poses(frame_rate, family, f"{family}-{seed:03d}", root_pos, root_angle, joints)
-
-
-def _clip_from_poses(
-    frame_rate: float, family: str, clip_id: str,
-    root_pos: np.ndarray, root_angle: np.ndarray, joints: np.ndarray,
-) -> MotionClip:
-    """A clip whose velocities are forward differences of its poses (the
-    angles' wrapped); the last frame repeats the one before it."""
-    poses = np.concatenate([root_pos, root_angle[:, None], joints], axis=1)
-    vels = np.diff(poses, axis=0)
+def _library_frames(
+    clips: list[tuple[str, int]],
+    n: int,
+    frame_rate: float,
+    spec: ph.CharacterSpec,
+    cfg: ph.PhysicsConfig | None,
+) -> np.ndarray:
+    """Frame rows of the (family, seed) ``clips``, ``n`` per clip, stacked:
+    their poses (``_PoseBuilder.poses``), then velocities.  A clip's
+    velocities are forward differences of its poses (the angles'
+    wrapped); its last frame repeats the one before it.  Only the rows
+    are returned, so the pose arrays are freed before the clips copy
+    their rows, and generation peaks no higher than the library's own
+    copy."""
+    builder = _PoseBuilder(spec, cfg or ph.default_config(spec))
+    root_pos, root_angle, joints = builder.poses(clips, np.arange(n) / frame_rate)
+    m = 3 + joints.shape[1]
+    frames = np.empty((len(joints), 2 * m))
+    poses, vels = frames[:, :m], frames[:, m:]
+    poses[:, :2], poses[:, 2], poses[:, 3:] = root_pos, root_angle, joints
+    np.subtract(poses[1:], poses[:-1], out=vels[:-1])
+    vels[n - 1 :: n] = vels[n - 2 :: n]
     ph.wrap_angle(vels[:, 2:], out=vels[:, 2:])
-    vels = np.vstack([vels, vels[-1:]]) * frame_rate
-    return MotionClip(frame_rate, family, clip_id, np.hstack([poses, vels]))
+    vels *= frame_rate
+    return frames
 
 
 # the default library: clips per family, each CLIP_SECONDS long at CLIP_HZ
@@ -495,19 +495,36 @@ def generate_library(
     cfg: ph.PhysicsConfig | None = None,
     seed: int = 0,
 ) -> list[MotionClip]:
-    """Clip library in ``FAMILIES`` order; clip k gets seed ``seed + k``
-    (0..39 at the defaults).  The clips come bound into their
-    ``ClipLibrary``."""
-    counts = counts or DEFAULT_COUNTS
-    spec = spec or ph.default_character()
-    cfg = cfg or ph.default_config(spec)
+    """Clip library in ``FAMILIES`` order, ``counts[family]`` clips of each
+    (``DEFAULT_COUNTS`` when ``counts`` is None); clip k gets seed
+    ``seed + k`` (0..39 at the defaults).  The clips come bound into their
+    ``ClipLibrary``.
+
+    The library is posed clip by clip on arrays of frame times, and its
+    legs are solved in one ``physics.leg_ik_rows`` call per leg over the
+    rows of all clips.  Every operation is elementwise, so each clip has
+    the bits of a library of that clip alone.  The transcendentals
+    stay one libm ``math`` call per element (``physics.libm_map``):
+    numpy's SIMD versions may round differently, and differently on each
+    machine, which would change the clip bytes.
+    """
+    counts = DEFAULT_COUNTS if counts is None else counts
+    for family, count in counts.items():
+        if family not in FAMILIES:
+            raise ValueError(f"counts name an unknown clip family {family!r}")
+        if count < 0:
+            raise ValueError(f"the {family!r} clip count must be non-negative, got {count}")
     families = [f for f in FAMILIES for _ in range(counts.get(f, 0))]
+    n = clip_frames(duration, frame_rate)
+    if not families:
+        return []
+    frames = _library_frames([(f, seed + k) for k, f in enumerate(families)], n, frame_rate,
+                             spec or ph.default_character(), cfg)
     clips = [
-        generate_clip(family, seed + k, duration, frame_rate, spec, cfg)
-        for k, family in enumerate(families)
+        MotionClip(frame_rate, f, f"{f}-{seed + k:03d}", frames[k * n : (k + 1) * n])
+        for k, f in enumerate(families)
     ]
-    if clips:
-        ClipLibrary.of(clips)
+    ClipLibrary.of(clips)
     return clips
 
 

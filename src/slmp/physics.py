@@ -1053,6 +1053,16 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0, 0]
 
 
+def libm_map(fn, *args: np.ndarray) -> np.ndarray:
+    """``fn`` of every element of the 1-D float64 arrays ``args``, one
+    libm ``math`` call per element, as an array.  numpy's SIMD
+    transcendentals may round differently, and differently on each
+    machine; a libm call gives every element the bits of the one-value
+    computation.  A memoryview hands ``fn`` one Python float at a time,
+    with no list of them all."""
+    return np.fromiter(map(fn, *map(memoryview, args)), np.float64, len(args[0]))
+
+
 def leg_ik_rows(
     hip: np.ndarray, foot: np.ndarray, l1: float, l2: float, root_angle: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -1063,21 +1073,21 @@ def leg_ik_rows(
     where zero joint angles point the leg straight down at zero root
     angle.  A target out of reach is moved along the hip-to-foot line to
     the reachable distance.  The transcendentals are libm ``math`` calls,
-    one per row, because numpy's SIMD versions may round differently, and
-    differently per machine.
+    one per row, each function mapped over all rows by ``libm_map``,
+    because numpy's SIMD versions may round differently, and differently
+    per machine.  ``motion.generate_library`` solves each leg of every
+    frame of a clip library in one call, so every row gets the bits of
+    the one-row computation.
     """
     v = foot - hip
     dist = row_norms(v)
     d = np.minimum(np.maximum(dist, 1e-6), l1 + l2 - 1e-9)
     cos_a1 = np.minimum(np.maximum((l1 * l1 + d * d - l2 * l2) / (2.0 * l1 * d), -1.0), 1.0)
-    phi_u = (np.array([math.atan2(y, x) for x, y in v.tolist()])
-             + np.array([math.acos(c) for c in cos_a1.tolist()]))
-    knee_x = hip[:, 0] + l1 * np.array([math.cos(a) for a in phi_u.tolist()])
-    knee_y = hip[:, 1] + l1 * np.array([math.sin(a) for a in phi_u.tolist()])
+    phi_u = libm_map(math.atan2, v[:, 1], v[:, 0]) + libm_map(math.acos, cos_a1)
+    knee_x = hip[:, 0] + l1 * libm_map(math.cos, phi_u)
+    knee_y = hip[:, 1] + l1 * libm_map(math.sin, phi_u)
     tgt = hip + v * (d / np.maximum(dist, 1e-9))[:, None]
-    phi_l = np.array([
-        math.atan2(y, x) for x, y in zip((tgt[:, 0] - knee_x).tolist(), (tgt[:, 1] - knee_y).tolist())
-    ])
+    phi_l = libm_map(math.atan2, tgt[:, 1] - knee_y, tgt[:, 0] - knee_x)
     return wrap_angle(phi_u - root_angle + math.pi / 2.0), wrap_angle(phi_l - phi_u)
 
 

@@ -19,8 +19,12 @@ judge a clustering.
 The clip generator and clip writer work on rows too.  ``leg_ik``,
 ``generate_clip`` and ``clip_text`` are their one-frame-at-a-time and
 one-value-at-a-time forms, which the row versions must equal byte for
-byte.  ``table_token`` spells one table value from its ``struct`` bits,
-the oracle of the array encoder behind ``nets.write_table``.
+byte; ``pose_fn``, with its curves ``ramp`` and ``bump``, poses one
+frame at a time in Python floats.  The package generates whole
+libraries only; ``one_clip`` is a library of one clip, the clip of
+that family and seed.  ``table_token`` spells one table
+value from its ``struct`` bits, the oracle of the array encoder behind
+``nets.write_table``.
 
 Batched rollouts gather reference frames from one ``motion.ClipLibrary``
 array and write observations into one buffer.  ``sample_frames`` and
@@ -199,11 +203,136 @@ def leg_ik(hip, foot, l1, l2, root_angle):
     return float(q_hip), float(q_knee)
 
 
+def bump(t, t0, dur):
+    """Raised-cosine bump: 0 outside [t0, t0+dur], 1 at the midpoint."""
+    if dur <= 0 or t < t0 or t > t0 + dur:
+        return 0.0
+    u = (t - t0) / dur
+    return 0.5 * (1.0 - math.cos(2.0 * math.pi * u))
+
+
+def ramp(t, t0, dur):
+    """Smooth 0 -> 1 transition over [t0, t0+dur]."""
+    if t <= t0:
+        return 0.0
+    if t >= t0 + dur:
+        return 1.0
+    u = (t - t0) / dur
+    return 0.5 * (1.0 - math.cos(math.pi * u))
+
+
+def pose_fn(family, rng, builder):
+    """Returns pose(t) -> (root_pos, root_angle, guard, arm_offsets, foot_l,
+    foot_r) for one seeded clip, all as Python floats: the one-frame form
+    of ``motion._pose_rows``, with ``ramp`` and ``bump`` as its scalar
+    curves."""
+    b = builder
+    root_x, root_y = (float(v) for v in b.root0)
+    foot0 = {side: tuple(float(v) for v in b.foot0[side]) for side in ("l", "r")}
+    arm = {name: i for i, name in enumerate(ph.GUARD_ARMS)}
+    jab_period = rng.uniform(1.2, 2.0)
+    hook_period = rng.uniform(1.6, 2.4)
+    kick_period = rng.uniform(2.2, 3.0)
+    sway_f = rng.uniform(0.35, 0.65)
+    sway_phase = rng.uniform(0.0, 2.0 * math.pi)
+    sway_amp = rng.uniform(0.03, 0.06)
+    shift_f = rng.uniform(0.25, 0.45)
+    shift_amp = rng.uniform(0.10, 0.16)
+    lift_h = rng.uniform(0.02, 0.04)
+    jab_side = "l"
+    kick_side = "l" if rng.uniform() < 0.5 else "r"
+    lunge = rng.uniform(0.03, 0.06)
+    hook_root = rng.uniform(0.06, 0.10)
+
+    def strike_arm(offsets, side, phase, kind):
+        sh, el = f"shoulder_{side}", f"elbow_{side}"
+        if kind == "jab":
+            ext = ramp(phase, 0.0, 0.13) - ramp(phase, 0.17, 0.18)
+            offsets[arm[sh]] += ext * (1.45 - ph.GUARD_ARMS[sh])
+            offsets[arm[el]] += ext * (0.15 - ph.GUARD_ARMS[el])
+        else:  # hook
+            ext = ramp(phase, 0.0, 0.16) - ramp(phase, 0.22, 0.22)
+            offsets[arm[sh]] += ext * (1.55 - ph.GUARD_ARMS[sh])
+            offsets[arm[el]] += ext * (1.25 - ph.GUARD_ARMS[el])
+
+    def pose(t):
+        rx, ry = root_x, root_y
+        root_angle = 0.0
+        (flx, fly), (frx, fry) = foot0["l"], foot0["r"]
+        offsets = [0.0] * len(arm)
+        guard = 0.0
+
+        if family == "idle":
+            for name, amp in (("shoulder_l", sway_amp), ("shoulder_r", -sway_amp),
+                              ("elbow_l", 0.7 * sway_amp), ("elbow_r", -0.7 * sway_amp)):
+                offsets[arm[name]] = amp * math.sin(2.0 * math.pi * sway_f * t + sway_phase)
+        elif family == "footwork":
+            guard = ramp(t, 0.0, 0.4)
+            s = math.sin(2.0 * math.pi * shift_f * t)
+            rx += shift_amp * s
+            # crouch enough to keep both feet reachable, then lift the
+            # unweighted foot near each extreme of the shift
+            c = math.cos(2.0 * math.pi * shift_f * t)
+            if s > 0.55 and abs(c) < 0.6:
+                fry += lift_h * bump(s, 0.55, 0.45 * 2)
+            if s < -0.55 and abs(c) < 0.6:
+                fly += lift_h * bump(-s, 0.55, 0.45 * 2)
+        elif family == "jab":
+            guard = ramp(t, 0.0, 0.4)
+            phase = (t - 0.6) % jab_period if t > 0.6 else -1.0
+            if phase >= 0.0:
+                strike_arm(offsets, jab_side, phase, "jab")
+                rx += lunge * bump(phase, 0.0, 0.4)
+        elif family == "hook":
+            guard = ramp(t, 0.0, 0.4)
+            phase = (t - 0.8) % hook_period if t > 0.8 else -1.0
+            if phase >= 0.0:
+                strike_arm(offsets, "r", phase, "hook")
+                root_angle -= hook_root * bump(phase, 0.0, 0.44)
+        elif family == "kick":
+            guard = ramp(t, 0.0, 0.4)
+            phase = (t - 1.0) % kick_period if t > 1.0 else -1.0
+            if phase >= 0.0:
+                k = bump(phase, 0.0, 0.8)
+                stance_x = foot0["r" if kick_side == "l" else "l"][0]
+                kick_x = foot0[kick_side][0] + 0.45 * k
+                if kick_side == "l":
+                    flx, fly = kick_x, fly + 0.40 * k
+                else:
+                    frx, fry = kick_x, fry + 0.40 * k
+                rx += (stance_x - root_x + 0.03) * bump(phase, 0.0, 0.8)
+                ry -= 0.02 * k
+        elif family == "combo":
+            guard = ramp(t, 0.0, 0.4)
+            s = math.sin(2.0 * math.pi * 0.3 * t)
+            rx += 0.06 * s
+            phase_j = (t - 0.6) % jab_period if t > 0.6 else -1.0
+            if phase_j >= 0.0:
+                strike_arm(offsets, "l", phase_j, "jab")
+            phase_h = (t - 0.6 - 0.5 * jab_period) % jab_period if t > 0.6 + 0.5 * jab_period else -1.0
+            if phase_h >= 0.0:
+                strike_arm(offsets, "r", phase_h, "hook")
+                root_angle -= 0.06 * bump(phase_h, 0.0, 0.44)
+        else:
+            raise ValueError(f"unknown clip family {family!r}")
+
+        return (rx, ry), root_angle, guard, offsets, (flx, fly), (frx, fry)
+
+    return pose
+
+
+def one_clip(family, seed, duration=mo.CLIP_SECONDS, frame_rate=mo.CLIP_HZ, spec=None, cfg=None):
+    """The clip of ``family`` and ``seed``: ``motion.generate_library``
+    with one clip."""
+    return mo.generate_library({family: 1}, duration, frame_rate, spec, cfg, seed=seed)[0]
+
+
 def generate_clip(family, seed, duration, frame_rate, spec, cfg):
-    """``motion.generate_clip`` one frame at a time: ``pose(t)``, then that
-    frame's arm blend, joint by joint, and ``leg_ik`` of each leg."""
+    """``one_clip`` one frame at a time: ``pose(t)``, then that
+    frame's arm blend, joint by joint, and ``leg_ik`` of each leg; then the
+    clip's velocities by ``np.diff``."""
     builder = mo._PoseBuilder(spec, cfg)
-    pose = mo._pose_fn(family, np.random.default_rng(seed), builder)
+    pose = pose_fn(family, np.random.default_rng(seed), builder)
     stance, jidx = builder.stance.joint_angles, builder.jidx
     n = int(round(duration * frame_rate))
     root_pos, root_angle, joints = np.zeros((n, 2)), np.zeros(n), np.zeros((n, spec.n_joints))
@@ -218,8 +347,12 @@ def generate_clip(family, seed, duration, frame_rate, spec, cfg):
                 rp, foot, builder.l1, builder.l2, ra
             )
         root_pos[k], root_angle[k], joints[k] = rp, ra, jq
-    return mo._clip_from_poses(frame_rate, family, f"{family}-{seed:03d}",
-                               root_pos, root_angle, joints)
+    # velocities: forward differences, the last frame repeating the one before
+    poses = np.concatenate([root_pos, root_angle[:, None], joints], axis=1)
+    vels = np.diff(poses, axis=0)
+    ph.wrap_angle(vels[:, 2:], out=vels[:, 2:])
+    vels = np.vstack([vels, vels[-1:]]) * frame_rate
+    return mo.MotionClip(frame_rate, family, f"{family}-{seed:03d}", np.hstack([poses, vels]))
 
 
 def table_token(v):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference import one_clip
 from slmp import cli
 from slmp import combat as cb
 from slmp import distill as di
@@ -51,7 +52,7 @@ def smoke_cfg(tmp_path):
     return str(p)
 
 
-# the end of generate_clip's message for a rate that gives fewer than 2 frames
+# the end of generate_library's message for a rate that gives fewer than 2 frames
 TWO_FRAMES = "need a finite positive rate that gives at least 2 frames"
 
 
@@ -106,9 +107,9 @@ class TestConfig:
             return inspect.signature(fn).parameters[name].default
 
         assert cfg.data.counts() == mo.DEFAULT_COUNTS
-        for fn in (mo.generate_clip, mo.generate_library):
-            assert (default(fn, "frame_rate"), default(fn, "duration")) == (
-                mo.CLIP_HZ, mo.CLIP_SECONDS) == (cfg.data.hz, cfg.data.duration)
+        fn = mo.generate_library
+        assert (default(fn, "frame_rate"), default(fn, "duration")) == (
+            mo.CLIP_HZ, mo.CLIP_SECONDS) == (cfg.data.hz, cfg.data.duration)
         assert default(ev.survival_eval, "resample_period") == ev.RESAMPLE_PERIOD
         assert cfg.eval.resample_period == ev.RESAMPLE_PERIOD
         assert default(ev.survival_eval, "fixed_z") is cfg.eval.fixed_z is ev.FIXED_Z
@@ -283,7 +284,7 @@ class TestCli:
         data, track = tmp_path / "data", tmp_path / "track"
         data.mkdir()
         track.mkdir()
-        mo.save_clip(mo.generate_clip("idle", 0, 2.0), data / "idle.clip")
+        mo.save_clip(one_clip("idle", 0, 2.0), data / "idle.clip")
         policy = tr.GaussianPolicy(nets.MlpSpec(tr.track_obs_dim(spec), (8,), spec.n_joints))
         tr.save_policy(track / "pi_track.ckpt", "pi_track", policy,
                        policy.init(np.random.default_rng(0), 0.3))

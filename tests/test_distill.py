@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from reference import env_state, proprio
+from reference import env_state, one_clip, proprio
 from slmp import distill as di
 from slmp import motion as mo
 from slmp import nets
@@ -496,8 +496,8 @@ class TestPhase:
 class TestCollectFresh:
     """``collect_fresh`` against the per-env loop it replaced."""
 
-    CLIPS = [mo.generate_clip("idle", 0, 2.0, spec=SPEC, cfg=CFG),
-             mo.generate_clip("jab", 20, 2.0, spec=SPEC, cfg=CFG)]
+    CLIPS = [one_clip("idle", 0, 2.0, spec=SPEC, cfg=CFG),
+             one_clip("jab", 20, 2.0, spec=SPEC, cfg=CFG)]
 
     @staticmethod
     def _nets():
@@ -575,7 +575,7 @@ class TestTrainSlmp:
         return tmp_path / "track" / "pi_track.ckpt"
 
     def test_smoke_writes_checkpoints(self, tmp_path):
-        clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
         expert = self._expert(tmp_path, clips)
         cfg = di.SlmpConfig(updates=5, batch=32, fresh_per_update=8, envs=2, window=2)
         di.train_slmp(clips, expert, cfg, tmp_path / "slmp", seed=2, spec=SPEC, phys=CFG,
@@ -586,7 +586,7 @@ class TestTrainSlmp:
         assert phi_spec.input_dim == tr.proprio_dim(SPEC) + cfg.latent_dim
 
     def test_unfit_expert_aborts_with_diagnostic(self, tmp_path):
-        clips = [mo.generate_clip("kick", 30, 3.0, spec=SPEC, cfg=CFG)]
+        clips = [one_clip("kick", 30, 3.0, spec=SPEC, cfg=CFG)]
         expert = self._expert(tmp_path, clips)  # barely trained: will fail
         cfg = di.SlmpConfig(updates=1, batch=8, fresh_per_update=4, envs=1)
         with pytest.raises(RuntimeError, match="failure rate"):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from reference import kmeans_inertia, label_agreement, proprio, step, tracking_error_kinematic
+from reference import (kmeans_inertia, label_agreement, one_clip, proprio, step,
+                       tracking_error_kinematic)
 from slmp import distill as di
 from slmp import evaluate as ev
 from slmp import motion as mo
@@ -81,14 +82,16 @@ class TestSurvivalCurve:
 def survival_reference(phi_spec, phi_params, n_trials, seed, steps, resample_steps, action_fn=None):
     """The per-trial loop ``survival_eval`` replaced: each trial's fall
     time (inf if it stands), one ``step_world`` call and one
-    ``detect_fall`` per control step, with ``action_fn(state, rng)``."""
+    ``detect_fall`` per control step, with ``action_fn(state, rng)``.
+    Also returns each trial's lowest torso-center height over its steps,
+    the height that ``physics.fallen`` compares with ``fall_height``."""
     latent_dim = None if action_fn else phi_spec.input_dim - tr.proprio_dim(SPEC)
-    fall_times = []
+    fall_times, lowest = [], []
     for trial in range(n_trials):
         rng = np.random.default_rng(seed_for(seed, f"survival-{trial}"))
         state = ph.nominal_stance(SPEC, CFG)
         z = di.sample_sphere(latent_dim, rng) if latent_dim else None
-        fall_time = math.inf
+        fall_time, low = math.inf, math.inf
         for k in range(steps):
             if latent_dim and k > 0 and k % resample_steps == 0:
                 z = di.sample_sphere(latent_dim, rng)
@@ -97,11 +100,13 @@ def survival_reference(phi_spec, phi_params, n_trials, seed, steps, resample_ste
             else:
                 targets = di.prior_action(nets.RowNet(phi_spec, phi_params), proprio(state)[None], z[None])[0]
             state, _ = step(state, SPEC, CFG, targets=targets)
+            low = min(low, state.root_pos[1] + SPEC.torso_center_dist * ph.KinFrame(state, SPEC).u[0, 1])
             if not state.valid or ph.detect_fall(state, SPEC, CFG):
                 fall_time = (k + 1) * CFG.dt
                 break
         fall_times.append(fall_time)
-    return np.array(fall_times)
+        lowest.append(low)
+    return np.array(fall_times), np.array(lowest)
 
 
 class TestSurvivalRows:
@@ -118,12 +123,17 @@ class TestSurvivalRows:
         assert len(set(want[np.isfinite(want)])) >= 5 and np.isinf(want).any()
 
     def test_prior_matches_per_trial_loop(self):
+        """Two of the 8 trials stand to the end with their torso center
+        never below 0.5 m above ``fall_height`` (it starts ~0.65 m above),
+        so the curve's last point does not hang on a near fall."""
         phi_spec = nets.MlpSpec(tr.proprio_dim(SPEC) + 4, (16,), SPEC.n_joints)
-        phi_params = 0.3 * nets.init_params(phi_spec, np.random.default_rng(4))
-        want = survival_reference(phi_spec, phi_params, 8, 11, self.STEPS, 15)
+        phi_params = 0.3 * nets.init_params(phi_spec, np.random.default_rng(7))
+        want, lowest = survival_reference(phi_spec, phi_params, 8, 11, self.STEPS, 15)
         curve = ev.survival_eval(phi_spec, phi_params, 8, self.HORIZONS, 11,
                                  resample_period=15 * CFG.dt, spec=SPEC, phys=CFG)
         self._check(curve, want)
+        assert np.isinf(want).sum() >= 2
+        assert (lowest[np.isinf(want)] > CFG.fall_height + 0.5).all()
 
     def test_action_fn_matches_per_trial_loop(self):
         stance = ph.nominal_stance(SPEC, CFG).joint_angles
@@ -131,7 +141,7 @@ class TestSurvivalRows:
         def act(state, rng):
             return stance + 1.2 * rng.standard_normal(SPEC.n_joints)
 
-        want = survival_reference(None, None, 8, 12, self.STEPS, 15, action_fn=act)
+        want, _ = survival_reference(None, None, 8, 12, self.STEPS, 15, action_fn=act)
         curve = ev.survival_eval(None, None, 8, self.HORIZONS, 12, spec=SPEC, phys=CFG,
                                  action_fn=lambda world, rngs: np.stack([act(None, r) for r in rngs]))
         self._check(curve, want)
@@ -139,7 +149,7 @@ class TestSurvivalRows:
 
 class TestTrackClip:
     def test_kinematic_replay_error_zero(self):
-        clip = mo.generate_clip("footwork", 1, 4.0, spec=SPEC, cfg=CFG)
+        clip = one_clip("footwork", 1, 4.0, spec=SPEC, cfg=CFG)
         states = []
         for k in range(0, clip.n_frames, 2):
             s = clip.frame_state(k)
@@ -147,7 +157,7 @@ class TestTrackClip:
         assert tracking_error_kinematic(clip, states, SPEC) == pytest.approx(0.0, abs=1e-12)
 
     def test_kinematic_error_matches_per_state_sites(self):
-        clip = mo.generate_clip("jab", 3, 4.0, spec=SPEC, cfg=CFG)
+        clip = one_clip("jab", 3, 4.0, spec=SPEC, cfg=CFG)
         rng = np.random.default_rng(4)
         states = []
         for k in range(0, clip.n_frames - 1, 3):
@@ -169,7 +179,7 @@ class TestTrackClip:
         assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_fall_counts_as_failure_with_prefall_error(self):
-        clip = mo.generate_clip("idle", 0, 6.0, spec=SPEC, cfg=CFG)
+        clip = one_clip("idle", 0, 6.0, spec=SPEC, cfg=CFG)
 
         def failing_controller(batch, obs):
             # track for 1 s, then command a violent fold
@@ -180,7 +190,7 @@ class TestTrackClip:
         assert err < 0.5  # averaged only over pre-failure frames
 
     def test_reference_controller_succeeds_on_idle(self):
-        clip = mo.generate_clip("idle", 2, 4.0, spec=SPEC, cfg=CFG)
+        clip = one_clip("idle", 2, 4.0, spec=SPEC, cfg=CFG)
         (ok,), (err,) = tr.track_clips(lambda batch, obs: batch.ref_base(), [clip], SPEC, CFG)
         assert ok
         assert err < 0.05
@@ -206,7 +216,7 @@ class TestTrackClips:
     """``track_clips`` against the per-clip loop, clip lengths differing."""
 
     FAMILIES = ("idle", "footwork", "jab", "hook", "kick", "combo", "kick", "hook")
-    CLIPS = [mo.generate_clip(f, 10 + i, 2.0 + 0.1 * i, spec=SPEC, cfg=CFG)
+    CLIPS = [one_clip(f, 10 + i, 2.0 + 0.1 * i, spec=SPEC, cfg=CFG)
              for i, f in enumerate(FAMILIES)]
 
     @staticmethod

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reference
+from reference import one_clip
 from slmp import motion as mo
 from slmp import physics as ph
 
@@ -12,7 +13,7 @@ CFG = ph.default_config(SPEC)
 
 
 def make(family, seed=3, duration=6.0):
-    return mo.generate_clip(family, seed, duration, spec=SPEC, cfg=CFG)
+    return one_clip(family, seed, duration, spec=SPEC, cfg=CFG)
 
 
 class TestGenerate:
@@ -44,17 +45,17 @@ class TestGenerate:
 
     def test_duration_bounds(self):
         with pytest.raises(ValueError):
-            mo.generate_clip("idle", 0, duration=1.0, spec=SPEC, cfg=CFG)
+            one_clip("idle", 0, duration=1.0, spec=SPEC, cfg=CFG)
 
     @pytest.mark.parametrize("rate", [0.0, 0.4, -30.0, math.nan, math.inf])
     def test_rate_must_give_two_frames(self, rate):
         """0.4 Hz over 2 s rounds to one frame; draw_start and the
         forward-difference velocities need two."""
         with pytest.raises(ValueError, match="frame rate"):
-            mo.generate_clip("idle", 0, 2.0, rate, SPEC, CFG)
+            one_clip("idle", 0, 2.0, rate, SPEC, CFG)
 
     def test_two_frames_suffice(self):
-        clip = mo.generate_clip("idle", 0, 2.0, 1.0, SPEC, CFG)
+        clip = one_clip("idle", 0, 2.0, 1.0, SPEC, CFG)
         assert clip.n_frames == 2
         joint_vels = mo.split_frames(clip.frames)[3][:, 1:]
         assert np.array_equal(joint_vels[1], joint_vels[0])
@@ -76,6 +77,25 @@ class TestGenerate:
                 pos = ph.KinFrame(clip.frame_state(i), SPEC).site_pos
                 assert pos[:, 1].min() >= -SPEC.contact_radius
 
+    @pytest.mark.parametrize("counts, match", [
+        ({"jabs": 3}, "unknown clip family 'jabs'"),
+        ({"idle": 1, "jab": -2}, "'jab' clip count must be non-negative, got -2"),
+    ])
+    def test_library_refuses_bad_counts(self, counts, match):
+        with pytest.raises(ValueError, match=match):
+            mo.generate_library(counts, duration=2.0, spec=SPEC, cfg=CFG)
+
+    def test_only_none_means_the_default_counts(self):
+        assert mo.generate_library({}, duration=2.0, spec=SPEC, cfg=CFG) == []
+        assert mo.generate_library({"idle": 0}, duration=2.0, spec=SPEC, cfg=CFG) == []
+        clips = mo.generate_library(None, duration=2.0, spec=SPEC, cfg=CFG)
+        assert [c.family for c in clips] == [f for f, n in mo.DEFAULT_COUNTS.items() for _ in range(n)]
+
+    def test_library_of_no_clips_is_refused(self):
+        for build in (mo.ClipLibrary, mo.ClipLibrary.of):
+            with pytest.raises(ValueError, match="no clips"):
+                build([])
+
     def test_library_counts_and_ids(self):
         clips = mo.generate_library(
             {"idle": 2, "footwork": 1, "jab": 1, "hook": 0, "kick": 0, "combo": 0},
@@ -96,9 +116,14 @@ def bits(a):
     return np.asarray(a, dtype=np.float64).tobytes()
 
 
+SEEDS = (5, 6)  # seed 5 kicks with the right foot, seed 6 with the left
+SIZES = [(2.0, 30.0), (7.3, 60.0)]  # (duration, rate)
+
+
 class TestRowGenerator:
-    """The generator poses each frame, then solves arms and legs for the
-    whole clip at once, with the bits of the per-frame loop."""
+    """The generator poses each clip on its frame times, then solves arms
+    and legs for the whole library at once, with the bits of the
+    per-frame loop."""
 
     L1, L2 = SPEC.links[5].length, SPEC.links[6].length
 
@@ -122,15 +147,50 @@ class TestRowGenerator:
         assert bits(qh) == bits(ref[:, 0])
         assert bits(qk) == bits(ref[:, 1])
 
-    @pytest.mark.parametrize("duration,rate", [(2.0, 30.0), (7.3, 60.0)])
+    @pytest.mark.parametrize("duration,rate", SIZES)
+    def test_seeds_reach_every_branch(self, duration, rate):
+        """Over ``SEEDS``, the per-frame poses kick with either foot, lift
+        both feet in footwork, and have jabs and hooks under way."""
+        b = mo._PoseBuilder(SPEC, CFG)
+
+        def poses(family, seed):
+            pose = reference.pose_fn(family, np.random.default_rng(seed), b)
+            return [pose(k / rate) for k in range(round(duration * rate))]
+
+        def raised(frames):
+            return {side for side, i in (("l", 4), ("r", 5))
+                    if any(f[i][1] > b.foot0[side][1] for f in frames)}
+
+        assert [raised(poses("kick", seed)) for seed in SEEDS] == [{"r"}, {"l"}]
+        for seed in SEEDS:
+            assert raised(poses("footwork", seed)) == {"l", "r"}
+            # jabs move the left arm, hooks the right (GUARD_ARMS order)
+            for family, cols in (("jab", [0, 1]), ("hook", [2, 3]), ("combo", [0, 1, 2, 3])):
+                offsets = np.array([f[3] for f in poses(family, seed)])
+                assert (offsets[:, cols] != 0.0).any(axis=0).all()
+
+    @pytest.mark.parametrize("duration,rate", SIZES)
+    @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("family", mo.FAMILIES)
-    def test_clip_matches_per_frame_loop(self, family, duration, rate):
-        got = mo.generate_clip(family, 5, duration, rate, SPEC, CFG)
-        want = reference.generate_clip(family, 5, duration, rate, SPEC, CFG)
+    def test_clip_matches_per_frame_loop(self, family, seed, duration, rate):
+        got = one_clip(family, seed, duration, rate, SPEC, CFG)
+        want = reference.generate_clip(family, seed, duration, rate, SPEC, CFG)
         assert got.n_frames == round(duration * rate)
         assert bits(got.frames) == bits(want.frames)
 
-    @pytest.mark.parametrize("duration,rate", [(2.0, 30.0), (7.3, 60.0)])
+    def test_library_matches_per_clip_loop(self):
+        """A library at other counts, duration, rate and seed: clip k is the
+        per-frame loop's clip of seed ``17 + k``."""
+        counts = {"combo": 1, "kick": 2, "idle": 1, "hook": 1, "footwork": 2, "jab": 1}
+        clips = mo.generate_library(counts, 3.3, 24.0, SPEC, CFG, seed=17)
+        families = [f for f in mo.FAMILIES for _ in range(counts[f])]
+        assert [c.family for c in clips] == families
+        for k, (clip, family) in enumerate(zip(clips, families)):
+            want = reference.generate_clip(family, 17 + k, 3.3, 24.0, SPEC, CFG)
+            assert (clip.clip_id, clip.frame_rate) == (want.clip_id, want.frame_rate)
+            assert bits(clip.frames) == bits(want.frames)
+
+    @pytest.mark.parametrize("duration,rate", SIZES)
     def test_two_leg_solves_per_clip(self, monkeypatch, duration, rate):
         calls = []
         leg_ik_rows = ph.leg_ik_rows
@@ -140,8 +200,29 @@ class TestRowGenerator:
             return leg_ik_rows(hip, *args)
 
         monkeypatch.setattr(ph, "leg_ik_rows", counted)
-        clip = mo.generate_clip("kick", 1, duration, rate, SPEC, CFG)
+        clip = one_clip("kick", 1, duration, rate, SPEC, CFG)
         assert calls == [clip.n_frames] * 2
+
+    def test_one_builder_and_two_leg_solves_per_library(self, monkeypatch):
+        """The default library is posed with one ``_PoseBuilder``, and each
+        leg of all its frames is solved in one call."""
+        builders, calls = [], []
+        leg_ik_rows = ph.leg_ik_rows
+
+        class Counted(mo._PoseBuilder):
+            def __init__(self, *args):
+                builders.append(self)
+                super().__init__(*args)
+
+        def counted(hip, *args):
+            calls.append(len(hip))
+            return leg_ik_rows(hip, *args)
+
+        monkeypatch.setattr(mo, "_PoseBuilder", Counted)
+        monkeypatch.setattr(ph, "leg_ik_rows", counted)
+        clips = mo.generate_library(spec=SPEC, cfg=CFG)
+        assert len(clips) == 40 and len(builders) == 1
+        assert calls == [sum(c.n_frames for c in clips)] * 2
 
 
 class TestGoal:
@@ -337,7 +418,7 @@ class TestClipIO:
     ])
     def test_bad_file_is_refused_by_line_or_key(self, tmp_path, edit, where):
         path = tmp_path / "t.clip"
-        mo.save_clip(mo.generate_clip("idle", 0, 2.0, 5.0, SPEC, CFG), path)
+        mo.save_clip(one_clip("idle", 0, 2.0, 5.0, SPEC, CFG), path)
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
         with pytest.raises(mo.ClipFormatError, match=f"t.clip: {where}"):
             mo.load_clip(path)
@@ -370,6 +451,6 @@ class TestClipIO:
             mo.MotionClip(30.0, "idle", "bad", np.zeros(shape))
 
     def test_duration_from_header(self, tmp_path):
-        clip = mo.generate_clip("idle", 0, 10.0, 30.0, SPEC, CFG)
+        clip = one_clip("idle", 0, 10.0, 30.0, SPEC, CFG)
         assert clip.n_frames == 300
         assert clip.duration == pytest.approx(10.0)

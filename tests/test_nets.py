@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reference
+from reference import one_clip
 from slmp import combat as cb
 from slmp import distill as di
 from slmp import motion as mo
@@ -635,7 +636,7 @@ class TestCheckpoint:
 
         ch = ph.default_character()
         phys = ph.default_config(ch)
-        clip = mo.generate_clip("kick", 3, 10.0, spec=ch, cfg=phys)
+        clip = one_clip("kick", 3, 10.0, spec=ch, cfg=phys)
         mo.save_clip(clip, tmp_path / "k.clip")
         assert peak_of(mo.load_clip, tmp_path / "k.clip") < 3 * clip.frames.nbytes
 

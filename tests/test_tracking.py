@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import reference
-from reference import watch_kinematics
+from reference import one_clip, watch_kinematics
 from slmp import motion as mo
 from slmp import nets
 from slmp import physics as ph
@@ -39,7 +39,7 @@ class TestImitationReward:
 
     def test_matches_independent_recomputation(self):
         rng = np.random.default_rng(0)
-        clip = mo.generate_clip("combo", 1, 4.0, spec=SPEC, cfg=CFG)
+        clip = one_clip("combo", 1, 4.0, spec=SPEC, cfg=CFG)
         for _ in range(10):
             st = clip.frame_state(int(rng.integers(clip.n_frames)))
             ref = clip.frame_state(int(rng.integers(clip.n_frames)))
@@ -70,7 +70,7 @@ class TestImitationReward:
 
     def test_bounded_in_unit_interval(self):
         rng = np.random.default_rng(1)
-        clip = mo.generate_clip("kick", 2, 4.0, spec=SPEC, cfg=CFG)
+        clip = one_clip("kick", 2, 4.0, spec=SPEC, cfg=CFG)
         for _ in range(30):
             st = clip.frame_state(int(rng.integers(clip.n_frames)))
             st.root_pos = st.root_pos + rng.uniform(-1, 1, 2)
@@ -321,8 +321,8 @@ class TestPpo:
 
 def _small_clips():
     return [
-        mo.generate_clip("idle", 0, 4.0, spec=SPEC, cfg=CFG),
-        mo.generate_clip("jab", 20, 4.0, spec=SPEC, cfg=CFG),
+        one_clip("idle", 0, 4.0, spec=SPEC, cfg=CFG),
+        one_clip("jab", 20, 4.0, spec=SPEC, cfg=CFG),
     ]
 
 
@@ -344,7 +344,7 @@ class TestEnv:
             _batch([*clips, one], range(2))
 
     def test_rollout_determinism(self):
-        clips = [mo.generate_clip("idle", 0, 4.0, spec=SPEC, cfg=CFG)]
+        clips = [one_clip("idle", 0, 4.0, spec=SPEC, cfg=CFG)]
         outs = []
         for _ in range(2):
             env = tr.TrackingEnv(clips, SPEC, CFG, rng=np.random.default_rng(9))
@@ -363,7 +363,7 @@ class TestEnv:
 
     def test_reference_pd_feasibility_on_idle(self):
         """Reference targets alone track an idle clip above 0.8 reward."""
-        clip = mo.generate_clip("idle", 0, 4.0, spec=SPEC, cfg=CFG)
+        clip = one_clip("idle", 0, 4.0, spec=SPEC, cfg=CFG)
         batch = _batch([clip], [0], starts=[(0, 0)])
         rewards = []
         for _ in range(120):  # 2 s
@@ -426,7 +426,7 @@ class TestEnv:
 
 class TestTraining:
     def test_smoke_and_checkpoint_roundtrip(self, tmp_path):
-        clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
         cfg = tr.PpoConfig(envs=2, horizon=16, updates=2, epochs_per_update=2)
         ts = tr.train_tracking(clips, cfg, tmp_path, seed=3, spec=SPEC, phys=CFG, log=False)
         policy, params = tr.load_policy(tmp_path / "pi_track.ckpt")
@@ -434,8 +434,8 @@ class TestTraining:
         assert (tmp_path / "metrics.csv").read_text().count("\n") == 3
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):
-        clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG),
-                 mo.generate_clip("footwork", 10, 3.0, spec=SPEC, cfg=CFG)]
+        clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG),
+                 one_clip("footwork", 10, 3.0, spec=SPEC, cfg=CFG)]
         cfg2 = tr.PpoConfig(envs=2, horizon=8, updates=2, epochs_per_update=2)
         ts_full = tr.train_tracking(
             clips, cfg2, tmp_path / "full", seed=5, spec=SPEC, phys=CFG, log=False
@@ -454,7 +454,7 @@ class TestTraining:
     def test_resume_drops_metrics_rows_after_the_snapshot(self, tmp_path, monkeypatch):
         """A run that crashed after writing rows past its snapshot resumes
         to the uninterrupted run's ``metrics.csv``, not to repeated rows."""
-        clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
         cfg = tr.PpoConfig(envs=2, horizon=4, updates=3, epochs_per_update=1,
                            pi_hidden=(8,), critic_hidden=(8,))
         run = dict(seed=5, spec=SPEC, phys=CFG, log=False)
@@ -475,7 +475,7 @@ class TestTraining:
             assert (full / name).read_bytes() == (crash / name).read_bytes()
 
     def test_resume_without_snapshot_starts_a_fresh_metrics_file(self, tmp_path):
-        clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
         cfg = tr.PpoConfig(envs=1, horizon=4, updates=2, epochs_per_update=1,
                            pi_hidden=(8,), critic_hidden=(8,))
         run = dict(seed=5, spec=SPEC, phys=CFG, log=False)
@@ -514,7 +514,7 @@ class TestTraining:
             assert np.array_equal(batch.world.time, batch.t)
 
     def test_resume_refuses_a_changed_env_count(self, tmp_path):
-        clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
         cfg = tr.PpoConfig(envs=2, horizon=8, updates=1, epochs_per_update=1)
         tr.train_tracking(clips, cfg, tmp_path, seed=5, spec=SPEC, phys=CFG, log=False)
         more = tr.PpoConfig(envs=3, horizon=8, updates=2, epochs_per_update=1)
@@ -524,7 +524,7 @@ class TestTraining:
 
     @pytest.mark.parametrize("net", ["pi_hidden", "critic_hidden"])
     def test_resume_refuses_a_changed_network(self, tmp_path, net):
-        clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
         cfg = tr.PpoConfig(envs=2, horizon=8, updates=1, epochs_per_update=1,
                            pi_hidden=(8,), critic_hidden=(8,))
         tr.train_tracking(clips, cfg, tmp_path, seed=5, spec=SPEC, phys=CFG, log=False)
@@ -535,7 +535,7 @@ class TestTraining:
                               log=False)
 
     def test_resume_refuses_a_changed_learning_rate(self, tmp_path):
-        clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
         cfg = tr.PpoConfig(envs=2, horizon=4, updates=1, epochs_per_update=1,
                            pi_hidden=(8,), critic_hidden=(8,))
         tr.train_tracking(clips, cfg, tmp_path, seed=5, spec=SPEC, phys=CFG, log=False)
@@ -549,7 +549,7 @@ class TestTraining:
         """A snapshot that lost env rows, values of a row or its header, or
         that holds a row too many or a bad header value, is refused by name
         instead of broadcast into every env."""
-        clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
         cfg = tr.PpoConfig(envs=3, horizon=8, updates=1, epochs_per_update=1)
         tr.train_tracking(clips, cfg, tmp_path, seed=5, spec=SPEC, phys=CFG, log=False)
         path = tmp_path / "envs.txt"
@@ -576,7 +576,7 @@ class TestTraining:
                               log=False)
 
     def test_first_epoch_clip_fraction_zero(self, tmp_path):
-        clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
         cfg = tr.PpoConfig(envs=2, horizon=8, updates=1, epochs_per_update=1)
         env_list = [
             tr.TrackingEnv(clips, SPEC, CFG, rng=np.random.default_rng(i)) for i in range(2)
@@ -640,8 +640,8 @@ class TestTraining:
         assert reference.env_state(batch) != reference.env_state(tr.EnvBatch.join(envs))
 
     def test_worker_split_bit_identical(self):
-        clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG),
-                 mo.generate_clip("jab", 20, 3.0, spec=SPEC, cfg=CFG)]
+        clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG),
+                 one_clip("jab", 20, 3.0, spec=SPEC, cfg=CFG)]
         cfg = tr.PpoConfig(envs=4, horizon=8)
         ts = tr.build_networks(tr.track_obs_dim(SPEC), 8, cfg, seed=0)
 
@@ -722,8 +722,8 @@ class TestTraining:
 
     def test_chunk_split_bit_identical(self):
         """4 envs give the same buffer and end state in one batch and split 1+3."""
-        clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG),
-                 mo.generate_clip("jab", 20, 3.0, spec=SPEC, cfg=CFG)]
+        clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG),
+                 one_clip("jab", 20, 3.0, spec=SPEC, cfg=CFG)]
         cfg = tr.PpoConfig(envs=4, horizon=8)
         ts = tr.build_networks(tr.track_obs_dim(SPEC), 8, cfg, seed=0)
         whole, split = _batch(clips, range(100, 104)), _batch(clips, range(100, 104))
@@ -742,8 +742,8 @@ class TestTraining:
     def test_batch_size_invariance_with_resets_and_divergence(self):
         """Every env's rollout is bit-identical whether the 32 envs run as
         one batch, 32 batches of one, 8 of four, 16+16 or 1+31."""
-        clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG),
-                 mo.generate_clip("jab", 20, 3.0, spec=SPEC, cfg=CFG)]
+        clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG),
+                 one_clip("jab", 20, 3.0, spec=SPEC, cfg=CFG)]
         cfg = tr.PpoConfig(envs=32, horizon=60, pi_hidden=(32,), critic_hidden=(32,))
         ts = tr.build_networks(tr.track_obs_dim(SPEC), 8, cfg, seed=0)
         fields = ("obs", "actions", "rewards", "values", "log_probs", "dones", "imitation")
@@ -862,7 +862,7 @@ class TestTraining:
         assert act.tobytes() == want.tobytes()
 
     def test_caller_config_not_mutated(self, tmp_path):
-        clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
         cfg = tr.PpoConfig(envs=1, horizon=4, updates=1, epochs_per_update=1)
         tr.train_tracking(clips, cfg, tmp_path, seed=0, spec=SPEC, phys=CFG, log=False)
         assert cfg.learn_std is False
@@ -871,7 +871,7 @@ class TestTraining:
     def test_learn_std_leaves_the_log_std_to_the_optimiser(self, tmp_path):
         """With ``learn_std`` the run's log-std tail is what one
         ``ppo_round`` makes of it, not the scheduled ``log(sigma_at(0))``."""
-        clips = [mo.generate_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
         cfg = tr.PpoConfig(envs=2, horizon=8, updates=1, epochs_per_update=1, learn_std=True,
                            pi_hidden=(8,), critic_hidden=(8,))
         ts = tr.train_tracking(clips, cfg, tmp_path, seed=5, spec=SPEC, phys=CFG, log=False)
