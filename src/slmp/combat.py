@@ -29,8 +29,8 @@ import numpy as np
 from . import distill as di
 from . import nets
 from . import physics as ph
+from . import seeding
 from . import tracking as tr
-from .seeding import seed_for
 
 
 # the PPO settings combat shares with tracking default to tracking's
@@ -436,7 +436,8 @@ def self_play_train(
     """Stage 3: alternating self-play over the frozen latent prior.
 
     Both high-level policies are initialized identically and evolve
-    independently; roles swap every cfg.swap_period epochs.
+    independently; roles swap every cfg.swap_period epochs.  Each epoch
+    appends its ``COMBAT_METRICS`` row through ``tracking.MetricsLog``.
     """
     spec = spec or ph.default_character()
     phys = phys or ph.default_config(spec)
@@ -445,7 +446,7 @@ def self_play_train(
     n_env = cfg.envs
     # the env keeps the prior as its row net only
     env = CombatEnv(*nets.load_checkpoint(Path(slmp_dir) / "pi_phi.ckpt")[1:3], spec, phys, cfg,
-                    [np.random.default_rng(seed_for(seed, f"cenv-{i}")) for i in range(n_env)])
+                    seeding.rngs(seed, "cenv", n_env))
     latent_dim = env.prior.spec.input_dim - tr.proprio_dim(spec)
 
     pcfg = cfg.ppo()
@@ -458,16 +459,16 @@ def self_play_train(
     # and epochs
     obs = env.observe()
     sp = SelfPlayState(swap_period=cfg.swap_period)
-    metrics_path = out / "metrics.csv"
-    metrics_path.write_text(",".join(COMBAT_METRICS) + "\n")
+    metrics = tr.MetricsLog(out, COMBAT_METRICS, 25, cfg.epochs - 1, log, "[combat] epoch {epoch} "
+                            "learner {learner} reward {reward:.3f} hits/ep {hits_per_episode:.2f}")
 
     for epoch in range(cfg.epochs):
         sp.epoch = epoch
         learner = sp.learner_index()
         ts, frozen = agents[learner], agents[1 - learner]
         env.epoch = epoch
-        env.rngs = [np.random.default_rng(seed_for(seed, f"epoch-{epoch}-env-{i}")) for i in range(n_env)]
-        rngs = [np.random.default_rng(seed_for(seed, f"epoch-{epoch}-act-{i}")) for i in range(n_env)]
+        env.rngs = seeding.rngs(seed, f"epoch-{epoch}-env", n_env)
+        rngs = seeding.rngs(seed, f"epoch-{epoch}-act", n_env)
 
         t_len = cfg.horizon
         obs_buf = np.zeros((t_len, n_env, obs_dim))
@@ -475,9 +476,7 @@ def self_play_train(
         logp_buf = np.zeros((t_len, n_env))
         rew_buf = np.zeros((t_len, n_env))
         done_buf = np.zeros((t_len, n_env))
-        hits = 0
-        downs = 0
-        episodes = 0
+        hits = downs = 0
         learner_net, frozen_net = (a.policy.row_net(a.policy_params) for a in (ts, frozen))
         for t in range(t_len):
             # the learner samples, the frozen instance takes its mean
@@ -489,29 +488,18 @@ def self_play_train(
             obs, rewards, done, info = env.decision_step(z)
             rew_buf[t] = rewards[:, learner]
             done_buf[t] = done
-            episodes += int(done.sum())
             downs += info["reason"].count("knockdown")
             hits += int(info["hits"][:, learner].sum())
         values, boot = tr.rollout_values(ts.value_spec, ts.value_params, obs_buf, obs[learner::2])
         buf = tr.RolloutBuffer(obs_buf, act_buf, rew_buf, values, logp_buf, done_buf, boot)
-        m = tr.ppo_round(ts, buf, pcfg, np.random.default_rng(seed_for(seed, f"epoch-{epoch}-shuffle")))
-        episodes = max(episodes, 1)
-        row = {
-            "epoch": epoch, "learner": learner, "reward": rew_buf.mean(),
+        shuffle = np.random.default_rng(seeding.seed_for(seed, f"epoch-{epoch}-shuffle"))
+        m = tr.ppo_round(ts, buf, pcfg, shuffle)
+        episodes = max(done_buf.sum(), 1.0)
+        metrics.write({
+            **m, "epoch": epoch, "learner": learner, "reward": rew_buf.mean(),
             "hits_per_episode": hits / episodes, "knockdowns_per_episode": downs / episodes,
-            "episode_steps": rew_buf.size / max(done_buf.sum(), 1.0),
-            "policy_loss": m.get("policy_loss", math.nan),
-            "value_loss": m.get("value_loss", math.nan),
-            "clip_fraction": m.get("clip_fraction", math.nan),
-        }
-        with metrics_path.open("a") as f:
-            f.write(",".join(repr(float(row[k])) for k in COMBAT_METRICS) + "\n")
-        if log and (epoch % 25 == 0 or epoch == cfg.epochs - 1):
-            print(
-                f"[combat] epoch {epoch} learner {learner} reward {row['reward']:.3f} "
-                f"hits/ep {row['hits_per_episode']:.2f}",
-                flush=True,
-            )
+            "episode_steps": rew_buf.size / episodes,
+        })
 
     for i, ts in enumerate(agents, 1):
         tr.save_policy(out / f"pi_h_{i}.ckpt", f"pi_h_{i}", ts.policy, ts.policy_params)

@@ -22,6 +22,7 @@ import numpy as np
 from . import motion as mo
 from . import nets
 from . import physics as ph
+from . import seeding
 from . import tracking as tr
 from .seeding import seed_for
 
@@ -461,7 +462,8 @@ def train_slmp(
     Rollouts are driven by the encoded goal latent along reference clips;
     the expert labels every visited state with its PD-target action.
     Fresh on-policy samples feed a replay ring from which update batches
-    are drawn (DAgger-style aggregation).
+    are drawn (DAgger-style aggregation).  Each update appends its
+    ``DISTILL_METRICS`` row through ``tracking.MetricsLog``.
     """
     spec = spec or ph.default_character()
     phys = phys or ph.default_config(spec)
@@ -482,39 +484,26 @@ def train_slmp(
     n = build_distill_nets(gdim, pdim, spec.n_joints, cfg, seed)
     phase = Phase(window=cfg.window, plateau_tol=cfg.plateau_tol)
     ring = _Ring(cfg.capacity, (pdim, gdim, spec.n_joints))
-    envs = tr.EnvBatch(
-        clips, spec, phys,
-        [np.random.default_rng(seed_for(seed, f"denv-{i}")) for i in range(cfg.envs)], cfg.e_div,
-    )
-
-    metrics_path = out / "metrics.csv"
-    metrics_path.write_text(",".join(DISTILL_METRICS) + "\n")
+    envs = tr.EnvBatch(clips, spec, phys, seeding.rngs(seed, "denv", cfg.envs), cfg.e_div)
+    metrics = tr.MetricsLog(out, DISTILL_METRICS, 200, cfg.updates - 1, log,
+                            f"[distill:{cfg.mode}] " "update {update} l_distill {l_distill:.4f} "
+                            "l_dlsc {l_dlsc:.4f} mse_fresh {mse_fresh:.4f} use_wc {latched}")
 
     steps_per_env = cfg.fresh_per_update // cfg.envs
     for u in range(cfg.updates):
         rng_u = np.random.default_rng(seed_for(seed, f"distill-update-{u}"))
-        fresh_p, fresh_g, fresh_a, mse_fresh = collect_fresh(
-            envs, steps_per_env, expert, expert_params, n
-        )
-        ring.push(fresh_p, fresh_g, fresh_a)
+        *fresh, mse_fresh = collect_fresh(envs, steps_per_env, expert, expert_params, n)
+        ring.push(*fresh)
 
         take = min(cfg.batch, ring.size)
-        s_b, g_b, a_b = ring.sample(take, rng_u)
-        z2 = sample_sphere(cfg.latent_dim, rng_u, take)
-        batch = DistillBatch(s_b, g_b, a_b, z2)
+        # the ring's draw comes before the latents' draw from rng_u
+        batch = DistillBatch(*ring.sample(take, rng_u), sample_sphere(cfg.latent_dim, rng_u, take))
         m = slmp_update(batch, n, cfg, phase)
-        if cfg.mode == "slmp":
+        # a skipped update's loss, often not finite, says nothing of a plateau
+        if cfg.mode == "slmp" and not m["skipped"]:
             phase = phase_scheduler(phase, m["l_slmp"])
-
-        with metrics_path.open("a") as f:
-            vals = {**m, "update": u, "mse_fresh": mse_fresh}
-            f.write(",".join(repr(float(vals[k])) for k in DISTILL_METRICS) + "\n")
-        if log and (u % 200 == 0 or u == cfg.updates - 1):
-            print(
-                f"[distill:{cfg.mode}] update {u} l_distill {m['l_distill']:.4f} "
-                f"l_dlsc {m['l_dlsc']:.4f} mse_fresh {mse_fresh:.4f} use_wc {phase.use_wc}",
-                flush=True,
-            )
+        # the row's use_wc is the phase the update ran in; the console shows the phase after it
+        metrics.write({**m, "update": u, "mse_fresh": mse_fresh, "latched": phase.use_wc})
 
     nets.save_checkpoint(out / "encoder.ckpt", "encoder", n.enc_spec, n.enc_params)
     nets.save_checkpoint(out / "pi_phi.ckpt", "pi_phi", n.phi_spec, n.phi_params)

@@ -22,8 +22,8 @@ from . import distill as di
 from . import motion as mo
 from . import nets
 from . import physics as ph
+from . import seeding
 from . import tracking as tr
-from .seeding import seed_for
 
 # survival_eval draws a new latent every RESAMPLE_PERIOD seconds unless FIXED_Z
 RESAMPLE_PERIOD = 1.0
@@ -108,7 +108,7 @@ def survival_eval(
         prior = nets.RowNet(phi_spec, phi_params)
     steps = int(round(max(horizons) * phys.hz))
     resample_steps = max(1, int(round(resample_period * phys.hz)))
-    rngs = [np.random.default_rng(seed_for(seed, f"survival-{trial}")) for trial in range(n_trials)]
+    rngs = seeding.rngs(seed, "survival", n_trials)
     world = ph.World.of([ph.nominal_stance(spec, phys)] * n_trials, spec)
     z = np.stack([di.sample_sphere(latent_dim, rng) for rng in rngs]) if latent_dim else None
     fall_time = np.full(n_trials, math.inf)
@@ -195,7 +195,7 @@ def sphere_clusters(
     z = di.sample_sphere(latent_dim, rng, n_samples)
     actions = decode(z)
     k_eff = min(k, np.unique(actions, axis=0).shape[0])
-    labels = kmeans(actions, k_eff, seed=seed_for(seed, "kmeans"))
+    labels = kmeans(actions, k_eff, seed=seeding.seed_for(seed, "kmeans"))
     return SpherePointCloud(z, labels, actions)
 
 

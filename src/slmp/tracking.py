@@ -24,6 +24,7 @@ import numpy as np
 from . import motion as mo
 from . import nets
 from . import physics as ph
+from . import seeding
 from .seeding import seed_for
 
 ACTION_SCALE = math.pi / 2.0
@@ -779,14 +780,48 @@ def build_networks(
 
 def ppo_round(ts: TrainState, buf: RolloutBuffer, cfg: PpoConfig, rng: np.random.Generator) -> dict[str, float]:
     """One PPO update of ``ts`` in place: GAE over the rollout ``buf``, then
-    ``ppo_update`` on the flattened buffer, shuffled by ``rng``.  Returns its metrics."""
+    ``ppo_update`` on the flattened buffer, shuffled by ``rng``.  Returns its
+    metrics, with NaN losses when ``ppo_update`` skipped every minibatch."""
     buf.advantages, buf.returns = gae(
         buf.rewards, buf.values, buf.dones, cfg.gamma, cfg.gae_lambda, buf.bootstrap)
     ts.policy_params, ts.policy_adam, ts.value_params, ts.value_adam, m = ppo_update(
         ts.policy, ts.policy_params, ts.policy_adam, ts.value_spec, ts.value_params, ts.value_adam,
         buf.flat(), cfg, rng)
     ts.update += 1
-    return m
+    return dict.fromkeys(("policy_loss", "value_loss", "entropy", "clip_fraction"), math.nan) | m
+
+
+class MetricsLog:
+    """The ``metrics.csv`` of one training stage and its console lines.
+
+    ``write`` appends the ``repr(float(row[k]))`` of each of ``fields`` and
+    closes the file, so a crash keeps the rows written before it.  A run
+    resumed from a snapshot of update ``keep_below`` keeps the rows below
+    it, under a byte-equal header only.  With ``log``, the row of update
+    ``u``, its first field, prints ``line.format(**row)`` when
+    ``u % every == 0 or u == last``.
+    """
+
+    def __init__(self, out: Path, fields: tuple[str, ...], every: int, last: int, log: bool,
+                 line: str, keep_below: int | None = None):
+        self.path = out / "metrics.csv"
+        self.fields, self.line = fields, line
+        self.every, self.last, self.log = every, last, log
+        header = ",".join(fields) + "\n"
+        kept = []
+        if keep_below is not None and self.path.exists():
+            head, *rows = self.path.read_text().splitlines(True) or [""]
+            if head != header:
+                raise ValueError(f"{self.path}: the header {head.rstrip()!r} is not {header.rstrip()!r}")
+            kept = [row for row in rows if row.endswith("\n") and float(row.split(",")[0]) < keep_below]
+        self.path.write_text(header + "".join(kept))
+
+    def write(self, row: dict) -> None:
+        with self.path.open("a") as f:
+            f.write(",".join(repr(float(row[k])) for k in self.fields) + "\n")
+        u = row[self.fields[0]]
+        if self.log and (u % self.every == 0 or u == self.last):
+            print(self.line.format(**row), flush=True)
 
 
 def save_train_state(out: Path, ts: TrainState, envs: EnvBatch) -> None:
@@ -867,16 +902,16 @@ def train_tracking(
     workers: int = 1,
     log: bool = True,
 ) -> TrainState:
-    """Stage 1: PPO training of the tracking expert on the clip library."""
+    """Stage 1: PPO training of the tracking expert on the clip library.
+
+    Each update appends its ``METRIC_FIELDS`` row through ``MetricsLog``.
+    """
     spec = spec or ph.default_character()
     phys = phys or ph.default_config(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    envs = EnvBatch(
-        clips, spec, phys,
-        [np.random.default_rng(seed_for(seed, f"env-init-{i}")) for i in range(cfg.envs)],
-        cfg.e_div, cfg.energy_floor,
-    )
+    envs = EnvBatch(clips, spec, phys, seeding.rngs(seed, "env-init", cfg.envs),
+                    cfg.e_div, cfg.energy_floor)
     ts = build_networks(track_obs_dim(spec), spec.n_joints, cfg, seed)
     resumed = resume and (out / "envs.txt").exists()
     if resumed:
@@ -889,54 +924,27 @@ def train_tracking(
             raise ValueError(
                 f"{out}: the saved (policy, critic) learning rates are {rates}, the config sets {cfg.lr}")
         ts = saved
+    metrics = MetricsLog(out, METRIC_FIELDS, 25, cfg.updates - 1, log,
+                         "[track] update {update} reward {reward:.3f} imitation {imitation:.3f} "
+                         "idle+fw {imitation_idle_footwork:.3f} ep_steps {episode_steps:.1f}",
+                         ts.update if resumed else None)
 
-    # a resumed run keeps the rows of the updates its snapshot holds; rows
-    # a crashed run wrote after the snapshot are written again
-    metrics_path = out / "metrics.csv"
-    kept = []
-    if resumed and metrics_path.exists():
-        kept = [
-            row for row in metrics_path.read_text().splitlines(True)[1:]
-            if row.endswith("\n") and float(row.split(",")[0]) < ts.update
-        ]
-    metrics_path.write_text(",".join(METRIC_FIELDS) + "\n" + "".join(kept))
-
-    act_dim = spec.n_joints
     for u in range(ts.update, cfg.updates):
         if not cfg.learn_std:
-            ts.policy_params[-act_dim:] = math.log(cfg.sigma_at(u))
-        envs.rngs = [
-            np.random.default_rng(seed_for(seed, f"update-{u}-env-{i}")) for i in range(cfg.envs)
-        ]
+            ts.policy_params[-spec.n_joints:] = math.log(cfg.sigma_at(u))
+        envs.rngs = seeding.rngs(seed, f"update-{u}-env", cfg.envs)
         buf = collect_rollouts(
             envs, ts.policy, ts.policy_params, ts.value_spec, ts.value_params,
             cfg.horizon, envs.rngs, workers=workers,
         )
         m = ppo_round(ts, buf, cfg, np.random.default_rng(seed_for(seed, f"update-{u}-shuffle")))
         ifw = buf.idle_footwork
-        ep_steps = buf.rewards.size / max(buf.dones.sum(), 1.0)
-        row = {
-            "update": u,
-            "reward": buf.rewards.mean(),
-            "imitation": buf.imitation.mean(),
+        metrics.write({
+            **m, "update": u, "reward": buf.rewards.mean(), "imitation": buf.imitation.mean(),
             "imitation_idle_footwork": buf.imitation[ifw].mean() if ifw.any() else 0.0,
             "energy": (buf.rewards - buf.imitation).mean(),
-            "episode_steps": ep_steps,
-            "policy_loss": m.get("policy_loss", math.nan),
-            "value_loss": m.get("value_loss", math.nan),
-            "entropy": m.get("entropy", math.nan),
-            "clip_fraction": m.get("clip_fraction", math.nan),
-            "skipped": m.get("skipped", 0.0),
-        }
-        with metrics_path.open("a") as f:
-            f.write(",".join(repr(float(row[k])) for k in METRIC_FIELDS) + "\n")
-        if log and (u % 25 == 0 or u == cfg.updates - 1):
-            print(
-                f"[track] update {u} reward {row['reward']:.3f} "
-                f"imitation {row['imitation']:.3f} idle+fw {row['imitation_idle_footwork']:.3f} "
-                f"ep_steps {ep_steps:.1f}",
-                flush=True,
-            )
+            "episode_steps": buf.rewards.size / max(buf.dones.sum(), 1.0),
+        })
     save_train_state(out, ts, envs)
     return ts
 

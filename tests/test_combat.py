@@ -446,6 +446,22 @@ class TestCombatEnv:
         assert rows[1].split(",")[1] == "0.0"
         assert rows[2].split(",")[1] == "1.0"
 
+    def test_console_prints_the_first_every_25th_and_last_epoch(self, tiny_prior, tmp_path, capsys):
+        out_dir, _, _ = tiny_prior
+        cfg = cb.CombatConfig(envs=1, horizon=2, epochs=27, swap_period=1, epochs_per_update=1,
+                              pi_h_hidden=(8,), critic_hidden=(8,))
+        cb.self_play_train(out_dir, cfg, tmp_path / "combat", seed=0, spec=SPEC, phys=CFG, log=True)
+        header, *rows = (tmp_path / "combat" / "metrics.csv").read_text().splitlines()
+        assert header == ("epoch,learner,reward,hits_per_episode,knockdowns_per_episode,"
+                          "episode_steps,policy_loss,value_loss,clip_fraction")
+        assert len(rows) == 27
+        want = []
+        for e in (0, 25, 26):
+            r = dict(zip(header.split(","), map(float, rows[e].split(","))))
+            want.append(f"[combat] epoch {e} learner {e % 2} reward {r['reward']:.3f} "
+                        f"hits/ep {r['hits_per_episode']:.2f}")
+        assert capsys.readouterr().out.splitlines() == want
+
     def test_frozen_opponent_unchanged_during_phase(self, tiny_prior, tmp_path):
         out_dir, _, _ = tiny_prior
         cfg = cb.CombatConfig(envs=1, horizon=4, epochs=3, swap_period=100)

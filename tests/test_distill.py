@@ -585,6 +585,58 @@ class TestTrainSlmp:
         enc_spec, enc_p, phi_spec, phi_p = di.load_prior(tmp_path / "slmp")
         assert phi_spec.input_dim == tr.proprio_dim(SPEC) + cfg.latent_dim
 
+    def test_console_prints_the_first_every_200th_and_last_update(self, tmp_path, capsys):
+        clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        expert = self._expert(tmp_path, clips)
+        cfg = di.SlmpConfig(updates=202, batch=8, fresh_per_update=2, envs=2, capacity=64,
+                            latent_dim=4, encoder_hidden=(8,), pi_phi_hidden=(8,), disc_hidden=(8,))
+        capsys.readouterr()
+        di.train_slmp(clips, expert, cfg, tmp_path / "slmp", seed=2, spec=SPEC, phys=CFG,
+                      log=True, skip_expert_check=True)
+        header, *rows = (tmp_path / "slmp" / "metrics.csv").read_text().splitlines()
+        assert header == "update,l_distill,l_dlsc,l_disc,l_slmp,w_d,w_c,use_wc,mse_fresh"
+        assert len(rows) == 202
+        want = []
+        for u in (0, 200, 201):
+            r = dict(zip(header.split(","), map(float, rows[u].split(","))))
+            # the plateau window of 200 updates cannot latch within 202
+            assert r["use_wc"] == 0.0
+            want.append(f"[distill:slmp] update {u} l_distill {r['l_distill']:.4f} "
+                        f"l_dlsc {r['l_dlsc']:.4f} mse_fresh {r['mse_fresh']:.4f} use_wc False")
+        assert capsys.readouterr().out.splitlines() == want
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_skipped_update_leaves_the_phase(self, tmp_path, monkeypatch, bad):
+        """A skipped update's non-finite loss neither latches the semantic
+        weight nor holds it back: the run latches at the update where the
+        run without the skipped update does, one update later."""
+        clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        expert = self._expert(tmp_path, clips)
+        plateau = [10.0, 9.0, 8.0, 7.0, 6.0] + [6.0] * 7
+
+        def run(losses, name):
+            it = iter(losses)
+
+            def update(batch, n, cfg, phase):
+                loss = next(it)
+                return {"l_distill": loss, "l_dlsc": 0.0, "l_disc": 0.0, "l_slmp": loss, "w_d": 1.0,
+                        "w_c": 1.0, "use_wc": float(phase.use_wc),
+                        "skipped": float(not math.isfinite(loss))}
+
+            monkeypatch.setattr(di, "slmp_update", update)
+            cfg = di.SlmpConfig(updates=len(losses), batch=8, fresh_per_update=2, envs=2, window=3,
+                                latent_dim=4, encoder_hidden=(8,), pi_phi_hidden=(8,),
+                                disc_hidden=(8,))
+            di.train_slmp(clips, expert, cfg, tmp_path / name, seed=2, spec=SPEC, phys=CFG,
+                          log=False, skip_expert_check=True)
+            rows = (tmp_path / name / "metrics.csv").read_text().splitlines()[1:]
+            return [row.split(",")[7] for row in rows]
+
+        clean = run(plateau, "clean")
+        assert clean == ["0.0"] * 10 + ["1.0"] * 2
+        skipped = run(plateau[:5] + [bad] + plateau[5:], "skipped")
+        assert skipped[:5] + skipped[6:] == clean
+
     def test_unfit_expert_aborts_with_diagnostic(self, tmp_path):
         clips = [one_clip("kick", 30, 3.0, spec=SPEC, cfg=CFG)]
         expert = self._expert(tmp_path, clips)  # barely trained: will fail

@@ -123,6 +123,37 @@ def test_only_the_kept_definitions_are_test_only():
     assert test_only == set(TEST_ONLY_KEPT)
 
 
+def string_holders(tree: ast.Module, text: str) -> list[str]:
+    """Names of the module-level statements of ``tree`` (a definition's
+    name, else ``<module>``) whose string constants, docstrings aside,
+    contain ``text``."""
+    docs = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr)}
+    return [
+        getattr(node, "name", "<module>") for node in tree.body
+        if any(isinstance(n, ast.Constant) and isinstance(n.value, str) and text in n.value
+               and id(n) not in docs for n in ast.walk(node))
+    ]
+
+
+def test_string_holder_scan_flags_only_code_strings():
+    tree = ast.parse(
+        '"""Writes metrics.csv."""\n'
+        'NAME = "metrics.csv"\n'
+        'def doc():\n    """Reads metrics.csv."""\n'
+        'def code(out):\n    return out / f"{out}/metrics.csv"\n'
+        'class Log:\n    def write(self):\n        open("run/metrics.csv")\n'
+    )
+    assert string_holders(tree, "metrics.csv") == ["<module>", "code", "Log"]
+
+
+def test_metrics_csv_has_one_writer():
+    """The header, rows, resume trimming and console cadence of
+    ``metrics.csv`` live in ``tracking.MetricsLog`` alone."""
+    holders = [(p.name, name) for p in MODULES
+               for name in string_holders(ast.parse(p.read_text()), "metrics.csv")]
+    assert holders == [("tracking.py", "MetricsLog")]
+
+
 def option_keys() -> list[tuple[str, str]]:
     """(subcommand, dest) of every option of ``cli.build_parser()`` that
     sets a config key: a dotted ``dest``, or ``seed``."""

@@ -433,6 +433,22 @@ class TestTraining:
         assert np.array_equal(params, ts.policy_params)
         assert (tmp_path / "metrics.csv").read_text().count("\n") == 3
 
+    def test_console_prints_the_first_every_25th_and_last_update(self, tmp_path, capsys):
+        clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        cfg = tr.PpoConfig(envs=1, horizon=4, updates=27, epochs_per_update=1,
+                           pi_hidden=(8,), critic_hidden=(8,))
+        tr.train_tracking(clips, cfg, tmp_path, seed=5, spec=SPEC, phys=CFG, log=True)
+        header, *rows = (tmp_path / "metrics.csv").read_text().splitlines()
+        assert header == ("update,reward,imitation,imitation_idle_footwork,energy,episode_steps,"
+                          "policy_loss,value_loss,entropy,clip_fraction,skipped")
+        assert len(rows) == 27
+        want = []
+        for u in (0, 25, 26):
+            r = dict(zip(header.split(","), map(float, rows[u].split(","))))
+            want.append(f"[track] update {u} reward {r['reward']:.3f} imitation {r['imitation']:.3f} "
+                        f"idle+fw {r['imitation_idle_footwork']:.3f} ep_steps {r['episode_steps']:.1f}")
+        assert capsys.readouterr().out.splitlines() == want
+
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG),
                  one_clip("footwork", 10, 3.0, spec=SPEC, cfg=CFG)]
@@ -485,6 +501,23 @@ class TestTraining:
         tr.train_tracking(clips, cfg, tmp_path / "stale", resume=True, **run)
         want = (tmp_path / "fresh" / "metrics.csv").read_bytes()
         assert (tmp_path / "stale" / "metrics.csv").read_bytes() == want
+
+    def test_resume_refuses_rows_under_another_header(self, tmp_path):
+        """A ``metrics.csv`` that another stage wrote into the run directory
+        is refused by name instead of continued under the tracking header."""
+        clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        cfg = tr.PpoConfig(envs=1, horizon=4, updates=1, epochs_per_update=1,
+                           pi_hidden=(8,), critic_hidden=(8,))
+        tr.train_tracking(clips, cfg, tmp_path, seed=5, spec=SPEC, phys=CFG, log=False)
+        path = tmp_path / "metrics.csv"
+        path.write_text("update,l_distill,l_dlsc,l_disc,l_slmp,w_d,w_c,use_wc,mse_fresh\n"
+                        "0.0,1.0,1.0,0.0,2.0,1.0,1.0,0.0,1.0\n")
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=r"metrics.csv: the header 'update,l_distill,.*' is not "
+                                             r"'update,reward,"):
+            tr.train_tracking(clips, replace(cfg, updates=2), tmp_path, seed=5, spec=SPEC, phys=CFG,
+                              resume=True, log=False)
+        assert path.read_bytes() == before
 
     def test_envs_txt_reads_back_into_the_batch(self, tmp_path):
         """``resume_train_state`` puts the ``envs.txt`` rows back into a
