@@ -43,14 +43,14 @@ exponent -1022.  So each token holds a double's bits, not a rounded
 decimal, and every finite double round-trips exactly, with one spelling
 per double; ``float.fromhex`` and C ``strtod`` read it.  No token spells
 inf or NaN.  The fixed width lets whole chunks of rows be encoded and
-decoded with uint8 array arithmetic, with no Python call per value.
+decoded with uint8 array arithmetic, with no Python call per value, by
+one check (``_decode``) that is the table's only grammar.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import os
-import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -582,40 +582,30 @@ def _decode(raw: bytes, out: np.ndarray, want: np.ndarray) -> bool:
     return True
 
 
-_TOKEN = re.compile(r"[+-]0x([01])\.[0-9a-f]{13}p([+-][0-9]{4})")
-
-
-def _parse_row(line: str, width: int) -> list[float]:
-    """The values of one table line, or a ValueError saying what is wrong."""
-    parts = line.split()
-    if len(parts) != width:
-        raise ValueError(f"expected {width} values, got {len(parts)}")
-    if " ".join(parts) != line:
-        raise ValueError("values must be separated by single spaces")
-    for p in parts:
-        m = _TOKEN.fullmatch(p)
-        if m and m[1] == "0":
-            ok = m[2] == "-1022"
-        else:
-            ok = m is not None and -1022 <= int(m[2]) <= 1023 and m[2] != "-0000"
-        if not ok:
-            raise ValueError(f"not a table value: {p!r}")
-    return [float.fromhex(p) for p in parts]
-
-
-def _parse_chunk(f, raw: bytes, chunk: np.ndarray, ln: int) -> None:
-    """Parse the rows of a chunk that ``_decode`` refused into ``chunk``,
-    line by line, reading the rest of a cut last line from ``f``.  The
-    first bad line, numbered from ``ln`` + 1, raises ``line k: ...``."""
+def _parse_chunk(f, raw: bytes, chunk: np.ndarray, ln: int, want: np.ndarray) -> None:
+    """Decode the rows of a chunk that ``_decode`` refused into ``chunk``
+    once more, with the rest of a cut last line read from ``f`` and a
+    missing final newline added; if that fails too, the first bad line,
+    numbered from ``ln`` + 1, raises ``line k: ...``."""
     text = raw.decode()
-    if text and not text.endswith("\n"):
-        text += f.readline()
-    lines = text.split("\n")
+    if not text.endswith("\n"):
+        text = (text + f.readline()).rstrip("\n") + "\n"
+        if _decode(text.encode(), chunk, want):
+            return
+    lines, width = text.split("\n"), chunk.shape[1]
     for k in range(len(chunk)):
-        try:
-            chunk[k] = _parse_row(lines[k] if k < len(lines) else "", chunk.shape[1])
-        except ValueError as e:
-            raise ValueError(f"line {ln + k + 1}: {e}") from None
+        line = lines[k] if k < len(lines) else ""
+        parts = line.split()
+        if len(parts) != width:
+            why = f"expected {width} values, got {len(parts)}"
+        elif " ".join(parts) != line:
+            why = "values must be separated by single spaces"
+        elif not _decode(f"{line}\n".encode(), chunk[k : k + 1], want):
+            bad = next(p for p in parts if not _decode(f"{p}\n".encode(), np.empty((1, 1)), want[-1:]))
+            why = f"not a table value: {bad!r}"
+        else:
+            continue
+        raise ValueError(f"line {ln + k + 1}: {why}")
 
 
 def write_table(path: str | Path, head: list[str], rows: np.ndarray) -> None:
@@ -669,11 +659,11 @@ def read_table(path: str | Path, magic: str | None, keys: tuple[str, ...],
 
     The rows are read as text, so CRLF line ends read the same, and
     stream in chunks of rows into the one result array, so no list of the
-    file's lines is ever held.  Every byte of a chunk is checked, and the
-    chunk decoded, with array arithmetic; only a chunk that fails a check
-    (or lacks the last line's newline) is parsed again line by line, to
-    name its first bad line.  Every refusal is a ``ValueError`` that
-    names the file and the line or key.
+    file's lines is ever held.  ``_decode``, the one check that accepts a
+    token, checks and decodes whole chunks; a refused chunk is decoded
+    again with its cut last line completed, then its lines and tokens run
+    through ``_decode`` to name the first bad one.  Every refusal is a
+    ``ValueError`` that names the file and the line or key.
     """
     with open(path) as f:
         if magic is not None and f.readline().rstrip("\n") != magic:
@@ -695,7 +685,7 @@ def read_table(path: str | Path, magic: str | None, keys: tuple[str, ...],
             raw = f.read(chunk.size * 25).encode()
             if not _decode(raw, chunk, want):
                 try:
-                    _parse_chunk(f, raw, chunk, ln + lo)
+                    _parse_chunk(f, raw, chunk, ln + lo, want)
                 except ValueError as e:
                     where = f"expected {n} values on lines {ln + 1}-{ln + n}: {e}" if width == 1 else e
                     raise ValueError(f"{path}: {where}") from None

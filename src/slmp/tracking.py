@@ -797,7 +797,8 @@ class MetricsLog:
     ``write`` appends the ``repr(float(row[k]))`` of each of ``fields`` and
     closes the file, so a crash keeps the rows written before it.  A run
     resumed from a snapshot of update ``keep_below`` keeps the rows below
-    it, under a byte-equal header only.  With ``log``, the row of update
+    it, under a byte-equal header only; a row whose update is not a number
+    is refused by file and line.  With ``log``, the row of update
     ``u``, its first field, prints ``line.format(**row)`` when
     ``u % every == 0 or u == last``.
     """
@@ -813,7 +814,12 @@ class MetricsLog:
             head, *rows = self.path.read_text().splitlines(True) or [""]
             if head != header:
                 raise ValueError(f"{self.path}: the header {head.rstrip()!r} is not {header.rstrip()!r}")
-            kept = [row for row in rows if row.endswith("\n") and float(row.split(",")[0]) < keep_below]
+            for ln, row in enumerate(rows, start=2):
+                try:
+                    if row.endswith("\n") and float(row.split(",")[0]) < keep_below:
+                        kept.append(row)
+                except ValueError as e:
+                    raise ValueError(f"{self.path}: line {ln}: {e}") from None
         self.path.write_text(header + "".join(kept))
 
     def write(self, row: dict) -> None:
@@ -824,9 +830,9 @@ class MetricsLog:
             print(self.line.format(**row), flush=True)
 
 
-def save_train_state(out: Path, ts: TrainState, envs: EnvBatch) -> None:
+def save_train_state(out: Path, ts: TrainState, envs: EnvBatch, seed: int) -> None:
     """Write the networks, their Adam states and ``envs.txt``: the update
-    count, the env count and one row per env of the batch,
+    count, the env count, the run's seed and one row per env of the batch,
     ``[root_pos, q, root_vel, qd, t, clip_index, anchor_x, anchor_on]``."""
     out.mkdir(parents=True, exist_ok=True)
     save_policy(out / "pi_track.ckpt", "pi_track", ts.policy, ts.policy_params)
@@ -837,7 +843,7 @@ def save_train_state(out: Path, ts: TrainState, envs: EnvBatch) -> None:
     rows = np.column_stack(
         [w.root_pos, w.q, w.root_vel, w.qd, envs.t, envs.clip_index, w.anchor_x, w.anchor_on]
     )
-    nets.write_table(out / "envs.txt", [f"update={ts.update}", f"envs={len(envs)}"], rows)
+    nets.write_table(out / "envs.txt", [f"update={ts.update}", f"envs={len(envs)}", f"seed={seed}"], rows)
 
 
 def save_policy(path: str | Path, name: str, policy: GaussianPolicy, params: np.ndarray) -> None:
@@ -853,9 +859,9 @@ def load_policy(path: str | Path) -> tuple[GaussianPolicy, np.ndarray]:
     return GaussianPolicy(spec), values
 
 
-def resume_train_state(out: Path, envs: EnvBatch) -> TrainState:
-    """Read what ``save_train_state`` wrote; the ``envs.txt`` rows go back
-    into the batch, valid and with the World time at ``t``."""
+def resume_train_state(out: Path, envs: EnvBatch, seed: int) -> TrainState:
+    """Read what ``save_train_state`` wrote under ``seed``; the ``envs.txt``
+    rows go back into the batch, valid and with the World time at ``t``."""
     policy, policy_params = load_policy(out / "pi_track.ckpt")
     _, value_spec, value_params, _ = nets.load_checkpoint(out / "critic.ckpt")
     w, nq, ns = envs.world, envs.spec.ndof, len(envs.spec.sites)
@@ -865,9 +871,11 @@ def resume_train_state(out: Path, envs: EnvBatch) -> TrainState:
         head.update(update=nets.head_value(h, "update"), envs=nets.head_value(h, "envs"))
         if head["envs"] != len(envs):
             raise ValueError(f"snapshot holds {head['envs']} envs, the config builds {len(envs)}")
+        if h["seed"] != str(seed):
+            raise ValueError(f"snapshot was written under seed {h['seed']}, the run has seed {seed}")
         return len(envs), 2 * (3 + nq + ns)
 
-    rows = nets.read_table(out / "envs.txt", None, ("update", "envs"), shape)
+    rows = nets.read_table(out / "envs.txt", None, ("update", "envs", "seed"), shape)
     cols = np.split(rows, np.cumsum([2, nq, 2, nq, 1, 1, ns]), axis=1)
     w.root_pos[:], w.q[:], w.root_vel[:], w.qd[:], t, clip_index, w.anchor_x[:], anchor_on = cols
     envs.t[:] = w.time[:] = t[:, 0]
@@ -915,7 +923,7 @@ def train_tracking(
     ts = build_networks(track_obs_dim(spec), spec.n_joints, cfg, seed)
     resumed = resume and (out / "envs.txt").exists()
     if resumed:
-        saved = resume_train_state(out, envs)
+        saved = resume_train_state(out, envs, seed)
         got, want = (saved.policy.spec, saved.value_spec), (ts.policy.spec, ts.value_spec)
         if got != want:
             raise ValueError(f"{out}: the saved (policy, critic) nets are {got}, the config builds {want}")
@@ -945,7 +953,7 @@ def train_tracking(
             "energy": (buf.rewards - buf.imitation).mean(),
             "episode_steps": buf.rewards.size / max(buf.dones.sum(), 1.0),
         })
-    save_train_state(out, ts, envs)
+    save_train_state(out, ts, envs, seed)
     return ts
 
 

@@ -90,7 +90,7 @@ def table_values(path: Path) -> list[np.ndarray] | None:
         def shape(head):
             return nets.head_value(head, "envs"), 2 * (3 + spec.ndof + len(spec.sites))
 
-        return [nets.read_table(path, None, ("update", "envs"), shape)]
+        return [nets.read_table(path, None, ("update", "envs", "seed"), shape)]
     return None
 
 

@@ -544,8 +544,8 @@ def _drive_envs(phi_spec, phi_params, cfg, seeds, decisions):
         step = {"obs": obs, "site_force": env.site_force, "rewards": rewards, "done": done,
                 "reason": np.array(info["reason"], dtype=object), "hits": info["hits"],
                 "t": info["t"]}
-        for name in ("root_pos", "q", "root_vel", "qd", "time", "valid", "anchor_x", "anchor_on"):
-            step[name] = getattr(env.world, name)
+        for f in fields(ph.World):
+            step[f.name] = getattr(env.world, f.name)
         record.append(step)
     return record
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -570,6 +571,13 @@ class TestAdam:
             nets.adam_step(np.zeros(5), np.ones(5), state)
 
 
+# What a one-byte edit of a text table puts in: every byte a table holds,
+# the neighbours of each byte range the token check accepts (sign, lead
+# bit, hex and decimal digits), and the ASCII whitespace and controls
+# that split lines or values.
+EDIT_BYTES = b"\x00\t\n\x0b\x0c\r\x1c !)+-./0123456789:?@AFG`afgnpxz=\x7f"
+
+
 class TestCheckpoint:
     def test_roundtrip_and_byte_identity(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -643,9 +651,9 @@ class TestCheckpoint:
         cfg = tr.PpoConfig(envs=128, pi_hidden=(8,), critic_hidden=(8,))
         ts = tr.build_networks(tr.track_obs_dim(ch), ch.n_joints, cfg, seed=0)
         batch = tr.EnvBatch([clip], ch, phys, [np.random.default_rng(i) for i in range(cfg.envs)])
-        tr.save_train_state(tmp_path, ts, batch)
+        tr.save_train_state(tmp_path, ts, batch, 0)
         rows = cfg.envs * 2 * (3 + ch.ndof + len(ch.sites)) * 8
-        assert peak_of(tr.resume_train_state, tmp_path, batch) < 3 * rows
+        assert peak_of(tr.resume_train_state, tmp_path, batch, 0) < 3 * rows
 
     def test_streamed_readers_round_trip_exactly(self, tmp_path):
         spec = nets.MlpSpec(3, (2,), 2)
@@ -782,3 +790,41 @@ class TestCheckpoint:
         (tmp_path / "x.ckpt").write_text("\n".join(text[:-1]) + "\n")
         with pytest.raises(ValueError):
             nets.load_checkpoint(tmp_path / "x.ckpt")
+
+    def test_one_byte_edits_read_back_only_as_written(self, tmp_path, monkeypatch):
+        """Every one-byte deletion of a small width-1 and width-3 table, and
+        every replacement of one byte by a byte of ``EDIT_BYTES``, either
+        reads values whose table, given a final newline (and CR line ends
+        read as LF), is the edited file byte for byte, or is refused by a
+        ``ValueError`` that names the file and a line or header key.  The
+        width-1 table reads in chunks of two rows and one, so that edits
+        also cut a chunk's last line."""
+        monkeypatch.setattr(nets, "_READ_MIN", 2)
+        path, again = tmp_path / "t.txt", tmp_path / "again.txt"
+        where = re.compile(rf"{re.escape(str(path))}: .*(line \d+: |header line n=|header has no 'n' line)")
+        for rows in (np.array([1.0, -2.0**-1022, 0.1]), np.array([[0.0, 5e-324, -2.0**1023]])):
+            head = [f"n={len(rows)}"]
+            nets.write_table(path, head, rows)
+            table = path.read_bytes()
+
+            def shape(h):
+                return nets.head_value(h, "n"), rows[:1].size
+
+            with open(path, "r+b") as f:  # one handle rewrites the file for every edit
+                for i in range(len(table)):
+                    for byte in (*EDIT_BYTES, None):
+                        edited = table[:i] + (b"" if byte is None else bytes([byte])) + table[i + 1 :]
+                        if edited == table:
+                            continue
+                        f.seek(0)
+                        f.write(edited)
+                        f.truncate()
+                        f.flush()
+                        try:
+                            got = nets.read_table(path, None, ("n",), shape)
+                        except ValueError as e:
+                            assert where.match(str(e)), (i, byte, str(e))
+                            continue
+                        nets.write_table(again, head, got)
+                        lf = edited.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                        assert lf + b"\n" * (not lf.endswith(b"\n")) == again.read_bytes(), (i, byte)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -403,8 +403,8 @@ class TestEnv:
             starts.append((ci, int(draw.integers(clips[ci].n_frames - 1))))
         for got in (batch, _batch(clips, [7, 8, 9], starts=starts)):
             want = ph.World.of([clips[ci].frame_state(f) for ci, f in starts], SPEC)
-            for f in ("root_pos", "q", "root_vel", "qd", "time", "valid", "anchor_x", "anchor_on"):
-                assert getattr(got.world, f).tobytes() == getattr(want, f).tobytes(), f
+            for f in fields(ph.World):
+                assert getattr(got.world, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
             assert got.t.tobytes() == want.time.tobytes()
             assert got.clip_index.tolist() == [ci for ci, _ in starts]
 
@@ -519,6 +519,35 @@ class TestTraining:
                               resume=True, log=False)
         assert path.read_bytes() == before
 
+    def test_resume_refuses_a_damaged_metrics_row(self, tmp_path):
+        """A kept ``metrics.csv`` row whose update is not a number is refused
+        by file and line, and the file is left as it was."""
+        clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        cfg = tr.PpoConfig(envs=1, horizon=4, updates=1, epochs_per_update=1,
+                           pi_hidden=(8,), critic_hidden=(8,))
+        tr.train_tracking(clips, cfg, tmp_path, seed=5, spec=SPEC, phys=CFG, log=False)
+        path = tmp_path / "metrics.csv"
+        head, row = path.read_text().splitlines(True)
+        path.write_text(head + "x" + row)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=r"metrics.csv: line 2: could not convert string to float: 'x0.0'"):
+            tr.train_tracking(clips, replace(cfg, updates=2), tmp_path, seed=5, spec=SPEC, phys=CFG,
+                              resume=True, log=False)
+        assert path.read_bytes() == before
+
+    def test_resume_refuses_a_snapshot_of_another_seed(self, tmp_path):
+        """A snapshot written under one seed does not continue under another:
+        ``envs.txt`` names the seed, and no file of the run is rewritten."""
+        clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        cfg = tr.PpoConfig(envs=1, horizon=4, updates=1, epochs_per_update=1,
+                           pi_hidden=(8,), critic_hidden=(8,))
+        tr.train_tracking(clips, cfg, tmp_path, seed=5, spec=SPEC, phys=CFG, log=False)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ValueError, match="envs.txt: snapshot was written under seed 5, the run has seed 6"):
+            tr.train_tracking(clips, replace(cfg, updates=2), tmp_path, seed=6, spec=SPEC, phys=CFG,
+                              resume=True, log=False)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_envs_txt_reads_back_into_the_batch(self, tmp_path):
         """``resume_train_state`` puts the ``envs.txt`` rows back into a
         batch, which writes the same bytes, and continues as the batch
@@ -529,10 +558,10 @@ class TestTraining:
         batch = _batch(clips, range(3))
         for _ in range(30):
             batch.step(batch.ref_base())
-        tr.save_train_state(tmp_path / "a", ts, batch)
+        tr.save_train_state(tmp_path / "a", ts, batch, 0)
         back = _batch(clips, range(10, 13))
-        tr.resume_train_state(tmp_path / "a", back)
-        tr.save_train_state(tmp_path / "b", ts, back)
+        tr.resume_train_state(tmp_path / "a", back, 0)
+        tr.save_train_state(tmp_path / "b", ts, back, 0)
         a, b = (tmp_path / d / "envs.txt" for d in "ab")
         assert a.read_bytes() == b.read_bytes()
         assert reference.env_state(back) == reference.env_state(batch)
@@ -588,19 +617,19 @@ class TestTraining:
         path = tmp_path / "envs.txt"
         lines = path.read_text().splitlines()
         if cut == "rows":
-            lines = lines[:3]  # the header and row 0
-            match = r"line 4: expected \d+ values, got 0"
+            lines = lines[:4]  # the header and row 0
+            match = r"line 5: expected \d+ values, got 0"
         elif cut == "values":
-            lines[3] = " ".join(lines[3].split()[:-1])
-            match = "line 4: expected"
+            lines[4] = " ".join(lines[4].split()[:-1])
+            match = "line 5: expected"
         elif cut == "extra":
-            lines.append(lines[2])
-            match = "line 6: data after the last of 3 rows"
+            lines.append(lines[3])
+            match = "line 7: data after the last of 3 rows"
         elif cut == "update":
             lines[0] = "update=one"
             match = "header line update='one'"
         else:
-            lines = [] if cut == "empty" else lines[2:]
+            lines = [] if cut == "empty" else lines[3:]
             match = "header has no 'update' line"
         path.write_text("\n".join(lines) + "\n")
         more = replace(cfg, updates=2)
@@ -869,8 +898,8 @@ class TestTraining:
         ci = int(draw.integers(len(clips)))
         frame = int(draw.integers(clips[ci].n_frames - 1))
         want = ph.World.of([clips[ci].frame_state(frame)], SPEC)
-        for f in ("root_pos", "q", "root_vel", "qd", "time", "valid", "anchor_x", "anchor_on"):
-            assert getattr(env.world, f).tobytes() == getattr(want, f).tobytes(), f
+        for f in fields(ph.World):
+            assert getattr(env.world, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
         assert env.t[0] == frame / clips[ci].frame_rate and env.clip_index[0] == ci
 
     def test_observe_equals_the_concatenated_pieces(self):
