@@ -224,10 +224,10 @@ END_REASONS = np.array(["knockdown", "clinch", "farming", "separated", "timeout"
 
 @dataclass
 class TerminationTimers:
-    """Per-env seconds that each sustained condition has held."""
+    """Per-env seconds that each sustained condition has held, (E,) each."""
 
-    close: np.ndarray | float = 0.0
-    farm: np.ndarray | float = 0.0
+    close: np.ndarray
+    farm: np.ndarray
 
 
 def check_termination(

@@ -70,10 +70,10 @@ class SlmpConfig:
             )
 
 
-def normalize_rows(y: np.ndarray, min_norm: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def normalize_rows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(y / norms, norms) for the last axis of ``y``; norms keep that axis."""
     norms = np.linalg.norm(y, axis=-1, keepdims=True)
-    if (norms < min_norm).any():
+    if (norms < 1e-9).any():
         raise DegenerateEncodingError("encoder output norm below 1e-9")
     return y / norms, norms
 
@@ -84,8 +84,8 @@ def encode_goal(net: nets.RowNet, goal: np.ndarray) -> np.ndarray:
     return normalize_rows(net(goal))[0]
 
 
-def sample_sphere(d: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-    """Uniform samples on S^{d-1} via normalized Gaussian noise.
+def sample_sphere(d: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` uniform samples on S^{d-1} via normalized Gaussian noise, (n, d).
 
     Row i is the i-th d-vector of the stream whose norm is not degenerate:
     one (k, d) block is the same stream as k row draws, so each pass keeps
@@ -93,14 +93,13 @@ def sample_sphere(d: int, rng: np.random.Generator, n: int | None = None) -> np.
     """
     if d < 2:
         raise ValueError("latent dimension must be at least 2")
-    count = 1 if n is None else n
     out = np.empty((0, d))
-    while len(out) < count:
-        eps = rng.standard_normal((count - len(out), d))
+    while len(out) < n:
+        eps = rng.standard_normal((n - len(out), d))
         norm = ph.row_norms(eps)
         ok = norm >= 1e-9
         out = np.concatenate([out, eps[ok] / norm[ok, None]])
-    return out[0] if n is None else out
+    return out
 
 
 def prior_action(net: nets.RowNet, proprio: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -111,9 +110,8 @@ def prior_action(net: nets.RowNet, proprio: np.ndarray, z: np.ndarray) -> np.nda
 
 
 def distill_loss(a1: np.ndarray, a_star: np.ndarray) -> float:
-    """Mean squared action error of the encoded-latent branch."""
-    a1 = np.atleast_2d(a1)
-    a_star = np.atleast_2d(a_star)
+    """Mean squared action error of the encoded-latent branch, over
+    (N, act_dim) rows."""
     return float(((a1 - a_star) ** 2).sum(axis=1).mean())
 
 
@@ -124,8 +122,9 @@ def disc_forward(
     action: np.ndarray,
     tape: nets.Tape | None = None,
 ) -> np.ndarray:
-    """Raw (unbounded) float64 discriminator score; P(expert) = sigmoid(score)."""
-    x = np.concatenate([np.atleast_2d(proprio), np.atleast_2d(action)], axis=1)
+    """Raw (unbounded) float64 discriminator score of every (proprio,
+    action) row, (N,); P(expert) = sigmoid(score)."""
+    x = np.concatenate([proprio, action], axis=1)
     return np.asarray(nets.forward_batch(spec, params, x, tape)[:, 0], dtype=np.float64)
 
 
@@ -143,27 +142,23 @@ def disc_loss(score_pos: np.ndarray, score_neg: np.ndarray) -> float:
 
 
 def dlsc_weights(
-    z1: np.ndarray, z2: np.ndarray, score2: np.ndarray | float, beta: float
+    z1: np.ndarray, z2: np.ndarray, score2: np.ndarray, beta: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Neighborhood weight w_d = exp(-beta*||z2-z1||) and semantic weight
-    w_c = 1 + |min(0, score)|; both are treated as constants downstream."""
-    z1 = np.atleast_2d(z1)
-    z2 = np.atleast_2d(z2)
-    d12 = np.linalg.norm(z2 - z1, axis=1)
-    w_d = np.exp(-beta * d12)
-    s = np.atleast_1d(np.asarray(score2, dtype=np.float64))
-    w_c = 1.0 + np.abs(np.minimum(0.0, s))
+    w_c = 1 + |min(0, score)| of every row of the (N, d) latents and the
+    (N,) scores, each (N,); both are treated as constants downstream."""
+    w_d = np.exp(-beta * np.linalg.norm(z2 - z1, axis=1))
+    w_c = 1.0 + np.abs(np.minimum(0.0, score2))
     return w_d, w_c
 
 
 def dlsc_loss(
     w_d: np.ndarray, w_c: np.ndarray, a2: np.ndarray, a_star: np.ndarray
 ) -> float:
-    """Weighted consistency of random-latent actions with the expert."""
-    a2 = np.atleast_2d(a2)
-    a_star = np.atleast_2d(a_star)
+    """Weighted consistency of random-latent actions with the expert, over
+    (N, act_dim) rows and (N,) weights."""
     err = ((a2 - a_star) ** 2).sum(axis=1)
-    return float((np.atleast_1d(w_d) * np.atleast_1d(w_c) * err).mean())
+    return float((w_d * w_c * err).mean())
 
 
 @dataclass

@@ -110,14 +110,14 @@ def survival_eval(
     resample_steps = max(1, int(round(resample_period * phys.hz)))
     rngs = seeding.rngs(seed, "survival", n_trials)
     world = ph.World.of([ph.nominal_stance(spec, phys)] * n_trials, spec)
-    z = np.stack([di.sample_sphere(latent_dim, rng) for rng in rngs]) if latent_dim else None
+    z = np.concatenate([di.sample_sphere(latent_dim, rng, 1) for rng in rngs]) if latent_dim else None
     fall_time = np.full(n_trials, math.inf)
     standing = np.arange(n_trials)  # the trial of each world row
     for k in range(steps):
         if not len(standing):
             break
         if not fixed_z and latent_dim and k > 0 and k % resample_steps == 0:
-            z = np.stack([di.sample_sphere(latent_dim, rngs[i]) for i in standing])
+            z = np.concatenate([di.sample_sphere(latent_dim, rngs[i], 1) for i in standing])
         if action_fn is not None:
             targets = action_fn(world, [rngs[i] for i in standing])
         else:

@@ -69,6 +69,9 @@ _WRITE_CHUNK = 8192  # values encoded per write in the text table files
 # values decoded per read: 1/_READ_SHARE of the table, so that a reader's
 # working set stays a fraction of the array it fills, within these bounds
 _READ_MIN, _READ_CHUNK, _READ_SHARE = 256, 4096, 16
+# tables are read as ASCII text in which each other byte stands for itself
+# as a lone surrogate: no byte fails to decode, and none reads as a digit or space
+_TEXT = {"encoding": "ascii", "errors": "surrogateescape"}
 
 
 @dataclass(frozen=True)
@@ -587,10 +590,10 @@ def _parse_chunk(f, raw: bytes, chunk: np.ndarray, ln: int, want: np.ndarray) ->
     once more, with the rest of a cut last line read from ``f`` and a
     missing final newline added; if that fails too, the first bad line,
     numbered from ``ln`` + 1, raises ``line k: ...``."""
-    text = raw.decode()
+    text = raw.decode(**_TEXT)
     if not text.endswith("\n"):
         text = (text + f.readline()).rstrip("\n") + "\n"
-        if _decode(text.encode(), chunk, want):
+        if _decode(text.encode(**_TEXT), chunk, want):
             return
     lines, width = text.split("\n"), chunk.shape[1]
     for k in range(len(chunk)):
@@ -600,8 +603,9 @@ def _parse_chunk(f, raw: bytes, chunk: np.ndarray, ln: int, want: np.ndarray) ->
             why = f"expected {width} values, got {len(parts)}"
         elif " ".join(parts) != line:
             why = "values must be separated by single spaces"
-        elif not _decode(f"{line}\n".encode(), chunk[k : k + 1], want):
-            bad = next(p for p in parts if not _decode(f"{p}\n".encode(), np.empty((1, 1)), want[-1:]))
+        elif not _decode(f"{line}\n".encode(**_TEXT), chunk[k : k + 1], want):
+            bad = next(p for p in parts
+                       if not _decode(f"{p}\n".encode(**_TEXT), np.empty((1, 1)), want[-1:]))
             why = f"not a table value: {bad!r}"
         else:
             continue
@@ -657,15 +661,16 @@ def read_table(path: str | Path, magic: str | None, keys: tuple[str, ...],
     and returns ``(n, width)``.  Returns the (n,) values at width 1, else
     an (n, width) array.
 
-    The rows are read as text, so CRLF line ends read the same, and
-    stream in chunks of rows into the one result array, so no list of the
-    file's lines is ever held.  ``_decode``, the one check that accepts a
-    token, checks and decodes whole chunks; a refused chunk is decoded
-    again with its cut last line completed, then its lines and tokens run
-    through ``_decode`` to name the first bad one.  Every refusal is a
+    The file is read as ASCII text (``_TEXT``), so CRLF line ends read
+    the same and a byte outside ASCII is refused like any other bad byte.  The rows stream in chunks of rows into the one
+    result array, so no list of the file's lines is ever held.
+    ``_decode``, the one check that accepts a token, checks and decodes
+    whole chunks; a refused chunk is decoded again with its cut last line
+    completed, then its lines and tokens run through ``_decode`` to name
+    the first bad one.  Every refusal is a
     ``ValueError`` that names the file and the line or key.
     """
-    with open(path) as f:
+    with open(path, **_TEXT) as f:
         if magic is not None and f.readline().rstrip("\n") != magic:
             raise ValueError(f"{path}: line 1: expected {magic}")
         head = dict(line.rstrip("\n").partition("=")[::2] for line in itertools.islice(f, len(keys)))
@@ -682,7 +687,7 @@ def read_table(path: str | Path, magic: str | None, keys: tuple[str, ...],
         step = max(min(max(rows.size // _READ_SHARE, _READ_MIN), _READ_CHUNK) // width, 1)
         for lo in range(0, n, step):
             chunk = rows[lo : lo + step]
-            raw = f.read(chunk.size * 25).encode()
+            raw = f.read(chunk.size * 25).encode(**_TEXT)
             if not _decode(raw, chunk, want):
                 try:
                     _parse_chunk(f, raw, chunk, ln + lo, want)

@@ -75,23 +75,20 @@ from .nets import pad_columns, row_product
 TWO_PI = 2.0 * math.pi
 
 
-def wrap_angle(a, out=None):
-    """Wrap angle(s) to (-pi, pi]: a float for a scalar, else an array,
-    written into ``out`` when given.
+def wrap_angle(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Wrap an array of angles to (-pi, pi], written into ``out`` when
+    given.
 
     ``fmod`` and one fix-up of the results <= 0 give the bits of
     ``np.mod`` (the Python remainder) followed by that fix-up: both add
     2 pi to a negative remainder and map a zero one to 2 pi.  Adding
     ``(w <= 0) * 2 pi`` adds an exact 0.0 to the other, positive, rows.
     """
-    scalar = np.ndim(a) == 0
-    if scalar:
-        out = np.empty(())
     w = np.add(a, math.pi, out=out, dtype=np.float64)
     np.fmod(w, TWO_PI, out=w)
     w += (w <= 0.0) * TWO_PI
     w -= math.pi
-    return float(w) if scalar else w
+    return w
 
 
 def unit(phi):

@@ -126,7 +126,6 @@ def imitation_rows(
     sim_coords,
     ref: ph.Kinematics,
     ref_coords,
-    weights: tuple[float, float, float, float] = IMITATION_WEIGHTS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``imitation_reward`` of every env: (reward, site error), each (E,).
 
@@ -139,7 +138,7 @@ def imitation_rows(
     e_r = np.abs(ph.wrap_angle(q_s - q_r)).mean(axis=1)
     e_v = np.sqrt((sim.site_vx - ref.site_vx) ** 2 + (sim.site_vy - ref.site_vy) ** 2).mean(axis=1)
     e_w = np.abs(qd_s - qd_r).mean(axis=1)
-    w = weights
+    w = IMITATION_WEIGHTS
     c = IMITATION_COEFFS
     r = (
         w[0] * np.exp(-c[0] * e_p)
@@ -151,10 +150,7 @@ def imitation_rows(
 
 
 def imitation_reward(
-    state: ph.SimState,
-    ref: ph.SimState,
-    spec: ph.CharacterSpec,
-    weights: tuple[float, float, float, float] = IMITATION_WEIGHTS,
+    state: ph.SimState, ref: ph.SimState, spec: ph.CharacterSpec
 ) -> tuple[float, float]:
     """Exponential matching of site positions, rotations, and velocities.
 
@@ -162,21 +158,16 @@ def imitation_reward(
     divergence signal for episode resets.
     """
     sim, ref = _coords(state), _coords(ref)
-    r, e_p = imitation_rows(
-        spec, ph.Kinematics(spec, *sim), sim, ph.Kinematics(spec, *ref), ref, weights
-    )
+    r, e_p = imitation_rows(spec, ph.Kinematics(spec, *sim), sim, ph.Kinematics(spec, *ref), ref)
     return float(r[0]), float(e_p[0])
 
 
-def energy_penalty(torques: np.ndarray, joint_vels: np.ndarray):
-    """-5e-4 * sum (tau_j * omega_j)^2 over the last axis: a float for one
-    character, an (E,) array for (E, n_joints) rows."""
-    torques = np.asarray(torques, dtype=np.float64)
-    joint_vels = np.asarray(joint_vels, dtype=np.float64)
+def energy_penalty(torques: np.ndarray, joint_vels: np.ndarray) -> np.ndarray:
+    """-5e-4 * sum_j (tau_j * omega_j)^2 of every row of the (E, n_joints)
+    arrays, (E,)."""
     if torques.shape != joint_vels.shape:
-        raise ValueError("torques and joint_vels must have equal lengths")
-    out = -ENERGY_COEFF * np.sum((torques * joint_vels) ** 2, axis=-1)
-    return float(out) if out.ndim == 0 else out
+        raise ValueError("torques and joint_vels must have equal shapes")
+    return -ENERGY_COEFF * np.sum((torques * joint_vels) ** 2, axis=1)
 
 
 # --- gaussian policy ----------------------------------------------------
@@ -250,34 +241,25 @@ def gae(
     dones: np.ndarray,
     gamma: float,
     lam: float,
-    bootstrap: np.ndarray | float = 0.0,
+    bootstrap: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized advantage estimation over (T,) or (T, E) arrays.
+    """Generalized advantage estimation over (T, E) float arrays:
+    (advantages, returns), each (T, E).
 
-    ``bootstrap`` is the value estimate for the state after the last step
-    (used when the trajectory is truncated rather than terminal).
+    ``bootstrap`` is the (E,) value estimate of the state after the last
+    step (used when the trajectory is truncated rather than terminal).
     """
-    rewards = np.asarray(rewards, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    dones = np.asarray(dones, dtype=np.float64)
-    squeeze = rewards.ndim == 1
-    if squeeze:
-        rewards, values, dones = rewards[:, None], values[:, None], dones[:, None]
     t_len, n_env = rewards.shape
-    boot = np.broadcast_to(np.asarray(bootstrap, dtype=np.float64), (n_env,))
     adv = np.zeros_like(rewards)
     next_adv = np.zeros(n_env)
-    next_val = boot.copy()
+    next_val = bootstrap
     for t in range(t_len - 1, -1, -1):
         not_done = 1.0 - dones[t]
         delta = rewards[t] + gamma * next_val * not_done - values[t]
         next_adv = delta + gamma * lam * not_done * next_adv
         adv[t] = next_adv
         next_val = values[t]
-    returns = adv + values
-    if squeeze:
-        return adv[:, 0], returns[:, 0]
-    return adv, returns
+    return adv, adv + values
 
 
 @dataclass

@@ -198,8 +198,8 @@ def leg_ik(hip, foot, l1, l2, root_angle):
     scale = d / max(np.linalg.norm(tgt - np.asarray(hip)), 1e-9)
     tgt = np.asarray(hip) + (tgt - np.asarray(hip)) * scale
     phi_l = math.atan2(tgt[1] - knee[1], tgt[0] - knee[0])
-    q_hip = ph.wrap_angle(phi_u - root_angle + math.pi / 2.0)
-    q_knee = ph.wrap_angle(phi_l - phi_u)
+    q_hip = wrap_angle(phi_u - root_angle + math.pi / 2.0)
+    q_knee = wrap_angle(phi_l - phi_u)
     return float(q_hip), float(q_knee)
 
 

@@ -149,9 +149,15 @@ class TestConfig:
 
     def test_type_mismatch(self, tmp_path):
         p = tmp_path / "c.cfg"
-        p.write_text("ppo.envs = fast\n")
-        with pytest.raises(ConfigError, match="integer"):
-            load_config(p)
+        for line, message in (
+            ("ppo.envs = fast", "expected an integer, got 'fast'"),
+            ("ppo.lr = fast", "expected a number, got 'fast'"),
+            ("eval.horizons = 5,x", "expected comma-separated values, got '5,x'"),
+            ("eval.fixed_z = maybe", "expected a boolean, got 'maybe'"),
+        ):
+            p.write_text(line + "\n")
+            with pytest.raises(ConfigError, match=f"c.cfg:1: {message}"):
+                load_config(p)
 
     def test_later_entries_override(self, tmp_path):
         p = tmp_path / "c.cfg"

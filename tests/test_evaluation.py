@@ -90,11 +90,11 @@ def survival_reference(phi_spec, phi_params, n_trials, seed, steps, resample_ste
     for trial in range(n_trials):
         rng = np.random.default_rng(seed_for(seed, f"survival-{trial}"))
         state = ph.nominal_stance(SPEC, CFG)
-        z = di.sample_sphere(latent_dim, rng) if latent_dim else None
+        z = di.sample_sphere(latent_dim, rng, 1)[0] if latent_dim else None
         fall_time, low = math.inf, math.inf
         for k in range(steps):
             if latent_dim and k > 0 and k % resample_steps == 0:
-                z = di.sample_sphere(latent_dim, rng)
+                z = di.sample_sphere(latent_dim, rng, 1)[0]
             if action_fn is not None:
                 targets = action_fn(state, rng)
             else:

@@ -250,7 +250,7 @@ class TestGoal:
         delta = 0.3
         state.root_angle += delta
         g = mo.goal_state(clip, t, state)
-        want = ph.wrap_angle(mo.split_frames(clip.frames)[1][j, 0] - state.root_angle)
+        want = reference.wrap_angle(mo.split_frames(clip.frames)[1][j, 0] - state.root_angle)
         assert g.d_rot[0] == pytest.approx(want)
 
     def test_matches_independent_recomputation(self):

@@ -575,7 +575,7 @@ class TestAdam:
 # the neighbours of each byte range the token check accepts (sign, lead
 # bit, hex and decimal digits), and the ASCII whitespace and controls
 # that split lines or values.
-EDIT_BYTES = b"\x00\t\n\x0b\x0c\r\x1c !)+-./0123456789:?@AFG`afgnpxz=\x7f"
+EDIT_BYTES = b"\x00\t\n\x0b\x0c\r\x1c !)+-./0123456789:?@AFG`afgnpxz=\x7f\x80\xff"
 
 
 class TestCheckpoint:
@@ -688,6 +688,9 @@ class TestCheckpoint:
     @pytest.mark.parametrize("name, edit, where", [
         ("x.ckpt", lambda lines: lines + ["0.5"], "line 13: data after the last of 3 rows"),
         ("a.txt", lambda lines: lines + ["0.5", ""], "line 14: data after the last of 6 rows"),
+        # a no-break space is Unicode whitespace, but its UTF-8 bytes are not ASCII
+        ("a.txt", lambda lines: lines + ["", "\xa0"], "line 15: data after the last of 6 rows"),
+        ("a.txt", lambda lines: [*lines[:6], "count=3\xa0", *lines[7:]], "header line count='3"),
         ("x.ckpt", lambda lines: [*lines[:2], "input=two", *lines[3:]], "header line input='two'"),
         ("a.txt", lambda lines: [lines[0], "t=zero", *lines[2:]], "header line t='zero'"),
         ("x.ckpt", lambda lines: [*lines[:8], "count=-3", *lines[9:]], "header line count='-3'"),
@@ -770,6 +773,15 @@ class TestCheckpoint:
         f.write_text("not a checkpoint\n")
         with pytest.raises(ValueError):
             nets.load_checkpoint(f)
+
+    def test_non_ascii_magic_names_file_and_line(self, tmp_path):
+        """A byte outside ASCII is refused by line, not as a decode error."""
+        spec = nets.MlpSpec(2, (), 1)
+        path = tmp_path / "x.ckpt"
+        nets.save_checkpoint(path, "x", spec, np.zeros(spec.param_count()))
+        path.write_bytes(b"\xff" + path.read_bytes()[1:])
+        with pytest.raises(ValueError, match=f"x.ckpt: line 1: expected {nets.CKPT_MAGIC}"):
+            nets.load_checkpoint(path)
 
     def test_truncated_header_names_file_and_key(self, tmp_path):
         spec = nets.MlpSpec(2, (), 1)

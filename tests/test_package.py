@@ -154,6 +154,18 @@ def test_metrics_csv_has_one_writer():
     assert holders == [("tracking.py", "MetricsLog")]
 
 
+def test_row_helpers_take_rows():
+    """Helpers below the per-state layer take rows only: no package code
+    lifts a scalar or 1-D argument to rows or branches on its rank."""
+    calls = [
+        (p.name, node.lineno) for p in MODULES for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+        and node.func.attr in ("atleast_1d", "atleast_2d", "ndim")
+    ]
+    assert calls == []
+
+
 def option_keys() -> list[tuple[str, str]]:
     """(subcommand, dest) of every option of ``cli.build_parser()`` that
     sets a config key: a dotted ``dest``, or ``seed``."""

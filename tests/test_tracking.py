@@ -81,56 +81,62 @@ class TestImitationReward:
 
 class TestEnergyPenalty:
     def test_zero_torques(self):
-        assert tr.energy_penalty(np.zeros(8), np.ones(8)) == 0.0
+        assert np.array_equal(tr.energy_penalty(np.zeros((2, 8)), np.ones((2, 8))), [0.0, 0.0])
 
     def test_direct_substitution(self):
-        assert tr.energy_penalty(np.array([2.0]), np.array([3.0])) == pytest.approx(
-            -0.0005 * 36.0, abs=1e-15
-        )
+        got = tr.energy_penalty(np.array([[2.0], [1.0]]), np.array([[3.0], [-4.0]]))
+        assert got == pytest.approx([-0.0005 * 36.0, -0.0005 * 16.0], abs=1e-15)
 
     def test_never_positive(self):
         rng = np.random.default_rng(2)
-        for _ in range(100):
-            tau = rng.uniform(-200, 200, 8)
-            om = rng.uniform(-50, 50, 8)
-            assert tr.energy_penalty(tau, om) <= 0.0
+        tau = rng.uniform(-200, 200, (100, 8))
+        om = rng.uniform(-50, 50, (100, 8))
+        got = tr.energy_penalty(tau, om)
+        assert got.shape == (100,) and np.all(got <= 0.0)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            tr.energy_penalty(np.zeros(3), np.zeros(4))
+            tr.energy_penalty(np.zeros((1, 3)), np.zeros((1, 4)))
 
 
 class TestGae:
+    @staticmethod
+    def col(*values):
+        """A (T, 1) array: one env's trajectory."""
+        return np.array(values, dtype=np.float64)[:, None]
+
     def test_single_terminal_step(self):
-        adv, ret = tr.gae(np.array([1.0]), np.array([0.0]), np.array([1.0]), 0.99, 0.95)
-        assert adv[0] == pytest.approx(1.0)
-        assert ret[0] == pytest.approx(1.0)
+        adv, ret = tr.gae(self.col(1.0), self.col(0.0), self.col(1.0), 0.99, 0.95, np.zeros(1))
+        assert adv[0, 0] == pytest.approx(1.0)
+        assert ret[0, 0] == pytest.approx(1.0)
 
     def test_two_step_recursion(self):
         adv, _ = tr.gae(
-            np.array([1.0, 1.0]), np.array([0.0, 0.0]), np.array([0.0, 1.0]), 0.99, 0.95
+            self.col(1.0, 1.0), self.col(0.0, 0.0), self.col(0.0, 1.0), 0.99, 0.95, np.zeros(1)
         )
-        assert adv[0] == pytest.approx(1.0 + 0.99 * 0.95 * 1.0)
+        assert adv[0, 0] == pytest.approx(1.0 + 0.99 * 0.95 * 1.0)
 
     def test_zero_rewards_zero_values(self):
-        adv, ret = tr.gae(np.zeros(5), np.zeros(5), np.zeros(5), 0.99, 0.95, 0.0)
+        adv, ret = tr.gae(np.zeros((5, 3)), np.zeros((5, 3)), np.zeros((5, 3)), 0.99, 0.95,
+                          np.zeros(3))
+        assert adv.shape == ret.shape == (5, 3)
         assert np.allclose(adv, 0.0)
         assert np.allclose(ret, 0.0)
 
     def test_lambda_zero_is_one_step_td(self):
         rng = np.random.default_rng(3)
-        r = rng.uniform(-1, 1, 20)
-        v = rng.uniform(-1, 1, 20)
-        d = (rng.uniform(size=20) < 0.2).astype(float)
-        boot = 0.37
+        r = rng.uniform(-1, 1, (20, 4))
+        v = rng.uniform(-1, 1, (20, 4))
+        d = (rng.uniform(size=(20, 4)) < 0.2).astype(float)
+        boot = np.array([0.37, -0.2, 0.0, 1.5])
         adv, _ = tr.gae(r, v, d, 0.9, 0.0, boot)
-        v_next = np.concatenate([v[1:], [boot]])
+        v_next = np.concatenate([v[1:], boot[None]])
         td = r + 0.9 * v_next * (1 - d) - v
         assert np.allclose(adv, td, atol=1e-12)
 
     def test_bootstrap_used_for_truncation(self):
-        adv, _ = tr.gae(np.array([0.0]), np.array([0.0]), np.array([0.0]), 0.5, 1.0, 2.0)
-        assert adv[0] == pytest.approx(1.0)
+        adv, _ = tr.gae(self.col(0.0), self.col(0.0), self.col(0.0), 0.5, 1.0, np.array([2.0]))
+        assert adv[0, 0] == pytest.approx(1.0)
 
 
 def _tiny_setup(obs_dim=6, act_dim=2, n=3, seed=0):
