@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import shutil
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -468,37 +469,30 @@ def self_play_train(
         ts, frozen = agents[learner], agents[1 - learner]
         env.epoch = epoch
         env.rngs = seeding.rngs(seed, f"epoch-{epoch}-env", n_env)
-        rngs = seeding.rngs(seed, f"epoch-{epoch}-act", n_env)
-
-        t_len = cfg.horizon
-        obs_buf = np.zeros((t_len, n_env, obs_dim))
-        act_buf = np.zeros((t_len, n_env, latent_dim))
-        logp_buf = np.zeros((t_len, n_env))
-        rew_buf = np.zeros((t_len, n_env))
-        done_buf = np.zeros((t_len, n_env))
-        hits = downs = 0
         learner_net, frozen_net = (a.policy.row_net(a.policy_params) for a in (ts, frozen))
-        for t in range(t_len):
-            # the learner samples, the frozen instance takes its mean
+
+        def step(z_learner):  # one decision, seen from the learner's rows
+            nonlocal obs
             z = np.empty((2 * n_env, latent_dim))
-            z[learner::2], act_buf[t], logp_buf[t] = high_level_step(
-                ts.policy, learner_net, obs[learner::2], rngs)
+            z[learner::2] = z_learner
             z[1 - learner::2] = high_level_step(frozen.policy, frozen_net, obs[1 - learner::2])[0]
-            obs_buf[t] = obs[learner::2]
             obs, rewards, done, info = env.decision_step(z)
-            rew_buf[t] = rewards[:, learner]
-            done_buf[t] = done
-            downs += info["reason"].count("knockdown")
-            hits += int(info["hits"][:, learner].sum())
-        values, boot = tr.rollout_values(ts.value_spec, ts.value_params, obs_buf, obs[learner::2])
-        buf = tr.RolloutBuffer(obs_buf, act_buf, rew_buf, values, logp_buf, done_buf, boot)
+            knockdown = np.array([reason == "knockdown" for reason in info["reason"]])
+            return (obs[learner::2], rewards[:, learner], done,
+                    {"hits": info["hits"][:, learner], "knockdown": knockdown})
+
+        # the learner samples first, then the frozen instance takes its mean
+        buf = tr.collect(step, obs[learner::2], partial(high_level_step, ts.policy, learner_net),
+                         ts.value_spec, ts.value_params, cfg.horizon, ("hits", "knockdown"),
+                         seeding.rngs(seed, f"epoch-{epoch}-act", n_env))
         shuffle = np.random.default_rng(seeding.seed_for(seed, f"epoch-{epoch}-shuffle"))
         m = tr.ppo_round(ts, buf, pcfg, shuffle)
-        episodes = max(done_buf.sum(), 1.0)
+        episodes = max(buf.dones.sum(), 1.0)
         metrics.write({
-            **m, "epoch": epoch, "learner": learner, "reward": rew_buf.mean(),
-            "hits_per_episode": hits / episodes, "knockdowns_per_episode": downs / episodes,
-            "episode_steps": rew_buf.size / episodes,
+            **m, "epoch": epoch, "learner": learner, "reward": buf.rewards.mean(),
+            "hits_per_episode": buf.info["hits"].sum() / episodes,
+            "knockdowns_per_episode": buf.info["knockdown"].sum() / episodes,
+            "episode_steps": buf.rewards.size / episodes,
         })
 
     for i, ts in enumerate(agents, 1):

@@ -72,6 +72,7 @@ _READ_MIN, _READ_CHUNK, _READ_SHARE = 256, 4096, 16
 # tables are read as ASCII text in which each other byte stands for itself
 # as a lone surrogate: no byte fails to decode, and none reads as a digit or space
 _TEXT = {"encoding": "ascii", "errors": "surrogateescape"}
+_SPACE = " \t\n\r\x0b\x0c"  # the layout's whitespace; Python's adds 0x1c-0x1f
 
 
 @dataclass(frozen=True)
@@ -589,26 +590,35 @@ def _parse_chunk(f, raw: bytes, chunk: np.ndarray, ln: int, want: np.ndarray) ->
     """Decode the rows of a chunk that ``_decode`` refused into ``chunk``
     once more, with the rest of a cut last line read from ``f`` and a
     missing final newline added; if that fails too, the first bad line,
-    numbered from ``ln`` + 1, raises ``line k: ...``."""
+    numbered from ``ln`` + 1, raises ``line k: ...``.  The lines above the
+    first one of a bad layout decode in one ``_decode``, bisected only when
+    that fails, so a refusal costs a few decodes."""
     text = raw.decode(**_TEXT)
     if not text.endswith("\n"):
         text = (text + f.readline()).rstrip("\n") + "\n"
         if _decode(text.encode(**_TEXT), chunk, want):
             return
-    lines, width = text.split("\n"), chunk.shape[1]
-    for k in range(len(chunk)):
-        line = lines[k] if k < len(lines) else ""
+    lines, width = (text.split("\n") + [""] * len(chunk))[: len(chunk)], chunk.shape[1]
+
+    def layout(line: str) -> str | None:
         parts = line.split()
         if len(parts) != width:
-            why = f"expected {width} values, got {len(parts)}"
-        elif " ".join(parts) != line:
-            why = "values must be separated by single spaces"
-        elif not _decode(f"{line}\n".encode(**_TEXT), chunk[k : k + 1], want):
-            bad = next(p for p in parts
-                       if not _decode(f"{p}\n".encode(**_TEXT), np.empty((1, 1)), want[-1:]))
-            why = f"not a table value: {bad!r}"
-        else:
-            continue
+            return f"expected {width} values, got {len(parts)}"
+        return None if " ".join(parts) == line else "values must be separated by single spaces"
+
+    def decodes(lo: int, hi: int) -> bool:
+        return _decode("".join(f"{s}\n" for s in lines[lo:hi]).encode(**_TEXT), chunk[lo:hi], want)
+
+    k, why = next(((j, w) for j, w in enumerate(map(layout, lines)) if w), (len(chunk), None))
+    if k and not decodes(0, k):
+        lo, hi = 0, k  # the lines above lo decode, and lo:hi holds a bad one
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if decodes(lo, mid) else (lo, mid)
+        bad = next(p for p in lines[lo].split()
+                   if not _decode(f"{p}\n".encode(**_TEXT), np.empty((1, 1)), want[-1:]))
+        k, why = lo, f"not a table value: {bad!r}"
+    if why:
         raise ValueError(f"line {ln + k + 1}: {why}")
 
 
@@ -654,21 +664,20 @@ def read_table(path: str | Path, magic: str | None, keys: tuple[str, ...],
 
     The layout is a ``magic`` line (none when ``magic`` is None), one
     ``key=value`` line for each of ``keys`` in that order, ``n`` rows of
-    ``width`` values, then nothing but whitespace.  A row is its values'
-    24-character tokens (``write_table``) joined by single spaces; each
-    token reads back to the very double that was written.
+    ``width`` values, then nothing but whitespace (``_SPACE``).  A row is
+    its values' 24-character tokens (``write_table``) joined by single
+    spaces; each token reads back to the very double that was written.
     ``shape(head)`` parses and checks the header values (``head_value``)
     and returns ``(n, width)``.  Returns the (n,) values at width 1, else
     an (n, width) array.
 
     The file is read as ASCII text (``_TEXT``), so CRLF line ends read
-    the same and a byte outside ASCII is refused like any other bad byte.  The rows stream in chunks of rows into the one
-    result array, so no list of the file's lines is ever held.
-    ``_decode``, the one check that accepts a token, checks and decodes
-    whole chunks; a refused chunk is decoded again with its cut last line
-    completed, then its lines and tokens run through ``_decode`` to name
-    the first bad one.  Every refusal is a
-    ``ValueError`` that names the file and the line or key.
+    the same and a byte outside ASCII is refused like any other bad byte.
+    The rows stream in chunks of rows into the one result array, so no
+    list of the file's lines is ever held.  ``_decode``, the one check
+    that accepts a token, checks and decodes whole chunks; a refused one
+    goes to ``_parse_chunk`` to name its first bad line.  Every refusal
+    is a ``ValueError`` that names the file and the line or key.
     """
     with open(path, **_TEXT) as f:
         if magic is not None and f.readline().rstrip("\n") != magic:
@@ -695,16 +704,20 @@ def read_table(path: str | Path, magic: str | None, keys: tuple[str, ...],
                     where = f"expected {n} values on lines {ln + 1}-{ln + n}: {e}" if width == 1 else e
                     raise ValueError(f"{path}: {where}") from None
         for ln, line in enumerate(f, start=ln + n + 1):
-            if line.strip():
+            if line.strip(_SPACE):
                 raise ValueError(f"{path}: line {ln}: data after the last of {n} rows")
     return rows.reshape(n) if width == 1 else rows
 
 
 def head_value(head: dict[str, str], key: str, kind: Callable = int):
     """Header value ``key`` of a table converted by ``kind``, refused by
-    key when bad; an ``int`` must not be negative."""
+    key unless spelled as written (``repr`` of the value, comma-joined for
+    a tuple); an ``int`` must not be negative."""
     try:
         value = kind(head[key])
+        spelled = ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+        if spelled != head[key]:
+            raise ValueError(f"expected the written spelling {spelled!r}")
         if kind is int and value < 0:
             raise ValueError("negative")
     except ValueError as e:

@@ -15,7 +15,8 @@ the end; a step gathers what it needs from library rows, so it reads no
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -397,7 +398,7 @@ def ppo_update(
 @dataclass
 class RolloutBuffer:
     """Per-step arrays shaped (T, E, ...); advantages filled by gae().
-    Only tracking fills ``imitation`` and ``idle_footwork``."""
+    ``info`` holds the (T, E) step-info columns that ``collect`` kept."""
 
     obs: np.ndarray
     actions: np.ndarray
@@ -408,8 +409,7 @@ class RolloutBuffer:
     bootstrap: np.ndarray  # (E,)
     advantages: np.ndarray | None = None
     returns: np.ndarray | None = None
-    imitation: np.ndarray | None = None
-    idle_footwork: np.ndarray | None = None  # mask: step belongs to an idle/footwork clip
+    info: dict[str, np.ndarray] = field(default_factory=dict)
 
     def flat(self) -> PpoBatch:
         if self.advantages is None:
@@ -612,53 +612,42 @@ class TrackingEnv(EnvBatch):
         return obs[0], float(reward[0]), bool(done[0]), {k: v[0].item() for k, v in info.items()}
 
 
-def rollout_values(
-    value_spec: nets.MlpSpec, value_params: np.ndarray, obs: np.ndarray, last_obs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The critic's (T, E) values of a rollout's (T, E, obs_dim) ``obs`` and
-    its (E,) bootstrap, the values of ``last_obs``: two calls of one row
-    net, so the values do not depend on E or the worker split."""
-    net = nets.RowNet(value_spec, value_params)
-    values = net(obs.reshape(-1, obs.shape[2]))[:, 0].reshape(obs.shape[:2])
-    return values, net(last_obs)[:, 0]
+def _track_act(policy: GaussianPolicy, net: nets.RowNet, batch: EnvBatch, obs: np.ndarray,
+               rngs: list[np.random.Generator]):
+    """``collect``'s actor for tracking: the policy's sampled actions and
+    their log-probs, with the PD targets they give around the reference."""
+    a, lp = policy.sample_rows(net, obs, rngs)
+    return action_to_targets(a, batch.ref_base()), a, lp
 
 
-def _collect_chunk(
-    batch: EnvBatch,
-    policy: GaussianPolicy,
-    policy_params: np.ndarray,
-    value_spec: nets.MlpSpec,
-    value_params: np.ndarray,
-    horizon: int,
-    rngs: list[np.random.Generator],
-) -> RolloutBuffer:
-    n_env = len(batch)
-    cur = batch.observe()
-    act_dim = policy.spec.output_dim
-    obs = np.zeros((horizon, n_env, cur.shape[1]))
-    actions = np.zeros((horizon, n_env, act_dim))
-    rewards = np.zeros((horizon, n_env))
-    log_probs = np.zeros((horizon, n_env))
-    dones = np.zeros((horizon, n_env))
-    imitation = np.zeros((horizon, n_env))
-    idle_fw = np.zeros((horizon, n_env), dtype=bool)
-    net = policy.row_net(policy_params)
+TRACK_INFO = ("imitation", "idle_fw")  # the step-info columns a tracking rollout keeps
+
+
+def collect(step: Callable, obs: np.ndarray, act: Callable, value_spec: nets.MlpSpec,
+            value_params: np.ndarray, horizon: int, keys: tuple[str, ...],
+            rngs: list[np.random.Generator]) -> RolloutBuffer:
+    """The PPO rollout loop of every stage: ``horizon`` steps from the
+    (E, obs_dim) rows ``obs``.  ``act(obs, rngs)`` gives the rows'
+    (controls, actions, log-probs), row e drawing from ``rngs[e]``, and
+    ``step(controls)`` the next (obs, reward, done, info) rows; the buffer's
+    ``info`` keeps the info columns named in ``keys``, each (T, E).  The
+    critic values the observations and the last ``obs``, the bootstrap, in
+    two calls of one row net, so no value depends on E or the worker split."""
+    cols: list[np.ndarray] = []
     for t in range(horizon):
-        a, lp = policy.sample_rows(net, cur, rngs)
-        o2, r, d, info = batch.step(action_to_targets(a, batch.ref_base()))
-        obs[t] = cur
-        actions[t] = a
-        rewards[t] = r
-        log_probs[t] = lp
-        dones[t] = d
-        imitation[t] = info["imitation"]
-        idle_fw[t] = info["idle_fw"]
-        cur = o2
-    values, bootstrap = rollout_values(value_spec, value_params, obs, cur)
-    return RolloutBuffer(
-        obs, actions, rewards, values, log_probs, dones, bootstrap,
-        imitation=imitation, idle_footwork=idle_fw,
-    )
+        controls, actions, log_probs = act(obs, rngs)
+        nxt, reward, done, info = step(controls)
+        row = (obs, actions, reward, log_probs, done, *(info[k] for k in keys))
+        # every (T, ...) column is allocated at the first step, in its row's dtype
+        cols = cols or [np.empty((horizon, *np.shape(x)), np.asarray(x).dtype) for x in row]
+        for col, x in zip(cols, row):
+            col[t] = x
+        obs = nxt
+    seen, actions, rewards, log_probs, dones, *cols = cols
+    net = nets.RowNet(value_spec, value_params)
+    values = net(seen.reshape(-1, seen.shape[2]))[:, 0].reshape(seen.shape[:2])
+    return RolloutBuffer(seen, actions, rewards, values, log_probs, dones.astype(np.float64),
+                         net(obs)[:, 0], info=dict(zip(keys, cols)))
 
 
 _WORKER_JOB: tuple = ()  # (batch, args, rngs) of a forked collection worker
@@ -676,9 +665,10 @@ def _collect_part(lo: int, hi: int):
     ``lo:hi`` of the batch the pool was forked with, those rows and
     their generators advanced, without the clip library, and the states
     of the action generators ``rngs[lo:hi]`` after the collection."""
-    batch, args, rngs = _WORKER_JOB
+    batch, (policy, net, *critic), rngs = _WORKER_JOB
     part = batch.rows(np.arange(lo, hi))
-    buf = _collect_chunk(part, *args, rngs[lo:hi])
+    buf = collect(part.step, part.observe(), partial(_track_act, policy, net, part), *critic,
+                  TRACK_INFO, rngs[lo:hi])
     states = [r.bit_generator.state for r in rngs[lo:hi]]
     return buf, (part.world, part.t, part.clip_index, part.rngs), states
 
@@ -707,12 +697,14 @@ def collect_rollouts(
     buffer, the batch and ``rngs`` are bit-identical for any worker count.
     """
     batch = EnvBatch.join(envs) if isinstance(envs, list) else envs
-    args = (policy, policy_params, value_spec, value_params, horizon)
+    net = policy.row_net(policy_params)
     if workers <= 1 or len(batch) < 2:
-        return _collect_chunk(batch, *args, rngs)
+        return collect(batch.step, batch.observe(), partial(_track_act, policy, net, batch),
+                       value_spec, value_params, horizon, TRACK_INFO, rngs)
     import multiprocessing as mp
 
     chunks = np.array_split(np.arange(len(batch)), min(workers, len(batch)))
+    args = (policy, net, value_spec, value_params, horizon)
     with mp.get_context("fork").Pool(len(chunks), _start_worker, (batch, args, rngs)) as pool:
         results = pool.starmap(_collect_part, [(int(c[0]), int(c[-1]) + 1) for c in chunks])
     # the batch takes the joined rows, and the caller's generators advance as in one process
@@ -722,8 +714,8 @@ def collect_rollouts(
     bufs = [buf for buf, *_ in results]
     return RolloutBuffer(**{
         f.name: np.concatenate([getattr(b, f.name) for b in bufs], axis=0 if f.name == "bootstrap" else 1)
-        for f in fields(RolloutBuffer) if f.name not in ("advantages", "returns")
-    })
+        for f in fields(RolloutBuffer) if f.name not in ("advantages", "returns", "info")
+    }, info={k: np.concatenate([b.info[k] for b in bufs], axis=1) for k in TRACK_INFO})
 
 
 # --- training loop ------------------------------------------------------
@@ -928,11 +920,11 @@ def train_tracking(
             cfg.horizon, envs.rngs, workers=workers,
         )
         m = ppo_round(ts, buf, cfg, np.random.default_rng(seed_for(seed, f"update-{u}-shuffle")))
-        ifw = buf.idle_footwork
+        imitation, ifw = (buf.info[k] for k in TRACK_INFO)
         metrics.write({
-            **m, "update": u, "reward": buf.rewards.mean(), "imitation": buf.imitation.mean(),
-            "imitation_idle_footwork": buf.imitation[ifw].mean() if ifw.any() else 0.0,
-            "energy": (buf.rewards - buf.imitation).mean(),
+            **m, "update": u, "reward": buf.rewards.mean(), "imitation": imitation.mean(),
+            "imitation_idle_footwork": imitation[ifw].mean() if ifw.any() else 0.0,
+            "energy": (buf.rewards - imitation).mean(),
             "episode_steps": buf.rewards.size / max(buf.dones.sum(), 1.0),
         })
     save_train_state(out, ts, envs, seed)

@@ -39,17 +39,24 @@ step's scoring: one list of Hit/GotHit events per row, summed event by
 event into a scalar reward; ``combat_rewards`` must equal it bit for
 bit.  ``spawn_pair`` is one env's spawn as two ``SimState`` copies of the
 stance, which ``CombatEnv``'s spawned rows must equal.
+
+``self_play_train`` is combat's self-play with its own epoch loop, one
+decision at a time into preallocated buffers and with its own hit and
+knockdown counts: the oracle of self-play through ``tracking.collect``.
 """
 import math
 import struct
 from dataclasses import dataclass, fields
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 
 from slmp import combat as cb
 from slmp import motion as mo
+from slmp import nets
 from slmp import physics as ph
+from slmp import seeding
 from slmp import tracking as tr
 
 
@@ -502,6 +509,63 @@ def spawn_pair(stance, cfg, rng):
             s.anchor_x += s.root_pos[0] - x
         pair.append(s)
     return pair
+
+
+def self_play_train(slmp_dir, cfg, out_dir, seed, spec, phys):
+    """``combat.self_play_train`` with the epoch loop written out: it
+    writes the same ``metrics.csv`` under ``out_dir`` and returns the
+    (policy, critic) parameters of both instances, without checkpoints."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    n_env = cfg.envs
+    env = cb.CombatEnv(*nets.load_checkpoint(Path(slmp_dir) / "pi_phi.ckpt")[1:3], spec, phys, cfg,
+                       seeding.rngs(seed, "cenv", n_env))
+    latent_dim = env.prior.spec.input_dim - tr.proprio_dim(spec)
+    pcfg = cfg.ppo()
+    obs_dim = cb.combat_obs_dim(spec)
+    agents = [tr.build_networks(obs_dim, latent_dim, pcfg, seed, ("pi-h-init", "vh-init"))
+              for _ in range(2)]
+    obs = env.observe()
+    metrics = tr.MetricsLog(out, cb.COMBAT_METRICS, 25, cfg.epochs - 1, False, "")
+    for epoch in range(cfg.epochs):
+        learner = cb.SelfPlayState(cfg.swap_period, epoch).learner_index()
+        ts, frozen = agents[learner], agents[1 - learner]
+        env.epoch = epoch
+        env.rngs = seeding.rngs(seed, f"epoch-{epoch}-env", n_env)
+        rngs = seeding.rngs(seed, f"epoch-{epoch}-act", n_env)
+        t_len = cfg.horizon
+        obs_buf = np.zeros((t_len, n_env, obs_dim))
+        act_buf = np.zeros((t_len, n_env, latent_dim))
+        logp_buf = np.zeros((t_len, n_env))
+        rew_buf = np.zeros((t_len, n_env))
+        done_buf = np.zeros((t_len, n_env))
+        hits = downs = 0
+        learner_net, frozen_net = (a.policy.row_net(a.policy_params) for a in (ts, frozen))
+        for t in range(t_len):
+            # the learner samples, the frozen instance takes its mean
+            z = np.empty((2 * n_env, latent_dim))
+            z[learner::2], act_buf[t], logp_buf[t] = cb.high_level_step(
+                ts.policy, learner_net, obs[learner::2], rngs)
+            z[1 - learner::2] = cb.high_level_step(frozen.policy, frozen_net, obs[1 - learner::2])[0]
+            obs_buf[t] = obs[learner::2]
+            obs, rewards, done, info = env.decision_step(z)
+            rew_buf[t] = rewards[:, learner]
+            done_buf[t] = done
+            downs += info["reason"].count("knockdown")
+            hits += int(info["hits"][:, learner].sum())
+        critic = nets.RowNet(ts.value_spec, ts.value_params)
+        values = critic(obs_buf.reshape(-1, obs_dim))[:, 0].reshape(t_len, n_env)
+        buf = tr.RolloutBuffer(obs_buf, act_buf, rew_buf, values, logp_buf, done_buf,
+                               critic(obs[learner::2])[:, 0])
+        shuffle = np.random.default_rng(seeding.seed_for(seed, f"epoch-{epoch}-shuffle"))
+        m = tr.ppo_round(ts, buf, pcfg, shuffle)
+        episodes = max(done_buf.sum(), 1.0)
+        metrics.write({
+            **m, "epoch": epoch, "learner": learner, "reward": rew_buf.mean(),
+            "hits_per_episode": hits / episodes, "knockdowns_per_episode": downs / episodes,
+            "episode_steps": rew_buf.size / episodes,
+        })
+    return [ts.policy_params for ts in agents], [ts.value_params for ts in agents]
 
 
 def _pair_contacts(k, spec, cfg, a, near):

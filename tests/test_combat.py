@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import reference
 from reference import CombatEvent, combat_reward, proprio, rot, spawn_pair, watch_kinematics
 from reference import hit_events as hit_event_lists
 from reference import wrap_angle
@@ -495,6 +496,29 @@ class TestCombatEnv:
         assert one_params[1].tobytes() == base.policy_params.tobytes()
         assert not np.array_equal(params[1], base.policy_params)
         assert not np.array_equal(values[1], base.value_params)
+
+    def test_self_play_collects_as_the_step_loop(self, tiny_prior, tmp_path):
+        """Three epochs through ``tracking.collect`` write the metrics and
+        reach the parameters of the reference's own step loop, byte for
+        byte, over swaps, hits and knockdowns."""
+        _, phi_spec, phi_params = tiny_prior
+        # strong enough to land hits and knock fighters down
+        nets.save_checkpoint(tmp_path / "pi_phi.ckpt", "pi_phi", phi_spec, 30.0 * phi_params)
+        cfg = cb.CombatConfig(envs=2, horizon=8, epochs=3, swap_period=1, spawn_gap=0.45, f_hit=5.0,
+                              pi_h_hidden=(8,), critic_hidden=(8,))
+        params, values = cb.self_play_train(tmp_path, cfg, tmp_path / "run", seed=0, spec=SPEC,
+                                            phys=CFG, log=False)
+        want = reference.self_play_train(tmp_path, cfg, tmp_path / "oracle", 0, SPEC, CFG)
+        got = (tmp_path / "run" / "metrics.csv").read_bytes()
+        assert got == (tmp_path / "oracle" / "metrics.csv").read_bytes()
+        for a, b in zip([*params, *values], [*want[0], *want[1]]):
+            assert a.tobytes() == b.tobytes()
+        header, *rows = got.decode().splitlines()
+        cols = dict(zip(header.split(","), zip(*(map(float, r.split(",")) for r in rows))))
+        assert cols["learner"] == (0.0, 1.0, 0.0)
+        assert sum(cols["hits_per_episode"]) > 0 and sum(cols["knockdowns_per_episode"]) > 0
+        base = tr.build_networks(cb.combat_obs_dim(SPEC), 4, cfg.ppo(), 0, ("pi-h-init", "vh-init"))
+        assert not any(np.array_equal(p, base.policy_params) for p in params)
 
 
 def _no_termination(root_dist, limb_dist, knockdown, t, timers, dt, epoch, cfg):

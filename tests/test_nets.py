@@ -575,7 +575,7 @@ class TestAdam:
 # the neighbours of each byte range the token check accepts (sign, lead
 # bit, hex and decimal digits), and the ASCII whitespace and controls
 # that split lines or values.
-EDIT_BYTES = b"\x00\t\n\x0b\x0c\r\x1c !)+-./0123456789:?@AFG`afgnpxz=\x7f\x80\xff"
+EDIT_BYTES = b"\x00\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f !)+-./0123456789:?@AFG_`afgnpxz=\x7f\x80\xff"
 
 
 class TestCheckpoint:
@@ -718,6 +718,63 @@ class TestCheckpoint:
         load = nets.load_checkpoint if name == "x.ckpt" else nets.adam_state_load
         with pytest.raises(ValueError, match=f"{name}: {where}"):
             load(path)
+
+    @pytest.mark.parametrize("name, line", [
+        ("a.txt", "t=0_0"), ("a.txt", "t=00"), ("a.txt", "t=+0"), ("a.txt", "t= 0"),
+        ("a.txt", "lr= 0.05"), ("a.txt", "lr=0.050"), ("a.txt", "lr=5e-2"), ("a.txt", "lr=0_0.05"),
+        ("a.txt", "count=0_3"), ("a.txt", "count=3 "), ("x.ckpt", "input=+2"),
+        ("x.ckpt", "hidden=,"), ("x.ckpt", "extra=-0"),
+    ])
+    def test_header_values_read_only_as_written(self, tmp_path, name, line):
+        """A header value that converts to the written one, but in another
+        spelling, is refused by its key."""
+        spec = nets.MlpSpec(2, (), 1)
+        nets.save_checkpoint(tmp_path / "x.ckpt", "x", spec, np.ones(spec.param_count()))
+        nets.adam_state_save(tmp_path / "a.txt", nets.adam_init(3, lr=0.05))
+        path = tmp_path / name
+        key, _, value = line.partition("=")
+        lines = [line if ln.startswith(f"{key}=") else ln for ln in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        load = nets.load_checkpoint if name == "x.ckpt" else nets.adam_state_load
+        with pytest.raises(ValueError, match=re.escape(f"{name}: header line {key}={value!r}: ")):
+            load(path)
+
+    @pytest.mark.parametrize("byte", [b"\x1c", b"\x1d", b"\x1e", b"\x1f"])
+    def test_lines_after_the_rows_hold_only_layout_whitespace(self, tmp_path, byte):
+        """Python's ``str.strip`` counts 0x1c-0x1f as whitespace; the layout
+        does not, so a line holding one after the rows is refused by line,
+        while space, tab, VT, FF and CR LF lines read."""
+        path = tmp_path / "a.txt"
+        state = nets.adam_init(3, lr=0.05)
+        nets.adam_state_save(path, state)
+        table = path.read_bytes()
+        path.write_bytes(table + b" \t\x0b\x0c\r\n")
+        assert nets.adam_state_load(path).v.tobytes() == state.v.tobytes()
+        path.write_bytes(table + byte + b"\n")
+        with pytest.raises(ValueError, match="a.txt: line 14: data after the last of 6 rows"):
+            nets.adam_state_load(path)
+
+    @pytest.mark.parametrize("row, token", [
+        (0, "+0x1.000000000000gp+0000"), (2730, "+0x1.000000000000gp+0000"), (4095, "nan"),
+        (4095, "+0x1.0000000000000p+0000 +0x1.0000000000000p+0000"), (1000, "+1.0"),
+    ])
+    def test_refused_chunk_takes_few_decodes(self, tmp_path, monkeypatch, row, token):
+        """A refused 4096-row chunk names its bad line in at most 2 log2(4096)
+        + 4 ``_decode`` calls."""
+        monkeypatch.setattr(nets, "_READ_MIN", 4096)
+        path = tmp_path / "t.txt"
+        nets.write_table(path, ["n=4096"], np.ones(4096))
+        lines = path.read_text().splitlines()
+        lines[row + 1] = token
+        path.write_text("\n".join(lines) + "\n")
+        calls = []
+        real = nets._decode
+        monkeypatch.setattr(nets, "_decode", lambda *a: calls.append(1) or real(*a))
+        why = ("expected 1 values, got 2" if " " in token else f"not a table value: {token!r}")
+        with pytest.raises(ValueError) as e:
+            nets.read_table(path, None, ("n",), lambda h: (nets.head_value(h, "n"), 1))
+        assert str(e.value) == f"{path}: expected 4096 values on lines 2-4097: line {row + 2}: {why}"
+        assert len(calls) <= 2 * 12 + 4, len(calls)
 
     def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
         """A table write that fails after its first chunk, of three, leaves

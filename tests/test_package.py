@@ -154,6 +154,18 @@ def test_metrics_csv_has_one_writer():
     assert holders == [("tracking.py", "MetricsLog")]
 
 
+def test_one_rollout_collector():
+    """One PPO rollout loop: only ``tracking.collect``, and the worker
+    merge of ``tracking.collect_rollouts``, build a ``RolloutBuffer``."""
+    builders = [
+        (p.name, getattr(node, "name", "<module>")) for p in MODULES
+        for node in ast.parse(p.read_text()).body for n in ast.walk(node)
+        if isinstance(n, ast.Call) and "RolloutBuffer" in (getattr(n.func, "id", None),
+                                                           getattr(n.func, "attr", None))
+    ]
+    assert builders == [("tracking.py", "collect"), ("tracking.py", "collect_rollouts")]
+
+
 def test_row_helpers_take_rows():
     """Helpers below the per-state layer take rows only: no package code
     lifts a scalar or 1-D argument to rows or branches on its rank."""

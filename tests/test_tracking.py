@@ -814,7 +814,7 @@ class TestTraining:
                  one_clip("jab", 20, 3.0, spec=SPEC, cfg=CFG)]
         cfg = tr.PpoConfig(envs=32, horizon=60, pi_hidden=(32,), critic_hidden=(32,))
         ts = tr.build_networks(tr.track_obs_dim(SPEC), 8, cfg, seed=0)
-        fields = ("obs", "actions", "rewards", "values", "log_probs", "dones", "imitation")
+        fields = ("obs", "actions", "rewards", "values", "log_probs", "dones")
 
         def run(splits):
             batch = _batch(clips, range(300, 332))
@@ -828,6 +828,7 @@ class TestTraining:
                 ))
                 lo += n
             out = {f: np.concatenate([getattr(b, f) for b in bufs], axis=1) for f in fields}
+            out["imitation"] = np.concatenate([b.info["imitation"] for b in bufs], axis=1)
             out["bootstrap"] = np.concatenate([b.bootstrap for b in bufs])
             out["envs"] = reference.env_state(tr.EnvBatch.join(parts))
             return out
