@@ -407,16 +407,10 @@ class CombatEnv:
         return combat_observation(self.world, k, self.site_force, spec), rewards, done, info
 
 
-@dataclass
-class SelfPlayState:
-    """Two policy instances; exactly one is trainable at a time."""
-
-    swap_period: int
-    epoch: int = 0
-
-    def learner_index(self, epoch: int | None = None) -> int:
-        e = self.epoch if epoch is None else epoch
-        return (e // self.swap_period) % 2
+def learner_index(epoch: int, swap_period: int) -> int:
+    """Which of the two policy instances trains in ``epoch``: the first for
+    ``swap_period`` epochs, then the second, and so on."""
+    return (epoch // swap_period) % 2
 
 
 COMBAT_METRICS = (
@@ -437,8 +431,9 @@ def self_play_train(
     """Stage 3: alternating self-play over the frozen latent prior.
 
     Both high-level policies are initialized identically and evolve
-    independently; roles swap every cfg.swap_period epochs.  Each epoch
-    appends its ``COMBAT_METRICS`` row through ``tracking.MetricsLog``.
+    independently; roles swap every cfg.swap_period epochs
+    (``learner_index``).  ``tracking.run_stage`` runs the epochs and writes
+    their ``COMBAT_METRICS`` rows, then both instances are saved.
     """
     spec = spec or ph.default_character()
     phys = phys or ph.default_config(spec)
@@ -459,13 +454,9 @@ def self_play_train(
     # the current (2E, obs_dim) observation rows, carried across decisions
     # and epochs
     obs = env.observe()
-    sp = SelfPlayState(swap_period=cfg.swap_period)
-    metrics = tr.MetricsLog(out, COMBAT_METRICS, 25, cfg.epochs - 1, log, "[combat] epoch {epoch} "
-                            "learner {learner} reward {reward:.3f} hits/ep {hits_per_episode:.2f}")
 
-    for epoch in range(cfg.epochs):
-        sp.epoch = epoch
-        learner = sp.learner_index()
+    def update(epoch: int) -> dict:
+        learner = learner_index(epoch, cfg.swap_period)
         ts, frozen = agents[learner], agents[1 - learner]
         env.epoch = epoch
         env.rngs = seeding.rngs(seed, f"epoch-{epoch}-env", n_env)
@@ -488,13 +479,15 @@ def self_play_train(
         shuffle = np.random.default_rng(seeding.seed_for(seed, f"epoch-{epoch}-shuffle"))
         m = tr.ppo_round(ts, buf, pcfg, shuffle)
         episodes = max(buf.dones.sum(), 1.0)
-        metrics.write({
-            **m, "epoch": epoch, "learner": learner, "reward": buf.rewards.mean(),
+        return m | {
+            "learner": learner, "reward": buf.rewards.mean(),
             "hits_per_episode": buf.info["hits"].sum() / episodes,
             "knockdowns_per_episode": buf.info["knockdown"].sum() / episodes,
             "episode_steps": buf.rewards.size / episodes,
-        })
+        }
 
+    tr.run_stage(out, COMBAT_METRICS, 25, "[combat] epoch {epoch} learner {learner} "
+                 "reward {reward:.3f} hits/ep {hits_per_episode:.2f}", log, cfg.epochs, update)
     for i, ts in enumerate(agents, 1):
         tr.save_policy(out / f"pi_h_{i}.ckpt", f"pi_h_{i}", ts.policy, ts.policy_params)
         nets.save_checkpoint(out / f"critic_h_{i}.ckpt", f"critic_h_{i}", ts.value_spec, ts.value_params)

@@ -351,7 +351,7 @@ def slmp_update(
 
 
 class _Ring:
-    """Fixed-capacity sample store with deterministic overwrite order."""
+    """Fixed-capacity sample store: the i-th row pushed lands at i % capacity."""
 
     def __init__(self, capacity: int, dims: tuple[int, ...]):
         self.capacity = capacity
@@ -361,12 +361,12 @@ class _Ring:
 
     def push(self, *rows: np.ndarray) -> None:
         n = rows[0].shape[0]
-        for chunk_start in range(0, n, self.capacity):
-            block = min(self.capacity - self.write, n - chunk_start)
-            for buf, row in zip(self.buffers, rows):
-                buf[self.write : self.write + block] = row[chunk_start : chunk_start + block]
-            self.write = (self.write + block) % self.capacity
-            self.size = min(self.size + block, self.capacity)
+        keep = min(n, self.capacity)
+        idx = (self.write + np.arange(n - keep, n)) % self.capacity
+        for buf, row in zip(self.buffers, rows):
+            buf[idx] = row[n - keep:]
+        self.write = (self.write + n) % self.capacity
+        self.size = min(self.size + n, self.capacity)
 
     def sample(self, n: int, rng: np.random.Generator) -> list[np.ndarray]:
         idx = rng.integers(self.size, size=n)
@@ -457,8 +457,8 @@ def train_slmp(
     Rollouts are driven by the encoded goal latent along reference clips;
     the expert labels every visited state with its PD-target action.
     Fresh on-policy samples feed a replay ring from which update batches
-    are drawn (DAgger-style aggregation).  Each update appends its
-    ``DISTILL_METRICS`` row through ``tracking.MetricsLog``.
+    are drawn (DAgger-style aggregation).  ``tracking.run_stage`` runs the
+    updates and writes their ``DISTILL_METRICS`` rows.
     """
     spec = spec or ph.default_character()
     phys = phys or ph.default_config(spec)
@@ -480,12 +480,10 @@ def train_slmp(
     phase = Phase(window=cfg.window, plateau_tol=cfg.plateau_tol)
     ring = _Ring(cfg.capacity, (pdim, gdim, spec.n_joints))
     envs = tr.EnvBatch(clips, spec, phys, seeding.rngs(seed, "denv", cfg.envs), cfg.e_div)
-    metrics = tr.MetricsLog(out, DISTILL_METRICS, 200, cfg.updates - 1, log,
-                            f"[distill:{cfg.mode}] " "update {update} l_distill {l_distill:.4f} "
-                            "l_dlsc {l_dlsc:.4f} mse_fresh {mse_fresh:.4f} use_wc {latched}")
-
     steps_per_env = cfg.fresh_per_update // cfg.envs
-    for u in range(cfg.updates):
+
+    def update(u: int) -> dict:
+        nonlocal phase
         rng_u = np.random.default_rng(seed_for(seed, f"distill-update-{u}"))
         *fresh, mse_fresh = collect_fresh(envs, steps_per_env, expert, expert_params, n)
         ring.push(*fresh)
@@ -498,8 +496,12 @@ def train_slmp(
         if cfg.mode == "slmp" and not m["skipped"]:
             phase = phase_scheduler(phase, m["l_slmp"])
         # the row's use_wc is the phase the update ran in; the console shows the phase after it
-        metrics.write({**m, "update": u, "mse_fresh": mse_fresh, "latched": phase.use_wc})
+        return m | {"mse_fresh": mse_fresh, "latched": phase.use_wc}
 
+    tr.run_stage(out, DISTILL_METRICS, 200,
+                 f"[distill:{cfg.mode}] " "update {update} l_distill {l_distill:.4f} "
+                 "l_dlsc {l_dlsc:.4f} mse_fresh {mse_fresh:.4f} use_wc {latched}",
+                 log, cfg.updates, update)
     nets.save_checkpoint(out / "encoder.ckpt", "encoder", n.enc_spec, n.enc_params)
     nets.save_checkpoint(out / "pi_phi.ckpt", "pi_phi", n.phi_spec, n.phi_params)
     nets.save_checkpoint(out / "disc.ckpt", "disc", n.disc_spec, n.disc_params)

@@ -765,43 +765,40 @@ def ppo_round(ts: TrainState, buf: RolloutBuffer, cfg: PpoConfig, rng: np.random
     return dict.fromkeys(("policy_loss", "value_loss", "entropy", "clip_fraction"), math.nan) | m
 
 
-class MetricsLog:
-    """The ``metrics.csv`` of one training stage and its console lines.
+def run_stage(out: Path, fields: tuple[str, ...], every: int, line: str, log: bool,
+              updates: int, update: Callable[[int], dict], start: int | None = None) -> None:
+    """The update loop of one training stage and its ``metrics.csv``.
 
-    ``write`` appends the ``repr(float(row[k]))`` of each of ``fields`` and
-    closes the file, so a crash keeps the rows written before it.  A run
-    resumed from a snapshot of update ``keep_below`` keeps the rows below
-    it, under a byte-equal header only; a row whose update is not a number
-    is refused by file and line.  With ``log``, the row of update
-    ``u``, its first field, prints ``line.format(**row)`` when
-    ``u % every == 0 or u == last``.
+    Writes the header of ``fields``, then calls ``update(u)`` for u in
+    ``[start or 0, updates)`` and appends the ``repr(float(row[k]))`` of
+    each of ``fields`` of the row it returns, with ``u`` under
+    ``fields[0]``.  The file is closed after each row, so a crash keeps
+    the rows written before it.  A run resumed from a snapshot of update
+    ``start`` keeps the rows below it, under a byte-equal header only; a
+    row whose update is not a number is refused by file and line.  With
+    ``log``, update u prints ``line.format(**row)`` when ``u % every == 0``
+    and after the last update.
     """
-
-    def __init__(self, out: Path, fields: tuple[str, ...], every: int, last: int, log: bool,
-                 line: str, keep_below: int | None = None):
-        self.path = out / "metrics.csv"
-        self.fields, self.line = fields, line
-        self.every, self.last, self.log = every, last, log
-        header = ",".join(fields) + "\n"
-        kept = []
-        if keep_below is not None and self.path.exists():
-            head, *rows = self.path.read_text().splitlines(True) or [""]
-            if head != header:
-                raise ValueError(f"{self.path}: the header {head.rstrip()!r} is not {header.rstrip()!r}")
-            for ln, row in enumerate(rows, start=2):
-                try:
-                    if row.endswith("\n") and float(row.split(",")[0]) < keep_below:
-                        kept.append(row)
-                except ValueError as e:
-                    raise ValueError(f"{self.path}: line {ln}: {e}") from None
-        self.path.write_text(header + "".join(kept))
-
-    def write(self, row: dict) -> None:
-        with self.path.open("a") as f:
-            f.write(",".join(repr(float(row[k])) for k in self.fields) + "\n")
-        u = row[self.fields[0]]
-        if self.log and (u % self.every == 0 or u == self.last):
-            print(self.line.format(**row), flush=True)
+    path = out / "metrics.csv"
+    header = ",".join(fields) + "\n"
+    kept = []
+    if start is not None and path.exists():
+        head, *rows = path.read_text().splitlines(True) or [""]
+        if head != header:
+            raise ValueError(f"{path}: the header {head.rstrip()!r} is not {header.rstrip()!r}")
+        for ln, row in enumerate(rows, start=2):
+            try:
+                if row.endswith("\n") and float(row.split(",")[0]) < start:
+                    kept.append(row)
+            except ValueError as e:
+                raise ValueError(f"{path}: line {ln}: {e}") from None
+    path.write_text(header + "".join(kept))
+    for u in range(start or 0, updates):
+        row = update(u) | {fields[0]: u}
+        with path.open("a") as f:
+            f.write(",".join(repr(float(row[k])) for k in fields) + "\n")
+        if log and (u % every == 0 or u == updates - 1):
+            print(line.format(**row), flush=True)
 
 
 def save_train_state(out: Path, ts: TrainState, envs: EnvBatch, seed: int) -> None:
@@ -886,7 +883,8 @@ def train_tracking(
 ) -> TrainState:
     """Stage 1: PPO training of the tracking expert on the clip library.
 
-    Each update appends its ``METRIC_FIELDS`` row through ``MetricsLog``.
+    ``run_stage`` runs the updates and writes their ``METRIC_FIELDS`` rows,
+    then ``save_train_state`` the snapshot that ``resume`` continues.
     """
     spec = spec or ph.default_character()
     phys = phys or ph.default_config(spec)
@@ -905,13 +903,12 @@ def train_tracking(
         if rates != (cfg.lr, cfg.lr):
             raise ValueError(
                 f"{out}: the saved (policy, critic) learning rates are {rates}, the config sets {cfg.lr}")
+        if saved.update > cfg.updates:
+            raise ValueError(
+                f"{out}: the snapshot is at update {saved.update}, the run asks for {cfg.updates}")
         ts = saved
-    metrics = MetricsLog(out, METRIC_FIELDS, 25, cfg.updates - 1, log,
-                         "[track] update {update} reward {reward:.3f} imitation {imitation:.3f} "
-                         "idle+fw {imitation_idle_footwork:.3f} ep_steps {episode_steps:.1f}",
-                         ts.update if resumed else None)
 
-    for u in range(ts.update, cfg.updates):
+    def update(u: int) -> dict:
         if not cfg.learn_std:
             ts.policy_params[-spec.n_joints:] = math.log(cfg.sigma_at(u))
         envs.rngs = seeding.rngs(seed, f"update-{u}-env", cfg.envs)
@@ -921,12 +918,17 @@ def train_tracking(
         )
         m = ppo_round(ts, buf, cfg, np.random.default_rng(seed_for(seed, f"update-{u}-shuffle")))
         imitation, ifw = (buf.info[k] for k in TRACK_INFO)
-        metrics.write({
-            **m, "update": u, "reward": buf.rewards.mean(), "imitation": imitation.mean(),
+        return m | {
+            "reward": buf.rewards.mean(), "imitation": imitation.mean(),
             "imitation_idle_footwork": imitation[ifw].mean() if ifw.any() else 0.0,
             "energy": (buf.rewards - imitation).mean(),
             "episode_steps": buf.rewards.size / max(buf.dones.sum(), 1.0),
-        })
+        }
+
+    run_stage(out, METRIC_FIELDS, 25,
+              "[track] update {update} reward {reward:.3f} imitation {imitation:.3f} "
+              "idle+fw {imitation_idle_footwork:.3f} ep_steps {episode_steps:.1f}",
+              log, cfg.updates, update, ts.update if resumed else None)
     save_train_state(out, ts, envs, seed)
     return ts
 

@@ -526,9 +526,10 @@ def self_play_train(slmp_dir, cfg, out_dir, seed, spec, phys):
     agents = [tr.build_networks(obs_dim, latent_dim, pcfg, seed, ("pi-h-init", "vh-init"))
               for _ in range(2)]
     obs = env.observe()
-    metrics = tr.MetricsLog(out, cb.COMBAT_METRICS, 25, cfg.epochs - 1, False, "")
+    metrics = out / "metrics.csv"
+    metrics.write_text(",".join(cb.COMBAT_METRICS) + "\n")
     for epoch in range(cfg.epochs):
-        learner = cb.SelfPlayState(cfg.swap_period, epoch).learner_index()
+        learner = cb.learner_index(epoch, cfg.swap_period)
         ts, frozen = agents[learner], agents[1 - learner]
         env.epoch = epoch
         env.rngs = seeding.rngs(seed, f"epoch-{epoch}-env", n_env)
@@ -560,11 +561,13 @@ def self_play_train(slmp_dir, cfg, out_dir, seed, spec, phys):
         shuffle = np.random.default_rng(seeding.seed_for(seed, f"epoch-{epoch}-shuffle"))
         m = tr.ppo_round(ts, buf, pcfg, shuffle)
         episodes = max(done_buf.sum(), 1.0)
-        metrics.write({
+        row = {
             **m, "epoch": epoch, "learner": learner, "reward": rew_buf.mean(),
             "hits_per_episode": hits / episodes, "knockdowns_per_episode": downs / episodes,
             "episode_steps": rew_buf.size / episodes,
-        })
+        }
+        with metrics.open("a") as f:
+            f.write(",".join(repr(float(row[k])) for k in cb.COMBAT_METRICS) + "\n")
     return [ts.policy_params for ts in agents], [ts.value_params for ts in agents]
 
 

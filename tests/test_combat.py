@@ -375,16 +375,14 @@ class TestHighLevel:
 
 class TestSelfPlaySchedule:
     def test_swap_at_period_boundaries(self):
-        sp = cb.SelfPlayState(swap_period=250)
-        assert sp.learner_index(0) == 0
-        assert sp.learner_index(249) == 0
-        assert sp.learner_index(250) == 1
-        assert sp.learner_index(499) == 1
-        assert sp.learner_index(500) == 0
+        assert cb.learner_index(0, 250) == 0
+        assert cb.learner_index(249, 250) == 0
+        assert cb.learner_index(250, 250) == 1
+        assert cb.learner_index(499, 250) == 1
+        assert cb.learner_index(500, 250) == 0
 
     def test_exactly_one_trainable_alternating(self):
-        sp = cb.SelfPlayState(swap_period=250)
-        history = [sp.learner_index(e) for e in range(1000)]
+        history = [cb.learner_index(e, 250) for e in range(1000)]
         assert set(history) == {0, 1}
         # alternates with period 250
         for e in range(1000):

@@ -581,6 +581,37 @@ class TestCollectFresh:
         assert env_state(whole) == env_state(tr.EnvBatch.join(halves))
 
 
+def _ring_row_by_row(capacity, pushes):
+    """The replay ring pushed one row at a time: (buffers, write, size)."""
+    bufs = [np.zeros((capacity, rows.shape[1])) for rows in pushes[0]]
+    write = size = 0
+    for rows in pushes:
+        for i in range(rows[0].shape[0]):
+            for buf, col in zip(bufs, rows):
+                buf[write] = col[i]
+            write = (write + 1) % capacity
+            size = min(size + 1, capacity)
+    return bufs, write, size
+
+
+class TestRing:
+    @pytest.mark.parametrize("sizes", [
+        [4, 4, 4],  # the third push wraps
+        [3, 25],  # more than the capacity, from write != 0
+        [10, 10, 7, 13, 0, 1, 9],
+    ])
+    def test_push_matches_row_by_row(self, sizes):
+        rng = np.random.default_rng(0)
+        pushes = [(rng.standard_normal((n, 2)), rng.standard_normal((n, 1))) for n in sizes]
+        ring = di._Ring(10, (2, 1))
+        for k, rows in enumerate(pushes, 1):
+            ring.push(*rows)
+            bufs, write, size = _ring_row_by_row(10, pushes[:k])
+            assert (ring.write, ring.size) == (write, size)
+            for got, want in zip(ring.buffers, bufs):
+                assert np.array_equal(got, want)
+
+
 class TestTrainSlmp:
     def _expert(self, tmp_path, clips):
         cfg = tr.PpoConfig(envs=2, horizon=8, updates=1, epochs_per_update=1)

@@ -148,10 +148,10 @@ def test_string_holder_scan_flags_only_code_strings():
 
 def test_metrics_csv_has_one_writer():
     """The header, rows, resume trimming and console cadence of
-    ``metrics.csv`` live in ``tracking.MetricsLog`` alone."""
+    ``metrics.csv`` live in ``tracking.run_stage`` alone."""
     holders = [(p.name, name) for p in MODULES
                for name in string_holders(ast.parse(p.read_text()), "metrics.csv")]
-    assert holders == [("tracking.py", "MetricsLog")]
+    assert holders == [("tracking.py", "run_stage")]
 
 
 def test_one_rollout_collector():
@@ -164,6 +164,42 @@ def test_one_rollout_collector():
                                                            getattr(n.func, "attr", None))
     ]
     assert builders == [("tracking.py", "collect"), ("tracking.py", "collect_rollouts")]
+
+
+def range_loops(tree: ast.Module, name: str) -> list[int]:
+    """Lines of the ``for ... in range(...)`` statements in the body of the
+    module-level function ``name`` of ``tree``, nested ``def``s excluded."""
+    fn, = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+    lines, todo = [], list(fn.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if (isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+                and getattr(node.iter.func, "id", None) == "range"):
+            lines.append(node.lineno)
+        todo += ast.iter_child_nodes(node)
+    return sorted(lines)
+
+
+def test_range_loop_scan_skips_nested_defs():
+    tree = ast.parse(
+        "def stage(n):\n"
+        "    xs = [i for i in range(n)]\n"
+        "    def update(u):\n        for i in range(u): pass\n"
+        "    for x in xs:\n        for u in range(n): pass\n"
+        "    for u in range(n): pass\n"
+    )
+    assert range_loops(tree, "stage") == [6, 7]
+
+
+def test_one_stage_loop():
+    """``tracking.run_stage`` is the one update loop: each training stage
+    hands it an ``update`` and loops over no ``range`` of its own."""
+    stages = {"tracking.py": "train_tracking", "distill.py": "train_slmp", "combat.py": "self_play_train"}
+    loops = {p.name: range_loops(ast.parse(p.read_text()), stages[p.name])
+             for p in MODULES if p.name in stages}
+    assert loops == dict.fromkeys(stages, [])
 
 
 def test_row_helpers_take_rows():

@@ -612,6 +612,22 @@ class TestTraining:
             tr.train_tracking(clips, faster, tmp_path, seed=5, spec=SPEC, phys=CFG, resume=True,
                               log=False)
 
+    def test_resume_refuses_fewer_updates_than_the_snapshot(self, tmp_path):
+        """A snapshot at update 3 does not resume to 1 update: the run is
+        refused by name and no file of it is rewritten.  Resuming to 3 is a
+        no-op that writes the same bytes."""
+        clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        cfg = tr.PpoConfig(envs=1, horizon=4, updates=3, epochs_per_update=1,
+                           pi_hidden=(8,), critic_hidden=(8,))
+        run = dict(seed=5, spec=SPEC, phys=CFG, log=False)
+        tr.train_tracking(clips, cfg, tmp_path, **run)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ValueError, match="the snapshot is at update 3, the run asks for 1"):
+            tr.train_tracking(clips, replace(cfg, updates=1), tmp_path, resume=True, **run)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert tr.train_tracking(clips, cfg, tmp_path, resume=True, **run).update == 3
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     @pytest.mark.parametrize("cut", ["rows", "values", "empty", "headerless", "extra", "update"])
     def test_resume_refuses_a_truncated_snapshot(self, tmp_path, cut):
         """A snapshot that lost env rows, values of a row or its header, or
