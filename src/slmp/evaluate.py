@@ -29,6 +29,8 @@ from . import tracking as tr
 RESAMPLE_PERIOD = 1.0
 FIXED_Z = False
 
+CLOUD = ("SLMP-CLOUD/2", {"latent": int, "action": int, "points": int})
+
 
 @dataclass
 class SurvivalCurve:
@@ -219,20 +221,18 @@ def prior_decoder(
 
 def fixture_state(name: str, spec: ph.CharacterSpec, phys: ph.PhysicsConfig) -> ph.SimState:
     """Named reference states for state-conditioned sphere plots."""
+    jidx = {n: i for i, n in enumerate(ph.JOINT_NAMES)}
     if name == "guard":
         state = ph.nominal_stance(spec, phys)
-        jidx = {n: i for i, n in enumerate(ph.JOINT_NAMES)}
         for jn, v in ph.GUARD_ARMS.items():
             state.joint_angles[jidx[jn]] = v
         return state
     if name == "airborne":
         state = ph.nominal_stance(spec, phys)
-        state.anchor_x = None
-        state.anchor_on = None
+        state.anchor_x = state.anchor_on = None
         state.root_pos = state.root_pos + np.array([0.0, 0.35])
         state.root_vel = np.array([0.6, 1.2])
         state.root_ang_vel = -0.8
-        jidx = {n: i for i, n in enumerate(ph.JOINT_NAMES)}
         state.joint_angles[jidx["hip_l"]] = 1.1
         state.joint_angles[jidx["knee_l"]] = -1.3
         state.joint_angles[jidx["hip_r"]] = 0.4
@@ -243,39 +243,21 @@ def fixture_state(name: str, spec: ph.CharacterSpec, phys: ph.PhysicsConfig) -> 
 
 
 def save_cloud(cloud: SpherePointCloud, path: str | Path) -> None:
-    """Plot-ready text: latent components, cluster id, action components."""
-    d = cloud.z.shape[1]
-    a = cloud.actions.shape[1]
-    lines = [f"SLMP-CLOUD/1 latent={d} action={a} points={cloud.z.shape[0]}"]
-    for i in range(cloud.z.shape[0]):
-        vals = [repr(float(v)) for v in cloud.z[i]]
-        vals.append(str(int(cloud.cluster_id[i])))
-        vals += [repr(float(v)) for v in cloud.actions[i]]
-        lines.append(" ".join(vals))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Plot-ready text: a ``CLOUD`` table with one row per point, its
+    latent components, cluster id and action components."""
+    head = {"latent": cloud.z.shape[1], "action": cloud.actions.shape[1], "points": len(cloud.z)}
+    nets.write_table(path, CLOUD, head, np.column_stack([cloud.z, cloud.cluster_id, cloud.actions]))
 
 
 def load_cloud(path: str | Path) -> SpherePointCloud:
-    lines = Path(path).read_text().splitlines()
-    head = lines[0].split() if lines else []
-    if not head or head[0] != "SLMP-CLOUD/1":
-        raise ValueError(f"{path}: not a sphere cloud file")
-    try:
-        d, a, n = (int(head[i].split("=")[1]) for i in (1, 2, 3))
-    except (IndexError, ValueError) as e:
-        raise ValueError(f"{path}: line 1: malformed header: {e}") from e
-    z, labels, actions = np.zeros((n, d)), np.zeros(n, dtype=int), np.zeros((n, a))
-    for i, ln in enumerate(range(2, n + 2)):
-        parts = lines[ln - 1].split() if ln <= len(lines) else []
-        if len(parts) != d + 1 + a:
-            raise ValueError(f"{path}: line {ln}: expected {d + 1 + a} values, got {len(parts)}")
-        try:
-            z[i] = [float(p) for p in parts[:d]]
-            labels[i] = int(parts[d])
-            actions[i] = [float(p) for p in parts[d + 1 :]]
-        except ValueError as e:
-            raise ValueError(f"{path}: line {ln}: {e}") from e
-    for ln in range(n + 2, len(lines) + 1):
-        if lines[ln - 1].strip():
-            raise ValueError(f"{path}: line {ln}: data after the last of {n} points")
+    """Read what ``save_cloud`` wrote.  A cluster id reads back only as an
+    integer >= 0; any other value is refused by file and line."""
+    head, rows = nets.read_table(path, CLOUD, lambda h: (h["points"], h["latent"] + 1 + h["action"]))
+    d = head["latent"]
+    z, ids, actions = np.split(rows.reshape(-1, d + 1 + head["action"]), [d, d + 1], axis=1)
+    labels = np.clip(ids[:, 0], 0, 2**62).astype(np.int64)
+    if (bad := np.signbit(ids[:, 0]) | (labels != ids[:, 0])).any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{path}: line {2 + len(CLOUD[1]) + i}: cluster id {float(ids[i, 0])!r} "
+                         "is not an integer >= 0")
     return SpherePointCloud(z, labels, actions)

@@ -65,6 +65,9 @@ def _frame_rate(hz) -> float:
     return hz
 
 
+CLIP = (CLIP_MAGIC, {"hz": _frame_rate, "frames": int, "family": str, "joints": int, "id": str})
+
+
 @dataclass
 class MotionClip:
     """Time-indexed reference trajectory at a fixed frame rate.
@@ -83,7 +86,7 @@ class MotionClip:
     frames: np.ndarray  # (F, 6 + 2J)
 
     def __post_init__(self):
-        self.frame_rate = _frame_rate(self.frame_rate)  # a float, so its repr reads back
+        self.frame_rate = _frame_rate(self.frame_rate)
         self.frames = np.array(self.frames, dtype=np.float64)
         if self.frames.ndim != 2 or self.frames.shape[1] < 6 or self.frames.shape[1] % 2:
             raise ValueError(f"frames must be (F, 6 + 2J) rows, got shape {self.frames.shape}")
@@ -532,20 +535,14 @@ def generate_library(
 
 
 def save_clip(clip: MotionClip, path: str | Path) -> None:
-    head = [CLIP_MAGIC, f"hz={clip.frame_rate!r}", f"frames={clip.n_frames}",
-            f"family={clip.family}", f"joints={clip.n_joints}", f"id={clip.clip_id}"]
-    nets.write_table(path, head, clip.frames)
+    head = {"hz": clip.frame_rate, "frames": clip.n_frames, "family": clip.family,
+            "joints": clip.n_joints, "id": clip.clip_id}
+    nets.write_table(path, CLIP, head, clip.frames)
 
 
 def load_clip(path: str | Path) -> MotionClip:
-    got = {}
-
-    def shape(head):
-        got.update(hz=nets.head_value(head, "hz", _frame_rate), family=head["family"], id=head["id"])
-        return nets.head_value(head, "frames"), 2 * (3 + nets.head_value(head, "joints"))
-
     try:
-        frames = nets.read_table(path, CLIP_MAGIC, ("hz", "frames", "family", "joints", "id"), shape)
+        head, frames = nets.read_table(path, CLIP, lambda h: (h["frames"], 2 * (3 + h["joints"])))
     except ValueError as e:
         raise ClipFormatError(str(e)) from e
-    return MotionClip(got["hz"], got["family"], got["id"], frames)
+    return MotionClip(head["hz"], head["family"], head["id"], frames)

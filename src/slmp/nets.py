@@ -32,17 +32,22 @@ once per parameter version: the same network with every layer's weight
 padded that way, so each layer is one row product, and ``physics`` runs
 its per-row contractions on it too.
 
-Checkpoints, Adam states, clips and ``envs.txt`` are text tables
-(``write_table``/``read_table``): header lines, then one line per row of
-space-separated values.  Each value is one fixed-width, 24-character
-C99 ``%a`` token, ``[+-]0x[01].<13 lower-case hex digits>p[+-]<4
-decimal digits>``: the sign, the lead bit, the 52 significand bits as
-they are stored and the unbiased exponent; a normal number has lead 1
-and exponent biased - 1023, zero and the subnormals have lead 0 and
-exponent -1022.  So each token holds a double's bits, not a rounded
-decimal, and every finite double round-trips exactly, with one spelling
-per double; ``float.fromhex`` and C ``strtod`` read it.  No token spells
-inf or NaN.  The fixed width lets whole chunks of rows be encoded and
+Checkpoints, Adam states, clips, ``envs.txt`` and sphere clouds are text
+tables (``write_table``/``read_table``): a header, then one line per row
+of space-separated values.  Each file kind declares its header once, as
+a schema: a magic line (or None) and an ordered ``key -> kind`` map
+(``CHECKPOINT``, ``ADAM``, ``motion.CLIP``, ``tracking.ENVS``,
+``evaluate.CLOUD``).  The header rule: a line is ``key=value``, the value
+spelt as ``repr`` of what its kind converts it to, comma-joined for a
+tuple, a string as is and printable ASCII; an ``int`` is a count, not
+negative (a ``signed`` may be).  Only a value that reads back equal is
+written, and only that spelling is read.  Each row value is one
+fixed-width, 24-character C99 ``%a`` token, ``[+-]0x[01].<13 lower-case
+hex digits>p[+-]<4 decimal digits>``: the sign, lead bit, 52 stored
+significand bits and unbiased exponent (lead 0 and -1022 for zero and
+the subnormals).  So a token holds a double's bits, one spelling per
+double, which ``float.fromhex`` and C ``strtod`` read; none spells inf
+or NaN.  The fixed width lets whole chunks of rows be encoded and
 decoded with uint8 array arithmetic, with no Python call per value, by
 one check (``_decode``) that is the table's only grammar.
 """
@@ -424,40 +429,26 @@ def grad_check(
     full.
     """
     x = np.asarray(x, dtype=np.float64)
-    if probe is None:
-        probe = np.ones(spec.output_dim)
+    probe = np.ones(spec.output_dim) if probe is None else probe
     gp, gx = backward_batch(spec, params, x[None], probe[None])
-    gx = gx[0]
-
-    def scalar_p(p):
-        return float(probe @ forward_batch(spec, p, x[None])[0])
-
-    def scalar_x(xv):
-        return float(probe @ forward_batch(spec, params, xv[None])[0])
-
     idx = np.arange(params.size)
     if max_components is not None and max_components < params.size:
         r = rng if rng is not None else np.random.default_rng(0)
         idx = r.choice(params.size, size=max_components, replace=False)
 
-    worst = 0.0
-    for i in idx:
-        p = params.copy()
-        p[i] += step
-        hi = scalar_p(p)
-        p[i] -= 2.0 * step
-        lo = scalar_p(p)
-        fd = (hi - lo) / (2.0 * step)
-        worst = max(worst, _rel_err(gp[i], fd))
-    for i in range(x.size):
-        xv = x.copy()
-        xv[i] += step
-        hi = scalar_x(xv)
-        xv[i] -= 2.0 * step
-        lo = scalar_x(xv)
-        fd = (hi - lo) / (2.0 * step)
-        worst = max(worst, _rel_err(gx[i], fd))
-    return worst
+    def scalar(p: np.ndarray, xv: np.ndarray) -> float:
+        return float(probe @ forward_batch(spec, p, xv[None])[0])
+
+    def central(f: Callable[[np.ndarray], float], v: np.ndarray, i: int) -> float:
+        v = v.copy()
+        v[i] += step
+        hi = f(v)
+        v[i] -= 2.0 * step
+        return (hi - f(v)) / (2.0 * step)
+
+    errs = [_rel_err(gp[i], central(lambda p: scalar(p, x), params, i)) for i in idx]
+    errs += [_rel_err(gx[0, i], central(lambda xv: scalar(params, xv), x, i)) for i in range(x.size)]
+    return max([0.0, *errs])
 
 
 def _rel_err(a: float, b: float) -> float:
@@ -622,20 +613,65 @@ def _parse_chunk(f, raw: bytes, chunk: np.ndarray, ln: int, want: np.ndarray) ->
         raise ValueError(f"line {ln + k + 1}: {why}")
 
 
-def write_table(path: str | Path, head: list[str], rows: np.ndarray) -> None:
-    """Write the ``head`` lines, then one line per row of the (N,) or
-    (N, W) array ``rows``: each value's token, space-separated.
+def _ints(text: str) -> tuple[int, ...]:
+    """Header kind of comma-separated widths (``hidden=``)."""
+    return tuple(int(h) for h in text.split(",") if h)
 
-    A token is the C99 ``%a`` spelling at a fixed 24 characters,
-    ``[+-]0x[01].<13 lower-case hex digits>p[+-]<4 decimal digits>``:
-    the stored sign, lead bit, significand and unbiased exponent (-1022
-    for zero and the subnormals), so it is exact and unique per double
-    (module docstring).  Rows are encoded ``_WRITE_CHUNK`` values at a
-    time with array arithmetic into a sibling ``.tmp`` file, which then
-    replaces ``path``: a failed write leaves the previous file as it was
-    and no temporary file.  A non-finite value, which no token spells, is
-    refused by file and line.
+
+def signed(text: str) -> int:
+    """Header kind of an int that may be negative; an ``int`` is a count."""
+    return int(text)
+
+
+def _spelling(value) -> str:
+    if isinstance(value, str):
+        return value
+    return ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+
+
+def _head_value(key: str, text: str, kind: Callable):
+    """Header value ``text`` of ``key`` converted by ``kind``, refused by
+    key unless it follows the header rule (module docstring)."""
+    try:
+        value = kind(text)
+        if kind is str and not (text.isascii() and text.isprintable()):
+            raise ValueError("not printable ASCII")
+        if _spelling(value) != text:
+            raise ValueError(f"expected the written spelling {_spelling(value)!r}")
+        if kind is int and value < 0:
+            raise ValueError("negative")
+    except ValueError as e:
+        raise ValueError(f"header line {key}={text!r}: {e}") from None
+    return value
+
+
+CHECKPOINT = (CKPT_MAGIC, {"name": str, "input": int, "hidden": _ints, "output": int,
+                           "act": str, "out_act": str, "extra": int, "count": int})
+ADAM = (ADAM_MAGIC, {"t": int, "lr": float, "beta1": float, "beta2": float, "eps": float,
+                     "count": int})
+
+
+def write_table(path: str | Path, schema: tuple, head: dict, rows: np.ndarray) -> None:
+    """Write the ``schema`` header of the values ``head``, then one line
+    per row of the (N,) or (N, W) array ``rows``: each value's token,
+    space-separated.  A header value that would not read back equal is
+    refused by file and key (a number is written as its kind's value:
+    ``lr=1.0`` for an ``lr`` of 1), a non-finite row value by file and
+    line.  Rows are encoded ``_WRITE_CHUNK`` values at a time into a
+    sibling ``.tmp`` file, which then replaces ``path``: a failed write
+    leaves the previous file as it was and no temporary file.
     """
+    magic, kinds = schema
+    lines = [] if magic is None else [magic]
+    for key, kind in kinds.items():
+        value = head[key]
+        try:
+            text = _spelling(value if isinstance(value, (str, tuple)) else kind(value))
+            if _head_value(key, text, kind) != value:
+                raise ValueError(f"header line {key}={text!r}: does not read back as {value!r}")
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
+        lines.append(f"{key}={text}")
     rows = np.asarray(rows, dtype=np.float64)
     table = rows[:, None] if rows.ndim == 1 else rows
     step = max(_WRITE_CHUNK // max(table.shape[1], 1), 1)
@@ -643,12 +679,12 @@ def write_table(path: str | Path, head: list[str], rows: np.ndarray) -> None:
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(("\n".join(head) + "\n").encode())
+            f.write(("\n".join(lines) + "\n").encode())
             for lo in range(0, len(table), step):
                 text = _encode(table[lo : lo + step])
                 if text is None:
                     bad = lo + int(np.argmin(np.isfinite(table[lo : lo + step]).all(axis=1)))
-                    raise ValueError(f"{path}: line {len(head) + bad + 1}: a non-finite value "
+                    raise ValueError(f"{path}: line {len(lines) + bad + 1}: a non-finite value "
                                      "cannot be written")
                 f.write(text)
         os.replace(tmp, path)
@@ -657,35 +693,33 @@ def write_table(path: str | Path, head: list[str], rows: np.ndarray) -> None:
         raise
 
 
-def read_table(path: str | Path, magic: str | None, keys: tuple[str, ...],
-               shape: Callable[[dict[str, str]], tuple[int, int]]) -> np.ndarray:
+def read_table(path: str | Path, schema: tuple,
+               shape: Callable[[dict], tuple[int, int]]) -> tuple[dict, np.ndarray]:
     """Read a text table, the one layout of every file the pipeline reads
-    back: checkpoints, Adam states, clips and ``envs.txt``.
-
-    The layout is a ``magic`` line (none when ``magic`` is None), one
-    ``key=value`` line for each of ``keys`` in that order, ``n`` rows of
-    ``width`` values, then nothing but whitespace (``_SPACE``).  A row is
-    its values' 24-character tokens (``write_table``) joined by single
-    spaces; each token reads back to the very double that was written.
-    ``shape(head)`` parses and checks the header values (``head_value``)
-    and returns ``(n, width)``.  Returns the (n,) values at width 1, else
-    an (n, width) array.
+    back: the ``schema`` header, ``n`` rows of ``width`` values joined by
+    single spaces, then nothing but whitespace (``_SPACE``).
+    ``shape(head)`` checks the parsed header values and returns ``(n,
+    width)``; a key it reads is looked for before the others.  Returns the
+    header and the (n,) values at width 1, else an (n, width) array.
 
     The file is read as ASCII text (``_TEXT``), so CRLF line ends read
     the same and a byte outside ASCII is refused like any other bad byte.
-    The rows stream in chunks of rows into the one result array, so no
-    list of the file's lines is ever held.  ``_decode``, the one check
-    that accepts a token, checks and decodes whole chunks; a refused one
-    goes to ``_parse_chunk`` to name its first bad line.  Every refusal
-    is a ``ValueError`` that names the file and the line or key.
+    The rows stream in chunks into the one result array, so no list of
+    the file's lines is ever held.  ``_decode``, the one check that
+    accepts a token, checks and decodes whole chunks; a refused one goes
+    to ``_parse_chunk`` to name its first bad line.  Every refusal is a
+    ``ValueError`` that names the file and the line or key.
     """
+    magic, kinds = schema
     with open(path, **_TEXT) as f:
         if magic is not None and f.readline().rstrip("\n") != magic:
             raise ValueError(f"{path}: line 1: expected {magic}")
-        head = dict(line.rstrip("\n").partition("=")[::2] for line in itertools.islice(f, len(keys)))
-        ln = (magic is not None) + len(keys)
+        text = dict(line.rstrip("\n").partition("=")[::2] for line in itertools.islice(f, len(kinds)))
+        ln = (magic is not None) + len(kinds)
         try:
+            head = {k: _head_value(k, text[k], kind) for k, kind in kinds.items() if k in text}
             n, width = shape(head)
+            head = {k: head[k] for k in kinds}
         except KeyError as e:
             raise ValueError(f"{path}: header has no {e.args[0]!r} line") from None
         except ValueError as e:
@@ -706,43 +740,19 @@ def read_table(path: str | Path, magic: str | None, keys: tuple[str, ...],
         for ln, line in enumerate(f, start=ln + n + 1):
             if line.strip(_SPACE):
                 raise ValueError(f"{path}: line {ln}: data after the last of {n} rows")
-    return rows.reshape(n) if width == 1 else rows
-
-
-def head_value(head: dict[str, str], key: str, kind: Callable = int):
-    """Header value ``key`` of a table converted by ``kind``, refused by
-    key unless spelled as written (``repr`` of the value, comma-joined for
-    a tuple); an ``int`` must not be negative."""
-    try:
-        value = kind(head[key])
-        spelled = ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
-        if spelled != head[key]:
-            raise ValueError(f"expected the written spelling {spelled!r}")
-        if kind is int and value < 0:
-            raise ValueError("negative")
-    except ValueError as e:
-        raise ValueError(f"header line {key}={head[key]!r}: {e}") from None
-    return value
+    return head, rows.reshape(n) if width == 1 else rows
 
 
 def adam_state_save(path: str | Path, state: AdamState) -> None:
-    head = [ADAM_MAGIC, f"t={state.t}", f"lr={state.lr!r}", f"beta1={state.beta1!r}",
-            f"beta2={state.beta2!r}", f"eps={state.eps!r}", f"count={state.m.size}"]
-    write_table(path, head, np.concatenate([state.m, state.v]))
+    head = {"t": state.t, "lr": state.lr, "beta1": state.beta1, "beta2": state.beta2,
+            "eps": state.eps, "count": state.m.size}
+    write_table(path, ADAM, head, np.concatenate([state.m, state.v]))
 
 
 def adam_state_load(path: str | Path) -> AdamState:
-    got = {}
-
-    def shape(head):
-        n = head_value(head, "count")  # the rows first: m, then v
-        got.update({k: head_value(head, k, float) for k in ("lr", "beta1", "beta2", "eps")})
-        got["t"] = head_value(head, "t")
-        return 2 * n, 1
-
-    values = read_table(path, ADAM_MAGIC, ("t", "lr", "beta1", "beta2", "eps", "count"), shape)
-    n = values.size // 2
-    return AdamState(m=values[:n], v=values[n:], **got)
+    head, values = read_table(path, ADAM, lambda h: (2 * h["count"], 1))  # m, then v
+    n = head.pop("count")
+    return AdamState(m=values[:n], v=values[n:], **head)
 
 
 def save_checkpoint(
@@ -757,28 +767,24 @@ def save_checkpoint(
     expected = spec.param_count() + extra
     if values.shape != (expected,):
         raise ValueError(f"checkpoint for {name}: got {values.shape}, expected ({expected},)")
-    head = [CKPT_MAGIC, f"name={name}", f"input={spec.input_dim}",
-            "hidden=" + ",".join(str(h) for h in spec.hidden), f"output={spec.output_dim}",
-            f"act={spec.activation}", f"out_act={spec.output_activation}", f"extra={extra}",
-            f"count={values.size}"]
-    write_table(path, head, values)
+    head = {"name": name, "input": spec.input_dim, "hidden": spec.hidden, "output": spec.output_dim,
+            "act": spec.activation, "out_act": spec.output_activation, "extra": extra,
+            "count": values.size}
+    write_table(path, CHECKPOINT, head, values)
+
+
+def _checkpoint_spec(head: dict) -> MlpSpec:
+    return MlpSpec(head["input"], head["hidden"], head["output"], head["act"], head["out_act"])
 
 
 def load_checkpoint(path: str | Path) -> tuple[str, MlpSpec, np.ndarray, int]:
     """Read a checkpoint; returns (name, spec, values, extra)."""
-    got = {}
 
     def shape(head):
-        hidden = head_value(head, "hidden", lambda s: tuple(int(h) for h in s.split(",") if h))
-        spec = MlpSpec(head_value(head, "input"), hidden, head_value(head, "output"),
-                       head["act"], head["out_act"])
-        got.update(name=head["name"], spec=spec, extra=head_value(head, "extra"))
-        count = head_value(head, "count")
-        if count != spec.param_count() + got["extra"]:
-            raise ValueError(f"parameter count mismatch: count={count}, spec and extra give "
-                             f"{spec.param_count() + got['extra']}")
+        want = _checkpoint_spec(head).param_count() + head["extra"]
+        if (count := head["count"]) != want:
+            raise ValueError(f"parameter count mismatch: count={count}, spec and extra give {want}")
         return count, 1
 
-    keys = ("name", "input", "hidden", "output", "act", "out_act", "extra", "count")
-    values = read_table(path, CKPT_MAGIC, keys, shape)
-    return got["name"], got["spec"], values, got["extra"]
+    head, values = read_table(path, CHECKPOINT, shape)
+    return head["name"], _checkpoint_spec(head), values, head["extra"]

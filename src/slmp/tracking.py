@@ -14,6 +14,7 @@ the end; a step gathers what it needs from library rows, so it reads no
 """
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -801,10 +802,22 @@ def run_stage(out: Path, fields: tuple[str, ...], every: int, line: str, log: bo
             print(line.format(**row), flush=True)
 
 
+ENVS = (None, {"update": int, "envs": int, "seed": nets.signed, "clips": int, "library": str})
+
+
+def _snapshot_run(envs: EnvBatch, seed: int) -> dict:
+    """What a resume must match: the env count, the seed, the clip count and
+    16 hex digits of a SHA-256 over the library's frames, counts and rates."""
+    lib, h = envs.library, hashlib.sha256()
+    for a in (lib.frames, lib.n_frames.astype("<i8"), lib.frame_rate):
+        h.update(np.ascontiguousarray(a))
+    return {"envs": len(envs), "seed": seed, "clips": len(lib), "library": h.hexdigest()[:16]}
+
+
 def save_train_state(out: Path, ts: TrainState, envs: EnvBatch, seed: int) -> None:
-    """Write the networks, their Adam states and ``envs.txt``: the update
-    count, the env count, the run's seed and one row per env of the batch,
-    ``[root_pos, q, root_vel, qd, t, clip_index, anchor_x, anchor_on]``."""
+    """Write the networks, their Adam states and ``envs.txt``: the ``ENVS``
+    header and one row per env of the batch, ``[root_pos, q, root_vel, qd,
+    t, clip_index, anchor_x, anchor_on]``."""
     out.mkdir(parents=True, exist_ok=True)
     save_policy(out / "pi_track.ckpt", "pi_track", ts.policy, ts.policy_params)
     nets.save_checkpoint(out / "critic.ckpt", "critic", ts.value_spec, ts.value_params)
@@ -814,7 +827,7 @@ def save_train_state(out: Path, ts: TrainState, envs: EnvBatch, seed: int) -> No
     rows = np.column_stack(
         [w.root_pos, w.q, w.root_vel, w.qd, envs.t, envs.clip_index, w.anchor_x, w.anchor_on]
     )
-    nets.write_table(out / "envs.txt", [f"update={ts.update}", f"envs={len(envs)}", f"seed={seed}"], rows)
+    nets.write_table(out / "envs.txt", ENVS, {"update": ts.update, **_snapshot_run(envs, seed)}, rows)
 
 
 def save_policy(path: str | Path, name: str, policy: GaussianPolicy, params: np.ndarray) -> None:
@@ -832,21 +845,22 @@ def load_policy(path: str | Path) -> tuple[GaussianPolicy, np.ndarray]:
 
 def resume_train_state(out: Path, envs: EnvBatch, seed: int) -> TrainState:
     """Read what ``save_train_state`` wrote under ``seed``; the ``envs.txt``
-    rows go back into the batch, valid and with the World time at ``t``."""
+    rows go back into the batch, valid and with the World time at ``t``.
+    A snapshot of another env count, seed or clip library is refused."""
     policy, policy_params = load_policy(out / "pi_track.ckpt")
     _, value_spec, value_params, _ = nets.load_checkpoint(out / "critic.ckpt")
     w, nq, ns = envs.world, envs.spec.ndof, len(envs.spec.sites)
-    head = {}
 
     def shape(h):
-        head.update(update=nets.head_value(h, "update"), envs=nets.head_value(h, "envs"))
-        if head["envs"] != len(envs):
-            raise ValueError(f"snapshot holds {head['envs']} envs, the config builds {len(envs)}")
-        if h["seed"] != str(seed):
-            raise ValueError(f"snapshot was written under seed {h['seed']}, the run has seed {seed}")
+        h = {k: h[k] for k in ENVS[1]}  # a header missing lines names the first
+        if h["envs"] != len(envs):
+            raise ValueError(f"snapshot holds {h['envs']} envs, the config builds {len(envs)}")
+        for key, run in _snapshot_run(envs, seed).items():
+            if h[key] != run:
+                raise ValueError(f"snapshot was written under {key} {h[key]}, the run has {key} {run}")
         return len(envs), 2 * (3 + nq + ns)
 
-    rows = nets.read_table(out / "envs.txt", None, ("update", "envs", "seed"), shape)
+    head, rows = nets.read_table(out / "envs.txt", ENVS, shape)
     cols = np.split(rows, np.cumsum([2, nq, 2, nq, 1, 1, ns]), axis=1)
     w.root_pos[:], w.q[:], w.root_vel[:], w.qd[:], t, clip_index, w.anchor_x[:], anchor_on = cols
     envs.t[:] = w.time[:] = t[:, 0]

@@ -8,10 +8,10 @@ prints ``<family> <sha256>`` lines for
 - every file the ``SMOKE_CFG`` command-line pipeline writes (gen-data,
   train-track, distill, eval-track, eval-survival, viz-sphere,
   train-combat, rollout), and for each text table among them
-  (checkpoints, Adam states, clips and ``envs.txt``) a ``:values`` line:
-  the float64 arrays the package's own loader reads back, so that a
-  change of how values are spelled moves the file's line but not its
-  ``:values`` line;
+  (checkpoints, Adam states, clips, ``envs.txt`` and the sphere cloud) a
+  ``:values`` line: the float64 arrays the package's own loader reads
+  back, so that a change of how values are spelled moves the file's line
+  but not its ``:values`` line;
 - the final parameters and ``metrics.csv`` of 2 updates each of
   ``train_tracking``, ``train_slmp`` (``slmp_update``) and 2 epochs of
   ``self_play_train``, chained as in the pipeline: the distillation reads
@@ -48,6 +48,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from slmp import cli  # noqa: E402
 from slmp import combat as cb  # noqa: E402
 from slmp import distill as di  # noqa: E402
+from slmp import evaluate as ev  # noqa: E402
 from slmp import motion as mo  # noqa: E402
 from slmp import nets  # noqa: E402
 from slmp import physics as ph  # noqa: E402
@@ -86,11 +87,11 @@ def table_values(path: Path) -> list[np.ndarray] | None:
         return [state.m, state.v]
     if path.name == "envs.txt":
         spec = ph.default_character()
-
-        def shape(head):
-            return nets.head_value(head, "envs"), 2 * (3 + spec.ndof + len(spec.sites))
-
-        return [nets.read_table(path, None, ("update", "envs", "seed"), shape)]
+        width = 2 * (3 + spec.ndof + len(spec.sites))
+        return [nets.read_table(path, tr.ENVS, lambda head: (head["envs"], width))[1]]
+    if path.name == "cloud.txt":
+        cloud = ev.load_cloud(path)
+        return [cloud.z, cloud.cluster_id, cloud.actions]
     return None
 
 

@@ -403,7 +403,7 @@ class TestCli:
         assert cli.run(["viz-sphere", "--slmp", str(slmp_dir), "--state", "guard",
                         "--samples", "16", "--k", "2", "--out", str(out),
                         "--seed", "2", "--config", smoke_cfg]) == 0
-        assert out.read_text().startswith("SLMP-CLOUD/1")
+        assert out.read_text().startswith("SLMP-CLOUD/2\n")
 
     @staticmethod
     def _combat_checkpoint(tmp_path):

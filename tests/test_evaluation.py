@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from reference import (kmeans_inertia, label_agreement, one_clip, proprio, step,
+from reference import (kmeans_inertia, label_agreement, one_clip, proprio, step, table_token,
                        tracking_error_kinematic)
 from slmp import distill as di
 from slmp import evaluate as ev
@@ -15,6 +15,11 @@ from slmp.seeding import seed_for
 
 SPEC = ph.default_character()
 CFG = ph.default_config(SPEC)
+
+
+def cloud_row(*values):
+    """One cloud table line of ``values``."""
+    return " ".join(map(table_token, values)) + "\n"
 
 
 class TestSurvivalCurve:
@@ -349,25 +354,36 @@ class TestSphereClusters:
         assert np.array_equal(back.cluster_id, cloud.cluster_id)
         assert np.array_equal(back.actions, cloud.actions)
 
-    @pytest.mark.parametrize("text", ["", "\n", "SLMP-CLIP/1 d=4\n"])
+    @pytest.mark.parametrize("text", ["", "\n", "SLMP-CLIP/1 d=4\n",
+                                      "SLMP-CLOUD/1 latent=2 action=1 points=1\n0.6 0.8 0 0.5\n"])
     def test_load_cloud_rejects_empty_or_foreign_file(self, tmp_path, text):
         (tmp_path / "c.txt").write_text(text)
-        with pytest.raises(ValueError, match="not a sphere cloud file"):
+        with pytest.raises(ValueError, match="c.txt: line 1: expected SLMP-CLOUD/2"):
             ev.load_cloud(tmp_path / "c.txt")
 
     @pytest.mark.parametrize("text, where", [
-        ("SLMP-CLOUD/1 latent=2 action=1\n", "line 1: malformed header"),
-        ("SLMP-CLOUD/1 latent=2 action=x points=1\n", "line 1: malformed header"),
-        ("SLMP-CLOUD/1 latent=2 action=1 points=3\n0.6 0.8 0 0.5\n", "line 3: expected 4 values, got 0"),
-        ("SLMP-CLOUD/1 latent=2 action=1 points=1\n0.6 0.8 0\n", "line 2: expected 4 values, got 3"),
-        ("SLMP-CLOUD/1 latent=2 action=1 points=1\n0.6 0.8 zero 0.5\n", "line 2: invalid literal"),
-        ("SLMP-CLOUD/1 latent=2 action=1 points=1\n0.6 0.8 0 0.5\n\n0.8 0.6 1 0.5\n",
-         "line 4: data after the last of 1 points"),
-    ])
+        ("latent=2\naction=1\n", "header has no 'points' line"),
+        ("latent=2\naction=x\npoints=1\n", "header line action='x'"),
+        ("latent=2\naction=1\npoints=3\n" + cloud_row(0.6, 0.8, 0, 0.5),
+         "line 6: expected 4 values, got 0"),
+        ("latent=2\naction=1\npoints=1\n" + cloud_row(0.6, 0.8, 0), "line 5: expected 4 values, got 3"),
+        ("latent=2\naction=1\npoints=1\n" + cloud_row(0.6, 0.8, 0).replace("\n", " zero\n"),
+         "line 5: not a table value: 'zero'"),
+        ("latent=2\naction=1\npoints=1\n" + cloud_row(0.6, 0.8, 0, 0.5) + "\n" + cloud_row(0.8, 0.6, 1, 0.5),
+         "line 7: data after the last of 1 rows"),
+        ("latent=2\naction=1\npoints=2\n" + cloud_row(0.6, 0.8, 0, 0.5) + cloud_row(0.8, 0.6, 1.5, 0.5),
+         "line 6: cluster id 1.5 is not an integer >= 0"),
+        ("latent=2\naction=1\npoints=1\n" + cloud_row(0.6, 0.8, -1, 0.5),
+         "line 5: cluster id -1.0 is not an integer >= 0"),
+        ("latent=2\naction=1\npoints=1\n" + cloud_row(0.6, 0.8, -0.0, 0.5),
+         "line 5: cluster id -0.0 is not an integer >= 0"),
+    ], ids=["no-points-line", "bad-action", "short-file", "short-row", "bad-token", "extra-row",
+            "fractional-id", "negative-id", "negative-zero-id"])
     def test_load_cloud_names_the_line_of_a_bad_file(self, tmp_path, text, where):
-        """A truncated file, a short header or a row past ``points`` is
-        refused by file and line."""
-        (tmp_path / "c.txt").write_text(text)
+        """A truncated file, a bad header, a row past ``points`` or a
+        cluster id that is not an integer >= 0 is refused by file and line
+        or key."""
+        (tmp_path / "c.txt").write_text("SLMP-CLOUD/2\n" + text)
         with pytest.raises(ValueError, match=f"c.txt: {where}"):
             ev.load_cloud(tmp_path / "c.txt")
 

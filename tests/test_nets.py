@@ -8,6 +8,7 @@ import reference
 from reference import one_clip
 from slmp import combat as cb
 from slmp import distill as di
+from slmp import evaluate as ev
 from slmp import motion as mo
 from slmp import nets
 from slmp import physics as ph
@@ -576,6 +577,7 @@ class TestAdam:
 # bit, hex and decimal digits), and the ASCII whitespace and controls
 # that split lines or values.
 EDIT_BYTES = b"\x00\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f !)+-./0123456789:?@AFG_`afgnpxz=\x7f\x80\xff"
+COUNTED = (None, {"n": int})  # the header of a bare table: its row count
 
 
 class TestCheckpoint:
@@ -763,7 +765,7 @@ class TestCheckpoint:
         + 4 ``_decode`` calls."""
         monkeypatch.setattr(nets, "_READ_MIN", 4096)
         path = tmp_path / "t.txt"
-        nets.write_table(path, ["n=4096"], np.ones(4096))
+        nets.write_table(path, COUNTED, {"n": 4096}, np.ones(4096))
         lines = path.read_text().splitlines()
         lines[row + 1] = token
         path.write_text("\n".join(lines) + "\n")
@@ -772,7 +774,7 @@ class TestCheckpoint:
         monkeypatch.setattr(nets, "_decode", lambda *a: calls.append(1) or real(*a))
         why = ("expected 1 values, got 2" if " " in token else f"not a table value: {token!r}")
         with pytest.raises(ValueError) as e:
-            nets.read_table(path, None, ("n",), lambda h: (nets.head_value(h, "n"), 1))
+            nets.read_table(path, COUNTED, lambda h: (h["n"], 1))
         assert str(e.value) == f"{path}: expected 4096 values on lines 2-4097: line {row + 2}: {why}"
         assert len(calls) <= 2 * 12 + 4, len(calls)
 
@@ -798,11 +800,11 @@ class TestCheckpoint:
                 return self.f.write(data)
 
         path = tmp_path / "t.txt"
-        nets.write_table(path, ["n=1"], np.zeros(1))
+        nets.write_table(path, COUNTED, {"n": 1}, np.zeros(1))
         before = path.read_bytes()
         monkeypatch.setattr(nets, "open", lambda *a, **k: FailingFile(open(*a, **k)), raising=False)
         with pytest.raises(OSError, match="disk full"):
-            nets.write_table(path, ["n=3"], np.arange(3 * nets._WRITE_CHUNK, dtype=np.float64))
+            nets.write_table(path, COUNTED, {"n": 3}, np.arange(3 * nets._WRITE_CHUNK, dtype=np.float64))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["t.txt"]
 
@@ -872,12 +874,11 @@ class TestCheckpoint:
         path, again = tmp_path / "t.txt", tmp_path / "again.txt"
         where = re.compile(rf"{re.escape(str(path))}: .*(line \d+: |header line n=|header has no 'n' line)")
         for rows in (np.array([1.0, -2.0**-1022, 0.1]), np.array([[0.0, 5e-324, -2.0**1023]])):
-            head = [f"n={len(rows)}"]
-            nets.write_table(path, head, rows)
+            nets.write_table(path, COUNTED, {"n": len(rows)}, rows)
             table = path.read_bytes()
 
             def shape(h):
-                return nets.head_value(h, "n"), rows[:1].size
+                return h["n"], rows[:1].size
 
             with open(path, "r+b") as f:  # one handle rewrites the file for every edit
                 for i in range(len(table)):
@@ -890,10 +891,68 @@ class TestCheckpoint:
                         f.truncate()
                         f.flush()
                         try:
-                            got = nets.read_table(path, None, ("n",), shape)
+                            head, got = nets.read_table(path, COUNTED, shape)
                         except ValueError as e:
                             assert where.match(str(e)), (i, byte, str(e))
                             continue
-                        nets.write_table(again, head, got)
+                        nets.write_table(again, COUNTED, head, got)
                         lf = edited.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
                         assert lf + b"\n" * (not lf.endswith(b"\n")) == again.read_bytes(), (i, byte)
+
+
+class TestHeaderRule:
+    @pytest.mark.parametrize("schema, head, rows", [
+        (nets.CHECKPOINT, {"name": "pi", "input": 2, "hidden": (), "output": 1, "act": "silu",
+                           "out_act": "tanh", "extra": 2, "count": 5}, 5),
+        (nets.ADAM, {"t": 0, "lr": 0.05, "beta1": 0.9, "beta2": 0.999, "eps": 1e-08, "count": 2}, 4),
+        (mo.CLIP, {"hz": 30.0, "frames": 2, "family": "jab", "joints": 8, "id": "jab = 1 =x "}, (2, 22)),
+        (tr.ENVS, {"update": 3, "envs": 2, "seed": -7, "clips": 2, "library": "0123456789abcdef"},
+         (2, 36)),
+        (ev.CLOUD, {"latent": 2, "action": 3, "points": 2}, (2, 6)),
+    ], ids=["checkpoint", "adam", "clip", "envs", "cloud"])
+    def test_header_round_trips_per_file_kind(self, tmp_path, schema, head, rows):
+        """Each file kind's header reads back equal and rewrites to the same
+        bytes: a checkpoint with no hidden layer and an extra tail, an Adam
+        state at t=0, a clip id holding ``=`` and spaces, a negative seed."""
+        rows = np.random.default_rng(6).standard_normal(rows)
+        nets.write_table(tmp_path / "a", schema, head, rows)
+        back, values = nets.read_table(tmp_path / "a", schema, lambda h: (len(rows), rows[:1].size))
+        assert back == head and list(back) == list(schema[1])
+        assert values.shape == rows.shape and values.tobytes() == rows.tobytes()
+        nets.write_table(tmp_path / "b", schema, back, values)
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+    @pytest.mark.parametrize("lr, line", [(1, "lr=1.0"), (np.float64(0.001), "lr=0.001")])
+    def test_a_number_is_written_as_its_kind(self, tmp_path, lr, line):
+        """An Adam state whose learning rate is an int or a numpy float is
+        written in the spelling that reads back: ``repr`` of the float."""
+        nets.adam_state_save(tmp_path / "a.txt", nets.adam_init(3, lr))
+        assert line in (tmp_path / "a.txt").read_text().splitlines()
+        assert nets.adam_state_load(tmp_path / "a.txt").lr == lr
+
+    @pytest.mark.parametrize("name, key, bad, raw", [
+        ("j.clip", "id", "jab-ü", b"jab-\xc3\xbc"),
+        ("x.ckpt", "name", "pi\nx", b"pi\tx"),
+    ])
+    def test_a_string_that_would_not_read_back_is_refused_by_key(self, tmp_path, name, key, bad, raw):
+        """A header string that is not printable ASCII is refused at write
+        by file and key, leaving no file, and on read by key."""
+        spec = nets.MlpSpec(2, (), 1)
+
+        def save(path, text):
+            if name.endswith(".clip"):
+                mo.save_clip(mo.MotionClip(30.0, "jab", text, np.zeros((2, 22))), path)
+            else:
+                nets.save_checkpoint(path, text, spec, np.zeros(spec.param_count()))
+
+        path = tmp_path / name
+        refused = f"{name}: header line {key}={{!r}}: not printable ASCII"
+        with pytest.raises(ValueError, match=re.escape(refused.format(bad))):
+            save(path, bad)
+        assert list(tmp_path.iterdir()) == []
+        save(path, "ok")
+        line = f"\n{key}=".encode()
+        path.write_bytes(path.read_bytes().replace(line + b"ok\n", line + raw + b"\n"))
+        load = mo.load_clip if name.endswith(".clip") else nets.load_checkpoint
+        with pytest.raises(ValueError, match=re.escape(refused.format(raw.decode(**nets._TEXT)))):
+            load(path)

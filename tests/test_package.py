@@ -1,6 +1,7 @@
 """Static checks of the package source."""
 import argparse
 import ast
+import re
 from functools import cache
 from pathlib import Path
 
@@ -200,6 +201,41 @@ def test_one_stage_loop():
     loops = {p.name: range_loops(ast.parse(p.read_text()), stages[p.name])
              for p in MODULES if p.name in stages}
     assert loops == dict.fromkeys(stages, [])
+
+
+def header_spellers(tree: ast.Module) -> list[str]:
+    """Names of the module-level statements of ``tree`` that call
+    ``head_value``, or that call ``write_table`` and hold a string that
+    starts as a ``key=`` header line (an f-string's parts included)."""
+    out = []
+    for node in tree.body:
+        calls = {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                 for n in ast.walk(node) if isinstance(n, ast.Call)}
+        spelt = any(isinstance(n, ast.Constant) and isinstance(n.value, str)
+                    and re.match(r"\w+=", n.value) for n in ast.walk(node))
+        if calls & {"head_value", "_head_value"} or ("write_table" in calls and spelt):
+            out.append(getattr(node, "name", "<module>"))
+    return out
+
+
+def test_header_speller_scan_flags_only_spelt_headers():
+    tree = ast.parse(
+        "def inline(p, n):\n    write_table(p, [f'n={n}'], rows)\n"
+        "def built(p, n):\n    head = ['MAGIC', 'n=' + str(n)]\n    write_table(p, head, rows)\n"
+        "def declared(p, n):\n    write_table(p, SCHEMA, {'n': n}, rows)\n"
+        "def parsed(h):\n    return nets.head_value(h, 'n')\n"
+        "def message(h):\n    raise ValueError(f'n={h}')\n"
+    )
+    assert header_spellers(tree) == ["inline", "built", "parsed"]
+
+
+def test_one_header_rule():
+    """``nets`` alone spells and parses table headers: no other module
+    calls ``head_value`` or hands ``write_table`` header lines of its own;
+    each passes its schema and a dict of values."""
+    spellers = [(p.name, name) for p in MODULES if p.name != "nets.py"
+                for name in header_spellers(ast.parse(p.read_text()))]
+    assert spellers == []
 
 
 def test_row_helpers_take_rows():

@@ -26,8 +26,8 @@ def test_finite_values_round_trip_bit_exactly(tmp_path_factory, bits, width):
     wide = np.resize(values, (-(-values.size // width), width))
     path = tmp_path_factory.mktemp("table") / "t.txt"
     for rows in (values, wide):
-        nets.write_table(path, [f"n={len(rows)}"], rows)
-        back = nets.read_table(path, None, ("n",), lambda head: (len(rows), rows[:1].size))
+        nets.write_table(path, (None, {"n": int}), {"n": len(rows)}, rows)
+        _, back = nets.read_table(path, (None, {"n": int}), lambda head: (len(rows), rows[:1].size))
         assert back.shape == rows.shape and back.tobytes() == rows.tobytes()
         tokens = path.read_text().split()[1:]
         assert tokens == [reference.table_token(float(v)) for v in rows.ravel()]

@@ -554,6 +554,26 @@ class TestTraining:
                               resume=True, log=False)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    @pytest.mark.parametrize("order, where", [
+        ([0], "under clips 2, the run has clips 1"),
+        ([1, 0], "under library [0-9a-f]{16}, the run has library [0-9a-f]{16}"),
+    ])
+    def test_resume_refuses_another_clip_library(self, tmp_path, order, where):
+        """A snapshot over two clips does not continue over the first clip
+        alone or the two in reverse order: ``envs.txt`` names the clip count
+        and a digest of the library, and no file of the run is rewritten."""
+        clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG),
+                 one_clip("footwork", 10, 3.0, spec=SPEC, cfg=CFG)]
+        cfg = tr.PpoConfig(envs=4, horizon=4, updates=1, epochs_per_update=1,
+                           pi_hidden=(8,), critic_hidden=(8,))
+        run = dict(seed=0, spec=SPEC, phys=CFG, log=False)
+        tr.train_tracking(clips, cfg, tmp_path, **run)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ValueError, match=f"envs.txt: snapshot was written {where}"):
+            tr.train_tracking([clips[i] for i in order], replace(cfg, updates=2), tmp_path, resume=True,
+                              **run)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_envs_txt_reads_back_into_the_batch(self, tmp_path):
         """``resume_train_state`` puts the ``envs.txt`` rows back into a
         batch, which writes the same bytes, and continues as the batch
@@ -639,19 +659,19 @@ class TestTraining:
         path = tmp_path / "envs.txt"
         lines = path.read_text().splitlines()
         if cut == "rows":
-            lines = lines[:4]  # the header and row 0
-            match = r"line 5: expected \d+ values, got 0"
+            lines = lines[:6]  # the header and row 0
+            match = r"line 7: expected \d+ values, got 0"
         elif cut == "values":
-            lines[4] = " ".join(lines[4].split()[:-1])
-            match = "line 5: expected"
+            lines[6] = " ".join(lines[6].split()[:-1])
+            match = "line 7: expected"
         elif cut == "extra":
-            lines.append(lines[3])
-            match = "line 7: data after the last of 3 rows"
+            lines.append(lines[5])
+            match = "line 9: data after the last of 3 rows"
         elif cut == "update":
             lines[0] = "update=one"
             match = "header line update='one'"
         else:
-            lines = [] if cut == "empty" else lines[3:]
+            lines = [] if cut == "empty" else lines[5:]
             match = "header has no 'update' line"
         path.write_text("\n".join(lines) + "\n")
         more = replace(cfg, updates=2)
