@@ -139,19 +139,22 @@ def limb_region_dist(k: ph.Kinematics, spec: ph.CharacterSpec) -> np.ndarray:
     return np.linalg.norm(limb_region_vectors(k, spec), axis=-1)
 
 
+# own proprioception, the opponent's root state relative to it (facing is the
+# sin, cos of the relative angle), limb-to-region vectors and contact forces
+COMBAT_OBS = ph.Layout(proprio=tr.PROPRIO, offset=2, facing=2, velocity=2, rate=1,
+                       limbs=2 * len(LIMB_SITES) * len(REGIONS), forces=len(FORCE_SITES))
+combat_obs_dim = COMBAT_OBS.width  # perfbench reads this alias until ROADMAP item 2
+
+
 def combat_observation(
     world: ph.World,
     k: ph.Kinematics,
     site_force: np.ndarray,
     spec: ph.CharacterSpec,
 ) -> np.ndarray:
-    """Egocentric observation rows of every slot, (2E, obs_dim): own
-    proprioception, opponent root state relative to self,
-    striking-limb-to-scoring-region vectors, and contact force magnitudes
-    on key endpoints.  ``k`` is the Kinematics of ``world`` and
-    ``site_force`` the (2E, n_sites) forces of the last step.  Vectors are
-    in each slot's root frame, taken in its canonical (slot-1 mirrored)
-    frame."""
+    """``COMBAT_OBS`` rows of every slot, from the Kinematics ``k`` of
+    ``world`` and the (2E, n_sites) forces of the last step.  Vectors are
+    in each slot's root frame, taken in its canonical (slot-1 mirrored) frame."""
     n = len(world)
     opp = _opponents(n)
     flip_q, flip_xy = _flips(n)
@@ -166,19 +169,17 @@ def combat_observation(
     ], axis=1)
     vecs = ph.to_local(facing, vecs * flip_xy[:, None])
     d_angle = ph.wrap_angle((world.q[opp, :1] - world.q[:, :1]) * flip_q)
-    return np.concatenate([
-        tr.proprio_rows(*own),
-        vecs[:, 0],
-        np.sin(d_angle), np.cos(d_angle),
-        vecs[:, 1],
-        (world.qd[opp, :1] - world.qd[:, :1]) * flip_q,
-        vecs[:, 2:].reshape(n, -1),
-        site_force[:, [spec.site_index[n] for n in FORCE_SITES]],
-    ], axis=1)
-
-
-def combat_obs_dim(spec: ph.CharacterSpec) -> int:
-    return tr.proprio_dim(spec) + 7 + 4 * len(LIMB_SITES) + len(FORCE_SITES)
+    o = COMBAT_OBS.of(spec.n_joints)
+    out = np.empty((n, o.width))
+    tr.proprio_rows(*own, out=out[:, o.proprio])
+    out[:, o.offset] = vecs[:, 0]
+    rel = out[:, o.facing]
+    rel[:, :1], rel[:, 1:] = np.sin(d_angle), np.cos(d_angle)
+    out[:, o.velocity] = vecs[:, 1]
+    out[:, o.rate] = (world.qd[opp, :1] - world.qd[:, :1]) * flip_q
+    out[:, o.limbs] = vecs[:, 2:].reshape(n, -1)
+    out[:, o.forces] = site_force[:, [spec.site_index[n] for n in FORCE_SITES]]
+    return out
 
 
 def hit_events(
@@ -269,7 +270,7 @@ def high_level_step(
     obs: np.ndarray,
     rngs: list[np.random.Generator] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Latents for the rows of ``obs`` (E, obs_dim) under the instance's
+    """Latents for the ``COMBAT_OBS`` rows ``obs`` under the instance's
     ``policy.row_net`` ``net``: row e samples the latent head with
     ``rngs[e]``, or takes its mean without ``rngs``, and is projected onto
     the sphere.  Returns (unit latents, raw gaussian samples, log-probs)
@@ -350,15 +351,15 @@ class CombatEnv:
         self.t[envs] = 0.0
 
     def observe(self) -> np.ndarray:
-        """(2E, obs_dim) observation rows of every slot."""
+        """``COMBAT_OBS`` rows of every slot."""
         k = ph.Kinematics.of(self.world, self.spec)
         return combat_observation(self.world, k, self.site_force, self.spec)
 
     def decision_step(self, z: np.ndarray):
-        """Hold every row's latent, ``z`` (2E, latent_dim), for k_hl
+        """Hold every row's latent, ``z`` (2E, latent width), for k_hl
         control steps.
 
-        Returns (obs_rows, rewards, done, info): the (2E, obs_dim)
+        Returns (obs_rows, rewards, done, info): the (2E, ``COMBAT_OBS``)
         observation rows, the (E, 2) rewards of both slots, the (E,) done
         flags, and per env the termination reason (or None) under
         "reason", the (E, 2) Hit counts under "hits" and the episode time
@@ -440,19 +441,18 @@ def self_play_train(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n_env = cfg.envs
+    prior = Path(slmp_dir) / "pi_phi.ckpt"
     # the env keeps the prior as its row net only
-    env = CombatEnv(*nets.load_checkpoint(Path(slmp_dir) / "pi_phi.ckpt")[1:3], spec, phys, cfg,
+    env = CombatEnv(*nets.load_checkpoint(prior)[1:3], spec, phys, cfg,
                     seeding.rngs(seed, "cenv", n_env))
-    latent_dim = env.prior.spec.input_dim - tr.proprio_dim(spec)
+    latent_dim = di.latent_width(env.prior.spec, spec, prior)
 
     pcfg = cfg.ppo()
-    obs_dim = combat_obs_dim(spec)
     # the two instances, identical at the start
-    agents = [tr.build_networks(obs_dim, latent_dim, pcfg, seed, ("pi-h-init", "vh-init"))
-              for _ in range(2)]
+    agents = [tr.build_networks(COMBAT_OBS.width(spec), latent_dim, pcfg, seed,
+                                ("pi-h-init", "vh-init")) for _ in range(2)]
 
-    # the current (2E, obs_dim) observation rows, carried across decisions
-    # and epochs
+    # the current ``COMBAT_OBS`` rows, carried across decisions and epochs
     obs = env.observe()
 
     def update(epoch: int) -> dict:
@@ -492,7 +492,6 @@ def self_play_train(
         tr.save_policy(out / f"pi_h_{i}.ckpt", f"pi_h_{i}", ts.policy, ts.policy_params)
         nets.save_checkpoint(out / f"critic_h_{i}.ckpt", f"critic_h_{i}", ts.value_spec, ts.value_params)
     # embed the prior so rollouts load from one directory
-    prior = Path(slmp_dir) / "pi_phi.ckpt"
     if prior.resolve() != (out / "pi_phi.ckpt").resolve():
         shutil.copyfile(prior, out / "pi_phi.ckpt")
     return [ts.policy_params for ts in agents], [ts.value_params for ts in agents]
@@ -517,6 +516,7 @@ def rollout_combat(
             for policy, params in (tr.load_policy(ckpt / f"pi_h_{i}.ckpt") for i in (1, 2))]
     env = CombatEnv(*nets.load_checkpoint(ckpt / "pi_phi.ckpt")[1:3], spec, phys, cfg,
                     [np.random.default_rng(seed)])
+    di.latent_width(env.prior.spec, spec, ckpt / "pi_phi.ckpt")
     env.epoch = cfg.early_epochs  # disable the early separation rule
     steps = math.floor(seconds / (phys.dt * cfg.k_hl) + 1e-9)
     frames = np.empty((2, steps, 4 + 2 * spec.ndof))  # fighter, decision, frame row

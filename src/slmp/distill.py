@@ -104,9 +104,19 @@ def sample_sphere(d: int, rng: np.random.Generator, n: int) -> np.ndarray:
 
 def prior_action(net: nets.RowNet, proprio: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Deterministic PD-target action of the prior, whose row net is
-    ``net``, for every (state, latent) row of ``proprio`` (n, pdim) and
-    ``z`` (n, d)."""
+    ``net``, for every (state, latent) row of ``proprio`` (n,
+    ``tracking.PROPRIO`` width) and ``z`` (n, d)."""
     return net(np.concatenate([proprio, z], axis=1))
+
+
+def latent_width(phi_spec: nets.MlpSpec, spec: ph.CharacterSpec, path: str | Path = "prior") -> int:
+    """The latent width of the prior ``phi_spec`` for ``spec``: its input
+    columns past ``tracking.PROPRIO``.  Fewer than 2 (``sample_sphere``'s
+    bound), or not one output per joint, is refused by ``path`` and key."""
+    proprio = tr.PROPRIO.width(spec)
+    nets.check_width(path, "input", phi_spec.input_dim, proprio + 2, at_least=True)
+    nets.check_width(path, "output", phi_spec.output_dim, spec.n_joints)
+    return phi_spec.input_dim - proprio
 
 
 def distill_loss(a1: np.ndarray, a_star: np.ndarray) -> float:
@@ -400,11 +410,11 @@ def latent_controller(
     spec: ph.CharacterSpec,
 ) -> Callable[[tr.EnvBatch, np.ndarray], np.ndarray]:
     """Row controller that drives the prior with each row's encoded goal."""
-    pdim = tr.proprio_dim(spec)
+    o = tr.TRACK_OBS.of(spec.n_joints)
     enc, phi = nets.RowNet(enc_spec, enc_params), nets.RowNet(phi_spec, phi_params)
 
     def controller(batch: tr.EnvBatch, obs: np.ndarray) -> np.ndarray:
-        return prior_action(phi, obs[:, :pdim], encode_goal(enc, obs[:, pdim:]))
+        return prior_action(phi, obs[:, o.proprio], encode_goal(enc, obs[:, o.goal]))
 
     return controller
 
@@ -424,7 +434,7 @@ def collect_fresh(
     error, adds them up in that order.  Row nets keep every row's bits
     independent of the number of envs.
     """
-    pdim = tr.proprio_dim(envs.spec)
+    o = tr.TRACK_OBS.of(envs.spec.n_joints)
     label = tr.expert_controller(expert.row_net(expert_params))
     act = latent_controller(n.enc_spec, n.enc_params, n.phi_spec, n.phi_params, envs.spec)
     obs = envs.observe()
@@ -435,7 +445,7 @@ def collect_fresh(
         a = act(envs, obs)
         for err in ((a - a_star) ** 2).sum(axis=1):
             mse += float(err)
-        rows.append((obs[:, :pdim], obs[:, pdim:], a_star))
+        rows.append((obs[:, o.proprio], obs[:, o.goal], a_star))
         obs = envs.step(a)[0]
     proprio, goals, a_star = (np.concatenate(col) for col in zip(*rows))
     return proprio, goals, a_star, mse / proprio.shape[0]
@@ -464,7 +474,10 @@ def train_slmp(
     phys = phys or ph.default_config(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    nj = spec.n_joints
     expert, expert_params = tr.load_policy(expert_ckpt)
+    nets.check_width(expert_ckpt, "input", expert.spec.input_dim, tr.TRACK_OBS.width(spec))
+    nets.check_width(expert_ckpt, "output", expert.spec.output_dim, nj)
 
     if not skip_expert_check:
         rate = expert_success_rate(expert, expert_params, clips, spec, phys, cfg.e_div)
@@ -474,11 +487,10 @@ def train_slmp(
                 "train the tracking stage further before distilling"
             )
 
-    pdim = tr.proprio_dim(spec)
-    gdim = mo.Goal.dim(spec.n_joints)
-    n = build_distill_nets(gdim, pdim, spec.n_joints, cfg, seed)
+    widths = (tr.PROPRIO.width(spec), mo.GOAL.width(spec), nj)  # proprio, goal, action
+    n = build_distill_nets(widths[1], widths[0], nj, cfg, seed)
     phase = Phase(window=cfg.window, plateau_tol=cfg.plateau_tol)
-    ring = _Ring(cfg.capacity, (pdim, gdim, spec.n_joints))
+    ring = _Ring(cfg.capacity, widths)
     envs = tr.EnvBatch(clips, spec, phys, seeding.rngs(seed, "denv", cfg.envs), cfg.e_div)
     steps_per_env = cfg.fresh_per_update // cfg.envs
 
@@ -508,8 +520,12 @@ def train_slmp(
     return n
 
 
-def load_prior(out_dir: str | Path) -> tuple[nets.MlpSpec, np.ndarray, nets.MlpSpec, np.ndarray]:
-    """Load (encoder spec/params, prior spec/params) from a distill run."""
+def load_prior(
+    out_dir: str | Path, spec: ph.CharacterSpec
+) -> tuple[nets.MlpSpec, np.ndarray, nets.MlpSpec, np.ndarray]:
+    """Load (encoder spec/params, prior spec/params) from a distill run,
+    refusing a prior of other widths than ``spec``'s (``latent_width``)."""
     _, enc_spec, enc_params, _ = nets.load_checkpoint(Path(out_dir) / "encoder.ckpt")
     _, phi_spec, phi_params, _ = nets.load_checkpoint(Path(out_dir) / "pi_phi.ckpt")
+    latent_width(phi_spec, spec, Path(out_dir) / "pi_phi.ckpt")
     return enc_spec, enc_params, phi_spec, phi_params

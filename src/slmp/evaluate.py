@@ -68,7 +68,7 @@ def latent_tracking_eval(
     space, optionally with the expert as the upper-bound comparison."""
     spec = spec or ph.default_character()
     phys = phys or ph.default_config(spec)
-    methods = {"latent": di.latent_controller(*di.load_prior(slmp_dir), spec)}
+    methods = {"latent": di.latent_controller(*di.load_prior(slmp_dir, spec), spec)}
     if expert_ckpt is not None:
         policy, params = tr.load_policy(expert_ckpt)
         methods["expert"] = tr.expert_controller(policy.row_net(params))
@@ -106,7 +106,7 @@ def survival_eval(
     phys = phys or ph.default_config(spec)
     latent_dim = None
     if action_fn is None:
-        latent_dim = phi_spec.input_dim - tr.proprio_dim(spec)
+        latent_dim = di.latent_width(phi_spec, spec)
         prior = nets.RowNet(phi_spec, phi_params)
     steps = int(round(max(horizons) * phys.hz))
     resample_steps = max(1, int(round(resample_period * phys.hz)))

@@ -220,62 +220,47 @@ def sample_frames(library: ClipLibrary, clip_index: np.ndarray, t: np.ndarray) -
     return out
 
 
-@dataclass
-class Goal:
-    """Next-frame reference discrepancies, localized to the root frame."""
+# next-frame reference differences in the root frame, root first, then the
+# next pose (relative root angle, absolute joints) and root position, which
+# in the plane equals d_pos; both blocks are kept so the layout stays explicit
+GOAL = ph.Layout(d_rot=lambda n: n + 1, d_pos=2, d_vel=2, d_ang_vel=lambda n: n + 1,
+                 ref_rot=lambda n: n + 1, ref_pos=2)
 
-    d_rot: np.ndarray  # (1+J,) wrapped rotation differences, root first
-    d_pos: np.ndarray  # (2,) root position difference, root frame
-    d_vel: np.ndarray  # (2,) root linear velocity difference, root frame
-    d_ang_vel: np.ndarray  # (1+J,)
-    ref_rot: np.ndarray  # (1+J,) next reference pose: relative root angle, absolute joints
-    ref_pos: np.ndarray  # (2,) next reference root position in the root frame
 
-    def flat(self) -> np.ndarray:
-        return np.concatenate(
-            [self.d_rot, self.d_pos, self.d_vel, self.d_ang_vel, self.ref_rot, self.ref_pos]
-        )
-
-    @staticmethod
-    def dim(n_joints: int) -> int:
-        return 3 * (1 + n_joints) + 6
+class Goal:  # perfbench reads this alias of the GOAL width until ROADMAP item 2
+    dim = staticmethod(lambda n_joints: GOAL.of(n_joints).width)
 
 
 def goal_rows(ref: np.ndarray, root_pos, q, root_vel, qd, *, cs=None, out=None) -> np.ndarray:
-    """``Goal.flat()`` of every env: ``ref`` holds each env's next reference
+    """``GOAL`` rows of every env: ``ref`` holds each env's next reference
     frame (``goal_frames``), the rest are the env coordinates.
 
     ``cs``, the cos and sin of the root angles ``q[:, 0]``, and ``out``, an
-    (E, ``Goal.dim``) array to write into, let a caller share the trig
-    and the buffer with the rest of an observation.  In the planar setting
-    the localized absolute root position and the localized root position
-    difference coincide; both fields are kept so the observation layout
-    stays explicit.
+    (E, ``GOAL`` width) array to write into, let a caller share the trig
+    and the buffer with the rest of an observation.
     """
-    n = q.shape[1]
+    g = GOAL.of(q.shape[1] - 1)
     c, s = (np.cos(q[:, 0]), np.sin(q[:, 0])) if cs is None else cs
-    out = np.empty((len(q), 3 * n + 6)) if out is None else out
+    out = np.empty((len(q), g.width)) if out is None else out
     ref_pos, ref_q, ref_vel, ref_qd = split_frames(ref)
-    ph.wrap_angle(ref_q - q, out=out[:, :n])
-    ph.rotate_into(out[:, n : n + 2], c, s, ref_pos - root_pos)
-    ph.rotate_into(out[:, n + 2 : n + 4], c, s, ref_vel - root_vel)
-    np.subtract(ref_qd, qd, out=out[:, n + 4 : 2 * n + 4])
-    out[:, 2 * n + 4] = out[:, 0]
-    ph.wrap_angle(ref_q[:, 1:], out=out[:, 2 * n + 5 : 3 * n + 4])
-    out[:, 3 * n + 4 :] = out[:, n : n + 2]
+    d_rot, ref_rot = out[:, g.d_rot], out[:, g.ref_rot]
+    ph.wrap_angle(ref_q - q, out=d_rot)
+    ph.rotate_into(out[:, g.d_pos], c, s, ref_pos - root_pos)
+    ph.rotate_into(out[:, g.d_vel], c, s, ref_vel - root_vel)
+    np.subtract(ref_qd, qd, out=out[:, g.d_ang_vel])
+    ref_rot[:, 0] = d_rot[:, 0]
+    ph.wrap_angle(ref_q[:, 1:], out=ref_rot[:, 1:])
+    out[:, g.ref_pos] = out[:, g.d_pos]
     return out
 
 
-def goal_state(clip: MotionClip, t: float, state: ph.SimState) -> Goal:
-    """Goal seen by the tracking policy: wrapped next-frame differences."""
-    row = goal_rows(
+def goal_state(clip: MotionClip, t: float, state: ph.SimState) -> np.ndarray:
+    """``GOAL`` row seen by the tracking policy: wrapped next-frame differences."""
+    return goal_rows(
         goal_frames(ClipLibrary([clip]), _FIRST, np.array([t])),
         state.root_pos[None], state.theta()[None],
         state.root_vel[None], state.theta_dot()[None],
     )[0]
-    n = 1 + clip.n_joints
-    return Goal(row[:n], row[n : n + 2], row[n + 2 : n + 4], row[n + 4 : 2 * n + 4],
-                row[2 * n + 4 : 3 * n + 4], row[3 * n + 4 :])
 
 
 # --- generation ---------------------------------------------------------

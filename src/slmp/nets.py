@@ -629,9 +629,11 @@ def _spelling(value) -> str:
     return ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
 
 
-def _head_value(key: str, text: str, kind: Callable):
+def _head_value(key: str, text: str | None, kind: Callable):
     """Header value ``text`` of ``key`` converted by ``kind``, refused by
-    key unless it follows the header rule (module docstring)."""
+    key if missing (None) or not in the header rule (module docstring)."""
+    if text is None:
+        raise ValueError(f"header has no {key!r} line")
     try:
         value = kind(text)
         if kind is str and not (text.isascii() and text.isprintable()):
@@ -698,9 +700,9 @@ def read_table(path: str | Path, schema: tuple,
     """Read a text table, the one layout of every file the pipeline reads
     back: the ``schema`` header, ``n`` rows of ``width`` values joined by
     single spaces, then nothing but whitespace (``_SPACE``).
-    ``shape(head)`` checks the parsed header values and returns ``(n,
-    width)``; a key it reads is looked for before the others.  Returns the
-    header and the (n,) values at width 1, else an (n, width) array.
+    Keys parse in schema order, the first missing or bad one refused; then
+    ``shape(head)`` checks the values and returns ``(n, width)``.  Returns
+    the header and the (n,) values at width 1, else an (n, width) array.
 
     The file is read as ASCII text (``_TEXT``), so CRLF line ends read
     the same and a byte outside ASCII is refused like any other bad byte.
@@ -717,11 +719,8 @@ def read_table(path: str | Path, schema: tuple,
         text = dict(line.rstrip("\n").partition("=")[::2] for line in itertools.islice(f, len(kinds)))
         ln = (magic is not None) + len(kinds)
         try:
-            head = {k: _head_value(k, text[k], kind) for k, kind in kinds.items() if k in text}
+            head = {k: _head_value(k, text.get(k), kind) for k, kind in kinds.items()}
             n, width = shape(head)
-            head = {k: head[k] for k in kinds}
-        except KeyError as e:
-            raise ValueError(f"{path}: header has no {e.args[0]!r} line") from None
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from e
         rows = np.empty((n, width))
@@ -753,6 +752,13 @@ def adam_state_load(path: str | Path) -> AdamState:
     head, values = read_table(path, ADAM, lambda h: (2 * h["count"], 1))  # m, then v
     n = head.pop("count")
     return AdamState(m=values[:n], v=values[n:], **head)
+
+
+def check_width(path: str | Path, key: str, value: int, want: int, at_least: bool = False) -> None:
+    """Refuse a checkpoint whose ``key`` is not ``want`` (or below it), by file and key."""
+    if value < want or (value != want and not at_least):
+        raise ValueError(f"{path}: header line {key}={value}: the run's layout needs "
+                         f"{key}{'>=' if at_least else '='}{want}")
 
 
 def save_checkpoint(

@@ -65,8 +65,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -109,6 +110,28 @@ def require_non_negative(cfg, names: tuple[str, ...]) -> None:
         v = getattr(cfg, name)
         if not (math.isfinite(v) and v >= 0):
             raise ValueError(f"{name} must be non-negative, got {v}")
+
+
+class Layout:
+    """An observation row declared once: named blocks in row order (a
+    flattened Gymnasium ``spaces.Dict``), each as wide as an int, a
+    function of the joint count or a nested ``Layout``."""
+
+    def __init__(self, **blocks):
+        self.blocks = blocks
+
+    @cache
+    def of(self, n_joints: int) -> SimpleNamespace:
+        """Each block's slice, by name, and the row ``width`` at ``n_joints``."""
+        cols, at = {}, 0
+        for name, w in self.blocks.items():
+            w = w.of(n_joints).width if isinstance(w, Layout) else w(n_joints) if callable(w) else w
+            cols[name], at = slice(at, at + w), at + w
+        return SimpleNamespace(**cols, width=at)
+
+    def width(self, spec: CharacterSpec) -> int:
+        """The row width for the character ``spec``."""
+        return self.of(spec.n_joints).width
 
 
 @dataclass(frozen=True)

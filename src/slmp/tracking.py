@@ -81,23 +81,29 @@ class PpoConfig:
         return self.std_init + frac * (self.std_final - self.std_init)
 
 
+# localized proprioception: facing is (sin, cos), root_vel in the root frame
+PROPRIO = ph.Layout(height=1, facing=2, joints=lambda n: n, root_vel=2, rates=lambda n: n + 1)
+TRACK_OBS = ph.Layout(proprio=PROPRIO, goal=mo.GOAL)
+# perfbench reads these two aliases until ROADMAP item 2
+proprio_dim, track_obs_dim = PROPRIO.width, TRACK_OBS.width
+
+
 def proprio_rows(root_pos, q, root_vel, qd, *, cs=None, out=None) -> np.ndarray:
-    """Localized proprioception of every env: root height, facing sin/cos,
-    wrapped joint angles, root velocity in the root frame, angular rates.
+    """``PROPRIO`` rows of every env.
 
     ``cs``, the cos and sin of the root angles ``q[:, 0]``, and ``out``, an
-    (E, ``proprio_dim``) array to write into, let ``EnvBatch.observe``
-    share the trig and the buffer with the goal part.
+    (E, ``PROPRIO`` width) array to write into, let a caller share the
+    trig and the buffer with the rest of an observation.
     """
-    nj = q.shape[1] - 1
+    p = PROPRIO.of(q.shape[1] - 1)
     c, s = (np.cos(q[:, 0]), np.sin(q[:, 0])) if cs is None else cs
-    out = np.empty((len(q), 2 * nj + 6)) if out is None else out
-    out[:, 0] = root_pos[:, 1]
-    out[:, 1] = s
-    out[:, 2] = c
-    ph.wrap_angle(q[:, 1:], out=out[:, 3 : 3 + nj])
-    ph.rotate_into(out[:, 3 + nj : 5 + nj], c, s, root_vel)
-    out[:, 5 + nj :] = qd
+    out = np.empty((len(q), p.width)) if out is None else out
+    out[:, p.height] = root_pos[:, 1:]
+    facing = out[:, p.facing]
+    facing[:, 0], facing[:, 1] = s, c
+    ph.wrap_angle(q[:, 1:], out=out[:, p.joints])
+    ph.rotate_into(out[:, p.root_vel], c, s, root_vel)
+    out[:, p.rates] = qd
     return out
 
 
@@ -105,16 +111,8 @@ def _coords(state: ph.SimState):
     return state.root_pos[None], state.theta()[None], state.root_vel[None], state.theta_dot()[None]
 
 
-def proprio_dim(spec: ph.CharacterSpec) -> int:
-    return 3 + 2 * spec.n_joints + 3
-
-
 def track_obs(state: ph.SimState, spec: ph.CharacterSpec, clip: mo.MotionClip, t: float) -> np.ndarray:
-    return np.concatenate([proprio_rows(*_coords(state))[0], mo.goal_state(clip, t, state).flat()])
-
-
-def track_obs_dim(spec: ph.CharacterSpec) -> int:
-    return proprio_dim(spec) + mo.Goal.dim(spec.n_joints)
+    return np.concatenate([proprio_rows(*_coords(state))[0], mo.goal_state(clip, t, state)])
 
 
 def site_error_rows(sim: ph.Kinematics, ref: ph.Kinematics) -> np.ndarray:
@@ -210,7 +208,7 @@ class GaussianPolicy:
     def sample_rows(
         self, net: nets.RowNet, obs: np.ndarray, rngs: list[np.random.Generator]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One action per row of ``obs`` (E, obs_dim) under the policy's
+        """One action per observation row of ``obs`` under the policy's
         ``row_net``; row e draws its noise from ``rngs[e]``."""
         mu = net(obs)
         noise = np.empty(mu.shape)
@@ -266,7 +264,7 @@ def gae(
 
 @dataclass
 class PpoBatch:
-    obs: np.ndarray  # (N, obs_dim)
+    obs: np.ndarray  # (N, observation width)
     actions: np.ndarray  # (N, act_dim)
     log_probs: np.ndarray  # (N,)
     advantages: np.ndarray  # (N,) normalized by ppo_update
@@ -469,7 +467,6 @@ class EnvBatch:
         self.spec, self.phys = spec, phys
         self.e_div, self.energy_floor = e_div, energy_floor
         self.rngs = list(rngs)
-        self.pdim, self.obs_dim = proprio_dim(spec), track_obs_dim(spec)
         self.goal: np.ndarray | None = None  # next reference frames at self.t
         n = len(self.rngs)
         self.world = ph.World.zeros(n, spec)
@@ -512,13 +509,14 @@ class EnvBatch:
         return out
 
     def observe(self) -> np.ndarray:
-        """``track_obs`` of every env, written into one (E, obs_dim) array."""
+        """``TRACK_OBS`` rows of every env, written into one array."""
         self.goal = mo.goal_frames(self.library, self.clip_index, self.t)
         root_pos, q, root_vel, qd = self.world.coords
         cs = np.cos(q[:, 0]), np.sin(q[:, 0])
-        obs = np.empty((len(q), self.obs_dim))
-        proprio_rows(root_pos, q, root_vel, qd, cs=cs, out=obs[:, : self.pdim])
-        mo.goal_rows(self.goal, root_pos, q, root_vel, qd, cs=cs, out=obs[:, self.pdim :])
+        o = TRACK_OBS.of(self.spec.n_joints)
+        obs = np.empty((len(q), o.width))
+        proprio_rows(root_pos, q, root_vel, qd, cs=cs, out=obs[:, o.proprio])
+        mo.goal_rows(self.goal, root_pos, q, root_vel, qd, cs=cs, out=obs[:, o.goal])
         return obs
 
     def ref_base(self) -> np.ndarray:
@@ -628,7 +626,7 @@ def collect(step: Callable, obs: np.ndarray, act: Callable, value_spec: nets.Mlp
             value_params: np.ndarray, horizon: int, keys: tuple[str, ...],
             rngs: list[np.random.Generator]) -> RolloutBuffer:
     """The PPO rollout loop of every stage: ``horizon`` steps from the
-    (E, obs_dim) rows ``obs``.  ``act(obs, rngs)`` gives the rows'
+    observation rows ``obs``.  ``act(obs, rngs)`` gives the rows'
     (controls, actions, log-probs), row e drawing from ``rngs[e]``, and
     ``step(controls)`` the next (obs, reward, done, info) rows; the buffer's
     ``info`` keeps the info columns named in ``keys``, each (T, E).  The
@@ -852,7 +850,6 @@ def resume_train_state(out: Path, envs: EnvBatch, seed: int) -> TrainState:
     w, nq, ns = envs.world, envs.spec.ndof, len(envs.spec.sites)
 
     def shape(h):
-        h = {k: h[k] for k in ENVS[1]}  # a header missing lines names the first
         if h["envs"] != len(envs):
             raise ValueError(f"snapshot holds {h['envs']} envs, the config builds {len(envs)}")
         for key, run in _snapshot_run(envs, seed).items():
@@ -906,7 +903,7 @@ def train_tracking(
     out.mkdir(parents=True, exist_ok=True)
     envs = EnvBatch(clips, spec, phys, seeding.rngs(seed, "env-init", cfg.envs),
                     cfg.e_div, cfg.energy_floor)
-    ts = build_networks(track_obs_dim(spec), spec.n_joints, cfg, seed)
+    ts = build_networks(TRACK_OBS.width(spec), spec.n_joints, cfg, seed)
     resumed = resume and (out / "envs.txt").exists()
     if resumed:
         saved = resume_train_state(out, envs, seed)

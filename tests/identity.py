@@ -171,7 +171,8 @@ def combat_decisions() -> dict[str, str]:
     spec = ph.default_character()
     phys = ph.default_config(spec)
     rng = np.random.default_rng(SEED)
-    phi_spec = nets.MlpSpec(tr.proprio_dim(spec) + 4, (16,), spec.n_joints, activation="silu")
+    phi_spec = nets.MlpSpec(tr.PROPRIO.width(spec) + 4, (16,), spec.n_joints,
+                            activation="silu")
     phi_params = 0.3 * nets.init_params(phi_spec, rng)
     cfg = cb.CombatConfig(spawn_gap=0.45, f_hit=5.0)
     env = cb.CombatEnv(phi_spec, phi_params, spec, phys, cfg,

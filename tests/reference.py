@@ -31,7 +31,8 @@ array and write observations into one buffer.  ``sample_frames`` and
 ``goal_frames`` are the gathers over a Python list of clips, one clip per
 env, and ``observation`` concatenates the observation from its pieces,
 with ``wrap_angle`` and ``to_local`` in their ``np.mod`` and ``np.stack``
-forms; the package must equal them bit for bit.
+forms; the package must equal them bit for bit.  ``nan_empty`` makes
+the buffers that the row builders write into start as NaN.
 
 Combat scores and spawns its fighters on rows too.  ``CombatEvent``,
 ``hit_events`` and ``combat_reward`` are the event form of a control
@@ -53,6 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from slmp import combat as cb
+from slmp import distill as di
 from slmp import motion as mo
 from slmp import nets
 from slmp import physics as ph
@@ -152,6 +154,20 @@ def proprio(state):
     return tr.proprio_rows(
         state.root_pos[None], state.theta()[None], state.root_vel[None], state.theta_dot()[None]
     )[0]
+
+
+def nan_empty(monkeypatch):
+    """Let ``np.empty`` hand out float arrays filled with NaN, so that a
+    column that a row builder leaves unwritten shows."""
+    empty = np.empty
+
+    def filled(shape, dtype=float, **kwargs):
+        out = empty(shape, dtype, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", filled)
 
 
 def env_state(batch):
@@ -520,9 +536,9 @@ def self_play_train(slmp_dir, cfg, out_dir, seed, spec, phys):
     n_env = cfg.envs
     env = cb.CombatEnv(*nets.load_checkpoint(Path(slmp_dir) / "pi_phi.ckpt")[1:3], spec, phys, cfg,
                        seeding.rngs(seed, "cenv", n_env))
-    latent_dim = env.prior.spec.input_dim - tr.proprio_dim(spec)
+    latent_dim = di.latent_width(env.prior.spec, spec)
     pcfg = cfg.ppo()
-    obs_dim = cb.combat_obs_dim(spec)
+    obs_dim = cb.COMBAT_OBS.width(spec)
     agents = [tr.build_networks(obs_dim, latent_dim, pcfg, seed, ("pi-h-init", "vh-init"))
               for _ in range(2)]
     obs = env.observe()

@@ -291,7 +291,8 @@ class TestCli:
         data.mkdir()
         track.mkdir()
         mo.save_clip(one_clip("idle", 0, 2.0), data / "idle.clip")
-        policy = tr.GaussianPolicy(nets.MlpSpec(tr.track_obs_dim(spec), (8,), spec.n_joints))
+        width = tr.TRACK_OBS.width(spec)
+        policy = tr.GaussianPolicy(nets.MlpSpec(width, (8,), spec.n_joints))
         tr.save_policy(track / "pi_track.ckpt", "pi_track", policy,
                        policy.init(np.random.default_rng(0), 0.3))
         smoke, nsc = tmp_path / "smoke.cfg", tmp_path / "nsc.cfg"
@@ -343,13 +344,28 @@ class TestCli:
         prior = tmp_path / "slmp"
         prior.mkdir()
         rng = np.random.default_rng(0)
-        for name, in_dim in (("encoder", 6), ("pi_phi", tr.proprio_dim(spec) + 4)):
+        for name, in_dim in (("encoder", 6), ("pi_phi", tr.PROPRIO.width(spec) + 4)):
             net = nets.MlpSpec(in_dim, (4,), 4 if name == "encoder" else spec.n_joints)
             nets.save_checkpoint(prior / f"{name}.ckpt", name, net, nets.init_params(net, rng))
         path = prior / "pi_phi.ckpt"
         path.write_text("\n".join(path.read_text().splitlines()[:4]) + "\n")
         assert cli.run(["eval-survival", "--slmp", str(prior), "--out", str(tmp_path / "s.csv")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval-survival", "viz-sphere"])
+    def test_prior_narrower_than_proprio_is_refused_by_file_and_key(self, tmp_path, capsys, command):
+        spec = ph.default_character()
+        width = tr.PROPRIO.width(spec) - 2
+        prior = tmp_path / "slmp"
+        prior.mkdir()
+        rng = np.random.default_rng(0)
+        for name, in_dim in (("encoder", 6), ("pi_phi", width)):
+            net = nets.MlpSpec(in_dim, (4,), 4 if name == "encoder" else spec.n_joints)
+            nets.save_checkpoint(prior / f"{name}.ckpt", name, net, nets.init_params(net, rng))
+        assert cli.run([command, "--slmp", str(prior), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {prior / 'pi_phi.ckpt'}: header line input={width}: " in err
+        assert not (tmp_path / "o").exists()
 
     def test_train_combat_refuses_a_zero_swap_period(self, tmp_path, capsys):
         cfg = tmp_path / "swap.cfg"
@@ -412,10 +428,10 @@ class TestCli:
         ckpt = tmp_path / "combat"
         ckpt.mkdir()
         rng = np.random.default_rng(0)
-        phi_spec = nets.MlpSpec(tr.proprio_dim(spec) + 4, (16,), spec.n_joints)
+        phi_spec = nets.MlpSpec(tr.PROPRIO.width(spec) + 4, (16,), spec.n_joints)
         nets.save_checkpoint(ckpt / "pi_phi.ckpt", "pi_phi", phi_spec,
                              nets.init_params(phi_spec, rng) * 0.01)
-        policy = tr.GaussianPolicy(nets.MlpSpec(cb.combat_obs_dim(spec), (16,), 4))
+        policy = tr.GaussianPolicy(nets.MlpSpec(cb.COMBAT_OBS.width(spec), (16,), 4))
         for i in (1, 2):
             tr.save_policy(ckpt / f"pi_h_{i}.ckpt", f"pi_h_{i}", policy, policy.init(rng, 0.3))
         return ckpt

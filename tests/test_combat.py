@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -17,6 +18,8 @@ from slmp import tracking as tr
 SPEC = ph.default_character()
 CFG = ph.default_config(SPEC)
 CC = cb.CombatConfig()
+OBS = cb.COMBAT_OBS.of(SPEC.n_joints)
+PROPRIO = tr.PROPRIO.of(SPEC.n_joints)
 
 
 def obs_sign_mask():
@@ -64,8 +67,34 @@ class TestObservation:
         a, b = self._pair()
         obs_a = obs_rows([a, b])[0]
         obs_b = obs_rows([b, a])[0]
-        assert obs_a.shape == (cb.combat_obs_dim(SPEC),)
+        assert obs_a.shape == (OBS.width,)
         assert np.allclose(obs_b, obs_sign_mask() * obs_a, atol=1e-10)
+
+    def test_fills_the_combat_layout(self, monkeypatch):
+        """``combat_observation``, writing into a NaN-filled buffer, fills
+        every column of ``COMBAT_OBS``, and each block holds the columns it
+        held before the layout was declared, against the per-state
+        reference."""
+        p = 6 + 2 * SPEC.n_joints
+        parent = {"proprio": slice(0, p), "offset": slice(p, p + 2), "facing": slice(p + 2, p + 4),
+                  "velocity": slice(p + 4, p + 6), "rate": slice(p + 6, p + 7),
+                  "limbs": slice(p + 7, p + 23), "forces": slice(p + 23, p + 29)}
+        a, b = self._pair()
+        b.root_pos = b.root_pos + np.array([0.9, 0.1])
+        w = ph.World.of([a, b], SPEC)
+        k = ph.Kinematics.of(w, SPEC)
+        force = np.random.default_rng(4).uniform(0.0, 50.0, (2, len(SPEC.sites)))
+        reference.nan_empty(monkeypatch)
+        got = cb.combat_observation(w, k, force, SPEC)
+        monkeypatch.undo()
+        views = [(a, b), (ph.mirror_state(b, 0.0), ph.mirror_state(a, 0.0))]
+        want = np.stack([_observation_ref(me, opp, f) for (me, opp), f in zip(views, force)])
+        assert OBS.width == got.shape[1] and not np.isnan(got).any()
+        assert list(vars(OBS)) == [*parent, "width"]
+        for name, cols in parent.items():
+            assert getattr(OBS, name) == cols, name
+            err = np.abs(got[:, cols] - want[:, cols])
+            assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(want[:, cols]))), name
 
     def test_opponent_directly_ahead(self):
         a = ph.nominal_stance(SPEC, CFG)
@@ -393,7 +422,7 @@ class TestSelfPlaySchedule:
 def tiny_prior(tmp_path_factory):
     """Weak but loadable latent prior for environment-level tests."""
     out = tmp_path_factory.mktemp("prior")
-    phi_spec = nets.MlpSpec(tr.proprio_dim(SPEC) + 4, (16,), SPEC.n_joints, activation="silu")
+    phi_spec = nets.MlpSpec(PROPRIO.width + 4, (16,), SPEC.n_joints, activation="silu")
     rng = np.random.default_rng(0)
     phi_params = nets.init_params(phi_spec, rng) * 0.01
     enc_spec = nets.MlpSpec(10, (8,), 4, activation="relu")
@@ -471,7 +500,7 @@ class TestCombatEnv:
         )
         # instance 1 never trained within the first 3 epochs: identical to init
         policy = tr.GaussianPolicy(
-            nets.MlpSpec(cb.combat_obs_dim(SPEC), tuple(cfg.pi_h_hidden), 4, activation="silu")
+            nets.MlpSpec(OBS.width, tuple(cfg.pi_h_hidden), 4, activation="silu")
         )
         from slmp.seeding import seed_for
 
@@ -490,7 +519,7 @@ class TestCombatEnv:
             out_dir, replace(cfg, epochs=1), tmp_path / "one", **run)
         assert params[0].tobytes() == one_params[0].tobytes()
         assert values[0].tobytes() == one_values[0].tobytes()
-        base = tr.build_networks(cb.combat_obs_dim(SPEC), 4, cfg.ppo(), 1, ("pi-h-init", "vh-init"))
+        base = tr.build_networks(OBS.width, 4, cfg.ppo(), 1, ("pi-h-init", "vh-init"))
         assert one_params[1].tobytes() == base.policy_params.tobytes()
         assert not np.array_equal(params[1], base.policy_params)
         assert not np.array_equal(values[1], base.value_params)
@@ -515,7 +544,7 @@ class TestCombatEnv:
         cols = dict(zip(header.split(","), zip(*(map(float, r.split(",")) for r in rows))))
         assert cols["learner"] == (0.0, 1.0, 0.0)
         assert sum(cols["hits_per_episode"]) > 0 and sum(cols["knockdowns_per_episode"]) > 0
-        base = tr.build_networks(cb.combat_obs_dim(SPEC), 4, cfg.ppo(), 0, ("pi-h-init", "vh-init"))
+        base = tr.build_networks(OBS.width, 4, cfg.ppo(), 0, ("pi-h-init", "vh-init"))
         assert not any(np.array_equal(p, base.policy_params) for p in params)
 
 
@@ -545,13 +574,38 @@ def test_rollout_runs_every_whole_decision(tiny_prior, tmp_path, monkeypatch):
     ckpt = tmp_path / "combat"
     ckpt.mkdir()
     (ckpt / "pi_phi.ckpt").write_bytes((out / "pi_phi.ckpt").read_bytes())
-    policy = tr.GaussianPolicy(nets.MlpSpec(cb.combat_obs_dim(SPEC), (8,), 4))
+    policy = tr.GaussianPolicy(nets.MlpSpec(OBS.width, (8,), 4))
     rng = np.random.default_rng(0)
     for i in (1, 2):
         tr.save_policy(ckpt / f"pi_h_{i}.ckpt", f"pi_h_{i}", policy, policy.init(rng, 0.3))
     monkeypatch.setattr(cb, "check_termination", _no_termination)
     assert CFG.dt * CC.k_hl == 1 / 30
     assert [len(w) for w in cb.rollout_combat(ckpt, 4.1, 0, CC, SPEC, CFG)] == [123, 123]
+
+
+@pytest.mark.parametrize("key, phi_in, phi_out", [
+    ("input", PROPRIO.width, SPEC.n_joints), ("input", PROPRIO.width + 1, SPEC.n_joints),
+    ("input", PROPRIO.width - 3, SPEC.n_joints), ("output", PROPRIO.width + 4, SPEC.n_joints - 1),
+])
+def test_prior_of_other_widths_is_refused_by_file_and_key(tmp_path, key, phi_in, phi_out):
+    """Self-play and the combat rollout refuse a prior that leaves fewer
+    than 2 latent columns past the proprio block, or that is not one
+    output per joint, by file and header key before the first decision."""
+    rng = np.random.default_rng(0)
+    phi_spec = nets.MlpSpec(phi_in, (8,), phi_out)
+    prior = tmp_path / "pi_phi.ckpt"
+    nets.save_checkpoint(prior, "pi_phi", phi_spec, nets.init_params(phi_spec, rng))
+    policy = tr.GaussianPolicy(nets.MlpSpec(OBS.width, (8,), 4))
+    for i in (1, 2):
+        tr.save_policy(tmp_path / f"pi_h_{i}.ckpt", f"pi_h_{i}", policy, policy.init(rng, 0.3))
+    value = {"input": phi_in, "output": phi_out}[key]
+    refused = re.escape(f"{prior}: header line {key}={value}: ")
+    cfg = replace(CC, epochs=1, envs=1, horizon=2)
+    with pytest.raises(ValueError, match=refused):
+        cb.self_play_train(tmp_path, cfg, tmp_path / "out", 0, SPEC, CFG, log=False)
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+    with pytest.raises(ValueError, match=refused):
+        cb.rollout_combat(tmp_path, 1.0, 0, CC, SPEC, CFG)
 
 
 def _drive_envs(phi_spec, phi_params, cfg, seeds, decisions):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -515,10 +516,10 @@ class TestCollectFresh:
     @staticmethod
     def _nets():
         pcfg = tr.PpoConfig(pi_hidden=(16,), critic_hidden=(4,))
-        expert = tr.build_networks(tr.track_obs_dim(SPEC), SPEC.n_joints, pcfg, seed=0)
+        expert = tr.build_networks(tr.TRACK_OBS.width(SPEC), SPEC.n_joints, pcfg, seed=0)
         cfg = di.SlmpConfig(encoder_hidden=(16,), pi_phi_hidden=(16,), disc_hidden=(4,))
-        n = di.build_distill_nets(mo.Goal.dim(SPEC.n_joints), tr.proprio_dim(SPEC),
-                                  SPEC.n_joints, cfg, seed=1)
+        n = di.build_distill_nets(mo.GOAL.width(SPEC), tr.PROPRIO.width(SPEC), SPEC.n_joints, cfg,
+                                  seed=1)
         return expert.policy, expert.policy_params, n
 
     def _rngs(self, lo=0, hi=16):
@@ -539,7 +540,7 @@ class TestCollectFresh:
             for env in envs:
                 state, clip, t = env.world.state(0), self.CLIPS[env.clip_index[0]], float(env.t[0])
                 p = proprio(state)
-                g = mo.goal_state(clip, t, state).flat()
+                g = mo.goal_state(clip, t, state)
                 obs = tr.track_obs(state, SPEC, clip, t)
                 mu = expert.row_net(expert_params)(obs[None])[0]
                 a_star = tr.action_to_targets(mu, env.ref_base()[0])
@@ -626,8 +627,8 @@ class TestTrainSlmp:
                       log=False, skip_expert_check=True)
         for name in ("encoder.ckpt", "pi_phi.ckpt", "disc.ckpt"):
             assert (tmp_path / "slmp" / name).exists()
-        enc_spec, enc_p, phi_spec, phi_p = di.load_prior(tmp_path / "slmp")
-        assert phi_spec.input_dim == tr.proprio_dim(SPEC) + cfg.latent_dim
+        enc_spec, enc_p, phi_spec, phi_p = di.load_prior(tmp_path / "slmp", SPEC)
+        assert phi_spec.input_dim == tr.PROPRIO.width(SPEC) + cfg.latent_dim
 
     def test_console_prints_the_first_every_200th_and_last_update(self, tmp_path, capsys):
         clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
@@ -688,3 +689,21 @@ class TestTrainSlmp:
         with pytest.raises(RuntimeError, match="failure rate"):
             di.train_slmp(clips, expert, cfg, tmp_path / "slmp", seed=3, spec=SPEC, phys=CFG,
                           log=False)
+
+    @pytest.mark.parametrize("skip", [True, False], ids=["skip-check", "check"])
+    @pytest.mark.parametrize("key, wider", [("input", 3), ("output", 1)])
+    def test_expert_of_other_widths_is_refused_by_file_and_key(self, tmp_path, key, wider, skip):
+        """An expert whose input is not the tracking layout's width, or
+        whose output is not one per joint, is refused by file and header
+        key before the first rollout, with or without the expert check."""
+        clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        widths = {"input": tr.TRACK_OBS.width(SPEC), "output": SPEC.n_joints}
+        widths[key] += wider
+        policy = tr.GaussianPolicy(nets.MlpSpec(widths["input"], (8,), widths["output"]))
+        path = tmp_path / "pi_track.ckpt"
+        tr.save_policy(path, "pi_track", policy, policy.init(np.random.default_rng(0), 0.3))
+        cfg = di.SlmpConfig(updates=1, batch=8, fresh_per_update=4, envs=1)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: header line {key}={widths[key]}: ")):
+            di.train_slmp(clips, path, cfg, tmp_path / "slmp", seed=3, spec=SPEC, phys=CFG,
+                          log=False, skip_expert_check=skip)
+        assert not (tmp_path / "slmp" / "metrics.csv").exists()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from slmp.seeding import seed_for
 
 SPEC = ph.default_character()
 CFG = ph.default_config(SPEC)
+PROPRIO = tr.PROPRIO.of(SPEC.n_joints)
 
 
 def cloud_row(*values):
@@ -90,7 +92,7 @@ def survival_reference(phi_spec, phi_params, n_trials, seed, steps, resample_ste
     ``detect_fall`` per control step, with ``action_fn(state, rng)``.
     Also returns each trial's lowest torso-center height over its steps,
     the height that ``physics.fallen`` compares with ``fall_height``."""
-    latent_dim = None if action_fn else phi_spec.input_dim - tr.proprio_dim(SPEC)
+    latent_dim = None if action_fn else di.latent_width(phi_spec, SPEC)
     fall_times, lowest = [], []
     for trial in range(n_trials):
         rng = np.random.default_rng(seed_for(seed, f"survival-{trial}"))
@@ -131,7 +133,7 @@ class TestSurvivalRows:
         """Two of the 8 trials stand to the end with their torso center
         never below 0.5 m above ``fall_height`` (it starts ~0.65 m above),
         so the curve's last point does not hang on a near fall."""
-        phi_spec = nets.MlpSpec(tr.proprio_dim(SPEC) + 4, (16,), SPEC.n_joints)
+        phi_spec = nets.MlpSpec(PROPRIO.width + 4, (16,), SPEC.n_joints)
         phi_params = 0.3 * nets.init_params(phi_spec, np.random.default_rng(7))
         want, lowest = survival_reference(phi_spec, phi_params, 8, 11, self.STEPS, 15)
         curve = ev.survival_eval(phi_spec, phi_params, 8, self.HORIZONS, 11,
@@ -150,6 +152,32 @@ class TestSurvivalRows:
         curve = ev.survival_eval(None, None, 8, self.HORIZONS, 12, spec=SPEC, phys=CFG,
                                  action_fn=lambda world, rngs: np.stack([act(None, r) for r in rngs]))
         self._check(curve, want)
+
+
+@pytest.mark.parametrize("latent", [0, 1, -2])
+def test_survival_refuses_a_prior_of_fewer_than_2_latent_columns(latent):
+    """A prior whose input leaves fewer than 2 latent columns past the
+    proprio block (``sample_sphere``'s bound) is refused by header key."""
+    phi_spec = nets.MlpSpec(PROPRIO.width + latent, (4,), SPEC.n_joints)
+    with pytest.raises(ValueError, match=f"header line input={PROPRIO.width + latent}: "):
+        ev.survival_eval(phi_spec, np.zeros(phi_spec.param_count()), 2, (0.5,), 0,
+                         spec=SPEC, phys=CFG)
+
+
+@pytest.mark.parametrize("key, phi_in, phi_out", [("input", PROPRIO.width - 2, SPEC.n_joints),
+                                                  ("output", PROPRIO.width + 4, 4)])
+def test_latent_tracking_refuses_a_prior_of_other_widths(tmp_path, key, phi_in, phi_out):
+    """``latent_tracking_eval`` refuses a prior narrower than the proprio
+    block, or of another action width, by file and header key."""
+    rng = np.random.default_rng(0)
+    for name, net in (("encoder", nets.MlpSpec(mo.GOAL.width(SPEC), (4,), 4)),
+                      ("pi_phi", nets.MlpSpec(phi_in, (4,), phi_out))):
+        nets.save_checkpoint(tmp_path / f"{name}.ckpt", name, net, nets.init_params(net, rng))
+    value = {"input": phi_in, "output": phi_out}[key]
+    refused = re.escape(f"{tmp_path / 'pi_phi.ckpt'}: header line {key}={value}: ")
+    clips = [one_clip("idle", 0, 2.0, spec=SPEC, cfg=CFG)]
+    with pytest.raises(ValueError, match=refused):
+        ev.latent_tracking_eval(clips, tmp_path, spec=SPEC, phys=CFG)
 
 
 class TestTrackClip:
@@ -229,7 +257,7 @@ class TestTrackClips:
         """(per-state, row) forms of the reference-pose controller and of
         an untrained expert."""
         pcfg = tr.PpoConfig(pi_hidden=(16,), critic_hidden=(4,))
-        ts = tr.build_networks(tr.track_obs_dim(SPEC), SPEC.n_joints, pcfg, seed=0)
+        ts = tr.build_networks(tr.TRACK_OBS.width(SPEC), SPEC.n_joints, pcfg, seed=0)
         policy, params = ts.policy, ts.policy_params
 
         def expert(state, t, clip):
@@ -338,7 +366,7 @@ class TestSphereClusters:
             ev.sphere_clusters(three_mode_decode, 4, 2, 3, seed=0)
 
     def test_cloud_roundtrip(self, tmp_path):
-        phi_spec = nets.MlpSpec(tr.proprio_dim(SPEC) + 4, (16,), SPEC.n_joints)
+        phi_spec = nets.MlpSpec(PROPRIO.width + 4, (16,), SPEC.n_joints)
         phi_params = nets.init_params(phi_spec, np.random.default_rng(8))
         state = ev.fixture_state("airborne", SPEC, CFG)
         decode = ev.prior_decoder(phi_spec, phi_params, state, SPEC)

@@ -10,6 +10,7 @@ from slmp import physics as ph
 
 SPEC = ph.default_character()
 CFG = ph.default_config(SPEC)
+G = mo.GOAL.of(SPEC.n_joints)
 
 
 def make(family, seed=3, duration=6.0):
@@ -238,9 +239,9 @@ class TestGoal:
             state = clip.frame_state(j)
             state.time = t
             g = mo.goal_state(clip, t, state)
-            assert np.abs(g.d_rot).max() < 1e-12
-            assert np.abs(g.d_pos).max() < 1e-12
-            assert np.allclose(g.ref_rot[1:], ph.wrap_angle(mo.split_frames(clip.frames)[1][j, 1:]))
+            assert np.abs(g[G.d_rot]).max() < 1e-12
+            assert np.abs(g[G.d_pos]).max() < 1e-12
+            assert np.allclose(g[G.ref_rot][1:], ph.wrap_angle(mo.split_frames(clip.frames)[1][j, 1:]))
 
     def test_root_rotation_offset(self):
         clip = make("idle", 0)
@@ -251,7 +252,7 @@ class TestGoal:
         state.root_angle += delta
         g = mo.goal_state(clip, t, state)
         want = reference.wrap_angle(mo.split_frames(clip.frames)[1][j, 0] - state.root_angle)
-        assert g.d_rot[0] == pytest.approx(want)
+        assert g[G.d_rot][0] == pytest.approx(want)
 
     def test_matches_independent_recomputation(self):
         clip = make("kick", 9)
@@ -269,14 +270,34 @@ class TestGoal:
             j = int(np.floor((t + 1 / clip.frame_rate) * clip.frame_rate + 1e-9))
             c, s = np.cos(-state.root_angle), np.sin(-state.root_angle)
             rot = np.array([[c, -s], [s, c]])
-            assert np.allclose(g.d_pos, rot @ (root_pos[j] - state.root_pos), atol=1e-12)
+            assert np.allclose(g[G.d_pos], rot @ (root_pos[j] - state.root_pos), atol=1e-12)
             assert np.allclose(
-                g.d_rot[1:], ph.wrap_angle(joints[j] - state.joint_angles), atol=1e-12
+                g[G.d_rot][1:], ph.wrap_angle(joints[j] - state.joint_angles), atol=1e-12
             )
             assert np.allclose(
-                g.d_ang_vel[1:], joint_vels[j] - state.joint_vels, atol=1e-12
+                g[G.d_ang_vel][1:], joint_vels[j] - state.joint_vels, atol=1e-12
             )
-            assert np.allclose(g.ref_pos, rot @ (root_pos[j] - state.root_pos), atol=1e-12)
+            assert np.allclose(g[G.ref_pos], rot @ (root_pos[j] - state.root_pos), atol=1e-12)
+
+    def test_goal_rows_fill_the_goal_layout(self):
+        """``goal_rows``, writing into a NaN-filled buffer, fills every
+        column of ``GOAL``, and each block holds the columns it held before
+        the layout was declared."""
+        n = SPEC.n_joints + 1
+        parent = {"d_rot": slice(0, n), "d_pos": slice(n, n + 2), "d_vel": slice(n + 2, n + 4),
+                  "d_ang_vel": slice(n + 4, 2 * n + 4), "ref_rot": slice(2 * n + 4, 3 * n + 4),
+                  "ref_pos": slice(3 * n + 4, 3 * n + 6)}
+        clip = make("kick", 9)
+        rng = np.random.default_rng(3)
+        ref = clip.frames[1:7]
+        rows = [x + rng.uniform(-4.0, 4.0, x.shape) for x in mo.split_frames(clip.frames[:6])]
+        got = mo.goal_rows(ref, *rows, out=np.full((6, G.width), np.nan))
+        want = reference.observation(ref, *rows)[:, 2 * n + 4:]
+        assert G.width == got.shape[1] and not np.isnan(got).any()
+        assert list(vars(G)) == [*parent, "width"]
+        for name, cols in parent.items():
+            assert getattr(G, name) == cols, name
+            assert got[:, cols].tobytes() == want[:, cols].tobytes(), name
 
     def test_out_of_range(self):
         clip = make("idle", 0, 4.0)

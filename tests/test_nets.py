@@ -134,12 +134,10 @@ def test_grad_check_detects_corrupted_backward(monkeypatch):
 def _repo_specs():
     """Every network topology the pipeline builds under default configs."""
     spec = ph.default_character()
-    track = tr.build_networks(tr.track_obs_dim(spec), spec.n_joints, tr.PpoConfig(), 0)
+    track = tr.build_networks(tr.TRACK_OBS.width(spec), spec.n_joints, tr.PpoConfig(), 0)
     scfg = di.SlmpConfig()
-    distill = di.build_distill_nets(
-        mo.Goal.dim(spec.n_joints), tr.proprio_dim(spec), spec.n_joints, scfg, 0
-    )
-    combat = tr.build_networks(cb.combat_obs_dim(spec), scfg.latent_dim, cb.CombatConfig().ppo(), 0)
+    distill = di.build_distill_nets(mo.GOAL.width(spec), tr.PROPRIO.width(spec), spec.n_joints, scfg, 0)
+    combat = tr.build_networks(cb.COMBAT_OBS.width(spec), scfg.latent_dim, cb.CombatConfig().ppo(), 0)
     return [
         track.policy.spec, track.value_spec,
         distill.enc_spec, distill.phi_spec, distill.disc_spec,
@@ -651,7 +649,7 @@ class TestCheckpoint:
         assert peak_of(mo.load_clip, tmp_path / "k.clip") < 3 * clip.frames.nbytes
 
         cfg = tr.PpoConfig(envs=128, pi_hidden=(8,), critic_hidden=(8,))
-        ts = tr.build_networks(tr.track_obs_dim(ch), ch.n_joints, cfg, seed=0)
+        ts = tr.build_networks(tr.TRACK_OBS.width(ch), ch.n_joints, cfg, seed=0)
         batch = tr.EnvBatch([clip], ch, phys, [np.random.default_rng(i) for i in range(cfg.envs)])
         tr.save_train_state(tmp_path, ts, batch, 0)
         rows = cfg.envs * 2 * (3 + ch.ndof + len(ch.sites)) * 8
@@ -847,7 +845,7 @@ class TestCheckpoint:
         nets.save_checkpoint(tmp_path / "x.ckpt", "x", spec, np.zeros(spec.param_count()))
         nets.adam_state_save(tmp_path / "a.txt", nets.adam_init(3, lr=0.05))
         for name, load, key in (("x.ckpt", nets.load_checkpoint, "output"),
-                                ("a.txt", nets.adam_state_load, "count")):
+                                ("a.txt", nets.adam_state_load, "beta2")):
             path = tmp_path / name
             path.write_text("\n".join(path.read_text().splitlines()[:4]) + "\n")
             with pytest.raises(ValueError, match=f"{name}: header has no '{key}' line"):

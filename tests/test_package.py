@@ -238,6 +238,49 @@ def test_one_header_rule():
     assert spellers == []
 
 
+# the layout widths ``perfbench/`` still reads under their old names
+LAYOUT_ALIASES = {"proprio_dim", "track_obs_dim", "combat_obs_dim", "Goal.dim"}
+
+
+def width_functions(tree: ast.Module) -> list[str]:
+    """The ``*_dim`` functions that ``tree`` defines, and the calls of
+    ``LAYOUT_ALIASES`` it makes, by name and line: an observation width
+    that is not read off its ``physics.Layout``."""
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.FunctionDef) and n.name.endswith("_dim"):
+            out.append(f"def {n.name}:{n.lineno}")
+        elif isinstance(n, ast.Call):
+            f = n.func
+            name = getattr(f, "attr", None) or getattr(f, "id", None)
+            owner = getattr(f, "value", None)
+            if name == "dim" and "Goal" in (getattr(owner, "id", None), getattr(owner, "attr", None)):
+                name = "Goal.dim"
+            if name in LAYOUT_ALIASES:
+                out.append(f"call {name}:{n.lineno}")
+    return out
+
+
+def test_width_function_scan_flags_definitions_and_alias_calls():
+    tree = ast.parse(
+        "def proprio_dim(spec):\n    return P.width(spec)\n"
+        "def act_dim(spec): ...\n"
+        "w = tr.track_obs_dim(spec) + combat_obs_dim(spec) + mo.Goal.dim(8) + Goal.dim(8)\n"
+        "v = TRACK_OBS.width(spec) + spec.input_dim + dim(3)\n"
+    )
+    assert sorted(width_functions(tree)) == [
+        "call Goal.dim:4", "call Goal.dim:4", "call combat_obs_dim:4", "call track_obs_dim:4",
+        "def act_dim:3", "def proprio_dim:1",
+    ]
+
+
+def test_one_observation_layout():
+    """Every observation width is read off its ``physics.Layout``: no
+    package module defines a ``*_dim`` function, and none calls the
+    aliases that ``perfbench/`` reads."""
+    assert [(p.name, f) for p in MODULES for f in width_functions(ast.parse(p.read_text()))] == []
+
+
 def test_row_helpers_take_rows():
     """Helpers below the per-state layer take rows only: no package code
     lifts a scalar or 1-D argument to rows or branches on its rank."""

@@ -14,6 +14,7 @@ from slmp.seeding import seed_for
 
 SPEC = ph.default_character()
 CFG = ph.default_config(SPEC)
+OBS = tr.TRACK_OBS.of(SPEC.n_joints)
 
 
 def relerr(a, b):
@@ -340,6 +341,51 @@ def _batch(clips, seeds, **kwargs):
     return tr.EnvBatch(clips, SPEC, CFG, [np.random.default_rng(s) for s in seeds], **kwargs)
 
 
+# the hard-coded column offsets of each block: the layout tests' oracle
+NJ = SPEC.n_joints
+PROPRIO_COLS = {"height": slice(0, 1), "facing": slice(1, 3), "joints": slice(3, 3 + NJ),
+                "root_vel": slice(3 + NJ, 5 + NJ), "rates": slice(5 + NJ, 6 + 2 * NJ)}
+TRACK_COLS = {"proprio": slice(0, 6 + 2 * NJ), "goal": slice(6 + 2 * NJ, 15 + 5 * NJ)}
+
+
+class TestObservationLayout:
+    """Each builder, writing into a NaN-filled buffer, fills every column of
+    its layout, and each block holds the columns it held before."""
+
+    @staticmethod
+    def _rows():
+        batch = _batch(_small_clips(), range(6))
+        rng = np.random.default_rng(5)
+        w = batch.world
+        w.q += rng.uniform(-4.0, 4.0, w.q.shape)
+        w.root_vel += rng.uniform(-1.0, 1.0, w.root_vel.shape)
+        w.qd += rng.uniform(-3.0, 3.0, w.qd.shape)
+        return batch
+
+    @staticmethod
+    def _check(layout, cols, got, want):
+        assert layout.width == got.shape[1] and not np.isnan(got).any()
+        assert list(vars(layout)) == [*cols, "width"]
+        for name, parent in cols.items():
+            assert getattr(layout, name) == parent, name
+            assert got[:, parent].tobytes() == want[:, parent].tobytes(), name
+
+    def test_proprio(self):
+        batch = self._rows()
+        p = tr.PROPRIO.of(NJ)
+        got = tr.proprio_rows(*batch.world.coords, out=np.full((6, p.width), np.nan))
+        want = reference.observation(mo.goal_frames(batch.library, batch.clip_index, batch.t),
+                                     *batch.world.coords)[:, TRACK_COLS["proprio"]]
+        self._check(p, PROPRIO_COLS, got, want)
+
+    def test_tracking_observation(self, monkeypatch):
+        batch = self._rows()
+        reference.nan_empty(monkeypatch)
+        got = batch.observe()
+        monkeypatch.undo()
+        self._check(OBS, TRACK_COLS, got, reference.observation(batch.goal, *batch.world.coords))
+
+
 class TestEnv:
     def test_batch_refuses_a_clip_of_one_frame(self):
         """A clip needs a start frame and the frame after it; a 1-frame clip
@@ -355,7 +401,7 @@ class TestEnv:
         for _ in range(2):
             env = tr.TrackingEnv(clips, SPEC, CFG, rng=np.random.default_rng(9))
             policy = tr.GaussianPolicy(
-                nets.MlpSpec(tr.track_obs_dim(SPEC), (16,), 8, activation="silu")
+                nets.MlpSpec(OBS.width, (16,), 8, activation="silu")
             )
             params = policy.init(np.random.default_rng(1), 0.3)
             rng = np.random.default_rng(42)
@@ -580,7 +626,7 @@ class TestTraining:
         that wrote them: valid, with the World time at ``t``."""
         clips = _small_clips()
         cfg = tr.PpoConfig(envs=3, pi_hidden=(8,), critic_hidden=(8,))
-        ts = tr.build_networks(tr.track_obs_dim(SPEC), SPEC.n_joints, cfg, seed=0)
+        ts = tr.build_networks(OBS.width, SPEC.n_joints, cfg, seed=0)
         batch = _batch(clips, range(3))
         for _ in range(30):
             batch.step(batch.ref_base())
@@ -685,7 +731,7 @@ class TestTraining:
         env_list = [
             tr.TrackingEnv(clips, SPEC, CFG, rng=np.random.default_rng(i)) for i in range(2)
         ]
-        ts = tr.build_networks(tr.track_obs_dim(SPEC), 8, cfg, seed=0)
+        ts = tr.build_networks(OBS.width, 8, cfg, seed=0)
         buf = tr.collect_rollouts(
             env_list, ts.policy, ts.policy_params, ts.value_spec, ts.value_params,
             cfg.horizon, [np.random.default_rng(7), np.random.default_rng(8)],
@@ -705,7 +751,7 @@ class TestTraining:
         minibatch has PPO ratios of 1 up to rounding: nothing is clipped
         and the policy loss is minus the mean normalised advantage."""
         cfg = tr.PpoConfig(envs=4, horizon=16, updates=1, epochs_per_update=1, batch_size=16)
-        ts = tr.build_networks(tr.track_obs_dim(SPEC), 8, cfg, seed=3)
+        ts = tr.build_networks(OBS.width, 8, cfg, seed=3)
         batch = _batch(_small_clips(), range(4))
         buf = tr.collect_rollouts(
             batch, ts.policy, ts.policy_params, ts.value_spec, ts.value_params,
@@ -731,7 +777,7 @@ class TestTraining:
         batch's, and the listed envs keep their rows."""
         clips = _small_clips()
         cfg = tr.PpoConfig(envs=3, horizon=8, pi_hidden=(8,), critic_hidden=(8,))
-        ts = tr.build_networks(tr.track_obs_dim(SPEC), 8, cfg, seed=0)
+        ts = tr.build_networks(OBS.width, 8, cfg, seed=0)
         nets_args = (ts.policy, ts.policy_params, ts.value_spec, ts.value_params, cfg.horizon)
         envs = [tr.TrackingEnv(clips, SPEC, CFG, rng=np.random.default_rng(s)) for s in range(3)]
         before = [reference.env_state(env) for env in envs]
@@ -747,7 +793,7 @@ class TestTraining:
         clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG),
                  one_clip("jab", 20, 3.0, spec=SPEC, cfg=CFG)]
         cfg = tr.PpoConfig(envs=4, horizon=8)
-        ts = tr.build_networks(tr.track_obs_dim(SPEC), 8, cfg, seed=0)
+        ts = tr.build_networks(OBS.width, 8, cfg, seed=0)
 
         def collect(workers):
             envs = [
@@ -771,7 +817,7 @@ class TestTraining:
         process, so a second collection draws the same actions."""
         clips = _small_clips()
         cfg = tr.PpoConfig(envs=4, horizon=4, pi_hidden=(8,), critic_hidden=(8,))
-        ts = tr.build_networks(tr.track_obs_dim(SPEC), 8, cfg, seed=0)
+        ts = tr.build_networks(OBS.width, 8, cfg, seed=0)
         nets_args = (ts.policy, ts.policy_params, ts.value_spec, ts.value_params, cfg.horizon)
         runs = []
         for workers in (1, 2):
@@ -801,7 +847,7 @@ class TestTraining:
         monkeypatch.setattr(multiprocessing.pool.Pool, "starmap", recording)
         clips = _small_clips()
         cfg = tr.PpoConfig(envs=4, horizon=6, pi_hidden=(8,), critic_hidden=(8,))
-        ts = tr.build_networks(tr.track_obs_dim(SPEC), 8, cfg, seed=0)
+        ts = tr.build_networks(OBS.width, 8, cfg, seed=0)
         nets_args = (ts.policy, ts.policy_params, ts.value_spec, ts.value_params, cfg.horizon)
         batches = [_batch(clips, range(30, 34)) for _ in range(2)]
         bufs = [tr.collect_rollouts(b, *nets_args, b.rngs, workers=w) for w, b in zip((1, 2), batches)]
@@ -829,7 +875,7 @@ class TestTraining:
         clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG),
                  one_clip("jab", 20, 3.0, spec=SPEC, cfg=CFG)]
         cfg = tr.PpoConfig(envs=4, horizon=8)
-        ts = tr.build_networks(tr.track_obs_dim(SPEC), 8, cfg, seed=0)
+        ts = tr.build_networks(OBS.width, 8, cfg, seed=0)
         whole, split = _batch(clips, range(100, 104)), _batch(clips, range(100, 104))
         rngs = [np.random.default_rng(200 + i % 4) for i in range(8)]
         nets_args = (ts.policy, ts.policy_params, ts.value_spec, ts.value_params, cfg.horizon)
@@ -849,7 +895,7 @@ class TestTraining:
         clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG),
                  one_clip("jab", 20, 3.0, spec=SPEC, cfg=CFG)]
         cfg = tr.PpoConfig(envs=32, horizon=60, pi_hidden=(32,), critic_hidden=(32,))
-        ts = tr.build_networks(tr.track_obs_dim(SPEC), 8, cfg, seed=0)
+        ts = tr.build_networks(OBS.width, 8, cfg, seed=0)
         fields = ("obs", "actions", "rewards", "values", "log_probs", "dones")
 
         def run(splits):
@@ -954,12 +1000,12 @@ class TestTraining:
         w.qd += rng.uniform(-3.0, 3.0, w.qd.shape)
         obs = batch.observe()
         want = reference.observation(batch.goal, *w.coords)
-        assert obs.shape == (6, tr.track_obs_dim(SPEC)) and obs.tobytes() == want.tobytes()
+        assert obs.shape == (6, OBS.width) and obs.tobytes() == want.tobytes()
 
     def test_sample_rows_draws_each_generators_stream(self):
-        policy = tr.GaussianPolicy(nets.MlpSpec(tr.track_obs_dim(SPEC), (8,), 8))
+        policy = tr.GaussianPolicy(nets.MlpSpec(OBS.width, (8,), 8))
         params = policy.init(np.random.default_rng(1), 0.3)
-        obs = np.random.default_rng(2).standard_normal((5, tr.track_obs_dim(SPEC)))
+        obs = np.random.default_rng(2).standard_normal((5, OBS.width))
         net = policy.row_net(params)
         act, _ = policy.sample_rows(net, obs, [np.random.default_rng(s) for s in range(5)])
         noise = np.stack([np.random.default_rng(s).standard_normal(8) for s in range(5)])
@@ -982,7 +1028,7 @@ class TestTraining:
         ts = tr.train_tracking(clips, cfg, tmp_path, seed=5, spec=SPEC, phys=CFG, log=False)
         tail = ts.policy_params[-SPEC.n_joints:]
         assert not np.any(tail == math.log(cfg.sigma_at(0)))
-        want = tr.build_networks(tr.track_obs_dim(SPEC), SPEC.n_joints, cfg, seed=5)
+        want = tr.build_networks(OBS.width, SPEC.n_joints, cfg, seed=5)
         rngs = [np.random.default_rng(seed_for(5, f"update-0-env-{i}")) for i in range(2)]
         init = [np.random.default_rng(seed_for(5, f"env-init-{i}")) for i in range(2)]
         envs = tr.EnvBatch(clips, SPEC, CFG, init, cfg.e_div, cfg.energy_floor)
