@@ -58,7 +58,7 @@ def cmd_train_track(args, cfg: RunConfig, spec, phys) -> int:
     write_echo(cfg, args.out)
     tr.train_tracking(
         clips, cfg.ppo, args.out, seed_for(cfg.seed, "track"), spec, phys,
-        resume=args.resume, workers=args.workers,
+        resume=args.resume,
     )
     return 0
 
@@ -157,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clips", default=None, help="clip directory (default: generate)")
     p.add_argument("--updates", dest="ppo.updates")
     p.add_argument("--resume", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("distill", help="stage 2: distill the expert into the latent prior")
     common(p)

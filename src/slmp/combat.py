@@ -512,11 +512,15 @@ def rollout_combat(
     phys = phys or ph.default_config(spec)
     cfg = cfg or CombatConfig()
     ckpt = Path(ckpt_dir)
-    pols = [(policy, policy.row_net(params))
-            for policy, params in (tr.load_policy(ckpt / f"pi_h_{i}.ckpt") for i in (1, 2))]
     env = CombatEnv(*nets.load_checkpoint(ckpt / "pi_phi.ckpt")[1:3], spec, phys, cfg,
                     [np.random.default_rng(seed)])
-    di.latent_width(env.prior.spec, spec, ckpt / "pi_phi.ckpt")
+    latent_dim = di.latent_width(env.prior.spec, spec, ckpt / "pi_phi.ckpt")
+    pols = []
+    for path in (ckpt / f"pi_h_{i}.ckpt" for i in (1, 2)):
+        policy, params = tr.load_policy(path)
+        nets.check_width(path, "input", policy.spec.input_dim, COMBAT_OBS.width(spec))
+        nets.check_width(path, "output", policy.spec.output_dim, latent_dim)
+        pols.append((policy, policy.row_net(params)))
     env.epoch = cfg.early_epochs  # disable the early separation rule
     steps = math.floor(seconds / (phys.dt * cfg.k_hl) + 1e-9)
     frames = np.empty((2, steps, 4 + 2 * spec.ndof))  # fighter, decision, frame row

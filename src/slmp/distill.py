@@ -524,8 +524,12 @@ def load_prior(
     out_dir: str | Path, spec: ph.CharacterSpec
 ) -> tuple[nets.MlpSpec, np.ndarray, nets.MlpSpec, np.ndarray]:
     """Load (encoder spec/params, prior spec/params) from a distill run,
-    refusing a prior of other widths than ``spec``'s (``latent_width``)."""
-    _, enc_spec, enc_params, _ = nets.load_checkpoint(Path(out_dir) / "encoder.ckpt")
-    _, phi_spec, phi_params, _ = nets.load_checkpoint(Path(out_dir) / "pi_phi.ckpt")
-    latent_width(phi_spec, spec, Path(out_dir) / "pi_phi.ckpt")
+    refusing a prior of other widths than ``spec``'s (``latent_width``)
+    and an encoder that does not map ``motion.GOAL`` rows to its latents."""
+    enc_path, phi_path = Path(out_dir) / "encoder.ckpt", Path(out_dir) / "pi_phi.ckpt"
+    _, enc_spec, enc_params, _ = nets.load_checkpoint(enc_path)
+    _, phi_spec, phi_params, _ = nets.load_checkpoint(phi_path)
+    latent = latent_width(phi_spec, spec, phi_path)
+    nets.check_width(enc_path, "input", enc_spec.input_dim, mo.GOAL.width(spec))
+    nets.check_width(enc_path, "output", enc_spec.output_dim, latent)
     return enc_spec, enc_params, phi_spec, phi_params

@@ -23,7 +23,7 @@ The row rule: ``row_product(x, w)`` with ``w`` an (in, out) matrix
 stored C-contiguous and zero-padded to a multiple of ``ROW_TILE`` output
 columns (``pad_columns``) is one 2-D ``x @ w``, with a 1-row ``x``
 multiplied as 2 rows.  It gives every row the same bits for any number
-of rows, any row order and any worker split.  This is a property of the
+of rows, any row order and any batch split.  This is a property of the
 BLAS kernels (one micro-kernel path per row when no output width leaves
 a remainder tile; a 1-row product goes to gemv instead), not a numpy
 guarantee; ``tests/test_nets.py`` guards it for every repo network and

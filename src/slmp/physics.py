@@ -23,7 +23,7 @@ tests and the benchmark's gate and tracer step through it.
 
 E-invariance rule: an env's result must not depend on E or on which
 other envs share its World, so that rollouts are identical for any
-batching or worker split.  This is the one row rule of ``nets``, which
+batch split.  This is the one row rule of ``nets``, which
 ``RowNet`` relies on too: every contraction over a row is a
 ``nets.row_product`` with a padded (in, out) matrix that
 ``CharacterSpec`` builds once (its ``*_padded`` properties).  Beyond

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -631,7 +631,7 @@ def collect(step: Callable, obs: np.ndarray, act: Callable, value_spec: nets.Mlp
     ``step(controls)`` the next (obs, reward, done, info) rows; the buffer's
     ``info`` keeps the info columns named in ``keys``, each (T, E).  The
     critic values the observations and the last ``obs``, the bootstrap, in
-    two calls of one row net, so no value depends on E or the worker split."""
+    two calls of one row net, so no value depends on E or the batch split."""
     cols: list[np.ndarray] = []
     for t in range(horizon):
         controls, actions, log_probs = act(obs, rngs)
@@ -649,29 +649,6 @@ def collect(step: Callable, obs: np.ndarray, act: Callable, value_spec: nets.Mlp
                          net(obs)[:, 0], info=dict(zip(keys, cols)))
 
 
-_WORKER_JOB: tuple = ()  # (batch, args, rngs) of a forked collection worker
-
-
-def _start_worker(*job) -> None:
-    """Pool initializer: keep the forked parent's batch, collection
-    arguments and action generators for every task of this worker."""
-    global _WORKER_JOB
-    _WORKER_JOB = job
-
-
-def _collect_part(lo: int, hi: int):
-    """A worker's share of ``collect_rollouts``: the buffer of rows
-    ``lo:hi`` of the batch the pool was forked with, those rows and
-    their generators advanced, without the clip library, and the states
-    of the action generators ``rngs[lo:hi]`` after the collection."""
-    batch, (policy, net, *critic), rngs = _WORKER_JOB
-    part = batch.rows(np.arange(lo, hi))
-    buf = collect(part.step, part.observe(), partial(_track_act, policy, net, part), *critic,
-                  TRACK_INFO, rngs[lo:hi])
-    states = [r.bit_generator.state for r in rngs[lo:hi]]
-    return buf, (part.world, part.t, part.clip_index, part.rngs), states
-
-
 def collect_rollouts(
     envs: EnvBatch | list[TrackingEnv],
     policy: GaussianPolicy,
@@ -680,41 +657,20 @@ def collect_rollouts(
     value_params: np.ndarray,
     horizon: int,
     rngs: list[np.random.Generator],
-    workers: int = 1,
 ) -> RolloutBuffer:
     """Collect fixed-horizon rollouts from every env; env i draws its
     action noise from ``rngs[i]``.
 
     An ``EnvBatch`` owns the rollout state and advances in place.  A list
     of ``TrackingEnv`` is joined into a new batch, so the listed envs keep
-    their rows; only their generators draw the resets.  With ``workers``
-    processes, forked with the batch, the arguments and ``rngs``, each task
-    names a contiguous row range; the worker collects it and returns those
-    rows and generators, which go back into the batch through
-    ``EnvBatch.join``, and the states of its action generators, which are
-    written back into ``rngs``.  Buffers merge in env order, so the
-    buffer, the batch and ``rngs`` are bit-identical for any worker count.
+    their rows; only their generators draw the resets.  Each row's bits do
+    not depend on the batch split (``nets``), so the buffer of a batch is
+    its parts' buffers side by side.
     """
     batch = EnvBatch.join(envs) if isinstance(envs, list) else envs
     net = policy.row_net(policy_params)
-    if workers <= 1 or len(batch) < 2:
-        return collect(batch.step, batch.observe(), partial(_track_act, policy, net, batch),
-                       value_spec, value_params, horizon, TRACK_INFO, rngs)
-    import multiprocessing as mp
-
-    chunks = np.array_split(np.arange(len(batch)), min(workers, len(batch)))
-    args = (policy, net, value_spec, value_params, horizon)
-    with mp.get_context("fork").Pool(len(chunks), _start_worker, (batch, args, rngs)) as pool:
-        results = pool.starmap(_collect_part, [(int(c[0]), int(c[-1]) + 1) for c in chunks])
-    # the batch takes the joined rows, and the caller's generators advance as in one process
-    vars(batch).update(vars(EnvBatch.join([batch._holding(*rows) for _, rows, _ in results])))
-    for rng, state in zip(rngs, [state for *_, states in results for state in states]):
-        rng.bit_generator.state = state
-    bufs = [buf for buf, *_ in results]
-    return RolloutBuffer(**{
-        f.name: np.concatenate([getattr(b, f.name) for b in bufs], axis=0 if f.name == "bootstrap" else 1)
-        for f in fields(RolloutBuffer) if f.name not in ("advantages", "returns", "info")
-    }, info={k: np.concatenate([b.info[k] for b in bufs], axis=1) for k in TRACK_INFO})
+    return collect(batch.step, batch.observe(), partial(_track_act, policy, net, batch),
+                   value_spec, value_params, horizon, TRACK_INFO, rngs)
 
 
 # --- training loop ------------------------------------------------------
@@ -889,7 +845,7 @@ def train_tracking(
     spec: ph.CharacterSpec | None = None,
     phys: ph.PhysicsConfig | None = None,
     resume: bool = False,
-    workers: int = 1,
+    workers: int = 1,  # perfbench passes workers=1 until ROADMAP item 2; any other count is refused
     log: bool = True,
 ) -> TrainState:
     """Stage 1: PPO training of the tracking expert on the clip library.
@@ -897,6 +853,8 @@ def train_tracking(
     ``run_stage`` runs the updates and writes their ``METRIC_FIELDS`` rows,
     then ``save_train_state`` the snapshot that ``resume`` continues.
     """
+    if workers != 1:
+        raise ValueError(f"workers={workers}: rollouts run in one process")
     spec = spec or ph.default_character()
     phys = phys or ph.default_config(spec)
     out = Path(out_dir)
@@ -923,10 +881,8 @@ def train_tracking(
         if not cfg.learn_std:
             ts.policy_params[-spec.n_joints:] = math.log(cfg.sigma_at(u))
         envs.rngs = seeding.rngs(seed, f"update-{u}-env", cfg.envs)
-        buf = collect_rollouts(
-            envs, ts.policy, ts.policy_params, ts.value_spec, ts.value_params,
-            cfg.horizon, envs.rngs, workers=workers,
-        )
+        buf = collect_rollouts(envs, ts.policy, ts.policy_params, ts.value_spec, ts.value_params,
+                               cfg.horizon, envs.rngs)
         m = ppo_round(ts, buf, cfg, np.random.default_rng(seed_for(seed, f"update-{u}-shuffle")))
         imitation, ifw = (buf.info[k] for k in TRACK_INFO)
         return m | {

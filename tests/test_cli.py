@@ -311,6 +311,15 @@ class TestCli:
     def test_unknown_subcommand_exits_2(self, capsys):
         assert cli.run(["launch-rockets"]) == 2
 
+    def test_train_track_has_no_workers_option(self, tmp_path, capsys):
+        """Rollouts run in one process, so ``--workers`` is an unknown
+        option: argparse refuses it before any clip is read."""
+        argv = ["train-track", "--out", str(tmp_path / "out"), "--clips", str(tmp_path / "none"),
+                "--workers", "2"]
+        assert cli.run(argv) == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_distill_requires_expert(self):
         assert cli.run(["distill", "--out", "/tmp/x"]) == 2
 

@@ -608,6 +608,26 @@ def test_prior_of_other_widths_is_refused_by_file_and_key(tmp_path, key, phi_in,
         cb.rollout_combat(tmp_path, 1.0, 0, CC, SPEC, CFG)
 
 
+@pytest.mark.parametrize("fighter, key, pi_in, pi_out", [
+    (1, "input", OBS.width + 3, 4), (2, "input", OBS.width - 1, 4), (1, "output", OBS.width, 3),
+])
+def test_rollout_refuses_fighters_of_other_widths(tiny_prior, tmp_path, fighter, key, pi_in, pi_out):
+    """The combat rollout refuses a fighter that does not read
+    ``COMBAT_OBS`` rows or does not give the prior's latent width, by file
+    and header key before the first decision."""
+    out, _, _ = tiny_prior
+    (tmp_path / "pi_phi.ckpt").write_bytes((out / "pi_phi.ckpt").read_bytes())
+    rng = np.random.default_rng(0)
+    for i in (1, 2):
+        spec = nets.MlpSpec(pi_in, (8,), pi_out) if i == fighter else nets.MlpSpec(OBS.width, (8,), 4)
+        policy = tr.GaussianPolicy(spec)
+        tr.save_policy(tmp_path / f"pi_h_{i}.ckpt", f"pi_h_{i}", policy, policy.init(rng, 0.3))
+    value = {"input": pi_in, "output": pi_out}[key]
+    refused = re.escape(f"{tmp_path / f'pi_h_{fighter}.ckpt'}: header line {key}={value}: ")
+    with pytest.raises(ValueError, match=refused):
+        cb.rollout_combat(tmp_path, 1.0, 0, CC, SPEC, CFG)
+
+
 def _drive_envs(phi_spec, phi_params, cfg, seeds, decisions):
     """Drive one CombatEnv holding one env per seed with per-env random
     latents; per decision, the observation rows, world rows, rewards,

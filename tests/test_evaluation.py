@@ -180,6 +180,22 @@ def test_latent_tracking_refuses_a_prior_of_other_widths(tmp_path, key, phi_in, 
         ev.latent_tracking_eval(clips, tmp_path, spec=SPEC, phys=CFG)
 
 
+@pytest.mark.parametrize("key, enc_in, enc_out", [("input", mo.GOAL.width(SPEC) + 3, 4),
+                                                  ("output", mo.GOAL.width(SPEC), 6)])
+def test_latent_tracking_refuses_an_encoder_of_other_widths(tmp_path, key, enc_in, enc_out):
+    """``latent_tracking_eval`` refuses an encoder that does not map goal
+    rows onto the prior's 4 latent columns, by file and header key."""
+    rng = np.random.default_rng(0)
+    for name, net in (("encoder", nets.MlpSpec(enc_in, (4,), enc_out)),
+                      ("pi_phi", nets.MlpSpec(PROPRIO.width + 4, (4,), SPEC.n_joints))):
+        nets.save_checkpoint(tmp_path / f"{name}.ckpt", name, net, nets.init_params(net, rng))
+    value = {"input": enc_in, "output": enc_out}[key]
+    refused = re.escape(f"{tmp_path / 'encoder.ckpt'}: header line {key}={value}: ")
+    clips = [one_clip("idle", 0, 2.0, spec=SPEC, cfg=CFG)]
+    with pytest.raises(ValueError, match=refused):
+        ev.latent_tracking_eval(clips, tmp_path, spec=SPEC, phys=CFG)
+
+
 class TestTrackClip:
     def test_kinematic_replay_error_zero(self):
         clip = one_clip("footwork", 1, 4.0, spec=SPEC, cfg=CFG)

@@ -156,15 +156,46 @@ def test_metrics_csv_has_one_writer():
 
 
 def test_one_rollout_collector():
-    """One PPO rollout loop: only ``tracking.collect``, and the worker
-    merge of ``tracking.collect_rollouts``, build a ``RolloutBuffer``."""
+    """One PPO rollout loop: only ``tracking.collect`` builds a
+    ``RolloutBuffer``."""
     builders = [
         (p.name, getattr(node, "name", "<module>")) for p in MODULES
         for node in ast.parse(p.read_text()).body for n in ast.walk(node)
         if isinstance(n, ast.Call) and "RolloutBuffer" in (getattr(n.func, "id", None),
                                                            getattr(n.func, "attr", None))
     ]
-    assert builders == [("tracking.py", "collect"), ("tracking.py", "collect_rollouts")]
+    assert builders == [("tracking.py", "collect")]
+
+
+PROCESS_MODULES = ("multiprocessing", "concurrent.futures")
+
+
+def process_imports(tree: ast.Module) -> list[str]:
+    """Modules of ``PROCESS_MODULES`` (or below them) that ``tree``
+    imports anywhere, nested imports included."""
+    names = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            names += [a.name for a in n.names]
+        elif isinstance(n, ast.ImportFrom) and n.module:
+            names += [n.module] + [f"{n.module}.{a.name}" for a in n.names]
+    return [m for m in names if any(m == p or m.startswith(p + ".") for p in PROCESS_MODULES)]
+
+
+def test_process_import_scan_flags_nested_imports():
+    tree = ast.parse(
+        "import os\nfrom concurrent import futures\n"
+        "def f():\n    import multiprocessing as mp\n    from multiprocessing.pool import Pool\n"
+    )
+    assert process_imports(tree) == [
+        "concurrent.futures", "multiprocessing", "multiprocessing.pool", "multiprocessing.pool.Pool",
+    ]
+
+
+def test_rollouts_run_in_one_process():
+    """No module of the package imports a process or executor pool:
+    every stage collects its rollouts in the calling process."""
+    assert [(p.name, m) for p in MODULES for m in process_imports(ast.parse(p.read_text()))] == []
 
 
 def range_loops(tree: ast.Module, name: str) -> list[int]:

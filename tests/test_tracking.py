@@ -789,86 +789,14 @@ class TestTraining:
         assert [reference.env_state(env) for env in envs] == before
         assert reference.env_state(batch) != reference.env_state(tr.EnvBatch.join(envs))
 
-    def test_worker_split_bit_identical(self):
-        clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG),
-                 one_clip("jab", 20, 3.0, spec=SPEC, cfg=CFG)]
-        cfg = tr.PpoConfig(envs=4, horizon=8)
-        ts = tr.build_networks(OBS.width, 8, cfg, seed=0)
-
-        def collect(workers):
-            envs = [
-                tr.TrackingEnv(clips, SPEC, CFG, rng=np.random.default_rng(100 + i))
-                for i in range(4)
-            ]
-            rngs = [np.random.default_rng(200 + i) for i in range(4)]
-            return tr.collect_rollouts(
-                envs, ts.policy, ts.policy_params, ts.value_spec, ts.value_params,
-                cfg.horizon, rngs, workers=workers,
-            )
-
-        a = collect(1)
-        b = collect(2)
-        assert np.array_equal(a.obs, b.obs)
-        assert np.array_equal(a.rewards, b.rewards)
-        assert np.array_equal(a.log_probs, b.log_probs)
-
-    def test_worker_split_advances_the_callers_action_generators(self):
-        """Action generators apart from the batch's own advance as in one
-        process, so a second collection draws the same actions."""
-        clips = _small_clips()
-        cfg = tr.PpoConfig(envs=4, horizon=4, pi_hidden=(8,), critic_hidden=(8,))
-        ts = tr.build_networks(OBS.width, 8, cfg, seed=0)
-        nets_args = (ts.policy, ts.policy_params, ts.value_spec, ts.value_params, cfg.horizon)
-        runs = []
-        for workers in (1, 2):
-            batch = _batch(clips, range(100, 104))
-            rngs = [np.random.default_rng(200 + i) for i in range(4)]
-            bufs = [tr.collect_rollouts(batch, *nets_args, rngs, workers=workers) for _ in range(2)]
-            runs.append((bufs, [r.bit_generator.state for r in rngs]))
-        (one, one_states), (two, two_states) = runs
-        assert two_states == one_states
-        for a, b in zip(one, two):
-            assert np.array_equal(a.actions, b.actions)
-
-    def test_worker_tasks_carry_no_clip_library(self, monkeypatch):
-        """The workers fork with the batch; a task carries only its row
-        range, and the buffer and batch equal those of one process."""
-        import multiprocessing.pool
-        import pickle
-
-        tasks = []
-        real = multiprocessing.pool.Pool.starmap
-
-        def recording(pool, func, iterable, chunksize=None):
-            iterable = list(iterable)
-            tasks.extend(iterable)
-            return real(pool, func, iterable, chunksize)
-
-        monkeypatch.setattr(multiprocessing.pool.Pool, "starmap", recording)
-        clips = _small_clips()
-        cfg = tr.PpoConfig(envs=4, horizon=6, pi_hidden=(8,), critic_hidden=(8,))
-        ts = tr.build_networks(OBS.width, 8, cfg, seed=0)
-        nets_args = (ts.policy, ts.policy_params, ts.value_spec, ts.value_params, cfg.horizon)
-        batches = [_batch(clips, range(30, 34)) for _ in range(2)]
-        bufs = [tr.collect_rollouts(b, *nets_args, b.rngs, workers=w) for w, b in zip((1, 2), batches)]
-        assert len(tasks) == 2
-        for task in tasks:
-            assert b"ClipLibrary" not in pickle.dumps(task), task
-        for f in ("obs", "actions", "rewards", "values", "log_probs", "dones", "bootstrap"):
-            assert getattr(bufs[0], f).tobytes() == getattr(bufs[1], f).tobytes(), f
-        assert reference.env_state(batches[0]) == reference.env_state(batches[1])
-
-    def test_worker_split_training_writes_the_same_bytes(self, tmp_path):
-        """Two updates with the rows split over 2 worker processes write
-        the files of a one-process run byte for byte."""
-        clips = _small_clips()
-        cfg = tr.PpoConfig(envs=3, horizon=6, updates=2, epochs_per_update=1,
-                           pi_hidden=(8,), critic_hidden=(8,))
-        for workers in (1, 2):
-            tr.train_tracking(clips, cfg, tmp_path / str(workers), seed=7, spec=SPEC, phys=CFG,
-                              workers=workers, log=False)
-        for name in ("metrics.csv", "envs.txt", "pi_track.ckpt", "critic.ckpt"):
-            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+    def test_more_than_one_worker_is_refused_before_any_file(self, tmp_path):
+        """Rollouts run in one process: ``workers=2`` is refused and the
+        run directory is never made."""
+        cfg = tr.PpoConfig(envs=2, horizon=4, updates=1, pi_hidden=(8,), critic_hidden=(8,))
+        with pytest.raises(ValueError, match="workers=2"):
+            tr.train_tracking(_small_clips(), cfg, tmp_path / "out", seed=7, spec=SPEC, phys=CFG,
+                              workers=2, log=False)
+        assert not (tmp_path / "out").exists()
 
     def test_chunk_split_bit_identical(self):
         """4 envs give the same buffer and end state in one batch and split 1+3."""
@@ -879,7 +807,7 @@ class TestTraining:
         whole, split = _batch(clips, range(100, 104)), _batch(clips, range(100, 104))
         rngs = [np.random.default_rng(200 + i % 4) for i in range(8)]
         nets_args = (ts.policy, ts.policy_params, ts.value_spec, ts.value_params, cfg.horizon)
-        full = tr.collect_rollouts(whole, *nets_args, rngs[:4], workers=1)
+        full = tr.collect_rollouts(whole, *nets_args, rngs[:4])
         parts = [split.rows(np.arange(1)), split.rows(np.arange(1, 4))]
         bufs = [tr.collect_rollouts(parts[0], *nets_args, rngs[4:5]),
                 tr.collect_rollouts(parts[1], *nets_args, rngs[5:])]
