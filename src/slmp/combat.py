@@ -319,6 +319,7 @@ class CombatEnv:
         self.rngs = rngs
         self.epoch = 0
         stance = ph.nominal_stance(spec, phys)
+        self.arms = [spec.link_index[n] for n in ph.GUARD_ARMS]  # the q columns of the arm links
         # a pair's rows at spawn, before its offsets and noise
         self.stance = ph.World.of([stance, ph.mirror_state(stance, 0.0)], spec)
         n = len(rngs)
@@ -343,7 +344,7 @@ class CombatEnv:
         noise = cfg.spawn_noise
         if noise > 0.0:
             u = np.array([self.rngs[e].uniform(-noise, noise, 10) for e in envs]).reshape(-1, 2, 5)
-            w.q[rows, 1:5] += u[..., :4]  # arms only
+            w.q[rows[..., None], self.arms] += u[..., :4]
             w.root_pos[rows, 0] += u[..., 4]
             w.anchor_x[rows] += (w.root_pos[rows, 0] - x)[..., None]
         self.site_force[rows] = 0.0

@@ -71,6 +71,8 @@ def latent_tracking_eval(
     methods = {"latent": di.latent_controller(*di.load_prior(slmp_dir, spec), spec)}
     if expert_ckpt is not None:
         policy, params = tr.load_policy(expert_ckpt)
+        nets.check_width(expert_ckpt, "input", policy.spec.input_dim, tr.TRACK_OBS.width(spec))
+        nets.check_width(expert_ckpt, "output", policy.spec.output_dim, spec.n_joints)
         methods["expert"] = tr.expert_controller(policy.row_net(params))
     out: dict[str, dict[str, float]] = {}
     for name, controller in methods.items():
@@ -221,11 +223,10 @@ def prior_decoder(
 
 def fixture_state(name: str, spec: ph.CharacterSpec, phys: ph.PhysicsConfig) -> ph.SimState:
     """Named reference states for state-conditioned sphere plots."""
-    jidx = {n: i for i, n in enumerate(ph.JOINT_NAMES)}
     if name == "guard":
         state = ph.nominal_stance(spec, phys)
-        for jn, v in ph.GUARD_ARMS.items():
-            state.joint_angles[jidx[jn]] = v
+        for link, v in ph.GUARD_ARMS.items():
+            state.joint_angles[spec.joint(link)] = v
         return state
     if name == "airborne":
         state = ph.nominal_stance(spec, phys)
@@ -233,11 +234,12 @@ def fixture_state(name: str, spec: ph.CharacterSpec, phys: ph.PhysicsConfig) -> 
         state.root_pos = state.root_pos + np.array([0.0, 0.35])
         state.root_vel = np.array([0.6, 1.2])
         state.root_ang_vel = -0.8
-        state.joint_angles[jidx["hip_l"]] = 1.1
-        state.joint_angles[jidx["knee_l"]] = -1.3
-        state.joint_angles[jidx["hip_r"]] = 0.4
-        state.joint_angles[jidx["knee_r"]] = -0.9
-        state.joint_vels = np.array([1.0, -1.0, 0.5, -0.5, 3.0, -2.0, 1.0, -1.0])
+        angles = {"upper_leg_l": 1.1, "lower_leg_l": -1.3, "upper_leg_r": 0.4, "lower_leg_r": -0.9}
+        rates = {"upper_arm_l": 1.0, "lower_arm_l": -1.0, "upper_arm_r": 0.5, "lower_arm_r": -0.5,
+                 "upper_leg_l": 3.0, "lower_leg_l": -2.0, "upper_leg_r": 1.0, "lower_leg_r": -1.0}
+        for values, by_link in ((state.joint_angles, angles), (state.joint_vels, rates)):
+            for link, v in by_link.items():
+                values[spec.joint(link)] = v
         return state
     raise ValueError(f"unknown fixture state {name!r}")
 

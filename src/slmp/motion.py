@@ -291,16 +291,16 @@ class _PoseBuilder:
     def __init__(self, spec: ph.CharacterSpec, cfg: ph.PhysicsConfig):
         self.spec = spec
         self.stance = ph.nominal_stance(spec, cfg)
-        self.jidx = {n: i for i, n in enumerate(ph.JOINT_NAMES)}
         k = ph.Kinematics.of(ph.World.of([self.stance], spec), spec)
         self.foot0 = {
             side: np.array([k.site_x[0, s], k.site_y[0, s]])
             for side, s in (("l", spec.site_index["foot_l"]), ("r", spec.site_index["foot_r"]))
         }
         self.root0 = self.stance.root_pos.copy()
-        self.l1 = spec.links[5].length
-        self.l2 = spec.links[6].length
-        self.arm_idx = [self.jidx[name] for name in ph.GUARD_ARMS]
+        # each side's (hip, knee) joints and (thigh, shin) lengths
+        self.leg = {side: [(spec.joint(n), spec.links[spec.link_index[n]].length)
+                           for n in (f"upper_leg_{side}", f"lower_leg_{side}")] for side in "lr"}
+        self.arm_idx = [spec.joint(name) for name in ph.GUARD_ARMS]
 
     def arms(self, joints: np.ndarray, guard: np.ndarray, offsets: np.ndarray):
         """Blend every frame's arm joints from rest toward guard, then add
@@ -314,9 +314,8 @@ class _PoseBuilder:
         """Solve both legs of every frame, hips at the root, for the (n, 2)
         foot targets."""
         for side, foot in (("l", foot_l), ("r", foot_r)):
-            qh, qk = ph.leg_ik_rows(root_pos, foot, self.l1, self.l2, root_angle)
-            joints[:, self.jidx[f"hip_{side}"]] = qh
-            joints[:, self.jidx[f"knee_{side}"]] = qk
+            (hip, l1), (knee, l2) = self.leg[side]
+            joints[:, hip], joints[:, knee] = ph.leg_ik_rows(root_pos, foot, l1, l2, root_angle)
 
     def poses(self, clips: list[tuple[str, int]], t: np.ndarray):
         """(root_pos, root_angle, joints) of every frame of the (family,
@@ -338,7 +337,7 @@ _ARM = {name: i for i, name in enumerate(ph.GUARD_ARMS)}
 def _strike_arm(offsets: np.ndarray, on: np.ndarray, side: str, phase: np.ndarray, kind: str):
     """Add a jab or hook of the ``side`` arm to the frames ``on``, at their
     strike ``phase``."""
-    sh, el = f"shoulder_{side}", f"elbow_{side}"
+    sh, el = f"upper_arm_{side}", f"lower_arm_{side}"
     if kind == "jab":
         ext = _ramp(phase, 0.0, 0.13) - _ramp(phase, 0.17, 0.18)
         offsets[on, _ARM[sh]] += ext * (1.45 - ph.GUARD_ARMS[sh])
@@ -383,8 +382,8 @@ def _pose_rows(family: str, rng: np.random.Generator, b: _PoseBuilder, t: np.nda
     guard = np.zeros(n) if family == "idle" else _ramp(t, 0.0, 0.4)
     if family == "idle":
         sway = ph.libm_map(math.sin, 2.0 * math.pi * sway_f * t + sway_phase)
-        for name, amp in (("shoulder_l", sway_amp), ("shoulder_r", -sway_amp),
-                          ("elbow_l", 0.7 * sway_amp), ("elbow_r", -0.7 * sway_amp)):
+        for name, amp in (("upper_arm_l", sway_amp), ("upper_arm_r", -sway_amp),
+                          ("lower_arm_l", 0.7 * sway_amp), ("lower_arm_r", -0.7 * sway_amp)):
             offsets[:, _ARM[name]] = amp * sway
     elif family == "footwork":
         w = 2.0 * math.pi * shift_f * t

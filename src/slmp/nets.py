@@ -755,9 +755,10 @@ def adam_state_load(path: str | Path) -> AdamState:
 
 
 def check_width(path: str | Path, key: str, value: int, want: int, at_least: bool = False) -> None:
-    """Refuse a checkpoint whose ``key`` is not ``want`` (or below it), by file and key."""
+    """Refuse a table file whose header ``key`` is not ``want`` (or below
+    it), by file and key."""
     if value < want or (value != want and not at_least):
-        raise ValueError(f"{path}: header line {key}={value}: the run's layout needs "
+        raise ValueError(f"{path}: header line {key}={value}: the run needs "
                          f"{key}{'>=' if at_least else '='}{want}")
 
 

@@ -52,6 +52,14 @@ without forming P^T A P, and takes theta_dd = P^-1 phi_dd, where P^-1
 has +1 on the diagonal and -1 at (i, parent(i)): one exact difference
 per joint.
 
+Body parts by name: the ``CharacterSpec`` is the one description of the
+body.  The pipeline finds the links ``upper_leg_*``/``lower_leg_*``
+(stance, clip IK), ``upper_arm_*``/``lower_arm_*`` (guard, strikes,
+spawn noise) and the sites ``foot_*``, ``hand_*``, ``pelvis``,
+``head_top`` by name (``link_index``, ``site_index``), never by list
+position; a missing name is a ``ValueError`` that names it.  A joint is
+named by the link it moves: joint j moves link j + 1, column j + 1 of q.
+
 Kinematics hand-off: one control step of ``step_batch`` builds the
 ``Kinematics`` of its input world once.  Each ``_substep`` takes the
 kinematics of its world and returns those of the next, built from the
@@ -167,8 +175,26 @@ class Site:
     dist: float  # distance from the link's proximal end
 
 
+class NameIndex(dict):
+    """Name -> position among a character's links or sites; a missing name
+    is refused with a ``ValueError`` that names it."""
+
+    def __init__(self, kind: str, parts):
+        super().__init__((p.name, i) for i, p in enumerate(parts))
+        self.kind = kind
+
+    def __missing__(self, name: str):
+        raise ValueError(f"the character has no {self.kind} named {name!r}")
+
+
 @dataclass(frozen=True)
 class CharacterSpec:
+    """A character: links in tree order, the root first, named sites on
+    them, and one PD gain pair per joint; joint j moves link j + 1.  The
+    pipeline looks up by name the links ``upper_leg_*``, ``lower_leg_*``,
+    ``upper_arm_*`` and ``lower_arm_*`` and the sites ``foot_*``,
+    ``hand_*``, ``pelvis`` and ``head_top`` (``*`` is ``l`` or ``r``)."""
+
     links: tuple[Link, ...]
     sites: tuple[Site, ...]
     kp: tuple[float, ...]
@@ -187,6 +213,8 @@ class CharacterSpec:
                 raise ValueError(f"link {l.name}: parent must precede it (tree, no loops)")
             if l.length <= 0 or l.mass <= 0:
                 raise ValueError(f"link {l.name}: length and mass must be positive")
+        if len(self.link_index) < self.n_links or len(self.site_index) < len(self.sites):
+            raise ValueError("link names and site names must each be unique")
         if len(self.kp) != self.n_joints or len(self.kd) != self.n_joints:
             raise ValueError("pd gain vectors must match the joint count")
         require_positive(self, ("tau_max", "contact_radius"))
@@ -274,8 +302,18 @@ class CharacterSpec:
         return c
 
     @cached_property
-    def site_index(self) -> dict[str, int]:
-        return {s.name: i for i, s in enumerate(self.sites)}
+    def link_index(self) -> NameIndex:
+        return NameIndex("link", self.links)
+
+    @cached_property
+    def site_index(self) -> NameIndex:
+        return NameIndex("site", self.sites)
+
+    def joint(self, link: str) -> int:
+        """The joint that moves ``link``: joint j moves link j + 1."""
+        if (i := self.link_index[link]) == 0:
+            raise ValueError(f"link {link!r} is the root, which no joint moves")
+        return i - 1
 
     @cached_property
     def site_link(self) -> np.ndarray:
@@ -998,12 +1036,6 @@ def detect_fall(state: SimState, spec: CharacterSpec, cfg: PhysicsConfig) -> boo
 
 # --- default character -------------------------------------------------
 
-JOINT_NAMES = (
-    "shoulder_l", "elbow_l", "shoulder_r", "elbow_r",
-    "hip_l", "knee_l", "hip_r", "knee_r",
-)
-
-
 def default_character() -> CharacterSpec:
     """Nine-link planar fighter: trunk (torso+head composite), two
     two-segment arms hanging from the neck, two two-segment legs."""
@@ -1111,7 +1143,7 @@ def leg_ik_rows(
     return wrap_angle(phi_u - root_angle + math.pi / 2.0), wrap_angle(phi_l - phi_u)
 
 
-GUARD_ARMS = {"shoulder_l": 1.00, "elbow_l": 1.70, "shoulder_r": 0.80, "elbow_r": 2.00}
+GUARD_ARMS = {"upper_arm_l": 1.00, "lower_arm_l": 1.70, "upper_arm_r": 0.80, "lower_arm_r": 2.00}
 STANCE_HALF_SPAN = 0.15  # foot spread around the root; left leads
 
 
@@ -1129,13 +1161,12 @@ def nominal_stance(
     cfg = cfg or PhysicsConfig()
     preload = spec.total_mass * cfg.gravity / (2.0 * cfg.contact_kn)
     foot_y = spec.contact_radius - preload
-    leg = spec.links[5].length + spec.links[6].length
+    leg = sum(spec.links[spec.link_index[n]].length for n in ("upper_leg_l", "lower_leg_l"))
     rise = math.sqrt(leg**2 - STANCE_HALF_SPAN**2)
     joints = np.zeros(spec.n_joints)
-    jidx = {n: i for i, n in enumerate(JOINT_NAMES)}
     tilt = math.atan2(STANCE_HALF_SPAN, rise)
-    joints[jidx["hip_l"]] = tilt
-    joints[jidx["hip_r"]] = -tilt
+    joints[spec.joint("upper_leg_l")] = tilt
+    joints[spec.joint("upper_leg_r")] = -tilt
     state = SimState(
         root_pos=np.array([0.0, foot_y + rise]),
         root_angle=0.0,

@@ -463,6 +463,9 @@ class EnvBatch:
     ):
         if short := [f"{c.clip_id!r} has {c.n_frames}" for c in clips if c.n_frames < 2]:
             raise ValueError(f"a rollout needs clips of 2 frames or more; clip {', '.join(short)}")
+        if other := [c for c in clips if c.n_joints != spec.n_joints]:
+            raise ValueError(f"clip {other[0].clip_id!r} has {other[0].n_joints} joints, "
+                             f"the character has {spec.n_joints}")
         self.library = mo.ClipLibrary.of(clips)
         self.spec, self.phys = spec, phys
         self.e_div, self.energy_floor = e_div, energy_floor
@@ -872,6 +875,9 @@ def train_tracking(
         if rates != (cfg.lr, cfg.lr):
             raise ValueError(
                 f"{out}: the saved (policy, critic) learning rates are {rates}, the config sets {cfg.lr}")
+        for name, adam, params in (("adam_policy.txt", saved.policy_adam, saved.policy_params),
+                                   ("adam_value.txt", saved.value_adam, saved.value_params)):
+            nets.check_width(out / name, "count", adam.m.size, params.size)
         if saved.update > cfg.updates:
             raise ValueError(
                 f"{out}: the snapshot is at update {saved.update}, the run asks for {cfg.updates}")

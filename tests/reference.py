@@ -268,7 +268,7 @@ def pose_fn(family, rng, builder):
     hook_root = rng.uniform(0.06, 0.10)
 
     def strike_arm(offsets, side, phase, kind):
-        sh, el = f"shoulder_{side}", f"elbow_{side}"
+        sh, el = f"upper_arm_{side}", f"lower_arm_{side}"
         if kind == "jab":
             ext = ramp(phase, 0.0, 0.13) - ramp(phase, 0.17, 0.18)
             offsets[arm[sh]] += ext * (1.45 - ph.GUARD_ARMS[sh])
@@ -286,8 +286,8 @@ def pose_fn(family, rng, builder):
         guard = 0.0
 
         if family == "idle":
-            for name, amp in (("shoulder_l", sway_amp), ("shoulder_r", -sway_amp),
-                              ("elbow_l", 0.7 * sway_amp), ("elbow_r", -0.7 * sway_amp)):
+            for name, amp in (("upper_arm_l", sway_amp), ("upper_arm_r", -sway_amp),
+                              ("lower_arm_l", 0.7 * sway_amp), ("lower_arm_r", -0.7 * sway_amp)):
                 offsets[arm[name]] = amp * math.sin(2.0 * math.pi * sway_f * t + sway_phase)
         elif family == "footwork":
             guard = ramp(t, 0.0, 0.4)
@@ -356,19 +356,19 @@ def generate_clip(family, seed, duration, frame_rate, spec, cfg):
     clip's velocities by ``np.diff``."""
     builder = mo._PoseBuilder(spec, cfg)
     pose = pose_fn(family, np.random.default_rng(seed), builder)
-    stance, jidx = builder.stance.joint_angles, builder.jidx
+    stance = builder.stance.joint_angles
     n = int(round(duration * frame_rate))
     root_pos, root_angle, joints = np.zeros((n, 2)), np.zeros(n), np.zeros((n, spec.n_joints))
     for k in range(n):
         rp, ra, guard, offsets, foot_l, foot_r = pose(k / frame_rate)
         jq = stance.copy()
         for (name, g), offset in zip(ph.GUARD_ARMS.items(), offsets):
-            rest = stance[jidx[name]]
-            jq[jidx[name]] = rest + guard * (g - rest) + offset
+            rest = stance[spec.joint(name)]
+            jq[spec.joint(name)] = rest + guard * (g - rest) + offset
         for side, foot in (("l", foot_l), ("r", foot_r)):
-            jq[jidx[f"hip_{side}"]], jq[jidx[f"knee_{side}"]] = leg_ik(
-                rp, foot, builder.l1, builder.l2, ra
-            )
+            upper, lower = f"upper_leg_{side}", f"lower_leg_{side}"
+            l1, l2 = (spec.links[spec.link_index[n]].length for n in (upper, lower))
+            jq[spec.joint(upper)], jq[spec.joint(lower)] = leg_ik(rp, foot, l1, l2, ra)
         root_pos[k], root_angle[k], joints[k] = rp, ra, jq
     # velocities: forward differences, the last frame repeating the one before
     poses = np.concatenate([root_pos, root_angle[:, None], joints], axis=1)

@@ -320,6 +320,25 @@ class TestCli:
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, kind, name", [("gen-data", "link", "upper_leg_l"),
+                                                     ("train-track", "site", "pelvis")])
+    def test_a_character_without_a_role_is_refused_by_name(self, tmp_path, capsys, command, kind, name):
+        """A character file that lacks a link or site the pipeline reads
+        (the left thigh, the pelvis) is refused with an ``error:`` line
+        that names it."""
+        spec = ph.default_character()
+        if kind == "link":
+            spec = replace(spec, links=tuple(replace(l, name="thigh_l") if l.name == name else l
+                                             for l in spec.links))
+        else:
+            spec = replace(spec, sites=tuple(s for s in spec.sites if s.name != name))
+        ph.character_to_json(spec, tmp_path / "char.json")
+        cfg = tmp_path / "char.cfg"
+        cfg.write_text(SMOKE_CFG + f"physics.character = {tmp_path / 'char.json'}\n")
+        argv = [command, "--out", str(tmp_path / "out"), "--config", str(cfg)]
+        assert cli.run(argv + (["--updates", "1"] if command == "train-track" else [])) == 1
+        assert f"error: the character has no {kind} named '{name}'\n" in capsys.readouterr().err
+
     def test_distill_requires_expert(self):
         assert cli.run(["distill", "--out", "/tmp/x"]) == 2
 

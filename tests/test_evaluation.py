@@ -196,6 +196,25 @@ def test_latent_tracking_refuses_an_encoder_of_other_widths(tmp_path, key, enc_i
         ev.latent_tracking_eval(clips, tmp_path, spec=SPEC, phys=CFG)
 
 
+@pytest.mark.parametrize("key, exp_in, exp_out", [("input", tr.TRACK_OBS.width(SPEC) + 3, SPEC.n_joints),
+                                                  ("output", tr.TRACK_OBS.width(SPEC), SPEC.n_joints - 2)])
+def test_latent_tracking_refuses_an_expert_of_other_widths(tmp_path, key, exp_in, exp_out):
+    """``eval-track --expert`` refuses an expert that does not map tracking
+    rows onto one action per joint, by file and header key.  The prior is
+    one that tracks (no zero encoding), so only the expert can fail."""
+    rng = np.random.default_rng(0)
+    for name, net in (("encoder", nets.MlpSpec(mo.GOAL.width(SPEC), (4,), 4)),
+                      ("pi_phi", nets.MlpSpec(PROPRIO.width + 4, (4,), SPEC.n_joints))):
+        nets.save_checkpoint(tmp_path / f"{name}.ckpt", name, net, rng.normal(size=net.param_count()))
+    expert = tr.GaussianPolicy(nets.MlpSpec(exp_in, (4,), exp_out))
+    tr.save_policy(tmp_path / "pi_track.ckpt", "policy", expert, expert.init(rng, 0.1))
+    value = {"input": exp_in, "output": exp_out}[key]
+    refused = re.escape(f"{tmp_path / 'pi_track.ckpt'}: header line {key}={value}: ")
+    clips = [one_clip("idle", 0, 2.0, spec=SPEC, cfg=CFG)]
+    with pytest.raises(ValueError, match=refused):
+        ev.latent_tracking_eval(clips, tmp_path, tmp_path / "pi_track.ckpt", spec=SPEC, phys=CFG)
+
+
 class TestTrackClip:
     def test_kinematic_replay_error_zero(self):
         clip = one_clip("footwork", 1, 4.0, spec=SPEC, cfg=CFG)

@@ -126,7 +126,7 @@ class TestRowGenerator:
     and legs for the whole library at once, with the bits of the
     per-frame loop."""
 
-    L1, L2 = SPEC.links[5].length, SPEC.links[6].length
+    L1, L2 = (SPEC.links[SPEC.link_index[n]].length for n in ("upper_leg_l", "lower_leg_l"))
 
     def test_leg_ik_rows_matches_one_leg_at_a_time(self):
         rng = np.random.default_rng(17)

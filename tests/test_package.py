@@ -312,6 +312,44 @@ def test_one_observation_layout():
     assert [(p.name, f) for p in MODULES for f in width_functions(ast.parse(p.read_text()))] == []
 
 
+def body_part_positions(tree: ast.Module) -> list[str]:
+    """Each place ``tree`` defines, imports or reads ``JOINT_NAMES``, and
+    each subscript of a ``.links`` by an integer literal other than 0 (the
+    root), by line: a body part found by list position, not by name."""
+    out = []
+    for n in ast.walk(tree):
+        if "JOINT_NAMES" in (getattr(n, "id", None), getattr(n, "attr", None), getattr(n, "name", None)):
+            out.append(f"JOINT_NAMES:{n.lineno}")
+        elif isinstance(n, ast.Subscript) and getattr(n.value, "attr", None) == "links":
+            try:
+                index = ast.literal_eval(n.slice)
+            except ValueError:
+                continue
+            if isinstance(index, int) and index != 0:
+                out.append(f"links[{index}]:{n.lineno}")
+    return sorted(out)
+
+
+def test_body_part_scan_flags_joint_names_and_link_positions():
+    tree = ast.parse(
+        "JOINT_NAMES = ('hip_l',)\n"
+        "j = ph.JOINT_NAMES.index('hip_l')\n"
+        "leg = spec.links[5].length + spec.links[-1].length\n"
+        "root, rest = spec.links[0], spec.links[1:]\n"
+        "thigh = spec.links[spec.link_index['upper_leg_l']]\n"
+        "from .physics import JOINT_NAMES as names\n"
+    )
+    assert body_part_positions(tree) == [
+        "JOINT_NAMES:1", "JOINT_NAMES:2", "JOINT_NAMES:6", "links[-1]:3", "links[5]:3",
+    ]
+
+
+def test_body_parts_by_name():
+    """The character spec is the one description of the body: no package
+    module keeps a joint-name list or finds a link by its list position."""
+    assert [(p.name, f) for p in MODULES for f in body_part_positions(ast.parse(p.read_text()))] == []
+
+
 def test_row_helpers_take_rows():
     """Helpers below the per-state layer take rows only: no package code
     lifts a scalar or 1-D argument to rows or branches on its rank."""

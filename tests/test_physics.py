@@ -233,7 +233,7 @@ class TestStance:
         cfg = ph.PhysicsConfig()
         st = ph.nominal_stance(SPEC, cfg)
         frame = ph.KinFrame(st, SPEC)
-        tilt = st.joint_angles[ph.JOINT_NAMES.index("hip_l")]
+        tilt = st.joint_angles[SPEC.joint("upper_leg_l")]
         shear = SPEC.total_mass * cfg.gravity / 2.0 * math.tan(tilt) / cfg.contact_kt
         for name, sign in (("foot_l", -1.0), ("foot_r", 1.0)):
             s = SPEC.site_index[name]
@@ -260,10 +260,9 @@ class TestTwoCharacterContact:
             b.anchor_x += 0.52
         # drive a's lead hand into b's trunk
         a.joint_vels = np.zeros(8)
-        jidx = {n: i for i, n in enumerate(ph.JOINT_NAMES)}
-        a.joint_angles[jidx["shoulder_l"]] = 1.5
-        a.joint_angles[jidx["elbow_l"]] = 0.1
-        a.joint_vels[jidx["shoulder_l"]] = 8.0
+        a.joint_angles[SPEC.joint("upper_arm_l")] = 1.5
+        a.joint_angles[SPEC.joint("lower_arm_l")] = 0.1
+        a.joint_vels[SPEC.joint("upper_arm_l")] = 8.0
         hit = False
         for _ in range(30):
             states, reports = ph.step_world(
@@ -357,10 +356,9 @@ class TestKinematicsHandOff:
         b = ph.mirror_state(ph.nominal_stance(SPEC, CFG), 0.0)
         b.root_pos[0] += 0.52
         b.anchor_x += 0.52
-        jidx = {n: i for i, n in enumerate(ph.JOINT_NAMES)}
-        a.joint_angles[jidx["shoulder_l"]] = 1.5
-        a.joint_angles[jidx["elbow_l"]] = 0.1
-        a.joint_vels[jidx["shoulder_l"]] = 8.0
+        a.joint_angles[SPEC.joint("upper_arm_l")] = 1.5
+        a.joint_angles[SPEC.joint("lower_arm_l")] = 0.1
+        a.joint_vels[SPEC.joint("upper_arm_l")] = 8.0
         world = ph.World.of([a, b], SPEC)
         touched = 0
         for _ in range(30):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -395,6 +396,15 @@ class TestEnv:
         with pytest.raises(ValueError, match="2 frames or more; clip 'idle-one' has 1"):
             _batch([*clips, one], range(2))
 
+    def test_training_refuses_clips_of_another_joint_count(self, tmp_path):
+        """A clip made for a character of 6 joints is refused by its id and
+        both joint counts, before the first rollout."""
+        q, qd = np.split(one_clip("idle", 0, 2.0, spec=SPEC, cfg=CFG).frames, [5 + SPEC.n_joints], axis=1)
+        six = mo.MotionClip(30.0, "idle", "idle-six", np.hstack([q[:, :-2], qd[:, :-2]]))
+        cfg = tr.PpoConfig(envs=2, horizon=4, updates=1, epochs_per_update=1)
+        with pytest.raises(ValueError, match="clip 'idle-six' has 6 joints, the character has 8"):
+            tr.train_tracking([six], cfg, tmp_path, seed=5, spec=SPEC, phys=CFG, log=False)
+
     def test_rollout_determinism(self):
         clips = [one_clip("idle", 0, 4.0, spec=SPEC, cfg=CFG)]
         outs = []
@@ -677,6 +687,22 @@ class TestTraining:
         with pytest.raises(ValueError, match=r"learning rates are \(0.0003, 0.0003\), the config sets 0.001"):
             tr.train_tracking(clips, faster, tmp_path, seed=5, spec=SPEC, phys=CFG, resume=True,
                               log=False)
+
+    @pytest.mark.parametrize("name", ["adam_policy.txt", "adam_value.txt"])
+    def test_resume_refuses_an_adam_state_of_another_size(self, tmp_path, name):
+        """An Adam state whose ``count`` is not its network's parameter
+        count is refused by file and header key before the first update."""
+        clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
+        cfg = tr.PpoConfig(envs=2, horizon=4, updates=1, epochs_per_update=1,
+                           pi_hidden=(8,), critic_hidden=(8,))
+        tr.train_tracking(clips, cfg, tmp_path, seed=5, spec=SPEC, phys=CFG, log=False)
+        state = nets.adam_state_load(tmp_path / name)
+        nets.adam_state_save(tmp_path / name, replace(state, m=state.m[:5], v=state.v[:5]))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / name}: header line count=5: ")):
+            tr.train_tracking(clips, replace(cfg, updates=2), tmp_path, seed=5, spec=SPEC, phys=CFG,
+                              resume=True, log=False)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_resume_refuses_fewer_updates_than_the_snapshot(self, tmp_path):
         """A snapshot at update 3 does not resume to 1 update: the run is
