@@ -88,9 +88,8 @@ def cmd_eval_track(args, cfg: RunConfig, spec, phys) -> int:
 
 
 def cmd_eval_survival(args, cfg: RunConfig, spec, phys) -> int:
-    _, _, phi_spec, phi_params = di.load_prior(args.slmp, spec)
     curve = ev.survival_eval(
-        phi_spec, phi_params, cfg.eval.trials, tuple(cfg.eval.horizons),
+        *di.load_prior(args.slmp, spec), cfg.eval.trials, tuple(cfg.eval.horizons),
         seed_for(cfg.seed, "survival"), cfg.eval.resample_period, cfg.eval.fixed_z,
         spec, phys,
     )
@@ -102,11 +101,11 @@ def cmd_eval_survival(args, cfg: RunConfig, spec, phys) -> int:
 
 
 def cmd_viz_sphere(args, cfg: RunConfig, spec, phys) -> int:
-    _, _, phi_spec, phi_params = di.load_prior(args.slmp, spec)
+    phi_spec, phi_params, latent = di.load_prior(args.slmp, spec)
     state = ev.fixture_state(args.state, spec, phys)
     decode = ev.prior_decoder(phi_spec, phi_params, state, spec)
     cloud = ev.sphere_clusters(
-        decode, di.latent_width(phi_spec, spec), cfg.eval.samples, cfg.eval.clusters,
+        decode, latent, cfg.eval.samples, cfg.eval.clusters,
         seed_for(cfg.seed, f"sphere-{args.state}"),
     )
     ev.save_cloud(cloud, args.out)

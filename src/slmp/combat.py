@@ -442,11 +442,9 @@ def self_play_train(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n_env = cfg.envs
-    prior = Path(slmp_dir) / "pi_phi.ckpt"
-    # the env keeps the prior as its row net only
-    env = CombatEnv(*nets.load_checkpoint(prior)[1:3], spec, phys, cfg,
-                    seeding.rngs(seed, "cenv", n_env))
-    latent_dim = di.latent_width(env.prior.spec, spec, prior)
+    phi_spec, phi_params, latent_dim = di.load_prior(slmp_dir, spec)
+    env = CombatEnv(phi_spec, phi_params, spec, phys, cfg, seeding.rngs(seed, "cenv", n_env))
+    del phi_params  # the env keeps the prior as its row net only
 
     pcfg = cfg.ppo()
     # the two instances, identical at the start
@@ -493,6 +491,7 @@ def self_play_train(
         tr.save_policy(out / f"pi_h_{i}.ckpt", f"pi_h_{i}", ts.policy, ts.policy_params)
         nets.save_checkpoint(out / f"critic_h_{i}.ckpt", f"critic_h_{i}", ts.value_spec, ts.value_params)
     # embed the prior so rollouts load from one directory
+    prior = Path(slmp_dir) / "pi_phi.ckpt"
     if prior.resolve() != (out / "pi_phi.ckpt").resolve():
         shutil.copyfile(prior, out / "pi_phi.ckpt")
     return [ts.policy_params for ts in agents], [ts.value_params for ts in agents]
@@ -512,16 +511,11 @@ def rollout_combat(
     spec = spec or ph.default_character()
     phys = phys or ph.default_config(spec)
     cfg = cfg or CombatConfig()
-    ckpt = Path(ckpt_dir)
-    env = CombatEnv(*nets.load_checkpoint(ckpt / "pi_phi.ckpt")[1:3], spec, phys, cfg,
-                    [np.random.default_rng(seed)])
-    latent_dim = di.latent_width(env.prior.spec, spec, ckpt / "pi_phi.ckpt")
-    pols = []
-    for path in (ckpt / f"pi_h_{i}.ckpt" for i in (1, 2)):
-        policy, params = tr.load_policy(path)
-        nets.check_width(path, "input", policy.spec.input_dim, COMBAT_OBS.width(spec))
-        nets.check_width(path, "output", policy.spec.output_dim, latent_dim)
-        pols.append((policy, policy.row_net(params)))
+    phi_spec, phi_params, latent_dim = di.load_prior(ckpt_dir, spec)
+    env = CombatEnv(phi_spec, phi_params, spec, phys, cfg, [np.random.default_rng(seed)])
+    fighters = (tr.load_policy(Path(ckpt_dir) / f"pi_h_{i}.ckpt", COMBAT_OBS.width(spec), latent_dim)
+                for i in (1, 2))
+    pols = [(policy, policy.row_net(params)) for policy, params in fighters]
     env.epoch = cfg.early_epochs  # disable the early separation rule
     steps = math.floor(seconds / (phys.dt * cfg.k_hl) + 1e-9)
     frames = np.empty((2, steps, 4 + 2 * spec.ndof))  # fighter, decision, frame row

@@ -59,7 +59,13 @@ class PhysicsSection:
         return {f.name: getattr(self, f.name) for f in fields(self) if hasattr(_PHYS, f.name)}
 
     def build(self) -> tuple[ph.CharacterSpec, ph.PhysicsConfig]:
+        """The run's character and physics; a character that lacks a part of
+        ``physics.BODY_PARTS`` is refused by its name before any stage runs."""
         spec = ph.character_from_json(self.character) if self.character else self._spec()
+        for kind, name in ph.BODY_PARTS:
+            index = {"link": spec.link_index, "site": spec.site_index}[kind]
+            if name not in index:
+                index.__missing__(name)  # the refusal of a lookup, which names the part
         return spec, ph.default_config(spec, **self._overrides())
 
 

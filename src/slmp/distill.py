@@ -109,7 +109,7 @@ def prior_action(net: nets.RowNet, proprio: np.ndarray, z: np.ndarray) -> np.nda
     return net(np.concatenate([proprio, z], axis=1))
 
 
-def latent_width(phi_spec: nets.MlpSpec, spec: ph.CharacterSpec, path: str | Path = "prior") -> int:
+def latent_width(phi_spec: nets.MlpSpec, spec: ph.CharacterSpec, path: str | Path) -> int:
     """The latent width of the prior ``phi_spec`` for ``spec``: its input
     columns past ``tracking.PROPRIO``.  Fewer than 2 (``sample_sphere``'s
     bound), or not one output per joint, is refused by ``path`` and key."""
@@ -475,9 +475,7 @@ def train_slmp(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     nj = spec.n_joints
-    expert, expert_params = tr.load_policy(expert_ckpt)
-    nets.check_width(expert_ckpt, "input", expert.spec.input_dim, tr.TRACK_OBS.width(spec))
-    nets.check_width(expert_ckpt, "output", expert.spec.output_dim, nj)
+    expert, expert_params = tr.load_policy(expert_ckpt, tr.TRACK_OBS.width(spec), nj)
 
     if not skip_expert_check:
         rate = expert_success_rate(expert, expert_params, clips, spec, phys, cfg.e_div)
@@ -520,16 +518,21 @@ def train_slmp(
     return n
 
 
-def load_prior(
-    out_dir: str | Path, spec: ph.CharacterSpec
-) -> tuple[nets.MlpSpec, np.ndarray, nets.MlpSpec, np.ndarray]:
-    """Load (encoder spec/params, prior spec/params) from a distill run,
-    refusing a prior of other widths than ``spec``'s (``latent_width``)
-    and an encoder that does not map ``motion.GOAL`` rows to its latents."""
-    enc_path, phi_path = Path(out_dir) / "encoder.ckpt", Path(out_dir) / "pi_phi.ckpt"
-    _, enc_spec, enc_params, _ = nets.load_checkpoint(enc_path)
-    _, phi_spec, phi_params, _ = nets.load_checkpoint(phi_path)
-    latent = latent_width(phi_spec, spec, phi_path)
-    nets.check_width(enc_path, "input", enc_spec.input_dim, mo.GOAL.width(spec))
-    nets.check_width(enc_path, "output", enc_spec.output_dim, latent)
-    return enc_spec, enc_params, phi_spec, phi_params
+def load_prior(run_dir: str | Path, spec: ph.CharacterSpec) -> tuple[nets.MlpSpec, np.ndarray, int]:
+    """The prior ``pi_phi.ckpt`` of a distill or combat run dir: its spec,
+    parameters and latent width, refused by file and key unless it fits
+    ``spec`` (``latent_width``)."""
+    path = Path(run_dir) / "pi_phi.ckpt"
+    _, phi_spec, phi_params, _ = nets.load_checkpoint(path)
+    return phi_spec, phi_params, latent_width(phi_spec, spec, path)
+
+
+def load_encoder(run_dir: str | Path, spec: ph.CharacterSpec, latent: int) -> tuple[nets.MlpSpec, np.ndarray]:
+    """The encoder ``encoder.ckpt`` of a distill run dir: its spec and
+    parameters, refused by file and key unless it maps ``motion.GOAL`` rows
+    to ``latent`` columns, the prior's latent width."""
+    path = Path(run_dir) / "encoder.ckpt"
+    _, enc_spec, enc_params, _ = nets.load_checkpoint(path)
+    nets.check_width(path, "input", enc_spec.input_dim, mo.GOAL.width(spec))
+    nets.check_width(path, "output", enc_spec.output_dim, latent)
+    return enc_spec, enc_params

@@ -68,11 +68,11 @@ def latent_tracking_eval(
     space, optionally with the expert as the upper-bound comparison."""
     spec = spec or ph.default_character()
     phys = phys or ph.default_config(spec)
-    methods = {"latent": di.latent_controller(*di.load_prior(slmp_dir, spec), spec)}
+    phi_spec, phi_params, latent = di.load_prior(slmp_dir, spec)
+    enc = di.load_encoder(slmp_dir, spec, latent)
+    methods = {"latent": di.latent_controller(*enc, phi_spec, phi_params, spec)}
     if expert_ckpt is not None:
-        policy, params = tr.load_policy(expert_ckpt)
-        nets.check_width(expert_ckpt, "input", policy.spec.input_dim, tr.TRACK_OBS.width(spec))
-        nets.check_width(expert_ckpt, "output", policy.spec.output_dim, spec.n_joints)
+        policy, params = tr.load_policy(expert_ckpt, tr.TRACK_OBS.width(spec), spec.n_joints)
         methods["expert"] = tr.expert_controller(policy.row_net(params))
     out: dict[str, dict[str, float]] = {}
     for name, controller in methods.items():
@@ -84,6 +84,7 @@ def latent_tracking_eval(
 def survival_eval(
     phi_spec: nets.MlpSpec,
     phi_params: np.ndarray,
+    latent_dim: int,
     n_trials: int,
     horizons: tuple[float, ...],
     seed: int,
@@ -91,47 +92,36 @@ def survival_eval(
     fixed_z: bool = FIXED_Z,
     spec: ph.CharacterSpec | None = None,
     phys: ph.PhysicsConfig | None = None,
-    action_fn: Callable[[ph.World, list[np.random.Generator]], np.ndarray] | None = None,
 ) -> SurvivalCurve:
     """Random-latent rollout survival from the neutral stance.
 
-    Each trial samples a uniform sphere latent (resampled every
+    Each trial samples a uniform sphere latent of the prior's
+    ``latent_dim`` (``distill.load_prior``; resampled every
     resample_period seconds unless fixed_z), rolls the prior out, and
     records the first fall; fractions count trials alive per horizon.
     The trials still standing step as the rows of one ``World``, and each
-    draws from its own generator in its own order.  ``action_fn(world,
-    rngs)`` overrides the prior for fixture policies in tests: it gets
-    the standing trials' rows and generators and returns their
-    (E, n_joints) PD targets.
+    draws from its own generator in its own order.
     """
     spec = spec or ph.default_character()
     phys = phys or ph.default_config(spec)
-    latent_dim = None
-    if action_fn is None:
-        latent_dim = di.latent_width(phi_spec, spec)
-        prior = nets.RowNet(phi_spec, phi_params)
+    prior = nets.RowNet(phi_spec, phi_params)
     steps = int(round(max(horizons) * phys.hz))
     resample_steps = max(1, int(round(resample_period * phys.hz)))
     rngs = seeding.rngs(seed, "survival", n_trials)
     world = ph.World.of([ph.nominal_stance(spec, phys)] * n_trials, spec)
-    z = np.concatenate([di.sample_sphere(latent_dim, rng, 1) for rng in rngs]) if latent_dim else None
+    z = np.concatenate([di.sample_sphere(latent_dim, rng, 1) for rng in rngs])
     fall_time = np.full(n_trials, math.inf)
     standing = np.arange(n_trials)  # the trial of each world row
     for k in range(steps):
         if not len(standing):
             break
-        if not fixed_z and latent_dim and k > 0 and k % resample_steps == 0:
+        if not fixed_z and k > 0 and k % resample_steps == 0:
             z = np.concatenate([di.sample_sphere(latent_dim, rngs[i], 1) for i in standing])
-        if action_fn is not None:
-            targets = action_fn(world, [rngs[i] for i in standing])
-        else:
-            targets = di.prior_action(prior, tr.proprio_rows(*world.coords), z)
+        targets = di.prior_action(prior, tr.proprio_rows(*world.coords), z)
         world, report = ph.step_batch(world, spec, phys.dt, phys, pd_targets=targets)
         fell = ph.fallen(world.valid, report.kin, spec, phys)
         fall_time[standing[fell]] = (k + 1) * phys.dt
-        standing, world = standing[~fell], world.rows(~fell)
-        if z is not None:
-            z = z[~fell]
+        standing, world, z = standing[~fell], world.rows(~fell), z[~fell]
     alive = np.array([(fall_time > h).sum() for h in horizons])
     return SurvivalCurve(tuple(horizons), tuple(alive / n_trials), n_trials)
 

@@ -53,10 +53,6 @@ CLIP_HZ = 30.0  # default clip frame rate
 CLIP_MAGIC = "SLMP-CLIP/2"
 
 
-class ClipFormatError(ValueError):
-    pass
-
-
 def _frame_rate(hz) -> float:
     """``hz`` as a clip frame rate, refused unless finite and positive."""
     hz = float(hz)
@@ -525,8 +521,5 @@ def save_clip(clip: MotionClip, path: str | Path) -> None:
 
 
 def load_clip(path: str | Path) -> MotionClip:
-    try:
-        head, frames = nets.read_table(path, CLIP, lambda h: (h["frames"], 2 * (3 + h["joints"])))
-    except ValueError as e:
-        raise ClipFormatError(str(e)) from e
+    head, frames = nets.read_table(path, CLIP, lambda h: (h["frames"], 2 * (3 + h["joints"])))
     return MotionClip(head["hz"], head["family"], head["id"], frames)

@@ -53,12 +53,10 @@ has +1 on the diagonal and -1 at (i, parent(i)): one exact difference
 per joint.
 
 Body parts by name: the ``CharacterSpec`` is the one description of the
-body.  The pipeline finds the links ``upper_leg_*``/``lower_leg_*``
-(stance, clip IK), ``upper_arm_*``/``lower_arm_*`` (guard, strikes,
-spawn noise) and the sites ``foot_*``, ``hand_*``, ``pelvis``,
-``head_top`` by name (``link_index``, ``site_index``), never by list
-position; a missing name is a ``ValueError`` that names it.  A joint is
-named by the link it moves: joint j moves link j + 1, column j + 1 of q.
+body.  The pipeline finds the links and sites of ``BODY_PARTS`` by name
+(``link_index``, ``site_index``), never by list position; a missing name
+is a ``ValueError`` that names it.  A joint is named by the link it
+moves: joint j moves link j + 1, column j + 1 of q.
 
 Kinematics hand-off: one control step of ``step_batch`` builds the
 ``Kinematics`` of its input world once.  Each ``_substep`` takes the
@@ -187,13 +185,18 @@ class NameIndex(dict):
         raise ValueError(f"the character has no {self.kind} named {name!r}")
 
 
+# the (kind, name) of every part the pipeline looks up by name: the legs (stance,
+# clip IK), arms (guard, strikes, spawn noise), feet, hands, pelvis and head top
+BODY_PARTS = (*(("link", f"{limb}_{side}") for limb in ("upper_leg", "lower_leg", "upper_arm", "lower_arm")
+                for side in "lr"),
+              *(("site", name) for name in ("foot_l", "foot_r", "hand_l", "hand_r", "pelvis", "head_top")))
+
+
 @dataclass(frozen=True)
 class CharacterSpec:
     """A character: links in tree order, the root first, named sites on
     them, and one PD gain pair per joint; joint j moves link j + 1.  The
-    pipeline looks up by name the links ``upper_leg_*``, ``lower_leg_*``,
-    ``upper_arm_*`` and ``lower_arm_*`` and the sites ``foot_*``,
-    ``hand_*``, ``pelvis`` and ``head_top`` (``*`` is ``l`` or ``r``)."""
+    pipeline looks up the links and sites of ``BODY_PARTS`` by name."""
 
     links: tuple[Link, ...]
     sites: tuple[Site, ...]

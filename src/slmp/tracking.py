@@ -175,6 +175,13 @@ def energy_penalty(torques: np.ndarray, joint_vels: np.ndarray) -> np.ndarray:
 LOG_2PI = math.log(2.0 * math.pi)
 
 
+def gaussian_log_prob(mu: np.ndarray, log_std: np.ndarray, act: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log-density of each row of ``act`` under N(mu, exp(log_std)^2), its
+    standardized residual z = (act - mu) / exp(log_std))."""
+    z = (act - mu) / np.exp(log_std)
+    return -0.5 * (z * z).sum(axis=1) - log_std.sum() - 0.5 * mu.shape[1] * LOG_2PI, z
+
+
 @dataclass(frozen=True)
 class GaussianPolicy:
     """Diagonal-Gaussian policy: MLP mean plus a learned state-independent
@@ -219,8 +226,7 @@ class GaussianPolicy:
 
     @staticmethod
     def log_prob_batch(mu: np.ndarray, log_std: np.ndarray, act: np.ndarray) -> np.ndarray:
-        z = (act - mu) / np.exp(log_std)
-        return -0.5 * (z * z).sum(axis=1) - log_std.sum() - 0.5 * mu.shape[1] * LOG_2PI
+        return gaussian_log_prob(mu, log_std, act)[0]
 
     @staticmethod
     def entropy(log_std: np.ndarray) -> float:
@@ -291,9 +297,7 @@ def ppo_loss_and_grads(
     mlp, log_std = policy.split(policy_params)
     tape = nets.Tape() if tape is None else tape
     mu = nets.forward_batch(policy.spec, mlp, batch.obs, tape)
-    sigma = np.exp(log_std)
-    z = (batch.actions - mu) / sigma
-    logp = -0.5 * (z * z).sum(axis=1) - log_std.sum() - 0.5 * mu.shape[1] * LOG_2PI
+    logp, z = gaussian_log_prob(mu, log_std, batch.actions)
     ratio = np.exp(logp - batch.log_probs)
     adv = batch.advantages
     s1 = ratio * adv
@@ -311,7 +315,7 @@ def ppo_loss_and_grads(
     dobj_dlogp = np.where(active | inside, ratio * adv, 0.0)
     dpl_dlogp = -dobj_dlogp / n  # d(policy_loss)/d(logp_i)
 
-    dlogp_dmu = z / sigma  # (N, d)
+    dlogp_dmu = z / np.exp(log_std)  # (N, d)
     g_mu = dpl_dlogp[:, None] * dlogp_dmu
     g_mlp, _ = nets.backward_batch(policy.spec, mlp, tape, g_mu, input_grad=False)
     dlogp_dls = z * z - 1.0  # (N, d)
@@ -793,10 +797,14 @@ def save_policy(path: str | Path, name: str, policy: GaussianPolicy, params: np.
     nets.save_checkpoint(path, name, policy.spec, params, extra=policy.spec.output_dim)
 
 
-def load_policy(path: str | Path) -> tuple[GaussianPolicy, np.ndarray]:
-    name, spec, values, extra = nets.load_checkpoint(path)
-    if extra != spec.output_dim:
-        raise ValueError(f"{path}: expected a policy checkpoint with log-std tail")
+def load_policy(path: str | Path, inputs: int, outputs: int) -> tuple[GaussianPolicy, np.ndarray]:
+    """The policy that ``save_policy`` wrote to ``path``.  One that does not
+    map ``inputs`` columns to ``outputs`` actions, or has no log-std tail
+    of ``outputs`` values, is refused by file and header key."""
+    _, spec, values, extra = nets.load_checkpoint(path)
+    nets.check_width(path, "input", spec.input_dim, inputs)
+    nets.check_width(path, "output", spec.output_dim, outputs)
+    nets.check_width(path, "extra", extra, outputs)
     return GaussianPolicy(spec), values
 
 
@@ -804,9 +812,10 @@ def resume_train_state(out: Path, envs: EnvBatch, seed: int) -> TrainState:
     """Read what ``save_train_state`` wrote under ``seed``; the ``envs.txt``
     rows go back into the batch, valid and with the World time at ``t``.
     A snapshot of another env count, seed or clip library is refused."""
-    policy, policy_params = load_policy(out / "pi_track.ckpt")
+    spec = envs.spec
+    policy, policy_params = load_policy(out / "pi_track.ckpt", TRACK_OBS.width(spec), spec.n_joints)
     _, value_spec, value_params, _ = nets.load_checkpoint(out / "critic.ckpt")
-    w, nq, ns = envs.world, envs.spec.ndof, len(envs.spec.sites)
+    w, nq, ns = envs.world, spec.ndof, len(spec.sites)
 
     def shape(h):
         if h["envs"] != len(envs):

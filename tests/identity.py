@@ -28,10 +28,16 @@ prints ``<family> <sha256>`` lines for
   steps of 8 fighter pairs in contact (``combat.contacts``).
 
 A byte-identity check of a change is a diff of the output of two
-checkouts.  ``digests(tiny=True)`` runs the same families at test size.
+checkouts.  ``digests(tiny=True)`` runs the same families at test size
+(``--tiny``), and ``identity_tiny.txt`` records them, headed by the host
+they were made on (``host``); ``tests/test_identity.py`` compares each run
+with it.  A change that moves an output on purpose rewrites the record:
+
+    python tests/identity.py --tiny --record
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -228,8 +234,63 @@ def digests(tiny: bool = False) -> dict[str, str]:
     return out
 
 
+RECORD = Path(__file__).with_name("identity_tiny.txt")
+
+
+def host() -> dict[str, str]:
+    """What the digests hang on besides the source: the numpy and BLAS
+    builds, the CPU model and the row rule's ``ROW_TILE`` and
+    ``LEARN_DTYPE``."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cpuinfo = Path("/proc/cpuinfo")
+    models = [line.split(":", 1)[1].strip() for line in
+              (cpuinfo.read_text().splitlines() if cpuinfo.exists() else [])
+              if line.startswith("model name")]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+            "cpu": models[0] if models else "unknown", "ROW_TILE": str(nets.ROW_TILE),
+            "LEARN_DTYPE": np.dtype(nets.LEARN_DTYPE).name}
+
+
+def write_record(found: dict[str, str], path: Path = RECORD) -> None:
+    """``path``: one ``# key: value`` line per ``host`` field, then one
+    ``<family> <sha256>`` line per family of ``found``."""
+    lines = [f"# {key}: {value}" for key, value in host().items()]
+    path.write_text("\n".join(lines + [f"{name} {digest}" for name, digest in found.items()]) + "\n")
+
+
+def read_record(path: Path = RECORD) -> tuple[dict[str, str], dict[str, str]]:
+    """The (host, digests) that ``write_record`` wrote to ``path``."""
+    head, found = {}, {}
+    for line in path.read_text().splitlines():
+        if line.startswith("# "):
+            key, value = line[2:].split(": ", 1)
+            head[key] = value
+        else:
+            name, digest = line.split(" ")
+            found[name] = digest
+    return head, found
+
+
+def changes(recorded: dict[str, str], found: dict[str, str]) -> list[str]:
+    """Every family of ``found`` that moved from or is not in ``recorded``,
+    and every recorded family that ``found`` lacks, one line each."""
+    return ([f"moved {name}" for name in found if name in recorded and found[name] != recorded[name]]
+            + [f"added {name}" for name in found if name not in recorded]
+            + [f"missing {name}" for name in recorded if name not in found])
+
+
 def main() -> None:
-    for name, digest in digests().items():
+    parser = argparse.ArgumentParser(description="Print one SHA-256 per output family.")
+    parser.add_argument("--tiny", action="store_true", help="run the families at test size")
+    parser.add_argument("--record", action="store_true",
+                        help=f"with --tiny, also rewrite {RECORD.name} with this host and these lines")
+    args = parser.parse_args()
+    if args.record and not args.tiny:
+        parser.error("--record rewrites the test-size record, so it needs --tiny")
+    found = digests(tiny=args.tiny)
+    if args.record:
+        write_record(found)
+    for name, digest in found.items():
         print(name, digest, flush=True)
 
 

@@ -534,9 +534,8 @@ def self_play_train(slmp_dir, cfg, out_dir, seed, spec, phys):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n_env = cfg.envs
-    env = cb.CombatEnv(*nets.load_checkpoint(Path(slmp_dir) / "pi_phi.ckpt")[1:3], spec, phys, cfg,
-                       seeding.rngs(seed, "cenv", n_env))
-    latent_dim = di.latent_width(env.prior.spec, spec)
+    phi_spec, phi_params, latent_dim = di.load_prior(slmp_dir, spec)
+    env = cb.CombatEnv(phi_spec, phi_params, spec, phys, cfg, seeding.rngs(seed, "cenv", n_env))
     pcfg = cfg.ppo()
     obs_dim = cb.COMBAT_OBS.width(spec)
     agents = [tr.build_networks(obs_dim, latent_dim, pcfg, seed, ("pi-h-init", "vh-init"))

@@ -7,6 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import identity
 from slmp import combat as cb
 from slmp import evaluate as ev
 from slmp import motion as mo
@@ -142,6 +143,23 @@ class TestNames:
         thigh = tuple(replace(l, name="thigh_l") if l.name == "upper_leg_l" else l for l in SPEC.links)
         with pytest.raises(ValueError, match="no link named 'upper_leg_l'"):
             ph.nominal_stance(replace(SPEC, links=thigh), CFG)
+
+
+def test_body_parts_are_the_names_the_pipeline_looks_up(monkeypatch, tmp_path):
+    """``physics.BODY_PARTS``, the parts a character file must have, are
+    exactly the links and sites that the smoke pipeline's eight commands
+    and the airborne fixture state look up by name, so the tuple cannot
+    drift from the code that reads the parts."""
+    seen = set()
+
+    def lookup(index, name):
+        seen.add((index.kind, name))
+        return dict.__getitem__(index, name)
+
+    monkeypatch.setattr(ph.NameIndex, "__getitem__", lookup)
+    identity.smoke_pipeline(tmp_path)
+    ev.fixture_state("airborne", SPEC, CFG)
+    assert seen == set(ph.BODY_PARTS)
 
 
 def test_each_leg_is_solved_with_its_own_lengths():

@@ -339,6 +339,24 @@ class TestCli:
         assert cli.run(argv + (["--updates", "1"] if command == "train-track" else [])) == 1
         assert f"error: the character has no {kind} named '{name}'\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["gen-data", "train-track", "distill", "train-combat"])
+    def test_a_character_without_a_part_is_refused_before_any_file_is_written(
+            self, tmp_path, capsys, command):
+        """A character file without the pelvis site, which ``gen-data``
+        never reads and the training commands first read at a fall check,
+        is refused when the run's character is built: every command exits
+        1 naming it, and ``--out`` is never made."""
+        spec = ph.default_character()
+        ph.character_to_json(replace(spec, sites=tuple(s for s in spec.sites if s.name != "pelvis")),
+                             tmp_path / "char.json")
+        cfg = tmp_path / "char.cfg"
+        cfg.write_text(SMOKE_CFG + f"physics.character = {tmp_path / 'char.json'}\n")
+        inputs = {"distill": ["--expert", str(tmp_path)], "train-combat": ["--slmp", str(tmp_path)]}
+        argv = [command, "--out", str(tmp_path / "out"), "--config", str(cfg), *inputs.get(command, [])]
+        assert cli.run(argv) == 1
+        assert capsys.readouterr().err == "error: the character has no site named 'pelvis'\n"
+        assert not (tmp_path / "out").exists()
+
     def test_distill_requires_expert(self):
         assert cli.run(["distill", "--out", "/tmp/x"]) == 2
 
@@ -394,6 +412,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"error: {prior / 'pi_phi.ckpt'}: header line input={width}: " in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["eval-survival", "viz-sphere"])
+    def test_a_directory_with_only_the_prior_is_enough(self, tmp_path, smoke_cfg, command):
+        """``eval-survival`` and ``viz-sphere`` read the prior alone, so they
+        run on a directory that holds only ``pi_phi.ckpt``, as a
+        ``train-combat`` output directory holds it with no encoder."""
+        spec = ph.default_character()
+        prior = tmp_path / "slmp"
+        prior.mkdir()
+        phi_spec = nets.MlpSpec(tr.PROPRIO.width(spec) + 4, (8,), spec.n_joints)
+        nets.save_checkpoint(prior / "pi_phi.ckpt", "pi_phi", phi_spec,
+                             nets.init_params(phi_spec, np.random.default_rng(0)))
+        out = tmp_path / "out.txt"
+        assert cli.run([command, "--slmp", str(prior), "--out", str(out), "--config", smoke_cfg]) == 0
+        assert out.exists()
+        assert [p.name for p in prior.iterdir()] == ["pi_phi.ckpt"]
 
     def test_train_combat_refuses_a_zero_swap_period(self, tmp_path, capsys):
         cfg = tmp_path / "swap.cfg"

@@ -627,8 +627,10 @@ class TestTrainSlmp:
                       log=False, skip_expert_check=True)
         for name in ("encoder.ckpt", "pi_phi.ckpt", "disc.ckpt"):
             assert (tmp_path / "slmp" / name).exists()
-        enc_spec, enc_p, phi_spec, phi_p = di.load_prior(tmp_path / "slmp", SPEC)
-        assert phi_spec.input_dim == tr.PROPRIO.width(SPEC) + cfg.latent_dim
+        phi_spec, _, latent = di.load_prior(tmp_path / "slmp", SPEC)
+        assert phi_spec.input_dim == tr.PROPRIO.width(SPEC) + latent
+        assert latent == cfg.latent_dim
+        assert di.load_encoder(tmp_path / "slmp", SPEC, latent)[0].output_dim == latent
 
     def test_console_prints_the_first_every_200th_and_last_update(self, tmp_path, capsys):
         clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]

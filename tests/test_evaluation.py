@@ -6,6 +6,7 @@ import pytest
 
 from reference import (kmeans_inertia, label_agreement, one_clip, proprio, step, table_token,
                        tracking_error_kinematic)
+from slmp import cli
 from slmp import distill as di
 from slmp import evaluate as ev
 from slmp import motion as mo
@@ -24,6 +25,17 @@ def cloud_row(*values):
     return " ".join(map(table_token, values)) + "\n"
 
 
+def stance_prior(scale=0.0, seed=0):
+    """A prior of 4 latent columns and no hidden layer whose output bias is
+    the nominal stance: with ``scale`` 0 it holds the stance for every
+    state and latent, and ``scale`` times seeded init weights add targets
+    that move with both.  Returns (spec, params, latent width)."""
+    phi_spec = nets.MlpSpec(PROPRIO.width + 4, (), SPEC.n_joints)
+    params = scale * nets.init_params(phi_spec, np.random.default_rng(seed))
+    nets.layer_views(phi_spec, params)[0][1][:] = ph.nominal_stance(SPEC, CFG).joint_angles
+    return phi_spec, params, 4
+
+
 class TestSurvivalCurve:
     def test_monotonicity_enforced(self):
         ev.SurvivalCurve((5.0, 10.0), (0.9, 0.5), 10)
@@ -33,35 +45,18 @@ class TestSurvivalCurve:
             ev.SurvivalCurve((5.0, 10.0), (0.9, 0.5), 0)
 
     def test_stable_fixture_survives_all_horizons(self):
-        stance = ph.nominal_stance(SPEC, CFG)
-        targets = stance.joint_angles.copy()
-        curve = ev.survival_eval(
-            None, None, n_trials=3, horizons=(2.0, 4.0), seed=0,
-            spec=SPEC, phys=CFG, action_fn=lambda world, rngs: np.tile(targets, (len(rngs), 1)),
-        )
+        curve = ev.survival_eval(*stance_prior(), n_trials=3, horizons=(2.0, 4.0), seed=0,
+                                 spec=SPEC, phys=CFG)
         assert curve.fractions == (1.0, 1.0)
 
     def test_adversarial_fixture_dies_fast(self):
-        extreme = np.full(SPEC.n_joints, 2.5)
-
-        def wild(world, rngs):
-            return np.stack([extreme * rng.choice([-1.0, 1.0], size=SPEC.n_joints) for rng in rngs])
-
-        curve = ev.survival_eval(
-            None, None, n_trials=4, horizons=(2.0, 5.0), seed=1,
-            spec=SPEC, phys=CFG, action_fn=wild,
-        )
+        curve = ev.survival_eval(*stance_prior(6.0), n_trials=4, horizons=(2.0, 5.0), seed=1,
+                                 resample_period=0.25, spec=SPEC, phys=CFG)
         assert curve.fractions[1] == 0.0
 
     def test_curve_shape_and_determinism(self):
-        stance = ph.nominal_stance(SPEC, CFG)
-        targets = stance.joint_angles.copy()
-
-        def act(world, rngs):
-            return np.stack([targets + 0.3 * rng.standard_normal(SPEC.n_joints) for rng in rngs])
-
-        a = ev.survival_eval(None, None, 5, (1.0, 2.0, 3.0), 7, spec=SPEC, phys=CFG, action_fn=act)
-        b = ev.survival_eval(None, None, 5, (1.0, 2.0, 3.0), 7, spec=SPEC, phys=CFG, action_fn=act)
+        a = ev.survival_eval(*stance_prior(0.2), 5, (1.0, 2.0, 3.0), 7, spec=SPEC, phys=CFG)
+        b = ev.survival_eval(*stance_prior(0.2), 5, (1.0, 2.0, 3.0), 7, spec=SPEC, phys=CFG)
         assert a.fractions == b.fractions
         assert len(a.fractions) == 3
 
@@ -75,37 +70,29 @@ class TestSurvivalCurve:
     def test_saved_columns_are_numbers(self, tmp_path):
         """survival_eval's fractions are numpy floats; the CSV must still
         hold plain numbers in every column."""
-        stance = ph.nominal_stance(SPEC, CFG)
-        targets = stance.joint_angles.copy()
-        curve = ev.survival_eval(
-            None, None, n_trials=2, horizons=(0.5, 1.0), seed=0,
-            spec=SPEC, phys=CFG, action_fn=lambda world, rngs: np.tile(targets, (len(rngs), 1)),
-        )
+        curve = ev.survival_eval(*stance_prior(), n_trials=2, horizons=(0.5, 1.0), seed=0,
+                                 spec=SPEC, phys=CFG)
         ev.save_survival(curve, tmp_path / "s.csv")
         rows = [line.split(",") for line in (tmp_path / "s.csv").read_text().splitlines()[1:]]
         assert [[float(v) for v in row] for row in rows] == [[0.5, 1.0, 2.0], [1.0, 1.0, 2.0]]
 
 
-def survival_reference(phi_spec, phi_params, n_trials, seed, steps, resample_steps, action_fn=None):
+def survival_reference(phi_spec, phi_params, latent_dim, n_trials, seed, steps, resample_steps):
     """The per-trial loop ``survival_eval`` replaced: each trial's fall
     time (inf if it stands), one ``step_world`` call and one
-    ``detect_fall`` per control step, with ``action_fn(state, rng)``.
-    Also returns each trial's lowest torso-center height over its steps,
-    the height that ``physics.fallen`` compares with ``fall_height``."""
-    latent_dim = None if action_fn else di.latent_width(phi_spec, SPEC)
+    ``detect_fall`` per control step.  Also returns each trial's lowest
+    torso-center height over its steps, the height that
+    ``physics.fallen`` compares with ``fall_height``."""
     fall_times, lowest = [], []
     for trial in range(n_trials):
         rng = np.random.default_rng(seed_for(seed, f"survival-{trial}"))
         state = ph.nominal_stance(SPEC, CFG)
-        z = di.sample_sphere(latent_dim, rng, 1)[0] if latent_dim else None
+        z = di.sample_sphere(latent_dim, rng, 1)[0]
         fall_time, low = math.inf, math.inf
         for k in range(steps):
-            if latent_dim and k > 0 and k % resample_steps == 0:
+            if k > 0 and k % resample_steps == 0:
                 z = di.sample_sphere(latent_dim, rng, 1)[0]
-            if action_fn is not None:
-                targets = action_fn(state, rng)
-            else:
-                targets = di.prior_action(nets.RowNet(phi_spec, phi_params), proprio(state)[None], z[None])[0]
+            targets = di.prior_action(nets.RowNet(phi_spec, phi_params), proprio(state)[None], z[None])[0]
             state, _ = step(state, SPEC, CFG, targets=targets)
             low = min(low, state.root_pos[1] + SPEC.torso_center_dist * ph.KinFrame(state, SPEC).u[0, 1])
             if not state.valid or ph.detect_fall(state, SPEC, CFG):
@@ -135,33 +122,29 @@ class TestSurvivalRows:
         so the curve's last point does not hang on a near fall."""
         phi_spec = nets.MlpSpec(PROPRIO.width + 4, (16,), SPEC.n_joints)
         phi_params = 0.3 * nets.init_params(phi_spec, np.random.default_rng(7))
-        want, lowest = survival_reference(phi_spec, phi_params, 8, 11, self.STEPS, 15)
-        curve = ev.survival_eval(phi_spec, phi_params, 8, self.HORIZONS, 11,
+        want, lowest = survival_reference(phi_spec, phi_params, 4, 8, 11, self.STEPS, 15)
+        curve = ev.survival_eval(phi_spec, phi_params, 4, 8, self.HORIZONS, 11,
                                  resample_period=15 * CFG.dt, spec=SPEC, phys=CFG)
         self._check(curve, want)
         assert np.isinf(want).sum() >= 2
         assert (lowest[np.isinf(want)] > CFG.fall_height + 0.5).all()
 
-    def test_action_fn_matches_per_trial_loop(self):
-        stance = ph.nominal_stance(SPEC, CFG).joint_angles
-
-        def act(state, rng):
-            return stance + 1.2 * rng.standard_normal(SPEC.n_joints)
-
-        want, _ = survival_reference(None, None, 8, 12, self.STEPS, 15, action_fn=act)
-        curve = ev.survival_eval(None, None, 8, self.HORIZONS, 12, spec=SPEC, phys=CFG,
-                                 action_fn=lambda world, rngs: np.stack([act(None, r) for r in rngs]))
-        self._check(curve, want)
-
 
 @pytest.mark.parametrize("latent", [0, 1, -2])
-def test_survival_refuses_a_prior_of_fewer_than_2_latent_columns(latent):
+def test_survival_refuses_a_prior_of_fewer_than_2_latent_columns(tmp_path, capsys, latent):
     """A prior whose input leaves fewer than 2 latent columns past the
-    proprio block (``sample_sphere``'s bound) is refused by header key."""
+    proprio block (``sample_sphere``'s bound) is refused by its reader,
+    ``distill.load_prior``, under the path of the file and its header key;
+    ``eval-survival`` prints that refusal and writes no curve."""
     phi_spec = nets.MlpSpec(PROPRIO.width + latent, (4,), SPEC.n_joints)
-    with pytest.raises(ValueError, match=f"header line input={PROPRIO.width + latent}: "):
-        ev.survival_eval(phi_spec, np.zeros(phi_spec.param_count()), 2, (0.5,), 0,
-                         spec=SPEC, phys=CFG)
+    path = tmp_path / "pi_phi.ckpt"
+    nets.save_checkpoint(path, "pi_phi", phi_spec, np.zeros(phi_spec.param_count()))
+    refused = f"{path}: header line input={PROPRIO.width + latent}: the run needs input>={PROPRIO.width + 2}"
+    with pytest.raises(ValueError, match=re.escape(refused)):
+        di.load_prior(tmp_path, SPEC)
+    assert cli.run(["eval-survival", "--slmp", str(tmp_path), "--out", str(tmp_path / "s.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {refused}\n"
+    assert not (tmp_path / "s.csv").exists()
 
 
 @pytest.mark.parametrize("key, phi_in, phi_out", [("input", PROPRIO.width - 2, SPEC.n_joints),

@@ -269,6 +269,51 @@ def test_one_header_rule():
     assert spellers == []
 
 
+# the calls that read a network file or check its widths
+NETWORK_READS = ("load_checkpoint", "check_width", "latent_width")
+# the package functions that make them: one reader per kind of network
+# file, each in the module that writes it, and one named exception
+NETWORK_READERS = {
+    ("tracking.py", "load_policy"): "every policy: the expert, the fighters, the snapshot's",
+    ("tracking.py", "resume_train_state"): "the tracking snapshot's critic",
+    ("tracking.py", "train_tracking"): "the exception: a resumed Adam state's count against its net",
+    ("distill.py", "latent_width"): "the prior's widths, which load_prior applies",
+    ("distill.py", "load_prior"): "the prior",
+    ("distill.py", "load_encoder"): "the encoder, against the prior's latent width",
+}
+
+
+def network_readers(tree: ast.Module) -> list[str]:
+    """Names of the module-level statements of ``tree`` that call one of
+    ``NETWORK_READS``, as a name or as an attribute, at any depth."""
+    return [
+        getattr(node, "name", "<module>") for node in tree.body
+        if any(isinstance(n, ast.Call)
+               and (getattr(n.func, "id", None) or getattr(n.func, "attr", None)) in NETWORK_READS
+               for n in ast.walk(node))
+    ]
+
+
+def test_network_reader_scan_flags_raw_reads_and_checks():
+    tree = ast.parse(
+        "def raw(p):\n    return nets.load_checkpoint(p)[1:3]\n"
+        "def checked(p, s):\n    nets.check_width(p, 'input', s.input_dim, 3)\n"
+        "class Env:\n    def __init__(self, p):\n        self.d = di.latent_width(p.spec, S, p)\n"
+        "def nested(p):\n    def load():\n        return load_checkpoint(p)\n    return load\n"
+        "def reader(p):\n    return di.load_prior(p, S)\n"
+        "def named(t):\n    t.wrap(nets, 'load_checkpoint', 'nets.load_checkpoint')\n"
+    )
+    assert network_readers(tree) == ["raw", "checked", "Env", "nested"]
+
+
+def test_one_reader_per_network_file():
+    """Each kind of network file has one reader, in the module that writes
+    it, which loads the file and refuses wrong widths by file and header
+    key: no other package function reads a checkpoint or checks a width."""
+    readers = {(p.name, name) for p in MODULES for name in network_readers(ast.parse(p.read_text()))}
+    assert readers == set(NETWORK_READERS)
+
+
 # the layout widths ``perfbench/`` still reads under their old names
 LAYOUT_ALIASES = {"proprio_dim", "track_obs_dim", "combat_obs_dim", "Goal.dim"}
 

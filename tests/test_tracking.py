@@ -491,7 +491,7 @@ class TestTraining:
         clips = [one_clip("idle", 0, 3.0, spec=SPEC, cfg=CFG)]
         cfg = tr.PpoConfig(envs=2, horizon=16, updates=2, epochs_per_update=2)
         ts = tr.train_tracking(clips, cfg, tmp_path, seed=3, spec=SPEC, phys=CFG, log=False)
-        policy, params = tr.load_policy(tmp_path / "pi_track.ckpt")
+        policy, params = tr.load_policy(tmp_path / "pi_track.ckpt", tr.TRACK_OBS.width(SPEC), SPEC.n_joints)
         assert np.array_equal(params, ts.policy_params)
         assert (tmp_path / "metrics.csv").read_text().count("\n") == 3
 
