@@ -77,7 +77,7 @@ def cmd_distill(args, cfg: RunConfig, spec, phys) -> int:
 def cmd_eval_track(args, cfg: RunConfig, spec, phys) -> int:
     clips = _load_clips(args, cfg, spec, phys)
     expert = _expert_ckpt(args.expert) if args.expert else None
-    res = ev.latent_tracking_eval(clips, args.slmp, expert, spec, phys, cfg.eval.e_div)
+    res = ev.latent_tracking_eval(clips, args.slmp, expert, spec, phys)
     lines = ["method,success,mean_joint_error"]
     for name, row in res.items():
         lines.append(f"{name},{row['success']!r},{row['mean_joint_error']!r}")

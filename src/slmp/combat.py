@@ -72,6 +72,9 @@ class CombatConfig:
 
     def __post_init__(self):
         ph.require_positive(self, ("k_hl", "swap_period"))
+        ph.require_non_negative(self, ("k_hit", "f_cap", "f_hit", "hit_dist", "knockdown_bonus",
+                                       "episode_s", "close_dist", "close_s", "farm_s", "far_dist",
+                                       "spawn_gap", "spawn_noise"))
         self.ppo()  # PpoConfig's rules check the PPO settings
 
     def ppo(self) -> tr.PpoConfig:

@@ -3,7 +3,7 @@ fields, compiled-in defaults, and unknown-key rejection; command-line
 options set the same keys through the same setter."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import combat as cb
@@ -19,15 +19,14 @@ class ConfigError(ValueError):
 
 
 _PHYS = ph.PhysicsConfig()
-_CHARACTER = ph.default_character()
 
 
 @dataclass
 class PhysicsSection:
     """Physics overrides; the defaults and the value rules are those of
-    ``physics.PhysicsConfig`` and of the built-in ``physics.CharacterSpec``.
-    A ``character`` file brings its own ``tau_max`` and ``contact_radius``,
-    so with one set those two keys must keep their defaults."""
+    ``physics.PhysicsConfig``.  The body, its torque limit and contact
+    radius included, is the character's alone: the built-in one, or the
+    ``character`` file's."""
 
     gravity: float = _PHYS.gravity
     hz: float = _PHYS.hz
@@ -37,23 +36,11 @@ class PhysicsSection:
     contact_kt: float = _PHYS.contact_kt
     friction_mu: float = _PHYS.friction_mu
     fall_frac: float = _PHYS.fall_frac
-    tau_max: float = _CHARACTER.tau_max
-    contact_radius: float = _CHARACTER.contact_radius
     character: str = ""  # optional JSON character file; empty = built-in
 
     def __post_init__(self):
         # built only to run physics' own value rules on these values
-        self._spec()
         ph.PhysicsConfig(**self._overrides())
-        for name in ("tau_max", "contact_radius"):
-            if self.character and getattr(self, name) != getattr(_CHARACTER, name):
-                raise ValueError(
-                    f"{name} comes from the character file {self.character}; "
-                    f"leave it at {getattr(_CHARACTER, name)}"
-                )
-
-    def _spec(self) -> ph.CharacterSpec:
-        return replace(_CHARACTER, tau_max=self.tau_max, contact_radius=self.contact_radius)
 
     def _overrides(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self) if hasattr(_PHYS, f.name)}
@@ -61,7 +48,7 @@ class PhysicsSection:
     def build(self) -> tuple[ph.CharacterSpec, ph.PhysicsConfig]:
         """The run's character and physics; a character that lacks a part of
         ``physics.BODY_PARTS`` is refused by its name before any stage runs."""
-        spec = ph.character_from_json(self.character) if self.character else self._spec()
+        spec = ph.character_from_json(self.character) if self.character else ph.default_character()
         for kind, name in ph.BODY_PARTS:
             index = {"link": spec.link_index, "site": spec.site_index}[kind]
             if name not in index:
@@ -96,7 +83,6 @@ class EvalSection:
     fixed_z: bool = ev.FIXED_Z
     samples: int = 512
     clusters: int = 6
-    e_div: float = tr.E_DIV
 
     def __post_init__(self):
         ph.require_positive(self, ("trials", "samples", "clusters", "resample_period"))

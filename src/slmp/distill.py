@@ -49,15 +49,13 @@ class SlmpConfig:
     fresh_per_update: int = 256
     capacity: int = 16384
     envs: int = 16
-    e_div: float = tr.E_DIV
     mode: str = "slmp"
     encoder_hidden: tuple[int, ...] = (128, 64)
     pi_phi_hidden: tuple[int, ...] = (256, 256, 128)
     disc_hidden: tuple[int, ...] = (256, 128)
 
     def __post_init__(self):
-        if min(self.lambda_distill, self.lambda_dlsc, self.lambda_disc) < 0.0:
-            raise ValueError("loss weights must be non-negative")
+        ph.require_non_negative(self, ("lambda_distill", "lambda_dlsc", "lambda_disc", "plateau_tol"))
         if self.mode not in ABLATION_MODES:
             raise ValueError(f"mode must be one of {ABLATION_MODES}")
         if self.latent_dim < 2:  # sample_sphere's bound
@@ -394,11 +392,10 @@ def expert_success_rate(
     clips: list[mo.MotionClip],
     spec: ph.CharacterSpec,
     phys: ph.PhysicsConfig,
-    e_div: float,
 ) -> float:
     """Fraction of clips the frozen expert tracks end-to-end."""
     controller = tr.expert_controller(policy.row_net(policy_params))
-    ok, _ = tr.track_clips(controller, clips, spec, phys, e_div)
+    ok, _ = tr.track_clips(controller, clips, spec, phys)
     return float(ok.mean())
 
 
@@ -478,7 +475,7 @@ def train_slmp(
     expert, expert_params = tr.load_policy(expert_ckpt, tr.TRACK_OBS.width(spec), nj)
 
     if not skip_expert_check:
-        rate = expert_success_rate(expert, expert_params, clips, spec, phys, cfg.e_div)
+        rate = expert_success_rate(expert, expert_params, clips, spec, phys)
         if rate < 0.9:
             raise RuntimeError(
                 f"expert failure rate {1.0 - rate:.2f} exceeds 10% on the clip library; "
@@ -489,7 +486,7 @@ def train_slmp(
     n = build_distill_nets(widths[1], widths[0], nj, cfg, seed)
     phase = Phase(window=cfg.window, plateau_tol=cfg.plateau_tol)
     ring = _Ring(cfg.capacity, widths)
-    envs = tr.EnvBatch(clips, spec, phys, seeding.rngs(seed, "denv", cfg.envs), cfg.e_div)
+    envs = tr.EnvBatch(clips, spec, phys, seeding.rngs(seed, "denv", cfg.envs))
     steps_per_env = cfg.fresh_per_update // cfg.envs
 
     def update(u: int) -> dict:

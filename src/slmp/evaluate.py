@@ -62,7 +62,6 @@ def latent_tracking_eval(
     expert_ckpt: str | Path | None = None,
     spec: ph.CharacterSpec | None = None,
     phys: ph.PhysicsConfig | None = None,
-    e_div: float = tr.E_DIV,
 ) -> dict[str, dict[str, float]]:
     """Success rate and mean site error when tracking through the latent
     space, optionally with the expert as the upper-bound comparison."""
@@ -76,7 +75,7 @@ def latent_tracking_eval(
         methods["expert"] = tr.expert_controller(policy.row_net(params))
     out: dict[str, dict[str, float]] = {}
     for name, controller in methods.items():
-        ok, err = tr.track_clips(controller, clips, spec, phys, e_div)
+        ok, err = tr.track_clips(controller, clips, spec, phys)
         out[name] = {"success": float(ok.mean()), "mean_joint_error": float(err.mean())}
     return out
 

@@ -63,10 +63,12 @@ class PpoConfig:
     std_anneal_updates: int = 600
     learn_std: bool = False
     updates: int = 2000
-    e_div: float = E_DIV
-    energy_floor: float = ENERGY_FLOOR
     pi_hidden: tuple[int, ...] = (256, 256, 128)
     critic_hidden: tuple[int, ...] = (128, 128)
+    # perfbench reads these two constants here until ROADMAP item 2; class
+    # attributes, not fields, so they are not config keys
+    e_div = E_DIV
+    energy_floor = ENERGY_FLOOR
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
@@ -75,6 +77,7 @@ class PpoConfig:
             raise ValueError(f"gae_lambda must be in [0, 1], got {self.gae_lambda}")
         ph.require_positive(self, ("lr", "clip_eps", "std_init", "std_final", "envs", "horizon",
                                    "batch_size", "epochs_per_update"))
+        ph.require_non_negative(self, ("entropy_coef", "value_coef"))
 
     def sigma_at(self, update: int) -> float:
         frac = min(1.0, update / max(1, self.std_anneal_updates))
@@ -443,8 +446,8 @@ class EnvBatch:
     env for its reset draws.  A run builds one batch and steps it to the
     end; the tracking checkpoint saves its rows.  Env i starts at frame
     ``starts[i] = (clip index, frame)``, or at a start it draws from
-    ``rngs[i]``, in env order.  All envs share one divergence bound
-    ``e_div`` and one ``energy_floor``.
+    ``rngs[i]``, in env order.  Every env ends an episode at a mean site
+    error above ``E_DIV`` and floors its energy penalty at ``ENERGY_FLOOR``.
 
     Reference frames, goals, clip ends and resets are gathers of library
     rows by ``clip_index``, so a step reads no ``MotionClip``.  Each row's
@@ -461,8 +464,6 @@ class EnvBatch:
         spec: ph.CharacterSpec,
         phys: ph.PhysicsConfig,
         rngs: list[np.random.Generator],
-        e_div: float = E_DIV,
-        energy_floor: float = ENERGY_FLOOR,
         starts: list[tuple[int, int]] | None = None,
     ):
         if short := [f"{c.clip_id!r} has {c.n_frames}" for c in clips if c.n_frames < 2]:
@@ -472,7 +473,6 @@ class EnvBatch:
                              f"the character has {spec.n_joints}")
         self.library = mo.ClipLibrary.of(clips)
         self.spec, self.phys = spec, phys
-        self.e_div, self.energy_floor = e_div, energy_floor
         self.rngs = list(rngs)
         self.goal: np.ndarray | None = None  # next reference frames at self.t
         n = len(self.rngs)
@@ -498,9 +498,8 @@ class EnvBatch:
         """The rows of ``batches`` as one new batch, in list order."""
         first = batches[0]
         for b in batches[1:]:
-            if (b.library is not first.library or b.spec != first.spec or b.phys != first.phys
-                    or (b.e_div, b.energy_floor) != (first.e_div, first.energy_floor)):
-                raise ValueError("joined envs must share clips, character, physics and bounds")
+            if b.library is not first.library or b.spec != first.spec or b.phys != first.phys:
+                raise ValueError("joined envs must share clips, character and physics")
         return first._holding(
             ph.World.join([b.world for b in batches]),
             np.concatenate([b.t for b in batches]),
@@ -509,8 +508,8 @@ class EnvBatch:
         )
 
     def _holding(self, world, t, clip_index, rngs) -> "EnvBatch":
-        """An ``EnvBatch`` with this batch's clips, character, physics and
-        bounds that holds the given rows."""
+        """An ``EnvBatch`` with this batch's clips, character and physics
+        that holds the given rows."""
         out = object.__new__(EnvBatch)
         vars(out).update(vars(self), world=world, t=t, clip_index=clip_index, rngs=rngs, goal=None)
         return out
@@ -546,7 +545,7 @@ class EnvBatch:
             raise ValueError(f"expected ({len(w)}, {spec.n_joints}) targets, got {targets.shape}")
         self.world, report = ph.step_batch(w, spec, phys.dt, phys, pd_targets=targets)
         # the first substep's PD torques against the pre-step joint rates
-        energy = np.maximum(energy_penalty(report.torques, w.qd[:, 1:]), self.energy_floor)
+        energy = np.maximum(energy_penalty(report.torques, w.qd[:, 1:]), ENERGY_FLOOR)
         self.t = self.t + phys.dt
         # the World advances its time per substep, which drifts from t
         self.world.time[:] = self.t
@@ -555,7 +554,7 @@ class EnvBatch:
         sim = report.kin
         imit, e_p = imitation_rows(spec, sim, self.world.coords, ph.Kinematics(spec, *ref), ref)
         fell = ph.fallen(self.world.valid, sim, spec, phys)
-        diverged = ~self.world.valid | (e_p > self.e_div)
+        diverged = ~self.world.valid | (e_p > E_DIV)
         clip_end = self.t + phys.dt > lib.duration[ci] - 1.0 / lib.frame_rate[ci]
         done = fell | diverged | clip_end
         info = {
@@ -603,7 +602,11 @@ class TrackingEnv(EnvBatch):
         rng: np.random.Generator | None = None,
         energy_floor: float = ENERGY_FLOOR,
     ):
-        super().__init__(clips, spec, phys, [rng or np.random.default_rng(0)], e_div, energy_floor)
+        # perfbench passes both constants until ROADMAP item 2; any other value is refused
+        if (e_div, energy_floor) != (E_DIV, ENERGY_FLOOR):
+            raise ValueError(f"e_div={e_div}, energy_floor={energy_floor}: tracking uses "
+                             f"E_DIV={E_DIV} and ENERGY_FLOOR={ENERGY_FLOOR}")
+        super().__init__(clips, spec, phys, [rng or np.random.default_rng(0)])
 
     @property
     def rng(self) -> np.random.Generator:
@@ -811,7 +814,8 @@ def load_policy(path: str | Path, inputs: int, outputs: int) -> tuple[GaussianPo
 def resume_train_state(out: Path, envs: EnvBatch, seed: int) -> TrainState:
     """Read what ``save_train_state`` wrote under ``seed``; the ``envs.txt``
     rows go back into the batch, valid and with the World time at ``t``.
-    A snapshot of another env count, seed or clip library is refused."""
+    A snapshot of another env count, seed or clip library, or with an Adam
+    state of another size than its net, is refused."""
     spec = envs.spec
     policy, policy_params = load_policy(out / "pi_track.ckpt", TRACK_OBS.width(spec), spec.n_joints)
     _, value_spec, value_params, _ = nets.load_checkpoint(out / "critic.ckpt")
@@ -832,13 +836,19 @@ def resume_train_state(out: Path, envs: EnvBatch, seed: int) -> TrainState:
     envs.clip_index[:] = clip_index[:, 0]
     w.anchor_on[:] = anchor_on != 0.0
     w.valid[:] = True
+
+    def adam(name, params):
+        state = nets.adam_state_load(out / name)
+        nets.check_width(out / name, "count", state.m.size, params.size)
+        return state
+
     return TrainState(
         policy=policy,
         policy_params=policy_params,
-        policy_adam=nets.adam_state_load(out / "adam_policy.txt"),
+        policy_adam=adam("adam_policy.txt", policy_params),
         value_spec=value_spec,
         value_params=value_params,
-        value_adam=nets.adam_state_load(out / "adam_value.txt"),
+        value_adam=adam("adam_value.txt", value_params),
         update=head["update"],
     )
 
@@ -871,8 +881,7 @@ def train_tracking(
     phys = phys or ph.default_config(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    envs = EnvBatch(clips, spec, phys, seeding.rngs(seed, "env-init", cfg.envs),
-                    cfg.e_div, cfg.energy_floor)
+    envs = EnvBatch(clips, spec, phys, seeding.rngs(seed, "env-init", cfg.envs))
     ts = build_networks(TRACK_OBS.width(spec), spec.n_joints, cfg, seed)
     resumed = resume and (out / "envs.txt").exists()
     if resumed:
@@ -884,9 +893,6 @@ def train_tracking(
         if rates != (cfg.lr, cfg.lr):
             raise ValueError(
                 f"{out}: the saved (policy, critic) learning rates are {rates}, the config sets {cfg.lr}")
-        for name, adam, params in (("adam_policy.txt", saved.policy_adam, saved.policy_params),
-                                   ("adam_value.txt", saved.value_adam, saved.value_params)):
-            nets.check_width(out / name, "count", adam.m.size, params.size)
         if saved.update > cfg.updates:
             raise ValueError(
                 f"{out}: the snapshot is at update {saved.update}, the run asks for {cfg.updates}")
@@ -934,20 +940,19 @@ def track_clips(
     clips: list[mo.MotionClip],
     spec: ph.CharacterSpec,
     phys: ph.PhysicsConfig,
-    e_div: float = E_DIV,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roll every clip from its first frame under a row controller.
 
     Env k of one ``EnvBatch`` follows clip k, and all clips step in
     lock-step; ``controller(batch, obs)`` gives the (E, n_joints) PD
     targets.  A clip succeeds if it neither falls nor diverges (mean site
-    error above e_div) within its ``int((duration - 1/rate) * hz) - 1``
+    error above ``E_DIV``) within its ``int((duration - 1/rate) * hz) - 1``
     steps; its error averages the steps up to and including the first
     failure.  Returns (ok, err), both (N,).
     """
     # a reset row has stopped counting, so its generator only keeps the batch going
     batch = EnvBatch(
-        clips, spec, phys, [np.random.default_rng(k) for k in range(len(clips))], e_div,
+        clips, spec, phys, [np.random.default_rng(k) for k in range(len(clips))],
         starts=[(k, 0) for k in range(len(clips))],
     )
     steps = np.array([int((c.duration - 1.0 / c.frame_rate) * phys.hz) - 1 for c in clips])

@@ -17,7 +17,7 @@ from slmp import nets
 from slmp import physics as ph
 from slmp import tracking as tr
 from slmp.seeding import seed_for
-from slmp.config import ConfigError, RunConfig, load_config
+from slmp.config import ConfigError, RunConfig, echo_config, load_config
 
 SMOKE_CFG = """
 data.duration = 3.0
@@ -87,6 +87,20 @@ OUT_OF_RANGE = [
 ]
 
 
+# the keys of settings that the character or a tracking constant owns
+REMOVED_KEYS = ["physics.tau_max", "physics.contact_radius", "ppo.e_div", "ppo.energy_floor",
+                "slmp.e_div", "eval.e_div"]
+
+# non-negative values whose rule refuses NaN and infinity by key
+NAN_REFUSED = [
+    "slmp.lambda_distill", "slmp.lambda_dlsc", "slmp.lambda_disc", "slmp.plateau_tol",
+    "ppo.entropy_coef", "ppo.value_coef", "combat.entropy_coef", "combat.value_coef",
+    "combat.k_hit", "combat.f_cap", "combat.f_hit", "combat.hit_dist", "combat.knockdown_bonus",
+    "combat.episode_s", "combat.close_dist", "combat.close_s", "combat.farm_s", "combat.far_dist",
+    "combat.spawn_gap", "combat.spawn_noise",
+]
+
+
 class TestConfig:
     def test_defaults_without_file(self):
         cfg = load_config(None)
@@ -113,13 +127,6 @@ class TestConfig:
         assert default(ev.survival_eval, "resample_period") == ev.RESAMPLE_PERIOD
         assert cfg.eval.resample_period == ev.RESAMPLE_PERIOD
         assert default(ev.survival_eval, "fixed_z") is cfg.eval.fixed_z is ev.FIXED_Z
-        e_divs = [cfg.ppo.e_div, cfg.slmp.e_div, cfg.eval.e_div]
-        e_divs += [default(f, "e_div") for f in (
-            tr.EnvBatch, tr.TrackingEnv, tr.track_clips, ev.latent_tracking_eval)]
-        assert e_divs == [tr.E_DIV] * 7
-        floors = [cfg.ppo.energy_floor] + [
-            default(f, "energy_floor") for f in (tr.EnvBatch, tr.TrackingEnv)]
-        assert floors == [tr.ENERGY_FLOOR] * 3
         shared = ("gamma", "clip_eps", "gae_lambda", "epochs_per_update", "value_coef", "std_init",
                   "critic_hidden")
         assert [getattr(cfg.combat, k) for k in shared] == [getattr(cfg.ppo, k) for k in shared]
@@ -169,16 +176,24 @@ class TestConfig:
 
     def test_character_file_keeps_its_limits(self, tmp_path):
         """A character file's own torque limit and contact radius are built
-        as written; setting either key next to the file is refused by name."""
+        as written."""
         path = tmp_path / "char.json"
         ph.character_to_json(replace(ph.default_character(), tau_max=50.0, contact_radius=0.03), path)
         spec, _ = load_config(None, {"physics.character": str(path)}).physics.build()
         assert (spec.tau_max, spec.contact_radius) == (50.0, 0.03)
-        for key, value, default in (("tau_max", "80", 200.0), ("contact_radius", "0.04", 0.05)):
-            with pytest.raises(ConfigError, match=(
-                    f"^physics: {key} comes from the character file .*char.json; "
-                    f"leave it at {default}$")):
-                load_config(None, {"physics.character": str(path), f"physics.{key}": value})
+
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_key_is_unknown(self, tmp_path, key):
+        """Each of these settings has one source outside the run config: the
+        character for the body's limits, ``tracking.E_DIV`` and
+        ``tracking.ENERGY_FLOOR`` for the rest."""
+        assert f"{key} =" not in echo_config(RunConfig())
+        p = tmp_path / "c.cfg"
+        p.write_text(f"{key} = 1\n")
+        with pytest.raises(ConfigError, match=f"^{p}:1: unknown key '{key}'$"):
+            load_config(p)
+        with pytest.raises(ConfigError, match=f"^{key}: unknown key '{key}'$"):
+            load_config(None, {key: "1"})
 
     def test_seed_key(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -201,13 +216,20 @@ class TestConfig:
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.inf])
     @pytest.mark.parametrize("key", [
-        "physics.hz", "physics.contact_kn", "physics.contact_kt", "physics.tau_max",
-        "physics.contact_radius", "eval.resample_period",
+        "physics.hz", "physics.contact_kn", "physics.contact_kt", "eval.resample_period",
         "ppo.lr", "ppo.std_init", "ppo.std_final", "slmp.lr", "slmp.disc_lr", "slmp.beta",
         "combat.lr", "combat.std_init",
     ])
     def test_non_positive_value_named(self, tmp_path, key, value):
         refused(tmp_path, key, value, value, f"{key.split('.')[1]} must be positive, got {value}")
+
+    @pytest.mark.parametrize("key", NAN_REFUSED)
+    def test_nan_value_named(self, tmp_path, key):
+        """A non-negative weight, coefficient, distance or time refuses NaN,
+        which every ``<`` test lets through, and infinity by its key."""
+        name = key.split(".")[1]
+        refused(tmp_path, key, math.nan, "nan", f"{name} must be non-negative, got nan")
+        refused(tmp_path, key, math.inf, "inf", f"{name} must be non-negative, got inf")
 
     @pytest.mark.parametrize("key, value, text, error", OUT_OF_RANGE,
                              ids=[f"{key}={text}" for key, _, text, _ in OUT_OF_RANGE])

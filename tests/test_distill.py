@@ -522,16 +522,20 @@ class TestCollectFresh:
                                   seed=1)
         return expert.policy, expert.policy_params, n
 
+    @pytest.fixture(autouse=True)
+    def _tight_bound(self, monkeypatch):
+        # a tight divergence bound makes the untrained prior reset envs often:
+        # about one sample in three ends an episode
+        monkeypatch.setattr(tr, "E_DIV", 0.2)
+
     def _rngs(self, lo=0, hi=16):
         return [np.random.default_rng(40 + i) for i in range(lo, hi)]
 
     def _batch(self, lo=0, hi=16):
-        # a tight divergence bound makes the untrained prior reset envs often:
-        # about one sample in three ends an episode
-        return tr.EnvBatch(self.CLIPS, SPEC, CFG, self._rngs(lo, hi), 0.2)
+        return tr.EnvBatch(self.CLIPS, SPEC, CFG, self._rngs(lo, hi))
 
     def _envs(self):
-        return [tr.TrackingEnv(self.CLIPS, SPEC, CFG, 0.2, rng) for rng in self._rngs()]
+        return [tr.TrackingEnv(self.CLIPS, SPEC, CFG, tr.E_DIV, rng) for rng in self._rngs()]
 
     def _per_env(self, envs, steps, expert, expert_params, n):
         """Reference: one ``TrackingEnv.step`` and single-row forwards per sample."""

@@ -272,11 +272,10 @@ def test_one_header_rule():
 # the calls that read a network file or check its widths
 NETWORK_READS = ("load_checkpoint", "check_width", "latent_width")
 # the package functions that make them: one reader per kind of network
-# file, each in the module that writes it, and one named exception
+# file, each in the module that writes it
 NETWORK_READERS = {
     ("tracking.py", "load_policy"): "every policy: the expert, the fighters, the snapshot's",
-    ("tracking.py", "resume_train_state"): "the tracking snapshot's critic",
-    ("tracking.py", "train_tracking"): "the exception: a resumed Adam state's count against its net",
+    ("tracking.py", "resume_train_state"): "the tracking snapshot's critic and Adam states",
     ("distill.py", "latent_width"): "the prior's widths, which load_prior applies",
     ("distill.py", "load_prior"): "the prior",
     ("distill.py", "load_encoder"): "the encoder, against the prior's latent width",

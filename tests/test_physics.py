@@ -489,8 +489,9 @@ class TestCharacterIO:
 
     @pytest.mark.parametrize("name", ["tau_max", "contact_radius"])
     def test_non_positive_limit_refused(self, name):
-        with pytest.raises(ValueError, match=f"^{name} must be positive, got 0.0$"):
-            dataclasses.replace(SPEC, **{name: 0.0})
+        for value in (0.0, -1.0, math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be positive, got {value}$"):
+                dataclasses.replace(SPEC, **{name: value})
 
 
 @pytest.mark.parametrize("name, value, error", [

@@ -472,7 +472,7 @@ class TestEnv:
 
     def test_rows_and_join_round_trip(self):
         """Row slices joined back in order give the batch's state and
-        generators; envs of different bounds do not join."""
+        generators; envs of different clips do not join."""
         batch = _batch(_small_clips(), range(5))
         for _ in range(3):
             batch.step(batch.ref_base())
@@ -483,7 +483,19 @@ class TestEnv:
         parts[0].world.q[:] = 0.0  # the parts and the join hold copies of the rows
         assert reference.env_state(joined) == reference.env_state(batch)
         with pytest.raises(ValueError, match="share clips"):
-            tr.EnvBatch.join([batch, _batch(_small_clips(), [9], e_div=0.3)])
+            tr.EnvBatch.join([batch, _batch(_small_clips()[:1], [9])])
+
+    @pytest.mark.parametrize("kwargs", [{"e_div": 0.3}, {"energy_floor": math.nan}])
+    def test_tracking_env_takes_only_the_tracking_constants(self, kwargs):
+        """``TrackingEnv`` keeps its ``e_div`` and ``energy_floor`` only for
+        callers that pass ``PpoConfig``'s copies of the constants, which are
+        class attributes and not config fields."""
+        cfg = tr.PpoConfig()
+        assert (cfg.e_div, cfg.energy_floor) == (tr.E_DIV, tr.ENERGY_FLOOR)
+        assert {"e_div", "energy_floor"}.isdisjoint(f.name for f in fields(cfg))
+        tr.TrackingEnv(_small_clips(), SPEC, CFG, cfg.e_div, energy_floor=cfg.energy_floor)
+        with pytest.raises(ValueError, match=": tracking uses E_DIV=0.5 and ENERGY_FLOOR=-0.05$"):
+            tr.TrackingEnv(_small_clips(), SPEC, CFG, **kwargs)
 
 
 class TestTraining:
@@ -882,7 +894,7 @@ class TestTraining:
         env.world.qd[0, 1:] = 1e9
         _, _, done, info = env.step(env.ref_base()[0])
         assert done and info["diverged"] and info["fell"]
-        assert info["site_error"] < env.e_div  # frozen at its last finite state
+        assert info["site_error"] < tr.E_DIV  # frozen at its last finite state
 
     def test_step_builds_no_kinematics_of_the_stepped_world(self, monkeypatch):
         """The rewards and fall tests read the kinematics ``step_batch``
@@ -985,7 +997,7 @@ class TestTraining:
         want = tr.build_networks(OBS.width, SPEC.n_joints, cfg, seed=5)
         rngs = [np.random.default_rng(seed_for(5, f"update-0-env-{i}")) for i in range(2)]
         init = [np.random.default_rng(seed_for(5, f"env-init-{i}")) for i in range(2)]
-        envs = tr.EnvBatch(clips, SPEC, CFG, init, cfg.e_div, cfg.energy_floor)
+        envs = tr.EnvBatch(clips, SPEC, CFG, init)
         buf = tr.collect_rollouts(envs, want.policy, want.policy_params, want.value_spec,
                                   want.value_params, cfg.horizon, rngs)
         tr.ppo_round(want, buf, cfg, np.random.default_rng(seed_for(5, "update-0-shuffle")))
