@@ -1,5 +1,6 @@
 import filecmp
 import inspect
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -218,10 +219,22 @@ class TestConfig:
     @pytest.mark.parametrize("key", [
         "physics.hz", "physics.contact_kn", "physics.contact_kt", "eval.resample_period",
         "ppo.lr", "ppo.std_init", "ppo.std_final", "slmp.lr", "slmp.disc_lr", "slmp.beta",
-        "combat.lr", "combat.std_init",
+        "combat.lr", "combat.std_init", "physics.tau_max", "physics.contact_radius",
     ])
     def test_non_positive_value_named(self, tmp_path, key, value):
-        refused(tmp_path, key, value, value, f"{key.split('.')[1]} must be positive, got {value}")
+        """The body's torque limit and contact radius are no config keys:
+        the run reads them from its ``physics.character`` file, and building
+        the body refuses a bad one by its name."""
+        section, name = key.split(".")
+        if hasattr(getattr(RunConfig(), section), name):
+            refused(tmp_path, key, value, value, f"{name} must be positive, got {value}")
+            return
+        char = tmp_path / "char.json"
+        ph.character_to_json(ph.default_character(), char)
+        char.write_text(json.dumps(json.loads(char.read_text()) | {name: value}))
+        physics = load_config(None, {"physics.character": str(char)}).physics
+        with pytest.raises(ValueError, match=f"^{name} must be positive, got {value}$"):
+            physics.build()
 
     @pytest.mark.parametrize("key", NAN_REFUSED)
     def test_nan_value_named(self, tmp_path, key):
