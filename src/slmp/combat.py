@@ -34,58 +34,44 @@ from . import seeding
 from . import tracking as tr
 
 
-# the PPO settings combat shares with tracking default to tracking's
-_PPO = tr.PpoConfig()
-
-
 @dataclass
 class CombatConfig:
-    k_hit: float = 0.01  # reward per clamped newton of hit force
-    f_cap: float = 200.0
-    f_hit: float = 30.0  # minimum contact force for a scoring hit
-    hit_dist: float = 0.3  # limb-to-region distance gate
-    knockdown_bonus: float = 50.0
-    swap_period: int = 250  # epochs between role swaps
-    early_epochs: int = 500  # separation rule active while epoch < this
-    episode_s: float = 15.0
-    close_dist: float = 0.3  # root-to-root clinch distance
-    close_s: float = 1.0
-    farm_s: float = 1.0  # limb parked on a scoring region
-    far_dist: float = 1.2
-    k_hl: int = 2  # low-level steps per high-level decision
-    spawn_gap: float = 1.0
-    spawn_noise: float = 0.02
-    epochs: int = 500
-    envs: int = 8
-    horizon: int = 64  # decisions per env per epoch
-    lr: float = 5e-5
-    gamma: float = _PPO.gamma
-    clip_eps: float = _PPO.clip_eps
-    gae_lambda: float = _PPO.gae_lambda
-    batch_size: int = 1024
-    epochs_per_update: int = _PPO.epochs_per_update
-    entropy_coef: float = 0.005
-    value_coef: float = _PPO.value_coef
-    std_init: float = _PPO.std_init
-    pi_h_hidden: tuple[int, ...] = (128, 128, 64)
-    critic_hidden: tuple[int, ...] = _PPO.critic_hidden
+    k_hit: float = ph.NON_NEGATIVE(0.01)  # reward per clamped newton of hit force
+    f_cap: float = ph.NON_NEGATIVE(200.0)
+    f_hit: float = ph.NON_NEGATIVE(30.0)  # minimum contact force for a scoring hit
+    hit_dist: float = ph.NON_NEGATIVE(0.3)  # limb-to-region distance gate
+    knockdown_bonus: float = ph.NON_NEGATIVE(50.0)
+    swap_period: int = ph.POSITIVE_COUNT(250)  # epochs between role swaps
+    early_epochs: int = ph.COUNT(500)  # separation rule active while epoch < this
+    episode_s: float = ph.NON_NEGATIVE(15.0)
+    close_dist: float = ph.NON_NEGATIVE(0.3)  # root-to-root clinch distance
+    close_s: float = ph.NON_NEGATIVE(1.0)
+    farm_s: float = ph.NON_NEGATIVE(1.0)  # limb parked on a scoring region
+    far_dist: float = ph.NON_NEGATIVE(1.2)
+    k_hl: int = ph.POSITIVE_COUNT(2)  # low-level steps per high-level decision
+    spawn_gap: float = ph.NON_NEGATIVE(1.0)
+    spawn_noise: float = ph.NON_NEGATIVE(0.02)
+    epochs: int = ph.POSITIVE_COUNT(500)
+    envs: int = ph.shared(tr.PpoConfig, "envs", 8)
+    horizon: int = ph.shared(tr.PpoConfig, "horizon", 64)  # decisions per env per epoch
+    lr: float = ph.shared(tr.PpoConfig, "lr", 5e-5)
+    gamma: float = ph.shared(tr.PpoConfig, "gamma")
+    clip_eps: float = ph.shared(tr.PpoConfig, "clip_eps")
+    gae_lambda: float = ph.shared(tr.PpoConfig, "gae_lambda")
+    batch_size: int = ph.shared(tr.PpoConfig, "batch_size", 1024)
+    epochs_per_update: int = ph.shared(tr.PpoConfig, "epochs_per_update")
+    entropy_coef: float = ph.shared(tr.PpoConfig, "entropy_coef", 0.005)
+    value_coef: float = ph.shared(tr.PpoConfig, "value_coef")
+    std_init: float = ph.shared(tr.PpoConfig, "std_init")
+    pi_h_hidden: tuple[int, ...] = ph.WIDTHS((128, 128, 64))
+    critic_hidden: tuple[int, ...] = ph.shared(tr.PpoConfig, "critic_hidden")
 
     def __post_init__(self):
-        ph.require_positive(self, ("k_hl", "swap_period"))
-        ph.require_non_negative(self, ("k_hit", "f_cap", "f_hit", "hit_dist", "knockdown_bonus",
-                                       "episode_s", "close_dist", "close_s", "farm_s", "far_dist",
-                                       "spawn_gap", "spawn_noise"))
-        self.ppo()  # PpoConfig's rules check the PPO settings
+        ph.check_rules(self)
 
     def ppo(self) -> tr.PpoConfig:
-        return tr.PpoConfig(
-            lr=self.lr, gamma=self.gamma, clip_eps=self.clip_eps,
-            gae_lambda=self.gae_lambda, envs=self.envs, horizon=self.horizon,
-            batch_size=self.batch_size, epochs_per_update=self.epochs_per_update,
-            entropy_coef=self.entropy_coef, value_coef=self.value_coef,
-            std_init=self.std_init, learn_std=True, pi_hidden=tuple(self.pi_h_hidden),
-            critic_hidden=tuple(self.critic_hidden),
-        )
+        shared = {f.name: getattr(self, f.name) for f in fields(tr.PpoConfig) if hasattr(self, f.name)}
+        return tr.PpoConfig(**shared, learn_std=True, pi_hidden=tuple(self.pi_h_hidden))
 
 
 LIMB_SITES = ("hand_l", "hand_r", "foot_l", "foot_r")

@@ -1,6 +1,18 @@
 """Line-oriented run configuration: ``section.key = value`` with typed
 fields, compiled-in defaults, and unknown-key rejection; command-line
-options set the same keys through the same setter."""
+options set the same keys through the same setter.
+
+Value rules: each field declares its rule with its default, as
+``physics.POSITIVE(0.1)`` or ``physics.shared`` with another config;
+every section's ``__post_init__`` runs ``physics.check_rules``, and
+``load_config`` re-runs them and names the section.  ``seed`` is any
+integer (``seed_for`` hashes its text); ``*.updates`` and ``combat.epochs``
+are positive counts; ``ppo.std_anneal_updates``, ``combat.early_epochs``
+and the clip-family counts may be 0; a hidden tuple may be empty (a
+linear net); a bool or ``physics.character`` is refused by its coercion
+or the body's build.  Only cross-field rules stay as code: the clip
+duration and rate (``motion.clip_frames``), at least one clip,
+``fresh_per_update % envs`` and ``eval.clusters <= eval.samples``."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
@@ -18,32 +30,23 @@ class ConfigError(ValueError):
     pass
 
 
-_PHYS = ph.PhysicsConfig()
-
-
 @dataclass
 class PhysicsSection:
-    """Physics overrides; the defaults and the value rules are those of
-    ``physics.PhysicsConfig``.  The body, its torque limit and contact
-    radius included, is the character's alone: the built-in one, or the
-    ``character`` file's."""
+    """Physics overrides; the body, its torque limit and contact radius
+    included, is the built-in character's or the ``character`` file's."""
 
-    gravity: float = _PHYS.gravity
-    hz: float = _PHYS.hz
-    substeps: int = _PHYS.substeps
-    contact_kn: float = _PHYS.contact_kn
-    contact_dn: float = _PHYS.contact_dn
-    contact_kt: float = _PHYS.contact_kt
-    friction_mu: float = _PHYS.friction_mu
-    fall_frac: float = _PHYS.fall_frac
-    character: str = ""  # optional JSON character file; empty = built-in
+    gravity: float = ph.shared(ph.PhysicsConfig, "gravity")
+    hz: float = ph.shared(ph.PhysicsConfig, "hz")
+    substeps: int = ph.shared(ph.PhysicsConfig, "substeps")
+    contact_kn: float = ph.shared(ph.PhysicsConfig, "contact_kn")
+    contact_dn: float = ph.shared(ph.PhysicsConfig, "contact_dn")
+    contact_kt: float = ph.shared(ph.PhysicsConfig, "contact_kt")
+    friction_mu: float = ph.shared(ph.PhysicsConfig, "friction_mu")
+    fall_frac: float = ph.shared(ph.PhysicsConfig, "fall_frac")
+    character: str = ph.TEXT("")  # optional JSON character file; empty = built-in
 
     def __post_init__(self):
-        # built only to run physics' own value rules on these values
-        ph.PhysicsConfig(**self._overrides())
-
-    def _overrides(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if hasattr(_PHYS, f.name)}
+        ph.check_rules(self)
 
     def build(self) -> tuple[ph.CharacterSpec, ph.PhysicsConfig]:
         """The run's character and physics; a character that lacks a part of
@@ -53,23 +56,26 @@ class PhysicsSection:
             index = {"link": spec.link_index, "site": spec.site_index}[kind]
             if name not in index:
                 index.__missing__(name)  # the refusal of a lookup, which names the part
-        return spec, ph.default_config(spec, **self._overrides())
+        overrides = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "character"}
+        return spec, ph.default_config(spec, **overrides)
 
 
 @dataclass
 class DataSection:
-    hz: float = mo.CLIP_HZ
-    duration: float = mo.CLIP_SECONDS
-    idle: int = mo.DEFAULT_COUNTS["idle"]
-    footwork: int = mo.DEFAULT_COUNTS["footwork"]
-    jab: int = mo.DEFAULT_COUNTS["jab"]
-    hook: int = mo.DEFAULT_COUNTS["hook"]
-    kick: int = mo.DEFAULT_COUNTS["kick"]
-    combo: int = mo.DEFAULT_COUNTS["combo"]
+    hz: float = ph.POSITIVE(mo.CLIP_HZ)
+    duration: float = ph.POSITIVE(mo.CLIP_SECONDS)
+    idle: int = ph.COUNT(mo.DEFAULT_COUNTS["idle"])
+    footwork: int = ph.COUNT(mo.DEFAULT_COUNTS["footwork"])
+    jab: int = ph.COUNT(mo.DEFAULT_COUNTS["jab"])
+    hook: int = ph.COUNT(mo.DEFAULT_COUNTS["hook"])
+    kick: int = ph.COUNT(mo.DEFAULT_COUNTS["kick"])
+    combo: int = ph.COUNT(mo.DEFAULT_COUNTS["combo"])
 
     def __post_init__(self):
-        mo.clip_frames(self.duration, self.hz)  # generate_library's frame-count check
-        ph.require_non_negative(self, mo.FAMILIES)
+        mo.clip_frames(self.duration, self.hz)  # first: it refines hz's and duration's rules
+        ph.check_rules(self)
+        if not sum(self.counts().values()):
+            raise ValueError("the clip-family counts sum to 0: a clip library needs at least one clip")
 
     def counts(self) -> dict[str, int]:
         return {f: getattr(self, f) for f in mo.FAMILIES}
@@ -77,20 +83,17 @@ class DataSection:
 
 @dataclass
 class EvalSection:
-    trials: int = 200
-    horizons: tuple[float, ...] = (5.0, 10.0, 20.0, 30.0)
-    resample_period: float = ev.RESAMPLE_PERIOD
-    fixed_z: bool = ev.FIXED_Z
-    samples: int = 512
-    clusters: int = 6
+    trials: int = ph.POSITIVE_COUNT(200)
+    horizons: tuple[float, ...] = ph.INCREASING((5.0, 10.0, 20.0, 30.0))
+    resample_period: float = ph.POSITIVE(ev.RESAMPLE_PERIOD)
+    fixed_z: bool = ph.FLAG(ev.FIXED_Z)
+    samples: int = ph.POSITIVE_COUNT(512)
+    clusters: int = ph.POSITIVE_COUNT(6)
 
     def __post_init__(self):
-        ph.require_positive(self, ("trials", "samples", "clusters", "resample_period"))
-        hs = self.horizons
-        if not hs or hs[0] <= 0 or any(a >= b for a, b in zip(hs, hs[1:])):
-            raise ValueError(
-                f"horizons must be positive and strictly increasing, got {_fmt(hs) or 'none'}"
-            )
+        ph.check_rules(self)
+        if self.clusters > self.samples:  # sphere_clusters' bound
+            raise ValueError(f"clusters {self.clusters} exceeds samples {self.samples}")
 
 
 @dataclass
@@ -101,7 +104,10 @@ class RunConfig:
     slmp: di.SlmpConfig = field(default_factory=di.SlmpConfig)
     combat: cb.CombatConfig = field(default_factory=cb.CombatConfig)
     eval: EvalSection = field(default_factory=EvalSection)
-    seed: int = 0
+    seed: int = ph.INTEGER(0)
+
+    def __post_init__(self):
+        ph.check_rules(self)
 
 
 _SECTIONS = tuple(f.name for f in fields(RunConfig) if f.name != "seed")
@@ -170,7 +176,7 @@ def load_config(path: str | Path | None, options: dict[str, str] | None = None) 
 
 
 def _validate(cfg: RunConfig) -> None:
-    # re-run dataclass invariants after field mutation
+    # re-run each section's rules after field mutation; the seed's coercion is its rule
     for section in _SECTIONS:
         try:
             getattr(cfg, section).__post_init__()

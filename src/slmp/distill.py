@@ -27,6 +27,7 @@ from . import tracking as tr
 from .seeding import seed_for
 
 ABLATION_MODES = ("distill", "gan", "nsc", "slmp")
+MODE = ph.rule(lambda v: v in ABLATION_MODES, f"must be one of {ABLATION_MODES}")
 
 
 class DegenerateEncodingError(ValueError):
@@ -35,33 +36,27 @@ class DegenerateEncodingError(ValueError):
 
 @dataclass
 class SlmpConfig:
-    lambda_distill: float = 1.0
-    lambda_dlsc: float = 1.0
-    lambda_disc: float = 1e-4
-    beta: float = 0.1
-    lr: float = 5e-5
-    disc_lr: float = 5e-5
-    latent_dim: int = 8
-    window: int = 200  # plateau window (updates) for the w_c switch
-    plateau_tol: float = 0.01
-    updates: int = 6000
-    batch: int = 1024
-    fresh_per_update: int = 256
-    capacity: int = 16384
-    envs: int = 16
-    mode: str = "slmp"
-    encoder_hidden: tuple[int, ...] = (128, 64)
-    pi_phi_hidden: tuple[int, ...] = (256, 256, 128)
-    disc_hidden: tuple[int, ...] = (256, 128)
+    lambda_distill: float = ph.NON_NEGATIVE(1.0)
+    lambda_dlsc: float = ph.NON_NEGATIVE(1.0)
+    lambda_disc: float = ph.NON_NEGATIVE(1e-4)
+    beta: float = ph.POSITIVE(0.1)
+    lr: float = ph.POSITIVE(5e-5)
+    disc_lr: float = ph.POSITIVE(5e-5)
+    latent_dim: int = ph.rule(lambda v: v >= 2, "must be at least 2")(8)  # sample_sphere's bound
+    window: int = ph.POSITIVE_COUNT(200)  # plateau window (updates) for the w_c switch
+    plateau_tol: float = ph.NON_NEGATIVE(0.01)
+    updates: int = ph.POSITIVE_COUNT(6000)
+    batch: int = ph.POSITIVE_COUNT(1024)
+    fresh_per_update: int = ph.POSITIVE_COUNT(256)
+    capacity: int = ph.POSITIVE_COUNT(16384)
+    envs: int = ph.POSITIVE_COUNT(16)
+    mode: str = MODE("slmp")
+    encoder_hidden: tuple[int, ...] = ph.WIDTHS((128, 64))
+    pi_phi_hidden: tuple[int, ...] = ph.WIDTHS((256, 256, 128))
+    disc_hidden: tuple[int, ...] = ph.WIDTHS((256, 128))
 
     def __post_init__(self):
-        ph.require_non_negative(self, ("lambda_distill", "lambda_dlsc", "lambda_disc", "plateau_tol"))
-        if self.mode not in ABLATION_MODES:
-            raise ValueError(f"mode must be one of {ABLATION_MODES}")
-        if self.latent_dim < 2:  # sample_sphere's bound
-            raise ValueError(f"latent_dim must be at least 2, got {self.latent_dim}")
-        ph.require_positive(self, ("beta", "lr", "disc_lr", "envs", "batch", "fresh_per_update",
-                                   "capacity", "window"))
+        ph.check_rules(self)
         if self.fresh_per_update % self.envs:
             raise ValueError(
                 f"fresh_per_update {self.fresh_per_update} is not a multiple of envs {self.envs}"

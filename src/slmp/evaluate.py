@@ -34,16 +34,12 @@ CLOUD = ("SLMP-CLOUD/2", {"latent": int, "action": int, "points": int})
 
 @dataclass
 class SurvivalCurve:
-    horizons: tuple[float, ...]
+    horizons: tuple[float, ...] = ph.INCREASING()
     fractions: tuple[float, ...]
-    n_trials: int
+    n_trials: int = ph.POSITIVE_COUNT()
 
     def __post_init__(self):
-        if self.n_trials <= 0:
-            raise ValueError("n_trials must be positive")
-        hs = self.horizons
-        if any(hs[i] >= hs[i + 1] for i in range(len(hs) - 1)):
-            raise ValueError("horizons must be strictly increasing")
+        ph.check_rules(self)
         fr = self.fractions
         if any(fr[i] < fr[i + 1] - 1e-12 for i in range(len(fr) - 1)):
             raise ValueError("survival fractions must be non-increasing")

@@ -70,10 +70,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import cache, cached_property
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -102,20 +103,45 @@ def unit(phi):
     return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
 
 
-def require_positive(cfg, names: tuple[str, ...]) -> None:
-    """Refuse a config whose fields ``names`` are not finite and positive."""
-    for name in names:
-        v = getattr(cfg, name)
-        if not (math.isfinite(v) and v > 0):
-            raise ValueError(f"{name} must be positive, got {v}")
+def rule(holds: Callable[..., bool], says: str):
+    """A value rule: ``rule(holds, says)(default)`` is a dataclass field,
+    with ``default`` if given, that declares it; ``check_rules`` refuses a
+    value it does not hold for as ``<field> <says>, got <value>``."""
+    return lambda default=MISSING: field(default=default, metadata={"holds": holds, "says": says})
 
 
-def require_non_negative(cfg, names: tuple[str, ...]) -> None:
-    """Refuse a config whose fields ``names`` are not finite and non-negative."""
-    for name in names:
-        v = getattr(cfg, name)
-        if not (math.isfinite(v) and v >= 0):
-            raise ValueError(f"{name} must be non-negative, got {v}")
+def _int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+POSITIVE = rule(lambda v: math.isfinite(v) and v > 0, "must be positive")
+NON_NEGATIVE = rule(lambda v: math.isfinite(v) and v >= 0, "must be non-negative")
+COUNT = rule(lambda v: _int(v) and v >= 0, "must be non-negative")
+POSITIVE_COUNT = rule(lambda v: _int(v) and v > 0, "must be positive")
+OPEN_UNIT = rule(lambda v: 0.0 < v < 1.0, "must be in (0, 1)")
+CLOSED_UNIT = rule(lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
+WIDTHS = rule(lambda v: all(_int(w) and w >= 1 for w in v), "must be widths of at least 1")
+INCREASING = rule(lambda v: len(v) > 0 and all(map(math.isfinite, v)) and v[0] > 0
+                  and all(a < b for a, b in zip(v, v[1:])), "must be positive and strictly increasing")
+INTEGER = rule(_int, "must be an integer")
+FLAG = rule(lambda v: isinstance(v, bool), "must be true or false")
+TEXT = rule(lambda v: isinstance(v, str), "must be text")
+
+
+def shared(cls, name: str, default=None):
+    """A field with the config class ``cls``'s rule for its field ``name``,
+    and its default unless ``default`` is given."""
+    f = next(f for f in fields(cls) if f.name == name)
+    return field(default=f.default if default is None else default, metadata=f.metadata)
+
+
+def check_rules(cfg) -> None:
+    """Refuse ``cfg`` at its first field whose value breaks its declared rule."""
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        if "holds" in f.metadata and not f.metadata["holds"](v):
+            got = (",".join(map(str, v)) or "none") if isinstance(v, tuple) else v
+            raise ValueError(f"{f.name} {f.metadata['says']}, got {got}")
 
 
 class Layout:
@@ -202,8 +228,8 @@ class CharacterSpec:
     sites: tuple[Site, ...]
     kp: tuple[float, ...]
     kd: tuple[float, ...]
-    contact_radius: float = 0.05
-    tau_max: float = 200.0
+    contact_radius: float = POSITIVE(0.05)
+    tau_max: float = POSITIVE(200.0)
     # interior points on the trunk used for scoring regions and fall checks
     torso_center_dist: float = 0.25
     head_center_dist: float = 0.61
@@ -220,7 +246,7 @@ class CharacterSpec:
             raise ValueError("link names and site names must each be unique")
         if len(self.kp) != self.n_joints or len(self.kd) != self.n_joints:
             raise ValueError("pd gain vectors must match the joint count")
-        require_positive(self, ("tau_max", "contact_radius"))
+        check_rules(self)
 
     @property
     def n_links(self) -> int:
@@ -443,23 +469,20 @@ class SimState:
 
 @dataclass(frozen=True)
 class PhysicsConfig:
-    gravity: float = 9.81
-    hz: float = 60.0
+    gravity: float = NON_NEGATIVE(9.81)
+    hz: float = POSITIVE(60.0)
     # penalty contact is stiff relative to the light limbs, so each control
     # step is integrated in `substeps` sub-intervals with torques held
-    substeps: int = 4
-    contact_kn: float = 1e4
-    contact_dn: float = 100.0
-    contact_kt: float = 2e3  # tangential anchor stiffness (ground stiction)
-    friction_mu: float = 0.8
-    fall_height: float = 0.41
-    fall_frac: float = 0.4
+    substeps: int = POSITIVE_COUNT(4)
+    contact_kn: float = POSITIVE(1e4)
+    contact_dn: float = NON_NEGATIVE(100.0)
+    contact_kt: float = POSITIVE(2e3)  # tangential anchor stiffness (ground stiction)
+    friction_mu: float = NON_NEGATIVE(0.8)
+    fall_height: float = 0.41  # derived from fall_frac and the stance by default_config
+    fall_frac: float = OPEN_UNIT(0.4)
 
     def __post_init__(self):
-        require_positive(self, ("hz", "substeps", "contact_kn", "contact_kt"))
-        require_non_negative(self, ("gravity", "contact_dn", "friction_mu"))
-        if not 0.0 < self.fall_frac < 1.0:
-            raise ValueError(f"fall_frac must be in (0, 1), got {self.fall_frac}")
+        check_rules(self)
 
     @property
     def dt(self) -> float:

@@ -45,39 +45,33 @@ ENERGY_FLOOR = -0.05
 class PpoConfig:
     # lr 5e-5 suits 32k-sample batches; at this batch scale it cannot
     # traverse parameter space within a 2000-update budget
-    lr: float = 3e-4
-    gamma: float = 0.99
-    clip_eps: float = 0.2
-    gae_lambda: float = 0.95
-    envs: int = 32
-    horizon: int = 64
-    batch_size: int = 4096
-    epochs_per_update: int = 4
-    entropy_coef: float = 0.0005
-    value_coef: float = 1.0
-    std_init: float = 0.3
+    lr: float = ph.POSITIVE(3e-4)
+    gamma: float = ph.OPEN_UNIT(0.99)
+    clip_eps: float = ph.POSITIVE(0.2)
+    gae_lambda: float = ph.CLOSED_UNIT(0.95)
+    envs: int = ph.POSITIVE_COUNT(32)
+    horizon: int = ph.POSITIVE_COUNT(64)
+    batch_size: int = ph.POSITIVE_COUNT(4096)
+    epochs_per_update: int = ph.POSITIVE_COUNT(4)
+    entropy_coef: float = ph.NON_NEGATIVE(0.0005)
+    value_coef: float = ph.NON_NEGATIVE(1.0)
+    std_init: float = ph.POSITIVE(0.3)
     # exploration noise: without learn_std the action std anneals from std_init
     # to std_final over std_anneal_updates (sigma_at); with it the optimiser owns
     # the log-std, which fails to anneal at desk scale (see the training notes)
-    std_final: float = 0.05
-    std_anneal_updates: int = 600
-    learn_std: bool = False
-    updates: int = 2000
-    pi_hidden: tuple[int, ...] = (256, 256, 128)
-    critic_hidden: tuple[int, ...] = (128, 128)
+    std_final: float = ph.POSITIVE(0.05)
+    std_anneal_updates: int = ph.COUNT(600)  # 0 anneals at once, as 1 does
+    learn_std: bool = ph.FLAG(False)
+    updates: int = ph.POSITIVE_COUNT(2000)
+    pi_hidden: tuple[int, ...] = ph.WIDTHS((256, 256, 128))
+    critic_hidden: tuple[int, ...] = ph.WIDTHS((128, 128))
     # perfbench reads these two constants here until ROADMAP item 2; class
     # attributes, not fields, so they are not config keys
     e_div = E_DIV
     energy_floor = ENERGY_FLOOR
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
-        if not 0.0 <= self.gae_lambda <= 1.0:
-            raise ValueError(f"gae_lambda must be in [0, 1], got {self.gae_lambda}")
-        ph.require_positive(self, ("lr", "clip_eps", "std_init", "std_final", "envs", "horizon",
-                                   "batch_size", "epochs_per_update"))
-        ph.require_non_negative(self, ("entropy_coef", "value_coef"))
+        ph.check_rules(self)
 
     def sigma_at(self, update: int) -> float:
         frac = min(1.0, update / max(1, self.std_anneal_updates))

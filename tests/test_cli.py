@@ -2,7 +2,8 @@ import filecmp
 import inspect
 import json
 import math
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from slmp import nets
 from slmp import physics as ph
 from slmp import tracking as tr
 from slmp.seeding import seed_for
-from slmp.config import ConfigError, RunConfig, echo_config, load_config
+from slmp.config import ConfigError, EvalSection, RunConfig, echo_config, load_config
 
 SMOKE_CFG = """
 data.duration = 3.0
@@ -57,49 +58,115 @@ def smoke_cfg(tmp_path):
 TWO_FRAMES = "need a finite positive rate that gives at least 2 frames"
 
 
-# (key, value, its config text, the section's error) of values out of range
-OUT_OF_RANGE = [
-    ("physics.gravity", -1.0, "-1", "gravity must be non-negative, got -1.0"),
-    ("physics.contact_dn", -1.0, "-1", "contact_dn must be non-negative, got -1.0"),
-    ("physics.friction_mu", -1.0, "-1", "friction_mu must be non-negative, got -1.0"),
-    ("physics.gravity", math.inf, "inf", "gravity must be non-negative, got inf"),
-    ("physics.contact_dn", math.inf, "inf", "contact_dn must be non-negative, got inf"),
-    ("physics.friction_mu", math.inf, "inf", "friction_mu must be non-negative, got inf"),
-    ("physics.fall_frac", 0.0, "0", r"fall_frac must be in \(0, 1\), got 0.0"),
-    ("physics.fall_frac", 1.0, "1", r"fall_frac must be in \(0, 1\), got 1.0"),
-    ("data.idle", -3, "-3", "idle must be non-negative, got -3"),
-    ("data.combo", -1, "-1", "combo must be non-negative, got -1"),
-    ("data.hz", 0.0, "0", f"frame rate 0.0 Hz over 10.0 s: {TWO_FRAMES}"),
-    ("data.hz", -60.0, "-60", f"frame rate -60.0 Hz over 10.0 s: {TWO_FRAMES}"),
-    ("data.duration", 1.0, "1", r"duration must be in \[2 s, 20 s\]"),
-    ("data.duration", 21.0, "21", r"duration must be in \[2 s, 20 s\]"),
-    ("eval.horizons", (), "", "horizons must be positive and strictly increasing, got none"),
-    ("eval.horizons", (0.0, 5.0), "0,5",
-     "horizons must be positive and strictly increasing, got 0.0,5.0"),
-    ("eval.horizons", (5.0, 5.0), "5,5",
-     "horizons must be positive and strictly increasing, got 5.0,5.0"),
-    ("eval.horizons", (10.0, 5.0), "10,5",
-     "horizons must be positive and strictly increasing, got 10.0,5.0"),
-    ("ppo.gae_lambda", -0.1, "-0.1", r"gae_lambda must be in \[0, 1\], got -0.1"),
-    ("ppo.gae_lambda", 1.5, "1.5", r"gae_lambda must be in \[0, 1\], got 1.5"),
-    ("combat.gamma", 1.5, "1.5", r"gamma must be in \(0, 1\), got 1.5"),
-    ("combat.clip_eps", 0.0, "0", "clip_eps must be positive, got 0.0"),
-    ("slmp.latent_dim", 1, "1", "latent_dim must be at least 2, got 1"),
-]
+# each run setting's rule kind, keyed as echo_config prints it
+KEY_RULES = {
+    "physics.gravity": "non-negative", "physics.hz": "positive",
+    "physics.substeps": "positive count", "physics.contact_kn": "positive",
+    "physics.contact_dn": "non-negative", "physics.contact_kt": "positive",
+    "physics.friction_mu": "non-negative", "physics.fall_frac": "open unit",
+    "physics.character": "build",
+    "data.hz": "clip rate", "data.duration": "clip duration",
+    **{f"data.{family}": "count" for family in mo.FAMILIES},
+    "ppo.lr": "positive", "ppo.gamma": "open unit", "ppo.clip_eps": "positive",
+    "ppo.gae_lambda": "closed unit", "ppo.envs": "positive count", "ppo.horizon": "positive count",
+    "ppo.batch_size": "positive count", "ppo.epochs_per_update": "positive count",
+    "ppo.entropy_coef": "non-negative", "ppo.value_coef": "non-negative",
+    "ppo.std_init": "positive", "ppo.std_final": "positive", "ppo.std_anneal_updates": "count",
+    "ppo.learn_std": "flag", "ppo.updates": "positive count", "ppo.pi_hidden": "widths",
+    "ppo.critic_hidden": "widths",
+    "slmp.lambda_distill": "non-negative", "slmp.lambda_dlsc": "non-negative",
+    "slmp.lambda_disc": "non-negative", "slmp.beta": "positive", "slmp.lr": "positive",
+    "slmp.disc_lr": "positive", "slmp.latent_dim": "at least 2", "slmp.window": "positive count",
+    "slmp.plateau_tol": "non-negative", "slmp.updates": "positive count",
+    "slmp.batch": "positive count", "slmp.fresh_per_update": "positive count",
+    "slmp.capacity": "positive count", "slmp.envs": "positive count", "slmp.mode": "choice",
+    "slmp.encoder_hidden": "widths", "slmp.pi_phi_hidden": "widths", "slmp.disc_hidden": "widths",
+    "combat.k_hit": "non-negative", "combat.f_cap": "non-negative", "combat.f_hit": "non-negative",
+    "combat.hit_dist": "non-negative", "combat.knockdown_bonus": "non-negative",
+    "combat.swap_period": "positive count", "combat.early_epochs": "count",
+    "combat.episode_s": "non-negative", "combat.close_dist": "non-negative",
+    "combat.close_s": "non-negative", "combat.farm_s": "non-negative",
+    "combat.far_dist": "non-negative", "combat.k_hl": "positive count",
+    "combat.spawn_gap": "non-negative", "combat.spawn_noise": "non-negative",
+    "combat.epochs": "positive count", "combat.envs": "positive count",
+    "combat.horizon": "positive count", "combat.lr": "positive", "combat.gamma": "open unit",
+    "combat.clip_eps": "positive", "combat.gae_lambda": "closed unit",
+    "combat.batch_size": "positive count", "combat.epochs_per_update": "positive count",
+    "combat.entropy_coef": "non-negative", "combat.value_coef": "non-negative",
+    "combat.std_init": "positive", "combat.pi_h_hidden": "widths", "combat.critic_hidden": "widths",
+    "eval.trials": "positive count", "eval.horizons": "increasing",
+    "eval.resample_period": "positive", "eval.fixed_z": "flag", "eval.samples": "positive count",
+    "eval.clusters": "positive count",
+    "seed": "integer",
+}
+
+# the body's torque limit and contact radius: no config keys, but values of
+# the physics.character file, refused by name when the body is built
+CHARACTER_RULES = {"physics.tau_max": "positive", "physics.contact_radius": "positive"}
+
+# (value, its config text) of each value a kind refuses; a flag, an integer
+# and a text are refused by their coercion (test_type_mismatch), and a
+# character file by its build
+BAD_VALUES = {
+    "positive": [(0.0, "0.0"), (-1.0, "-1.0"), (math.inf, "inf"), (math.nan, "nan")],
+    "non-negative": [(-1.0, "-1"), (math.inf, "inf"), (math.nan, "nan")],
+    "positive count": [(0, "0"), (-1, "-1")],
+    "count": [(-1, "-1")],
+    "at least 2": [(1, "1"), (0, "0")],
+    "open unit": [(0.0, "0"), (1.0, "1"), (-0.1, "-0.1"), (1.5, "1.5"), (math.nan, "nan")],
+    "closed unit": [(-0.1, "-0.1"), (1.5, "1.5"), (math.nan, "nan")],
+    "widths": [((0,), "0"), ((8, -3), "8,-3")],
+    "increasing": [((), ""), ((0.0, 5.0), "0,5"), ((5.0, 5.0), "5,5"), ((10.0, 5.0), "10,5"),
+                   ((1.0, math.nan), "1,nan"), ((1.0, math.inf), "1,inf")],
+    "choice": [("fly", "fly")],
+    "clip rate": [(0.0, "0"), (-60.0, "-60"), (math.inf, "inf"), (math.nan, "nan")],
+    "clip duration": [(1.0, "1"), (21.0, "21"), (math.nan, "nan")],
+    "flag": [], "integer": [], "build": [],
+}
+
+SAYS = {
+    "positive": "must be positive", "positive count": "must be positive",
+    "non-negative": "must be non-negative", "count": "must be non-negative",
+    "at least 2": "must be at least 2", "open unit": "must be in (0, 1)",
+    "closed unit": "must be in [0, 1]", "widths": "must be widths of at least 1",
+    "increasing": "must be positive and strictly increasing",
+    "choice": f"must be one of {di.ABLATION_MODES}",
+}
+
+
+def rule_error(kind, name, value):
+    """The message a value that breaks a rule of ``kind`` is refused with."""
+    if kind == "clip rate":  # generate_library's frame-count check, at the default duration
+        return f"frame rate {value} Hz over {mo.CLIP_SECONDS} s: {TWO_FRAMES}"
+    if kind == "clip duration":
+        return "duration must be in [2 s, 20 s]"
+    got = (",".join(map(str, value)) or "none") if isinstance(value, tuple) else value
+    return f"{name} {SAYS[kind]}, got {got}"
+
+
+# values beyond their kind's own: a count further below 0, and a float spelled as an integer
+EXTRA_VALUES = [("data.idle", -3, "-3"), ("combat.clip_eps", 0.0, "0")]
+
+def cases(keep):
+    """(key, value, text, error) of each refused value whose kind and text
+    ``keep`` holds for."""
+    return [(key, value, text, rule_error(kind, key.split(".")[-1], value))
+            for key, kind in (KEY_RULES | CHARACTER_RULES).items()
+            for value, text in BAD_VALUES[kind] if keep(kind, text)]
+
+
+# every refused value, each checked by one of four tests
+NAN_CASES = cases(lambda kind, text: text == "nan")
+COUNT_CASES = cases(lambda kind, text: kind == "positive count")
+VALUE_CASES = cases(lambda kind, text: kind == "positive" and text != "nan")
+OUT_OF_RANGE = cases(lambda kind, text: kind not in ("positive", "positive count") and text != "nan") + [
+    (key, value, text, rule_error(KEY_RULES[key], key.split(".")[1], value))
+    for key, value, text in EXTRA_VALUES]
 
 
 # the keys of settings that the character or a tracking constant owns
 REMOVED_KEYS = ["physics.tau_max", "physics.contact_radius", "ppo.e_div", "ppo.energy_floor",
                 "slmp.e_div", "eval.e_div"]
-
-# non-negative values whose rule refuses NaN and infinity by key
-NAN_REFUSED = [
-    "slmp.lambda_distill", "slmp.lambda_dlsc", "slmp.lambda_disc", "slmp.plateau_tol",
-    "ppo.entropy_coef", "ppo.value_coef", "combat.entropy_coef", "combat.value_coef",
-    "combat.k_hit", "combat.f_cap", "combat.f_hit", "combat.hit_dist", "combat.knockdown_bonus",
-    "combat.episode_s", "combat.close_dist", "combat.close_s", "combat.farm_s", "combat.far_dist",
-    "combat.spawn_gap", "combat.spawn_noise",
-]
 
 
 class TestConfig:
@@ -201,48 +268,37 @@ class TestConfig:
         p.write_text("seed = 11\n")
         assert load_config(p).seed == 11
 
-    @pytest.mark.parametrize("value", [0, -1])
-    @pytest.mark.parametrize("key", [
-        "ppo.envs", "ppo.horizon", "ppo.batch_size", "ppo.epochs_per_update",
-        "slmp.envs", "slmp.batch", "slmp.fresh_per_update", "slmp.capacity", "slmp.window",
-        "combat.envs", "combat.horizon", "combat.batch_size", "combat.epochs_per_update",
-        "combat.k_hl", "combat.swap_period",
-        "eval.trials", "eval.samples", "eval.clusters",
-        "physics.substeps",
-    ])
-    def test_non_positive_count_named(self, tmp_path, key, value):
+    def test_every_key_declares_one_rule(self):
+        """The table names each key that ``echo_config`` prints, and the
+        key's field declares a rule, so a new key cannot arrive without one."""
+        cfg = RunConfig()
+        keys = [line.split(" = ")[0] for line in echo_config(cfg).splitlines()]
+        assert sorted(keys) == sorted(KEY_RULES)
+        for key in keys:
+            section, _, name = key.rpartition(".")
+            field = {f.name: f for f in fields(getattr(cfg, section) if section else cfg)}[name]
+            assert "holds" in field.metadata, key
+
+    @pytest.mark.parametrize("key, value, text, error", COUNT_CASES,
+                             ids=[f"{key}-{text}" for key, _, text, _ in COUNT_CASES])
+    def test_non_positive_count_named(self, tmp_path, key, value, text, error):
         """The stage config refuses the count at construction, and the
         loader names its section too."""
-        refused(tmp_path, key, value, value, f"{key.split('.')[1]} must be positive, got {value}")
+        refused(tmp_path, key, value, text, error)
 
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf])
-    @pytest.mark.parametrize("key", [
-        "physics.hz", "physics.contact_kn", "physics.contact_kt", "eval.resample_period",
-        "ppo.lr", "ppo.std_init", "ppo.std_final", "slmp.lr", "slmp.disc_lr", "slmp.beta",
-        "combat.lr", "combat.std_init", "physics.tau_max", "physics.contact_radius",
-    ])
-    def test_non_positive_value_named(self, tmp_path, key, value):
-        """The body's torque limit and contact radius are no config keys:
-        the run reads them from its ``physics.character`` file, and building
-        the body refuses a bad one by its name."""
-        section, name = key.split(".")
-        if hasattr(getattr(RunConfig(), section), name):
-            refused(tmp_path, key, value, value, f"{name} must be positive, got {value}")
-            return
-        char = tmp_path / "char.json"
-        ph.character_to_json(ph.default_character(), char)
-        char.write_text(json.dumps(json.loads(char.read_text()) | {name: value}))
-        physics = load_config(None, {"physics.character": str(char)}).physics
-        with pytest.raises(ValueError, match=f"^{name} must be positive, got {value}$"):
-            physics.build()
+    @pytest.mark.parametrize("key, value, text, error", VALUE_CASES,
+                             ids=[f"{key}-{text}" for key, _, text, _ in VALUE_CASES])
+    def test_non_positive_value_named(self, tmp_path, key, value, text, error):
+        """A positive value refuses 0, -1 and infinity by its key; the
+        body's torque limit and contact radius, values of the
+        ``physics.character`` file, are refused when the body is built."""
+        refused(tmp_path, key, value, text, error)
 
-    @pytest.mark.parametrize("key", NAN_REFUSED)
-    def test_nan_value_named(self, tmp_path, key):
-        """A non-negative weight, coefficient, distance or time refuses NaN,
-        which every ``<`` test lets through, and infinity by its key."""
-        name = key.split(".")[1]
-        refused(tmp_path, key, math.nan, "nan", f"{name} must be non-negative, got nan")
-        refused(tmp_path, key, math.inf, "inf", f"{name} must be non-negative, got inf")
+    @pytest.mark.parametrize("key, value, text, error", NAN_CASES, ids=[c[0] for c in NAN_CASES])
+    def test_nan_value_named(self, tmp_path, key, value, text, error):
+        """A float setting refuses NaN, which every ``<`` test lets through,
+        by its key."""
+        refused(tmp_path, key, value, text, error)
 
     @pytest.mark.parametrize("key, value, text, error", OUT_OF_RANGE,
                              ids=[f"{key}={text}" for key, _, text, _ in OUT_OF_RANGE])
@@ -262,11 +318,40 @@ class TestConfig:
             load_config(p)
 
 
+    def test_more_clusters_than_samples_refused(self):
+        """The sphere export clusters its samples, so ``eval.clusters`` above
+        ``eval.samples`` is refused by both keys when the config loads."""
+        with pytest.raises(ValueError, match="^clusters 7 exceeds samples 6$"):
+            EvalSection(samples=6, clusters=7)
+        assert EvalSection(samples=6, clusters=6).clusters == 6
+        with pytest.raises(ConfigError, match="^eval: clusters 600 exceeds samples 512$"):
+            load_config(None, {"eval.clusters": "600"})
+
+    def test_a_library_without_clips_refused(self):
+        """Family counts that sum to 0 give no clip library: the ``data``
+        section refuses them when the config loads."""
+        error = "the clip-family counts sum to 0: a clip library needs at least one clip"
+        zeros = {f"data.{family}": "0" for family in mo.FAMILIES}
+        with pytest.raises(ConfigError, match=f"^data: {error}$"):
+            load_config(None, zeros)
+        assert load_config(None, zeros | {"data.kick": "1"}).data.counts()["kick"] == 1
+
+
 def refused(tmp_path, key, value, text, error):
     """The section refuses ``value`` of ``key`` at construction with
     ``error``, and the loader refuses its config line ``text`` with the
-    section named too."""
+    section named too; a key of ``CHARACTER_RULES`` is written into a
+    ``physics.character`` file instead, and building the body refuses it."""
     section, name = key.split(".")
+    error = re.escape(error)
+    if key in CHARACTER_RULES:
+        char = tmp_path / "char.json"
+        ph.character_to_json(ph.default_character(), char)
+        char.write_text(json.dumps(json.loads(char.read_text()) | {name: value}))
+        physics = load_config(None, {"physics.character": str(char)}).physics
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            physics.build()
+        return
     with pytest.raises(ValueError, match=f"^{error}$"):
         type(getattr(RunConfig(), section))(**{name: value})
     p = tmp_path / "c.cfg"
@@ -315,6 +400,25 @@ class TestCli:
     def test_bad_option_value_refused_like_a_config_line(self, tmp_path, capsys, argv, error):
         out = tmp_path / "out"
         assert cli.run(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, lines, error", [
+        (["train-track", "--updates", "-1"], [], "ppo: updates must be positive, got -1"),
+        (["train-track"], ["ppo.pi_hidden = 0"], "ppo: pi_hidden must be widths of at least 1, got 0"),
+        (["eval-survival", "--slmp", "."], ["eval.horizons = 1,nan"],
+         "eval: horizons must be positive and strictly increasing, got 1.0,nan"),
+        (["viz-sphere", "--slmp", "."], ["eval.clusters = 600"],
+         "eval: clusters 600 exceeds samples 512"),
+        (["gen-data"], [f"data.{family} = 0" for family in mo.FAMILIES],
+         "data: the clip-family counts sum to 0: a clip library needs at least one clip"),
+    ], ids=["updates", "pi_hidden", "horizons", "clusters", "no-clips"])
+    def test_bad_value_refused_before_any_file_is_written(self, tmp_path, capsys, argv, lines, error):
+        """A value its rule refuses stops the command with an ``error:``
+        line that names the key, before ``--out`` is made."""
+        cfg, out = tmp_path / "c.cfg", tmp_path / "out"
+        cfg.write_text("".join(line + "\n" for line in lines))
+        assert cli.run(argv + ["--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
 
